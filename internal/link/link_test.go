@@ -210,6 +210,40 @@ func TestSwitchLearnsAndForwards(t *testing.T) {
 	}
 }
 
+// A frame to a learned port crosses two links and the switch hop on
+// pooled kernel events: at steady state it allocates nothing.
+func TestSwitchForwardAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	sw := NewSwitch(k, SwitchConfig{})
+	p1, p2 := sw.NewPort(), sw.NewPort()
+	delivered := 0
+	p1.Attach(func(*packet.Frame) {})
+	p2.Attach(func(*packet.Frame) { delivered++ })
+	// Teach the switch both stations.
+	p1.Send(frame(2, 1, 100))
+	p2.Send(frame(1, 2, 100))
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	f := frame(2, 1, 100)
+	forwarded := sw.Stats().Forwarded
+	allocs := testing.AllocsPerRun(100, func() {
+		p1.Send(f)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("learned-port forward allocates %v per frame, want 0", allocs)
+	}
+	if got := sw.Stats().Forwarded - forwarded; got != 101 {
+		t.Errorf("forwarded %d frames, want 101 (warm-up plus 100 runs)", got)
+	}
+	if delivered != 102 {
+		t.Errorf("port 2 received %d frames, want 102", delivered)
+	}
+}
+
 func TestSwitchBroadcast(t *testing.T) {
 	k := sim.NewKernel()
 	sw := NewSwitch(k, SwitchConfig{})

@@ -34,9 +34,13 @@ type Switch struct {
 	kernel *sim.Kernel
 	cfg    SwitchConfig
 	ports  []*Endpoint // switch-side endpoints
-	macs   map[packet.MAC]int
-	stats  SwitchStats
-	tracer *tracing.Tracer
+	// egressFns holds each port's precomputed store-and-forward
+	// callback, scheduled on the kernel's pooled-event path so a
+	// switched frame costs no event or closure allocation.
+	egressFns []func(any)
+	macs      map[packet.MAC]int
+	stats     SwitchStats
+	tracer    *tracing.Tracer
 }
 
 // NewSwitch creates an empty switch.
@@ -53,6 +57,7 @@ func (s *Switch) NewPort() *Endpoint {
 	station, swSide := New(s.kernel, s.cfg.Link)
 	port := len(s.ports)
 	s.ports = append(s.ports, swSide)
+	s.egressFns = append(s.egressFns, func(x any) { s.egress(port, x.(*packet.Frame)) })
 	swSide.SetTracer(s.tracer)
 	swSide.Attach(func(f *packet.Frame) { s.ingress(port, f) })
 	return station
@@ -82,6 +87,10 @@ func (s *Switch) LearnedPort(m packet.MAC) int {
 	return -1
 }
 
+// ingress learns the frame's source and holds it for the
+// store-and-forward latency before egress.
+//
+//barbican:noalloc
 func (s *Switch) ingress(port int, f *packet.Frame) {
 	if !f.Src.IsBroadcast() {
 		s.macs[f.Src] = port
@@ -90,7 +99,7 @@ func (s *Switch) ingress(port int, f *packet.Frame) {
 		now := s.kernel.Now()
 		s.tracer.Span(f.TraceID, tracing.StageSwitch, now, now+s.cfg.Latency)
 	}
-	s.kernel.After(s.cfg.Latency, func() { s.egress(port, f) })
+	s.kernel.AfterCall(s.cfg.Latency, s.egressFns[port], f)
 }
 
 func (s *Switch) egress(inPort int, f *packet.Frame) {

@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -20,18 +19,20 @@ var ErrHalted = errors.New("sim: kernel halted")
 
 // Event is a scheduled callback. It is returned by the scheduling methods
 // so that callers may cancel it before it fires.
+//
+// The fields are ordered so an event fits the 64-byte size class.
 type Event struct {
-	at    time.Duration
-	seq   uint64
-	fn    func()
-	index int // heap index; -1 when not queued
-	fired bool
+	at  time.Duration
+	seq uint64
+	fn  func()
 	// fnArg/arg carry AtCall-style callbacks. Events scheduled that way
 	// are pooled: recycled after firing and never handed to callers.
 	fnArg  func(any)
 	arg    any
-	pooled bool
 	kernel *Kernel
+	index  int32 // heap index; -1 when not queued
+	fired  bool
+	pooled bool
 }
 
 // At reports the virtual time at which the event is (or was) scheduled to fire.
@@ -44,8 +45,7 @@ func (e *Event) Cancel() bool {
 	if e == nil || e.fired || e.index < 0 {
 		return false
 	}
-	heap.Remove(&e.kernel.queue, e.index)
-	e.index = -1
+	e.kernel.remove(e)
 	e.fired = true
 	return true
 }
@@ -59,7 +59,7 @@ func (e *Event) Pending() bool { return e != nil && !e.fired && e.index >= 0 }
 type Kernel struct {
 	now    time.Duration
 	seq    uint64
-	queue  eventQueue
+	queue  []*Event // binary min-heap on (at, seq); see push/pop
 	rng    *rand.Rand
 	halted bool
 
@@ -181,7 +181,7 @@ func (k *Kernel) endRun(outermost bool) {
 }
 
 // Len returns the number of pending events.
-func (k *Kernel) Len() int { return k.queue.Len() }
+func (k *Kernel) Len() int { return len(k.queue) }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // is clamped to the current time (the event fires "now", after already-queued
@@ -192,7 +192,7 @@ func (k *Kernel) At(t time.Duration, fn func()) *Event {
 	}
 	e := &Event{at: t, seq: k.seq, fn: fn, kernel: k}
 	k.seq++
-	heap.Push(&k.queue, e)
+	k.push(e)
 	return e
 }
 
@@ -222,7 +222,7 @@ func (k *Kernel) AtCall(t time.Duration, fn func(any), arg any) {
 	e.at, e.seq = t, k.seq
 	e.fnArg, e.arg = fn, arg
 	k.seq++
-	heap.Push(&k.queue, e)
+	k.push(e)
 }
 
 // AfterCall schedules fn(arg) d after the current virtual time on a
@@ -238,11 +238,10 @@ func (k *Kernel) Halt() { k.halted = true }
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed.
 func (k *Kernel) Step() bool {
-	if k.queue.Len() == 0 {
+	if len(k.queue) == 0 {
 		return false
 	}
-	ev, _ := heap.Pop(&k.queue).(*Event)
-	ev.index = -1
+	ev := k.pop()
 	ev.fired = true
 	k.now = ev.at
 	k.executed++
@@ -294,7 +293,7 @@ func (k *Kernel) RunUntil(t time.Duration) error {
 	defer k.endRun(k.beginRun())
 	k.halted = false
 	for !k.halted {
-		if k.queue.Len() == 0 || k.queue[0].at > t {
+		if len(k.queue) == 0 || k.queue[0].at > t {
 			if t > k.now {
 				k.now = t
 			}
@@ -310,38 +309,95 @@ func (k *Kernel) RunFor(d time.Duration) error {
 	return k.RunUntil(k.now + d)
 }
 
-// eventQueue is a min-heap ordered by (at, seq).
-type eventQueue []*Event
+// The queue is a binary min-heap of events ordered by (at, seq). seq is
+// unique, so the order is total and the fire order is a pure function of
+// the scheduling calls, whatever the heap's internal layout. Sifts move a
+// hole through the slice rather than swapping, so an event's index is
+// written once per level it moves and only for events that do move.
 
-func (q eventQueue) Len() int { return len(q) }
+// before reports whether e fires ahead of o.
+func (e *Event) before(o *Event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
 
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// push adds e to the queue.
+func (k *Kernel) push(e *Event) {
+	k.queue = append(k.queue, nil)
+	k.siftUp(e, len(k.queue)-1)
+}
+
+// pop removes and returns the next event to fire. The queue must not be
+// empty.
+func (k *Kernel) pop() *Event {
+	q := k.queue
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q[n] = nil
+	k.queue = q[:n]
+	if n > 0 {
+		k.siftDown(last, 0)
 	}
-	return q[i].seq < q[j].seq
+	top.index = -1
+	return top
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	e, ok := x.(*Event)
-	if !ok {
-		return
+// remove takes the queued event e out of the queue.
+func (k *Kernel) remove(e *Event) {
+	q := k.queue
+	n := len(q) - 1
+	i := int(e.index)
+	last := q[n]
+	q[n] = nil
+	k.queue = q[:n]
+	if i != n {
+		if i > 0 && last.before(q[(i-1)/2]) {
+			k.siftUp(last, i)
+		} else {
+			k.siftDown(last, i)
+		}
 	}
-	e.index = len(*q)
-	*q = append(*q, e)
+	e.index = -1
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+// siftUp places e at or above the hole at i, moving each ancestor that
+// fires after e down one level.
+func (k *Kernel) siftUp(e *Event, i int) {
+	q := k.queue
+	for i > 0 {
+		p := (i - 1) / 2
+		pe := q[p]
+		if !e.before(pe) {
+			break
+		}
+		q[i] = pe
+		pe.index = int32(i)
+		i = p
+	}
+	q[i] = e
+	e.index = int32(i)
+}
+
+// siftDown places e at or below the hole at i, moving each earlier child
+// up one level.
+func (k *Kernel) siftDown(e *Event, i int) {
+	q := k.queue
+	n := len(q)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		ce := q[c]
+		if !ce.before(e) {
+			break
+		}
+		q[i] = ce
+		ce.index = int32(i)
+		i = c
+	}
+	q[i] = e
+	e.index = int32(i)
 }

@@ -91,6 +91,7 @@ type Conn struct {
 
 	rto         time.Duration
 	rtoTimer    *sim.Event
+	onRTOFn     func() // c.onRTO bound once, so arming allocates no closure
 	retransmits int
 	timeWait    *sim.Event
 
@@ -180,6 +181,7 @@ func (h *Host) newConn(key connKey, state ConnState) *Conn {
 	c.cwnd = 4 * c.mss // RFC 3390-style initial window
 	c.ssthresh = defaultWindow
 	c.ooo = make(map[uint32][]byte)
+	c.onRTOFn = c.onRTO
 	h.conns[key] = c
 	return c
 }
@@ -582,7 +584,7 @@ func (c *Conn) armRTO() {
 	if c.rtoTimer != nil && c.rtoTimer.Pending() {
 		return
 	}
-	c.rtoTimer = c.host.kernel.After(c.rto, c.onRTO)
+	c.rtoTimer = c.host.kernel.After(c.rto, c.onRTOFn)
 }
 
 func (c *Conn) resetRTOState() {

@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"sort"
 
 	"barbican/internal/packet"
@@ -58,10 +59,15 @@ var (
 
 // Group is a named virtual private group with a shared key and a member
 // set.
+//
+// A group's Seal and Open reuse one cipher and one MAC state, so they
+// serve one goroutine at a time; each simulation owns its groups (see
+// DESIGN.md §7).
 type Group struct {
 	name    string
-	encKey  [32]byte
-	macKey  [32]byte
+	block   cipher.Block      // AES-256 under the encryption subkey
+	mac     hash.Hash         // HMAC-SHA-256 under the MAC subkey, Reset per tag
+	sum     [sha256.Size]byte // tag's output, so a tag allocates nothing
 	members map[packet.IP]struct{}
 }
 
@@ -71,10 +77,16 @@ func NewGroup(name string, key Key, members ...packet.IP) (*Group, error) {
 	if name == "" || len(name) > maxNameLen {
 		return nil, fmt.Errorf("vpg: invalid group name %q", name)
 	}
+	encKey, macKey := deriveSubkey(key, "enc"), deriveSubkey(key, "mac")
+	block, err := aes.NewCipher(encKey[:])
+	if err != nil {
+		// AES-256 with a fixed 32-byte key cannot fail; treat as corruption.
+		panic("vpg: aes.NewCipher: " + err.Error())
+	}
 	g := &Group{
 		name:    name,
-		encKey:  deriveSubkey(key, "enc"),
-		macKey:  deriveSubkey(key, "mac"),
+		block:   block,
+		mac:     hmac.New(sha256.New, macKey[:]),
 		members: make(map[packet.IP]struct{}, len(members)),
 	}
 	for _, m := range members {
@@ -176,24 +188,22 @@ func (g *Group) Open(sender, dst packet.IP, env []byte) (packet.Protocol, []byte
 
 // stream builds the CTR keystream bound to (sender, seq).
 func (g *Group) stream(sender packet.IP, seq uint64) cipher.Stream {
-	block, err := aes.NewCipher(g.encKey[:])
-	if err != nil {
-		// AES-256 with a fixed 32-byte key cannot fail; treat as corruption.
-		panic("vpg: aes.NewCipher: " + err.Error())
-	}
 	var iv [aes.BlockSize]byte
 	copy(iv[0:4], sender[:])
 	binary.BigEndian.PutUint64(iv[4:12], seq)
-	return cipher.NewCTR(block, iv[:])
+	return cipher.NewCTR(g.block, iv[:])
 }
 
 // tag computes the truncated HMAC binding sender, destination, and body.
+// The result aliases the group's sum buffer and is valid until the next
+// tag.
 func (g *Group) tag(sender, dst packet.IP, body []byte) []byte {
-	mac := hmac.New(sha256.New, g.macKey[:])
+	mac := g.mac
+	mac.Reset()
 	mac.Write(sender[:])
 	mac.Write(dst[:])
 	mac.Write(body)
-	return mac.Sum(nil)[:tagLen]
+	return mac.Sum(g.sum[:0])[:tagLen]
 }
 
 // PeekGroupName extracts the group name from an envelope without

@@ -25,7 +25,9 @@
 # a telemetry agent attached, as does the agent's own
 # BenchmarkTelemetrySnapshotEncode build path, and
 # BenchmarkRxPathStateful plus BenchmarkConntrack's lookup variants
-# hold the conntrack-enabled ingress there too).
+# hold the conntrack-enabled ingress there too, and
+# BenchmarkKernelQueue holds the pooled event path at 0 allocs/op at
+# the queue depths a flood keeps pending).
 # Benchmarks present on only one side are reported but never fail the
 # gate, so adding or renaming a benchmark doesn't break CI.
 #
@@ -52,7 +54,7 @@ out="${1:-BENCH_baseline.json}"
 if [ -n "$baseline" ] && [ "$#" -eq 0 ]; then
   out="$(mktemp --suffix .json)"
 fi
-pkgs="./internal/nic ./internal/nic/conntrack ./internal/fw ./internal/fw/sem ./internal/sim ./internal/packet ./internal/measure ./internal/telemetry"
+pkgs="./internal/nic ./internal/nic/conntrack ./internal/fw ./internal/fw/sem ./internal/sim ./internal/packet ./internal/measure ./internal/telemetry ./internal/vpg"
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
