@@ -92,12 +92,8 @@ func run(args []string) error {
 	duration := fs.Duration("duration", 0, "per-measurement window (0 = tool default)")
 	seed := fs.Int64("seed", 0, "simulation seed (0 = 1)")
 	parallel := fs.Int("parallel", 0, "experiment points measured concurrently (0 = GOMAXPROCS, 1 = serial)")
-	metricsOut := fs.String("metrics-out", "", "write telemetry artifacts (prom/json/csv) under this directory")
-	sampleEvery := fs.Duration("sample-every", 0, "flight-recorder tick in virtual time (0 = 50ms default)")
-	traceOut := fs.String("trace-out", "", "write packet-lifecycle traces (Perfetto JSON + text) under this directory")
-	traceSample := fs.Int("trace-sample", 0, "trace 1 packet in N (0 = 64 default; needs -trace-out)")
-	profileOut := fs.String("profile-out", "", "write dual-domain profiles (pprof + folded stacks) under this directory")
-	profileSample := fs.Int("profile-sample", 0, "kernel profiler samples 1 event in N (0 = 16 default; needs -profile-out)")
+	var cfg experiment.Config
+	cfg.ArtifactFlags(fs)
 	faultSpec := fs.String("faults", "", `custom management-channel fault plan for the chaos experiments, e.g. "loss=0.2,down=1s-2.5s" (replaces the default condition sweep)`)
 	faultSeed := fs.Int64("fault-seed", 0, "fault-injector seed (0 = derive from the simulation seed)")
 	fs.Usage = func() {
@@ -114,14 +110,8 @@ func run(args []string) error {
 		return fmt.Errorf("expected exactly one experiment name")
 	}
 	acct := &experiment.Accounting{}
-	cfg := experiment.Config{
-		Quick: *quick, Duration: *duration, Seed: *seed,
-		MetricsDir: *metricsOut, SampleEvery: *sampleEvery,
-		TraceDir: *traceOut, TraceSample: *traceSample,
-		ProfileDir: *profileOut, ProfileSample: *profileSample,
-		Parallel: *parallel, Account: acct,
-		FaultSeed: *faultSeed,
-	}
+	cfg.Quick, cfg.Duration, cfg.Seed = *quick, *duration, *seed
+	cfg.Parallel, cfg.Account, cfg.FaultSeed = *parallel, acct, *faultSeed
 	if *faultSpec != "" {
 		plan, err := faults.ParsePlan(*faultSpec)
 		if err != nil {
@@ -179,10 +169,10 @@ func run(args []string) error {
 	}
 	elapsed := time.Since(start)
 	fmt.Println(acct.Summary(elapsed, workers))
-	if *metricsOut != "" {
+	if cfg.MetricsDir != "" {
 		reg := obs.NewRegistry()
 		acct.Publish(reg, elapsed, workers)
-		if _, err := obs.WriteRunArtifacts(*metricsOut, "executor", reg, nil); err != nil {
+		if _, err := obs.WriteRunArtifacts(cfg.MetricsDir, "executor", reg, nil); err != nil {
 			return fmt.Errorf("executor metrics: %w", err)
 		}
 	}

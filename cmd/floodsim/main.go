@@ -7,7 +7,7 @@
 //
 //	floodsim -device efw -depth 64 -rate 8000
 //	floodsim -device adf -depth 64 -deny -search
-//	floodsim -device adf -rate 12500 -metrics-out /tmp/m -trace-out /tmp/t
+//	floodsim -device adf -rate 12500 -metrics-out /tmp/m -trace-out /tmp/t -pcap /tmp/run.pcap
 //	floodsim -device efw -depths 1,16,64 -rates 4000,8000,12500 -parallel 4
 //	floodsim -device adf -rate 8000 -faults loss=0.05,corrupt=0.01,down=1s-1.5s -fault-seed 42
 //
@@ -24,6 +24,10 @@
 // units attributed per NIC/phase/rule, and host wall time per kernel
 // event handler — and written as gzipped pprof plus folded stacks
 // (see barbican profile to summarize or diff them).
+//
+// With -pcap the client's wire is captured for the whole run and
+// written as a pcap file. It combines freely with the artifact flags:
+// every pillar attaches to the same run.
 //
 // With -depths and/or -rates the tool sweeps the cross product on
 // -parallel workers. Each point owns a private simulation, and output
@@ -43,11 +47,10 @@ import (
 	"time"
 
 	"barbican/internal/core"
+	"barbican/internal/experiment"
 	"barbican/internal/faults"
-	"barbican/internal/obs"
-	"barbican/internal/obs/profile"
-	"barbican/internal/obs/tracing"
 	"barbican/internal/runner"
+	"barbican/internal/trace"
 )
 
 func main() {
@@ -92,12 +95,8 @@ func run(args []string) error {
 	rateList := fs.String("rates", "", "comma-separated flood-rate sweep (overrides -rate; enables sweep mode)")
 	parallel := fs.Int("parallel", 0, "sweep points measured concurrently (0 = GOMAXPROCS, 1 = serial)")
 	pcapPath := fs.String("pcap", "", "write the target's wire traffic to this pcap file (single runs only)")
-	metricsOut := fs.String("metrics-out", "", "write telemetry artifacts (prom/json/csv) under this directory (single runs only)")
-	sampleEvery := fs.Duration("sample-every", 0, "flight-recorder tick in virtual time (0 = 50ms default)")
-	traceOut := fs.String("trace-out", "", "write packet-lifecycle traces (Perfetto JSON + text) under this directory (single runs only)")
-	traceSample := fs.Int("trace-sample", 0, "trace 1 packet in N (0 = 64 default; needs -trace-out)")
-	profileOut := fs.String("profile-out", "", "write dual-domain profiles (pprof + folded stacks) under this directory (single runs only)")
-	profileSample := fs.Int("profile-sample", 0, "kernel profiler samples 1 event in N (0 = 16 default; needs -profile-out)")
+	var cfg experiment.Config
+	cfg.ArtifactFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -124,7 +123,7 @@ func run(args []string) error {
 	}
 
 	if *depthList != "" || *rateList != "" {
-		if *metricsOut != "" || *traceOut != "" || *profileOut != "" || *pcapPath != "" {
+		if cfg.Observing() || *pcapPath != "" {
 			return fmt.Errorf("-metrics-out, -trace-out, -profile-out, and -pcap apply to single runs only, not sweeps")
 		}
 		depths, err := parseInts(*depthList, *depth)
@@ -147,60 +146,32 @@ func run(args []string) error {
 		return nil
 	}
 
-	var p core.BandwidthPoint
-	switch {
-	case (*metricsOut != "" || *traceOut != "" || *profileOut != "") && *pcapPath != "":
-		return fmt.Errorf("-metrics-out/-trace-out/-profile-out and -pcap cannot be combined; run twice")
-	case *metricsOut != "" || *traceOut != "" || *profileOut != "":
-		opt := core.ObserveOptions{SampleEvery: *sampleEvery}
-		if *traceOut != "" {
-			n := *traceSample
-			if n <= 0 {
-				n = tracing.DefaultSampleEvery
-			}
-			opt.Trace = tracing.Options{SampleEvery: n}
-		}
-		if *profileOut != "" {
-			opt.Profile = &profile.Options{KernelSampleEvery: *profileSample}
-		}
-		var inst *core.Instrumentation
-		p, inst, err = core.RunBandwidthObserved(s, opt)
+	if !cfg.Observing() && *pcapPath == "" {
+		p, err := core.RunBandwidth(s)
 		if err != nil {
 			return err
 		}
-		base := fmt.Sprintf("floodsim_%s_depth-%d_rate-%.0f_%s", obs.SanitizeName(device.String()), *depth, *rate, mode(!*deny))
-		var paths []string
-		if *metricsOut != "" {
-			mp, werr := inst.WriteArtifacts(*metricsOut, base)
-			if werr != nil {
-				return werr
-			}
-			paths = append(paths, mp...)
-		}
-		if *traceOut != "" {
-			tp, werr := inst.WriteTraceArtifacts(*traceOut, base)
-			if werr != nil {
-				return werr
-			}
-			paths = append(paths, tp...)
-		}
-		if *profileOut != "" {
-			pp, werr := inst.WriteProfileArtifacts(*profileOut, base)
-			if werr != nil {
-				return werr
-			}
-			paths = append(paths, pp...)
-		}
-		for _, path := range paths {
-			fmt.Println("wrote", path)
-		}
-	case *pcapPath != "":
-		p, err = runWithCapture(s, *pcapPath)
-	default:
-		p, err = core.RunBandwidth(s)
+		fmt.Print(bandwidthReport(s, p))
+		return nil
 	}
+	opt := cfg.ObserveOptions()
+	opt.Capture = *pcapPath != ""
+	p, inst, err := core.RunBandwidthObserved(s, opt)
 	if err != nil {
 		return err
+	}
+	base := fmt.Sprintf("floodsim_%s_depth-%d_rate-%.0f_%s", device, *depth, *rate, mode(!*deny))
+	paths, err := cfg.WriteRunArtifacts("", base, p, inst)
+	if err != nil {
+		return err
+	}
+	for _, path := range paths {
+		fmt.Println("wrote", path)
+	}
+	if *pcapPath != "" {
+		if err := writePCAP(inst.Capture, *pcapPath); err != nil {
+			return err
+		}
 	}
 	fmt.Print(bandwidthReport(s, p))
 	return nil
@@ -340,21 +311,19 @@ func mode(allowed bool) string {
 	return "denied"
 }
 
-// runWithCapture mirrors core.RunBandwidth but taps the client's wire
-// and writes a pcap of the run.
-func runWithCapture(s core.Scenario, path string) (core.BandwidthPoint, error) {
-	p, cap, err := core.RunBandwidthCaptured(s)
-	if err != nil {
-		return p, err
-	}
+// writePCAP writes the run's client-wire capture to path.
+func writePCAP(cap *trace.Capture, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
-		return p, err
+		return err
 	}
-	defer f.Close()
 	if err := cap.WritePCAP(f); err != nil {
-		return p, err
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
 	}
 	fmt.Printf("wrote %d captured frames to %s\n", cap.Len(), path)
-	return p, nil
+	return nil
 }

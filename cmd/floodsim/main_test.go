@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"barbican/internal/core"
+	"barbican/internal/trace"
 )
 
 func TestParseDevice(t *testing.T) {
@@ -47,12 +50,58 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunMeasurementAndPcap: -pcap works alone and combined with the
+// artifact flags, and observation never changes what the wire carried —
+// every case captures the same frames.
 func TestRunMeasurementAndPcap(t *testing.T) {
-	pcap := filepath.Join(t.TempDir(), "out.pcap")
-	err := run([]string{"-device", "efw", "-depth", "4", "-rate", "1000",
-		"-duration", "200ms", "-pcap", pcap})
-	if err != nil {
-		t.Fatalf("run: %v", err)
+	tests := []struct {
+		name      string
+		artifacts bool
+	}{
+		{name: "pcap only"},
+		{name: "pcap with metrics and trace", artifacts: true},
+	}
+	frames := -1
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			dir := t.TempDir()
+			pcap := filepath.Join(dir, "out.pcap")
+			args := []string{"-device", "efw", "-depth", "4", "-rate", "1000",
+				"-duration", "200ms", "-pcap", pcap}
+			if tt.artifacts {
+				args = append(args, "-metrics-out", filepath.Join(dir, "m"), "-trace-out", filepath.Join(dir, "t"))
+			}
+			if err := run(args); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			data, err := os.ReadFile(pcap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := trace.ReadPCAP(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) == 0 {
+				t.Fatal("pcap holds no frames")
+			}
+			if frames >= 0 && len(got) != frames {
+				t.Errorf("pcap holds %d frames, pcap-only run held %d", len(got), frames)
+			}
+			frames = len(got)
+			if !tt.artifacts {
+				return
+			}
+			base := "floodsim_efw_depth-4_rate-1000_allowed"
+			for _, p := range []string{
+				filepath.Join(dir, "m", base+".prom"),
+				filepath.Join(dir, "t", base+".trace.json"),
+			} {
+				if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+					t.Errorf("artifact %s missing or empty (%v)", p, err)
+				}
+			}
+		})
 	}
 }
 

@@ -3,40 +3,50 @@ package core
 import (
 	"time"
 
-	"barbican/internal/measure"
 	"barbican/internal/nic"
 	"barbican/internal/obs"
 	"barbican/internal/obs/profile"
 	"barbican/internal/obs/tracing"
 	"barbican/internal/stack"
+	"barbican/internal/trace"
 )
 
-// Instrumentation bundles one run's metrics registry, flight
-// recorder, and (optional) packet tracer. Construct it with
-// Instrument; call Finish when the run's measurement window closes.
+// ObserveOptions selects which observability pillars ride along with
+// a run. The metrics registry and flight recorder are always attached;
+// the packet tracer, the dual-domain profiler and the wire capture are
+// opt-in.
+type ObserveOptions struct {
+	// SampleEvery is the flight-recorder tick; <= 0 uses
+	// obs.DefaultSampleEvery.
+	SampleEvery time.Duration
+	// Trace attaches the packet tracer when Trace.SampleEvery > 0.
+	Trace tracing.Options
+	// Profile attaches the dual-domain profiler when non-nil.
+	Profile *profile.Options
+	// Capture taps the client's wire with a passive frame capture for
+	// the whole run.
+	Capture bool
+}
+
+// Instrumentation bundles one run's observability pillars: metrics
+// registry, flight recorder, and the opt-in tracer, profiler and wire
+// capture.
 type Instrumentation struct {
 	Registry *obs.Registry
 	Recorder *obs.Recorder
-	// Tracer is non-nil when the run was traced (see
-	// RunBandwidthTraced); export it with WriteTraceArtifacts.
+	// Tracer is non-nil when the run was traced; export it with
+	// WriteTraceArtifacts.
 	Tracer *tracing.Tracer
-	// Profiling is non-nil when the run was profiled (see
-	// RunBandwidthObserved); export it with WriteProfileArtifacts.
+	// Profiling is non-nil when the run was profiled; export it with
+	// WriteProfileArtifacts.
 	Profiling *Profiling
+	// Capture is non-nil when the client's wire was captured; export
+	// it with Capture.WritePCAP.
+	Capture *trace.Capture
 
 	// target is the system-under-test card, the authoritative source
 	// of the per-reason drop totals embedded in trace exports.
 	target *nic.NIC
-}
-
-// Finish takes a final sample at the current virtual time and stops the
-// recorder.
-func (in *Instrumentation) Finish() {
-	if in == nil {
-		return
-	}
-	in.Recorder.Sample()
-	in.Recorder.Stop()
 }
 
 // WriteArtifacts writes the run's telemetry to dir as <base>.prom,
@@ -45,199 +55,60 @@ func (in *Instrumentation) WriteArtifacts(dir, base string) ([]string, error) {
 	return obs.WriteRunArtifacts(dir, base, in.Registry, in.Recorder)
 }
 
-// Instrument attaches a registry and a started flight recorder to the
-// testbed: kernel, switch, and every host's stack and card publish
-// their counters. sampleEvery <= 0 uses obs.DefaultSampleEvery.
-func Instrument(tb *Testbed, sampleEvery time.Duration) *Instrumentation {
+// hosts lists the standard testbed hosts in a fixed order.
+func (tb *Testbed) hosts() []*stack.Host {
+	return []*stack.Host{tb.Client, tb.Target, tb.Attacker, tb.PolicyServer}
+}
+
+// testbedHostNames labels tb.hosts() in the same order.
+var testbedHostNames = [...]string{"client", "target", "attacker", "policy-server"}
+
+// observe is the testbed's one attach point: it turns opt into an
+// Instrumentation. Kernel, switch, and every host's stack, card and
+// link endpoint publish into a fresh registry sampled by a started
+// flight recorder; the tracer is threaded through every pipeline
+// component, each card gets a cost profiler and the kernel the step
+// sampler, and the capture taps the client's wire, each per opt.
+func (tb *Testbed) observe(opt ObserveOptions) *Instrumentation {
 	reg := obs.NewRegistry()
 	obs.PublishKernel(reg, tb.Kernel)
 	tb.Switch.PublishMetrics(reg)
-	for _, hn := range []struct {
-		h    *stack.Host
-		name string
-	}{
-		{tb.Client, "client"},
-		{tb.Target, "target"},
-		{tb.Attacker, "attacker"},
-		{tb.PolicyServer, "policy-server"},
-	} {
-		label := obs.L("host", hn.name)
-		hn.h.PublishMetrics(reg, label)
-		hn.h.NIC().PublishMetrics(reg, label)
-		hn.h.NIC().Endpoint().PublishMetrics(reg, label)
-		if rs := hn.h.NIC().RuleSet(); rs != nil {
+	for i, h := range tb.hosts() {
+		label := obs.L("host", testbedHostNames[i])
+		h.PublishMetrics(reg, label)
+		h.NIC().PublishMetrics(reg, label)
+		h.NIC().Endpoint().PublishMetrics(reg, label)
+		if rs := h.NIC().RuleSet(); rs != nil {
 			rs.PublishRuleMetrics(reg, label)
-		} else if hf := hn.h.Firewall(); hf != nil && hf.RuleSet() != nil {
+		} else if hf := h.Firewall(); hf != nil && hf.RuleSet() != nil {
 			hf.RuleSet().PublishRuleMetrics(reg, label)
 		}
 	}
-	rec := obs.NewRecorder(tb.Kernel, reg, sampleEvery)
+	rec := obs.NewRecorder(tb.Kernel, reg, opt.SampleEvery)
 	rec.Start()
-	return &Instrumentation{Registry: reg, Recorder: rec, target: tb.Target.NIC()}
-}
+	in := &Instrumentation{Registry: reg, Recorder: rec, target: tb.Target.NIC()}
 
-// RunBandwidthInstrumented is RunBandwidth with a full telemetry
-// harness: every component publishes into a registry, a flight recorder
-// samples it every sampleEvery of virtual time, and the iperf sink's
-// byte counter joins the registry so the recorded timeline carries an
-// instantaneous-goodput series.
-func RunBandwidthInstrumented(s Scenario, sampleEvery time.Duration) (BandwidthPoint, *Instrumentation, error) {
-	return RunBandwidthTraced(s, sampleEvery, tracing.Options{})
-}
-
-// RunBandwidthTraced is RunBandwidthInstrumented with a packet
-// tracer attached to the whole pipeline. topt.SampleEvery > 0 enables
-// tracing at 1-in-N; zero options disable it (identical to
-// RunBandwidthInstrumented).
-func RunBandwidthTraced(s Scenario, sampleEvery time.Duration, topt tracing.Options) (BandwidthPoint, *Instrumentation, error) {
-	return RunBandwidthObserved(s, ObserveOptions{SampleEvery: sampleEvery, Trace: topt})
-}
-
-// ObserveOptions selects which observability pillars ride along with
-// a run: the flight-recorder tick, the packet tracer (enabled by
-// Trace.SampleEvery > 0), and the dual-domain profiler (enabled by a
-// non-nil Profile).
-type ObserveOptions struct {
-	SampleEvery time.Duration
-	Trace       tracing.Options
-	Profile     *profile.Options
-}
-
-// RunBandwidthObserved is RunBandwidth with the full observability
-// harness: metrics and flight recorder always, packet tracer and
-// profilers per opt. Profiled runs carry the merged cost-domain
-// profile on the returned point (CostProfile) so experiment fan-outs
-// can merge per-point profiles deterministically.
-func RunBandwidthObserved(s Scenario, opt ObserveOptions) (BandwidthPoint, *Instrumentation, error) {
-	tb, err := buildTestbed(s)
-	if err != nil {
-		return BandwidthPoint{}, nil, err
-	}
-	inst := Instrument(tb, opt.SampleEvery)
 	if opt.Trace.SampleEvery > 0 {
-		inst.Tracer = tb.AttachTracer(opt.Trace)
+		in.Tracer = tracing.New(tb.Kernel, opt.Trace)
+		for _, h := range tb.hosts() {
+			h.SetTracer(in.Tracer)
+			h.NIC().SetTracer(in.Tracer)
+			h.NIC().Endpoint().SetTracer(in.Tracer)
+		}
+		tb.Switch.SetTracer(in.Tracer)
 	}
 	if opt.Profile != nil {
-		inst.Profiling = tb.AttachProfiler(*opt.Profile)
-	}
-	flood, err := startFlood(tb, s)
-	if err != nil {
-		return BandwidthPoint{}, nil, err
-	}
-	if flood != nil {
-		flood.PublishMetrics(inst.Registry, obs.L("host", "attacker"))
-	}
-
-	cfg := measure.IperfConfig{Duration: s.Duration, Metrics: inst.Registry}
-	var res measure.IperfResult
-	if s.UseUDP {
-		res, err = measure.RunUDPIperf(tb.Kernel, tb.Client, tb.Target, cfg)
-	} else {
-		res, err = measure.RunTCPIperf(tb.Kernel, tb.Client, tb.Target, cfg)
-	}
-	if err != nil {
-		return BandwidthPoint{}, nil, err
-	}
-	p := BandwidthPoint{
-		Scenario:     s,
-		Iperf:        res,
-		TargetLocked: tb.Target.NIC().Locked(),
-		TargetNIC:    tb.Target.NIC().Stats(),
-		Attribution:  ruleAttribution(tb),
-		SimSeconds:   tb.Kernel.Now().Seconds(),
-		WallBusy:     tb.Kernel.WallBusy(),
-	}
-	if flood != nil {
-		flood.Stop()
-		p.FloodSent = flood.Sent()
-	}
-	if inst.Profiling != nil {
-		p.CostProfile = inst.Profiling.CostData()
-	}
-	inst.Finish()
-	return p, inst, nil
-}
-
-// TimelineOptions shapes a RunFloodTimeline run.
-type TimelineOptions struct {
-	// SampleEvery is the flight-recorder tick; <= 0 uses the default.
-	SampleEvery time.Duration
-	// FloodStart is when the flood switches on, relative to measurement
-	// start.
-	FloodStart time.Duration
-	// FloodStop is when the flood switches off; zero floods to the end
-	// of the window.
-	FloodStop time.Duration
-	// Trace attaches a packet tracer when Trace.SampleEvery > 0.
-	Trace tracing.Options
-	// Profile attaches the dual-domain profiler when non-nil.
-	Profile *profile.Options
-}
-
-// RunFloodTimeline measures bandwidth with the scenario's flood gated
-// to a window inside the measurement, recording the whole run. The
-// resulting goodput series shows the paper's Figure 3(a) finding as a
-// time series — nominal bandwidth, collapse when the flood starts, and
-// (for rates below the lockup regime) recovery when it stops — rather
-// than a single endpoint scalar.
-func RunFloodTimeline(s Scenario, opt TimelineOptions) (BandwidthPoint, *Instrumentation, error) {
-	tb, err := buildTestbed(s)
-	if err != nil {
-		return BandwidthPoint{}, nil, err
-	}
-	inst := Instrument(tb, opt.SampleEvery)
-	if opt.Trace.SampleEvery > 0 {
-		inst.Tracer = tb.AttachTracer(opt.Trace)
-	}
-	if opt.Profile != nil {
-		inst.Profiling = tb.AttachProfiler(*opt.Profile)
-	}
-
-	var flood *measure.Flooder
-	if s.FloodRatePPS > 0 {
-		cfg := measure.FloodConfig{
-			Kind:    s.FloodKind,
-			RatePPS: s.FloodRatePPS,
-			DstPort: FloodPort,
+		in.Profiling = &Profiling{Kernel: profile.NewKernelProfiler(opt.Profile.KernelSampleEvery)}
+		for i, h := range tb.hosts() {
+			cp := profile.NewCardProfiler(testbedHostNames[i], "", 0)
+			h.NIC().SetProfiler(cp)
+			in.Profiling.Cards = append(in.Profiling.Cards, cp)
 		}
-		if s.FloodFragmented {
-			cfg.Fragment = true
-			cfg.PayloadBytes = 24
-		}
-		flood = measure.NewFlooder(tb.Attacker, tb.Target.IP(), cfg)
-		flood.PublishMetrics(inst.Registry, obs.L("host", "attacker"))
-		tb.Kernel.After(opt.FloodStart, flood.Start)
-		if opt.FloodStop > opt.FloodStart {
-			tb.Kernel.After(opt.FloodStop, flood.Stop)
-		}
+		tb.Kernel.SetStepProfiler(in.Profiling.Kernel)
 	}
-
-	cfg := measure.IperfConfig{Duration: s.Duration, Metrics: inst.Registry}
-	var res measure.IperfResult
-	if s.UseUDP {
-		res, err = measure.RunUDPIperf(tb.Kernel, tb.Client, tb.Target, cfg)
-	} else {
-		res, err = measure.RunTCPIperf(tb.Kernel, tb.Client, tb.Target, cfg)
+	if opt.Capture {
+		in.Capture = trace.NewCapture(tb.Kernel, 0)
+		in.Capture.Tap(tb.Client.NIC().Endpoint())
 	}
-	if err != nil {
-		return BandwidthPoint{}, nil, err
-	}
-	p := BandwidthPoint{
-		Scenario:     s,
-		Iperf:        res,
-		TargetLocked: tb.Target.NIC().Locked(),
-		TargetNIC:    tb.Target.NIC().Stats(),
-		Attribution:  ruleAttribution(tb),
-		SimSeconds:   tb.Kernel.Now().Seconds(),
-		WallBusy:     tb.Kernel.WallBusy(),
-	}
-	if flood != nil {
-		flood.Stop()
-		p.FloodSent = flood.Sent()
-	}
-	if inst.Profiling != nil {
-		p.CostProfile = inst.Profiling.CostData()
-	}
-	inst.Finish()
-	return p, inst, nil
+	return in
 }

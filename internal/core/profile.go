@@ -10,25 +10,11 @@ import (
 
 // Profiling bundles one run's attached profilers: a cost-domain
 // CardProfiler per testbed NIC (exact per-packet attribution) and one
-// wall-domain KernelProfiler sampling the event loop.
+// wall-domain KernelProfiler sampling the event loop. The testbed's
+// attach point (observe) creates it.
 type Profiling struct {
 	Cards  []*profile.CardProfiler // testbed host order: client, target, attacker, policy-server
 	Kernel *profile.KernelProfiler
-}
-
-// AttachProfiler creates both profiler domains and threads them
-// through the testbed: every host's NIC gets a cost profiler and the
-// kernel gets the step sampler. Returns the bundle for export.
-func (tb *Testbed) AttachProfiler(opt profile.Options) *Profiling {
-	p := &Profiling{Kernel: profile.NewKernelProfiler(opt.KernelSampleEvery)}
-	names := []string{"client", "target", "attacker", "policy-server"}
-	for i, h := range tb.hosts() {
-		cp := profile.NewCardProfiler(names[i], "", 0)
-		h.NIC().SetProfiler(cp)
-		p.Cards = append(p.Cards, cp)
-	}
-	tb.Kernel.SetStepProfiler(p.Kernel)
-	return p
 }
 
 // CostData merges every card's attributed samples into one

@@ -8,9 +8,9 @@ import (
 	"barbican/internal/fw"
 	"barbican/internal/measure"
 	"barbican/internal/nic"
+	"barbican/internal/obs"
 	"barbican/internal/obs/profile"
 	"barbican/internal/packet"
-	"barbican/internal/trace"
 )
 
 // FloodPort is the (closed) UDP port the flood generator targets. Allowed
@@ -38,6 +38,13 @@ type Scenario struct {
 	FloodAllowed bool
 	// FloodKind is the flood traffic type; zero means UDP.
 	FloodKind measure.FloodKind
+	// FloodStart and FloodStop gate the flood to a window inside the
+	// measurement, relative to its start: it switches on at FloodStart
+	// and, when FloodStop > FloodStart, off at FloodStop. With both
+	// zero the flood runs from t=0 and settles for 200 ms before
+	// measurement begins.
+	FloodStart time.Duration
+	FloodStop  time.Duration
 	// FloodFragmented splits flood packets into IP fragments (extension
 	// EXT3): later fragments carry no ports, so a port-based deny rule
 	// only ever stops the first fragment of each packet.
@@ -206,9 +213,12 @@ func vpgRuleSet(depth int, local packet.IP, trailing int) (*fw.RuleSet, error) {
 	return fw.NewRuleSet(fw.Deny, rules...)
 }
 
-// startFlood arms the scenario's flood (if any) and lets it reach steady
-// state before measurement.
-func startFlood(tb *Testbed, s Scenario) (*measure.Flooder, error) {
+// startFlood arms the scenario's flood (if any). By default the flood
+// runs from t=0 and reaches steady state over a 200 ms settle before
+// measurement; a FloodStart/FloodStop window instead gates it inside
+// the measurement. With reg non-nil the flooder publishes its counter
+// there — after the settle, or up front for a windowed flood.
+func startFlood(tb *Testbed, s Scenario, reg *obs.Registry) (*measure.Flooder, error) {
 	if s.FloodRatePPS <= 0 {
 		return nil, nil
 	}
@@ -222,9 +232,22 @@ func startFlood(tb *Testbed, s Scenario) (*measure.Flooder, error) {
 		cfg.PayloadBytes = 24 // splits into two fragments at a 16-byte MTU chunk
 	}
 	f := measure.NewFlooder(tb.Attacker, tb.Target.IP(), cfg)
+	if s.FloodStart > 0 || s.FloodStop > 0 {
+		if reg != nil {
+			f.PublishMetrics(reg, obs.L("host", "attacker"))
+		}
+		tb.Kernel.After(s.FloodStart, f.Start)
+		if s.FloodStop > s.FloodStart {
+			tb.Kernel.After(s.FloodStop, f.Stop)
+		}
+		return f, nil
+	}
 	f.Start()
 	if err := tb.Kernel.RunFor(200 * time.Millisecond); err != nil {
 		return nil, err
+	}
+	if reg != nil {
+		f.PublishMetrics(reg, obs.L("host", "attacker"))
 	}
 	return f, nil
 }
@@ -233,34 +256,39 @@ func startFlood(tb *Testbed, s Scenario) (*measure.Flooder, error) {
 // the flood (if any), and measure available bandwidth between client and
 // target with the iperf tool.
 func RunBandwidth(s Scenario) (BandwidthPoint, error) {
-	return runBandwidth(s, nil)
+	p, _, err := runBandwidth(s, nil)
+	return p, err
 }
 
-// RunBandwidthCaptured is RunBandwidth with a passive trace capture
-// tapped on the client's wire for the whole run.
-func RunBandwidthCaptured(s Scenario) (BandwidthPoint, *trace.Capture, error) {
-	var cap *trace.Capture
-	p, err := runBandwidth(s, func(tb *Testbed) {
-		cap = trace.NewCapture(tb.Kernel, 0)
-		cap.Tap(tb.Client.NIC().Endpoint())
-	})
-	return p, cap, err
+// RunBandwidthObserved is RunBandwidth with the observability pillars
+// opt selects attached for the whole run; the iperf sink's byte counter
+// joins the registry so the recorded timeline carries an
+// instantaneous-goodput series. Observation never changes the simulated
+// outcome. Profiled runs carry the merged cost-domain profile on the
+// returned point (CostProfile) so experiment fan-outs can merge
+// per-point profiles deterministically.
+func RunBandwidthObserved(s Scenario, opt ObserveOptions) (BandwidthPoint, *Instrumentation, error) {
+	return runBandwidth(s, &opt)
 }
 
-func runBandwidth(s Scenario, tap func(*Testbed)) (BandwidthPoint, error) {
+// runBandwidth is the one bandwidth body; opt nil runs unobserved.
+func runBandwidth(s Scenario, opt *ObserveOptions) (BandwidthPoint, *Instrumentation, error) {
 	tb, err := buildTestbed(s)
 	if err != nil {
-		return BandwidthPoint{}, err
+		return BandwidthPoint{}, nil, err
 	}
-	if tap != nil {
-		tap(tb)
+	var inst *Instrumentation
+	var reg *obs.Registry
+	if opt != nil {
+		inst = tb.observe(*opt)
+		reg = inst.Registry
 	}
-	flood, err := startFlood(tb, s)
+	flood, err := startFlood(tb, s, reg)
 	if err != nil {
-		return BandwidthPoint{}, err
+		return BandwidthPoint{}, nil, err
 	}
 
-	cfg := measure.IperfConfig{Duration: s.Duration}
+	cfg := measure.IperfConfig{Duration: s.Duration, Metrics: reg}
 	var res measure.IperfResult
 	if s.UseUDP {
 		res, err = measure.RunUDPIperf(tb.Kernel, tb.Client, tb.Target, cfg)
@@ -268,7 +296,7 @@ func runBandwidth(s Scenario, tap func(*Testbed)) (BandwidthPoint, error) {
 		res, err = measure.RunTCPIperf(tb.Kernel, tb.Client, tb.Target, cfg)
 	}
 	if err != nil {
-		return BandwidthPoint{}, err
+		return BandwidthPoint{}, nil, err
 	}
 	p := BandwidthPoint{
 		Scenario:     s,
@@ -283,7 +311,15 @@ func runBandwidth(s Scenario, tap func(*Testbed)) (BandwidthPoint, error) {
 		flood.Stop()
 		p.FloodSent = flood.Sent()
 	}
-	return p, nil
+	if inst != nil {
+		if inst.Profiling != nil {
+			p.CostProfile = inst.Profiling.CostData()
+		}
+		// Final sample at the close of the measurement window.
+		inst.Recorder.Sample()
+		inst.Recorder.Stop()
+	}
+	return p, inst, nil
 }
 
 // RunHTTP executes an HTTP load scenario against a web server on the
@@ -296,7 +332,7 @@ func RunHTTP(s Scenario) (HTTPPoint, error) {
 	if err := setupHTTPServer(tb); err != nil {
 		return HTTPPoint{}, err
 	}
-	flood, err := startFlood(tb, s)
+	flood, err := startFlood(tb, s, nil)
 	if err != nil {
 		return HTTPPoint{}, err
 	}

@@ -9,29 +9,7 @@ import (
 	"barbican/internal/fw"
 	"barbican/internal/obs"
 	"barbican/internal/obs/tracing"
-	"barbican/internal/stack"
 )
-
-// AttachTracer creates a packet-lifecycle tracer on the testbed's
-// kernel and threads it through every pipeline component: each host's
-// NIC (which samples egress traffic) and stack, each access link's
-// station-side direction, and the switch (which covers the
-// switch-side directions). Returns the tracer for export.
-func (tb *Testbed) AttachTracer(opt tracing.Options) *tracing.Tracer {
-	tr := tracing.New(tb.Kernel, opt)
-	for _, h := range tb.hosts() {
-		h.SetTracer(tr)
-		h.NIC().SetTracer(tr)
-		h.NIC().Endpoint().SetTracer(tr)
-	}
-	tb.Switch.SetTracer(tr)
-	return tr
-}
-
-// hosts lists the standard testbed hosts in a fixed order.
-func (tb *Testbed) hosts() []*stack.Host {
-	return []*stack.Host{tb.Client, tb.Target, tb.Attacker, tb.PolicyServer}
-}
 
 // RuleHit is one rule's slice of a run's firewall work: how often it
 // matched and the predicted per-packet cost/latency of a packet that

@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"barbican/internal/obs/profile"
 	"barbican/internal/obs/tracing"
 )
 
@@ -28,7 +30,7 @@ func floodScenario() Scenario {
 // embedded drop-reason counters sum exactly to the target card's
 // total dropped packets.
 func TestTracedFloodDropCountersSumToTotalDrops(t *testing.T) {
-	p, inst, err := RunBandwidthTraced(floodScenario(), 0, tracing.Options{SampleEvery: 64})
+	p, inst, err := RunBandwidthObserved(floodScenario(), ObserveOptions{Trace: tracing.Options{SampleEvery: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,23 +90,74 @@ func TestTracedFloodDropCountersSumToTotalDrops(t *testing.T) {
 	_ = p
 }
 
-// TestTracingDoesNotPerturbSimulation: attaching the tracer must not
-// change any simulated outcome — same bandwidth, same NIC counters.
-func TestTracingDoesNotPerturbSimulation(t *testing.T) {
-	s := floodScenario()
-	plain, err := RunBandwidth(s)
-	if err != nil {
-		t.Fatal(err)
+// TestObservationDoesNotPerturbSimulation: attaching any mix of
+// observability pillars must not change any simulated outcome. The
+// whole simulated point is compared against the unobserved run, for
+// the default settle-then-measure flood and for a flood gated to a
+// window inside the measurement.
+func TestObservationDoesNotPerturbSimulation(t *testing.T) {
+	windowed := floodScenario()
+	windowed.FloodStart = 100 * time.Millisecond
+	windowed.FloodStop = 300 * time.Millisecond
+	scenarios := []struct {
+		name string
+		s    Scenario
+	}{
+		{"settled", floodScenario()},
+		{"windowed", windowed},
 	}
-	traced, _, err := RunBandwidthTraced(s, 0, tracing.Options{SampleEvery: 8})
-	if err != nil {
-		t.Fatal(err)
+	pillars := []struct {
+		name string
+		opt  ObserveOptions
+	}{
+		{"metrics-only", ObserveOptions{}},
+		{"trace", ObserveOptions{Trace: tracing.Options{SampleEvery: 8}}},
+		{"profile", ObserveOptions{Profile: &profile.Options{KernelSampleEvery: 4}}},
+		{"capture", ObserveOptions{Capture: true}},
+		{"all", ObserveOptions{
+			SampleEvery: 10 * time.Millisecond,
+			Trace:       tracing.Options{SampleEvery: 8},
+			Profile:     &profile.Options{KernelSampleEvery: 4},
+			Capture:     true,
+		}},
 	}
-	if plain.Mbps() != traced.Mbps() {
-		t.Fatalf("tracing changed bandwidth: %v vs %v Mbps", plain.Mbps(), traced.Mbps())
-	}
-	if plain.TargetNIC != traced.TargetNIC {
-		t.Fatalf("tracing changed NIC stats:\nplain:  %+v\ntraced: %+v", plain.TargetNIC, traced.TargetNIC)
+	for _, sc := range scenarios {
+		plain, err := RunBandwidth(sc.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.FloodSent == 0 {
+			t.Fatalf("%s: no flood packets sent", sc.name)
+		}
+		for _, pl := range pillars {
+			t.Run(sc.name+"/"+pl.name, func(t *testing.T) {
+				got, inst, err := RunBandwidthObserved(sc.s, pl.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (inst.Tracer != nil) != (pl.opt.Trace.SampleEvery > 0) ||
+					(inst.Profiling != nil) != (pl.opt.Profile != nil) ||
+					(inst.Capture != nil) != pl.opt.Capture {
+					t.Fatalf("attached pillars do not match %+v", pl.opt)
+				}
+				if got.Iperf != plain.Iperf {
+					t.Errorf("iperf result changed:\nplain:    %+v\nobserved: %+v", plain.Iperf, got.Iperf)
+				}
+				if got.TargetNIC != plain.TargetNIC {
+					t.Errorf("NIC stats changed:\nplain:    %+v\nobserved: %+v", plain.TargetNIC, got.TargetNIC)
+				}
+				if got.FloodSent != plain.FloodSent || got.TargetLocked != plain.TargetLocked {
+					t.Errorf("flood outcome changed: sent %d locked %v, want sent %d locked %v",
+						got.FloodSent, got.TargetLocked, plain.FloodSent, plain.TargetLocked)
+				}
+				if got.SimSeconds != plain.SimSeconds {
+					t.Errorf("simulated %vs, want %vs", got.SimSeconds, plain.SimSeconds)
+				}
+				if !reflect.DeepEqual(got.Attribution, plain.Attribution) {
+					t.Errorf("rule attribution changed:\nplain:    %+v\nobserved: %+v", plain.Attribution, got.Attribution)
+				}
+			})
+		}
 	}
 }
 

@@ -7,17 +7,6 @@ import (
 	"barbican/internal/runner"
 )
 
-// runAccountedBandwidth is core.RunBandwidth plus executor accounting —
-// the shared body of the ablation points.
-func runAccountedBandwidth(cfg Config, s core.Scenario) (core.BandwidthPoint, error) {
-	p, err := core.RunBandwidth(s)
-	if err != nil {
-		return p, err
-	}
-	cfg.account(1, p.SimSeconds, p.WallBusy)
-	return p, nil
-}
-
 // AblationDenyResponses (ABL1) quantifies the paper's explanation for
 // the deny-vs-allow doubling: allowed flood packets elicit victim
 // responses that transit the card outbound. It measures bandwidth under
@@ -26,7 +15,11 @@ func AblationDenyResponses(cfg Config) (*Table, error) {
 	const rate = 9000
 	run := func(suppress bool) func() (core.BandwidthPoint, error) {
 		return func() (core.BandwidthPoint, error) {
-			return runAccountedBandwidth(cfg, core.Scenario{
+			label := "abl1_responses-enabled"
+			if suppress {
+				label = "abl1_responses-suppressed"
+			}
+			return runBandwidth(cfg, "ablations", label, core.Scenario{
 				Device: core.DeviceEFW, Depth: 1,
 				FloodRatePPS: rate, FloodAllowed: true,
 				SuppressFloodResponses: suppress,
@@ -66,7 +59,11 @@ func AblationVPGLazyDecrypt(cfg Config) (*Table, error) {
 		tasks = append(tasks, task{depth: d}, task{depth: d, eager: true})
 	}
 	points, err := runner.Map(cfg.pool(), len(tasks), func(i int) (core.BandwidthPoint, error) {
-		return runAccountedBandwidth(cfg, core.Scenario{
+		label := fmt.Sprintf("abl2_depth-%d_lazy", tasks[i].depth)
+		if tasks[i].eager {
+			label = fmt.Sprintf("abl2_depth-%d_eager", tasks[i].depth)
+		}
+		return runBandwidth(cfg, "ablations", label, core.Scenario{
 			Device: core.DeviceADFVPG, Depth: tasks[i].depth,
 			EagerVPGDecrypt: tasks[i].eager,
 			Duration:        cfg.bandwidthDuration(), Seed: cfg.Seed,
@@ -98,7 +95,7 @@ func AblationTrailingRules(cfg Config) (*Table, error) {
 		trailing = []int{0, 8, 16, 32}
 	}
 	points, err := runner.Map(cfg.pool(), len(trailing), func(i int) (core.BandwidthPoint, error) {
-		return runAccountedBandwidth(cfg, core.Scenario{
+		return runBandwidth(cfg, "ablations", fmt.Sprintf("abl3_trailing-%d", trailing[i]), core.Scenario{
 			Device: core.DeviceEFW, Depth: 32, TrailingRules: trailing[i],
 			Duration: cfg.bandwidthDuration(), Seed: cfg.Seed,
 		})

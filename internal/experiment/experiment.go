@@ -6,6 +6,7 @@
 package experiment
 
 import (
+	"flag"
 	"fmt"
 	"math"
 	"sort"
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"barbican/internal/core"
 	"barbican/internal/faults"
 	"barbican/internal/obs/profile"
 	"barbican/internal/obs/tracing"
@@ -182,26 +184,39 @@ type Config struct {
 // pool returns the executor pool the configuration selects.
 func (c Config) pool() runner.Pool { return runner.Pool{Workers: c.Parallel} }
 
-// traceOptions returns the tracer options the configuration selects:
-// disabled (zero value) unless TraceDir is set.
-func (c Config) traceOptions() tracing.Options {
-	if c.TraceDir == "" {
-		return tracing.Options{}
-	}
-	n := c.TraceSample
-	if n <= 0 {
-		n = tracing.DefaultSampleEvery
-	}
-	return tracing.Options{SampleEvery: n}
+// ArtifactFlags declares the per-run artifact flags on fs, bound to
+// c: -metrics-out, -sample-every, -trace-out, -trace-sample,
+// -profile-out and -profile-sample.
+func (c *Config) ArtifactFlags(fs *flag.FlagSet) {
+	fs.StringVar(&c.MetricsDir, "metrics-out", "", "write telemetry artifacts (prom/json/csv) under this directory")
+	fs.DurationVar(&c.SampleEvery, "sample-every", 0, "flight-recorder tick in virtual time (0 = 50ms default)")
+	fs.StringVar(&c.TraceDir, "trace-out", "", "write packet-lifecycle traces (Perfetto JSON + text) under this directory")
+	fs.IntVar(&c.TraceSample, "trace-sample", 0, "trace 1 packet in N (0 = 64 default; needs -trace-out)")
+	fs.StringVar(&c.ProfileDir, "profile-out", "", "write dual-domain profiles (pprof + folded stacks) under this directory")
+	fs.IntVar(&c.ProfileSample, "profile-sample", 0, "kernel profiler samples 1 event in N (0 = 16 default; needs -profile-out)")
 }
 
-// profileOptions returns the profiler options the configuration
-// selects: nil (disabled) unless ProfileDir is set.
-func (c Config) profileOptions() *profile.Options {
-	if c.ProfileDir == "" {
-		return nil
+// Observing reports whether the configuration asks for per-run
+// artifacts (any of MetricsDir, TraceDir, ProfileDir).
+func (c Config) Observing() bool {
+	return c.MetricsDir != "" || c.TraceDir != "" || c.ProfileDir != ""
+}
+
+// ObserveOptions returns the observability pillars the configuration
+// selects: the recorder tick always, the tracer when TraceDir is set,
+// the profiler when ProfileDir is set.
+func (c Config) ObserveOptions() core.ObserveOptions {
+	opt := core.ObserveOptions{SampleEvery: c.SampleEvery}
+	if c.TraceDir != "" {
+		opt.Trace.SampleEvery = c.TraceSample
+		if opt.Trace.SampleEvery <= 0 {
+			opt.Trace.SampleEvery = tracing.DefaultSampleEvery
+		}
 	}
-	return &profile.Options{KernelSampleEvery: c.ProfileSample}
+	if c.ProfileDir != "" {
+		opt.Profile = &profile.Options{KernelSampleEvery: c.ProfileSample}
+	}
+	return opt
 }
 
 // account records one completed point's cost (or several, for searches

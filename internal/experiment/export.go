@@ -13,50 +13,76 @@ import (
 	"barbican/internal/obs/profile"
 )
 
-// runObservedBandwidth runs a bandwidth scenario, attaching a flight
-// recorder (and, per cfg, a packet tracer and/or profiler) and
-// writing per-run telemetry artifacts when cfg.MetricsDir,
-// cfg.TraceDir, or cfg.ProfileDir is set; otherwise it is plain
-// core.RunBandwidth. exp and label name the artifact files:
-// <MetricsDir>/<exp>/<label>.{prom,csv,json},
-// <TraceDir>/<exp>/<label>.trace.{json,txt}, and
-// <ProfileDir>/<exp>/<label>.{cost,kernel}.{pprof,folded}. Profiled
-// points carry their merged cost profile (CostProfile) back to the
-// caller for per-experiment aggregation.
-func runObservedBandwidth(cfg Config, exp, label string, s core.Scenario) (core.BandwidthPoint, error) {
-	if cfg.MetricsDir == "" && cfg.TraceDir == "" && cfg.ProfileDir == "" {
-		return core.RunBandwidth(s)
-	}
-	p, inst, err := core.RunBandwidthObserved(s, core.ObserveOptions{
-		SampleEvery: cfg.SampleEvery,
-		Trace:       cfg.traceOptions(),
-		Profile:     cfg.profileOptions(),
-	})
-	if err != nil {
+// runBandwidth is the experiments' one bandwidth path: it runs s —
+// plain core.RunBandwidth when cfg asks for no artifacts, observed
+// otherwise — accounts the point, and writes its artifacts (see
+// WriteRunArtifacts) under <dir>/<exp>/<label>. Profiled points carry
+// their merged cost profile (CostProfile) back to the caller for
+// per-experiment aggregation.
+func runBandwidth(cfg Config, exp, label string, s core.Scenario) (core.BandwidthPoint, error) {
+	if !cfg.Observing() {
+		p, err := core.RunBandwidth(s)
+		if err == nil {
+			cfg.account(1, p.SimSeconds, p.WallBusy)
+		}
 		return p, err
 	}
-	if cfg.MetricsDir != "" {
-		dir := filepath.Join(cfg.MetricsDir, exp)
-		if _, err := inst.WriteArtifacts(dir, label); err != nil {
-			return p, fmt.Errorf("%s/%s: %w", exp, label, err)
+	p, _, err := observeBandwidth(cfg, exp, label, s)
+	return p, err
+}
+
+// observeBandwidth is runBandwidth for callers that read the run's
+// recorder themselves: the run is observed even when cfg writes no
+// artifacts.
+func observeBandwidth(cfg Config, exp, label string, s core.Scenario) (core.BandwidthPoint, *core.Instrumentation, error) {
+	p, inst, err := core.RunBandwidthObserved(s, cfg.ObserveOptions())
+	if err != nil {
+		return p, nil, err
+	}
+	cfg.account(1, p.SimSeconds, p.WallBusy)
+	if _, err := cfg.WriteRunArtifacts(exp, label, p, inst); err != nil {
+		return p, nil, fmt.Errorf("%s/%s: %w", exp, label, err)
+	}
+	return p, inst, nil
+}
+
+// WriteRunArtifacts writes one observed run's artifacts to the
+// directories cfg selects, each joined with exp:
+// <MetricsDir>/<exp>/<label>.{prom,csv,json,snapshot.prom} plus the
+// per-rule breakdown <label>.rules.{csv,json} for filtered runs,
+// <TraceDir>/<exp>/<label>.trace.{json,txt}, and
+// <ProfileDir>/<exp>/<label>.{cost,kernel}.{pprof,folded}. It returns
+// the telemetry, trace and profile paths in that order.
+func (c Config) WriteRunArtifacts(exp, label string, p core.BandwidthPoint, inst *core.Instrumentation) ([]string, error) {
+	var paths []string
+	if c.MetricsDir != "" {
+		dir := filepath.Join(c.MetricsDir, exp)
+		mp, err := inst.WriteArtifacts(dir, label)
+		if err != nil {
+			return nil, err
 		}
+		paths = append(paths, mp...)
 		if p.Attribution != nil {
 			if err := WriteRuleAttribution(dir, label, p.Attribution); err != nil {
-				return p, fmt.Errorf("%s/%s: %w", exp, label, err)
+				return nil, err
 			}
 		}
 	}
-	if cfg.TraceDir != "" {
-		if _, err := inst.WriteTraceArtifacts(filepath.Join(cfg.TraceDir, exp), label); err != nil {
-			return p, fmt.Errorf("%s/%s: %w", exp, label, err)
+	if c.TraceDir != "" {
+		tp, err := inst.WriteTraceArtifacts(filepath.Join(c.TraceDir, exp), label)
+		if err != nil {
+			return nil, err
 		}
+		paths = append(paths, tp...)
 	}
-	if cfg.ProfileDir != "" {
-		if _, err := inst.WriteProfileArtifacts(filepath.Join(cfg.ProfileDir, exp), label); err != nil {
-			return p, fmt.Errorf("%s/%s: %w", exp, label, err)
+	if c.ProfileDir != "" {
+		pp, err := inst.WriteProfileArtifacts(filepath.Join(c.ProfileDir, exp), label)
+		if err != nil {
+			return nil, err
 		}
+		paths = append(paths, pp...)
 	}
-	return p, nil
+	return paths, nil
 }
 
 // writeMergedCostProfile merges per-point cost profiles (in the order

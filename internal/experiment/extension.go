@@ -17,7 +17,7 @@ import (
 func ExtensionNextGen(cfg Config) (*Table, error) {
 	bandwidth := func(dev core.Device) func() (string, error) {
 		return func() (string, error) {
-			p, err := runAccountedBandwidth(cfg, core.Scenario{
+			p, err := runBandwidth(cfg, "ext1", fmt.Sprintf("%s_depth-64", dev), core.Scenario{
 				Device: dev, Depth: 64,
 				Duration: cfg.bandwidthDuration(), Seed: cfg.Seed,
 			})
@@ -29,7 +29,7 @@ func ExtensionNextGen(cfg Config) (*Table, error) {
 	}
 	flooded := func(dev core.Device) func() (string, error) {
 		return func() (string, error) {
-			p, err := runAccountedBandwidth(cfg, core.Scenario{
+			p, err := runBandwidth(cfg, "ext1", fmt.Sprintf("%s_depth-64_rate-12500", dev), core.Scenario{
 				Device: dev, Depth: 64,
 				FloodRatePPS: 12_500, FloodAllowed: true,
 				Duration: cfg.bandwidthDuration(), Seed: cfg.Seed,

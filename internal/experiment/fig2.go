@@ -52,14 +52,13 @@ func Fig2(cfg Config) (*Figure, error) {
 	results, err := runner.Map(cfg.pool(), len(tasks), func(i int) (result, error) {
 		t := tasks[i]
 		label := fmt.Sprintf("%s_depth-%d", t.dev, t.depth)
-		p, err := runObservedBandwidth(cfg, "fig2", label, core.Scenario{
+		p, err := runBandwidth(cfg, "fig2", label, core.Scenario{
 			Device: t.dev, Depth: t.depth,
 			Duration: cfg.bandwidthDuration(), Seed: cfg.Seed,
 		})
 		if err != nil {
 			return result{}, err
 		}
-		cfg.account(1, p.SimSeconds, p.WallBusy)
 		return result{point: Point{X: float64(t.depth), Y: p.Mbps()}, prof: p.CostProfile}, nil
 	})
 	if err != nil {

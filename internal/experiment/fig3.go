@@ -46,7 +46,7 @@ func Fig3a(cfg Config) (*Figure, error) {
 	points, err := runner.Map(cfg.pool(), len(tasks), func(i int) (Point, error) {
 		t := tasks[i]
 		runLabel := fmt.Sprintf("%s_rate-%.0f", t.label, t.rate)
-		p, err := runObservedBandwidth(cfg, "fig3a", runLabel, core.Scenario{
+		p, err := runBandwidth(cfg, "fig3a", runLabel, core.Scenario{
 			Device: t.dev, Depth: t.depth,
 			FloodRatePPS: t.rate, FloodAllowed: true,
 			Duration: cfg.bandwidthDuration(), Seed: cfg.Seed,
@@ -54,7 +54,6 @@ func Fig3a(cfg Config) (*Figure, error) {
 		if err != nil {
 			return Point{}, err
 		}
-		cfg.account(1, p.SimSeconds, p.WallBusy)
 		pt := Point{X: t.rate, Y: p.Mbps()}
 		if p.TargetLocked {
 			pt.Note = "LOCKUP"

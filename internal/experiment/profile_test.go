@@ -138,3 +138,30 @@ func TestFig2CostProfileContent(t *testing.T) {
 		t.Errorf("folded total %d != pprof total %d", fd.Total(), d.Total())
 	}
 }
+
+// TestFloodTimelineWritesProfiles: the timeline experiment honours
+// ProfileDir like the rest of the bandwidth family: every device's run
+// leaves cost and kernel profiles under timeline/.
+func TestFloodTimelineWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Quick: true, Duration: 200 * time.Millisecond, ProfileDir: dir}
+	if _, err := FloodTimeline(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, device := range []string{"standard_nic", "adf"} {
+		for _, ext := range []string{".cost.pprof", ".cost.folded", ".kernel.pprof", ".kernel.folded"} {
+			if _, err := os.Stat(filepath.Join(dir, "timeline", device+ext)); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	// The filtering card does the run's firewall work, so its cost
+	// profile cannot be empty.
+	d, err := profile.ReadPprofFile(filepath.Join(dir, "timeline", "adf.cost.pprof"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Total() == 0 {
+		t.Error("ADF cost profile attributes no units")
+	}
+}

@@ -2,10 +2,8 @@ package experiment
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"barbican/internal/core"
-	"barbican/internal/obs"
 	"barbican/internal/obs/tracing"
 	"barbican/internal/runner"
 )
@@ -20,8 +18,8 @@ const FloodTimelineRate = 12500
 // continuously while a 12,500 packets/s flood switches on mid-run (and,
 // for the quick variant, off again before the end). The instantaneous
 // goodput and target-card drop-rate series come straight from the
-// flight recorder; with Config.MetricsDir set the full per-run
-// telemetry is written alongside. Each device's run is one executor
+// flight recorder; the per-run artifacts Config selects (telemetry,
+// traces, profiles) are written alongside. Each device's run is one executor
 // task (every run owns a private kernel and recorder, and artifact
 // files are named per device, so tasks never contend).
 func FloodTimeline(cfg Config) (*Figure, error) {
@@ -47,21 +45,15 @@ func FloodTimeline(cfg Config) (*Figure, error) {
 		if dev == core.DeviceStandard {
 			depth = 0
 		}
-		s := core.Scenario{
+		_, inst, err := observeBandwidth(cfg, "timeline", dev.String(), core.Scenario{
 			Device: dev, Depth: depth,
 			FloodRatePPS: FloodTimelineRate, FloodAllowed: true,
+			FloodStart: floodStart, FloodStop: floodStop,
 			Duration: duration, Seed: cfg.Seed,
-		}
-		p, inst, err := core.RunFloodTimeline(s, core.TimelineOptions{
-			SampleEvery: cfg.SampleEvery,
-			FloodStart:  floodStart,
-			FloodStop:   floodStop,
-			Trace:       cfg.traceOptions(),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("timeline %v: %w", dev, err)
 		}
-		cfg.account(1, p.SimSeconds, p.WallBusy)
 
 		goodput := Series{Label: dev.String() + " Mbps"}
 		if sd, ok := inst.Recorder.Series(`iperf_rx_bytes_total{proto="tcp"}`); ok {
@@ -98,18 +90,6 @@ func FloodTimeline(cfg Config) (*Figure, error) {
 			}
 		}
 
-		if cfg.MetricsDir != "" {
-			dir := filepath.Join(cfg.MetricsDir, "timeline")
-			if _, err := inst.WriteArtifacts(dir, obs.SanitizeName(dev.String())); err != nil {
-				return nil, err
-			}
-		}
-		if cfg.TraceDir != "" {
-			dir := filepath.Join(cfg.TraceDir, "timeline")
-			if _, err := inst.WriteTraceArtifacts(dir, obs.SanitizeName(dev.String())); err != nil {
-				return nil, err
-			}
-		}
 		return out, nil
 	})
 	if err != nil {

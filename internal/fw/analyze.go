@@ -2,7 +2,6 @@ package fw
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"barbican/internal/packet"
@@ -171,69 +170,4 @@ func portCovers(a, b PortRange) bool {
 		return false
 	}
 	return a.Lo <= b.Lo && b.Hi <= a.Hi
-}
-
-// RuleCost is one row of the traversal-cost report.
-type RuleCost struct {
-	// Rule is the 1-based position.
-	Rule int
-	// Matches is the observed match count.
-	Matches uint64
-	// Share is the fraction of all decided packets.
-	Share float64
-	// SavingsIfFirst is the traversal steps saved per second of the
-	// observed workload if the rule moved to position 1 (ignoring
-	// semantic constraints; a hint, not a proof).
-	SavingsIfFirst uint64
-}
-
-// CostReport summarizes where an observed workload spends its rule
-// traversals — the quantity the paper showed maps directly to bandwidth
-// on the embedded cards.
-type CostReport struct {
-	Evaluations      uint64
-	DefaultHits      uint64
-	AverageTraversal float64
-	// HotRules lists rules by potential savings, descending.
-	HotRules []RuleCost
-}
-
-// Cost builds a traversal-cost report from the rule set's observed match
-// statistics.
-func (rs *RuleSet) Cost() CostReport {
-	evals, perRule, defHits := rs.Stats()
-	report := CostReport{Evaluations: evals, DefaultHits: defHits}
-	if evals == 0 {
-		return report
-	}
-	var weighted uint64
-	for i, m := range perRule {
-		weighted += m * uint64(i+1)
-		if m > 0 && i > 0 {
-			report.HotRules = append(report.HotRules, RuleCost{
-				Rule:           i + 1,
-				Matches:        m,
-				Share:          float64(m) / float64(evals),
-				SavingsIfFirst: m * uint64(i),
-			})
-		}
-	}
-	weighted += defHits * uint64(len(perRule))
-	report.AverageTraversal = float64(weighted) / float64(evals)
-	sort.Slice(report.HotRules, func(i, j int) bool {
-		return report.HotRules[i].SavingsIfFirst > report.HotRules[j].SavingsIfFirst
-	})
-	return report
-}
-
-// Render formats the report for operators.
-func (r CostReport) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "evaluations: %d (default action: %d)\n", r.Evaluations, r.DefaultHits)
-	fmt.Fprintf(&b, "average rules traversed per packet: %.2f\n", r.AverageTraversal)
-	for _, h := range r.HotRules {
-		fmt.Fprintf(&b, "rule %3d: %d matches (%.1f%%), moving it first would save %d traversals\n",
-			h.Rule, h.Matches, 100*h.Share, h.SavingsIfFirst)
-	}
-	return b.String()
 }

@@ -168,41 +168,3 @@ func TestAnalyzeSoundnessProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestCostReport(t *testing.T) {
-	rs := MustRuleSet(Deny,
-		Rule{Action: Allow, Direction: In, Proto: packet.ProtoTCP, DstPorts: Port(22)},
-		Rule{Action: Allow, Direction: In, Proto: packet.ProtoTCP, DstPorts: Port(80)},
-	)
-	ssh := packet.Summary{Proto: packet.ProtoTCP, DstPort: 22, SrcPort: 9, HasPorts: true}
-	web := packet.Summary{Proto: packet.ProtoTCP, DstPort: 80, SrcPort: 9, HasPorts: true}
-	other := packet.Summary{Proto: packet.ProtoUDP, DstPort: 53, SrcPort: 9, HasPorts: true}
-	rs.Eval(ssh, In)
-	for i := 0; i < 8; i++ {
-		rs.Eval(web, In)
-	}
-	rs.Eval(other, In)
-
-	report := rs.Cost()
-	if report.Evaluations != 10 || report.DefaultHits != 1 {
-		t.Fatalf("report = %+v", report)
-	}
-	// weighted: 1*1 + 8*2 + 1*2(default over 2 rules) = 19 → 1.9
-	if report.AverageTraversal < 1.89 || report.AverageTraversal > 1.91 {
-		t.Errorf("average traversal = %v, want 1.9", report.AverageTraversal)
-	}
-	if len(report.HotRules) != 1 || report.HotRules[0].Rule != 2 || report.HotRules[0].SavingsIfFirst != 8 {
-		t.Errorf("hot rules = %+v", report.HotRules)
-	}
-	if !strings.Contains(report.Render(), "rule   2: 8 matches") {
-		t.Errorf("render:\n%s", report.Render())
-	}
-}
-
-func TestCostReportEmpty(t *testing.T) {
-	rs := MustRuleSet(Deny, AllowAllRule())
-	report := rs.Cost()
-	if report.AverageTraversal != 0 || len(report.HotRules) != 0 {
-		t.Errorf("empty report = %+v", report)
-	}
-}

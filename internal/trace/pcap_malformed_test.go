@@ -109,16 +109,17 @@ func TestReadPCAPMalformed(t *testing.T) {
 // target-bound wire during a flooded bandwidth measurement, write the
 // pcap, and read it back with the independent reader.
 func TestPCAPFloodRoundTrip(t *testing.T) {
-	_, cap, err := core.RunBandwidthCaptured(core.Scenario{
+	_, inst, err := core.RunBandwidthObserved(core.Scenario{
 		Device:       core.DeviceEFW,
 		Depth:        4,
 		FloodRatePPS: 2000,
 		FloodAllowed: true,
 		Duration:     200 * time.Millisecond,
-	})
+	}, core.ObserveOptions{Capture: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cap := inst.Capture
 	if cap.Len() == 0 {
 		t.Fatal("flood run captured no frames")
 	}
