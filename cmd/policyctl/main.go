@@ -3,9 +3,9 @@
 // Usage:
 //
 //	policyctl check <file>            validate a policy file and print its canonical form
-//	policyctl lint <file> [flags]     cross-rule analysis: conflicts, redundancy,
-//	                                  unreachable rules, and depth cost warnings
-//	                                  (-exact proves findings over the whole packet space)
+//	policyctl lint <file> [flags]     prove conflicts, redundant and unreachable rules
+//	                                  over the whole packet space and every connection
+//	                                  state, and warn about depth cost
 //	policyctl verify <file> [flags]   exhaustively prove the compiled classifier equals
 //	                                  the linear walk for the policy (or -generate corpus)
 //	policyctl verify <a> <b>          prove two policies verdict-identical over the
@@ -49,7 +49,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("policyctl", flag.ContinueOnError)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: policyctl check <file> | lint <file> [flags] | verify <file> [<file>] [flags] | diff <a> <b> [flags] | analyze <file> | oracle | demo <file> | explain <file> [flags] | health [flags]")
+		fmt.Fprintln(fs.Output(), "usage: policyctl check <file> | lint <file> [flags] | verify <file> [<file>] [flags] | diff <a> <b> [flags] | oracle | demo <file> | explain <file> [flags] | health [flags]")
 	}
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -57,8 +57,6 @@ func run(args []string) error {
 	switch fs.Arg(0) {
 	case "check":
 		return check(fs.Arg(1))
-	case "analyze":
-		return analyze(fs.Arg(1))
 	case "lint":
 		var flags []string
 		if fs.NArg() > 2 {
@@ -88,30 +86,6 @@ func run(args []string) error {
 	}
 }
 
-// analyze reports shadowed and redundant rules — the static check behind
-// the paper's advice to order rule-sets deliberately.
-func analyze(path string) error {
-	text, err := readPolicy(path)
-	if err != nil {
-		return err
-	}
-	rs, err := policy.Parse(text)
-	if err != nil {
-		return err
-	}
-	findings := rs.Analyze()
-	if len(findings) == 0 {
-		fmt.Printf("# %d rules, no shadowed or redundant rules\n", rs.Len())
-		return nil
-	}
-	for _, f := range findings {
-		fmt.Println(f)
-		fmt.Printf("  rule %d: %s\n", f.By, rs.Rule(f.By))
-		fmt.Printf("  rule %d: %s\n", f.Rule, rs.Rule(f.Rule))
-	}
-	return fmt.Errorf("%d finding(s)", len(findings))
-}
-
 // lintFinding is the JSON form of one finding.
 type lintFinding struct {
 	Severity string `json:"severity"`
@@ -131,21 +105,17 @@ type lintFinding struct {
 	SustainablePPSNextGen float64 `json:"sustainablePpsNextgen,omitempty"`
 }
 
-// lint runs the cross-rule policy linter: conflicting, shadowed,
-// redundant, and unreachable rules are order/coverage bugs; depth
+// lint runs the policy linter (sem.Lint): conflicting, shadowed,
+// redundant, and unreachable rules are order/coverage bugs, proven
+// over the whole packet space under every connection state; depth
 // findings translate rule position into the card's sustainable packet
 // rate via the Fig. 2 cost model. Exit status is 1 when any
 // error-severity finding (conflict, shadowed, unreachable) is present.
-// With -exact, findings come from the sem engine's proven region
-// analysis instead of the box-subtraction heuristic: cross-class
-// coverage is detected, phantom conflicts disappear, and every
-// covering list names the rules that actually take the packets.
 func lint(path string, args []string) error {
 	fs := flag.NewFlagSet("policyctl lint", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
 	device := fs.String("device", "efw", "card profile for depth predictions: standard|efw|adf|nextgen")
 	depthWarn := fs.Int("depth-warn", 16, "note reachable rules deeper than this position (0 disables)")
-	exact := fs.Bool("exact", false, "prove findings with the exact semantics engine instead of the heuristic")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -162,12 +132,7 @@ func lint(path string, args []string) error {
 		return err
 	}
 
-	var findings []fw.Finding
-	if *exact {
-		findings = sem.ExactLint(rs, fw.LintOptions{DepthWarn: *depthWarn})
-	} else {
-		findings = rs.Lint(fw.LintOptions{DepthWarn: *depthWarn})
-	}
+	findings := sem.Lint(rs, *depthWarn)
 	nextgen := nic.NextGen()
 	out := make([]lintFinding, 0, len(findings))
 	errors := 0
@@ -181,11 +146,11 @@ func lint(path string, args []string) error {
 			Depth:    f.Depth,
 			Message:  f.String(),
 		}
-		if f.Kind == fw.FindingDepth && profile.CapacityUnits > 0 {
+		if f.Kind == sem.FindingDepth && profile.CapacityUnits > 0 {
 			lf.SustainablePPS = profile.CapacityUnits / profile.Cost(f.Depth, 0)
 			lf.SustainablePPSNextGen = nextgen.CapacityUnits / nextgen.Cost(f.Depth, 0)
 		}
-		if f.Kind.Severity() == fw.SeverityError {
+		if f.Kind.Severity() == sem.SeverityError {
 			errors++
 		}
 		out = append(out, lf)

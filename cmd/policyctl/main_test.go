@@ -36,13 +36,13 @@ func TestCheckMissingArgs(t *testing.T) {
 	}
 }
 
-func TestAnalyzeSubcommand(t *testing.T) {
+func TestLintSubcommand(t *testing.T) {
 	clean := filepath.Join(t.TempDir(), "clean.txt")
 	if err := os.WriteFile(clean, []byte("allow in proto tcp from any to any port 80\ndefault deny\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"analyze", clean}); err != nil {
-		t.Fatalf("analyze clean: %v", err)
+	if err := run([]string{"lint", clean}); err != nil {
+		t.Fatalf("lint clean: %v", err)
 	}
 	shadowed := filepath.Join(t.TempDir(), "shadowed.txt")
 	text := "deny in from 10.0.0.0/8 to any\n" +
@@ -51,8 +51,8 @@ func TestAnalyzeSubcommand(t *testing.T) {
 	if err := os.WriteFile(shadowed, []byte(text), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"analyze", shadowed}); err == nil {
-		t.Error("analyze of shadowed policy reported no findings")
+	if err := run([]string{"lint", shadowed}); err == nil {
+		t.Error("lint of shadowed policy reported no error")
 	}
 }
 

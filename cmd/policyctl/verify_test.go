@@ -85,23 +85,32 @@ func TestDiffSubcommand(t *testing.T) {
 }
 
 func TestLintExact(t *testing.T) {
-	// The cross-class case the heuristic cannot see: a plain allow-out
-	// wildcard makes the VPG seal rule dead. -exact must fail the lint
-	// where the heuristic passes it.
+	// The cross-class case: a plain allow-out wildcard makes the VPG
+	// seal rule dead. The finding is a warning (redundant), not an
+	// error, so lint exits 0 — but on a shadowed variant it must exit 1.
 	text := "allow out from any to any\nallow out vpg g from 10.0.0.0/8 to any\ndefault deny\n"
 	p := writePolicy(t, "cross.txt", text)
 	if err := run([]string{"lint", p, "-depth-warn", "0"}); err != nil {
-		t.Fatalf("heuristic lint unexpectedly failed: %v", err)
-	}
-	// The proven finding is a warning (redundant), not an error, so
-	// -exact still exits 0 — but on a shadowed variant it must exit 1.
-	if err := run([]string{"lint", p, "-exact", "-depth-warn", "0"}); err != nil {
-		t.Fatalf("exact lint on redundant-only policy: %v", err)
+		t.Fatalf("lint on redundant-only policy: %v", err)
 	}
 	shadow := "allow out from any to any\ndeny out proto tcp from 10.0.0.0/8 to any\ndefault deny\n"
 	sp := writePolicy(t, "shadow.txt", shadow)
-	if err := run([]string{"lint", sp, "-exact", "-depth-warn", "0"}); err == nil {
-		t.Fatal("exact lint missed a shadowed rule")
+	if err := run([]string{"lint", sp, "-depth-warn", "0"}); err == nil {
+		t.Fatal("lint missed a shadowed rule")
+	}
+}
+
+// TestLintStateful: a stateless deny ahead of stateful allows shadows
+// them under every connection state, so lint must exit 1.
+func TestLintStateful(t *testing.T) {
+	text := "default allow\n" +
+		"deny in proto tcp from any to any\n" +
+		"allow in proto tcp from any to any port 80 state new\n" +
+		"allow in proto tcp from any to any state established\n"
+	p := writePolicy(t, "stateful.txt", text)
+	err := run([]string{"lint", p})
+	if err == nil || err.Error() != "2 error-severity finding(s)" {
+		t.Fatalf("lint = %v, want rules 2 and 3 reported shadowed", err)
 	}
 }
 

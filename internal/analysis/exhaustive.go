@@ -30,7 +30,7 @@ type EnumSpec struct {
 // of silently vanishing from artifacts.
 var BarbicanEnums = []EnumSpec{
 	{TypePath: "barbican/internal/obs/tracing.DropReason", Sentinels: []string{"NumDropReasons"}},
-	{TypePath: "barbican/internal/fw.FindingKind", Sentinels: nil},
+	{TypePath: "barbican/internal/fw/sem.FindingKind", Sentinels: nil},
 	{TypePath: "barbican/internal/fw.ConnState", Sentinels: []string{"NumConnStates"}},
 	{TypePath: "barbican/internal/nic.FailMode", Sentinels: []string{"NumFailModes"}},
 	{TypePath: "barbican/internal/nic.MatchPath", Sentinels: []string{"NumMatchPaths"}},

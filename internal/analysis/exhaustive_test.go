@@ -14,7 +14,7 @@ func TestExhaustiveFixture(t *testing.T) {
 func TestBarbicanEnumConfig(t *testing.T) {
 	want := map[string]bool{
 		"barbican/internal/obs/tracing.DropReason": true,
-		"barbican/internal/fw.FindingKind":         true,
+		"barbican/internal/fw/sem.FindingKind":     true,
 		"barbican/internal/nic.FailMode":           true,
 		"barbican/internal/nic.DegradedState":      true,
 	}

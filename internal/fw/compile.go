@@ -9,17 +9,17 @@ import (
 
 // This file is the "modern NIC" matcher: a RuleSet compiled into a
 // dimension-split interval structure whose lookup cost is independent
-// of rule depth. The geometry reuses lint.go's box algebra — a rule's
-// match space is a product of integer intervals — but instead of
-// subtracting boxes it projects them: each dimension's axis is cut at
-// every rule boundary into elementary segments, and each segment
-// stores the bitmask of rules whose interval covers it (the classic
-// bit-vector classification scheme). Evaluating a packet is then one
-// value→segment binary search per dimension plus a word-wise AND of
-// the per-dimension masks; the lowest set bit of the intersection is,
-// by construction, the first matching rule — so the verdict (Action,
-// Rule, Index, Traversed) is byte-identical to the linear walk's while
-// the work is O(dims × log segments + rules/64) instead of O(rules).
+// of rule depth. The geometry is space.go's — a rule's match space is
+// a product of integer intervals — projected per dimension: each
+// dimension's axis is cut at every rule boundary into elementary
+// segments, and each segment stores the bitmask of rules whose
+// interval covers it (the classic bit-vector classification scheme).
+// Evaluating a packet is then one value→segment binary search per
+// dimension plus a word-wise AND of the per-dimension masks; the
+// lowest set bit of the intersection is, by construction, the first
+// matching rule — so the verdict (Action, Rule, Index, Traversed) is
+// byte-identical to the linear walk's while the work is
+// O(dims × log segments + rules/64) instead of O(rules).
 //
 // The discrete packet attributes the linear walk branches on — travel
 // direction, sealed-vs-cleartext, and port presence — are not interval
@@ -120,15 +120,6 @@ func buildSegTable(words int, ivals [][2]uint32, maxVal uint32) segTable {
 		}
 	}
 	return segTable{bounds: uniq, masks: masks, words: words}
-}
-
-// portInterval is a port range as an inclusive interval; the Any range
-// spans the full axis.
-func portInterval(r PortRange) [2]uint32 {
-	if r.Any() {
-		return interval(0, 65535)
-	}
-	return interval(uint32(r.Lo), uint32(r.Hi))
 }
 
 // Compile builds the depth-independent matcher for a validated

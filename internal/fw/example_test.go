@@ -26,16 +26,3 @@ func ExampleRuleSet_Eval() {
 	fmt.Printf("%v by rule %d after traversing %d rules\n", v.Action, v.Index, v.Traversed)
 	// Output: allow by rule 2 after traversing 2 rules
 }
-
-// Analyze finds rules that can never fire.
-func ExampleRuleSet_Analyze() {
-	rs := fw.MustRuleSet(fw.Deny,
-		fw.Rule{Action: fw.Deny, Direction: fw.In, Src: packet.MustPrefix("10.0.0.0/8")},
-		fw.Rule{Action: fw.Allow, Direction: fw.In, Proto: packet.ProtoTCP,
-			Src: packet.MustPrefix("10.1.0.0/16"), DstPorts: fw.Port(80)},
-	)
-	for _, f := range rs.Analyze() {
-		fmt.Println(f)
-	}
-	// Output: rule 2 is shadowed (covered by rule 1)
-}

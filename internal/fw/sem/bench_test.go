@@ -2,6 +2,7 @@ package sem
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"barbican/internal/fw"
@@ -59,5 +60,30 @@ func BenchmarkSemVerifyCompiled(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkLint tracks the single lint walk on the paper's depth sets
+// and on a generated set whose contested boundaries make the region
+// decomposition wide.
+func BenchmarkLint(b *testing.B) {
+	for _, depth := range []int{64, 512} {
+		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
+			rs, err := fw.DepthRuleSet(depth, fw.AllowAllRule(), fw.Deny)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchLint(b, rs)
+		})
+	}
+	b.Run("generate128", func(b *testing.B) {
+		benchLint(b, Generate(rand.New(rand.NewSource(1)), GenOptions{Rules: 128}))
+	})
+}
+
+func benchLint(b *testing.B, rs *fw.RuleSet) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Lint(rs, 16)
 	}
 }

@@ -23,8 +23,8 @@ type GenOptions struct {
 // adjacent port ranges, Both-direction rules, and a sprinkling of VPG
 // rules so the sealed/cleartext class split is exercised. It is the
 // property-based half of the verification story: CI feeds generated
-// sets to VerifyCompiled and to the Lint-vs-ExactLint differential to
-// hunt for engine/walk divergence no hand-written case covers.
+// sets to VerifyCompiled and to the Lint-vs-walk differential to hunt
+// for engine/walk divergence no hand-written case covers.
 //
 // The same *rand.Rand always yields the same rule set, so a failing
 // seed is a reproducible bug report.

@@ -6,54 +6,37 @@ import (
 	"barbican/internal/fw"
 )
 
-// ExactLint is the proven replacement for RuleSet.Lint's heuristic
-// findings: it decides reachability, shadowing, redundancy, and
-// conflicts by walking the exact region decomposition instead of box
-// subtraction, and emits fw.Finding values in Lint's shape and order
-// (per rule ascending; unreachable-class finding, or conflicts by
-// earlier-rule position then the depth note) so severities and
-// rendering carry over unchanged.
+// Lint is the policy linter. It decides reachability, shadowing,
+// redundancy and conflicts by walking the exact region decomposition
+// once per traffic class and connection state, and returns findings
+// ordered by rule (per rule: the unreachable-class finding, or the
+// conflicts by earlier-rule position followed by the depth note).
+// depthWarn, when positive, adds an informational note for every
+// reachable rule deeper than that position.
 //
-// Where Lint approximates, ExactLint proves:
+// Every answer is a proof over the whole packet space:
 //
-//   - Reachability is decided over every atomic region, so coverage
-//     through a *different* traffic class (a plain allow-out rule
-//     swallowing the cleartext packets a VPG rule would seal, which
-//     Lint's same-class guard skips) is detected.
-//   - The covering list is the set of rules that actually take the
-//     unreachable rule's packets (its "winners"), not the subtraction
-//     order of a worklist; there is no give-up cap.
+//   - Reachability is decided over every atomic region under every
+//     connection state, so coverage through a different traffic class
+//     (a plain allow-out rule swallowing the cleartext packets a VPG
+//     rule would seal) or through state (a stateless deny ahead of a
+//     "state new" allow) is detected.
+//   - The covering list of an unreachable rule is the set of rules
+//     that actually take its packets (its "winners").
 //   - A conflict is reported only when the earlier opposite-action
 //     rule genuinely decides part of this rule's match space. An
 //     overlap whose every packet is taken by an even earlier rule is
-//     phantom order-dependence, and Lint reports it; ExactLint does
-//     not. The exception pattern (a later general rule containing an
-//     earlier specific one) stays excluded, as in Lint.
-func ExactLint(rs *fw.RuleSet, opts fw.LintOptions) []fw.Finding {
-	if rs.Stateful() {
-		// Connection state is not a packet coordinate, so the exact
-		// decomposition cannot see it; fall back to the heuristic
-		// linter, whose same-class guard skips cross-state pairs
-		// conservatively.
-		return rs.Lint(opts)
-	}
-	sp := newSpace(rs)
-	t := sp.sets[0]
-	w := &lintWalker{sp: sp, t: t, memo: make(map[string][]uint64)}
-
-	reached := make([]uint64, t.words)
-	for _, c := range classes {
-		r := w.reach(axesFor(c), 0, t.startMask(c))
-		for wd := range reached {
-			reached[wd] |= r[wd]
-		}
-	}
-
-	var findings []fw.Finding
+//     not order dependence and is not reported. The exception pattern
+//     (a later general rule containing an earlier specific one) is
+//     intentional ordering and is not reported either.
+func Lint(rs *fw.RuleSet, depthWarn int) []Finding {
+	w := lintWalk(rs)
+	t := w.t
+	var findings []Finding
 	for i := 1; i <= t.n; i++ {
 		ri := &t.rules[i-1]
-		winners := bitsOf(w.winners(i))
-		if !hasBit(reached, i) {
+		winners := w.winners(i)
+		if !hasBit(w.reached, i) {
 			findings = append(findings, classifyUnreachable(t, i, winners))
 			continue
 		}
@@ -62,144 +45,137 @@ func ExactLint(rs *fw.RuleSet, opts fw.LintOptions) []fw.Finding {
 			if rj.Action == ri.Action || coversExact(ri, rj) {
 				continue
 			}
-			findings = append(findings, fw.Finding{Kind: fw.FindingConflict, Rule: i, By: j})
+			findings = append(findings, Finding{Kind: FindingConflict, Rule: i, By: j})
 		}
-		if opts.DepthWarn > 0 && i > opts.DepthWarn {
-			findings = append(findings, fw.Finding{Kind: fw.FindingDepth, Rule: i, Depth: i})
+		if depthWarn > 0 && i > depthWarn {
+			findings = append(findings, Finding{Kind: FindingDepth, Rule: i, Depth: i})
 		}
 	}
 	return findings
 }
 
-// classifyUnreachable maps an unreachable rule and its winners to
-// Lint's finding vocabulary: one decisive winner gives the pairwise
-// shadowed/redundant form; several winners give the union form,
-// redundant when removal is provably semantics-free (every winner
-// applies the same action) and unreachable otherwise.
-func classifyUnreachable(t *setTables, i int, winners []int) fw.Finding {
+// lintWalk runs the single walk over every traffic class under every
+// connection state.
+func lintWalk(rs *fw.RuleSet) *lintWalker {
+	sp := newSpace(rs)
+	t := sp.sets[0]
+	w := &lintWalker{
+		sp:      sp,
+		t:       t,
+		visited: make(map[string]struct{}),
+		reached: make([]uint64, t.words),
+		win:     make([]uint64, t.n*t.words),
+	}
+	for level := range w.child {
+		w.child[level] = make([]uint64, t.words)
+	}
+	// A rule with state matchers matches only under the states it
+	// lists; a stateless rule matches under every state, StateNone
+	// included. Stateless sets give the same start masks under every
+	// state, so the visited set absorbs the repeats.
+	live := make([]uint64, t.words)
+	for cs := fw.StateNone; cs < fw.NumConnStates; cs++ {
+		clear(live)
+		for i := range t.rules {
+			if r := &t.rules[i]; r.States == 0 || r.States.Has(cs) {
+				live[i/64] |= 1 << (i % 64)
+			}
+		}
+		for _, c := range classes {
+			m := t.startMask(c)
+			andMasks(m, m, live)
+			w.enter(axesFor(c), 0, m)
+		}
+	}
+	return w
+}
+
+// classifyUnreachable maps an unreachable rule and its winners to the
+// finding vocabulary: one decisive winner gives the shadowed/redundant
+// form naming it; several winners give the union form, redundant when
+// removal is provably semantics-free (every winner applies the same
+// action) and unreachable otherwise.
+func classifyUnreachable(t *setTables, i int, winners []int) Finding {
 	ri := &t.rules[i-1]
 	if len(winners) == 1 {
-		kind := fw.FindingRedundant
+		kind := FindingRedundant
 		if t.rules[winners[0]-1].Action != ri.Action {
-			kind = fw.FindingShadowed
+			kind = FindingShadowed
 		}
-		return fw.Finding{Kind: kind, Rule: i, By: winners[0]}
+		return Finding{Kind: kind, Rule: i, By: winners[0]}
 	}
-	kind := fw.FindingRedundant
+	kind := FindingRedundant
 	for _, j := range winners {
 		if t.rules[j-1].Action != ri.Action {
-			kind = fw.FindingUnreachable
+			kind = FindingUnreachable
 			break
 		}
 	}
-	return fw.Finding{Kind: kind, Rule: i, Covering: winners}
+	return Finding{Kind: kind, Rule: i, Covering: winners}
 }
 
+// lintWalker is the single deduplicated walk behind Lint. At each
+// region (leaf) the first live rule f decides; f is marked reached and
+// ORed into the winner set of every live rule. Both results are unions
+// of per-leaf contributions, and a node's subtree is a function of its
+// remaining axes and live mask alone, so visiting each distinct
+// (axes, level, mask) node once — across classes and states — is exact.
 type lintWalker struct {
-	sp   *space
-	t    *setTables
-	memo map[string][]uint64 // subtree → reached first-match bitset
+	sp      *space
+	t       *setTables
+	visited map[string]struct{}
+	key     []byte
+	child   [numAxes][]uint64 // per-level child mask scratch
+	reached []uint64          // rules that decide at least one region
+	win     []uint64          // row i-1: rules deciding a region where rule i matches
 }
 
-// reach returns the bitset of rules that are the first match of at
-// least one region in the subtree. Memoized: identical (remaining
-// axes, live mask) subtrees reach identical rule sets.
-func (w *lintWalker) reach(axes []int, level int, mask []uint64) []uint64 {
+// enter visits the node unless its mask is empty or it was visited
+// before.
+func (w *lintWalker) enter(axes []int, level int, mask []uint64) {
 	if maskEmpty(mask) {
-		return make([]uint64, w.t.words)
-	}
-	key := nodeKey(len(axes), level, mask)
-	if r, ok := w.memo[key]; ok {
-		return r
-	}
-	out := make([]uint64, w.t.words)
-	if level == len(axes) {
-		f := firstBit(mask) // >= 1: mask is non-empty
-		out[(f-1)/64] |= 1 << (uint(f-1) % 64)
-		w.memo[key] = out
-		return out
-	}
-	axis := axes[level]
-	seen := make(map[string]struct{})
-	child := make([]uint64, w.t.words)
-	var ckey []byte
-	for k := 0; k < len(w.sp.bounds[axis]); k++ {
-		andMasks(child, mask, w.t.segMask(axis, k))
-		ckey = appendMaskKey(ckey[:0], child)
-		if _, ok := seen[string(ckey)]; ok {
-			continue
-		}
-		seen[string(ckey)] = struct{}{}
-		cc := make([]uint64, w.t.words)
-		copy(cc, child)
-		r := w.reach(axes, level+1, cc)
-		for wd := range out {
-			out[wd] |= r[wd]
-		}
-	}
-	w.memo[key] = out
-	return out
-}
-
-// winners returns the bitset of rules that decide at least one region
-// in which rule i (1-based) also matches: the rules that take i's
-// packets. For an unreachable i this is its exact covering set; for a
-// reachable i it contains i itself plus every rule that beats it
-// somewhere.
-func (w *lintWalker) winners(i int) []uint64 {
-	out := make([]uint64, w.t.words)
-	visited := make(map[string]struct{})
-	for _, c := range classes {
-		m := w.t.startMask(c)
-		if !hasBit(m, i) {
-			continue
-		}
-		w.winRecurse(axesFor(c), 0, m, i, out, visited)
-	}
-	// Drop i itself: callers want the rules competing with i.
-	out[(i-1)/64] &^= 1 << (uint(i-1) % 64)
-	return out
-}
-
-func (w *lintWalker) winRecurse(axes []int, level int, mask []uint64, i int, out []uint64, visited map[string]struct{}) {
-	key := nodeKey(len(axes), level, mask)
-	if _, ok := visited[key]; ok {
 		return
 	}
-	visited[key] = struct{}{}
+	w.key = append(w.key[:0], byte(len(axes)), byte(level))
+	w.key = appendMaskKey(w.key, mask)
+	if _, ok := w.visited[string(w.key)]; ok {
+		return
+	}
+	w.visited[string(w.key)] = struct{}{}
+
 	if level == len(axes) {
-		f := firstBit(mask) // >= 1: bit i is set
-		out[(f-1)/64] |= 1 << (uint(f-1) % 64)
+		f := firstBit(mask) - 1 // mask is non-empty
+		fword, fbit := f/64, uint64(1)<<(f%64)
+		w.reached[fword] |= fbit
+		for wd, x := range mask {
+			for x != 0 {
+				i := wd*64 + bits.TrailingZeros64(x)
+				w.win[i*w.t.words+fword] |= fbit
+				x &= x - 1
+			}
+		}
 		return
 	}
 	axis := axes[level]
-	child := make([]uint64, w.t.words)
-	for k := 0; k < len(w.sp.bounds[axis]); k++ {
+	child := w.child[level]
+	for k := range w.sp.bounds[axis] {
 		andMasks(child, mask, w.t.segMask(axis, k))
-		if !hasBit(child, i) {
-			continue // rule i dead below: region is outside i's space
-		}
-		cc := make([]uint64, w.t.words)
-		copy(cc, child)
-		w.winRecurse(axes, level+1, cc, i, out, visited)
+		w.enter(axes, level+1, child)
 	}
 }
 
-// nodeKey builds a memo key from the remaining-axis identity and the
-// live mask.
-func nodeKey(axesLen, level int, mask []uint64) string {
-	key := make([]byte, 0, 2+8*len(mask))
-	key = append(key, byte(axesLen), byte(level))
-	key = appendMaskKey(key, mask)
-	return string(key)
-}
-
-// bitsOf expands a bitset into ascending 1-based indices.
-func bitsOf(m []uint64) []int {
+// winners returns, ascending, the rules other than i (1-based) that
+// decide at least one region in which rule i matches: the rules that
+// take i's packets. For an unreachable i this is its exact covering
+// set; for a reachable i it is every rule that beats it somewhere.
+func (w *lintWalker) winners(i int) []int {
 	var out []int
-	for w, x := range m {
+	row := w.win[(i-1)*w.t.words : i*w.t.words]
+	for wd, x := range row {
 		for x != 0 {
-			out = append(out, w*64+bits.TrailingZeros64(x)+1)
+			if j := wd*64 + bits.TrailingZeros64(x) + 1; j != i {
+				out = append(out, j)
+			}
 			x &= x - 1
 		}
 	}
@@ -207,10 +183,13 @@ func bitsOf(m []uint64) []int {
 }
 
 // coversExact reports whether rule a matches every packet rule b
-// matches, decided class by class over the modeled space (so a plain
-// allow-out rule can cover a VPG rule's outbound cleartext, which the
-// heuristic covers() conservatively never admits).
+// matches, under every connection state, decided class by class over
+// the modeled space (so a plain allow-out rule can cover a VPG rule's
+// outbound cleartext).
 func coversExact(a, b *fw.Rule) bool {
+	if a.States != 0 && (b.States == 0 || b.States&^a.States != 0) {
+		return false
+	}
 	for _, c := range classes {
 		if !b.AppliesTo(c.Dir, c.Sealed) || (!c.HasPorts && !b.MatchesPortless()) {
 			continue

@@ -1,13 +1,14 @@
 // Package sem is the exact policy-semantics engine: it decides
 // questions about rule sets — equivalence, semantic diff, reachability
-// — over the *entire* packet space, by proof rather than sampling.
+// and lint — over the *entire* packet space, by proof rather than
+// sampling.
 //
 // The engine works by atomic-interval decomposition. A validated
 // rule's match predicate, restricted to one discrete traffic class
 // (direction × sealed × port presence), is a product of inclusive
 // integer intervals over five axes: protocol, source address,
-// destination address, source port, destination port (lint.go's box
-// geometry, shared through fw's Span helpers). Cutting every axis at
+// destination address, source port, destination port (fw's Span
+// helpers, shared with the compiled matcher). Cutting every axis at
 // every interval boundary of every rule under analysis yields
 // elementary segments; a product of one segment per axis is an atomic
 // region, and by construction every rule either matches all packets
@@ -23,6 +24,12 @@
 // decision diagram with node sharing. Regions the walker visits are
 // exactly the distinct mask combinations; everything merged away is
 // provably identical.
+//
+// Connection state is not a packet coordinate but one more discrete
+// dimension: under state s only stateless rules and rules listing s can
+// match. Lint walks every class once per state with the start mask
+// restricted accordingly; Diff and VerifyCompiled accept stateless
+// sets only.
 package sem
 
 import (

@@ -271,7 +271,7 @@ func TestVerifyDetectsMismatch(t *testing.T) {
 	rs := fw.MustRuleSet(fw.Deny, fw.AllowAllRule())
 	sp := newSpace(rs)
 	w := &verifyWalker{
-		sp: sp, t: sp.sets[0],
+		t:        sp.sets[0],
 		walk:     fw.MustRuleSet(fw.Deny, fw.AllowAllRule()),
 		compiled: fw.Compile(fw.MustRuleSet(fw.Deny, fw.AllowAllRule())),
 		budget:   1 << 20,

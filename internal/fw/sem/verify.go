@@ -83,19 +83,21 @@ func VerifyCompiled(rs *fw.RuleSet, opts VerifyOptions) (*VerifyResult, error) {
 
 	sp := newSpace(rs)
 	w := &verifyWalker{
-		sp: sp, t: sp.sets[0],
+		t:    sp.sets[0],
 		walk: walk, compiled: compiled,
 		budget: opts.MaxRegions,
 		res:    &VerifyResult{Rules: rs.Len()},
 	}
-	for _, c := range classes {
-		spans := make([]fw.Span, 0, numAxes)
-		if err := w.recurse(c, axesFor(c), 0, w.t.startMask(c), spans); err != nil {
-			return nil, err
-		}
-		if w.res.Mismatch != nil {
-			return w.res, nil
-		}
+	var err error
+	sp.eachRegion(w.t, func(c class, mask []uint64, spans []fw.Span) bool {
+		err = w.check(c, mask, spans)
+		return err == nil && w.res.Mismatch == nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if w.res.Mismatch != nil {
+		return w.res, nil
 	}
 	// Both matchers saw the identical evaluation sequence; their
 	// counters must agree exactly.
@@ -115,7 +117,6 @@ func VerifyCompiled(rs *fw.RuleSet, opts VerifyOptions) (*VerifyResult, error) {
 }
 
 type verifyWalker struct {
-	sp       *space
 	t        *setTables
 	walk     *fw.RuleSet
 	compiled *fw.CompiledSet
@@ -123,35 +124,43 @@ type verifyWalker struct {
 	res      *VerifyResult
 }
 
-func (w *verifyWalker) recurse(c class, axes []int, level int, mask []uint64, spans []fw.Span) error {
-	if level == len(axes) {
-		return w.check(c, mask, spans)
+// eachRegion calls visit once per mask-distinct atomic region of t's
+// packet space, class by class in a fixed order, until visit returns
+// false; it reports whether every region was visited. Mask-identical
+// segments are grouped: one witness per distinct child suffices for
+// any matcher that reduces a packet to its per-rule match bits before
+// deciding. Unlike the lint walk, regions are not merged across
+// subtrees, so each visit carries the region's own spans.
+func (sp *space) eachRegion(t *setTables, visit func(c class, mask []uint64, spans []fw.Span) bool) bool {
+	var recurse func(c class, axes []int, level int, mask []uint64, spans []fw.Span) bool
+	recurse = func(c class, axes []int, level int, mask []uint64, spans []fw.Span) bool {
+		if level == len(axes) {
+			return visit(c, mask, spans)
+		}
+		axis := axes[level]
+		segs := len(sp.bounds[axis])
+		seen := make(map[string]struct{}, segs)
+		child := make([]uint64, t.words)
+		var key []byte
+		for k := 0; k < segs; k++ {
+			andMasks(child, mask, t.segMask(axis, k))
+			key = appendMaskKey(key[:0], child)
+			if _, ok := seen[string(key)]; ok {
+				continue
+			}
+			seen[string(key)] = struct{}{}
+			if !recurse(c, axes, level+1, child, append(spans, sp.segSpan(axis, k))) {
+				return false
+			}
+		}
+		return true
 	}
-	axis := axes[level]
-	segs := len(w.sp.bounds[axis])
-	// Group mask-identical segments: one witness per distinct child
-	// suffices, because both matchers reduce the packet to its
-	// per-rule match bits before deciding.
-	seen := make(map[string]struct{}, segs)
-	child := make([]uint64, w.t.words)
-	var key []byte
-	for k := 0; k < segs; k++ {
-		andMasks(child, mask, w.t.segMask(axis, k))
-		key = appendMaskKey(key[:0], child)
-		if _, ok := seen[string(key)]; ok {
-			continue
-		}
-		seen[string(key)] = struct{}{}
-		cc := make([]uint64, w.t.words)
-		copy(cc, child)
-		if err := w.recurse(c, axes, level+1, cc, append(spans, w.sp.segSpan(axis, k))); err != nil {
-			return err
-		}
-		if w.res.Mismatch != nil {
-			return nil
+	for _, c := range classes {
+		if !recurse(c, axesFor(c), 0, t.startMask(c), make([]fw.Span, 0, numAxes)) {
+			return false
 		}
 	}
-	return nil
+	return true
 }
 
 // check evaluates one region's witness through both matchers and the

@@ -2,14 +2,34 @@ package fw
 
 import "barbican/internal/packet"
 
-// This file exports the small geometric vocabulary the exact semantics
-// engine (internal/fw/sem) shares with lint.go's box algebra and
-// compile.go's segment tables: a validated rule's match space, within
-// one discrete traffic class, is a product of inclusive integer
-// intervals. Keeping the interval constructors here — next to the
-// Matches implementation they must mirror — means the engine, the
-// compiled matcher, and the heuristic linter all cut the packet space
-// at the same boundaries.
+// This file holds the small geometric vocabulary the exact semantics
+// engine (internal/fw/sem) shares with compile.go's segment tables: a
+// validated rule's match space, within one discrete traffic class, is
+// a product of inclusive integer intervals. Keeping the interval
+// constructors here — next to the Matches implementation they must
+// mirror — means the engine and the compiled matcher cut the packet
+// space at the same boundaries.
+
+func interval(lo, hi uint32) [2]uint32 { return [2]uint32{lo, hi} }
+
+// prefixInterval returns the [lo, hi] address range a prefix spans.
+func prefixInterval(p packet.Prefix) [2]uint32 {
+	if p.Bits <= 0 {
+		return interval(0, ^uint32(0))
+	}
+	mask := ^uint32(0) << (32 - p.Bits)
+	lo := p.Addr.Uint32() & mask
+	return interval(lo, lo|^mask)
+}
+
+// portInterval is a port range as an inclusive interval; the Any range
+// spans the full axis.
+func portInterval(r PortRange) [2]uint32 {
+	if r.Any() {
+		return interval(0, 65535)
+	}
+	return interval(uint32(r.Lo), uint32(r.Hi))
+}
 
 // Span is an inclusive integer interval [Lo, Hi] on one match axis.
 type Span struct {
