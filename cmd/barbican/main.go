@@ -142,9 +142,16 @@ func run(args []string) error {
 		{name: "ext3", fn: renderTable("ext3", experiment.ExtensionFragmentEvasion)},
 		{name: "rfc2544", fn: renderTable("rfc2544", experiment.AppendixRFC2544)},
 		{name: "latency", fn: renderTable("latency", experiment.AppendixLatency)},
-		{name: "chaos", fn: renderChaos},
-		{name: "detect", fn: renderDetect},
-		{name: "stateflood", fn: renderStateflood},
+		{name: "chaos", fn: renderFamily("chaos-bandwidth", experiment.ChaosBandwidth,
+			namedTable{"chaos-convergence", experiment.ChaosConvergence})},
+		{name: "detect", fn: renderFamily("detect-latency", experiment.DetectionLatency,
+			namedTable{"detect-exposure", experiment.DetectionExposure},
+			namedTable{"detect-chaos", experiment.DetectionChaos},
+			namedTable{"detect-false-positives", experiment.DetectionFalsePositives})},
+		{name: "stateflood", fn: renderFamily("stateflood-curves", experiment.StatefloodCurves,
+			namedTable{"stateflood-thresholds", experiment.StatefloodThresholds},
+			namedTable{"stateflood-ack", experiment.StatefloodACK},
+			namedTable{"stateflood-recovery", experiment.StatefloodRecovery})},
 		{name: "fleet-health", fn: experiment.FleetHealth},
 		{name: "report", fn: experiment.Report},
 	}
@@ -209,61 +216,29 @@ func renderTable(name string, fn func(experiment.Config) (*experiment.Table, err
 	}
 }
 
-func renderChaos(cfg experiment.Config) (string, error) {
-	fig, err := renderFigure("chaos-bandwidth", experiment.ChaosBandwidth)(cfg)
-	if err != nil {
-		return "", err
-	}
-	tab, err := renderTable("chaos-convergence", experiment.ChaosConvergence)(cfg)
-	if err != nil {
-		return "", err
-	}
-	return fig + "\n" + tab, nil
+// namedTable is one table of an experiment family with its artifact
+// name.
+type namedTable struct {
+	name string
+	fn   func(experiment.Config) (*experiment.Table, error)
 }
 
-func renderDetect(cfg experiment.Config) (string, error) {
-	fig, err := renderFigure("detect-latency", experiment.DetectionLatency)(cfg)
-	if err != nil {
-		return "", err
-	}
-	out := fig
-	for _, t := range []struct {
-		name string
-		fn   func(experiment.Config) (*experiment.Table, error)
-	}{
-		{"detect-exposure", experiment.DetectionExposure},
-		{"detect-chaos", experiment.DetectionChaos},
-		{"detect-false-positives", experiment.DetectionFalsePositives},
-	} {
-		tab, err := renderTable(t.name, t.fn)(cfg)
+// renderFamily renders a family's figure followed by its tables.
+func renderFamily(figName string, fig func(experiment.Config) (*experiment.Figure, error), tables ...namedTable) func(experiment.Config) (string, error) {
+	return func(cfg experiment.Config) (string, error) {
+		out, err := renderFigure(figName, fig)(cfg)
 		if err != nil {
 			return "", err
 		}
-		out += "\n" + tab
-	}
-	return out, nil
-}
-
-func renderStateflood(cfg experiment.Config) (string, error) {
-	out, err := renderFigure("stateflood-curves", experiment.StatefloodCurves)(cfg)
-	if err != nil {
-		return "", err
-	}
-	for _, t := range []struct {
-		name string
-		fn   func(experiment.Config) (*experiment.Table, error)
-	}{
-		{"stateflood-thresholds", experiment.StatefloodThresholds},
-		{"stateflood-ack", experiment.StatefloodACK},
-		{"stateflood-recovery", experiment.StatefloodRecovery},
-	} {
-		tab, err := renderTable(t.name, t.fn)(cfg)
-		if err != nil {
-			return "", err
+		for _, t := range tables {
+			tab, err := renderTable(t.name, t.fn)(cfg)
+			if err != nil {
+				return "", err
+			}
+			out += "\n" + tab
 		}
-		out += "\n" + tab
+		return out, nil
 	}
-	return out, nil
 }
 
 func renderAblations(cfg experiment.Config) (string, error) {

@@ -161,7 +161,7 @@ func run(args []string) error {
 		return err
 	}
 	base := fmt.Sprintf("floodsim_%s_depth-%d_rate-%.0f_%s", device, *depth, *rate, mode(!*deny))
-	paths, err := cfg.WriteRunArtifacts("", base, p, inst)
+	paths, err := cfg.WriteRunArtifacts("", base, p.Outcome, inst)
 	if err != nil {
 		return err
 	}

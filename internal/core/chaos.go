@@ -7,7 +7,6 @@ import (
 	"barbican/internal/fw"
 	"barbican/internal/fw/sem"
 	"barbican/internal/measure"
-	"barbican/internal/nic"
 	"barbican/internal/policy"
 )
 
@@ -68,18 +67,13 @@ type ChaosPoint struct {
 	Server    policy.ServerStats
 	Agent     policy.AgentStats
 	Iperf     measure.IperfResult
-	FloodSent uint64
 	// SemanticsVerified reports whether the install-time equivalence
 	// proof succeeded (only set when Scenario.VerifySemantics and the
 	// agent converged); SemanticsError carries the disproof or proof
 	// failure ("" otherwise).
 	SemanticsVerified bool
 	SemanticsError    string
-	// TargetLocked reports the EFW Deny-All lockup.
-	TargetLocked bool
-	TargetNIC    nic.Stats
-	SimSeconds   float64
-	WallBusy     time.Duration
+	Outcome
 }
 
 // Mbps returns the measured available bandwidth.
@@ -90,93 +84,68 @@ func (p ChaosPoint) Mbps() float64 { return p.Iperf.Mbps }
 // measured across the window, then the kernel runs on until the push
 // settles (success or exhausted retry budget).
 func RunChaos(s ChaosScenario) (ChaosPoint, error) {
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	if s.FaultSeed == 0 {
-		s.FaultSeed = s.Seed
-	}
+	p, _, err := runChaos(s, nil)
+	return p, err
+}
+
+// RunChaosObserved is RunChaos with the observability pillars opt
+// selects attached for the whole run, the policy plane's counters
+// included. Observation never changes the simulated outcome.
+func RunChaosObserved(s ChaosScenario, opt ObserveOptions) (ChaosPoint, *Instrumentation, error) {
+	return runChaos(s, &opt)
+}
+
+// runChaos is the chaos family's measurement on the one body; opt nil
+// runs unobserved.
+func runChaos(s ChaosScenario, opt *ObserveOptions) (ChaosPoint, *Instrumentation, error) {
 	if s.PushAt == 0 {
 		s.PushAt = time.Second
 	}
 	if s.Duration == 0 {
 		s.Duration = 5 * time.Second
 	}
-
-	tb, err := NewTestbed(TestbedOptions{TargetDevice: s.Device, Seed: s.Seed})
-	if err != nil {
-		return ChaosPoint{}, err
-	}
-	psk := policy.DeriveKey("chaos")
-	srv := policy.NewServer(tb.PolicyServer, psk)
-	agent, err := policy.NewAgent(tb.Target, tb.PolicyServer.IP(), psk)
-	if err != nil {
-		return ChaosPoint{}, err
-	}
-	faults.Attach(tb.PolicyServer.NIC().Endpoint(), s.MgmtFaults, s.FaultSeed)
-
 	p := ChaosPoint{Scenario: s}
-	agent.OnInstall = func(version uint32, rs *fw.RuleSet) {
-		if !p.Converged {
-			p.Converged = true
-			p.ConvergedAt = tb.Kernel.Now()
-			p.ConvergeTime = p.ConvergedAt - s.PushAt
-			if s.VerifySemantics {
-				p.SemanticsVerified, p.SemanticsError = verifyInstall(ChaosPolicy, rs)
+	var pp *policyPlane
+	out, inst, err := run(Scenario{
+		Device:       s.Device,
+		FloodRatePPS: s.FloodRatePPS,
+		Duration:     s.Duration,
+		Seed:         s.Seed,
+		FaultSeed:    s.FaultSeed,
+	}, phases{
+		floodNow: true,
+		setup: func(e *env) (err error) {
+			pp, err = e.policyPlane("chaos", s.MgmtFaults, func(at time.Duration, rs *fw.RuleSet) {
+				p.Converged, p.ConvergedAt, p.ConvergeTime = true, at, at-s.PushAt
+				if s.VerifySemantics {
+					p.SemanticsVerified, p.SemanticsError = verifyInstall(ChaosPolicy, rs)
+				}
+			})
+			return err
+		},
+		measure: func(e *env) (err error) {
+			pp.pending = true
+			e.tb.Kernel.After(s.PushAt, func() { pp.push(s.Push) })
+			p.Iperf, err = measure.RunTCPIperf(e.tb.Kernel, e.tb.Client, e.tb.Target,
+				measure.IperfConfig{Duration: s.Duration, Metrics: e.reg})
+			if err != nil {
+				return err
 			}
-		}
-	}
-
-	var flood *measure.Flooder
-	if s.FloodRatePPS > 0 {
-		flood = measure.NewFlooder(tb.Attacker, tb.Target.IP(), measure.FloodConfig{
-			RatePPS: s.FloodRatePPS,
-			DstPort: FloodPort,
-		})
-		flood.Start()
-	}
-
-	settled := false
-	var pushErr error
-	tb.Kernel.After(s.PushAt, func() {
-		if _, err := srv.SetPolicy("target", ChaosPolicy); err != nil {
-			settled, pushErr = true, err
-			return
-		}
-		err := srv.PushWith("target", tb.Target.IP(), s.Push, func(err error) {
-			settled, pushErr = true, err
-		})
-		if err != nil {
-			settled, pushErr = true, err
-		}
-	})
-
-	res, err := measure.RunTCPIperf(tb.Kernel, tb.Client, tb.Target, measure.IperfConfig{Duration: s.Duration})
+			if e.flood != nil {
+				e.flood.Stop()
+			}
+			_, err = pp.settle(e.tb.Kernel)
+			return err
+		},
+	}, opt)
 	if err != nil {
-		return ChaosPoint{}, err
+		return ChaosPoint{}, nil, err
 	}
-	p.Iperf = res
-	if flood != nil {
-		flood.Stop()
-		p.FloodSent = flood.Sent()
-	}
-	// Let the retry engine settle so the point reports the push's true
-	// terminal outcome even when the window ends mid-backoff.
-	if !settled {
-		if err := tb.Kernel.RunFor(15 * time.Second); err != nil {
-			return ChaosPoint{}, err
-		}
-	}
-	if pushErr != nil {
-		p.PushError = pushErr.Error()
-	}
-	p.Server = srv.Stats()
-	p.Agent = agent.Stats()
-	p.TargetLocked = tb.Target.NIC().Locked()
-	p.TargetNIC = tb.Target.NIC().Stats()
-	p.SimSeconds = tb.Kernel.Now().Seconds()
-	p.WallBusy = tb.Kernel.WallBusy()
-	return p, nil
+	p.PushError = pp.pushError()
+	p.Server = pp.srv.Stats()
+	p.Agent = pp.agent.Stats()
+	p.Outcome = out
+	return p, inst, nil
 }
 
 // verifyInstall proves semantic convergence for one installed rule

@@ -6,9 +6,8 @@ import (
 	"barbican/internal/faults"
 	"barbican/internal/fw"
 	"barbican/internal/measure"
-	"barbican/internal/nic"
-	"barbican/internal/obs"
 	"barbican/internal/policy"
+	"barbican/internal/stack"
 	"barbican/internal/telemetry"
 )
 
@@ -82,10 +81,6 @@ type DetectionScenario struct {
 	BenignBurstPPS float64
 	BenignBurstOn  time.Duration
 	BenignBurstOff time.Duration
-	// Metrics, when non-nil, receives the scenario's full metric set
-	// (collector, agents, target card, policy plane) in deterministic
-	// registration order.
-	Metrics *obs.Registry
 }
 
 // DetectionPoint is the outcome of a detection scenario.
@@ -138,12 +133,8 @@ type DetectionPoint struct {
 	// per tracked device in tracking order.
 	Fleet []DeviceSummary
 
-	Iperf        measure.IperfResult
-	FloodSent    uint64
-	TargetLocked bool
-	TargetNIC    nic.Stats
-	SimSeconds   float64
-	WallBusy     time.Duration
+	Iperf measure.IperfResult
+	Outcome
 }
 
 // DeviceSummary is one row of the collector's fleet-health model.
@@ -165,12 +156,21 @@ func (p DetectionPoint) Mbps() float64 { return p.Iperf.Mbps }
 // collector's detector fires, then the kernel runs on until the push
 // settles.
 func RunDetection(s DetectionScenario) (DetectionPoint, error) {
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	if s.FaultSeed == 0 {
-		s.FaultSeed = s.Seed
-	}
+	p, _, err := runDetection(s, nil)
+	return p, err
+}
+
+// RunDetectionObserved is RunDetection with the observability pillars
+// opt selects attached for the whole run; the collector, the telemetry
+// agents and the policy plane publish into its registry. Observation
+// never changes the simulated outcome.
+func RunDetectionObserved(s DetectionScenario, opt ObserveOptions) (DetectionPoint, *Instrumentation, error) {
+	return runDetection(s, &opt)
+}
+
+// runDetection is the detection family's measurement on the one body;
+// opt nil runs unobserved.
+func runDetection(s DetectionScenario, opt *ObserveOptions) (DetectionPoint, *Instrumentation, error) {
 	if s.FloodStart == 0 {
 		s.FloodStart = time.Second
 	}
@@ -192,186 +192,163 @@ func RunDetection(s DetectionScenario) (DetectionPoint, error) {
 		s.BenignBurstOff = 500 * time.Millisecond
 	}
 
-	tb, err := NewTestbed(TestbedOptions{TargetDevice: s.Device, Seed: s.Seed})
-	if err != nil {
-		return DetectionPoint{}, err
-	}
-	if s.Depth > 0 {
-		rules, err := standardRuleSet(s.Depth, s.FloodAllowed, 0)
-		if err != nil {
-			return DetectionPoint{}, err
-		}
-		tb.InstallPolicy(tb.Target, rules)
-	}
-
-	psk := policy.DeriveKey("detect")
-	srv := policy.NewServer(tb.PolicyServer, psk)
-	polAgent, err := policy.NewAgent(tb.Target, tb.PolicyServer.IP(), psk)
-	if err != nil {
-		return DetectionPoint{}, err
-	}
-	faults.Attach(tb.PolicyServer.NIC().Endpoint(), s.MgmtFaults, s.FaultSeed)
-
 	p := DetectionPoint{Scenario: s}
-
+	var (
+		pp                       *policyPlane
+		collector                *telemetry.Collector
+		targetAgent, clientAgent *telemetry.Agent
+		sink                     *stack.UDPSocket
+		exposureBase             uint64
+	)
 	// Exposure is counted at the flood sink: datagrams that cleared the
 	// card AND the stack are the packets an attacker actually landed.
-	sink, err := tb.Target.BindUDP(FloodPort)
-	if err != nil {
-		return DetectionPoint{}, err
-	}
-	var exposureBase uint64
 	exposed := func() uint64 {
 		n, _ := sink.Received()
 		return n - exposureBase
 	}
-	tb.Kernel.After(s.FloodStart, func() {
-		exposureBase, _ = sink.Received()
-	})
-
-	settled := s.Respond // nothing to settle unless a push happens
-	var pushErr error
-	collector, err := telemetry.NewCollector(tb.PolicyServer, telemetry.CollectorConfig{
-		Detector:     s.Detector,
-		SilenceAfter: s.SilenceAfter,
-		OnAlert: func(device string, at time.Duration) {
-			// Only an alert at or after flood start is the detection;
-			// earlier ones (for example iperf startup overloading a deep
-			// linear-walk card) land in FalseAlerts instead.
-			if device != "target" || p.Detected || s.FloodRatePPS <= 0 || at < s.FloodStart {
-				return
-			}
-			p.Detected = true
-			p.AlertAt = at
-			p.TimeToDetect = at - s.FloodStart
-			p.ExposedAtDetect = exposed()
-			if !s.Respond {
-				return
-			}
-			settled = false
-			if _, err := srv.SetPolicy("target", ChaosPolicy); err != nil {
-				settled, pushErr = true, err
-				return
-			}
-			err := srv.PushWith("target", tb.Target.IP(), s.Push, func(err error) {
-				settled, pushErr = true, err
-			})
-			if err != nil {
-				settled, pushErr = true, err
-			}
-		},
-	})
-	if err != nil {
-		return DetectionPoint{}, err
-	}
-	collector.Track("target")
-	collector.Track("client")
-
-	polAgent.OnInstall = func(version uint32, rs *fw.RuleSet) {
-		if !p.Converged {
-			p.Converged = true
-			p.ConvergedAt = tb.Kernel.Now()
-			p.ResponseTime = p.ConvergedAt - s.FloodStart
+	setup := func(e *env) (err error) {
+		tb := e.tb
+		pp, err = e.policyPlane("detect", s.MgmtFaults, func(at time.Duration, _ *fw.RuleSet) {
+			p.Converged, p.ConvergedAt, p.ResponseTime = true, at, at-s.FloodStart
 			p.ExposedAtConverge = exposed()
-		}
-	}
-
-	targetAgent, err := telemetry.NewAgent(tb.Target, telemetry.AgentConfig{
-		Device:       "target",
-		Collector:    tb.PolicyServer.IP(),
-		Interval:     s.ReportEvery,
-		RulesVersion: polAgent.InstalledVersion,
-	})
-	if err != nil {
-		return DetectionPoint{}, err
-	}
-	clientAgent, err := telemetry.NewAgent(tb.Client, telemetry.AgentConfig{
-		Device:    "client",
-		Collector: tb.PolicyServer.IP(),
-		Interval:  s.ReportEvery,
-	})
-	if err != nil {
-		return DetectionPoint{}, err
-	}
-	targetAgent.Start()
-	clientAgent.Start()
-
-	if s.Metrics != nil {
-		collector.PublishMetrics(s.Metrics)
-		targetAgent.PublishMetrics(s.Metrics)
-		clientAgent.PublishMetrics(s.Metrics)
-		tb.Target.NIC().PublishMetrics(s.Metrics, obs.L("host", "target"))
-		polAgent.PublishMetrics(s.Metrics, obs.L("host", "target"))
-		srv.PublishMetrics(s.Metrics)
-	}
-
-	var flood *measure.Flooder
-	if s.FloodRatePPS > 0 {
-		flood = measure.NewFlooder(tb.Attacker, tb.Target.IP(), measure.FloodConfig{
-			RatePPS: s.FloodRatePPS,
-			DstPort: FloodPort,
 		})
-		tb.Kernel.After(s.FloodStart, flood.Start)
-	}
-
-	var burst *measure.Flooder
-	if s.BenignBurstPPS > 0 {
-		if _, err := tb.Target.BindUDP(BenignBurstPort); err != nil {
-			return DetectionPoint{}, err
-		}
-		burst = measure.NewFlooder(tb.Client, tb.Target.IP(), measure.FloodConfig{
-			RatePPS: s.BenignBurstPPS,
-			DstPort: BenignBurstPort,
-		})
-		var on, off func()
-		on = func() {
-			burst.Start()
-			tb.Kernel.After(s.BenignBurstOn, off)
-		}
-		off = func() {
-			burst.Stop()
-			tb.Kernel.After(s.BenignBurstOff, on)
-		}
-		on()
-	}
-
-	if s.Iperf {
-		res, err := measure.RunTCPIperf(tb.Kernel, tb.Client, tb.Target, measure.IperfConfig{Duration: s.Duration})
 		if err != nil {
-			return DetectionPoint{}, err
+			return err
 		}
-		p.Iperf = res
-	} else if err := tb.Kernel.RunFor(s.Duration); err != nil {
-		return DetectionPoint{}, err
-	}
-	if flood != nil {
-		flood.Stop()
-		p.FloodSent = flood.Sent()
-	}
-	if burst != nil {
-		burst.Stop()
-	}
-	// Let a late responsive push settle so the point reports its true
-	// terminal outcome even when the window ends mid-backoff. Telemetry
-	// keeps flowing through the settle — stopping the agents here would
-	// make the watchdog (correctly) alert on the manufactured silence,
-	// and the post-mitigation timeline should show the detector walking
-	// back to healthy.
-	if !settled {
-		if err := tb.Kernel.RunFor(15 * time.Second); err != nil {
-			return DetectionPoint{}, err
+		if sink, err = tb.Target.BindUDP(FloodPort); err != nil {
+			return err
 		}
-	} else if flood != nil {
-		// The push finished inside the window: still drain briefly so
-		// the detector observes post-flood calm and the terminal fleet
-		// state reflects recovery, not a mid-flood snapshot.
-		if err := tb.Kernel.RunFor(2 * time.Second); err != nil {
-			return DetectionPoint{}, err
+		tb.Kernel.After(s.FloodStart, func() {
+			exposureBase, _ = sink.Received()
+		})
+
+		pp.pending = !s.Respond
+		collector, err = telemetry.NewCollector(tb.PolicyServer, telemetry.CollectorConfig{
+			Detector:     s.Detector,
+			SilenceAfter: s.SilenceAfter,
+			OnAlert: func(device string, at time.Duration) {
+				// Only an alert at or after flood start is the detection;
+				// earlier ones (for example iperf startup overloading a deep
+				// linear-walk card) land in FalseAlerts instead.
+				if device != "target" || p.Detected || s.FloodRatePPS <= 0 || at < s.FloodStart {
+					return
+				}
+				p.Detected = true
+				p.AlertAt = at
+				p.TimeToDetect = at - s.FloodStart
+				p.ExposedAtDetect = exposed()
+				if s.Respond {
+					pp.push(s.Push)
+				}
+			},
+		})
+		if err != nil {
+			return err
 		}
+		collector.Track("target")
+		collector.Track("client")
+
+		targetAgent, err = telemetry.NewAgent(tb.Target, telemetry.AgentConfig{
+			Device:       "target",
+			Collector:    tb.PolicyServer.IP(),
+			Interval:     s.ReportEvery,
+			RulesVersion: pp.agent.InstalledVersion,
+		})
+		if err != nil {
+			return err
+		}
+		clientAgent, err = telemetry.NewAgent(tb.Client, telemetry.AgentConfig{
+			Device:    "client",
+			Collector: tb.PolicyServer.IP(),
+			Interval:  s.ReportEvery,
+		})
+		if err != nil {
+			return err
+		}
+		targetAgent.Start()
+		clientAgent.Start()
+		if e.reg != nil {
+			collector.PublishMetrics(e.reg)
+			targetAgent.PublishMetrics(e.reg)
+			clientAgent.PublishMetrics(e.reg)
+		}
+		return nil
 	}
-	if pushErr != nil {
-		p.PushError = pushErr.Error()
+
+	measurement := func(e *env) error {
+		tb := e.tb
+		var burst *measure.Flooder
+		if s.BenignBurstPPS > 0 {
+			if _, err := tb.Target.BindUDP(BenignBurstPort); err != nil {
+				return err
+			}
+			burst = measure.NewFlooder(tb.Client, tb.Target.IP(), measure.FloodConfig{
+				RatePPS: s.BenignBurstPPS,
+				DstPort: BenignBurstPort,
+			})
+			var on, off func()
+			on = func() {
+				burst.Start()
+				tb.Kernel.After(s.BenignBurstOn, off)
+			}
+			off = func() {
+				burst.Stop()
+				tb.Kernel.After(s.BenignBurstOff, on)
+			}
+			on()
+		}
+
+		if s.Iperf {
+			res, err := measure.RunTCPIperf(tb.Kernel, tb.Client, tb.Target,
+				measure.IperfConfig{Duration: s.Duration, Metrics: e.reg})
+			if err != nil {
+				return err
+			}
+			p.Iperf = res
+		} else if err := tb.Kernel.RunFor(s.Duration); err != nil {
+			return err
+		}
+		if e.flood != nil {
+			e.flood.Stop()
+		}
+		if burst != nil {
+			burst.Stop()
+		}
+		// Let a late responsive push settle. Telemetry keeps flowing
+		// through the settle — stopping the agents here would make the
+		// watchdog (correctly) alert on the manufactured silence, and
+		// the post-mitigation timeline should show the detector walking
+		// back to healthy.
+		waited, err := pp.settle(tb.Kernel)
+		if err != nil || waited || e.flood == nil {
+			return err
+		}
+		// No push pending: still drain briefly so the detector observes
+		// post-flood calm and the terminal fleet state reflects
+		// recovery, not a mid-flood snapshot.
+		return tb.Kernel.RunFor(2 * time.Second)
 	}
+
+	out, inst, err := run(Scenario{
+		Device:       s.Device,
+		Depth:        s.Depth,
+		FloodRatePPS: s.FloodRatePPS,
+		FloodStart:   s.FloodStart,
+		Duration:     s.Duration,
+		Seed:         s.Seed,
+		FaultSeed:    s.FaultSeed,
+	}, phases{
+		rules: func(depth int) (*fw.RuleSet, error) {
+			return standardRuleSet(depth, s.FloodAllowed, 0)
+		},
+		setup:   setup,
+		measure: measurement,
+	}, opt)
+	if err != nil {
+		return DetectionPoint{}, nil, err
+	}
+	p.Outcome = out
+	p.PushError = pp.pushError()
 
 	p.ExposedTotal = exposed()
 	if !p.Detected {
@@ -417,10 +394,5 @@ func RunDetection(s DetectionScenario) (DetectionPoint, error) {
 		p.AgentReports += sent
 		p.AgentSendFails += failed
 	}
-
-	p.TargetLocked = tb.Target.NIC().Locked()
-	p.TargetNIC = tb.Target.NIC().Stats()
-	p.SimSeconds = tb.Kernel.Now().Seconds()
-	p.WallBusy = tb.Kernel.WallBusy()
-	return p, nil
+	return p, inst, nil
 }

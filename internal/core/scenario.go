@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	"barbican/internal/apps"
 	"barbican/internal/faults"
 	"barbican/internal/fw"
 	"barbican/internal/measure"
-	"barbican/internal/nic"
-	"barbican/internal/obs"
-	"barbican/internal/obs/profile"
 	"barbican/internal/packet"
 )
 
@@ -76,23 +74,9 @@ type Scenario struct {
 
 // BandwidthPoint is the outcome of a bandwidth scenario.
 type BandwidthPoint struct {
-	Scenario     Scenario
-	Iperf        measure.IperfResult
-	FloodSent    uint64
-	TargetLocked bool
-	TargetNIC    nic.Stats
-	// Attribution breaks the target's policy enforcement down per
-	// rule (hits, predicted cost/latency); nil when unfiltered.
-	Attribution *RuleAttribution
-	// SimSeconds and WallBusy report how much virtual time the point's
-	// kernel simulated and how much wall clock it burned doing so — the
-	// inputs to the executor's sim-seconds-per-wall-second accounting.
-	SimSeconds float64
-	WallBusy   time.Duration
-	// CostProfile is the run's merged cost-domain card profile; nil
-	// unless the run was profiled (see RunBandwidthObserved). Excluded
-	// from point serialization — profiles have their own artifacts.
-	CostProfile *profile.Data `json:"-"`
+	Scenario Scenario
+	Iperf    measure.IperfResult
+	Outcome
 }
 
 // Mbps returns the measured available bandwidth.
@@ -100,65 +84,9 @@ func (p BandwidthPoint) Mbps() float64 { return p.Iperf.Mbps }
 
 // HTTPPoint is the outcome of an HTTP load scenario.
 type HTTPPoint struct {
-	Scenario   Scenario
-	Load       measure.HTTPLoadResult
-	SimSeconds float64
-	WallBusy   time.Duration
-}
-
-// buildTestbed constructs and polices a testbed for the scenario.
-func buildTestbed(s Scenario) (*Testbed, error) {
-	clientDevice := DeviceStandard
-	if s.Device == DeviceADFVPG {
-		clientDevice = DeviceADFVPG
-	}
-	tb, err := NewTestbed(TestbedOptions{
-		ClientDevice:           clientDevice,
-		TargetDevice:           s.Device,
-		Seed:                   s.Seed,
-		SuppressFloodResponses: s.SuppressFloodResponses,
-		EagerVPGDecrypt:        s.EagerVPGDecrypt,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if s.Faults != nil {
-		seed := s.FaultSeed
-		if seed == 0 {
-			seed = s.Seed
-		}
-		if seed == 0 {
-			seed = 1
-		}
-		faults.Attach(tb.Target.NIC().Endpoint(), *s.Faults, seed)
-	}
-	if s.Depth <= 0 {
-		return tb, nil
-	}
-
-	if s.Device == DeviceADFVPG {
-		if _, err := tb.SetupVPG(VPGGroupName, "validation", tb.Client, tb.Target); err != nil {
-			return nil, err
-		}
-		targetRules, err := vpgRuleSet(s.Depth, tb.Target.IP(), s.TrailingRules)
-		if err != nil {
-			return nil, err
-		}
-		clientRules, err := vpgRuleSet(s.Depth, tb.Client.IP(), s.TrailingRules)
-		if err != nil {
-			return nil, err
-		}
-		tb.InstallPolicy(tb.Target, targetRules)
-		tb.InstallPolicy(tb.Client, clientRules)
-		return tb, nil
-	}
-
-	rules, err := standardRuleSet(s.Depth, s.FloodAllowed || s.FloodRatePPS == 0, s.TrailingRules)
-	if err != nil {
-		return nil, err
-	}
-	tb.InstallPolicy(tb.Target, rules)
-	return tb, nil
+	Scenario Scenario
+	Load     measure.HTTPLoadResult
+	Outcome
 }
 
 // StandardRuleSet builds the paper's experimental rule-set shape for
@@ -213,45 +141,6 @@ func vpgRuleSet(depth int, local packet.IP, trailing int) (*fw.RuleSet, error) {
 	return fw.NewRuleSet(fw.Deny, rules...)
 }
 
-// startFlood arms the scenario's flood (if any). By default the flood
-// runs from t=0 and reaches steady state over a 200 ms settle before
-// measurement; a FloodStart/FloodStop window instead gates it inside
-// the measurement. With reg non-nil the flooder publishes its counter
-// there — after the settle, or up front for a windowed flood.
-func startFlood(tb *Testbed, s Scenario, reg *obs.Registry) (*measure.Flooder, error) {
-	if s.FloodRatePPS <= 0 {
-		return nil, nil
-	}
-	cfg := measure.FloodConfig{
-		Kind:    s.FloodKind,
-		RatePPS: s.FloodRatePPS,
-		DstPort: FloodPort,
-	}
-	if s.FloodFragmented {
-		cfg.Fragment = true
-		cfg.PayloadBytes = 24 // splits into two fragments at a 16-byte MTU chunk
-	}
-	f := measure.NewFlooder(tb.Attacker, tb.Target.IP(), cfg)
-	if s.FloodStart > 0 || s.FloodStop > 0 {
-		if reg != nil {
-			f.PublishMetrics(reg, obs.L("host", "attacker"))
-		}
-		tb.Kernel.After(s.FloodStart, f.Start)
-		if s.FloodStop > s.FloodStart {
-			tb.Kernel.After(s.FloodStop, f.Stop)
-		}
-		return f, nil
-	}
-	f.Start()
-	if err := tb.Kernel.RunFor(200 * time.Millisecond); err != nil {
-		return nil, err
-	}
-	if reg != nil {
-		f.PublishMetrics(reg, obs.L("host", "attacker"))
-	}
-	return f, nil
-}
-
 // RunBandwidth executes a bandwidth scenario: build the testbed, start
 // the flood (if any), and measure available bandwidth between client and
 // target with the iperf tool.
@@ -271,84 +160,45 @@ func RunBandwidthObserved(s Scenario, opt ObserveOptions) (BandwidthPoint, *Inst
 	return runBandwidth(s, &opt)
 }
 
-// runBandwidth is the one bandwidth body; opt nil runs unobserved.
+// runBandwidth is the bandwidth family's measurement on the one body;
+// opt nil runs unobserved.
 func runBandwidth(s Scenario, opt *ObserveOptions) (BandwidthPoint, *Instrumentation, error) {
-	tb, err := buildTestbed(s)
-	if err != nil {
-		return BandwidthPoint{}, nil, err
-	}
-	var inst *Instrumentation
-	var reg *obs.Registry
-	if opt != nil {
-		inst = tb.observe(*opt)
-		reg = inst.Registry
-	}
-	flood, err := startFlood(tb, s, reg)
-	if err != nil {
-		return BandwidthPoint{}, nil, err
-	}
-
-	cfg := measure.IperfConfig{Duration: s.Duration, Metrics: reg}
-	var res measure.IperfResult
-	if s.UseUDP {
-		res, err = measure.RunUDPIperf(tb.Kernel, tb.Client, tb.Target, cfg)
-	} else {
-		res, err = measure.RunTCPIperf(tb.Kernel, tb.Client, tb.Target, cfg)
-	}
-	if err != nil {
-		return BandwidthPoint{}, nil, err
-	}
-	p := BandwidthPoint{
-		Scenario:     s,
-		Iperf:        res,
-		TargetLocked: tb.Target.NIC().Locked(),
-		TargetNIC:    tb.Target.NIC().Stats(),
-		Attribution:  ruleAttribution(tb),
-		SimSeconds:   tb.Kernel.Now().Seconds(),
-		WallBusy:     tb.Kernel.WallBusy(),
-	}
-	if flood != nil {
-		flood.Stop()
-		p.FloodSent = flood.Sent()
-	}
-	if inst != nil {
-		if inst.Profiling != nil {
-			p.CostProfile = inst.Profiling.CostData()
+	p := BandwidthPoint{Scenario: s}
+	out, inst, err := run(s, phases{measure: func(e *env) (err error) {
+		cfg := measure.IperfConfig{Duration: s.Duration, Metrics: e.reg}
+		if s.UseUDP {
+			p.Iperf, err = measure.RunUDPIperf(e.tb.Kernel, e.tb.Client, e.tb.Target, cfg)
+		} else {
+			p.Iperf, err = measure.RunTCPIperf(e.tb.Kernel, e.tb.Client, e.tb.Target, cfg)
 		}
-		// Final sample at the close of the measurement window.
-		inst.Recorder.Sample()
-		inst.Recorder.Stop()
+		return err
+	}}, opt)
+	if err != nil {
+		return BandwidthPoint{}, nil, err
 	}
+	p.Outcome = out
 	return p, inst, nil
 }
 
 // RunHTTP executes an HTTP load scenario against a web server on the
 // target.
 func RunHTTP(s Scenario) (HTTPPoint, error) {
-	tb, err := buildTestbed(s)
+	p := HTTPPoint{Scenario: s}
+	out, _, err := run(s, phases{
+		setup: func(e *env) error {
+			_, err := apps.NewHTTPServer(e.tb.Target, apps.HTTPServerConfig{})
+			return err
+		},
+		measure: func(e *env) (err error) {
+			p.Load, err = measure.RunHTTPLoad(e.tb.Kernel, e.tb.Client, e.tb.Target, measure.HTTPLoadConfig{
+				Duration: s.Duration,
+			})
+			return err
+		},
+	}, nil)
 	if err != nil {
 		return HTTPPoint{}, err
 	}
-	if err := setupHTTPServer(tb); err != nil {
-		return HTTPPoint{}, err
-	}
-	flood, err := startFlood(tb, s, nil)
-	if err != nil {
-		return HTTPPoint{}, err
-	}
-	res, err := measure.RunHTTPLoad(tb.Kernel, tb.Client, tb.Target, measure.HTTPLoadConfig{
-		Duration: s.Duration,
-	})
-	if err != nil {
-		return HTTPPoint{}, err
-	}
-	if flood != nil {
-		flood.Stop()
-	}
-	return HTTPPoint{
-		Scenario:   s,
-		Load:       res,
-		SimSeconds: tb.Kernel.Now().Seconds(),
-		WallBusy:   tb.Kernel.WallBusy(),
-	}, nil
+	p.Outcome = out
+	return p, nil
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"barbican/internal/measure"
+	"barbican/internal/nic"
 )
 
 // Shape invariants from the paper. Absolute numbers are the simulator's,
@@ -257,8 +258,8 @@ func TestTestbedDeviceWiring(t *testing.T) {
 	if tb.Client.Firewall() != nil {
 		t.Error("EFW client has a host firewall")
 	}
-	if tb.DeviceOf(tb.Client) != DeviceEFW {
-		t.Errorf("DeviceOf(client) = %v", tb.DeviceOf(tb.Client))
+	if got, want := tb.Client.NIC().Profile(), nic.EFW(); got != want {
+		t.Errorf("client card profile = %+v, want the EFW's %+v", got, want)
 	}
 	// InstallPolicy routes to the right enforcement point.
 	rs, err := standardRuleSet(4, true, 0)

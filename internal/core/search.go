@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"barbican/internal/apps"
-)
+import "time"
 
 // DoSThresholdMbps is the paper's denial-of-service criterion: the
 // bandwidth measurement "fell to approximately 0 Mbps" — here read as
@@ -19,14 +15,12 @@ const (
 	SearchResolutionPPS = 125
 )
 
-// MinFloodResult reports the minimum-flood-rate search for one scenario.
+// MinFloodResult reports a minimum-flood-rate search.
 type MinFloodResult struct {
-	Scenario Scenario
 	// Found reports whether any rate within the search bounds caused
 	// denial of service.
 	Found bool
-	// RatePPS is the minimum flood rate that drove the measured
-	// bandwidth below DoSThresholdMbps.
+	// RatePPS is the minimum flood rate that did.
 	RatePPS float64
 	// LockedUp reports that the card wedged during the successful flood
 	// (the EFW Deny-All failure); the paper could not record data for
@@ -58,21 +52,31 @@ func MinFloodRateFrom(s Scenario, hint float64) (MinFloodResult, error) {
 	if s.Duration == 0 {
 		s.Duration = 2 * time.Second // probes trade window length for search depth
 	}
-	res := MinFloodResult{Scenario: s}
-
-	probe := func(rate float64) (bool, bool, error) {
+	return minFloodRate(hint, func(rate float64) (bool, Outcome, error) {
 		sc := s
 		sc.FloodRatePPS = rate
 		p, err := RunBandwidth(sc)
+		// A wedged card is a successful denial of service even if some
+		// bytes moved before it locked up.
+		return p.Mbps() < DoSThresholdMbps || p.TargetLocked, p.Outcome, err
+	})
+}
+
+// minFloodRate is the one flood-rate search: a bisection over
+// [MinSearchRatePPS, MaxSearchRatePPS] down to SearchResolutionPPS for
+// the lowest rate at which probe reports denial of service. A positive
+// hint brackets the threshold by galloping outward from it first.
+func minFloodRate(hint float64, probe func(rate float64) (dos bool, out Outcome, err error)) (MinFloodResult, error) {
+	var res MinFloodResult
+	try := func(rate float64) (bool, bool, error) {
+		dos, out, err := probe(rate)
 		if err != nil {
 			return false, false, err
 		}
 		res.Probes++
-		res.SimSeconds += p.SimSeconds
-		res.WallBusy += p.WallBusy
-		// A wedged card is a successful denial of service even if some
-		// bytes moved before it locked up.
-		return p.Mbps() < DoSThresholdMbps || p.TargetLocked, p.TargetLocked, nil
+		res.SimSeconds += out.SimSeconds
+		res.WallBusy += out.WallBusy
+		return dos, out.TargetLocked, nil
 	}
 
 	var lo, hi float64
@@ -87,7 +91,7 @@ func MinFloodRateFrom(s Scenario, hint float64) (MinFloodResult, error) {
 		if hi > MaxSearchRatePPS {
 			hi = MaxSearchRatePPS
 		}
-		ok, locked, err := probe(hi)
+		ok, locked, err := try(hi)
 		if err != nil {
 			return res, err
 		}
@@ -101,7 +105,7 @@ func MinFloodRateFrom(s Scenario, hint float64) (MinFloodResult, error) {
 				if lo <= MinSearchRatePPS {
 					lo = MinSearchRatePPS
 				}
-				ok2, locked2, err := probe(lo)
+				ok2, locked2, err := try(lo)
 				if err != nil {
 					return res, err
 				}
@@ -124,7 +128,7 @@ func MinFloodRateFrom(s Scenario, hint float64) (MinFloodResult, error) {
 				if hi >= MaxSearchRatePPS {
 					hi = MaxSearchRatePPS
 				}
-				ok2, locked2, err := probe(hi)
+				ok2, locked2, err := try(hi)
 				if err != nil {
 					return res, err
 				}
@@ -142,7 +146,7 @@ func MinFloodRateFrom(s Scenario, hint float64) (MinFloodResult, error) {
 		}
 	} else {
 		lo, hi = float64(MinSearchRatePPS), float64(MaxSearchRatePPS)
-		ok, locked, err := probe(hi)
+		ok, locked, err := try(hi)
 		if err != nil {
 			return res, err
 		}
@@ -152,7 +156,7 @@ func MinFloodRateFrom(s Scenario, hint float64) (MinFloodResult, error) {
 		res.Found = true
 		res.LockedUp = locked
 		// Invariant: hi causes DoS, lo does not (or lo is the lower bound).
-		if ok2, locked2, err := probe(lo); err != nil {
+		if ok2, locked2, err := try(lo); err != nil {
 			return res, err
 		} else if ok2 {
 			res.RatePPS = lo
@@ -162,7 +166,7 @@ func MinFloodRateFrom(s Scenario, hint float64) (MinFloodResult, error) {
 	}
 	for hi-lo > SearchResolutionPPS {
 		mid := (lo + hi) / 2
-		ok, locked, err := probe(mid)
+		ok, locked, err := try(mid)
 		if err != nil {
 			return res, err
 		}
@@ -175,10 +179,4 @@ func MinFloodRateFrom(s Scenario, hint float64) (MinFloodResult, error) {
 	}
 	res.RatePPS = hi
 	return res, nil
-}
-
-// setupHTTPServer starts the Table 1 web server on the testbed target.
-func setupHTTPServer(tb *Testbed) error {
-	_, err := apps.NewHTTPServer(tb.Target, apps.HTTPServerConfig{})
-	return err
 }

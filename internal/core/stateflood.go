@@ -133,17 +133,12 @@ type StatefloodPoint struct {
 	SessionEchoed uint64
 	// SessionReset reports the probe connection was reset.
 	SessionReset bool
-	// FloodSent counts attack packets injected.
-	FloodSent uint64
-	// TargetNIC and Conntrack snapshot the victim card at the end of
-	// the run; CTEntries/CTCapacity give its final table occupancy.
-	TargetNIC  nic.Stats
+	// Conntrack snapshots the victim card's table at the end of the
+	// run; CTEntries/CTCapacity give its final occupancy.
 	Conntrack  conntrack.Stats
 	CTEntries  int
 	CTCapacity int
-	// SimSeconds and WallBusy feed the executor's speedup accounting.
-	SimSeconds float64
-	WallBusy   time.Duration
+	Outcome
 }
 
 // SessionRatio is the fraction of in-window keepalives that were
@@ -239,122 +234,102 @@ func spoofPool(n int) []packet.IP {
 // window, and report what fraction of the session's keepalives
 // survived.
 func RunStateflood(s StatefloodScenario) (StatefloodPoint, error) {
-	s.defaults()
-	tb, err := NewTestbed(TestbedOptions{
-		TargetDevice:   s.Device,
-		Seed:           s.Seed,
-		ConntrackEvict: s.EvictPolicy,
-	})
-	if err != nil {
-		return StatefloodPoint{}, err
-	}
-	rules, err := StatefulRuleSet(s.Depth)
-	if err != nil {
-		return StatefloodPoint{}, err
-	}
-	tb.InstallPolicy(tb.Target, rules)
-	if s.FailMode != 0 {
-		tb.Target.NIC().SetFailMode(s.FailMode)
-	}
-	if err := setupEchoServer(tb.Target); err != nil {
-		return StatefloodPoint{}, err
-	}
-	es, err := dialEcho(tb.Client, tb.Target.IP())
-	if err != nil {
-		return StatefloodPoint{}, err
-	}
-	// Handshake, then steady keepalives: the session's conntrack entry
-	// is assured and periodically refreshed before the attack starts.
-	if err := tb.Kernel.RunFor(100 * time.Millisecond); err != nil {
-		return StatefloodPoint{}, err
-	}
-	es.startKeepalive(tb.Kernel, s.KeepaliveEvery)
-	if err := tb.Kernel.RunFor(2 * s.KeepaliveEvery); err != nil {
-		return StatefloodPoint{}, err
-	}
-
-	var flood *measure.Flooder
-	if s.FloodRatePPS > 0 {
-		cfg := measure.FloodConfig{
-			Kind:    s.FloodKind,
-			RatePPS: s.FloodRatePPS,
-		}
-		switch s.FloodKind {
-		case measure.FloodTCPSYN:
-			// State exhaustion: SYNs the new-connection rule admits,
-			// from many spoofed sources so each creates a distinct
-			// table entry.
-			cfg.DstPort = StatefloodEchoPort
-			cfg.SpoofSources = spoofPool(s.SpoofCount)
-		case measure.FloodTCPACK:
-			// No-state probe: every packet classifies INVALID and is
-			// dropped after a lookup; no entries are ever created.
-			cfg.DstPort = StatefloodEchoPort
-		default:
-			// Packet-rate reference: UDP to the closed flood port is
-			// denied at full rule depth, never touching the table.
-			cfg.DstPort = FloodPort
-		}
-		flood = measure.NewFlooder(tb.Attacker, tb.Target.IP(), cfg)
-		flood.Start()
-		if err := tb.Kernel.RunFor(200 * time.Millisecond); err != nil {
-			return StatefloodPoint{}, err
-		}
-	}
-
-	sent0, echo0 := es.sent, es.echoed()
-	if err := tb.Kernel.RunFor(s.Duration); err != nil {
-		return StatefloodPoint{}, err
-	}
-	sent1 := es.sent
-	es.stopped = true
-	if flood != nil {
-		flood.Stop()
-	}
-	// Drain: echoes of in-window keepalives that were still in flight
-	// when the window closed.
-	if err := tb.Kernel.RunFor(300 * time.Millisecond); err != nil {
-		return StatefloodPoint{}, err
-	}
-
-	p := StatefloodPoint{
-		Scenario:     s,
-		SessionSent:  sent1 - sent0,
-		SessionReset: es.reset,
-		TargetNIC:    tb.Target.NIC().Stats(),
-		Conntrack:    tb.Target.NIC().ConntrackStats(),
-		SimSeconds:   tb.Kernel.Now().Seconds(),
-		WallBusy:     tb.Kernel.WallBusy(),
-	}
-	if echoed := es.echoed(); echoed > echo0 {
-		p.SessionEchoed = echoed - echo0
-	}
-	if p.SessionEchoed > p.SessionSent {
-		p.SessionEchoed = p.SessionSent
-	}
-	if ct := tb.Target.NIC().Conntrack(); ct != nil {
-		p.CTEntries, p.CTCapacity = ct.Len(), ct.Cap()
-	}
-	if flood != nil {
-		p.FloodSent = flood.Sent()
-	}
-	return p, nil
+	p, _, err := runStateflood(s, nil)
+	return p, err
 }
 
-// MinStatefloodResult reports the minimum-rate search for a stateflood
-// scenario.
-type MinStatefloodResult struct {
-	Scenario StatefloodScenario
-	// Found reports whether any rate within the search bounds denied
-	// service to the probe session.
-	Found bool
-	// RatePPS is the minimum flood rate that did.
-	RatePPS float64
-	// Probes counts measurements; SimSeconds and WallBusy accumulate
-	// their cost.
-	Probes     int
-	SimSeconds float64
-	WallBusy   time.Duration
+// RunStatefloodObserved is RunStateflood with the observability
+// pillars opt selects attached for the whole run. Observation never
+// changes the simulated outcome.
+func RunStatefloodObserved(s StatefloodScenario, opt ObserveOptions) (StatefloodPoint, *Instrumentation, error) {
+	return runStateflood(s, &opt)
+}
+
+// runStateflood is the stateflood family's measurement on the one
+// body; opt nil runs unobserved.
+func runStateflood(s StatefloodScenario, opt *ObserveOptions) (StatefloodPoint, *Instrumentation, error) {
+	s.defaults()
+	p := StatefloodPoint{Scenario: s}
+	var es *echoSession
+	out, inst, err := run(Scenario{
+		Device:       s.Device,
+		Depth:        s.Depth,
+		FloodRatePPS: s.FloodRatePPS,
+		FloodKind:    s.FloodKind,
+		Duration:     s.Duration,
+		Seed:         s.Seed,
+	}, phases{
+		rules: StatefulRuleSet,
+		evict: s.EvictPolicy,
+		aim: func(cfg *measure.FloodConfig) {
+			switch s.FloodKind {
+			case measure.FloodTCPSYN:
+				// State exhaustion: SYNs the new-connection rule admits,
+				// from many spoofed sources so each creates a distinct
+				// table entry.
+				cfg.DstPort = StatefloodEchoPort
+				cfg.SpoofSources = spoofPool(s.SpoofCount)
+			case measure.FloodTCPACK:
+				// No-state probe: every packet classifies INVALID and is
+				// dropped after a lookup; no entries are ever created.
+				cfg.DstPort = StatefloodEchoPort
+			}
+			// Otherwise the packet-rate reference: UDP to the closed
+			// flood port is denied at full rule depth, never touching
+			// the table.
+		},
+		setup: func(e *env) (err error) {
+			tb := e.tb
+			if s.FailMode != 0 {
+				tb.Target.NIC().SetFailMode(s.FailMode)
+			}
+			if err := setupEchoServer(tb.Target); err != nil {
+				return err
+			}
+			if es, err = dialEcho(tb.Client, tb.Target.IP()); err != nil {
+				return err
+			}
+			// Handshake, then steady keepalives: the session's conntrack
+			// entry is assured and periodically refreshed before the
+			// attack starts.
+			if err := tb.Kernel.RunFor(100 * time.Millisecond); err != nil {
+				return err
+			}
+			es.startKeepalive(tb.Kernel, s.KeepaliveEvery)
+			return tb.Kernel.RunFor(2 * s.KeepaliveEvery)
+		},
+		measure: func(e *env) error {
+			tb := e.tb
+			sent0, echo0 := es.sent, es.echoed()
+			if err := tb.Kernel.RunFor(s.Duration); err != nil {
+				return err
+			}
+			p.SessionSent = es.sent - sent0
+			es.stopped = true
+			if e.flood != nil {
+				e.flood.Stop()
+			}
+			// Drain: echoes of in-window keepalives that were still in
+			// flight when the window closed.
+			if err := tb.Kernel.RunFor(300 * time.Millisecond); err != nil {
+				return err
+			}
+			if echoed := es.echoed(); echoed > echo0 {
+				p.SessionEchoed = min(echoed-echo0, p.SessionSent)
+			}
+			p.SessionReset = es.reset
+			p.Conntrack = tb.Target.NIC().ConntrackStats()
+			if ct := tb.Target.NIC().Conntrack(); ct != nil {
+				p.CTEntries, p.CTCapacity = ct.Len(), ct.Cap()
+			}
+			return nil
+		},
+	}, opt)
+	if err != nil {
+		return StatefloodPoint{}, nil, err
+	}
+	p.Outcome = out
+	return p, inst, nil
 }
 
 // MinStatefloodRate finds the minimum flood rate that denies service to
@@ -362,117 +337,13 @@ type MinStatefloodResult struct {
 // but with the session-survival criterion instead of the bandwidth one.
 // The scenario's FloodRatePPS is ignored; each probe builds a fresh
 // testbed.
-func MinStatefloodRate(s StatefloodScenario) (MinStatefloodResult, error) {
-	return MinStatefloodRateFrom(s, 0)
-}
-
-// MinStatefloodRateFrom is MinStatefloodRate warm-started from a
-// neighboring result (see MinFloodRateFrom); hint <= 0 runs the cold
-// search.
-func MinStatefloodRateFrom(s StatefloodScenario, hint float64) (MinStatefloodResult, error) {
-	s.defaults()
-	res := MinStatefloodResult{Scenario: s}
-
-	probe := func(rate float64) (bool, error) {
+func MinStatefloodRate(s StatefloodScenario) (MinFloodResult, error) {
+	return minFloodRate(0, func(rate float64) (bool, Outcome, error) {
 		sc := s
 		sc.FloodRatePPS = rate
 		p, err := RunStateflood(sc)
-		if err != nil {
-			return false, err
-		}
-		res.Probes++
-		res.SimSeconds += p.SimSeconds
-		res.WallBusy += p.WallBusy
-		return p.DoSed(), nil
-	}
-
-	var lo, hi float64
-	if hint > 0 {
-		lo, hi = hint, hint
-		if lo < MinSearchRatePPS {
-			lo = MinSearchRatePPS
-		}
-		if hi > MaxSearchRatePPS {
-			hi = MaxSearchRatePPS
-		}
-		ok, err := probe(hi)
-		if err != nil {
-			return res, err
-		}
-		step := float64(SearchResolutionPPS)
-		if ok {
-			res.Found = true
-			for {
-				lo = hi - step
-				if lo <= MinSearchRatePPS {
-					lo = MinSearchRatePPS
-				}
-				ok2, err := probe(lo)
-				if err != nil {
-					return res, err
-				}
-				if !ok2 {
-					break
-				}
-				hi = lo
-				if lo == MinSearchRatePPS {
-					res.RatePPS = lo
-					return res, nil
-				}
-				step *= 2
-			}
-		} else {
-			for {
-				hi = lo + step
-				if hi >= MaxSearchRatePPS {
-					hi = MaxSearchRatePPS
-				}
-				ok2, err := probe(hi)
-				if err != nil {
-					return res, err
-				}
-				if ok2 {
-					res.Found = true
-					break
-				}
-				lo = hi
-				if hi == MaxSearchRatePPS {
-					return res, nil
-				}
-				step *= 2
-			}
-		}
-	} else {
-		lo, hi = float64(MinSearchRatePPS), float64(MaxSearchRatePPS)
-		ok, err := probe(hi)
-		if err != nil {
-			return res, err
-		}
-		if !ok {
-			return res, nil
-		}
-		res.Found = true
-		if ok2, err := probe(lo); err != nil {
-			return res, err
-		} else if ok2 {
-			res.RatePPS = lo
-			return res, nil
-		}
-	}
-	for hi-lo > SearchResolutionPPS {
-		mid := (lo + hi) / 2
-		ok, err := probe(mid)
-		if err != nil {
-			return res, err
-		}
-		if ok {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	res.RatePPS = hi
-	return res, nil
+		return p.DoSed(), p.Outcome, err
+	})
 }
 
 // StateRecoveryScenario describes the state-desync experiment: a
@@ -515,38 +386,40 @@ func RunStateRecovery(s StateRecoveryScenario) (StateRecoveryResult, error) {
 	if s.Depth == 0 {
 		s.Depth = 64
 	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
 	res := StateRecoveryResult{Scenario: s}
-	tb, err := NewTestbed(TestbedOptions{TargetDevice: DeviceStateful, Seed: s.Seed})
+	out, _, err := run(Scenario{Device: DeviceStateful, Depth: s.Depth, Seed: s.Seed}, phases{
+		rules:   StatefulRuleSet,
+		measure: func(e *env) error { return stateRecovery(e.tb, s.Recovery, &res) },
+	}, nil)
 	if err != nil {
 		return res, err
 	}
-	rules, err := StatefulRuleSet(s.Depth)
-	if err != nil {
-		return res, err
-	}
-	tb.InstallPolicy(tb.Target, rules)
+	res.SimSeconds, res.WallBusy = out.SimSeconds, out.WallBusy
+	return res, nil
+}
+
+// stateRecovery drives the three probe flows through one fail-open
+// degraded episode on tb's stateful target, recording which survive.
+func stateRecovery(tb *Testbed, recovery nic.StateRecovery, res *StateRecoveryResult) error {
 	card := tb.Target.NIC()
 	card.SetFailMode(nic.FailModeOpen)
-	card.SetStateRecovery(s.Recovery)
+	card.SetStateRecovery(recovery)
 	if err := setupEchoServer(tb.Target); err != nil {
-		return res, err
+		return err
 	}
 
 	// Flow A: established and assured while the card is healthy.
 	a, err := dialEcho(tb.Client, tb.Target.IP())
 	if err != nil {
-		return res, err
+		return err
 	}
 	if err := tb.Kernel.RunFor(100 * time.Millisecond); err != nil {
-		return res, err
+		return err
 	}
 	if ok, err := a.exchange(tb.Kernel, 50*time.Millisecond); err != nil {
-		return res, err
+		return err
 	} else if !ok {
-		return res, fmt.Errorf("core: probe session dead before outage")
+		return fmt.Errorf("core: probe session dead before outage")
 	}
 
 	// Outage: a policy push torn down mid-flight degrades the card,
@@ -554,53 +427,48 @@ func RunStateRecovery(s StateRecoveryScenario) (StateRecoveryResult, error) {
 	card.BeginPolicyUpdate()
 	card.AbortPolicyUpdate()
 	if card.DegradedState() != nic.StateDegraded {
-		return res, fmt.Errorf("core: card did not degrade")
+		return fmt.Errorf("core: card did not degrade")
 	}
 
 	// Flow B: established during the outage — it passes fail-open, so
 	// the card never sees state for it.
 	b, err := dialEcho(tb.Client, tb.Target.IP())
 	if err != nil {
-		return res, err
+		return err
 	}
 	if err := tb.Kernel.RunFor(30 * time.Millisecond); err != nil {
-		return res, err
+		return err
 	}
 	if ok, err := b.exchange(tb.Kernel, 30*time.Millisecond); err != nil {
-		return res, err
+		return err
 	} else if !ok {
-		return res, fmt.Errorf("core: mid-outage session dead during fail-open")
+		return fmt.Errorf("core: mid-outage session dead during fail-open")
 	}
 
 	// Let the watchdog recover.
 	if err := tb.Kernel.RunFor(200 * time.Millisecond); err != nil {
-		return res, err
+		return err
 	}
 	if card.DegradedState() != nic.StateHealthy {
-		return res, fmt.Errorf("core: card did not recover")
+		return fmt.Errorf("core: card did not recover")
 	}
 	res.WatchdogResets = card.Stats().WatchdogResets
 
 	if res.PreOutageOK, err = a.exchange(tb.Kernel, 200*time.Millisecond); err != nil {
-		return res, err
+		return err
 	}
 	if res.MidOutageOK, err = b.exchange(tb.Kernel, 200*time.Millisecond); err != nil {
-		return res, err
+		return err
 	}
 
 	// Flow C: established after recovery.
 	c, err := dialEcho(tb.Client, tb.Target.IP())
 	if err != nil {
-		return res, err
+		return err
 	}
 	if err := tb.Kernel.RunFor(100 * time.Millisecond); err != nil {
-		return res, err
+		return err
 	}
-	if res.NewFlowOK, err = c.exchange(tb.Kernel, 200*time.Millisecond); err != nil {
-		return res, err
-	}
-
-	res.SimSeconds = tb.Kernel.Now().Seconds()
-	res.WallBusy = tb.Kernel.WallBusy()
-	return res, nil
+	res.NewFlowOK, err = c.exchange(tb.Kernel, 200*time.Millisecond)
+	return err
 }

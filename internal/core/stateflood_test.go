@@ -21,7 +21,7 @@ func TestStatefulRuleSetShape(t *testing.T) {
 	}
 }
 
-func runStateflood(t *testing.T, s StatefloodScenario) StatefloodPoint {
+func mustStateflood(t *testing.T, s StatefloodScenario) StatefloodPoint {
 	t.Helper()
 	p, err := RunStateflood(s)
 	if err != nil {
@@ -33,7 +33,7 @@ func runStateflood(t *testing.T, s StatefloodScenario) StatefloodPoint {
 // TestStatefloodBaseline: with no flood, the echo session survives
 // untouched — the stateful policy itself costs the session nothing.
 func TestStatefloodBaseline(t *testing.T) {
-	p := runStateflood(t, StatefloodScenario{Seed: 3})
+	p := mustStateflood(t, StatefloodScenario{Seed: 3})
 	if r := p.SessionRatio(); r != 1 {
 		t.Fatalf("baseline session ratio = %.2f, want 1.00 (%d/%d)",
 			r, p.SessionEchoed, p.SessionSent)
@@ -49,7 +49,7 @@ func TestStatefloodBaseline(t *testing.T) {
 // UDP packet flood does not — state exhaustion is a strictly cheaper
 // DoS than packet-rate exhaustion on the same card.
 func TestStatefloodStateVsPacketRate(t *testing.T) {
-	syn := runStateflood(t, StatefloodScenario{
+	syn := mustStateflood(t, StatefloodScenario{
 		FloodRatePPS: 6000, FloodKind: measure.FloodTCPSYN,
 		EvictPolicy: conntrack.EvictLRU, Seed: 3,
 	})
@@ -60,7 +60,7 @@ func TestStatefloodStateVsPacketRate(t *testing.T) {
 		t.Error("SYN flood evicted nothing — table never churned")
 	}
 
-	udp := runStateflood(t, StatefloodScenario{
+	udp := mustStateflood(t, StatefloodScenario{
 		FloodRatePPS: 6000, FloodKind: measure.FloodUDP, Seed: 3,
 	})
 	if udp.DoSed() {
@@ -72,7 +72,7 @@ func TestStatefloodStateVsPacketRate(t *testing.T) {
 // policy refuses to evict assured entries, so the established session
 // survives a SYN rate that collapses LRU by several multiples.
 func TestStatefloodSYNDropRestoresTolerance(t *testing.T) {
-	p := runStateflood(t, StatefloodScenario{
+	p := mustStateflood(t, StatefloodScenario{
 		FloodRatePPS: 20000, FloodKind: measure.FloodTCPSYN,
 		EvictPolicy: conntrack.EvictSYNDrop, Seed: 3,
 	})
@@ -85,7 +85,7 @@ func TestStatefloodSYNDropRestoresTolerance(t *testing.T) {
 // policy creates no state at all — every flood packet is an INVALID
 // hard drop and the table holds just the session.
 func TestStatefloodACKProfile(t *testing.T) {
-	p := runStateflood(t, StatefloodScenario{
+	p := mustStateflood(t, StatefloodScenario{
 		FloodRatePPS: 8000, FloodKind: measure.FloodTCPACK, Seed: 3,
 	})
 	if p.DoSed() {

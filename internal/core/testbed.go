@@ -216,9 +216,6 @@ func (tb *Testbed) AddHost(name string, ip packet.IP, device Device, respond boo
 	return h, nil
 }
 
-// DeviceOf returns the device a host was built with.
-func (tb *Testbed) DeviceOf(h *stack.Host) Device { return tb.devices[h] }
-
 // InstallPolicy installs a rule set on the host's enforcement point: the
 // host firewall for DeviceIPTables, the NIC otherwise. A nil rule set
 // removes filtering.

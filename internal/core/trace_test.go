@@ -90,21 +90,64 @@ func TestTracedFloodDropCountersSumToTotalDrops(t *testing.T) {
 	_ = p
 }
 
+// simulated strips an outcome of what observation may legitimately
+// change: the wall clock the run burned and the profile it carries.
+func simulated(o Outcome) Outcome {
+	o.WallBusy, o.CostProfile = 0, nil
+	return o
+}
+
 // TestObservationDoesNotPerturbSimulation: attaching any mix of
-// observability pillars must not change any simulated outcome. The
-// whole simulated point is compared against the unobserved run, for
-// the default settle-then-measure flood and for a flood gated to a
-// window inside the measurement.
+// observability pillars must not change any simulated outcome. Every
+// field of the point is compared against the unobserved run, for the
+// bandwidth family's default settle-then-measure flood and its flood
+// gated to a window inside the measurement, and for the chaos (with
+// the install-time semantics proof), detection (with the responsive
+// push) and stateflood families.
 func TestObservationDoesNotPerturbSimulation(t *testing.T) {
 	windowed := floodScenario()
 	windowed.FloodStart = 100 * time.Millisecond
 	windowed.FloodStop = 300 * time.Millisecond
-	scenarios := []struct {
+	bandwidth := func(s Scenario) func(*ObserveOptions) (any, *Instrumentation, error) {
+		return func(opt *ObserveOptions) (any, *Instrumentation, error) {
+			p, inst, err := runBandwidth(s, opt)
+			p.Outcome = simulated(p.Outcome)
+			return p, inst, err
+		}
+	}
+	families := []struct {
 		name string
-		s    Scenario
+		run  func(opt *ObserveOptions) (any, *Instrumentation, error)
+		// ran checks the plain run exercised what the row is for.
+		ran func(p any) bool
 	}{
-		{"settled", floodScenario()},
-		{"windowed", windowed},
+		{"settled", bandwidth(floodScenario()), func(p any) bool { return p.(BandwidthPoint).FloodSent > 0 }},
+		{"windowed", bandwidth(windowed), func(p any) bool { return p.(BandwidthPoint).FloodSent > 0 }},
+		{"chaos", func(opt *ObserveOptions) (any, *Instrumentation, error) {
+			p, inst, err := runChaos(ChaosScenario{
+				Device: DeviceADF, FloodRatePPS: 2000,
+				PushAt: 500 * time.Millisecond, Duration: 1500 * time.Millisecond,
+				VerifySemantics: true,
+			}, opt)
+			p.Outcome = simulated(p.Outcome)
+			return p, inst, err
+		}, func(p any) bool { c := p.(ChaosPoint); return c.FloodSent > 0 && c.SemanticsVerified }},
+		{"detect", func(opt *ObserveOptions) (any, *Instrumentation, error) {
+			p, inst, err := runDetection(DetectionScenario{
+				Device: DeviceADF, Depth: 64, FloodAllowed: true,
+				FloodRatePPS: 8000, Duration: 2 * time.Second, Seed: 7,
+				Respond: true,
+			}, opt)
+			p.Outcome = simulated(p.Outcome)
+			return p, inst, err
+		}, func(p any) bool { d := p.(DetectionPoint); return d.Detected && d.Converged && d.Reports > 0 }},
+		{"stateflood", func(opt *ObserveOptions) (any, *Instrumentation, error) {
+			p, inst, err := runStateflood(StatefloodScenario{
+				FloodRatePPS: 6000, Duration: 500 * time.Millisecond,
+			}, opt)
+			p.Outcome = simulated(p.Outcome)
+			return p, inst, err
+		}, func(p any) bool { s := p.(StatefloodPoint); return s.FloodSent > 0 && s.SessionSent > 0 }},
 	}
 	pillars := []struct {
 		name string
@@ -121,17 +164,18 @@ func TestObservationDoesNotPerturbSimulation(t *testing.T) {
 			Capture:     true,
 		}},
 	}
-	for _, sc := range scenarios {
-		plain, err := RunBandwidth(sc.s)
+	for _, fam := range families {
+		plain, _, err := fam.run(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plain.FloodSent == 0 {
-			t.Fatalf("%s: no flood packets sent", sc.name)
+		if !fam.ran(plain) {
+			t.Fatalf("%s: the plain run did not exercise the scenario: %+v", fam.name, plain)
 		}
 		for _, pl := range pillars {
-			t.Run(sc.name+"/"+pl.name, func(t *testing.T) {
-				got, inst, err := RunBandwidthObserved(sc.s, pl.opt)
+			t.Run(fam.name+"/"+pl.name, func(t *testing.T) {
+				opt := pl.opt
+				got, inst, err := fam.run(&opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,21 +184,8 @@ func TestObservationDoesNotPerturbSimulation(t *testing.T) {
 					(inst.Capture != nil) != pl.opt.Capture {
 					t.Fatalf("attached pillars do not match %+v", pl.opt)
 				}
-				if got.Iperf != plain.Iperf {
-					t.Errorf("iperf result changed:\nplain:    %+v\nobserved: %+v", plain.Iperf, got.Iperf)
-				}
-				if got.TargetNIC != plain.TargetNIC {
-					t.Errorf("NIC stats changed:\nplain:    %+v\nobserved: %+v", plain.TargetNIC, got.TargetNIC)
-				}
-				if got.FloodSent != plain.FloodSent || got.TargetLocked != plain.TargetLocked {
-					t.Errorf("flood outcome changed: sent %d locked %v, want sent %d locked %v",
-						got.FloodSent, got.TargetLocked, plain.FloodSent, plain.TargetLocked)
-				}
-				if got.SimSeconds != plain.SimSeconds {
-					t.Errorf("simulated %vs, want %vs", got.SimSeconds, plain.SimSeconds)
-				}
-				if !reflect.DeepEqual(got.Attribution, plain.Attribution) {
-					t.Errorf("rule attribution changed:\nplain:    %+v\nobserved: %+v", plain.Attribution, got.Attribution)
+				if !reflect.DeepEqual(got, plain) {
+					t.Errorf("observation changed the point:\nplain:    %+v\nobserved: %+v", plain, got)
 				}
 			})
 		}

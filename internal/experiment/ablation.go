@@ -19,7 +19,7 @@ func AblationDenyResponses(cfg Config) (*Table, error) {
 			if suppress {
 				label = "abl1_responses-suppressed"
 			}
-			return runBandwidth(cfg, "ablations", label, core.Scenario{
+			return bandwidthRuns.point(cfg, "ablations", label, core.Scenario{
 				Device: core.DeviceEFW, Depth: 1,
 				FloodRatePPS: rate, FloodAllowed: true,
 				SuppressFloodResponses: suppress,
@@ -63,7 +63,7 @@ func AblationVPGLazyDecrypt(cfg Config) (*Table, error) {
 		if tasks[i].eager {
 			label = fmt.Sprintf("abl2_depth-%d_eager", tasks[i].depth)
 		}
-		return runBandwidth(cfg, "ablations", label, core.Scenario{
+		return bandwidthRuns.point(cfg, "ablations", label, core.Scenario{
 			Device: core.DeviceADFVPG, Depth: tasks[i].depth,
 			EagerVPGDecrypt: tasks[i].eager,
 			Duration:        cfg.bandwidthDuration(), Seed: cfg.Seed,
@@ -95,7 +95,7 @@ func AblationTrailingRules(cfg Config) (*Table, error) {
 		trailing = []int{0, 8, 16, 32}
 	}
 	points, err := runner.Map(cfg.pool(), len(trailing), func(i int) (core.BandwidthPoint, error) {
-		return runBandwidth(cfg, "ablations", fmt.Sprintf("abl3_trailing-%d", trailing[i]), core.Scenario{
+		return bandwidthRuns.point(cfg, "ablations", fmt.Sprintf("abl3_trailing-%d", trailing[i]), core.Scenario{
 			Device: core.DeviceEFW, Depth: 32, TrailingRules: trailing[i],
 			Duration: cfg.bandwidthDuration(), Seed: cfg.Seed,
 		})

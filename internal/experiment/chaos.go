@@ -46,16 +46,6 @@ func chaosConditions(cfg Config) []chaosCondition {
 	return conds
 }
 
-func (c Config) chaosDuration() time.Duration {
-	if c.Duration != 0 {
-		return c.Duration
-	}
-	if c.Quick {
-		return 4 * time.Second
-	}
-	return 8 * time.Second
-}
-
 func (c Config) chaosScenario(dev core.Device, rate float64, cond chaosCondition) core.ChaosScenario {
 	return core.ChaosScenario{
 		Device:       dev,
@@ -64,7 +54,7 @@ func (c Config) chaosScenario(dev core.Device, rate float64, cond chaosCondition
 		FaultSeed:    c.FaultSeed,
 		Seed:         c.Seed,
 		PushAt:       chaosPushAt,
-		Duration:     c.chaosDuration(),
+		Duration:     c.window(4*time.Second, 8*time.Second),
 		Push:         cond.push,
 	}
 }
@@ -96,11 +86,11 @@ func ChaosBandwidth(cfg Config) (*Figure, error) {
 
 	points, err := runner.Map(cfg.pool(), len(tasks), func(i int) (Point, error) {
 		t := tasks[i]
-		p, err := core.RunChaos(cfg.chaosScenario(core.DeviceADF, t.rate, t.cond))
+		label := fmt.Sprintf("%s_rate-%.0f", t.cond.label, t.rate)
+		p, err := chaosRuns.point(cfg, "chaos-bandwidth", label, cfg.chaosScenario(core.DeviceADF, t.rate, t.cond))
 		if err != nil {
 			return Point{}, err
 		}
-		cfg.account(1, p.SimSeconds, p.WallBusy)
 		pt := Point{X: t.rate, Y: p.Mbps()}
 		switch {
 		case p.TargetLocked:
@@ -152,11 +142,11 @@ func ChaosConvergence(cfg Config) (*Table, error) {
 
 	rows, err := runner.Map(cfg.pool(), len(tasks), func(i int) ([]string, error) {
 		t := tasks[i]
-		p, err := core.RunChaos(cfg.chaosScenario(t.dev, 2000, t.cond))
+		label := fmt.Sprintf("%s_%s", t.dev, t.cond.label)
+		p, err := chaosRuns.point(cfg, "chaos-convergence", label, cfg.chaosScenario(t.dev, 2000, t.cond))
 		if err != nil {
 			return nil, err
 		}
-		cfg.account(1, p.SimSeconds, p.WallBusy)
 		converged := "no"
 		convergeMS := "-"
 		if p.Converged {

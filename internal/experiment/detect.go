@@ -10,7 +10,6 @@ import (
 
 	"barbican/internal/core"
 	"barbican/internal/faults"
-	"barbican/internal/obs"
 	"barbican/internal/runner"
 	"barbican/internal/telemetry"
 )
@@ -24,43 +23,26 @@ import (
 // every condition collapses onto the silence path.
 const detectRate = 6000
 
-func (c Config) detectDuration() time.Duration {
-	if c.Duration != 0 {
-		return c.Duration
-	}
-	if c.Quick {
-		return 3 * time.Second
-	}
-	return 5 * time.Second
-}
-
-// detectCondition is one management-channel state for the detection
-// chaos sweep.
-type detectCondition struct {
-	label string
-	plan  faults.Plan
-}
-
 // detectConditions returns the management-channel sweep for the
 // detection chaos family. With cfg.Faults set (the -faults flag), the
 // sweep collapses to that single custom plan.
-func detectConditions(cfg Config) []detectCondition {
+func detectConditions(cfg Config) []chaosCondition {
 	if cfg.Faults != nil {
-		return []detectCondition{{label: "faults " + cfg.Faults.String(), plan: *cfg.Faults}}
+		return []chaosCondition{{label: "faults " + cfg.Faults.String(), plan: *cfg.Faults}}
 	}
-	conds := []detectCondition{
+	conds := []chaosCondition{
 		{label: "clean mgmt"},
 		{label: "mgmt loss 30%", plan: faults.Plan{Loss: 0.30}},
 		{label: "mgmt loss 60%", plan: faults.Plan{Loss: 0.60}},
 		{label: "mgmt partition", plan: chaosPartition},
 	}
 	if cfg.Quick {
-		conds = []detectCondition{conds[0], conds[2], conds[3]}
+		conds = []chaosCondition{conds[0], conds[2], conds[3]}
 	}
 	return conds
 }
 
-func (c Config) detectScenario(dev core.Device, depth int, rate float64, allowed bool, cond detectCondition) core.DetectionScenario {
+func (c Config) detectScenario(dev core.Device, depth int, rate float64, allowed bool, cond chaosCondition) core.DetectionScenario {
 	return core.DetectionScenario{
 		Device:       dev,
 		Depth:        depth,
@@ -69,7 +51,7 @@ func (c Config) detectScenario(dev core.Device, depth int, rate float64, allowed
 		MgmtFaults:   cond.plan,
 		FaultSeed:    c.FaultSeed,
 		Seed:         c.Seed,
-		Duration:     c.detectDuration(),
+		Duration:     c.window(3*time.Second, 5*time.Second),
 	}
 }
 
@@ -124,11 +106,11 @@ func DetectionLatency(cfg Config) (*Figure, error) {
 
 	points, err := runner.Map(cfg.pool(), len(tasks), func(i int) (Point, error) {
 		t := tasks[i]
-		p, err := core.RunDetection(cfg.detectScenario(t.dev, 64, t.rate, false, cond))
+		label := fmt.Sprintf("%s_rate-%.0f", t.dev, t.rate)
+		p, err := detectRuns.point(cfg, "detect-latency", label, cfg.detectScenario(t.dev, 64, t.rate, false, cond))
 		if err != nil {
 			return Point{}, err
 		}
-		cfg.account(1, p.SimSeconds, p.WallBusy)
 		pt := Point{X: t.rate, Note: detectNote(p)}
 		if p.Detected {
 			pt.Y = float64(p.TimeToDetect.Microseconds()) / 1e3
@@ -181,11 +163,10 @@ func DetectionExposure(cfg Config) (*Table, error) {
 		c := combos[i]
 		s := cfg.detectScenario(c.dev, c.depth, detectRate, true, cond)
 		s.Respond = true
-		p, err := core.RunDetection(s)
+		p, err := detectRuns.point(cfg, "detect-exposure", fmt.Sprintf("%s_depth-%d", c.dev, c.depth), s)
 		if err != nil {
 			return nil, err
 		}
-		cfg.account(1, p.SimSeconds, p.WallBusy)
 		ttd, resp := "-", "-"
 		if p.Detected {
 			ttd = fmt.Sprintf("%.0f", float64(p.TimeToDetect.Microseconds())/1e3)
@@ -224,11 +205,10 @@ func DetectionChaos(cfg Config) (*Table, error) {
 	rows, err := runner.Map(cfg.pool(), len(conds), func(i int) ([]string, error) {
 		s := cfg.detectScenario(core.DeviceADF, 64, detectRate, true, conds[i])
 		s.Respond = true
-		p, err := core.RunDetection(s)
+		p, err := detectRuns.point(cfg, "detect-chaos", conds[i].label, s)
 		if err != nil {
 			return nil, err
 		}
-		cfg.account(1, p.SimSeconds, p.WallBusy)
 		ttd, resp := "-", "-"
 		if p.Detected {
 			ttd = fmt.Sprintf("%.0f", float64(p.TimeToDetect.Microseconds())/1e3)
@@ -280,13 +260,13 @@ func DetectionFalsePositives(cfg Config) (*Table, error) {
 
 	rows, err := runner.Map(cfg.pool(), len(tasks), func(i int) ([]string, error) {
 		t := tasks[i]
-		s := cfg.detectScenario(t.dev, 64, 0, false, detectCondition{})
+		s := cfg.detectScenario(t.dev, 64, 0, false, chaosCondition{})
 		s.BenignBurstPPS = t.rate
-		p, err := core.RunDetection(s)
+		label := fmt.Sprintf("%s_burst-%.0f", t.dev, t.rate)
+		p, err := detectRuns.point(cfg, "detect-false-positives", label, s)
 		if err != nil {
 			return nil, err
 		}
-		cfg.account(1, p.SimSeconds, p.WallBusy)
 		return []string{
 			t.dev.String(), fmt.Sprintf("%.0f", t.rate),
 			fmt.Sprintf("%d", p.FalseAlerts), p.FinalState.String(),
@@ -350,16 +330,10 @@ func timelineMarkdown(label string, tl []telemetry.Transition) string {
 func FleetHealth(cfg Config) (string, error) {
 	s := cfg.detectScenario(core.DeviceADF, 64, detectRate, true, detectConditions(cfg)[0])
 	s.Respond = true
-	var reg *obs.Registry
-	if cfg.MetricsDir != "" {
-		reg = obs.NewRegistry()
-		s.Metrics = reg
-	}
-	p, err := core.RunDetection(s)
+	p, err := detectRuns.point(cfg, "fleet-health", "fleet-health", s)
 	if err != nil {
 		return "", err
 	}
-	cfg.account(1, p.SimSeconds, p.WallBusy)
 
 	var b strings.Builder
 	b.WriteString("# Fleet health & flood detection\n\n")
@@ -398,9 +372,6 @@ func FleetHealth(cfg Config) (string, error) {
 			return "", err
 		}
 		if err := WriteAlertTimeline(dir, "target", p.Timeline); err != nil {
-			return "", err
-		}
-		if _, err := obs.WriteRunArtifacts(dir, "fleet-health", reg, nil); err != nil {
 			return "", err
 		}
 	}

@@ -225,15 +225,21 @@ func (c Config) account(points int, simSeconds float64, wallBusy time.Duration) 
 	c.Account.Add(points, simSeconds, wallBusy)
 }
 
-func (c Config) bandwidthDuration() time.Duration {
-	if c.Duration != 0 {
+// window is the per-measurement window: Duration when set, otherwise
+// quick or full by the Quick flag.
+func (c Config) window(quick, full time.Duration) time.Duration {
+	switch {
+	case c.Duration != 0:
 		return c.Duration
+	case c.Quick:
+		return quick
 	}
-	if c.Quick {
-		return 1 * time.Second
-	}
-	return 5 * time.Second
+	return full
 }
+
+func (c Config) bandwidthDuration() time.Duration { return c.window(time.Second, 5*time.Second) }
+
+func (c Config) httpDuration() time.Duration { return c.window(2*time.Second, 30*time.Second) }
 
 // formatX renders an axis value: integers without decimals (rule
 // depths, flood rates), fractional values (timeline seconds) compactly.
@@ -242,14 +248,4 @@ func formatX(x float64) string {
 		return fmt.Sprintf("%.0f", x)
 	}
 	return strconv.FormatFloat(x, 'g', -1, 64)
-}
-
-func (c Config) httpDuration() time.Duration {
-	if c.Duration != 0 {
-		return c.Duration
-	}
-	if c.Quick {
-		return 2 * time.Second
-	}
-	return 30 * time.Second
 }

@@ -13,34 +13,54 @@ import (
 	"barbican/internal/obs/profile"
 )
 
-// runBandwidth is the experiments' one bandwidth path: it runs s —
-// plain core.RunBandwidth when cfg asks for no artifacts, observed
-// otherwise — accounts the point, and writes its artifacts (see
-// WriteRunArtifacts) under <dir>/<exp>/<label>. Profiled points carry
-// their merged cost profile (CostProfile) back to the caller for
-// per-experiment aggregation.
-func runBandwidth(cfg Config, exp, label string, s core.Scenario) (core.BandwidthPoint, error) {
+// family pairs one core scenario family's plain and observed entry
+// points with the accessor for its points' shared outcome.
+type family[S, P any] struct {
+	run      func(S) (P, error)
+	observed func(S, core.ObserveOptions) (P, *core.Instrumentation, error)
+	outcome  func(P) core.Outcome
+}
+
+// The scenario families the experiments run.
+var (
+	bandwidthRuns = family[core.Scenario, core.BandwidthPoint]{core.RunBandwidth, core.RunBandwidthObserved,
+		func(p core.BandwidthPoint) core.Outcome { return p.Outcome }}
+	chaosRuns = family[core.ChaosScenario, core.ChaosPoint]{core.RunChaos, core.RunChaosObserved,
+		func(p core.ChaosPoint) core.Outcome { return p.Outcome }}
+	detectRuns = family[core.DetectionScenario, core.DetectionPoint]{core.RunDetection, core.RunDetectionObserved,
+		func(p core.DetectionPoint) core.Outcome { return p.Outcome }}
+	statefloodRuns = family[core.StatefloodScenario, core.StatefloodPoint]{core.RunStateflood, core.RunStatefloodObserved,
+		func(p core.StatefloodPoint) core.Outcome { return p.Outcome }}
+)
+
+// point is the experiments' one run path: it runs s — plainly when cfg
+// asks for no artifacts, observed otherwise — accounts the point, and
+// writes its artifacts (see WriteRunArtifacts) under
+// <dir>/<exp>/<label>. Profiled points carry their merged cost profile
+// (CostProfile) back to the caller for per-experiment aggregation.
+func (f family[S, P]) point(cfg Config, exp, label string, s S) (P, error) {
 	if !cfg.Observing() {
-		p, err := core.RunBandwidth(s)
+		p, err := f.run(s)
 		if err == nil {
-			cfg.account(1, p.SimSeconds, p.WallBusy)
+			out := f.outcome(p)
+			cfg.account(1, out.SimSeconds, out.WallBusy)
 		}
 		return p, err
 	}
-	p, _, err := observeBandwidth(cfg, exp, label, s)
+	p, _, err := f.observe(cfg, exp, label, s)
 	return p, err
 }
 
-// observeBandwidth is runBandwidth for callers that read the run's
-// recorder themselves: the run is observed even when cfg writes no
-// artifacts.
-func observeBandwidth(cfg Config, exp, label string, s core.Scenario) (core.BandwidthPoint, *core.Instrumentation, error) {
-	p, inst, err := core.RunBandwidthObserved(s, cfg.ObserveOptions())
+// observe is point for callers that read the run's recorder
+// themselves: the run is observed even when cfg writes no artifacts.
+func (f family[S, P]) observe(cfg Config, exp, label string, s S) (P, *core.Instrumentation, error) {
+	p, inst, err := f.observed(s, cfg.ObserveOptions())
 	if err != nil {
 		return p, nil, err
 	}
-	cfg.account(1, p.SimSeconds, p.WallBusy)
-	if _, err := cfg.WriteRunArtifacts(exp, label, p, inst); err != nil {
+	out := f.outcome(p)
+	cfg.account(1, out.SimSeconds, out.WallBusy)
+	if _, err := cfg.WriteRunArtifacts(exp, label, out, inst); err != nil {
 		return p, nil, fmt.Errorf("%s/%s: %w", exp, label, err)
 	}
 	return p, inst, nil
@@ -53,7 +73,7 @@ func observeBandwidth(cfg Config, exp, label string, s core.Scenario) (core.Band
 // <TraceDir>/<exp>/<label>.trace.{json,txt}, and
 // <ProfileDir>/<exp>/<label>.{cost,kernel}.{pprof,folded}. It returns
 // the telemetry, trace and profile paths in that order.
-func (c Config) WriteRunArtifacts(exp, label string, p core.BandwidthPoint, inst *core.Instrumentation) ([]string, error) {
+func (c Config) WriteRunArtifacts(exp, label string, out core.Outcome, inst *core.Instrumentation) ([]string, error) {
 	var paths []string
 	if c.MetricsDir != "" {
 		dir := filepath.Join(c.MetricsDir, exp)
@@ -62,8 +82,8 @@ func (c Config) WriteRunArtifacts(exp, label string, p core.BandwidthPoint, inst
 			return nil, err
 		}
 		paths = append(paths, mp...)
-		if p.Attribution != nil {
-			if err := WriteRuleAttribution(dir, label, p.Attribution); err != nil {
+		if out.Attribution != nil {
+			if err := WriteRuleAttribution(dir, label, out.Attribution); err != nil {
 				return nil, err
 			}
 		}

@@ -52,7 +52,7 @@ func Fig2(cfg Config) (*Figure, error) {
 	results, err := runner.Map(cfg.pool(), len(tasks), func(i int) (result, error) {
 		t := tasks[i]
 		label := fmt.Sprintf("%s_depth-%d", t.dev, t.depth)
-		p, err := runBandwidth(cfg, "fig2", label, core.Scenario{
+		p, err := bandwidthRuns.point(cfg, "fig2", label, core.Scenario{
 			Device: t.dev, Depth: t.depth,
 			Duration: cfg.bandwidthDuration(), Seed: cfg.Seed,
 		})

@@ -46,7 +46,7 @@ func Fig3a(cfg Config) (*Figure, error) {
 	points, err := runner.Map(cfg.pool(), len(tasks), func(i int) (Point, error) {
 		t := tasks[i]
 		runLabel := fmt.Sprintf("%s_rate-%.0f", t.label, t.rate)
-		p, err := runBandwidth(cfg, "fig3a", runLabel, core.Scenario{
+		p, err := bandwidthRuns.point(cfg, "fig3a", runLabel, core.Scenario{
 			Device: t.dev, Depth: t.depth,
 			FloodRatePPS: t.rate, FloodAllowed: true,
 			Duration: cfg.bandwidthDuration(), Seed: cfg.Seed,

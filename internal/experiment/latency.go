@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"barbican/internal/core"
-	"barbican/internal/fw"
 	"barbican/internal/measure"
 	"barbican/internal/runner"
 )
@@ -35,16 +34,13 @@ func AppendixLatency(cfg Config) (*Table, error) {
 
 	cells, err := runner.Map(cfg.pool(), len(tasks), func(i int) (string, error) {
 		tk := tasks[i]
-		tb, err := core.NewTestbed(core.TestbedOptions{TargetDevice: tk.dev, Seed: cfg.Seed})
+		s := core.Scenario{Device: tk.dev, Depth: tk.depth, FloodAllowed: true, Seed: cfg.Seed}
+		if tk.dev == core.DeviceStandard {
+			s.Depth = 0 // the unfiltered control
+		}
+		tb, err := core.BuildTestbed(s)
 		if err != nil {
 			return "", err
-		}
-		if tk.dev != core.DeviceStandard {
-			rs, err := fw.DepthRuleSet(tk.depth, fw.AllowAllRule(), fw.Deny)
-			if err != nil {
-				return "", err
-			}
-			tb.InstallPolicy(tb.Target, rs)
 		}
 		res, err := measure.RunPingRTT(tb.Kernel, tb.Client, tb.Target, measure.PingConfig{})
 		if err != nil {

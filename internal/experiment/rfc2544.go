@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"barbican/internal/core"
-	"barbican/internal/fw"
 	"barbican/internal/link"
 	"barbican/internal/measure"
 	"barbican/internal/runner"
@@ -101,16 +100,9 @@ func rfc2544Point(cfg Config, device core.Device, depth int, frameSize int, hint
 	tcfg := measure.ThroughputConfig{FrameSize: frameSize}
 	var kernels []*sim.Kernel
 	newPair := func() (*sim.Kernel, *stack.Host, *stack.Host, error) {
-		tb, err := core.NewTestbed(core.TestbedOptions{TargetDevice: device, Seed: cfg.Seed})
+		tb, err := core.BuildTestbed(core.Scenario{Device: device, Depth: depth, FloodAllowed: true, Seed: cfg.Seed})
 		if err != nil {
 			return nil, nil, nil, err
-		}
-		if depth > 0 {
-			rs, err := fw.DepthRuleSet(depth, fw.AllowAllRule(), fw.Deny)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			tb.InstallPolicy(tb.Target, rs)
 		}
 		kernels = append(kernels, tb.Kernel)
 		return tb.Kernel, tb.Client, tb.Target, nil

@@ -19,12 +19,7 @@ import (
 // rates far below what CPU exhaustion needs — state is the cheaper
 // resource to exhaust.
 
-func (c Config) statefloodDuration() time.Duration {
-	if c.Duration != 0 {
-		return c.Duration
-	}
-	return 2 * time.Second
-}
+func (c Config) statefloodDuration() time.Duration { return c.window(2*time.Second, 2*time.Second) }
 
 func (c Config) statefloodScenario(kind measure.FloodKind, policy conntrack.EvictPolicy, rate float64) core.StatefloodScenario {
 	return core.StatefloodScenario{
@@ -63,11 +58,11 @@ func StatefloodCurves(cfg Config) (*Figure, error) {
 
 	points, err := runner.Map(cfg.pool(), len(tasks), func(i int) (Point, error) {
 		t := tasks[i]
-		p, err := core.RunStateflood(cfg.statefloodScenario(measure.FloodTCPSYN, t.policy, t.rate))
+		label := fmt.Sprintf("evict-%s_rate-%.0f", t.policy, t.rate)
+		p, err := statefloodRuns.point(cfg, "stateflood-curves", label, cfg.statefloodScenario(measure.FloodTCPSYN, t.policy, t.rate))
 		if err != nil {
 			return Point{}, err
 		}
-		cfg.account(1, p.SimSeconds, p.WallBusy)
 		pt := Point{X: t.rate, Y: p.SessionRatio()}
 		if p.DoSed() {
 			pt.Note = "DoS"
@@ -97,32 +92,24 @@ func StatefloodCurves(cfg Config) (*Figure, error) {
 type statefloodThresholdRow struct {
 	label string
 	note  string
-	run   func(cfg Config) (found bool, rate float64, probes int, sim float64, wall time.Duration, err error)
+	run   func(cfg Config) (core.MinFloodResult, error)
 }
 
-func statefloodSessionSearch(kind measure.FloodKind, policy conntrack.EvictPolicy) func(Config) (bool, float64, int, float64, time.Duration, error) {
-	return func(cfg Config) (bool, float64, int, float64, time.Duration, error) {
-		r, err := core.MinStatefloodRate(cfg.statefloodScenario(kind, policy, 0))
-		if err != nil {
-			return false, 0, 0, 0, 0, err
-		}
-		return r.Found, r.RatePPS, r.Probes, r.SimSeconds, r.WallBusy, nil
+func statefloodSessionSearch(kind measure.FloodKind, policy conntrack.EvictPolicy) func(Config) (core.MinFloodResult, error) {
+	return func(cfg Config) (core.MinFloodResult, error) {
+		return core.MinStatefloodRate(cfg.statefloodScenario(kind, policy, 0))
 	}
 }
 
-func statefloodBandwidthSearch(allowed bool) func(Config) (bool, float64, int, float64, time.Duration, error) {
-	return func(cfg Config) (bool, float64, int, float64, time.Duration, error) {
-		r, err := core.MinFloodRate(core.Scenario{
+func statefloodBandwidthSearch(allowed bool) func(Config) (core.MinFloodResult, error) {
+	return func(cfg Config) (core.MinFloodResult, error) {
+		return core.MinFloodRate(core.Scenario{
 			Device:       core.DeviceStateful,
 			Depth:        64,
 			FloodAllowed: allowed,
 			Seed:         cfg.Seed,
 			Duration:     cfg.statefloodDuration(),
 		})
-		if err != nil {
-			return false, 0, 0, 0, 0, err
-		}
-		return r.Found, r.RatePPS, r.Probes, r.SimSeconds, r.WallBusy, nil
 	}
 }
 
@@ -166,16 +153,16 @@ func StatefloodThresholds(cfg Config) (*Table, error) {
 
 	out, err := runner.Map(cfg.pool(), len(rows), func(i int) ([]string, error) {
 		r := rows[i]
-		found, rate, probes, sim, wall, err := r.run(cfg)
+		res, err := r.run(cfg)
 		if err != nil {
 			return nil, err
 		}
-		cfg.account(probes, sim, wall)
+		cfg.account(res.Probes, res.SimSeconds, res.WallBusy)
 		min := fmt.Sprintf("> %d", core.MaxSearchRatePPS)
-		if found {
-			min = fmt.Sprintf("%.0f", rate)
+		if res.Found {
+			min = fmt.Sprintf("%.0f", res.RatePPS)
 		}
-		return []string{r.label, min, fmt.Sprintf("%d", probes), r.note}, nil
+		return []string{r.label, min, fmt.Sprintf("%d", res.Probes), r.note}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -202,11 +189,11 @@ func StatefloodACK(cfg Config) (*Table, error) {
 	}
 
 	rows, err := runner.Map(cfg.pool(), len(rates), func(i int) ([]string, error) {
-		p, err := core.RunStateflood(cfg.statefloodScenario(measure.FloodTCPACK, 0, rates[i]))
+		label := fmt.Sprintf("rate-%.0f", rates[i])
+		p, err := statefloodRuns.point(cfg, "stateflood-ack", label, cfg.statefloodScenario(measure.FloodTCPACK, 0, rates[i]))
 		if err != nil {
 			return nil, err
 		}
-		cfg.account(1, p.SimSeconds, p.WallBusy)
 		note := ""
 		if p.DoSed() {
 			note = "DoS"

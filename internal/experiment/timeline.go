@@ -45,7 +45,7 @@ func FloodTimeline(cfg Config) (*Figure, error) {
 		if dev == core.DeviceStandard {
 			depth = 0
 		}
-		_, inst, err := observeBandwidth(cfg, "timeline", dev.String(), core.Scenario{
+		_, inst, err := bandwidthRuns.observe(cfg, "timeline", dev.String(), core.Scenario{
 			Device: dev, Depth: depth,
 			FloodRatePPS: FloodTimelineRate, FloodAllowed: true,
 			FloodStart: floodStart, FloodStop: floodStop,
