@@ -222,7 +222,6 @@ func runDetection(s DetectionScenario, opt *ObserveOptions) (DetectionPoint, *In
 			exposureBase, _ = sink.Received()
 		})
 
-		pp.pending = !s.Respond
 		collector, err = telemetry.NewCollector(tb.PolicyServer, telemetry.CollectorConfig{
 			Detector:     s.Detector,
 			SilenceAfter: s.SilenceAfter,

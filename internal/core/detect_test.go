@@ -36,6 +36,30 @@ func TestDetectionBounds(t *testing.T) {
 	}
 }
 
+// TestDetectionWithoutPushEndsWithWindow: with nothing pushed there
+// is nothing to settle, so a run ends when its window closes — plus
+// the 2 s post-flood drain when there was a flood — instead of
+// simulating the 15 s push settle.
+func TestDetectionWithoutPushEndsWithWindow(t *testing.T) {
+	const window = 3 * time.Second
+	for _, rate := range []float64{0, 8000} {
+		p, err := RunDetection(DetectionScenario{
+			Device: DeviceADF, Depth: 64,
+			FloodRatePPS: rate, Duration: window,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := window
+		if rate > 0 {
+			want += 2 * time.Second
+		}
+		if p.SimSeconds != want.Seconds() {
+			t.Errorf("%.0f pps flood, no push: simulated %.3fs, want %.3fs", rate, p.SimSeconds, want.Seconds())
+		}
+	}
+}
+
 // TestDetectionClosesExposure: an admitted flood against the ADF card
 // must be detected, trigger the responsive push, and the converged
 // blocklist must stop the exposure counter well short of the flood
