@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"barbican/internal/faults"
 )
 
 // wallSeries are the registry series that measure the host rather than
@@ -135,8 +137,8 @@ func TestScenarioFamiliesArtifactsParallelIdentity(t *testing.T) {
 		// want is one per-point trace every run must write.
 		want string
 	}{
-		{"chaos", func(cfg Config) error { _, err := ChaosConvergence(cfg); return err },
-			"trace/chaos-convergence/adf_clean_mgmt.trace.json"},
+		{"chaos", func(cfg Config) error { _, err := ChaosBandwidth(cfg); return err },
+			"trace/chaos-bandwidth/faults_loss0.2_rate-2000.trace.json"},
 		{"detect", func(cfg Config) error { _, err := DetectionExposure(cfg); return err },
 			"trace/detect-exposure/adf_depth-64.trace.json"},
 		{"stateflood", func(cfg Config) error { _, err := StatefloodACK(cfg); return err },
@@ -144,7 +146,10 @@ func TestScenarioFamiliesArtifactsParallelIdentity(t *testing.T) {
 	}
 	for _, fam := range families {
 		t.Run(fam.name, func(t *testing.T) {
-			base := Config{Quick: true, Duration: 1500 * time.Millisecond, Seed: 3}
+			// One custom fault plan collapses the chaos and detect
+			// condition sweeps to a single channel.
+			base := Config{Quick: true, Duration: 1500 * time.Millisecond, Seed: 3,
+				Faults: &faults.Plan{Loss: 0.2}, FaultSeed: 42}
 			serial, parallel := base, base
 			serial.Parallel, parallel.Parallel = 1, 4
 			a := artifactTree(t, serial, fam.run)
