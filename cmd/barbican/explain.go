@@ -16,8 +16,7 @@ import (
 // packet against a rule set on a card profile and print the matched
 // rule, the depth walked, and the predicted per-stage cost. The output
 // is a pure function of the flags — no clocks, no map iteration — so
-// identical invocations are byte-identical regardless of any -parallel
-// setting elsewhere.
+// identical invocations are byte-identical.
 func runExplain(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("barbican explain", flag.ContinueOnError)
 	device := fs.String("device", "efw", "card profile: standard|efw|adf|nextgen|stateful")
@@ -35,10 +34,6 @@ func runExplain(w io.Writer, args []string) error {
 	sealed := fs.Bool("sealed", false, "packet arrives in a VPG envelope")
 	tcpFlags := fs.String("flags", "", "tcp control bits, comma-separated: syn|ack|fin|rst|psh|none (default syn)")
 	prior := fs.String("prior", "none", "assumed prior conntrack history of the flow: none|new|established")
-	// Accepted for interface uniformity with the experiment runner;
-	// explain is a pure single-packet replay, so worker count cannot
-	// change its output.
-	_ = fs.Int("parallel", 0, "accepted and ignored; explain output is identical at any worker count")
 	fs.SetOutput(w)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: barbican explain [flags]")
@@ -100,6 +95,6 @@ func runExplain(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	_, err = io.WriteString(w, nic.ExplainConn(profile, rs, summary, fdir, *prior).Render())
+	_, err = io.WriteString(w, nic.Explain(profile, rs, summary, fdir, *prior).Render())
 	return err
 }

@@ -53,8 +53,9 @@
 // fail-open degraded episode.
 //
 // The explain subcommand replays one hypothetical packet against a
-// rule set and prints the matched rule, depth walked, and predicted
-// per-stage cost; see barbican explain -h.
+// rule set (the synthetic depth-N set, or a policy file with -policy)
+// and prints the matched rule, depth walked, and predicted per-stage
+// cost; see barbican explain -h.
 //
 // The profile subcommand summarizes a profile written by -profile-out
 // (top-N phases and stacks) or, with -diff, reports per-phase and

@@ -37,24 +37,30 @@ func TestRunQuickAblations(t *testing.T) {
 	}
 }
 
-func TestExplainByteIdenticalAcrossParallel(t *testing.T) {
-	argsAt := func(workers string) []string {
-		return []string{"-device", "efw", "-depth", "64", "-parallel", workers}
-	}
-	var a, b bytes.Buffer
-	if err := runExplain(&a, argsAt("1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := runExplain(&b, argsAt("8")); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("explain output differs across -parallel:\n-parallel 1:\n%s\n-parallel 8:\n%s", a.String(), b.String())
-	}
-	out := a.String()
-	for _, want := range []string{"rule 64", "traversing 64 rule(s)"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("explain output missing %q:\n%s", want, out)
+// TestExplainOutput: explain names the matched rule and the depth walked,
+// for the synthetic depth rule set and for a policy file.
+func TestExplainOutput(t *testing.T) {
+	for _, tt := range []struct {
+		args []string
+		want []string
+	}{
+		{
+			args: []string{"-device", "efw", "-depth", "64"},
+			want: []string{"rule 64", "traversing 64 rule(s)"},
+		},
+		{
+			args: []string{"-policy", "-", "-dport", "1521", "-src", "10.0.0.7"},
+			want: []string{"allow by rule 4 after traversing 4 rule(s)", "port 1521"},
+		},
+	} {
+		var out bytes.Buffer
+		if err := runExplain(&out, tt.args); err != nil {
+			t.Fatalf("explain %v: %v", tt.args, err)
+		}
+		for _, want := range tt.want {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("explain %v output missing %q:\n%s", tt.args, want, out.String())
+			}
 		}
 	}
 }

@@ -14,10 +14,10 @@
 //	                                  counts and witness packets for each changed region
 //	policyctl oracle                  print the built-in Oracle-server example policy
 //	policyctl demo <file>             push the policy to a simulated EFW fleet and report
-//	policyctl explain <file> [flags]  replay one packet against the policy and predict
-//	                                  matched rule, depth walked, and per-stage cost
-//	policyctl health [flags]          run the canonical flood-detection scenario and
-//	                                  render the fleet-health table and alert timeline
+//
+// To replay one packet against a policy file, use
+// `barbican explain -policy <file>`; for the fleet-health view of the
+// flood-detection scenario, use `barbican fleet-health`.
 package main
 
 import (
@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"barbican/internal/core"
-	"barbican/internal/experiment"
 	"barbican/internal/fw"
 	"barbican/internal/fw/sem"
 	"barbican/internal/nic"
@@ -49,7 +48,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("policyctl", flag.ContinueOnError)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: policyctl check <file> | lint <file> [flags] | verify <file> [<file>] [flags] | diff <a> <b> [flags] | oracle | demo <file> | explain <file> [flags] | health [flags]")
+		fmt.Fprintln(fs.Output(), "usage: policyctl check <file> | lint <file> [flags] | verify <file> [<file>] [flags] | diff <a> <b> [flags] | oracle | demo <file>")
 	}
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -72,14 +71,6 @@ func run(args []string) error {
 		return nil
 	case "demo":
 		return demo(fs.Arg(1))
-	case "explain":
-		var flags []string
-		if fs.NArg() > 2 {
-			flags = fs.Args()[2:]
-		}
-		return explain(fs.Arg(1), flags)
-	case "health":
-		return health(fs.Args()[1:])
 	default:
 		fs.Usage()
 		return fmt.Errorf("unknown subcommand %q", fs.Arg(0))
@@ -290,7 +281,7 @@ func printVerifyFailure(res *sem.VerifyResult, rs *fw.RuleSet) {
 // diffCmd prints the exact semantic diff between two policies: how
 // many packets change verdict, in which direction, and one witness
 // packet per changed traffic class. The witness line replays verbatim
-// through `policyctl explain`.
+// through `barbican explain -policy`.
 func diffCmd(args []string) error {
 	fs := flag.NewFlagSet("policyctl diff", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit the diff as JSON")
@@ -478,70 +469,4 @@ func demo(path string) error {
 type policyHost struct {
 	host  *stack.Host
 	agent *policy.Agent
-}
-
-// health runs the canonical detection scenario — an admitted flood
-// against a telemetry-reporting fleet with a responsive deny push —
-// and prints the operator's view: headline detection metrics, the
-// collector's fleet-health table, and the alert timeline.
-func health(args []string) error {
-	fs := flag.NewFlagSet("policyctl health", flag.ContinueOnError)
-	quick := fs.Bool("quick", false, "shorter measurement window")
-	seed := fs.Int64("seed", 0, "simulation seed (0 = 1)")
-	duration := fs.Duration("duration", 0, "flood window (0 = tool default)")
-	metricsOut := fs.String("metrics-out", "", "write fleet-health table, alert timeline, and metric snapshot under this directory")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	out, err := experiment.FleetHealth(experiment.Config{
-		Quick: *quick, Seed: *seed, Duration: *duration, MetricsDir: *metricsOut,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(out)
-	return nil
-}
-
-// explain replays one hypothetical packet against the policy file on a
-// card profile and prints the predicted verdict — matched rule, depth
-// walked — and per-stage processing cost. Pure prediction: no
-// simulation runs and no live counters are touched.
-func explain(path string, args []string) error {
-	text, err := readPolicy(path)
-	if err != nil {
-		return err
-	}
-	rs, err := policy.Parse(text)
-	if err != nil {
-		return err
-	}
-	fs := flag.NewFlagSet("policyctl explain", flag.ContinueOnError)
-	device := fs.String("device", "efw", "card profile: standard|efw|adf|nextgen")
-	proto := fs.String("proto", "tcp", "packet protocol: tcp|udp|icmp")
-	src := fs.String("src", "10.0.0.1", "source IP")
-	dst := fs.String("dst", "10.0.0.2", "destination IP")
-	sport := fs.Int("sport", 40000, "source port (tcp/udp)")
-	dport := fs.Int("dport", 80, "destination port (tcp/udp)")
-	size := fs.Int("size", 40, "IP datagram length in bytes")
-	dir := fs.String("dir", "in", "direction through the card: in|out")
-	sealed := fs.Bool("sealed", false, "packet arrives in a VPG envelope")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	profile, err := nic.ProfileByName(*device)
-	if err != nil {
-		return err
-	}
-	spec := nic.PacketSpec{
-		Proto: *proto, Src: *src, Dst: *dst,
-		SrcPort: *sport, DstPort: *dport,
-		Size: *size, Dir: *dir, Sealed: *sealed,
-	}
-	summary, fdir, err := spec.Summary()
-	if err != nil {
-		return err
-	}
-	fmt.Print(nic.Explain(profile, rs, summary, fdir).Render())
-	return nil
 }

@@ -140,8 +140,8 @@ func TestDiffWitnessReplaysThroughExplain(t *testing.T) {
 	}
 	sawActionChange := false
 	for _, w := range res.Witnesses {
-		e1 := nic.Explain(profile, v1, w.Packet, w.Dir)
-		e2 := nic.Explain(profile, v2, w.Packet, w.Dir)
+		e1 := nic.Explain(profile, v1, w.Packet, w.Dir, "none")
+		e2 := nic.Explain(profile, v2, w.Packet, w.Dir, "none")
 		if e1.Action != w.From.Action || e1.RuleIndex != w.From.Index {
 			t.Fatalf("witness %v: V1 explain verdict %v/%d, diff claimed %v",
 				w, e1.Action, e1.RuleIndex, w.From)

@@ -157,7 +157,7 @@ func TestFloodTimelineWritesProfiles(t *testing.T) {
 	}
 	// The filtering card does the run's firewall work, so its cost
 	// profile cannot be empty.
-	d, err := profile.ReadPprofFile(filepath.Join(dir, "timeline", "adf.cost.pprof"))
+	d, err := profile.ReadProfileFile(filepath.Join(dir, "timeline", "adf.cost.pprof"))
 	if err != nil {
 		t.Fatal(err)
 	}

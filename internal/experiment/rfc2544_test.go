@@ -103,7 +103,7 @@ func TestZeroLossThroughputSyntheticDevice(t *testing.T) {
 		}
 		return sent, received, nil
 	}
-	res, err := measure.ZeroLossThroughput(measure.ThroughputConfig{FrameSize: 64}, 20000, trial)
+	res, err := measure.ZeroLossThroughputFrom(measure.ThroughputConfig{FrameSize: 64}, 20000, 0, trial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestHostThroughputTrialIndependence(t *testing.T) {
 		tb.InstallPolicy(tb.Target, rs)
 		return tb.Kernel, tb.Client, tb.Target, nil
 	})
-	if _, err := measure.ZeroLossThroughput(cfg, link.MaxFrameRate(238, link.Rate100Mbps), trial); err != nil {
+	if _, err := measure.ZeroLossThroughputFrom(cfg, link.MaxFrameRate(238, link.Rate100Mbps), 0, trial); err != nil {
 		t.Fatal(err)
 	}
 	if builds < 2 {

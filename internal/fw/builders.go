@@ -7,11 +7,6 @@ func AllowAllRule() Rule {
 	return Rule{Name: "allow-all", Action: Allow, Direction: Both}
 }
 
-// DenyAllRule returns a rule denying all traffic.
-func DenyAllRule() Rule {
-	return Rule{Name: "deny-all", Action: Deny, Direction: Both}
-}
-
 // NonMatchingRule returns a rule that can never match live traffic on the
 // simulated testbed: it is scoped to the TEST-NET-3 documentation prefix.
 // The experiments use stacks of these as the padding above the action
@@ -39,23 +34,6 @@ func DepthRuleSet(depth int, action Rule, def Action) (*RuleSet, error) {
 	}
 	rules = append(rules, action)
 	return NewRuleSet(def, rules...)
-}
-
-// AllowBetween returns a bidirectional allow rule for all traffic between
-// two hosts.
-func AllowBetween(a, b packet.IP) []Rule {
-	return []Rule{
-		{
-			Name: "allow-a-to-b", Action: Allow, Direction: Both,
-			Src: packet.Prefix{Addr: a, Bits: 32},
-			Dst: packet.Prefix{Addr: b, Bits: 32},
-		},
-		{
-			Name: "allow-b-to-a", Action: Allow, Direction: Both,
-			Src: packet.Prefix{Addr: b, Bits: 32},
-			Dst: packet.Prefix{Addr: a, Bits: 32},
-		},
-	}
 }
 
 // VPGRulePair returns the paper's "pair of rules that fully define one

@@ -262,7 +262,7 @@ func TestCompiledBothDirectionFallback(t *testing.T) {
 // and render readers never write shared state. Run under -race.
 func TestRulesConcurrent(t *testing.T) {
 	rs := MustRuleSet(Deny,
-		AllowAllRule(), NonMatchingRule(1), NonMatchingRule(2), DenyAllRule())
+		AllowAllRule(), NonMatchingRule(1), NonMatchingRule(2), Rule{Name: "deny-all", Action: Deny, Direction: Both})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

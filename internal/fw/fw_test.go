@@ -254,9 +254,14 @@ func TestTrailingRulesAreFree(t *testing.T) {
 	}
 }
 
+// TestAllowBetween: a pair of host-to-host allow rules admits traffic
+// in both directions between the two hosts and nothing else.
 func TestAllowBetween(t *testing.T) {
-	a, b := packet.MustIP("10.0.0.1"), packet.MustIP("10.0.0.2")
-	rs := MustRuleSet(Deny, AllowBetween(a, b)...)
+	a := packet.MustPrefix("10.0.0.1/32")
+	b := packet.MustPrefix("10.0.0.2/32")
+	rs := MustRuleSet(Deny,
+		Rule{Name: "allow-a-to-b", Action: Allow, Direction: Both, Src: a, Dst: b},
+		Rule{Name: "allow-b-to-a", Action: Allow, Direction: Both, Src: b, Dst: a})
 	if v := rs.Eval(tcpSummary("10.0.0.1", "10.0.0.2", 1, 2), In); v.Action != Allow {
 		t.Error("a->b denied")
 	}

@@ -46,22 +46,6 @@ func IPTables() Profile {
 	}
 }
 
-// IPTablesStateful returns the iptables profile with the ip_conntrack
-// module loaded. Host RAM dwarfs NIC SRAM: the table holds 64× the
-// stateful card's entries, so the state-exhaustion flood that fells the
-// card leaves the host untouched — the same capacity asymmetry the
-// paper measured for raw packet rate. Eviction is the kernel's
-// early-drop of embryonic entries.
-func IPTablesStateful() Profile {
-	p := IPTables()
-	p.Name = "iptables-conntrack"
-	p.ConntrackEntries = 65536
-	p.ConntrackLookupCost = 3.0
-	p.ConntrackInsertCost = 6.0
-	p.ConntrackEvict = conntrack.EvictSYNDrop
-	return p
-}
-
 // Stats counts filter activity.
 type Stats struct {
 	InAllowed, InDenied, InOverloadDrops    uint64

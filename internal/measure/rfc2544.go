@@ -80,21 +80,17 @@ func (r ThroughputResult) String() string {
 // frame counts.
 type trialFn func(rate float64) (sent, received uint64, err error)
 
-// ZeroLossThroughput performs the RFC 2544 §26.1 throughput search for
-// one frame size: binary search on the offered rate for the highest
-// rate whose loss is within tolerance. newTrial must build a *fresh*
+// ZeroLossThroughputFrom performs the RFC 2544 §26.1 throughput search
+// for one frame size: binary search on the offered rate for the highest
+// rate whose loss is within tolerance. trial must build a *fresh*
 // client/server pair per trial (trials must be independent); it is
 // invoked once per trial.
-func ZeroLossThroughput(cfg ThroughputConfig, maxRate float64, trial trialFn) (ThroughputResult, error) {
-	return ZeroLossThroughputFrom(cfg, maxRate, 0, trial)
-}
-
-// ZeroLossThroughputFrom is ZeroLossThroughput warm-started from a
-// neighboring result. A hint in (0, maxRate) — typically the passing
-// rate found at the adjacent frame size, scaled by the size ratio —
-// seeds the bisection bracket by galloping outward from the hint, which
-// cuts trial count when neighboring sizes saturate at nearby rates.
-// hint <= 0 runs the cold search.
+//
+// A hint in (0, maxRate) — typically the passing rate found at the
+// adjacent frame size, scaled by the size ratio — seeds the bisection
+// bracket by galloping outward from the hint, which cuts trial count
+// when neighboring sizes saturate at nearby rates. hint <= 0 runs the
+// cold search.
 func ZeroLossThroughputFrom(cfg ThroughputConfig, maxRate, hint float64, trial trialFn) (ThroughputResult, error) {
 	cfg = cfg.withDefaults()
 	res := ThroughputResult{FrameSize: cfg.FrameSize}

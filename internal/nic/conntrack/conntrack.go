@@ -58,16 +58,6 @@ func (p EvictPolicy) String() string {
 	return "evict(?)"
 }
 
-// ParseEvictPolicy parses a policy name.
-func ParseEvictPolicy(s string) (EvictPolicy, bool) {
-	for p := EvictLRU; p < NumEvictPolicies; p++ {
-		if evictPolicyNames[p] == s {
-			return p, true
-		}
-	}
-	return 0, false
-}
-
 // Key is the canonical connection tuple: the two endpoints ordered
 // (lower address, then lower port, first) plus the IP protocol, so
 // both directions of a connection hash to the same entry. ICMP pairs

@@ -482,18 +482,6 @@ func TestConntrackTableBoundStress(t *testing.T) {
 	}
 }
 
-func TestEvictPolicyRoundTrip(t *testing.T) {
-	for p := EvictLRU; p < NumEvictPolicies; p++ {
-		got, ok := ParseEvictPolicy(p.String())
-		if !ok || got != p {
-			t.Errorf("ParseEvictPolicy(%q) = %v, %v", p.String(), got, ok)
-		}
-	}
-	if _, ok := ParseEvictPolicy("bogus"); ok {
-		t.Error("ParseEvictPolicy accepted bogus")
-	}
-}
-
 func TestTCPStateStrings(t *testing.T) {
 	for s := TCPNone; s < NumTCPStates; s++ {
 		if s.String() == "" {

@@ -42,23 +42,6 @@ func (m FailMode) String() string {
 	return "failmode?"
 }
 
-// ParseFailMode parses the CLI spelling of a fail mode.
-func ParseFailMode(s string) (FailMode, bool) {
-	for m := FailModeNone; m < NumFailModes; m++ {
-		if s == failModeNames[m] {
-			return m, true
-		}
-	}
-	// Accept the shorthand spellings too.
-	switch s {
-	case "closed":
-		return FailModeClosed, true
-	case "open":
-		return FailModeOpen, true
-	}
-	return FailModeNone, false
-}
-
 // DegradedState is the card's policy-plane state.
 type DegradedState uint8
 
@@ -131,16 +114,6 @@ func (p StateRecovery) String() string {
 		return stateRecoveryNames[p]
 	}
 	return "staterecovery?"
-}
-
-// ParseStateRecovery parses the CLI spelling of a recovery policy.
-func ParseStateRecovery(s string) (StateRecovery, bool) {
-	for p := RecoveryResync; p < NumStateRecoveries; p++ {
-		if s == stateRecoveryNames[p] {
-			return p, true
-		}
-	}
-	return RecoveryResync, false
 }
 
 // SetStateRecovery selects the conntrack recovery policy.

@@ -213,20 +213,3 @@ func TestRestartAgentClearsDegraded(t *testing.T) {
 		t.Fatalf("WatchdogResets = %d, want 0 after manual restart", b.Stats().WatchdogResets)
 	}
 }
-
-// TestParseFailMode covers the CLI spellings.
-func TestParseFailMode(t *testing.T) {
-	cases := map[string]FailMode{
-		"none": FailModeNone, "fail-closed": FailModeClosed, "fail-open": FailModeOpen,
-		"closed": FailModeClosed, "open": FailModeOpen,
-	}
-	for s, want := range cases {
-		got, ok := ParseFailMode(s)
-		if !ok || got != want {
-			t.Errorf("ParseFailMode(%q) = %v, %v; want %v, true", s, got, ok, want)
-		}
-	}
-	if _, ok := ParseFailMode("bogus"); ok {
-		t.Error("ParseFailMode accepted bogus")
-	}
-}

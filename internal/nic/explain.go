@@ -11,7 +11,7 @@ import (
 )
 
 // ProfileByName maps a CLI device name to its calibrated card profile,
-// shared by the explain subcommands of barbican and policyctl.
+// shared by barbican explain and policyctl lint.
 func ProfileByName(name string) (Profile, error) {
 	switch strings.ToLower(name) {
 	case "standard":
@@ -163,13 +163,6 @@ type Explanation struct {
 	CTInsertCost float64 // charged only when the packet creates an entry
 }
 
-// Explain replays one packet summary against a rule set (nil = no
-// policy) and predicts the per-stage processing cost on the profile.
-// It uses a private evaluation so it never perturbs live counters.
-func Explain(p Profile, rs *fw.RuleSet, s packet.Summary, dir fw.Direction) Explanation {
-	return ExplainConn(p, rs, s, dir, "none")
-}
-
 // seedPrior replays the assumed prior history of the subject flow into
 // a scratch conntrack table ("none" leaves it empty, "new" the flow's
 // unanswered opening packet, "established" a completed exchange) and
@@ -219,11 +212,14 @@ func seedPrior(ct *conntrack.Table, s packet.Summary, prior string) time.Duratio
 	return time.Second
 }
 
-// ExplainConn is Explain with an assumed prior conntrack history for
-// the subject flow: "none" (or "") for an untracked flow, "new" for an
-// unanswered opening packet, "established" for a completed exchange.
-// The history is replayed into a scratch table, never a live card's.
-func ExplainConn(p Profile, rs *fw.RuleSet, s packet.Summary, dir fw.Direction, prior string) Explanation {
+// Explain replays one packet summary against a rule set (nil = no
+// policy) and predicts the per-stage processing cost on the profile.
+// prior is the assumed conntrack history of the subject flow: "none"
+// (or "") for an untracked flow, "new" for an unanswered opening
+// packet, "established" for a completed exchange. The history is
+// replayed into a scratch table and the rules are walked privately, so
+// no live card's table or counters are touched.
+func Explain(p Profile, rs *fw.RuleSet, s packet.Summary, dir fw.Direction, prior string) Explanation {
 	e := Explanation{Summary: s, Dir: dir, Profile: p, Action: fw.Allow}
 	cs := fw.StateNone
 	var ct *conntrack.Table
@@ -290,19 +286,13 @@ func ExplainConn(p Profile, rs *fw.RuleSet, s packet.Summary, dir fw.Direction, 
 	e.Compiled = p.CompiledMatch
 	e.FlowCache = p.FlowCacheSize > 0
 	e.CacheHitCost = p.CacheHitCost
-	switch {
-	case rs == nil || e.CTInvalid:
+	path := MatchWalk
+	if rs == nil || e.CTInvalid {
 		// No match cost: no policy consulted, or conntrack dropped the
 		// packet before rule evaluation.
-	case p.CompiledMatch:
-		e.WalkCost = p.CompiledLookupCost
-	default:
-		e.WalkCost = p.PerRuleCost * float64(e.Traversed)
+		path = MatchNone
 	}
-	e.BaseCost = p.BaseCost
-	if cryptoBytes > 0 {
-		e.CryptoCost = p.CryptoPerPacket + p.CryptoPerByte*float64(cryptoBytes)
-	}
+	e.BaseCost, e.WalkCost, e.CryptoCost = p.CostPartsPath(path, e.Traversed, cryptoBytes)
 	e.TotalCost = e.BaseCost + e.WalkCost + e.CryptoCost + e.CTLookupCost + e.CTInsertCost
 	e.ServiceTime = p.ServiceTime(e.TotalCost)
 	if p.CapacityUnits > 0 && e.TotalCost > 0 {
@@ -311,7 +301,8 @@ func ExplainConn(p Profile, rs *fw.RuleSet, s packet.Summary, dir fw.Direction, 
 	if e.FlowCache && rs != nil && !e.CTInvalid {
 		// Classification precedes the cache, so a hit still pays the
 		// lookup (the insert happened on the flow's first packet).
-		e.CachedTotalCost = e.BaseCost + e.CacheHitCost + e.CryptoCost + e.CTLookupCost
+		base, hit, crypto := p.CostPartsPath(MatchCacheHit, 0, cryptoBytes)
+		e.CachedTotalCost = base + hit + crypto + e.CTLookupCost
 		if p.CapacityUnits > 0 && e.CachedTotalCost > 0 {
 			e.CachedMaxPPS = p.CapacityUnits / e.CachedTotalCost
 		}

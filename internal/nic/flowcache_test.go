@@ -149,7 +149,7 @@ func TestFlowCacheInvalidatedOnPolicyCommit(t *testing.T) {
 		t.Fatalf("cache not warm before commit: %+v", st)
 	}
 
-	a.CommitPolicyUpdate(fw.MustRuleSet(fw.Deny, fw.DenyAllRule()))
+	a.CommitPolicyUpdate(fw.MustRuleSet(fw.Deny, fw.Rule{Name: "deny-all", Action: fw.Deny, Direction: fw.Both}))
 	if st := a.FlowCacheStats(); st.Invalidations != invalAfterInstall+1 {
 		t.Fatalf("commit did not invalidate: %+v", st)
 	}

@@ -495,7 +495,6 @@ func (n *NIC) Send(d *packet.Datagram, dstMAC packet.MAC) bool {
 	// payload marshaled below, and skips a parse of bytes we just built.
 	s, err := packet.SummarizeDatagram(d)
 	if err != nil {
-		n.stats.TxDenied++
 		n.txDrops[tracing.DropMalformed]++
 		return false
 	}

@@ -6,6 +6,7 @@ import (
 
 	"barbican/internal/fw"
 	"barbican/internal/link"
+	"barbican/internal/obs/tracing"
 	"barbican/internal/packet"
 	"barbican/internal/sim"
 )
@@ -131,18 +132,47 @@ func TestSendRawFrameHonorsLockup(t *testing.T) {
 	}
 }
 
+// TestMalformedEgressIsNotPolicyDeny: a datagram the card cannot
+// summarize is a malformed drop, not a policy deny, and the tx
+// conservation law still holds.
+func TestMalformedEgressIsNotPolicyDeny(t *testing.T) {
+	k := sim.NewKernel()
+	a, _ := pair(t, k, EFW(), Standard())
+	a.InstallRuleSet(depth64Allow(t))
+	// 5 bytes cannot hold a 20-byte TCP header.
+	d := packet.NewDatagram(ipA, ipB, packet.ProtoTCP, 1, make([]byte, 5))
+	if a.Send(d, macB) {
+		t.Fatal("malformed datagram accepted for transmission")
+	}
+	st := a.Stats()
+	_, tx := a.DropCounts()
+	if st.TxDenied != 0 {
+		t.Errorf("TxDenied = %d, want 0: malformed egress is not a policy deny", st.TxDenied)
+	}
+	if tx[tracing.DropMalformed] != 1 {
+		t.Errorf("tx malformed drops = %d, want 1", tx[tracing.DropMalformed])
+	}
+	var drops uint64
+	for _, n := range tx {
+		drops += n
+	}
+	if st.TxRequests != st.TxAllowed+drops {
+		t.Errorf("TxRequests %d != TxAllowed %d + tx drops %d", st.TxRequests, st.TxAllowed, drops)
+	}
+}
+
 func TestProfileCostShape(t *testing.T) {
 	p := EFW()
-	base := p.cost(0, 0)
+	base := p.Cost(0, 0)
 	if base != p.BaseCost {
 		t.Errorf("cost(0,0) = %v, want base %v", base, p.BaseCost)
 	}
-	if got, want := p.cost(64, 0), p.BaseCost+64*p.PerRuleCost; got != want {
+	if got, want := p.Cost(64, 0), p.BaseCost+64*p.PerRuleCost; got != want {
 		t.Errorf("cost(64,0) = %v, want %v", got, want)
 	}
 	adf := ADF()
-	withCrypto := adf.cost(2, 1000)
-	without := adf.cost(2, 0)
+	withCrypto := adf.Cost(2, 1000)
+	without := adf.Cost(2, 0)
 	if want := adf.CryptoPerPacket + 1000*adf.CryptoPerByte; withCrypto-without != want {
 		t.Errorf("crypto increment = %v, want %v", withCrypto-without, want)
 	}

@@ -271,16 +271,11 @@ func (p Profile) CostPath(path MatchPath, rulesTraversed, cryptoBytes int) float
 	return c
 }
 
-// cost is CostPath for the ordinary rule-matched case.
-func (p Profile) cost(rulesTraversed int, cryptoBytes int) float64 {
-	return p.CostPath(MatchWalk, rulesTraversed, cryptoBytes)
-}
-
 // Cost is the exported cost model for the rule-matched path, for
 // explain-style tooling, lint predictions, and attribution exports. On
 // a CompiledMatch profile it is flat in rulesTraversed.
 func (p Profile) Cost(rulesTraversed, cryptoBytes int) float64 {
-	return p.cost(rulesTraversed, cryptoBytes)
+	return p.CostPath(MatchWalk, rulesTraversed, cryptoBytes)
 }
 
 // CostPartsPath decomposes CostPath into its phases — fixed base,
@@ -297,11 +292,6 @@ func (p Profile) CostPartsPath(path MatchPath, rulesTraversed, cryptoBytes int) 
 		crypto = p.CryptoPerPacket + p.CryptoPerByte*float64(cryptoBytes)
 	}
 	return base, match, crypto
-}
-
-// CostParts is CostPartsPath for the ordinary rule-matched case.
-func (p Profile) CostParts(rulesTraversed, cryptoBytes int) (base, match, crypto float64) {
-	return p.CostPartsPath(MatchWalk, rulesTraversed, cryptoBytes)
 }
 
 // ServiceTime converts a cost to the time the embedded processor

@@ -20,41 +20,16 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// unescapeHelp inverts escapeHelp when parsing HELP lines.
-func unescapeHelp(s string) string {
-	if !strings.ContainsRune(s, '\\') {
-		return s
-	}
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\\' && i+1 < len(s) {
-			switch s[i+1] {
-			case '\\':
-				b.WriteByte('\\')
-			case 'n':
-				b.WriteByte('\n')
-			default:
-				b.WriteByte(s[i+1])
-			}
-			i++
-			continue
-		}
-		b.WriteByte(s[i])
-	}
-	return b.String()
-}
-
 // WritePromText writes a point-in-time snapshot of the registry in
 // Prometheus text exposition format — exactly what a /metrics scrape of
-// the run would return at the current virtual instant. Histogram
-// expansion series render as one conventional histogram family.
+// the run would return at the current virtual instant.
 func (r *Registry) WritePromText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	samples := r.Gather()
-	for _, fam := range familyOrder(samples) {
+	for _, fam := range familyOrder(samples, func(sv SampleValue) string { return sv.Name }) {
 		first := true
 		for _, sv := range samples {
-			if familyName(sv.SeriesInfo) != fam {
+			if sv.Name != fam {
 				continue
 			}
 			if first {
@@ -62,7 +37,7 @@ func (r *Registry) WritePromText(w io.Writer) error {
 				if sv.Help != "" {
 					fmt.Fprintf(bw, "# HELP %s %s\n", fam, escapeHelp(sv.Help))
 				}
-				fmt.Fprintf(bw, "# TYPE %s %s\n", fam, familyKind(sv.SeriesInfo))
+				fmt.Fprintf(bw, "# TYPE %s %s\n", fam, sv.Kind)
 			}
 			fmt.Fprintf(bw, "%s %s\n", sv.ID, formatValue(sv.Value))
 		}
@@ -71,12 +46,12 @@ func (r *Registry) WritePromText(w io.Writer) error {
 }
 
 // familyOrder returns distinct family names in first-appearance order,
-// so the exposition groups each family's series under one TYPE line.
-func familyOrder(samples []SampleValue) []string {
+// so an exposition groups each family's series under one TYPE line.
+func familyOrder[T any](xs []T, name func(T) string) []string {
 	var fams []string
 	seen := make(map[string]bool)
-	for _, sv := range samples {
-		fam := familyName(sv.SeriesInfo)
+	for _, x := range xs {
+		fam := name(x)
 		if !seen[fam] {
 			seen[fam] = true
 			fams = append(fams, fam)
@@ -92,19 +67,10 @@ func familyOrder(samples []SampleValue) []string {
 func (rec *Recorder) WritePromText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	all := rec.AllSeries()
-	var fams []string
-	seen := make(map[string]bool)
-	for _, sd := range all {
-		fam := familyName(sd.Info)
-		if !seen[fam] {
-			seen[fam] = true
-			fams = append(fams, fam)
-		}
-	}
-	for _, fam := range fams {
+	for _, fam := range familyOrder(all, func(sd SeriesData) string { return sd.Info.Name }) {
 		first := true
 		for _, sd := range all {
-			if familyName(sd.Info) != fam {
+			if sd.Info.Name != fam {
 				continue
 			}
 			if first {
@@ -112,7 +78,7 @@ func (rec *Recorder) WritePromText(w io.Writer) error {
 				if sd.Info.Help != "" {
 					fmt.Fprintf(bw, "# HELP %s %s\n", fam, escapeHelp(sd.Info.Help))
 				}
-				fmt.Fprintf(bw, "# TYPE %s %s\n", fam, familyKind(sd.Info))
+				fmt.Fprintf(bw, "# TYPE %s %s\n", fam, sd.Info.Kind)
 			}
 			for _, p := range sd.Points {
 				fmt.Fprintf(bw, "%s %s %d\n", sd.Info.ID, formatValue(p.V), p.T.Milliseconds())

@@ -62,95 +62,6 @@ Second line; still one HELP string.`
 	}
 }
 
-// TestHistogramFamilyExposition: a histogram's expansion series
-// (_bucket, _sum, _count) must render as ONE conventional
-// `TYPE name histogram` family, the shape Prometheus tooling expects —
-// not three separate counter families — and parse back as such with
-// the mean derivable from sum/count.
-func TestHistogramFamilyExposition(t *testing.T) {
-	reg := NewRegistry()
-	h, err := reg.NewHistogram("lat_seconds", "Request latency.", []float64{0.01, 0.1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{0.005, 0.05, 0.5, 5} {
-		h.Observe(v)
-	}
-	// A scalar counter around it must stay its own family.
-	reg.MustRegisterFunc("reqs_total", "Requests.", KindCounter, func() float64 { return 4 })
-
-	var buf bytes.Buffer
-	if err := reg.WritePromText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if n := strings.Count(out, "# TYPE lat_seconds histogram"); n != 1 {
-		t.Fatalf("want exactly one histogram TYPE line, got %d:\n%s", n, out)
-	}
-	for _, stray := range []string{
-		"# TYPE lat_seconds_bucket",
-		"# TYPE lat_seconds_sum",
-		"# TYPE lat_seconds_count",
-	} {
-		if strings.Contains(out, stray) {
-			t.Errorf("expansion series typed separately (%q):\n%s", stray, out)
-		}
-	}
-	// All expansion samples sit contiguously under the family header,
-	// before the next family's TYPE line.
-	reqs := strings.Index(out, "# TYPE reqs_total")
-	for _, id := range []string{`lat_seconds_bucket{le="+Inf"} 4`, "lat_seconds_sum 5.555", "lat_seconds_count 4"} {
-		pos := strings.Index(out, id)
-		if pos < 0 || pos > reqs {
-			t.Errorf("sample %q missing or outside the histogram family block:\n%s", id, out)
-		}
-	}
-
-	fams, err := ParsePromText(strings.NewReader(out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fams) != 2 {
-		t.Fatalf("parsed %d families, want 2 (histogram + counter)", len(fams))
-	}
-	hist := fams[0]
-	if hist.Name != "lat_seconds" || hist.Kind != "histogram" {
-		t.Fatalf("histogram family mangled: %+v", hist)
-	}
-	// 4 buckets (3 bounds + Inf) + sum + count all under one family.
-	if len(hist.Samples) != 6 {
-		t.Fatalf("histogram family has %d samples, want 6", len(hist.Samples))
-	}
-	var sum, count float64
-	for _, s := range hist.Samples {
-		switch s.Name {
-		case "lat_seconds_sum":
-			sum = s.Value
-		case "lat_seconds_count":
-			count = s.Value
-		}
-	}
-	if count != 4 || sum != 5.555 {
-		t.Fatalf("sum/count = %g/%g, want 5.555/4", sum, count)
-	}
-	if mean := sum / count; mean != 5.555/4 {
-		t.Fatalf("derived mean = %g", mean)
-	}
-	if fams[1].Name != "reqs_total" || fams[1].Kind != "counter" {
-		t.Fatalf("scalar counter family mangled: %+v", fams[1])
-	}
-
-	// Rate derivation contract: the scalar expansion series themselves
-	// stay counters so the recorder still emits rate columns for them.
-	for _, in := range reg.Infos() {
-		if strings.HasPrefix(in.Name, "lat_seconds") {
-			if in.Kind != KindCounter || in.Family != "lat_seconds" || in.FamilyKind != KindHistogram {
-				t.Errorf("expansion series %s: kind=%v family=%q familyKind=%v", in.ID, in.Kind, in.Family, in.FamilyKind)
-			}
-		}
-	}
-}
-
 // TestRecorderCSVRoundTrip parses the recorder's CSV export back and
 // checks the cumulative values and derived rates agree with the
 // recorded timeline.

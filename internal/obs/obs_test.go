@@ -61,69 +61,6 @@ func TestRegistryRejectsDuplicatesAndBadArgs(t *testing.T) {
 	}
 }
 
-func TestOwnedInstruments(t *testing.T) {
-	reg := NewRegistry()
-	c, err := reg.NewCounter("c_total", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Inc()
-	c.Add(2)
-	c.Add(-5) // ignored: counters are monotonic
-	if c.Value() != 3 {
-		t.Errorf("counter = %v, want 3", c.Value())
-	}
-	g, err := reg.NewGauge("g", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Set(10)
-	g.Add(-4)
-	if g.Value() != 6 {
-		t.Errorf("gauge = %v, want 6", g.Value())
-	}
-}
-
-func TestHistogramExpansion(t *testing.T) {
-	reg := NewRegistry()
-	h, err := reg.NewHistogram("lat_ms", "latency", []float64{1, 5, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{0.5, 3, 7, 100} {
-		h.Observe(v)
-	}
-	if h.Count() != 4 || h.Sum() != 110.5 {
-		t.Fatalf("count=%d sum=%v", h.Count(), h.Sum())
-	}
-	want := map[string]float64{
-		`lat_ms_bucket{le="1"}`:    1,
-		`lat_ms_bucket{le="5"}`:    2,
-		`lat_ms_bucket{le="10"}`:   3,
-		`lat_ms_bucket{le="+Inf"}`: 4,
-		"lat_ms_sum":               110.5,
-		"lat_ms_count":             4,
-	}
-	for _, sv := range reg.Gather() {
-		w, ok := want[sv.ID]
-		if !ok {
-			t.Errorf("unexpected series %q", sv.ID)
-			continue
-		}
-		if sv.Value != w {
-			t.Errorf("%s = %v, want %v", sv.ID, sv.Value, w)
-		}
-		delete(want, sv.ID)
-	}
-	for id := range want {
-		t.Errorf("missing series %q", id)
-	}
-
-	if _, err := reg.NewHistogram("bad", "", []float64{5, 1}); err == nil {
-		t.Error("unsorted bounds accepted")
-	}
-}
-
 func TestRecorderTicksAndRate(t *testing.T) {
 	k := sim.NewKernel()
 	reg := NewRegistry()

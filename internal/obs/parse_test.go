@@ -14,19 +14,10 @@ import (
 // registry gathered.
 func TestRegistrySnapshotRoundTripsThroughParser(t *testing.T) {
 	reg := NewRegistry()
-	c, err := reg.NewCounter("pkts_total", "Packets seen.", L("dir", "rx"), L("host", "target"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Add(42)
-	g, err := reg.NewGauge("queue_depth", "Ring occupancy.")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Set(7.5)
-	if _, err := reg.NewCounter("pkts_total", "Packets seen.", L("dir", "tx"), L("host", "target")); err != nil {
-		t.Fatal(err)
-	}
+	value := func(v float64) func() float64 { return func() float64 { return v } }
+	reg.MustRegisterFunc("pkts_total", "Packets seen.", KindCounter, value(42), L("dir", "rx"), L("host", "target"))
+	reg.MustRegisterFunc("queue_depth", "Ring occupancy.", KindGauge, value(7.5))
+	reg.MustRegisterFunc("pkts_total", "Packets seen.", KindCounter, value(0), L("dir", "tx"), L("host", "target"))
 
 	var buf bytes.Buffer
 	if err := reg.WritePromText(&buf); err != nil {
@@ -71,14 +62,12 @@ func TestRegistrySnapshotRoundTripsThroughParser(t *testing.T) {
 func TestRecorderTimelineRoundTripsThroughParser(t *testing.T) {
 	k := sim.NewKernel()
 	reg := NewRegistry()
-	c, err := reg.NewCounter("bytes_total", "Bytes.", L("proto", "tcp"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	var bytesTotal float64
+	reg.MustRegisterFunc("bytes_total", "Bytes.", KindCounter, func() float64 { return bytesTotal }, L("proto", "tcp"))
 	rec := NewRecorder(k, reg, 100*time.Millisecond)
 	k.After(0, func() { rec.Start() })
-	k.After(50*time.Millisecond, func() { c.Add(1000) })
-	k.After(150*time.Millisecond, func() { c.Add(1000) })
+	k.After(50*time.Millisecond, func() { bytesTotal += 1000 })
+	k.After(150*time.Millisecond, func() { bytesTotal += 1000 })
 	if err := k.RunUntil(300 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}

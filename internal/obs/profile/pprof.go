@@ -465,13 +465,3 @@ func ReadPprof(r io.Reader) (*Data, error) {
 	}
 	return d, nil
 }
-
-// ReadPprofFile parses the pprof profile at path.
-func ReadPprofFile(path string) (*Data, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadPprof(f)
-}

@@ -1,5 +1,5 @@
 // Package obs is barbican's unified telemetry layer: a metrics registry
-// (counters, gauges, histograms with labeled series), a virtual-time
+// (func-backed counter and gauge series with labels), a virtual-time
 // flight recorder that samples registered metrics on a configurable
 // tick, and exporters for Prometheus text format, JSON, and CSV.
 //
@@ -31,11 +31,6 @@ const (
 	KindCounter Kind = iota + 1
 	// KindGauge is a point-in-time level (queue depth, ratio, boolean).
 	KindGauge
-	// KindHistogram is a family-level kind only: a histogram's scalar
-	// expansion series (_bucket/_sum/_count) stay KindCounter so rate
-	// derivation keeps working, and their SeriesInfo.FamilyKind carries
-	// KindHistogram for the conventional text exposition.
-	KindHistogram
 )
 
 // String returns the Prometheus TYPE name of the kind.
@@ -45,8 +40,6 @@ func (k Kind) String() string {
 		return "counter"
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "histogram"
 	default:
 		return "untyped"
 	}
@@ -94,31 +87,6 @@ type SeriesInfo struct {
 	Kind Kind
 	// Labels are the series dimensions, in sorted-key order.
 	Labels []Label
-	// Family, when non-empty, names the conventional metric family
-	// this series expands (histogram expansions: name_bucket, name_sum
-	// and name_count all carry Family=name). Text exporters group and
-	// type the exposition by family so downstream Prometheus tooling
-	// sees one histogram, not three counter families.
-	Family string
-	// FamilyKind is the family's exposition TYPE when Family is set.
-	FamilyKind Kind
-}
-
-// familyName returns the exposition family a series belongs to: its
-// declared Family, or its own name for plain scalars.
-func familyName(in SeriesInfo) string {
-	if in.Family != "" {
-		return in.Family
-	}
-	return in.Name
-}
-
-// familyKind returns the family's exposition TYPE.
-func familyKind(in SeriesInfo) Kind {
-	if in.Family != "" {
-		return in.FamilyKind
-	}
-	return in.Kind
 }
 
 // SampleValue is one gathered observation of a series.
@@ -141,7 +109,6 @@ type series struct {
 type Registry struct {
 	series []*series
 	byID   map[string]bool
-	hists  []*Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -181,141 +148,6 @@ func (r *Registry) MustRegisterFunc(name, help string, kind Kind, read func() fl
 	if err := r.RegisterFunc(name, help, kind, read, labels...); err != nil {
 		panic(err)
 	}
-}
-
-// Counter is a registry-owned cumulative instrument for code that has
-// no pre-existing counter to publish (e.g. the experiment harness).
-type Counter struct{ v float64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds d (negative deltas are ignored; counters are monotonic).
-func (c *Counter) Add(d float64) {
-	if d > 0 {
-		c.v += d
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() float64 { return c.v }
-
-// NewCounter registers and returns an owned counter.
-func (r *Registry) NewCounter(name, help string, labels ...Label) (*Counter, error) {
-	c := &Counter{}
-	if err := r.RegisterFunc(name, help, KindCounter, c.Value, labels...); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Gauge is a registry-owned level instrument.
-type Gauge struct{ v float64 }
-
-// Set replaces the level.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add shifts the level by d.
-func (g *Gauge) Add(d float64) { g.v += d }
-
-// Value returns the current level.
-func (g *Gauge) Value() float64 { return g.v }
-
-// NewGauge registers and returns an owned gauge.
-func (r *Registry) NewGauge(name, help string, labels ...Label) (*Gauge, error) {
-	g := &Gauge{}
-	if err := r.RegisterFunc(name, help, KindGauge, g.Value, labels...); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// Histogram is a fixed-bucket cumulative histogram. It gathers as the
-// conventional Prometheus expansion: one cumulative _bucket series per
-// upper bound (plus +Inf), a _sum, and a _count.
-type Histogram struct {
-	name    string
-	bounds  []float64 // ascending upper bounds, +Inf implicit
-	buckets []uint64  // len(bounds)+1; last is the +Inf bucket
-	sum     float64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	h.sum += v
-	for i, ub := range h.bounds {
-		if v <= ub {
-			h.buckets[i]++
-			return
-		}
-	}
-	h.buckets[len(h.bounds)]++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for _, c := range h.buckets {
-		n += c
-	}
-	return n
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// NewHistogram registers a histogram with the given ascending bucket
-// upper bounds (a +Inf bucket is always appended).
-func (r *Registry) NewHistogram(name, help string, bounds []float64, labels ...Label) (*Histogram, error) {
-	if !sort.Float64sAreSorted(bounds) {
-		return nil, fmt.Errorf("obs: histogram %s: bounds not ascending", name)
-	}
-	h := &Histogram{name: name, bounds: append([]float64(nil), bounds...)}
-	h.buckets = make([]uint64, len(h.bounds)+1)
-	// Expand into cumulative-bucket collector series so the recorder and
-	// every exporter see plain scalars. Each expansion series is marked
-	// with the histogram family, so text exporters render them as one
-	// conventional `TYPE name histogram` family.
-	markFamily := func() {
-		in := &r.series[len(r.series)-1].info
-		in.Family = name
-		in.FamilyKind = KindHistogram
-	}
-	for i := range h.bounds {
-		i := i
-		le := fmt.Sprintf("%g", h.bounds[i])
-		err := r.RegisterFunc(name+"_bucket", help, KindCounter, func() float64 {
-			var n uint64
-			for _, c := range h.buckets[:i+1] {
-				n += c
-			}
-			return float64(n)
-		}, append(append([]Label(nil), labels...), L("le", le))...)
-		if err != nil {
-			return nil, err
-		}
-		markFamily()
-	}
-	err := r.RegisterFunc(name+"_bucket", help, KindCounter, func() float64 {
-		return float64(h.Count())
-	}, append(append([]Label(nil), labels...), L("le", "+Inf"))...)
-	if err != nil {
-		return nil, err
-	}
-	markFamily()
-	if err := r.RegisterFunc(name+"_sum", help, KindCounter, func() float64 { return h.sum }, labels...); err != nil {
-		return nil, err
-	}
-	markFamily()
-	err = r.RegisterFunc(name+"_count", help, KindCounter, func() float64 {
-		return float64(h.Count())
-	}, labels...)
-	if err != nil {
-		return nil, err
-	}
-	markFamily()
-	r.hists = append(r.hists, h)
-	return h, nil
 }
 
 // Len returns the number of registered scalar series.

@@ -1,9 +1,6 @@
 package packet
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // EtherType identifies the payload protocol of an Ethernet frame.
 type EtherType uint16
@@ -96,18 +93,6 @@ func grow(b []byte, n int) ([]byte, int) {
 	b = b[:off+n]
 	clear(b[off:])
 	return b, off
-}
-
-// UnmarshalFrame parses an encoded Ethernet frame. The returned frame's
-// payload aliases b.
-func UnmarshalFrame(b []byte) (*Frame, error) {
-	if len(b) < EthernetHeaderLen {
-		return nil, fmt.Errorf("packet: ethernet frame too short (%d bytes)", len(b))
-	}
-	f := &Frame{Type: EtherType(binary.BigEndian.Uint16(b[12:14])), Payload: b[14:]}
-	copy(f.Dst[:], b[0:6])
-	copy(f.Src[:], b[6:12])
-	return f, nil
 }
 
 // Clone returns a deep copy of the frame.

@@ -2,6 +2,8 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -41,6 +43,18 @@ func TestChecksumSelfVerifies(t *testing.T) {
 	}
 }
 
+// unmarshalFrame parses an encoded Ethernet frame: the independent
+// reader Frame.Marshal is checked against. The payload aliases b.
+func unmarshalFrame(b []byte) (*Frame, error) {
+	if len(b) < EthernetHeaderLen {
+		return nil, fmt.Errorf("packet: ethernet frame too short (%d bytes)", len(b))
+	}
+	f := &Frame{Type: EtherType(binary.BigEndian.Uint16(b[12:14])), Payload: b[14:]}
+	copy(f.Dst[:], b[0:6])
+	copy(f.Src[:], b[6:12])
+	return f, nil
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	f := &Frame{
 		Dst:     MAC{2, 0, 0, 0, 0, 1},
@@ -48,9 +62,9 @@ func TestFrameRoundTrip(t *testing.T) {
 		Type:    EtherTypeIPv4,
 		Payload: []byte("hello ethernet"),
 	}
-	got, err := UnmarshalFrame(f.Marshal())
+	got, err := unmarshalFrame(f.Marshal())
 	if err != nil {
-		t.Fatalf("UnmarshalFrame: %v", err)
+		t.Fatalf("unmarshalFrame: %v", err)
 	}
 	if got.Dst != f.Dst || got.Src != f.Src || got.Type != f.Type || !bytes.Equal(got.Payload, f.Payload) {
 		t.Errorf("round trip mismatch: %+v vs %+v", got, f)
@@ -58,7 +72,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameTooShort(t *testing.T) {
-	if _, err := UnmarshalFrame(make([]byte, 13)); err == nil {
+	if _, err := unmarshalFrame(make([]byte, 13)); err == nil {
 		t.Error("13-byte frame parsed successfully")
 	}
 }

@@ -10,7 +10,7 @@ import (
 // validWire builds a representative signed push wire image: a policy
 // with rules, a device name, and one VPG (so every field of the body
 // format is present).
-func validWire(t *testing.T, psk []byte) []byte {
+func validWire(t testing.TB, psk []byte) []byte {
 	t.Helper()
 	msg := &pushMessage{
 		Version: 7,

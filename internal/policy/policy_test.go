@@ -8,7 +8,6 @@ import (
 
 	"barbican/internal/core"
 	"barbican/internal/measure"
-	"barbican/internal/packet"
 	"barbican/internal/policy"
 )
 
@@ -271,32 +270,5 @@ func TestPolicyRequiresValidation(t *testing.T) {
 	}
 	if err := srv.Push("nobody", core.TargetIP, nil); err == nil {
 		t.Error("push without stored policy accepted")
-	}
-}
-
-func TestPushAllAggregatesOutcomes(t *testing.T) {
-	tb, srv, _ := setup(t)
-	if _, err := srv.SetPolicy("target", webPolicy); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.SetPolicy("ghost", webPolicy); err != nil {
-		t.Fatal(err)
-	}
-	var outcomes map[string]error
-	srv.PushAll(map[string]packet.IP{
-		"target": tb.Target.IP(),
-		"ghost":  core.AttackerIP, // no agent there
-	}, func(o map[string]error) { outcomes = o })
-	if err := tb.Kernel.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if outcomes == nil {
-		t.Fatal("done never fired")
-	}
-	if outcomes["target"] != nil {
-		t.Errorf("target outcome: %v", outcomes["target"])
-	}
-	if outcomes["ghost"] == nil {
-		t.Error("ghost push reported success")
 	}
 }

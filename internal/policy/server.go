@@ -382,30 +382,3 @@ func (r *pushRun) attempt(i int) {
 		}
 	}
 }
-
-// PushAll distributes each device's current policy to its address and
-// invokes done once with the per-device outcomes after every push
-// settles (success, failure, or timeout).
-func (s *Server) PushAll(targets map[string]packet.IP, done func(map[string]error)) {
-	outcomes := make(map[string]error, len(targets))
-	remaining := len(targets)
-	finishOne := func(device string, err error) {
-		outcomes[device] = err
-		remaining--
-		if remaining == 0 && done != nil {
-			done(outcomes)
-		}
-	}
-	if remaining == 0 {
-		if done != nil {
-			done(outcomes)
-		}
-		return
-	}
-	for device, ip := range targets {
-		device := device
-		if err := s.Push(device, ip, func(err error) { finishOne(device, err) }); err != nil {
-			finishOne(device, err)
-		}
-	}
-}

@@ -7,15 +7,10 @@
 package sim
 
 import (
-	"errors"
 	"math/rand"
 	"reflect"
 	"time"
 )
-
-// ErrHalted is returned by Run variants when the kernel was stopped with
-// Halt before the run condition was reached.
-var ErrHalted = errors.New("sim: kernel halted")
 
 // Event is a scheduled callback. It is returned by the scheduling methods
 // so that callers may cancel it before it fires.
@@ -57,22 +52,19 @@ func (e *Event) Pending() bool { return e != nil && !e.fired && e.index >= 0 }
 //
 // The zero value is not usable; construct kernels with NewKernel.
 type Kernel struct {
-	now    time.Duration
-	seq    uint64
-	queue  []*Event // binary min-heap on (at, seq); see push/pop
-	rng    *rand.Rand
-	halted bool
+	now   time.Duration
+	seq   uint64
+	queue []*Event // binary min-heap on (at, seq); see push/pop
+	rng   *rand.Rand
 
 	executed uint64
 
-	// Observability (see internal/obs). afterStep is a lightweight
-	// observer hook costing one nil check per event when unset; wall
-	// accounting costs one time.Now pair per Run call, never per event.
-	afterStep func(*Kernel)
-	stepProf  StepProfiler
-	wallBusy  time.Duration
-	runStart  time.Time
-	running   bool
+	// Observability (see internal/obs). Wall accounting costs one
+	// time.Now pair per Run call, never per event.
+	stepProf StepProfiler
+	wallBusy time.Duration
+	runStart time.Time
+	running  bool
 
 	// free is the pool of recycled AtCall events. Pooled events are
 	// never returned to callers, so a recycled event cannot be the
@@ -109,11 +101,6 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // Executed returns the number of events executed so far.
 func (k *Kernel) Executed() uint64 { return k.executed }
-
-// SetAfterStep registers an observer invoked after every executed event
-// (nil removes it). The hook must not block; it exists for telemetry
-// and progress reporting, and costs a single nil check when unset.
-func (k *Kernel) SetAfterStep(fn func(*Kernel)) { k.afterStep = fn }
 
 // StepProfiler observes sampled event executions for the wall-domain
 // profiler (see internal/obs/profile). Take makes the per-event
@@ -231,10 +218,6 @@ func (k *Kernel) AfterCall(d time.Duration, fn func(any), arg any) {
 	k.AtCall(k.now+d, fn, arg)
 }
 
-// Halt stops any in-progress Run/RunUntil/RunFor after the current event
-// finishes executing.
-func (k *Kernel) Halt() { k.halted = true }
-
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed.
 func (k *Kernel) Step() bool {
@@ -268,40 +251,29 @@ func (k *Kernel) Step() bool {
 	} else {
 		ev.fn()
 	}
-	if k.afterStep != nil {
-		k.afterStep(k)
-	}
 	return true
 }
 
-// Run executes events until the queue is empty or the kernel is halted.
-// It returns ErrHalted if Halt was called.
+// Run executes events until the queue is empty. The Run variants never
+// fail today; the error result keeps their call shape stable.
 func (k *Kernel) Run() error {
 	defer k.endRun(k.beginRun())
-	k.halted = false
-	for !k.halted {
-		if !k.Step() {
-			return nil
-		}
+	for k.Step() {
 	}
-	return ErrHalted
+	return nil
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
-// t. It returns ErrHalted if Halt was called before t was reached.
+// t.
 func (k *Kernel) RunUntil(t time.Duration) error {
 	defer k.endRun(k.beginRun())
-	k.halted = false
-	for !k.halted {
-		if len(k.queue) == 0 || k.queue[0].at > t {
-			if t > k.now {
-				k.now = t
-			}
-			return nil
-		}
+	for len(k.queue) > 0 && k.queue[0].at <= t {
 		k.Step()
 	}
-	return ErrHalted
+	if t > k.now {
+		k.now = t
+	}
+	return nil
 }
 
 // RunFor executes events for a span of d virtual time from the current clock.

@@ -154,26 +154,6 @@ func TestRunUntilWithEmptyQueueAdvancesClock(t *testing.T) {
 	}
 }
 
-func TestHaltStopsRun(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		i := i
-		k.At(time.Duration(i)*time.Second, func() {
-			count++
-			if i == 3 {
-				k.Halt()
-			}
-		})
-	}
-	if err := k.Run(); err != ErrHalted {
-		t.Fatalf("Run = %v, want ErrHalted", err)
-	}
-	if count != 3 {
-		t.Errorf("executed %d events before halt, want 3", count)
-	}
-}
-
 func TestKernelDeterministicWithSeed(t *testing.T) {
 	run := func(seed int64) []int64 {
 		k := NewKernel(WithSeed(seed))

@@ -1,0 +1,50 @@
+package telemetry
+
+import (
+	"bytes"
+	"testing"
+)
+
+// sweepVectors returns every corruption the truncation and bit-flip
+// sweeps apply to a valid wire image: each strict prefix, then each
+// single-byte XOR with 0x01, 0x80 and 0xff.
+func sweepVectors(wire []byte) [][]byte {
+	var out [][]byte
+	for cut := 0; cut < len(wire); cut++ {
+		out = append(out, wire[:cut])
+	}
+	for i := range wire {
+		for _, flip := range []byte{0x01, 0x80, 0xff} {
+			mut := append([]byte(nil), wire...)
+			mut[i] ^= flip
+			out = append(out, mut)
+		}
+	}
+	return out
+}
+
+// FuzzDecodeReport feeds arbitrary bytes to the collector's report
+// decoder. It must never panic, and a report it accepts must re-encode
+// to exactly the bytes it consumed. The seed corpus is the valid wire
+// image plus every sweep vector, so plain `go test` replays all of them.
+//
+//	go test -run '^$' -fuzz '^FuzzDecodeReport$' -fuzztime 10s ./internal/telemetry
+func FuzzDecodeReport(f *testing.F) {
+	wire := AppendReport(nil, sampleReport())
+	f.Add(wire)
+	for _, v := range sweepVectors(wire) {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		r, n, err := DecodeReport(buf)
+		if r == nil {
+			return
+		}
+		if err != nil {
+			t.Fatalf("decoded a report together with error %v", err)
+		}
+		if re := AppendReport(nil, r); !bytes.Equal(re, buf[:n]) {
+			t.Fatalf("round trip changed the wire image:\n got %x\nwant %x", re, buf[:n])
+		}
+	})
+}

@@ -111,16 +111,6 @@ func (r *Report) RxDropTotal() uint64 {
 	return total
 }
 
-// FlowHitRatio returns the flow-cache hit ratio (0 when the card has
-// no cache or has seen no policy-subject packets).
-func (r *Report) FlowHitRatio() float64 {
-	total := r.FlowHits + r.FlowMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(r.FlowHits) / float64(total)
-}
-
 // checksum is 64-bit FNV-1a, inlined so the encode path needs no
 // hash.Hash allocation.
 func checksum(b []byte) uint64 {

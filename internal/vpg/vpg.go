@@ -54,7 +54,6 @@ var (
 	ErrBadEnvelope = errors.New("vpg: malformed envelope")
 	ErrWrongGroup  = errors.New("vpg: envelope for a different group")
 	ErrAuth        = errors.New("vpg: authentication failed")
-	ErrReplay      = errors.New("vpg: replayed sequence number")
 )
 
 // Group is a named virtual private group with a shared key and a member
