@@ -78,7 +78,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	env, err := forged.Seal(tb.Attacker.IP(), tb.Target.IP(), packet.ProtoUDP, []byte("forged"), 1)
+	env, err := forged.Seal(nil, tb.Attacker.IP(), tb.Target.IP(), packet.ProtoUDP, []byte("forged"), 1)
 	if err != nil {
 		return err
 	}

@@ -62,7 +62,7 @@ func RunPingRTT(k *sim.Kernel, client, server *stack.Host, cfg PingConfig) (Ping
 	sentAt := make(map[uint16]time.Duration, cfg.Count)
 	prev := client.OnICMP
 	defer func() { client.OnICMP = prev }()
-	client.OnICMP = func(src packet.IP, m *packet.ICMPMessage) {
+	client.OnICMP = func(src packet.IP, m packet.ICMPMessage) {
 		if m.Type != packet.ICMPEchoReply || m.ID != id || src != server.IP() {
 			if prev != nil {
 				prev(src, m)

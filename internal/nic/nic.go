@@ -702,22 +702,25 @@ func (n *NIC) SendRawFrame(f *packet.Frame) bool {
 }
 
 // seal wraps the datagram's transport segment in a VPG envelope and
-// returns the sealed frame.
+// returns the sealed frame. The envelope is sealed straight into the
+// frame's buffer behind room for the outer IPv4 header, which is
+// written last, once the seal has succeeded.
 func (n *NIC) seal(group string, d *packet.Datagram, dstMAC packet.MAC) (*packet.Frame, bool) {
 	sealer, ok := n.sealers[group]
 	if !ok {
 		n.stats.TxNoGroup++
 		return nil, false
 	}
-	env, err := sealer.Seal(d.Header.Dst, d.Header.Protocol, d.Payload)
+	buf := make([]byte, packet.IPv4HeaderLen, packet.IPv4HeaderLen+len(d.Payload)+vpg.Overhead(len(group)))
+	buf, err := sealer.Seal(buf, d.Header.Dst, d.Header.Protocol, d.Payload)
 	if err != nil {
 		n.stats.TxNoGroup++
 		return nil, false
 	}
 	n.ipID++
-	outer := packet.NewDatagram(d.Header.Src, d.Header.Dst, packet.ProtoVPGEncap, n.ipID, env)
+	putIPv4Header(buf, d.Header.Src, d.Header.Dst, packet.ProtoVPGEncap, n.ipID)
 	n.stats.Sealed++
-	return &packet.Frame{Dst: dstMAC, Src: n.mac, Type: packet.EtherTypeVPG, Payload: outer.Marshal()}, true
+	return &packet.Frame{Dst: dstMAC, Src: n.mac, Type: packet.EtherTypeVPG, Payload: buf}, true
 }
 
 // handleFrame is the ingress path: MAC filtering (free, in hardware),
@@ -943,23 +946,28 @@ func (n *NIC) open(f *packet.Frame, s packet.Summary, verdict fw.Verdict, tid ui
 	// Policy must have admitted the packet via the VPG rule for this
 	// group; sealed traffic admitted any other way is a configuration
 	// error and is dropped.
-	if verdict.Rule == nil || verdict.Rule.VPG != name {
+	if verdict.Rule == nil || verdict.Rule.VPG != string(name) {
 		if n.rules != nil {
 			drop(&n.stats.RxNoGroup, tracing.DropNoGroup)
 			return nil, false
 		}
 	}
-	g, ok := n.groups[name]
+	g, ok := n.groups[string(name)]
 	if !ok {
 		drop(&n.stats.RxNoGroup, tracing.DropNoGroup)
 		return nil, false
 	}
-	proto, transport, seq, err := g.Open(outer.Header.Src, outer.Header.Dst, outer.Payload)
+	// The inner datagram is opened straight into the frame's buffer
+	// behind room for its IPv4 header, which is written once the
+	// transport protocol is known.
+	size := len(outer.Payload) - vpg.Overhead(len(name))
+	buf := make([]byte, packet.IPv4HeaderLen, packet.IPv4HeaderLen+max(size, 0))
+	proto, buf, seq, err := g.Open(buf, outer.Header.Src, outer.Header.Dst, outer.Payload)
 	if err != nil {
 		drop(&n.stats.RxAuthFailures, tracing.DropAuthFail)
 		return nil, false
 	}
-	key := replayKey{group: name, sender: outer.Header.Src}
+	key := replayKey{group: g.Name(), sender: outer.Header.Src}
 	w := n.replay[key]
 	if w == nil {
 		w = &vpg.ReplayWindow{}
@@ -971,10 +979,19 @@ func (n *NIC) open(f *packet.Frame, s packet.Summary, verdict fw.Verdict, tid ui
 	}
 	n.stats.Opened++
 	if tid != 0 {
-		n.tracer.Point(tid, tracing.StageVPG, "opened "+name)
+		n.tracer.Point(tid, tracing.StageVPG, "opened "+g.Name())
 	}
-	inner := packet.NewDatagram(outer.Header.Src, outer.Header.Dst, proto, outer.Header.ID, transport)
-	return &packet.Frame{Dst: f.Dst, Src: f.Src, Type: packet.EtherTypeIPv4, Payload: inner.Marshal(), TraceID: tid}, true
+	putIPv4Header(buf, outer.Header.Src, outer.Header.Dst, proto, outer.Header.ID)
+	return &packet.Frame{Dst: f.Dst, Src: f.Src, Type: packet.EtherTypeIPv4, Payload: buf, TraceID: tid}, true
+}
+
+// putIPv4Header writes the header of a datagram with NewDatagram's
+// defaults into the room reserved at the front of b, which holds the
+// whole datagram: the header's TotalLen is len(b).
+func putIPv4Header(b []byte, src, dst packet.IP, proto packet.Protocol, id uint16) {
+	h := packet.NewDatagram(src, dst, proto, id, nil).Header
+	h.TotalLen = len(b)
+	h.MarshalTo(b[:0])
 }
 
 // noteDenied tracks the denied-packet rate for the EFW lockup failure.

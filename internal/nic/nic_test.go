@@ -371,7 +371,7 @@ func TestVPGForgedFrameDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := forgedGroup.Seal(ipA, ipB, packet.ProtoUDP, make([]byte, 64), 99)
+	env, err := forgedGroup.Seal(nil, ipA, ipB, packet.ProtoUDP, make([]byte, 64), 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestVPGReplayDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := g.Seal(ipA, ipB, packet.ProtoUDP, make([]byte, 64), 7)
+	env, err := g.Seal(nil, ipA, ipB, packet.ProtoUDP, make([]byte, 64), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestEagerVPGDecryptCostsMore(t *testing.T) {
 		}
 		// Sealed traffic denied by rule 1 (before any VPG rule).
 		b.InstallRuleSet(fw.MustRuleSet(fw.Deny))
-		env, err := g.Seal(ipA, ipB, packet.ProtoUDP, make([]byte, 512), 1)
+		env, err := g.Seal(nil, ipA, ipB, packet.ProtoUDP, make([]byte, 512), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

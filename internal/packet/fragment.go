@@ -84,7 +84,9 @@ func (r *Reassembler) Stats() (completed, evicted, oversize uint64) {
 func (r *Reassembler) Pending() int { return len(r.pending) }
 
 // Add offers a fragment. When the fragment completes its datagram, the
-// reassembled datagram is returned; otherwise nil.
+// reassembled datagram is returned; otherwise nil. The reassembler keeps
+// its own copy of the fragment, so d and its payload may alias a buffer
+// the caller reuses.
 func (r *Reassembler) Add(d *Datagram) *Datagram {
 	key := reasmKey{src: d.Header.Src, dst: d.Header.Dst, id: d.Header.ID, proto: d.Header.Protocol}
 	st := r.pending[key]
@@ -100,7 +102,7 @@ func (r *Reassembler) Add(d *Datagram) *Datagram {
 		r.pending[key] = st
 		r.order = append(r.order, key)
 	}
-	st.frags = append(st.frags, d)
+	st.frags = append(st.frags, &Datagram{Header: d.Header, Payload: append([]byte(nil), d.Payload...)})
 	st.bytes += len(d.Payload)
 	if !d.Header.MoreFrags {
 		st.gotLast = true

@@ -184,13 +184,33 @@ func TestReassemblerOversizeAborts(t *testing.T) {
 	}
 }
 
+// The receive path decodes fragments that alias the frame's bytes, so
+// the reassembler must keep its own copy of what it holds.
+func TestReassemblerCopiesFragments(t *testing.T) {
+	d := bigDatagram(100)
+	want := append([]byte(nil), d.Payload...)
+	frags, err := Fragment(d, IPv4HeaderLen+30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReassembler(0, 0)
+	var whole *Datagram
+	for _, f := range frags {
+		whole = r.Add(f)
+		clear(f.Payload) // the caller reuses its buffer
+	}
+	if whole == nil || !bytes.Equal(whole.Payload, want) {
+		t.Errorf("reassembled %v, want the original payload", whole)
+	}
+}
+
 func TestFragmentHeaderRoundTrip(t *testing.T) {
 	h := &IPv4Header{
 		TotalLen: 60, ID: 9, MoreFrags: true, FragOffset: 1480,
 		TTL: 64, Protocol: ProtoUDP,
 		Src: MustIP("1.1.1.1"), Dst: MustIP("2.2.2.2"),
 	}
-	got, _, err := UnmarshalIPv4Header(append(h.Marshal(), make([]byte, 40)...))
+	got, _, err := ParseIPv4Header(append(h.Marshal(), make([]byte, 40)...))
 	if err != nil {
 		t.Fatal(err)
 	}

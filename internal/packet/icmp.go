@@ -48,15 +48,17 @@ func (m *ICMPMessage) MarshalTo(b []byte) []byte {
 }
 
 // UnmarshalICMPMessage parses an ICMP message and verifies its checksum.
-// The payload aliases b.
-func UnmarshalICMPMessage(b []byte) (*ICMPMessage, error) {
+// The payload aliases b. It allocates only on error.
+//
+//barbican:noalloc
+func UnmarshalICMPMessage(b []byte) (ICMPMessage, error) {
 	if len(b) < ICMPHeaderLen {
-		return nil, fmt.Errorf("packet: ICMP message too short (%d bytes)", len(b))
+		return ICMPMessage{}, fmt.Errorf("packet: ICMP message too short (%d bytes)", len(b)) //barbican:allow alloc -- error path
 	}
 	if Checksum(b) != 0 {
-		return nil, fmt.Errorf("packet: ICMP checksum mismatch")
+		return ICMPMessage{}, fmt.Errorf("packet: ICMP checksum mismatch")
 	}
-	return &ICMPMessage{
+	return ICMPMessage{
 		Type:    b[0],
 		Code:    b[1],
 		ID:      binary.BigEndian.Uint16(b[4:6]),

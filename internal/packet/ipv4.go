@@ -90,30 +90,22 @@ func (h *IPv4Header) MarshalTo(b []byte) []byte {
 	return b
 }
 
-// UnmarshalIPv4Header parses and validates an IPv4 header, returning the
-// header and the number of header bytes consumed.
-func UnmarshalIPv4Header(b []byte) (*IPv4Header, int, error) {
-	h, ihl, err := ParseIPv4Header(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &h, ihl, nil
-}
-
-// ParseIPv4Header is the by-value form of UnmarshalIPv4Header, used on
-// the per-packet filter path where the header must not escape to the
-// heap.
+// ParseIPv4Header parses and validates an IPv4 header, returning the
+// header and the number of header bytes consumed. It allocates only on
+// error.
+//
+//barbican:noalloc
 func ParseIPv4Header(b []byte) (IPv4Header, int, error) {
 	var h IPv4Header
 	if len(b) < IPv4HeaderLen {
-		return h, 0, fmt.Errorf("packet: IPv4 header too short (%d bytes)", len(b))
+		return h, 0, fmt.Errorf("packet: IPv4 header too short (%d bytes)", len(b)) //barbican:allow alloc -- error path
 	}
 	if b[0]>>4 != 4 {
-		return h, 0, fmt.Errorf("packet: not IPv4 (version %d)", b[0]>>4)
+		return h, 0, fmt.Errorf("packet: not IPv4 (version %d)", b[0]>>4) //barbican:allow alloc -- error path
 	}
 	ihl := int(b[0]&0x0f) * 4
 	if ihl < IPv4HeaderLen || len(b) < ihl {
-		return h, 0, fmt.Errorf("packet: bad IHL %d", ihl)
+		return h, 0, fmt.Errorf("packet: bad IHL %d", ihl) //barbican:allow alloc -- error path
 	}
 	if Checksum(b[:ihl]) != 0 {
 		return h, 0, fmt.Errorf("packet: IPv4 header checksum mismatch")
@@ -132,7 +124,7 @@ func ParseIPv4Header(b []byte) (IPv4Header, int, error) {
 	copy(h.Src[:], b[12:16])
 	copy(h.Dst[:], b[16:20])
 	if h.TotalLen < ihl || h.TotalLen > len(b) {
-		return IPv4Header{}, 0, fmt.Errorf("packet: bad total length %d (buffer %d)", h.TotalLen, len(b))
+		return IPv4Header{}, 0, fmt.Errorf("packet: bad total length %d (buffer %d)", h.TotalLen, len(b)) //barbican:allow alloc -- error path
 	}
 	return h, ihl, nil
 }
@@ -160,13 +152,16 @@ func (d *Datagram) MarshalTo(b []byte) []byte {
 }
 
 // UnmarshalDatagram parses an IPv4 datagram. The payload aliases b and is
-// truncated to the header's TotalLen.
-func UnmarshalDatagram(b []byte) (*Datagram, error) {
-	h, ihl, err := UnmarshalIPv4Header(b)
+// truncated to the header's TotalLen; a caller that keeps it past b's
+// lifetime copies it. It allocates only on error.
+//
+//barbican:noalloc
+func UnmarshalDatagram(b []byte) (Datagram, error) {
+	h, ihl, err := ParseIPv4Header(b)
 	if err != nil {
-		return nil, err
+		return Datagram{}, err
 	}
-	return &Datagram{Header: *h, Payload: b[ihl:h.TotalLen]}, nil
+	return Datagram{Header: h, Payload: b[ihl:h.TotalLen]}, nil
 }
 
 // NewDatagram builds a datagram with the simulator's defaults (TTL 64,

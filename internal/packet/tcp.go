@@ -82,19 +82,22 @@ func (s *TCPSegment) MarshalTo(src, dst IP, b []byte) []byte {
 }
 
 // UnmarshalTCPSegment parses a TCP segment and verifies its checksum
-// against the IPv4 pseudo-header. The payload aliases b.
-func UnmarshalTCPSegment(src, dst IP, b []byte) (*TCPSegment, error) {
+// against the IPv4 pseudo-header. The payload aliases b. It allocates
+// only on error.
+//
+//barbican:noalloc
+func UnmarshalTCPSegment(src, dst IP, b []byte) (TCPSegment, error) {
 	if len(b) < TCPHeaderLen {
-		return nil, fmt.Errorf("packet: TCP segment too short (%d bytes)", len(b))
+		return TCPSegment{}, fmt.Errorf("packet: TCP segment too short (%d bytes)", len(b)) //barbican:allow alloc -- error path
 	}
 	dataOff := int(b[12]>>4) * 4
 	if dataOff < TCPHeaderLen || dataOff > len(b) {
-		return nil, fmt.Errorf("packet: bad TCP data offset %d", dataOff)
+		return TCPSegment{}, fmt.Errorf("packet: bad TCP data offset %d", dataOff) //barbican:allow alloc -- error path
 	}
 	if TransportChecksum(src, dst, ProtoTCP, b) != 0 {
-		return nil, fmt.Errorf("packet: TCP checksum mismatch")
+		return TCPSegment{}, fmt.Errorf("packet: TCP checksum mismatch")
 	}
-	return &TCPSegment{
+	return TCPSegment{
 		SrcPort: binary.BigEndian.Uint16(b[0:2]),
 		DstPort: binary.BigEndian.Uint16(b[2:4]),
 		Seq:     binary.BigEndian.Uint32(b[4:8]),

@@ -39,20 +39,22 @@ func (u *UDPDatagram) MarshalTo(src, dst IP, b []byte) []byte {
 }
 
 // UnmarshalUDPDatagram parses a UDP datagram and verifies its checksum.
-// The payload aliases b.
-func UnmarshalUDPDatagram(src, dst IP, b []byte) (*UDPDatagram, error) {
+// The payload aliases b. It allocates only on error.
+//
+//barbican:noalloc
+func UnmarshalUDPDatagram(src, dst IP, b []byte) (UDPDatagram, error) {
 	if len(b) < UDPHeaderLen {
-		return nil, fmt.Errorf("packet: UDP datagram too short (%d bytes)", len(b))
+		return UDPDatagram{}, fmt.Errorf("packet: UDP datagram too short (%d bytes)", len(b)) //barbican:allow alloc -- error path
 	}
 	length := int(binary.BigEndian.Uint16(b[4:6]))
 	if length < UDPHeaderLen || length > len(b) {
-		return nil, fmt.Errorf("packet: bad UDP length %d (buffer %d)", length, len(b))
+		return UDPDatagram{}, fmt.Errorf("packet: bad UDP length %d (buffer %d)", length, len(b)) //barbican:allow alloc -- error path
 	}
 	b = b[:length]
 	if binary.BigEndian.Uint16(b[6:8]) != 0 && TransportChecksum(src, dst, ProtoUDP, b) != 0 {
-		return nil, fmt.Errorf("packet: UDP checksum mismatch")
+		return UDPDatagram{}, fmt.Errorf("packet: UDP checksum mismatch")
 	}
-	return &UDPDatagram{
+	return UDPDatagram{
 		SrcPort: binary.BigEndian.Uint16(b[0:2]),
 		DstPort: binary.BigEndian.Uint16(b[2:4]),
 		Payload: b[UDPHeaderLen:],

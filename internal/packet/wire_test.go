@@ -123,14 +123,14 @@ func TestIPv4HeaderRoundTrip(t *testing.T) {
 		Dst:      MustIP("10.0.0.2"),
 	}
 	b := h.Marshal()
-	got, n, err := UnmarshalIPv4Header(append(b, make([]byte, 100)...))
+	got, n, err := ParseIPv4Header(append(b, make([]byte, 100)...))
 	if err != nil {
-		t.Fatalf("UnmarshalIPv4Header: %v", err)
+		t.Fatalf("ParseIPv4Header: %v", err)
 	}
 	if n != IPv4HeaderLen {
 		t.Errorf("consumed %d bytes, want %d", n, IPv4HeaderLen)
 	}
-	if *got != *h {
+	if got != *h {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, h)
 	}
 }
@@ -140,7 +140,7 @@ func TestIPv4HeaderChecksumValidation(t *testing.T) {
 		Src: MustIP("1.1.1.1"), Dst: MustIP("2.2.2.2")}
 	b := h.Marshal()
 	b[8] ^= 0xff // corrupt TTL
-	if _, _, err := UnmarshalIPv4Header(b); err == nil {
+	if _, _, err := ParseIPv4Header(b); err == nil {
 		t.Error("corrupted header parsed successfully")
 	}
 }
@@ -148,7 +148,7 @@ func TestIPv4HeaderChecksumValidation(t *testing.T) {
 func TestIPv4RejectsNonIPv4(t *testing.T) {
 	b := make([]byte, 20)
 	b[0] = 0x65 // version 6
-	if _, _, err := UnmarshalIPv4Header(b); err == nil {
+	if _, _, err := ParseIPv4Header(b); err == nil {
 		t.Error("version-6 header parsed as IPv4")
 	}
 }
@@ -365,5 +365,53 @@ func TestSummarizeTruncatedTransport(t *testing.T) {
 	d := NewDatagram(src, dst, ProtoTCP, 1, make([]byte, 5)) // < TCP header
 	if _, err := Summarize(&Frame{Type: EtherTypeIPv4, Payload: d.Marshal()}); err == nil {
 		t.Error("truncated TCP summarized successfully")
+	}
+}
+
+// sinkPort keeps TestDecodersDoNotAllocate's decodes from being
+// discarded, as a caller's use of a decoded field would.
+var sinkPort uint16
+
+// The receive path decodes every frame; its decoders return values
+// that alias the input and must not allocate.
+func TestDecodersDoNotAllocate(t *testing.T) {
+	wires := fuzzSeedDatagrams() // UDP, TCP, ICMP
+	var decoded [3]Datagram
+	for i, w := range wires {
+		d, err := UnmarshalDatagram(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded[i] = d
+	}
+	udp, tcp, icmp := decoded[0], decoded[1], decoded[2]
+	for _, tc := range []struct {
+		name   string
+		decode func() uint16
+		want   uint16
+	}{
+		{"UnmarshalDatagram", func() uint16 {
+			d, _ := UnmarshalDatagram(wires[1])
+			return uint16(d.Header.Protocol)
+		}, uint16(ProtoTCP)},
+		{"UnmarshalUDPDatagram", func() uint16 {
+			u, _ := UnmarshalUDPDatagram(udp.Header.Src, udp.Header.Dst, udp.Payload)
+			return u.DstPort
+		}, 9},
+		{"UnmarshalTCPSegment", func() uint16 {
+			s, _ := UnmarshalTCPSegment(tcp.Header.Src, tcp.Header.Dst, tcp.Payload)
+			return s.DstPort
+		}, 80},
+		{"UnmarshalICMPMessage", func() uint16 {
+			m, _ := UnmarshalICMPMessage(icmp.Payload)
+			return m.ID
+		}, 0x4242},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { sinkPort = tc.decode() }); allocs != 0 {
+			t.Errorf("%s: %v allocs per decode, want 0", tc.name, allocs)
+		}
+		if sinkPort != tc.want {
+			t.Errorf("%s decoded %d, want %d", tc.name, sinkPort, tc.want)
+		}
 	}
 }

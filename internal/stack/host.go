@@ -100,7 +100,7 @@ type Host struct {
 
 	// OnICMP, when set, observes ICMP messages addressed to this host
 	// (other than echo requests, which are answered automatically).
-	OnICMP func(src packet.IP, msg *packet.ICMPMessage)
+	OnICMP func(src packet.IP, msg packet.ICMPMessage)
 
 	// tracer records lifecycle events for frames carrying a sampled
 	// trace ID; rxTraceID holds the ID of the datagram currently in
@@ -205,7 +205,12 @@ func (h *Host) scratch() []byte {
 	return h.txScratch[:0]
 }
 
-// receive is the NIC's delivery callback.
+// receive is the NIC's delivery callback. The decoded datagram and its
+// transport message live on the stack and alias f's bytes; nothing on
+// the path keeps them (the reassembler and the TCP out-of-order queue
+// copy what they hold).
+//
+//barbican:noalloc
 func (h *Host) receive(f *packet.Frame) {
 	if f.Type == packet.EtherTypeARP {
 		if h.arp != nil {
@@ -228,7 +233,7 @@ func (h *Host) receive(f *packet.Frame) {
 		return
 	}
 	if h.fwall != nil {
-		s, err := packet.SummarizeIPv4(f.Payload)
+		s, err := packet.SummarizeDatagram(&d)
 		if err != nil {
 			h.stats.RxMalformed++
 			h.traceDrop(tracing.StageStack, tracing.DropMalformed)
@@ -242,7 +247,7 @@ func (h *Host) receive(f *packet.Frame) {
 	}
 	if d.Header.IsFragment() {
 		h.stats.RxFragments++
-		whole := h.reasm.Add(d)
+		whole := h.reasm.Add(&d)
 		if whole == nil {
 			if h.tracer != nil && h.rxTraceID != 0 {
 				h.tracer.Point(h.rxTraceID, tracing.StageStack, "fragment held for reassembly")
@@ -253,22 +258,25 @@ func (h *Host) receive(f *packet.Frame) {
 		if h.tracer != nil && h.rxTraceID != 0 {
 			h.tracer.Point(h.rxTraceID, tracing.StageStack, "reassembled")
 		}
-		d = whole
+		d = *whole
 	}
 	h.stats.RxDatagrams++
 	switch d.Header.Protocol {
 	case packet.ProtoUDP:
-		h.receiveUDP(d)
+		h.receiveUDP(&d)
 	case packet.ProtoTCP:
-		h.receiveTCP(d)
+		h.receiveTCP(&d)
 	case packet.ProtoICMP:
-		h.receiveICMP(d)
+		h.receiveICMP(&d)
 	default:
 		// Unknown protocols are dropped silently, as Linux does without
 		// a raw socket listener.
 	}
 }
 
+// receiveUDP demultiplexes a UDP datagram to its socket.
+//
+//barbican:noalloc
 func (h *Host) receiveUDP(d *packet.Datagram) {
 	u, err := packet.UnmarshalUDPDatagram(d.Header.Src, d.Header.Dst, d.Payload)
 	if err != nil {
@@ -291,6 +299,10 @@ func (h *Host) receiveUDP(d *packet.Datagram) {
 	sock.deliver(d.Header.Src, u.SrcPort, u.Payload)
 }
 
+// receiveTCP demultiplexes a TCP segment to its connection or listener,
+// or answers it with a reset.
+//
+//barbican:noalloc
 func (h *Host) receiveTCP(d *packet.Datagram) {
 	seg, err := packet.UnmarshalTCPSegment(d.Header.Src, d.Header.Dst, d.Payload)
 	if err != nil {
@@ -301,12 +313,12 @@ func (h *Host) receiveTCP(d *packet.Datagram) {
 	key := connKey{remote: d.Header.Src, remotePort: seg.SrcPort, localPort: seg.DstPort}
 	if c, ok := h.conns[key]; ok {
 		h.traceFinish("tcp: delivered to connection")
-		c.input(seg)
+		c.input(&seg)
 		return
 	}
 	if l, ok := h.listeners[seg.DstPort]; ok && seg.Flags.Has(packet.FlagSYN) && !seg.Flags.Has(packet.FlagACK) {
 		h.traceFinish("tcp: syn accepted by listener")
-		l.accept(d.Header.Src, seg)
+		l.accept(d.Header.Src, &seg)
 		return
 	}
 	h.stats.RxNoListener++
@@ -316,12 +328,15 @@ func (h *Host) receiveTCP(d *packet.Datagram) {
 	}
 	if h.respond {
 		h.traceFinish("tcp: no listener, rst sent")
-		h.sendRSTFor(d.Header.Src, seg)
+		h.sendRSTFor(d.Header.Src, &seg)
 	} else {
 		h.traceFinish("tcp: no listener, silently dropped")
 	}
 }
 
+// receiveICMP answers echo requests and hands other messages to OnICMP.
+//
+//barbican:noalloc
 func (h *Host) receiveICMP(d *packet.Datagram) {
 	m, err := packet.UnmarshalICMPMessage(d.Payload)
 	if err != nil {

@@ -23,7 +23,7 @@ type net struct {
 	hosts  map[string]*Host
 }
 
-func newNet(t *testing.T) *net {
+func newNet(t testing.TB) *net {
 	t.Helper()
 	k := sim.NewKernel()
 	return &net{
@@ -34,7 +34,7 @@ func newNet(t *testing.T) *net {
 	}
 }
 
-func (n *net) addHost(t *testing.T, name string, ip string, prof nic.Profile, fwall *hostfw.Firewall) *Host {
+func (n *net) addHost(t testing.TB, name string, ip string, prof nic.Profile, fwall *hostfw.Firewall) *Host {
 	t.Helper()
 	addr := packet.MustIP(ip)
 	mac := packet.MAC{2, 0, 0, 0, 0, byte(len(n.macs) + 1)}
@@ -56,7 +56,7 @@ func (n *net) addHost(t *testing.T, name string, ip string, prof nic.Profile, fw
 	return h
 }
 
-func twoHosts(t *testing.T) (*net, *Host, *Host) {
+func twoHosts(t testing.TB) (*net, *Host, *Host) {
 	n := newNet(t)
 	a := n.addHost(t, "a", "10.0.0.1", nic.Standard(), nil)
 	b := n.addHost(t, "b", "10.0.0.2", nic.Standard(), nil)
@@ -93,6 +93,33 @@ func TestUDPDelivery(t *testing.T) {
 	}
 }
 
+// udpFrame is the wire frame of a UDP datagram from a to port on b, as
+// b's card delivers it.
+func udpFrame(a, b *Host, port uint16, payload []byte) *packet.Frame {
+	u := &packet.UDPDatagram{SrcPort: 40000, DstPort: port, Payload: payload}
+	d := packet.NewDatagram(a.IP(), b.IP(), packet.ProtoUDP, 1, u.Marshal(a.IP(), b.IP()))
+	return &packet.Frame{Dst: b.card.MAC(), Src: a.card.MAC(), Type: packet.EtherTypeIPv4, Payload: d.Marshal()}
+}
+
+// Receiving a UDP datagram for a bound socket decodes the datagram and
+// its UDP header on the stack: no allocation per frame.
+func TestReceiveUDPDoesNotAllocate(t *testing.T) {
+	_, a, b := twoHosts(t)
+	srv, err := b.BindUDP(5001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	srv.OnRecv = func(_ packet.IP, _ uint16, payload []byte) { got += len(payload) }
+	f := udpFrame(a, b, 5001, make([]byte, 64))
+	if allocs := testing.AllocsPerRun(100, func() { b.receive(f) }); allocs != 0 {
+		t.Errorf("Host.receive: %v allocs per UDP datagram, want 0", allocs)
+	}
+	if got == 0 {
+		t.Error("socket received nothing")
+	}
+}
+
 func TestUDPClosedPortElicitsICMP(t *testing.T) {
 	n, a, b := twoHosts(t)
 	cli, err := a.BindUDP(0)
@@ -100,7 +127,7 @@ func TestUDPClosedPortElicitsICMP(t *testing.T) {
 		t.Fatal(err)
 	}
 	var icmp *packet.ICMPMessage
-	a.OnICMP = func(src packet.IP, m *packet.ICMPMessage) { icmp = m }
+	a.OnICMP = func(src packet.IP, m packet.ICMPMessage) { icmp = &m }
 	cli.SendTo(b.IP(), 9999, []byte("anyone there?"))
 	if err := n.kernel.Run(); err != nil {
 		t.Fatal(err)
@@ -145,9 +172,9 @@ func TestFloodResponseSuppression(t *testing.T) {
 func TestPingEcho(t *testing.T) {
 	n, a, b := twoHosts(t)
 	var reply *packet.ICMPMessage
-	a.OnICMP = func(src packet.IP, m *packet.ICMPMessage) {
+	a.OnICMP = func(src packet.IP, m packet.ICMPMessage) {
 		if m.Type == packet.ICMPEchoReply {
-			reply = m
+			reply = &m
 		}
 	}
 	a.Ping(b.IP(), 7, 1)

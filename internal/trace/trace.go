@@ -104,7 +104,7 @@ func Format(r Record) string {
 	switch s.Proto {
 	case packet.ProtoTCP:
 		fmt.Fprintf(&b, "IP %v.%d > %v.%d: ", s.Src, s.SrcPort, s.Dst, s.DstPort)
-		seg, err := tcpOf(r.Frame, s)
+		seg, err := tcpOf(r.Frame)
 		if err != nil {
 			b.WriteString("tcp [malformed]")
 			return b.String()
@@ -135,10 +135,10 @@ func (c *Capture) Dump() string {
 	return b.String()
 }
 
-func tcpOf(f *packet.Frame, s packet.Summary) (*packet.TCPSegment, error) {
+func tcpOf(f *packet.Frame) (packet.TCPSegment, error) {
 	d, err := packet.UnmarshalDatagram(f.Payload)
 	if err != nil {
-		return nil, err
+		return packet.TCPSegment{}, err
 	}
 	return packet.UnmarshalTCPSegment(d.Header.Src, d.Header.Dst, d.Payload)
 }

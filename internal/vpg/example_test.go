@@ -17,12 +17,12 @@ func ExampleGroup() {
 		return
 	}
 
-	env, err := g.Seal(alice, bob, packet.ProtoUDP, []byte("rotate the logs"), 1)
+	env, err := g.Seal(nil, alice, bob, packet.ProtoUDP, []byte("rotate the logs"), 1)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	_, plaintext, _, err := g.Open(alice, bob, env)
+	_, plaintext, _, err := g.Open(nil, alice, bob, env)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -30,7 +30,7 @@ func ExampleGroup() {
 	fmt.Printf("%s\n", plaintext)
 
 	env[len(env)-1] ^= 1 // tamper
-	if _, _, _, err := g.Open(alice, bob, env); err != nil {
+	if _, _, _, err := g.Open(nil, alice, bob, env); err != nil {
 		fmt.Println("tampered envelope rejected")
 	}
 	// Output:

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"slices"
 	"sort"
 
 	"barbican/internal/packet"
@@ -64,9 +65,11 @@ var (
 // DESIGN.md §7).
 type Group struct {
 	name    string
-	block   cipher.Block      // AES-256 under the encryption subkey
-	mac     hash.Hash         // HMAC-SHA-256 under the MAC subkey, Reset per tag
-	sum     [sha256.Size]byte // tag's output, so a tag allocates nothing
+	block   cipher.Block        // AES-256 under the encryption subkey
+	mac     hash.Hash           // HMAC-SHA-256 under the MAC subkey, Reset per tag
+	iv      [aes.BlockSize]byte // stream's IV, so it stays off the heap
+	addrs   [8]byte             // tag's sender and destination, likewise
+	sum     [sha256.Size]byte   // tag's output, so a tag allocates nothing
 	members map[packet.IP]struct{}
 }
 
@@ -127,19 +130,22 @@ func (g *Group) Members() []packet.IP {
 	return out
 }
 
-// Seal encrypts and authenticates a transport segment from sender to dst.
-// origProto records the encapsulated transport protocol so the receiver
-// can restore the original datagram. seq must be strictly increasing per
-// sender (use a Sealer).
-func (g *Group) Seal(sender, dst packet.IP, origProto packet.Protocol, transport []byte, seq uint64) ([]byte, error) {
+// Seal encrypts and authenticates a transport segment from sender to
+// recipient, appends the envelope to dst and returns the extended slice,
+// as cipher.AEAD's Seal does. It allocates a new buffer only when dst
+// lacks the capacity; the remaining capacity of dst must not overlap
+// transport. origProto records the encapsulated transport protocol so
+// the receiver can restore the original datagram. seq must be strictly
+// increasing per sender (use a Sealer).
+func (g *Group) Seal(dst []byte, sender, recipient packet.IP, origProto packet.Protocol, transport []byte, seq uint64) ([]byte, error) {
 	if !g.IsMember(sender) {
 		return nil, ErrNotMember
 	}
-	if !g.IsMember(dst) {
-		return nil, fmt.Errorf("%w (destination %v)", ErrNotMember, dst)
+	if !g.IsMember(recipient) {
+		return nil, fmt.Errorf("%w (destination %v)", ErrNotMember, recipient)
 	}
 	n := len(g.name)
-	env := make([]byte, fixedHdrLen+n+len(transport)+tagLen)
+	ret, env := grow(dst, fixedHdrLen+n+len(transport)+tagLen)
 	env[0] = envVersion
 	env[1] = byte(origProto)
 	env[2] = byte(n)
@@ -147,16 +153,19 @@ func (g *Group) Seal(sender, dst packet.IP, origProto packet.Protocol, transport
 	binary.BigEndian.PutUint64(env[3+n:], seq)
 	ct := env[fixedHdrLen+n : fixedHdrLen+n+len(transport)]
 	g.stream(sender, seq).XORKeyStream(ct, transport)
-	tag := g.tag(sender, dst, env[:len(env)-tagLen])
+	tag := g.tag(sender, recipient, env[:len(env)-tagLen])
 	copy(env[len(env)-tagLen:], tag)
-	return env, nil
+	return ret, nil
 }
 
 // Open verifies and decrypts an envelope received from sender addressed
-// to dst, returning the original protocol, transport segment, and
-// sequence number. Replay checking is the caller's responsibility (see
-// ReplayWindow); Open itself is stateless.
-func (g *Group) Open(sender, dst packet.IP, env []byte) (packet.Protocol, []byte, uint64, error) {
+// to recipient, appends the transport segment to dst and returns the
+// original protocol, the extended slice, and the sequence number, as
+// cipher.AEAD's Open does. It allocates a new buffer only when dst lacks
+// the capacity; the remaining capacity of dst must not overlap env.
+// Replay checking is the caller's responsibility (see ReplayWindow);
+// Open itself is stateless.
+func (g *Group) Open(dst []byte, sender, recipient packet.IP, env []byte) (packet.Protocol, []byte, uint64, error) {
 	if len(env) < fixedHdrLen+tagLen {
 		return 0, nil, 0, ErrBadEnvelope
 	}
@@ -174,49 +183,62 @@ func (g *Group) Open(sender, dst packet.IP, env []byte) (packet.Protocol, []byte
 		return 0, nil, 0, ErrNotMember
 	}
 	body := env[:len(env)-tagLen]
-	want := g.tag(sender, dst, body)
+	want := g.tag(sender, recipient, body)
 	if !hmac.Equal(want, env[len(env)-tagLen:]) {
 		return 0, nil, 0, ErrAuth
 	}
 	seq := binary.BigEndian.Uint64(env[3+n:])
 	ct := env[fixedHdrLen+n : len(env)-tagLen]
-	pt := make([]byte, len(ct))
+	ret, pt := grow(dst, len(ct))
 	g.stream(sender, seq).XORKeyStream(pt, ct)
-	return packet.Protocol(env[1]), pt, seq, nil
+	return packet.Protocol(env[1]), ret, seq, nil
 }
 
-// stream builds the CTR keystream bound to (sender, seq).
+// grow extends b by n bytes, reallocating only when b lacks the
+// capacity, and returns the extended slice and its last n bytes.
+func grow(b []byte, n int) (whole, tail []byte) {
+	whole = slices.Grow(b, n)[:len(b)+n]
+	return whole, whole[len(b):]
+}
+
+// stream builds the CTR keystream bound to (sender, seq). The IV goes
+// through the group's iv buffer, which NewCTR copies, so only the
+// keystream itself is allocated.
 func (g *Group) stream(sender packet.IP, seq uint64) cipher.Stream {
-	var iv [aes.BlockSize]byte
-	copy(iv[0:4], sender[:])
-	binary.BigEndian.PutUint64(iv[4:12], seq)
-	return cipher.NewCTR(g.block, iv[:])
+	copy(g.iv[0:4], sender[:])
+	binary.BigEndian.PutUint64(g.iv[4:12], seq)
+	return cipher.NewCTR(g.block, g.iv[:])
 }
 
 // tag computes the truncated HMAC binding sender, destination, and body.
-// The result aliases the group's sum buffer and is valid until the next
-// tag.
+// The addresses go through the group's addrs buffer, so nothing escapes
+// into the MAC's interface call. The result aliases the group's sum
+// buffer and is valid until the next tag.
+//
+//barbican:noalloc
 func (g *Group) tag(sender, dst packet.IP, body []byte) []byte {
 	mac := g.mac
 	mac.Reset()
-	mac.Write(sender[:])
-	mac.Write(dst[:])
+	copy(g.addrs[0:4], sender[:])
+	copy(g.addrs[4:8], dst[:])
+	mac.Write(g.addrs[:])
 	mac.Write(body)
 	return mac.Sum(g.sum[:0])[:tagLen]
 }
 
 // PeekGroupName extracts the group name from an envelope without
 // verifying it, so a receiver holding several groups can route the
-// envelope to the right one.
-func PeekGroupName(env []byte) (string, error) {
+// envelope to the right one. The name aliases env; look it up as
+// m[string(name)], which does not allocate.
+func PeekGroupName(env []byte) ([]byte, error) {
 	if len(env) < fixedHdrLen || env[0] != envVersion {
-		return "", ErrBadEnvelope
+		return nil, ErrBadEnvelope
 	}
 	n := int(env[2])
 	if len(env) < fixedHdrLen+n {
-		return "", ErrBadEnvelope
+		return nil, ErrBadEnvelope
 	}
-	return string(env[3 : 3+n]), nil
+	return env[3 : 3+n], nil
 }
 
 // Sealer seals traffic from one member with automatically increasing
@@ -235,10 +257,11 @@ func NewSealer(g *Group, sender packet.IP) (*Sealer, error) {
 	return &Sealer{group: g, sender: sender}, nil
 }
 
-// Seal seals one transport segment toward dst.
-func (s *Sealer) Seal(dst packet.IP, origProto packet.Protocol, transport []byte) ([]byte, error) {
+// Seal seals one transport segment toward recipient, appending the
+// envelope to dst as Group.Seal does.
+func (s *Sealer) Seal(dst []byte, recipient packet.IP, origProto packet.Protocol, transport []byte) ([]byte, error) {
 	s.seq++
-	return s.group.Seal(s.sender, dst, origProto, transport, s.seq)
+	return s.group.Seal(dst, s.sender, recipient, origProto, transport, s.seq)
 }
 
 // ReplayWindow is a 64-entry sliding anti-replay window, as in IPsec.

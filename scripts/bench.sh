@@ -27,7 +27,11 @@
 # BenchmarkRxPathStateful plus BenchmarkConntrack's lookup variants
 # hold the conntrack-enabled ingress there too, and
 # BenchmarkKernelQueue holds the pooled event path at 0 allocs/op at
-# the queue depths a flood keeps pending).
+# the queue depths a flood keeps pending; on the receiving host,
+# BenchmarkTCPUnmarshal holds the decoders at 0 allocs/op and
+# BenchmarkHostReceive holds Host.receive of a UDP datagram to a bound
+# socket there too, while BenchmarkSeal and BenchmarkOpen, which seal
+# and open into a reused buffer, allocate only the CTR keystream).
 # Benchmarks present on only one side are reported but never fail the
 # gate, so adding or renaming a benchmark doesn't break CI.
 #
@@ -54,7 +58,7 @@ out="${1:-BENCH_baseline.json}"
 if [ -n "$baseline" ] && [ "$#" -eq 0 ]; then
   out="$(mktemp --suffix .json)"
 fi
-pkgs="./internal/nic ./internal/nic/conntrack ./internal/fw ./internal/fw/sem ./internal/sim ./internal/packet ./internal/measure ./internal/telemetry ./internal/vpg"
+pkgs="./internal/nic ./internal/nic/conntrack ./internal/fw ./internal/fw/sem ./internal/sim ./internal/packet ./internal/measure ./internal/stack ./internal/telemetry ./internal/vpg"
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
