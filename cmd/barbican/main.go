@@ -4,9 +4,13 @@
 //
 // Usage:
 //
-//	barbican [flags] fig2|fig3a|fig3b|fig2ng|fig3ng|table1|ablations|detect|stateflood|fleet-health|all
+//	barbican [flags] EXPERIMENT|all
 //	barbican explain [flags]
 //	barbican profile [flags] FILE [FILE]
+//
+// barbican -h lists the experiment names. all runs every experiment
+// except report, which reruns the paper's figures and tables as one
+// markdown document.
 //
 // Flags:
 //
@@ -67,6 +71,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"barbican/internal/experiment"
@@ -98,7 +103,11 @@ func run(args []string) error {
 	faultSpec := fs.String("faults", "", `custom management-channel fault plan for the chaos experiments, e.g. "loss=0.2,down=1s-2.5s" (replaces the default condition sweep)`)
 	faultSeed := fs.Int64("fault-seed", 0, "fault-injector seed (0 = derive from the simulation seed)")
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: barbican [flags] fig2|fig3a|fig3b|fig2ng|fig3ng|table1|ablations|timeline|ext1|ext2|ext3|rfc2544|latency|chaos|detect|stateflood|fleet-health|report|all")
+		var names []string
+		for _, e := range experiment.Experiments() {
+			names = append(names, e.Name)
+		}
+		fmt.Fprintf(fs.Output(), "usage: barbican [flags] %s|all\n", strings.Join(names, "|"))
 		fmt.Fprintln(fs.Output(), "       barbican explain [flags]  (replay one packet against a rule set)")
 		fmt.Fprintln(fs.Output(), "       barbican profile [flags] FILE [FILE]  (summarize or diff profiles)")
 		fs.PrintDefaults()
@@ -125,55 +134,28 @@ func run(args []string) error {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	type runner struct {
-		name string
-		fn   func(experiment.Config) (string, error)
-	}
-	runners := []runner{
-		{name: "fig2", fn: renderFigure("fig2", experiment.Fig2)},
-		{name: "fig3a", fn: renderFigure("fig3a", experiment.Fig3a)},
-		{name: "fig3b", fn: renderFigure("fig3b", experiment.Fig3b)},
-		{name: "fig2ng", fn: renderFigure("fig2ng", experiment.Fig2NextGen)},
-		{name: "fig3ng", fn: renderFigure("fig3ng", experiment.Fig3NextGen)},
-		{name: "table1", fn: renderTable("table1", experiment.Table1)},
-		{name: "ablations", fn: renderAblations},
-		{name: "timeline", fn: renderFigure("timeline", experiment.FloodTimeline)},
-		{name: "ext1", fn: renderTable("ext1", experiment.ExtensionNextGen)},
-		{name: "ext2", fn: renderTable("ext2", experiment.ExtensionHTTPUnderFlood)},
-		{name: "ext3", fn: renderTable("ext3", experiment.ExtensionFragmentEvasion)},
-		{name: "rfc2544", fn: renderTable("rfc2544", experiment.AppendixRFC2544)},
-		{name: "latency", fn: renderTable("latency", experiment.AppendixLatency)},
-		{name: "chaos", fn: renderFamily("chaos-bandwidth", experiment.ChaosBandwidth,
-			namedTable{"chaos-convergence", experiment.ChaosConvergence})},
-		{name: "detect", fn: renderFamily("detect-latency", experiment.DetectionLatency,
-			namedTable{"detect-exposure", experiment.DetectionExposure},
-			namedTable{"detect-chaos", experiment.DetectionChaos},
-			namedTable{"detect-false-positives", experiment.DetectionFalsePositives})},
-		{name: "stateflood", fn: renderFamily("stateflood-curves", experiment.StatefloodCurves,
-			namedTable{"stateflood-thresholds", experiment.StatefloodThresholds},
-			namedTable{"stateflood-ack", experiment.StatefloodACK},
-			namedTable{"stateflood-recovery", experiment.StatefloodRecovery})},
-		{name: "fleet-health", fn: experiment.FleetHealth},
-		{name: "report", fn: experiment.Report},
-	}
-
 	want := fs.Arg(0)
-	ran := false
-	start := time.Now()
-	for _, r := range runners {
-		if want != r.name && (want != "all" || r.name == "report") {
-			continue
-		}
-		ran = true
-		out, err := r.fn(cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", r.name, err)
-		}
-		fmt.Println(out)
-	}
-	if !ran {
+	selected := experiment.Select(want)
+	if len(selected) == 0 {
 		fs.Usage()
 		return fmt.Errorf("unknown experiment %q", want)
+	}
+	start := time.Now()
+	for _, e := range selected {
+		var out []string
+		for _, p := range e.Parts {
+			res, err := p.Run(cfg)
+			if err != nil {
+				return fmt.Errorf("%s: %w", e.Name, err)
+			}
+			if cfg.MetricsDir != "" {
+				if err := res.WriteArtifacts(cfg.MetricsDir, p.Name); err != nil {
+					return fmt.Errorf("%s: %w", e.Name, err)
+				}
+			}
+			out = append(out, res.Render())
+		}
+		fmt.Println(strings.Join(out, "\n"))
 	}
 	elapsed := time.Since(start)
 	fmt.Println(acct.Summary(elapsed, workers))
@@ -185,75 +167,4 @@ func run(args []string) error {
 		}
 	}
 	return nil
-}
-
-func renderFigure(name string, fn func(experiment.Config) (*experiment.Figure, error)) func(experiment.Config) (string, error) {
-	return func(cfg experiment.Config) (string, error) {
-		fig, err := fn(cfg)
-		if err != nil {
-			return "", err
-		}
-		if cfg.MetricsDir != "" {
-			if err := experiment.WriteFigureArtifacts(cfg.MetricsDir, name, fig); err != nil {
-				return "", err
-			}
-		}
-		return fig.Render(), nil
-	}
-}
-
-func renderTable(name string, fn func(experiment.Config) (*experiment.Table, error)) func(experiment.Config) (string, error) {
-	return func(cfg experiment.Config) (string, error) {
-		t, err := fn(cfg)
-		if err != nil {
-			return "", err
-		}
-		if cfg.MetricsDir != "" {
-			if err := experiment.WriteTableArtifacts(cfg.MetricsDir, name, t); err != nil {
-				return "", err
-			}
-		}
-		return t.Render(), nil
-	}
-}
-
-// namedTable is one table of an experiment family with its artifact
-// name.
-type namedTable struct {
-	name string
-	fn   func(experiment.Config) (*experiment.Table, error)
-}
-
-// renderFamily renders a family's figure followed by its tables.
-func renderFamily(figName string, fig func(experiment.Config) (*experiment.Figure, error), tables ...namedTable) func(experiment.Config) (string, error) {
-	return func(cfg experiment.Config) (string, error) {
-		out, err := renderFigure(figName, fig)(cfg)
-		if err != nil {
-			return "", err
-		}
-		for _, t := range tables {
-			tab, err := renderTable(t.name, t.fn)(cfg)
-			if err != nil {
-				return "", err
-			}
-			out += "\n" + tab
-		}
-		return out, nil
-	}
-}
-
-func renderAblations(cfg experiment.Config) (string, error) {
-	var out string
-	for _, fn := range []func(experiment.Config) (*experiment.Table, error){
-		experiment.AblationDenyResponses,
-		experiment.AblationVPGLazyDecrypt,
-		experiment.AblationTrailingRules,
-	} {
-		t, err := fn(cfg)
-		if err != nil {
-			return "", err
-		}
-		out += t.Render() + "\n"
-	}
-	return out, nil
 }

@@ -67,11 +67,6 @@ func (d Device) String() string {
 	}
 }
 
-// Devices returns all devices, in presentation order.
-func Devices() []Device {
-	return []Device{DeviceStandard, DeviceIPTables, DeviceEFW, DeviceADF, DeviceADFVPG}
-}
-
 // Well-known testbed addresses.
 var (
 	PolicyServerIP = packet.MustIP("10.0.0.10")

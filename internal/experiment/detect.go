@@ -368,7 +368,7 @@ func FleetHealth(cfg Config) (string, error) {
 
 	if cfg.MetricsDir != "" {
 		dir := cfg.MetricsDir + "/fleet-health"
-		if err := WriteTableArtifacts(dir, "fleet", fleet); err != nil {
+		if err := fleet.WriteArtifacts(dir, "fleet"); err != nil {
 			return "", err
 		}
 		if err := WriteAlertTimeline(dir, "target", p.Timeline); err != nil {

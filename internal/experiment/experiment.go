@@ -49,35 +49,20 @@ func (f *Figure) Render() string {
 	fmt.Fprintf(&b, "%s\n", f.Title)
 	fmt.Fprintf(&b, "%s vs %s\n\n", f.YLabel, f.XLabel)
 
-	// Collect the union of x values across series, in ascending order.
-	var xs []float64
-	seen := make(map[float64]bool)
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			if !seen[p.X] {
-				seen[p.X] = true
-				xs = append(xs, p.X)
-			}
-		}
-	}
-	sort.Float64s(xs)
-
 	fmt.Fprintf(&b, "%12s", f.XLabel)
 	for _, s := range f.Series {
 		fmt.Fprintf(&b, "  %16s", s.Label)
 	}
 	b.WriteByte('\n')
-	for _, x := range xs {
+	xs, cells := f.grid()
+	for i, x := range xs {
 		fmt.Fprintf(&b, "%12s", formatX(x))
-		for _, s := range f.Series {
+		for _, p := range cells[i] {
 			cell := ""
-			for _, p := range s.Points {
-				if p.X == x {
-					cell = fmt.Sprintf("%.1f", p.Y)
-					if p.Note != "" {
-						cell += " " + p.Note
-					}
-					break
+			if p != nil {
+				cell = fmt.Sprintf("%.1f", p.Y)
+				if p.Note != "" {
+					cell += " " + p.Note
 				}
 			}
 			fmt.Fprintf(&b, "  %16s", cell)
@@ -85,6 +70,39 @@ func (f *Figure) Render() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// grid lays the figure out as rows: xs is the union of every series'
+// x values in ascending order, and cells[i][j] is series j's point at
+// xs[i], or nil where that series has no point there (its first point
+// at an x wins).
+func (f *Figure) grid() (xs []float64, cells [][]*Point) {
+	row := make(map[float64]int)
+	for _, s := range f.Series {
+		for _, p := range s.Points {
+			if _, ok := row[p.X]; !ok {
+				row[p.X] = 0
+				xs = append(xs, p.X)
+			}
+		}
+	}
+	sort.Float64s(xs)
+	for i, x := range xs {
+		row[x] = i
+	}
+	cells = make([][]*Point, len(xs))
+	for i := range cells {
+		cells[i] = make([]*Point, len(f.Series))
+	}
+	for j, s := range f.Series {
+		for k := range s.Points {
+			p := &s.Points[k]
+			if i, ok := row[p.X]; ok && cells[i][j] == nil {
+				cells[i][j] = p
+			}
+		}
+	}
+	return xs, cells
 }
 
 // Table is a rendered result table.

@@ -163,6 +163,37 @@ func TestMarkdownRenderers(t *testing.T) {
 	if strings.Index(md, "| 1 |") > strings.Index(md, "| 2 |") {
 		t.Error("x values not sorted in markdown")
 	}
+
+	// Render and Markdown lay out the same grid: unsorted x values come
+	// out ascending in both, and a series missing a point leaves an
+	// empty cell rather than shifting the row.
+	fig = &Figure{
+		Title: "G", XLabel: "x", YLabel: "y",
+		Series: []Series{
+			{Label: "a", Points: []Point{{X: 8, Y: 1}, {X: 0.5, Y: 2}, {X: 2, Y: 3}}},
+			{Label: "b", Points: []Point{{X: 2, Y: 4}, {X: 8, Y: 5}}},
+		},
+	}
+	var textRows, mdRows []string
+	for _, line := range strings.Split(fig.Render(), "\n")[4:] {
+		if f := strings.Fields(line); len(f) > 0 {
+			textRows = append(textRows, strings.Join(f, " "))
+		}
+	}
+	for _, line := range strings.Split(fig.Markdown(), "\n")[4:] {
+		if f := strings.Fields(strings.ReplaceAll(line, "|", " ")); len(f) > 0 {
+			mdRows = append(mdRows, strings.Join(f, " "))
+		}
+	}
+	wantText := []string{"0.5 2.0", "2 3.0 4.0", "8 1.0 5.0"}
+	wantMD := []string{"0.5 2.0 —", "2 3.0 4.0", "8 1.0 5.0"}
+	if strings.Join(textRows, ";") != strings.Join(wantText, ";") {
+		t.Errorf("Render rows = %q, want %q", textRows, wantText)
+	}
+	if strings.Join(mdRows, ";") != strings.Join(wantMD, ";") {
+		t.Errorf("Markdown rows = %q, want %q", mdRows, wantMD)
+	}
+
 	tab := &Table{Title: "T", Columns: []string{"a", "b"}, Rows: [][]string{{"1", "2"}}}
 	if !strings.Contains(tab.Markdown(), "| a | b |") {
 		t.Errorf("table markdown:\n%s", tab.Markdown())

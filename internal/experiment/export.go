@@ -216,13 +216,13 @@ func (t *Table) WriteJSON(w io.Writer) error {
 	return enc.Encode(t)
 }
 
-// WriteFigureArtifacts writes <dir>/<name>.figure.{csv,json}.
-func WriteFigureArtifacts(dir, name string, f *Figure) error {
+// WriteArtifacts writes <dir>/<name>.figure.{csv,json}.
+func (f *Figure) WriteArtifacts(dir, name string) error {
 	return writeArtifactPair(dir, name+".figure", f.WriteCSV, f.WriteJSON)
 }
 
-// WriteTableArtifacts writes <dir>/<name>.table.{csv,json}.
-func WriteTableArtifacts(dir, name string, t *Table) error {
+// WriteArtifacts writes <dir>/<name>.table.{csv,json}.
+func (t *Table) WriteArtifacts(dir, name string) error {
 	return writeArtifactPair(dir, name+".table", t.WriteCSV, t.WriteJSON)
 }
 

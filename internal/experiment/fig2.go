@@ -8,38 +8,71 @@ import (
 	"barbican/internal/runner"
 )
 
-// Fig2Depths are the rule-set depths of Figure 2's x axis.
-var Fig2Depths = []int{1, 2, 4, 8, 16, 24, 32, 48, 64}
-
-// Fig2VPGDepths are the VPG counts of Figure 2's VPG series.
-var Fig2VPGDepths = []int{1, 2, 3, 4}
+// depthSeries is one curve of a bandwidth-vs-depth figure: a device and
+// the rule-set depths it is measured at.
+type depthSeries struct {
+	dev    core.Device
+	depths []int
+}
 
 // Fig2 reproduces Figure 2: available bandwidth as rules are added to
-// the rule-set, for the EFW, ADF, ADF with VPGs, and iptables. Every
-// (device, depth) point is independent, so the sweep fans out over the
-// executor; points land back in their series in declaration order.
+// the rule-set, for the EFW, ADF, ADF with VPGs, and iptables. The VPG
+// series counts VPGs rather than rules, so it has its own depth list.
 func Fig2(cfg Config) (*Figure, error) {
-	depths := Fig2Depths
-	vpgDepths := Fig2VPGDepths
+	depths := []int{1, 2, 4, 8, 16, 24, 32, 48, 64}
+	vpgDepths := []int{1, 2, 3, 4}
 	if cfg.Quick {
 		depths = []int{1, 16, 64}
 		vpgDepths = []int{1, 4}
 	}
+	return bandwidthVsDepth(cfg, "fig2",
+		"Figure 2: Available Bandwidth as Rules Are Added to the Rule-Set",
+		[]depthSeries{
+			{core.DeviceEFW, depths},
+			{core.DeviceADF, depths},
+			{core.DeviceIPTables, depths},
+			{core.DeviceADFVPG, vpgDepths},
+		})
+}
 
-	devs := []core.Device{core.DeviceEFW, core.DeviceADF, core.DeviceIPTables}
+// Fig2NextGen reruns the Figure 2 bandwidth-vs-depth sweep with the
+// NextGen profile alongside EFW and ADF. The headline: the linear cards'
+// depth cliff goes flat — NextGen's per-packet cost is a compiled lookup
+// (or a cache hit), so available bandwidth stays at wire speed at any
+// rule-set depth.
+func Fig2NextGen(cfg Config) (*Figure, error) {
+	// The x axis extends past the paper's 64 rules: the compiled
+	// matcher's claim is depth independence, so the sweep keeps doubling
+	// until a linear card's walk dominates its cost entirely.
+	depths := []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
+	if cfg.Quick {
+		depths = []int{1, 64, 512}
+	}
+	return bandwidthVsDepth(cfg, "fig2ng",
+		"Figure 2 (NextGen): Available Bandwidth vs Rule-Set Depth, Compiled Matcher",
+		[]depthSeries{
+			{core.DeviceEFW, depths},
+			{core.DeviceADF, depths},
+			{core.DeviceNextGen, depths},
+		})
+}
+
+// bandwidthVsDepth measures available bandwidth at every (device, depth)
+// point of series, one series per device. Every point is independent,
+// so the sweep fans out over the executor; points land back in their
+// series in declaration order. exp names the per-run artifacts
+// (<exp>/<device>_depth-<d>) and the merged cost profile.
+func bandwidthVsDepth(cfg Config, exp, title string, series []depthSeries) (*Figure, error) {
 	type task struct {
 		series int
 		dev    core.Device
 		depth  int
 	}
 	var tasks []task
-	for si, dev := range devs {
-		for _, d := range depths {
-			tasks = append(tasks, task{series: si, dev: dev, depth: d})
+	for si, s := range series {
+		for _, d := range s.depths {
+			tasks = append(tasks, task{series: si, dev: s.dev, depth: d})
 		}
-	}
-	for _, d := range vpgDepths {
-		tasks = append(tasks, task{series: len(devs), dev: core.DeviceADFVPG, depth: d})
 	}
 
 	// Each point carries its cost profile back so the experiment-level
@@ -52,7 +85,7 @@ func Fig2(cfg Config) (*Figure, error) {
 	results, err := runner.Map(cfg.pool(), len(tasks), func(i int) (result, error) {
 		t := tasks[i]
 		label := fmt.Sprintf("%s_depth-%d", t.dev, t.depth)
-		p, err := bandwidthRuns.point(cfg, "fig2", label, core.Scenario{
+		p, err := bandwidthRuns.point(cfg, exp, label, core.Scenario{
 			Device: t.dev, Depth: t.depth,
 			Duration: cfg.bandwidthDuration(), Seed: cfg.Seed,
 		})
@@ -71,20 +104,19 @@ func Fig2(cfg Config) (*Figure, error) {
 				parts = append(parts, r.prof)
 			}
 		}
-		if err := writeMergedCostProfile(cfg, "fig2", parts); err != nil {
+		if err := writeMergedCostProfile(cfg, exp, parts); err != nil {
 			return nil, err
 		}
 	}
 
 	fig := &Figure{
-		Title:  "Figure 2: Available Bandwidth as Rules Are Added to the Rule-Set",
+		Title:  title,
 		XLabel: "rules traversed",
 		YLabel: "available bandwidth (Mbps)",
 	}
-	for _, dev := range devs {
-		fig.Series = append(fig.Series, Series{Label: dev.String()})
+	for _, s := range series {
+		fig.Series = append(fig.Series, Series{Label: s.dev.String()})
 	}
-	fig.Series = append(fig.Series, Series{Label: core.DeviceADFVPG.String()})
 	for i, t := range tasks {
 		s := &fig.Series[t.series]
 		s.Points = append(s.Points, results[i].point)

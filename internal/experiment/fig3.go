@@ -7,15 +7,12 @@ import (
 	"barbican/internal/runner"
 )
 
-// Fig3aRates are the flood rates of Figure 3(a)'s x axis.
-var Fig3aRates = []float64{0, 2000, 4000, 6000, 8000, 10000, 12500}
-
 // Fig3a reproduces Figure 3(a): available bandwidth during a packet
 // flood with a single-rule rule-set, for no firewall, iptables, EFW,
 // ADF, and ADF with a VPG. Every (device, rate) point is independent
 // and fans out over the executor.
 func Fig3a(cfg Config) (*Figure, error) {
-	rates := Fig3aRates
+	rates := []float64{0, 2000, 4000, 6000, 8000, 10000, 12500}
 	if cfg.Quick {
 		rates = []float64{0, 8000, 12500}
 	}
@@ -82,17 +79,15 @@ func Fig3a(cfg Config) (*Figure, error) {
 	return fig, nil
 }
 
-// Fig3bDepths are the rule depths of Figure 3(b)'s x axis.
-var Fig3bDepths = []int{1, 8, 16, 32, 64}
-
-// Fig3bClass names one series of Figure 3(b).
-type Fig3bClass struct {
+// floodClass names one series of a minimum-DoS-rate figure: a device
+// and whether the policy allows or denies the flood.
+type floodClass struct {
 	Device  core.Device
 	Allowed bool
 }
 
 // Label renders the class as the paper labels it.
-func (c Fig3bClass) Label() string {
+func (c floodClass) Label() string {
 	mode := "Deny"
 	if c.Allowed {
 		mode = "Allow"
@@ -100,37 +95,69 @@ func (c Fig3bClass) Label() string {
 	return fmt.Sprintf("%s (%s)", c.Device, mode)
 }
 
-// Fig3bClasses are the paper's series: the EFW (Deny) series is included
-// so the run documents the lockup that prevented the authors from
-// capturing it.
-var Fig3bClasses = []Fig3bClass{
-	{Device: core.DeviceEFW, Allowed: true},
-	{Device: core.DeviceADF, Allowed: true},
-	{Device: core.DeviceADF, Allowed: false},
-	{Device: core.DeviceEFW, Allowed: false},
-}
-
 // Fig3b reproduces Figure 3(b): the minimum flood rate required to cause
 // denial of service as rule-set depth increases, with the flood packets
 // allowed or denied by the policy.
-//
-// Each class (device × allow/deny) is one executor task; within a
-// class, depths run sequentially so each search warm-starts from the
-// neighboring depth's threshold — adjacent depths have nearby DoS
-// rates, so galloping out from the previous answer replaces the full
-// cold bracket. Keeping the warm-start chain inside one task means the
-// probe sequence is identical at any worker count.
 func Fig3b(cfg Config) (*Figure, error) {
-	depths := Fig3bDepths
-	classes := Fig3bClasses
+	depths := []int{1, 8, 16, 32, 64}
+	// The paper's series: the EFW (Deny) series is included so the run
+	// documents the lockup that prevented the authors from capturing it.
+	classes := []floodClass{
+		{Device: core.DeviceEFW, Allowed: true},
+		{Device: core.DeviceADF, Allowed: true},
+		{Device: core.DeviceADF, Allowed: false},
+		{Device: core.DeviceEFW, Allowed: false},
+	}
 	if cfg.Quick {
 		depths = []int{1, 64}
-		classes = []Fig3bClass{
+		classes = []floodClass{
 			{Device: core.DeviceEFW, Allowed: true},
 			{Device: core.DeviceADF, Allowed: false},
 		}
 	}
+	return minFloodRateVsDepth(cfg,
+		"Figure 3(b): Minimum Denial-of-Service Flood Rate vs Rule-Set Depth",
+		depths, classes)
+}
 
+// Fig3NextGen reruns the Figure 3(b) minimum-DoS-flood-rate sweep with
+// the NextGen card alongside EFW and ADF. The linear cards' tolerance
+// decays with depth (each flood packet walks the whole rule-set); the
+// NextGen card's per-packet cost is flat and low enough that no rate
+// within the search bounds causes denial of service — those points carry
+// the "no DoS found" note instead of a rate.
+func Fig3NextGen(cfg Config) (*Figure, error) {
+	depths := []int{1, 8, 16, 32, 64, 128, 256, 512}
+	// Flood tolerance is compared on the paper's Allow class — the one
+	// the authors could measure without wedging cards — across the two
+	// linear cards and the compiled NextGen card.
+	classes := []floodClass{
+		{Device: core.DeviceEFW, Allowed: true},
+		{Device: core.DeviceADF, Allowed: true},
+		{Device: core.DeviceNextGen, Allowed: true},
+	}
+	if cfg.Quick {
+		depths = []int{1, 512}
+		classes = []floodClass{
+			{Device: core.DeviceEFW, Allowed: true},
+			{Device: core.DeviceNextGen, Allowed: true},
+		}
+	}
+	return minFloodRateVsDepth(cfg,
+		"Figure 3(b) (NextGen): Minimum DoS Flood Rate vs Rule-Set Depth, Compiled Matcher",
+		depths, classes)
+}
+
+// minFloodRateVsDepth searches the minimum DoS flood rate of every class
+// at every depth, one series per class.
+//
+// Each class is one executor task; within a class, depths run
+// sequentially so each search warm-starts from the neighboring depth's
+// threshold — adjacent depths have nearby DoS rates, so galloping out
+// from the previous answer replaces the full cold bracket. Keeping the
+// warm-start chain inside one task means the probe sequence is
+// identical at any worker count.
+func minFloodRateVsDepth(cfg Config, title string, depths []int, classes []floodClass) (*Figure, error) {
 	series, err := runner.Map(cfg.pool(), len(classes), func(ci int) (Series, error) {
 		class := classes[ci]
 		s := Series{Label: class.Label()}
@@ -165,11 +192,10 @@ func Fig3b(cfg Config) (*Figure, error) {
 		return nil, err
 	}
 
-	fig := &Figure{
-		Title:  "Figure 3(b): Minimum Denial-of-Service Flood Rate vs Rule-Set Depth",
+	return &Figure{
+		Title:  title,
 		XLabel: "rules traversed before action",
 		YLabel: "minimum flood rate (packets/s)",
 		Series: series,
-	}
-	return fig, nil
+	}, nil
 }

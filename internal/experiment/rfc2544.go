@@ -89,7 +89,9 @@ func AppendixRFC2544(cfg Config) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	t.Rows = append(t.Rows, []string{"(* = line rate)", "", "", ""})
+	footer := make([]string, len(t.Columns))
+	footer[0] = "(* = line rate)"
+	t.Rows = append(t.Rows, footer)
 	return t, nil
 }
 

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"bytes"
+	"encoding/csv"
 	"strings"
 	"testing"
 	"time"
@@ -76,6 +78,20 @@ func TestAppendixRFC2544Table(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
+	}
+	// Every row, the footer included, has one cell per column, so the
+	// CSV export parses at any table width.
+	for i, row := range tab.Rows {
+		if len(row) != len(tab.Columns) {
+			t.Errorf("row %d has %d cells, want %d: %q", i, len(row), len(tab.Columns), row)
+		}
+	}
+	var buf bytes.Buffer
+	if err := tab.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := csv.NewReader(&buf).ReadAll(); err != nil {
+		t.Errorf("rfc2544 CSV does not parse: %v", err)
 	}
 }
 

@@ -7,19 +7,13 @@ import (
 	"barbican/internal/runner"
 )
 
-// Table1Depths are the standard-rule depths of Table 1's columns.
-var Table1Depths = []int{1, 8, 16, 32, 64}
-
-// Table1VPGDepths are the VPG counts of Table 1's VPG columns.
-var Table1VPGDepths = []int{1, 2, 3, 4}
-
 // Table1 reproduces Table 1: HTTP performance of an Apache-style
 // webserver protected by an ADF, against a standard NIC baseline, with
 // standard rules at increasing depths and with VPG rules. Each column
 // is one independent HTTP load run and fans out over the executor.
 func Table1(cfg Config) (*Table, error) {
-	depths := Table1Depths
-	vpgDepths := Table1VPGDepths
+	depths := []int{1, 8, 16, 32, 64} // standard-rule depths
+	vpgDepths := []int{1, 2, 3, 4}    // VPG counts
 	if cfg.Quick {
 		depths = []int{1, 64}
 		vpgDepths = []int{1}

@@ -8,15 +8,15 @@ import (
 	"barbican/internal/runner"
 )
 
-// FloodTimelineRate is the flood rate of the timeline experiment — the
+// floodTimelineRate is the flood rate of the timeline experiment — the
 // paper's maximum Figure 3(a) rate, at which every filtering card's
 // available bandwidth collapsed to zero.
-const FloodTimelineRate = 12500
+const floodTimelineRate = 12500
 
 // FloodTimeline renders Figure 3(a)'s central finding as a time series
 // instead of a single endpoint scalar: available bandwidth is measured
-// continuously while a 12,500 packets/s flood switches on mid-run (and,
-// for the quick variant, off again before the end). The instantaneous
+// continuously while a 12,500 packets/s flood switches on a quarter of
+// the way into the run and off again at three quarters. The instantaneous
 // goodput and target-card drop-rate series come straight from the
 // flight recorder; the per-run artifacts Config selects (telemetry,
 // traces, profiles) are written alongside. Each device's run is one executor
@@ -29,7 +29,7 @@ func FloodTimeline(cfg Config) (*Figure, error) {
 
 	fig := &Figure{
 		Title: fmt.Sprintf("Flood timeline: goodput during a %d pps flood (on at %.1fs, off at %.1fs)",
-			FloodTimelineRate, floodStart.Seconds(), floodStop.Seconds()),
+			floodTimelineRate, floodStart.Seconds(), floodStop.Seconds()),
 		XLabel: "time (s)",
 		YLabel: "goodput (Mbps) / drops (kpps)",
 	}
@@ -47,7 +47,7 @@ func FloodTimeline(cfg Config) (*Figure, error) {
 		}
 		_, inst, err := bandwidthRuns.observe(cfg, "timeline", dev.String(), core.Scenario{
 			Device: dev, Depth: depth,
-			FloodRatePPS: FloodTimelineRate, FloodAllowed: true,
+			FloodRatePPS: floodTimelineRate, FloodAllowed: true,
 			FloodStart: floodStart, FloodStop: floodStop,
 			Duration: duration, Seed: cfg.Seed,
 		})
