@@ -49,6 +49,7 @@ import (
 	"barbican/internal/core"
 	"barbican/internal/experiment"
 	"barbican/internal/faults"
+	"barbican/internal/obs/tracing"
 	"barbican/internal/runner"
 	"barbican/internal/trace"
 )
@@ -201,8 +202,10 @@ func bandwidthReport(s core.Scenario, p core.BandwidthPoint) string {
 		out += "target card LOCKED UP during the flood\n"
 	}
 	st := p.TargetNIC
+	rxOverload := st.RxDrops[tracing.DropCPUExhausted] + st.RxDrops[tracing.DropQueueOverflow]
+	txOverload := st.TxDrops[tracing.DropCPUExhausted] + st.TxDrops[tracing.DropQueueOverflow]
 	out += fmt.Sprintf("target card: rx %d frames (%d allowed, %d denied, %d overload-dropped), tx %d (%d overload-dropped)\n",
-		st.RxFrames, st.RxAllowed, st.RxDenied, st.RxOverloadDrops, st.TxAllowed, st.TxOverloadDrops)
+		st.RxFrames, st.RxAllowed, st.RxDrops[tracing.DropRuleDeny], rxOverload, st.TxAllowed, txOverload)
 	return out
 }
 

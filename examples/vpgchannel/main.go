@@ -11,6 +11,7 @@ import (
 
 	"barbican/internal/core"
 	"barbican/internal/fw"
+	"barbican/internal/obs/tracing"
 	"barbican/internal/packet"
 	"barbican/internal/vpg"
 )
@@ -70,7 +71,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("attacker cleartext injection: %d denied at the target card\n",
-		tb.Target.NIC().Stats().RxDenied)
+		tb.Target.NIC().Stats().RxDrops[tracing.DropRuleDeny])
 
 	// The attacker forges a sealed envelope with a guessed key: the
 	// card's HMAC check rejects it.
@@ -88,6 +89,6 @@ func run() error {
 		return err
 	}
 	fmt.Printf("forged envelope: %d authentication failures at the target card\n",
-		tb.Target.NIC().Stats().RxAuthFailures)
+		tb.Target.NIC().Stats().RxDrops[tracing.DropAuthFail])
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"barbican/internal/measure"
 	"barbican/internal/nic"
 	"barbican/internal/nic/conntrack"
+	"barbican/internal/obs/tracing"
 )
 
 func TestStatefulRuleSetShape(t *testing.T) {
@@ -91,7 +92,7 @@ func TestStatefloodACKProfile(t *testing.T) {
 	if p.DoSed() {
 		t.Errorf("ACK flood @8000pps DoSed the session (ratio %.2f)", p.SessionRatio())
 	}
-	if p.TargetNIC.RxNoStateDrops == 0 {
+	if p.TargetNIC.RxDrops[tracing.DropNoState] == 0 {
 		t.Error("ACK flood produced no no-state drops")
 	}
 	if p.CTEntries > 2 {

@@ -8,6 +8,7 @@ import (
 	"barbican/internal/measure"
 	"barbican/internal/nic"
 	"barbican/internal/nic/conntrack"
+	"barbican/internal/obs/tracing"
 	"barbican/internal/runner"
 )
 
@@ -201,7 +202,7 @@ func StatefloodACK(cfg Config) (*Table, error) {
 		return []string{
 			fmt.Sprintf("%.0f", rates[i]),
 			fmt.Sprintf("%.2f", p.SessionRatio()),
-			fmt.Sprintf("%d", p.TargetNIC.RxNoStateDrops),
+			fmt.Sprintf("%d", p.TargetNIC.RxDrops[tracing.DropNoState]),
 			fmt.Sprintf("%d", p.CTEntries),
 			fmt.Sprintf("%d", p.Conntrack.Created),
 			note,

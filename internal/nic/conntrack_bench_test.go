@@ -5,6 +5,7 @@ import (
 
 	"barbican/internal/fw"
 	"barbican/internal/link"
+	"barbican/internal/obs/tracing"
 	"barbican/internal/packet"
 	"barbican/internal/sim"
 )
@@ -60,7 +61,7 @@ func benchRxStateful(b *testing.B, invalid bool) {
 	}
 	b.StopTimer()
 	if invalid {
-		if got := n.Stats().RxNoStateDrops - base.RxNoStateDrops; got != uint64(b.N) {
+		if got := n.Stats().RxDrops[tracing.DropNoState] - base.RxDrops[tracing.DropNoState]; got != uint64(b.N) {
 			b.Fatalf("no-state drops = %d, want %d", got, b.N)
 		}
 		return

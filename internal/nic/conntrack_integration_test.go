@@ -68,7 +68,7 @@ func TestStatefulInvalidHardDrop(t *testing.T) {
 		t.Fatal("untracked ACK was delivered")
 	}
 	st := b.Stats()
-	if st.RxNoStateDrops != 1 || st.RxDenied != 0 {
+	if st.RxDrops[tracing.DropNoState] != 1 || st.RxDrops[tracing.DropRuleDeny] != 0 {
 		t.Errorf("stats = %+v, want one no-state drop and zero rule denies", st)
 	}
 	rx, _ := b.DropCounts()
@@ -128,12 +128,12 @@ func TestStatefulHandshakeAndStateKeyedCache(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	pre := b.Stats().RxNoStateDrops
+	pre := b.Stats().RxDrops[tracing.DropNoState]
 	a.Send(tcpDgram(ipA, ipB, 41000, 2000, packet.FlagACK|packet.FlagPSH), macB)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Stats().RxNoStateDrops - pre; got != 1 {
+	if got := b.Stats().RxDrops[tracing.DropNoState] - pre; got != 1 {
 		t.Errorf("post-RST data: no-state drops = %d, want 1 (stale cached verdict replayed?)", got)
 	}
 	if delivered != base+1 { // the RST itself was delivered; the data was not
@@ -168,7 +168,7 @@ func TestStateTableFullPosture(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := b.Stats()
-	if st.RxStateFullDrops != 1 || st.StateUntrackedPass != 0 {
+	if st.RxDrops[tracing.DropStateTableFull] != 1 || st.StateUntrackedPass != 0 {
 		t.Errorf("closed posture: stats = %+v, want 1 state-full drop", st)
 	}
 	rx, _ := b.DropCounts()
@@ -240,7 +240,7 @@ func TestStatelessProfileWithStatefulPolicy(t *testing.T) {
 	if delivered != 0 {
 		t.Error("stateless card matched a stateful rule")
 	}
-	if st := b.Stats(); st.RxDenied != 1 || st.RxNoStateDrops != 0 {
+	if st := b.Stats(); st.RxDrops[tracing.DropRuleDeny] != 1 || st.RxDrops[tracing.DropNoState] != 0 {
 		t.Errorf("stats = %+v, want a plain rule deny", st)
 	}
 	if b.Conntrack() != nil {

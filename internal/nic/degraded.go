@@ -5,7 +5,6 @@ import (
 
 	"barbican/internal/fw"
 	"barbican/internal/obs/tracing"
-	"barbican/internal/packet"
 )
 
 // FailMode selects what a card does with traffic while its policy
@@ -297,53 +296,28 @@ func (n *NIC) recoverCheck() {
 	n.conntrackRecovered()
 }
 
-// degradedIngress applies the FailMode to one ingress frame while
-// degraded. It reports whether the frame was fully handled here;
-// false falls through to the normal path (fail-closed management
-// traffic, which must keep flowing for recovery pushes to land).
-func (n *NIC) degradedIngress(f *packet.Frame, s packet.Summary, tid uint64) bool {
+// degraded applies the FailMode to one packet in direction dir while
+// the card is degraded. handled=false sends the packet on to the policy
+// stage: fail-closed, the exempt management channel keeps flowing so
+// recovery pushes can land. Otherwise pass reports a fail-open bypass,
+// which the caller forwards unfiltered, and a fail-closed packet has
+// been dropped here.
+func (n *NIC) degraded(dir fw.Direction, exempt bool, tid uint64) (handled, pass bool) {
 	if n.failMode == FailModeOpen {
 		n.stats.DegradedPass++
-		n.stats.RxAllowed++
+		if dir == fw.In {
+			n.stats.RxAllowed++
+		} else {
+			n.stats.TxAllowed++
+		}
 		if tid != 0 {
-			n.tracer.Point(tid, tracing.StageNICRx, "degraded fail-open pass")
+			n.tracer.Point(tid, cardStage(dir), "degraded fail-open pass")
 		}
-		if n.deliver != nil {
-			n.deliver(f)
-		}
-		return true
-	}
-	if n.isManagement(s) {
-		return false
-	}
-	n.stats.RxDegradedDrops++
-	n.rxDrops[tracing.DropDegraded]++
-	if tid != 0 {
-		n.tracer.Drop(tid, tracing.StageNICRx, tracing.DropDegraded)
-	}
-	return true
-}
-
-// degradedEgress applies the FailMode to one egress datagram while
-// degraded; handled=false falls through to the normal path.
-func (n *NIC) degradedEgress(d *packet.Datagram, dstMAC packet.MAC, s packet.Summary, tid uint64) (handled, sent bool) {
-	if n.failMode == FailModeOpen {
-		n.stats.DegradedPass++
-		n.stats.TxAllowed++
-		frame := &packet.Frame{Dst: dstMAC, Src: n.mac, Type: packet.EtherTypeIPv4, Payload: d.Marshal(), TraceID: tid}
-		if tid != 0 {
-			n.tracer.Point(tid, tracing.StageNICTx, "degraded fail-open pass")
-		}
-		n.ep.Send(frame)
 		return true, true
 	}
-	if n.isManagement(s) {
+	if exempt {
 		return false, false
 	}
-	n.stats.TxDegradedDrops++
-	n.txDrops[tracing.DropDegraded]++
-	if tid != 0 {
-		n.tracer.Drop(tid, tracing.StageNICTx, tracing.DropDegraded)
-	}
+	n.drop(dir, cardStage(dir), tracing.DropDegraded, tid)
 	return true, false
 }

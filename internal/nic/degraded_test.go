@@ -67,7 +67,7 @@ func TestInterruptedUpdateFailClosed(t *testing.T) {
 		t.Fatalf("fail-closed degraded card delivered %d frames", delivered)
 	}
 	st := b.Stats()
-	if st.RxDegradedDrops != 1 || st.UpdatesAborted != 1 || st.DegradedEntries != 1 {
+	if st.RxDrops[tracing.DropDegraded] != 1 || st.UpdatesAborted != 1 || st.DegradedEntries != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	rx, _ := b.DropCounts()

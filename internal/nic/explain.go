@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"barbican/internal/fw"
+	"barbican/internal/link"
 	"barbican/internal/nic/conntrack"
 	"barbican/internal/packet"
+	"barbican/internal/sim"
 )
 
 // ProfileByName maps a CLI device name to its calibrated card profile,
@@ -147,9 +149,9 @@ type Explanation struct {
 
 	// Conntrack decision, filled only when a state-table profile
 	// evaluates a stateful policy (zero-valued otherwise, so stateless
-	// explain output is byte-unchanged). The replay seeds a scratch
-	// table with the assumed prior flow history, so age and transition
-	// are real table observations, not guesses.
+	// explain output is byte-unchanged). The replay seeds the scratch
+	// card's table with the assumed prior flow history, so age and
+	// transition are real table observations, not guesses.
 	Stateful     bool               // conntrack was consulted
 	ConnState    fw.ConnState       // classification the rules matched on
 	CTPrior      string             // assumed prior flow history ("none"|"new"|"established")
@@ -212,87 +214,61 @@ func seedPrior(ct *conntrack.Table, s packet.Summary, prior string) time.Duratio
 	return time.Second
 }
 
-// Explain replays one packet summary against a rule set (nil = no
-// policy) and predicts the per-stage processing cost on the profile.
-// prior is the assumed conntrack history of the subject flow: "none"
-// (or "") for an untracked flow, "new" for an unanswered opening
-// packet, "established" for a completed exchange. The history is
-// replayed into a scratch table and the rules are walked privately, so
-// no live card's table or counters are touched.
+// Explain decides one packet summary against a rule set (nil = no
+// policy) with the card's own policy stage and reports its verdict and
+// per-stage cost on the profile. prior is the assumed conntrack history
+// of the subject flow: "none" (or "") for an untracked flow, "new" for
+// an unanswered opening packet, "established" for a completed exchange.
+// The packet runs on a private scratch card holding a copy of the rule
+// set, with the history replayed into its table, so no live card, table
+// or rule counter is touched.
 func Explain(p Profile, rs *fw.RuleSet, s packet.Summary, dir fw.Direction, prior string) Explanation {
-	e := Explanation{Summary: s, Dir: dir, Profile: p, Action: fw.Allow}
-	cs := fw.StateNone
-	var ct *conntrack.Table
-	now := time.Duration(0)
-	if p.ConntrackEntries > 0 && rs != nil && rs.Stateful() && !s.Sealed {
-		e.Stateful = true
+	k := sim.NewKernel()
+	ep, _ := link.New(k, link.Config{})
+	n := New(k, packet.MAC{}, p, ep)
+	if rs != nil {
+		n.InstallRuleSet(fw.MustRuleSet(rs.Default(), rs.Rules()...))
+	}
+	var before conntrack.PeekInfo
+	found := false
+	if n.ct != nil {
 		if prior == "" {
 			prior = "none"
 		}
+		_ = k.RunUntil(seedPrior(n.ct, s, prior)) // no events: only the clock moves
+		before, found = n.ct.Peek(s, k.Now())
+	}
+	var d decision
+	n.policyStage(dir, &s, false, 0, &d)
+
+	e := Explanation{Summary: s, Dir: dir, Profile: p, Action: d.verdict.Action,
+		RuleIndex: d.verdict.Index, Traversed: d.verdict.Traversed}
+	if d.verdict.Rule != nil {
+		e.RuleText = d.verdict.Rule.String()
+	}
+	if d.cs != fw.StateNone {
+		e.Stateful = true
 		e.CTPrior = prior
-		ct = conntrack.New(conntrack.Config{Cap: 64, Seed: 1})
-		now = seedPrior(ct, s, prior)
-		if info, ok := ct.Peek(s, now); ok {
-			e.CTFound = true
-			e.CTAge = info.Age
-			e.CTBefore = info.TCP
-		}
-		cs = ct.Classify(s, now)
-		e.ConnState = cs
-		e.CTLookupCost = p.ConntrackLookupCost
-		if cs == fw.StateInvalid {
-			// The NIC fast path drops INVALID before the rules see it.
-			e.CTInvalid = true
+		e.ConnState = d.cs
+		e.CTLookupCost = d.lookup
+		e.CTInsertCost = d.insert
+		// The NIC fast path drops INVALID before the rules see it.
+		e.CTInvalid = d.cs == fw.StateInvalid
+		if e.CTInvalid {
 			e.Action = fw.Deny
 		}
-	}
-	if rs != nil && !e.CTInvalid {
-		// Walk the rules directly instead of calling Eval so live
-		// hit counters stay untouched.
-		matched := false
-		rs.Each(func(i int, r *fw.Rule) bool {
-			if r.MatchesState(s, dir, cs) {
-				e.Action = r.Action
-				e.RuleIndex = i
-				e.RuleText = r.String()
-				e.Traversed = i
-				matched = true
-				return false
-			}
-			return true
-		})
-		if !matched {
-			e.Action = rs.Default()
-			e.Traversed = rs.Len()
+		if found {
+			e.CTFound, e.CTAge, e.CTBefore = true, before.Age, before.TCP
 		}
-	}
-	if e.Stateful && !e.CTInvalid && e.Action == fw.Allow {
-		switch ct.Commit(s, now) {
-		case conntrack.CommitCreated, conntrack.CommitEvicted:
-			e.CTCreated = true
-			e.CTInsertCost = p.ConntrackInsertCost
-		case conntrack.CommitExisting, conntrack.CommitFull, conntrack.NumCommitStatuses:
+		if after, ok := n.ct.Peek(s, k.Now()); ok {
+			e.CTAfter = after.TCP
+			e.CTCreated = !found
 		}
-	}
-	if e.Stateful {
-		if info, ok := ct.Peek(s, now); ok {
-			e.CTAfter = info.TCP
-		}
-	}
-	cryptoBytes := 0
-	if s.Sealed && e.Action == fw.Allow && e.RuleIndex > 0 && rs.Rule(e.RuleIndex).IsVPG() {
-		cryptoBytes = s.IPLen
 	}
 	e.Compiled = p.CompiledMatch
 	e.FlowCache = p.FlowCacheSize > 0
 	e.CacheHitCost = p.CacheHitCost
-	path := MatchWalk
-	if rs == nil || e.CTInvalid {
-		// No match cost: no policy consulted, or conntrack dropped the
-		// packet before rule evaluation.
-		path = MatchNone
-	}
-	e.BaseCost, e.WalkCost, e.CryptoCost = p.CostPartsPath(path, e.Traversed, cryptoBytes)
+	e.BaseCost, e.WalkCost, e.CryptoCost = p.CostPartsPath(d.path, d.verdict.Traversed, d.cryptoBytes)
 	e.TotalCost = e.BaseCost + e.WalkCost + e.CryptoCost + e.CTLookupCost + e.CTInsertCost
 	e.ServiceTime = p.ServiceTime(e.TotalCost)
 	if p.CapacityUnits > 0 && e.TotalCost > 0 {
@@ -301,7 +277,7 @@ func Explain(p Profile, rs *fw.RuleSet, s packet.Summary, dir fw.Direction, prio
 	if e.FlowCache && rs != nil && !e.CTInvalid {
 		// Classification precedes the cache, so a hit still pays the
 		// lookup (the insert happened on the flow's first packet).
-		base, hit, crypto := p.CostPartsPath(MatchCacheHit, 0, cryptoBytes)
+		base, hit, crypto := p.CostPartsPath(MatchCacheHit, 0, d.cryptoBytes)
 		e.CachedTotalCost = base + hit + crypto + e.CTLookupCost
 		if p.CapacityUnits > 0 && e.CachedTotalCost > 0 {
 			e.CachedMaxPPS = p.CapacityUnits / e.CachedTotalCost

@@ -1,10 +1,14 @@
 package nic
 
 import (
+	"fmt"
 	"testing"
 
 	"barbican/internal/fw"
+	"barbican/internal/obs/tracing"
 	"barbican/internal/packet"
+	"barbican/internal/sim"
+	"barbican/internal/vpg"
 )
 
 // TestExplainCostMatchesCostPath: explain's predicted costs are the
@@ -73,5 +77,141 @@ func TestExplainCostMatchesCostPath(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestExplainMatchesCard sends one packet through a real card and holds
+// Explain to what the card did: the same verdict (the rule the card's
+// rule set counted a hit on), the same fate (the drop reason, or
+// delivery/transmission) and a TotalCost equal to the units the card's
+// processor was charged. It covers every CLI profile over a synthetic,
+// a stateful and a VPG policy, inbound, outbound and inbound sealed,
+// from every assumed conntrack history.
+func TestExplainMatchesCard(t *testing.T) {
+	peers := packet.MustPrefix("10.0.0.0/24")
+	policies := []struct {
+		name string
+		rs   func() *fw.RuleSet
+	}{
+		{"synthetic", func() *fw.RuleSet { return depth64Allow(t) }},
+		{"stateful", statefulRules},
+		{"vpg", func() *fw.RuleSet { return fw.MustRuleSet(fw.Deny, fw.VPGRulePair("psq", ipB, peers)...) }},
+	}
+	for _, device := range []string{"standard", "efw", "adf", "nextgen", "stateful"} {
+		p, err := ProfileByName(device)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pol := range policies {
+			for _, dir := range []string{"in", "out", "in-sealed"} {
+				for _, flags := range []packet.TCPFlags{packet.FlagSYN, packet.FlagACK} {
+					for _, prior := range []string{"none", "new", "established"} {
+						name := fmt.Sprintf("%s/%s/%s/%v/%s", device, pol.name, dir, flags, prior)
+						t.Run(name, func(t *testing.T) {
+							explainAgainstCard(t, p, pol.rs(), dir, flags, prior)
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+// explainAgainstCard runs one TestExplainMatchesCard case. The subject
+// card b (ipB) holds rs and the psq group; the packet arrives from, or
+// leaves for, ipA.
+func explainAgainstCard(t *testing.T, p Profile, rs *fw.RuleSet, dir string, flags packet.TCPFlags, prior string) {
+	k := sim.NewKernel()
+	_, b := pair(t, k, Standard(), p)
+	g, err := vpg.NewGroup("psq", vpg.DeriveKey("k"), ipA, ipB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.InstallGroup(g, ipB); err != nil {
+		t.Fatal(err)
+	}
+	b.InstallRuleSet(rs)
+	delivered := 0
+	b.SetDeliver(func(*packet.Frame) { delivered++ })
+
+	var (
+		s     packet.Summary
+		fdir  = fw.In
+		send  func() bool
+		drops func() [tracing.NumDropReasons]uint64
+	)
+	if dir == "out" {
+		d := tcpDgram(ipB, ipA, 2000, 40000, flags)
+		if s, err = packet.SummarizeDatagram(d); err != nil {
+			t.Fatal(err)
+		}
+		fdir = fw.Out
+		send = func() bool { return b.Send(d, macA) }
+		drops = func() [tracing.NumDropReasons]uint64 { _, tx := b.DropCounts(); return tx }
+	} else {
+		d := tcpDgram(ipA, ipB, 40000, 2000, flags)
+		f := &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: d.Marshal()}
+		if dir == "in-sealed" {
+			env, err := g.Seal(nil, ipA, ipB, packet.ProtoTCP, d.Payload, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outer := packet.NewDatagram(ipA, ipB, packet.ProtoVPGEncap, 1, env)
+			f = &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeVPG, Payload: outer.Marshal()}
+		}
+		if s, err = packet.Summarize(f); err != nil {
+			t.Fatal(err)
+		}
+		send = func() bool { b.handleFrame(f); return true }
+		drops = func() [tracing.NumDropReasons]uint64 { rx, _ := b.DropCounts(); return rx }
+	}
+
+	e := Explain(p, rs, s, fdir, prior)
+	if b.ct != nil {
+		if err := k.RunUntil(seedPrior(b.ct, s, prior)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	units := b.proc.UnitsDone()
+	sent := send()
+	if got := b.proc.UnitsDone() - units; got != e.TotalCost {
+		t.Errorf("card charged %v units, explain predicts %v\n%s", got, e.TotalCost, e.Render())
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	want := tracing.DropNone
+	switch {
+	case e.CTInvalid:
+		want = tracing.DropNoState
+	case e.Action == fw.Deny:
+		want = tracing.DropRuleDeny
+	}
+	got := tracing.DropNone
+	for r, n := range drops() {
+		if n > 0 {
+			got = tracing.DropReason(r)
+		}
+	}
+	if got != want {
+		t.Errorf("card dropped with %v, explain predicts %v\n%s", got, want, e.Render())
+	}
+	if passed := sent && (fdir == fw.Out || delivered == 1); passed != (want == tracing.DropNone) {
+		t.Errorf("card passed the packet: %v, explain predicts %v", passed, want == tracing.DropNone)
+	}
+
+	evals, perRule, defaults := rs.Stats()
+	switch {
+	case e.CTInvalid:
+		if evals != 0 {
+			t.Errorf("card evaluated the rules %d times for an INVALID packet", evals)
+		}
+	case e.RuleIndex > 0:
+		if evals != 1 || perRule[e.RuleIndex-1] != 1 {
+			t.Errorf("card matched %v, explain predicts rule %d", perRule, e.RuleIndex)
+		}
+	case evals != 1 || defaults != 1:
+		t.Errorf("card: %d evaluations, %d default hits; explain predicts the default action", evals, defaults)
 	}
 }

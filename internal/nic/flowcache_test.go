@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"barbican/internal/fw"
+	"barbican/internal/obs/tracing"
 	"barbican/internal/packet"
 	"barbican/internal/sim"
 )
@@ -156,8 +157,8 @@ func TestFlowCacheInvalidatedOnPolicyCommit(t *testing.T) {
 	if a.Send(d, macB) {
 		t.Fatal("send allowed after deny-all commit — stale cached verdict served")
 	}
-	if st := a.Stats(); st.TxDenied != 1 {
-		t.Errorf("TxDenied = %d, want 1", st.TxDenied)
+	if st := a.Stats(); st.TxDrops[tracing.DropRuleDeny] != 1 {
+		t.Errorf("tx rule-deny drops = %d, want 1", st.TxDrops[tracing.DropRuleDeny])
 	}
 	if st := a.FlowCacheStats(); st.Misses != 2 {
 		t.Errorf("misses = %d, want 2 (post-commit packet must re-evaluate)", st.Misses)
@@ -238,9 +239,9 @@ func TestNextGenEgressParityWithEFW(t *testing.T) {
 	}
 	efwStats, efwRS := run(EFW())
 	ngStats, ngRS := run(NextGen())
-	if efwStats.TxAllowed != ngStats.TxAllowed || efwStats.TxDenied != ngStats.TxDenied {
+	if efwStats.TxAllowed != ngStats.TxAllowed || efwStats.TxDrops[tracing.DropRuleDeny] != ngStats.TxDrops[tracing.DropRuleDeny] {
 		t.Errorf("verdict divergence: EFW tx=%d/%d, NextGen tx=%d/%d",
-			efwStats.TxAllowed, efwStats.TxDenied, ngStats.TxAllowed, ngStats.TxDenied)
+			efwStats.TxAllowed, efwStats.TxDrops[tracing.DropRuleDeny], ngStats.TxAllowed, ngStats.TxDrops[tracing.DropRuleDeny])
 	}
 	ev1, per1, def1 := efwRS.Stats()
 	ev2, per2, def2 := ngRS.Stats()

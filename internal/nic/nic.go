@@ -14,25 +14,19 @@ import (
 	"barbican/internal/vpg"
 )
 
-// Stats counts per-card activity.
+// Stats counts per-card activity. Every dropped packet is counted
+// exactly once, in RxDrops or TxDrops under its tracing.DropReason.
 type Stats struct {
-	RxFrames        uint64 // frames addressed to this card
-	RxAllowed       uint64
-	RxDenied        uint64
-	RxOverloadDrops uint64 // saturated processor
-	RxAuthFailures  uint64 // VPG open failures (tamper, non-member, wrong key)
-	RxReplayDrops   uint64
-	RxNoGroup       uint64 // sealed traffic for a group the card lacks
-	RxMalformed     uint64
-	RxLockedDrops   uint64
+	RxFrames   uint64 // frames addressed to this card
+	RxAllowed  uint64
+	TxRequests uint64
+	TxAllowed  uint64
 
-	TxRequests      uint64
-	TxAllowed       uint64
-	TxDenied        uint64
-	TxOverloadDrops uint64
-	TxOversize      uint64
-	TxNoGroup       uint64
-	TxLockedDrops   uint64
+	// Per-reason drop counters by direction, indexed by
+	// tracing.DropReason. The named series PublishMetrics exports
+	// (nic_rx_denied_total, ...) are sums over these.
+	RxDrops [tracing.NumDropReasons]uint64
+	TxDrops [tracing.NumDropReasons]uint64
 
 	Sealed  uint64
 	Opened  uint64
@@ -42,15 +36,9 @@ type Stats struct {
 	DegradedEntries uint64 // transitions into StateDegraded
 	WatchdogResets  uint64 // automatic recoveries to the committed rule set
 	UpdatesAborted  uint64 // policy updates declared interrupted
-	RxDegradedDrops uint64 // ingress frames dropped fail-closed
-	TxDegradedDrops uint64 // egress frames dropped fail-closed
 	DegradedPass    uint64 // frames passed unfiltered fail-open
 
-	// Conntrack activity (all zero on stateless profiles/policies).
-	RxNoStateDrops     uint64 // ingress ctstate-INVALID drops
-	TxNoStateDrops     uint64 // egress ctstate-INVALID drops
-	RxStateFullDrops   uint64 // ingress drops: table full, posture closed
-	TxStateFullDrops   uint64 // egress drops: table full, posture closed
+	// Conntrack activity (zero on stateless profiles/policies).
 	StateUntrackedPass uint64 // table full, FailModeOpen: admitted untracked
 }
 
@@ -118,13 +106,9 @@ type NIC struct {
 
 	stats Stats
 
-	// Always-on per-reason drop counters (one array index increment
-	// per drop; see internal/obs/tracing.DropReason) and the optional
-	// packet-lifecycle tracer (nil = disabled, the hot-path cost is a
-	// nil check).
-	rxDrops [tracing.NumDropReasons]uint64
-	txDrops [tracing.NumDropReasons]uint64
-	tracer  *tracing.Tracer
+	// Optional packet-lifecycle tracer (nil = disabled, the hot-path
+	// cost is a nil check).
+	tracer *tracing.Tracer
 
 	// Optional cost-domain profiler (nil = disabled, hot-path cost is
 	// a nil check). Recording happens on every successful processor
@@ -240,16 +224,40 @@ func (n *NIC) Profiler() *profile.CardProfiler { return n.prof }
 // DropCounts returns the per-reason ingress and egress drop counters,
 // indexed by tracing.DropReason.
 func (n *NIC) DropCounts() (rx, tx [tracing.NumDropReasons]uint64) {
-	return n.rxDrops, n.txDrops
+	return n.stats.RxDrops, n.stats.TxDrops
 }
 
 // TotalDrops sums every per-reason drop counter, both directions.
 func (n *NIC) TotalDrops() uint64 {
 	var total uint64
-	for r := range n.rxDrops {
-		total += n.rxDrops[r] + n.txDrops[r]
+	for r := range n.stats.RxDrops {
+		total += n.stats.RxDrops[r] + n.stats.TxDrops[r]
 	}
 	return total
+}
+
+// drop counts one dropped packet under its direction and reason and,
+// when it is traced (tid != 0), ends its trace at stage. It is the one
+// place a card counts a drop.
+//
+//barbican:noalloc
+func (n *NIC) drop(dir fw.Direction, stage tracing.Stage, reason tracing.DropReason, tid uint64) {
+	if dir == fw.In {
+		n.stats.RxDrops[reason]++
+	} else {
+		n.stats.TxDrops[reason]++
+	}
+	if tid != 0 {
+		n.tracer.Drop(tid, stage, reason)
+	}
+}
+
+// cardStage is the trace stage of the card's own work in direction dir.
+func cardStage(dir fw.Direction) tracing.Stage {
+	if dir == fw.In {
+		return tracing.StageNICRx
+	}
+	return tracing.StageNICTx
 }
 
 // cpuExhaustedBacklog separates the two overload drop reasons: when
@@ -481,21 +489,146 @@ func (n *NIC) RestartAgent() {
 	}
 }
 
+// decision is the policy stage's account of one packet: how its verdict
+// was reached and what the embedded processor was charged for it.
+type decision struct {
+	verdict     fw.Verdict
+	path        MatchPath
+	cs          fw.ConnState // conntrack classification (StateNone untracked)
+	lookup      float64      // conntrack classification cost
+	insert      float64      // conntrack entry cost of an allowed new connection
+	cryptoBytes int          // VPG bytes sealed or opened
+	completeAt  time.Duration
+}
+
+// policyStage is the card's per-packet policy work, the same in both
+// directions: conntrack classification (an INVALID packet is dropped
+// before the rules), the rule match through the flow cache, the
+// conntrack commit of an allowed new connection, the VPG crypto the
+// verdict implies, and admission of the whole cost to the embedded
+// processor. It fills d and reports whether the packet survives; a
+// dropped packet is counted once, by reason. exempt marks the management
+// channel, which bypasses the policy but still costs the base work.
+// Summary and decision travel by pointer: this is the per-packet hot
+// path (BenchmarkRxPath), and copying them costs measurably.
+//
+//barbican:noalloc
+func (n *NIC) policyStage(dir fw.Direction, s *packet.Summary, exempt bool, tid uint64, d *decision) bool {
+	*d = decision{verdict: fw.Verdict{Action: fw.Allow}}
+	stateFull := false
+	if n.rules != nil && !exempt {
+		// Conntrack sees both directions: the outbound SYN creates the
+		// entry the inbound SYN/ACK will be classified against.
+		d.cs, d.lookup = n.classifyConn(*s)
+		if d.cs == fw.StateInvalid {
+			// A packet that contradicts tracked connection state is
+			// dropped before rule evaluation — the NIC-offload posture is
+			// strict, unlike the host filter where rules may still match
+			// INVALID explicitly. The lookup still cost the processor.
+			if _, ok := n.admit(dir, tid, MatchNone, 0, 0, 0, d.lookup); ok {
+				n.drop(dir, cardStage(dir), tracing.DropNoState, tid)
+			}
+			return false
+		}
+		d.verdict, d.path = n.evalPolicy(*s, dir, d.cs)
+		if tid != 0 {
+			n.tracer.RuleWalk(tid, d.verdict.Index, d.verdict.Traversed, d.verdict.Action.String()) //barbican:allow alloc -- traced-only branch; tid==0 when no tracer is attached
+		}
+		if d.verdict.Action == fw.Allow {
+			// Only allowed packets occupy state-table slots: a denied SYN
+			// never consumes conntrack memory (netfilter's conntrack
+			// records what filter admits, not what arrives).
+			d.insert, stateFull = n.commitConn(*s, d.cs)
+		}
+	}
+	d.cryptoBytes = n.cryptoBytes(dir, s, &d.verdict)
+	completeAt, ok := n.admit(dir, tid, d.path, d.verdict.Traversed, d.verdict.Index, d.cryptoBytes, d.lookup+d.insert)
+	if !ok {
+		return false
+	}
+	if d.verdict.Action == fw.Deny {
+		n.drop(dir, cardStage(dir), tracing.DropRuleDeny, tid)
+		if dir == fw.In {
+			n.noteDenied()
+		}
+		return false
+	}
+	if stateFull {
+		// Policy said allow but the state table is full and the posture
+		// is not fail-open: the connection cannot be tracked, so it is
+		// not admitted. The work was already done, hence after admit.
+		n.drop(dir, cardStage(dir), tracing.DropStateTableFull, tid)
+		return false
+	}
+	d.completeAt = completeAt
+	return true
+}
+
+// cryptoBytes is the VPG work verdict v implies for packet s. Egress
+// seals the transport segment a VPG rule admitted, envelope included.
+// Ingress opens a sealed packet's whole IP length once, at the matching
+// VPG rule — the real ADF is lazy. An eager card (ablation ABL2)
+// instead trial-decrypts at every candidate VPG rule it traverses, so
+// non-matching VPGs above the action pair multiply the crypto cost.
+//
+//barbican:noalloc
+func (n *NIC) cryptoBytes(dir fw.Direction, s *packet.Summary, v *fw.Verdict) int {
+	matchedVPG := v.Action == fw.Allow && v.Rule != nil && v.Rule.IsVPG()
+	switch {
+	case dir == fw.Out && matchedVPG:
+		return s.IPLen - packet.IPv4HeaderLen + vpg.Overhead(len(v.Rule.VPG))
+	case dir == fw.Out || !s.Sealed:
+		return 0
+	case n.profile.EagerVPGDecrypt:
+		trials := 1
+		if n.rules != nil {
+			trials = max(trials, n.rules.CountVPGCandidates(fw.In, v.Traversed))
+		}
+		return trials * s.IPLen
+	case matchedVPG:
+		return s.IPLen
+	}
+	return 0
+}
+
+// admit charges one packet's work to the embedded processor and records
+// it with the profiler; ctCost is the conntrack share. A full descriptor
+// ring drops the packet as overload, which the degraded machine watches.
+//
+//barbican:noalloc
+func (n *NIC) admit(dir fw.Direction, tid uint64, path MatchPath, traversed, index, cryptoBytes int, ctCost float64) (time.Duration, bool) {
+	completeAt, ok := n.proc.Admit(n.profile.CostPath(path, traversed, cryptoBytes) + ctCost)
+	if !ok {
+		reason := n.overloadReason()
+		n.drop(dir, cardStage(dir), reason, tid)
+		n.noteOverload(reason)
+		return 0, false
+	}
+	if n.prof != nil {
+		base, match, crypto := n.profile.CostPartsPath(path, traversed, cryptoBytes)
+		if dir == fw.In {
+			n.prof.RecordRx(traversed, index, base, match+ctCost, crypto) //barbican:allow alloc -- profiled-only branch; prof==nil on the contract path
+		} else {
+			n.prof.RecordTx(traversed, index, base, match+ctCost, crypto) //barbican:allow alloc -- profiled-only branch; prof==nil on the contract path
+		}
+	}
+	return completeAt, true
+}
+
 // Send transmits an IP datagram to the given destination MAC, subject to
 // the card's egress policy. It reports whether the datagram was accepted
 // for transmission.
 func (n *NIC) Send(d *packet.Datagram, dstMAC packet.MAC) bool {
 	n.stats.TxRequests++
 	if n.locked {
-		n.stats.TxLockedDrops++
-		n.txDrops[tracing.DropAgentNotReady]++
+		n.drop(fw.Out, tracing.StageNICTx, tracing.DropAgentNotReady, 0)
 		return false
 	}
 	// Summarize the datagram directly: it is wire-identical to the frame
 	// payload marshaled below, and skips a parse of bytes we just built.
 	s, err := packet.SummarizeDatagram(d)
 	if err != nil {
-		n.txDrops[tracing.DropMalformed]++
+		n.drop(fw.Out, tracing.StageNICTx, tracing.DropMalformed, 0)
 		return false
 	}
 
@@ -503,137 +636,57 @@ func (n *NIC) Send(d *packet.Datagram, dstMAC packet.MAC) bool {
 	// sampling decision lives here; sampled frames carry the trace ID
 	// through the rest of the pipeline.
 	var tid uint64
-	tr := n.tracer
-	if tr != nil && tr.Take() {
+	if tr := n.tracer; tr != nil && tr.Take() {
 		tid = tr.Begin(s.String())
 	}
 
+	exempt := n.isManagement(s)
 	if n.degState == StateDegraded {
-		if handled, sent := n.degradedEgress(d, dstMAC, s, tid); handled {
-			return sent
-		}
-	}
-
-	verdict := fw.Verdict{Action: fw.Allow}
-	path := MatchNone
-	cs := fw.StateNone
-	var ctCost float64
-	stateFull := false
-	if n.rules != nil && !n.isManagement(s) {
-		// Conntrack sees both directions: the outbound SYN creates the
-		// entry the inbound SYN/ACK will be classified against.
-		cs, ctCost = n.classifyConn(s)
-		if cs == fw.StateInvalid {
-			if _, ok := n.proc.Admit(n.profile.CostPath(MatchNone, 0, 0) + ctCost); ok {
-				if n.prof != nil {
-					base, match, crypto := n.profile.CostPartsPath(MatchNone, 0, 0)
-					n.prof.RecordTx(0, 0, base, match+ctCost, crypto)
-				}
-				n.stats.TxNoStateDrops++
-				n.txDrops[tracing.DropNoState]++
-				if tid != 0 {
-					tr.Drop(tid, tracing.StageNICTx, tracing.DropNoState)
-				}
-			} else {
-				n.stats.TxOverloadDrops++
-				reason := n.overloadReason()
-				n.txDrops[reason]++
-				n.noteOverload(reason)
-				if tid != 0 {
-					tr.Drop(tid, tracing.StageNICTx, reason)
-				}
+		if handled, pass := n.degraded(fw.Out, exempt, tid); handled {
+			if pass {
+				n.ep.Send(&packet.Frame{Dst: dstMAC, Src: n.mac, Type: packet.EtherTypeIPv4, Payload: d.Marshal(), TraceID: tid})
 			}
-			return false
-		}
-		verdict, path = n.evalPolicy(s, fw.Out, cs)
-		if tid != 0 {
-			tr.RuleWalk(tid, verdict.Index, verdict.Traversed, verdict.Action.String())
-		}
-		if verdict.Action == fw.Allow {
-			insertCost, fullDrop := n.commitConn(s, cs)
-			ctCost += insertCost
-			stateFull = fullDrop
+			return pass
 		}
 	}
-
-	cryptoBytes := 0
-	sealGroup := ""
-	if verdict.Action == fw.Allow && verdict.Rule != nil && verdict.Rule.IsVPG() {
-		sealGroup = verdict.Rule.VPG
-		cryptoBytes = len(d.Payload) + vpg.Overhead(len(sealGroup))
-	}
-
-	completeAt, ok := n.proc.Admit(n.profile.CostPath(path, verdict.Traversed, cryptoBytes) + ctCost)
-	if !ok {
-		n.stats.TxOverloadDrops++
-		reason := n.overloadReason()
-		n.txDrops[reason]++
-		n.noteOverload(reason)
-		if tid != 0 {
-			tr.Drop(tid, tracing.StageNICTx, reason)
-		}
-		return false
-	}
-	if n.prof != nil {
-		base, match, crypto := n.profile.CostPartsPath(path, verdict.Traversed, cryptoBytes)
-		n.prof.RecordTx(verdict.Traversed, verdict.Index, base, match+ctCost, crypto)
-	}
-	if verdict.Action == fw.Deny {
-		n.stats.TxDenied++
-		n.txDrops[tracing.DropRuleDeny]++
-		if tid != 0 {
-			tr.Drop(tid, tracing.StageNICTx, tracing.DropRuleDeny)
-		}
-		return false
-	}
-	if stateFull {
-		n.stats.TxStateFullDrops++
-		n.txDrops[tracing.DropStateTableFull]++
-		if tid != 0 {
-			tr.Drop(tid, tracing.StageNICTx, tracing.DropStateTableFull)
-		}
+	var dec decision
+	if !n.policyStage(fw.Out, &s, exempt, tid, &dec) {
 		return false
 	}
 
 	var frame *packet.Frame
-	if sealGroup != "" {
-		sealed, ok := n.seal(sealGroup, d, dstMAC)
+	if r := dec.verdict.Rule; r != nil && r.IsVPG() {
+		sealed, ok := n.seal(r.VPG, d, dstMAC)
 		if !ok {
-			n.txDrops[tracing.DropNoGroup]++
-			if tid != 0 {
-				tr.Drop(tid, tracing.StageVPG, tracing.DropNoGroup)
-			}
+			n.drop(fw.Out, tracing.StageVPG, tracing.DropNoGroup, tid)
 			return false
 		}
 		frame = sealed
 		if tid != 0 {
-			tr.Point(tid, tracing.StageVPG, "sealed "+sealGroup)
+			n.tracer.Point(tid, tracing.StageVPG, "sealed "+r.VPG)
 		}
 	} else {
 		frame = &packet.Frame{Dst: dstMAC, Src: n.mac, Type: packet.EtherTypeIPv4, Payload: d.Marshal()}
 	}
 	if len(frame.Payload) > packet.MaxPayload {
-		n.stats.TxOversize++
-		n.txDrops[tracing.DropOversize]++
-		if tid != 0 {
-			tr.Drop(tid, tracing.StageNICTx, tracing.DropOversize)
-		}
+		n.drop(fw.Out, tracing.StageNICTx, tracing.DropOversize, tid)
 		return false
 	}
 	n.stats.TxAllowed++
 	if tid != 0 {
 		frame.TraceID = tid
-		tr.Span(tid, tracing.StageNICTx, n.kernel.Now(), completeAt)
+		n.tracer.Span(tid, tracing.StageNICTx, n.kernel.Now(), dec.completeAt)
 	}
 	// The frame leaves the card once the embedded processor finishes it.
-	n.kernel.AtCall(completeAt, n.txFn, frame)
+	n.kernel.AtCall(dec.completeAt, n.txFn, frame)
 	return true
 }
 
 // SendRawFrame transmits a pre-built frame without policy evaluation or
 // sealing — attacker tooling (raw sockets on a non-filtering card). A
 // filtering card still charges its base processing cost and honors
-// lockup; a standard card passes it straight through.
+// lockup and its degraded posture (with no management exemption); a
+// standard card passes it straight through.
 func (n *NIC) SendRawFrame(f *packet.Frame) bool {
 	n.stats.TxRequests++
 	var tid uint64
@@ -646,51 +699,25 @@ func (n *NIC) SendRawFrame(f *packet.Frame) bool {
 		}
 	}
 	if n.locked {
-		n.stats.TxLockedDrops++
-		n.txDrops[tracing.DropAgentNotReady]++
-		if tid != 0 {
-			tr.Drop(tid, tracing.StageNICTx, tracing.DropAgentNotReady)
-		}
+		n.drop(fw.Out, tracing.StageNICTx, tracing.DropAgentNotReady, tid)
 		return false
 	}
 	if n.degState == StateDegraded {
-		switch n.failMode {
-		case FailModeOpen:
-			// Hardware bypass: the frame skips the (degraded) filter
-			// processor entirely.
-			n.stats.DegradedPass++
-			n.stats.TxAllowed++
-			if tid != 0 {
-				f.TraceID = tid
-				tr.Point(tid, tracing.StageNICTx, "degraded fail-open pass")
+		if handled, pass := n.degraded(fw.Out, false, tid); handled {
+			if pass {
+				// Hardware bypass: the frame skips the (degraded) filter
+				// processor entirely.
+				if tid != 0 {
+					f.TraceID = tid
+				}
+				n.ep.Send(f)
 			}
-			n.ep.Send(f)
-			return true
-		case FailModeClosed:
-			n.stats.TxDegradedDrops++
-			n.txDrops[tracing.DropDegraded]++
-			if tid != 0 {
-				tr.Drop(tid, tracing.StageNICTx, tracing.DropDegraded)
-			}
-			return false
-		case FailModeNone, NumFailModes:
-			// Unreachable: StateDegraded requires an armed machine.
+			return pass
 		}
 	}
-	completeAt, ok := n.proc.Admit(n.profile.CostPath(MatchNone, 0, 0))
+	completeAt, ok := n.admit(fw.Out, tid, MatchNone, 0, 0, 0, 0)
 	if !ok {
-		n.stats.TxOverloadDrops++
-		reason := n.overloadReason()
-		n.txDrops[reason]++
-		n.noteOverload(reason)
-		if tid != 0 {
-			tr.Drop(tid, tracing.StageNICTx, reason)
-		}
 		return false
-	}
-	if n.prof != nil {
-		base, match, crypto := n.profile.CostPartsPath(MatchNone, 0, 0)
-		n.prof.RecordTx(0, 0, base, match, crypto)
 	}
 	n.stats.TxAllowed++
 	if tid != 0 {
@@ -708,13 +735,11 @@ func (n *NIC) SendRawFrame(f *packet.Frame) bool {
 func (n *NIC) seal(group string, d *packet.Datagram, dstMAC packet.MAC) (*packet.Frame, bool) {
 	sealer, ok := n.sealers[group]
 	if !ok {
-		n.stats.TxNoGroup++
 		return nil, false
 	}
 	buf := make([]byte, packet.IPv4HeaderLen, packet.IPv4HeaderLen+len(d.Payload)+vpg.Overhead(len(group)))
 	buf, err := sealer.Seal(buf, d.Header.Dst, d.Header.Protocol, d.Payload)
 	if err != nil {
-		n.stats.TxNoGroup++
 		return nil, false
 	}
 	n.ipID++
@@ -724,9 +749,10 @@ func (n *NIC) seal(group string, d *packet.Datagram, dstMAC packet.MAC) (*packet
 }
 
 // handleFrame is the ingress path: MAC filtering (free, in hardware),
-// policy evaluation and optional VPG opening on the embedded processor,
-// then delivery to the host. On the per-packet hot path
-// (BenchmarkRxPath): the untraced steady state must not allocate.
+// the policy stage on the embedded processor, then VPG opening and
+// delivery to the host once the processor is done. On the per-packet
+// hot path (BenchmarkRxPath): the untraced steady state must not
+// allocate.
 //
 //barbican:noalloc
 func (n *NIC) handleFrame(f *packet.Frame) {
@@ -735,16 +761,11 @@ func (n *NIC) handleFrame(f *packet.Frame) {
 	}
 	n.stats.RxFrames++
 	tid := f.TraceID
-	tr := n.tracer
-	if tr == nil {
+	if n.tracer == nil {
 		tid = 0
 	}
 	if n.locked {
-		n.stats.RxLockedDrops++
-		n.rxDrops[tracing.DropAgentNotReady]++
-		if tid != 0 {
-			tr.Drop(tid, tracing.StageNICRx, tracing.DropAgentNotReady)
-		}
+		n.drop(fw.In, tracing.StageNICRx, tracing.DropAgentNotReady, tid)
 		return
 	}
 	if f.Type == packet.EtherTypeARP {
@@ -757,123 +778,25 @@ func (n *NIC) handleFrame(f *packet.Frame) {
 	}
 	s, err := packet.Summarize(f)
 	if err != nil {
-		n.stats.RxMalformed++
-		n.rxDrops[tracing.DropMalformed]++
-		if tid != 0 {
-			tr.Drop(tid, tracing.StageNICRx, tracing.DropMalformed)
-		}
+		n.drop(fw.In, tracing.StageNICRx, tracing.DropMalformed, tid)
 		return
 	}
 
-	if n.degState == StateDegraded && n.degradedIngress(f, s, tid) {
-		return
-	}
-
-	verdict := fw.Verdict{Action: fw.Allow}
-	path := MatchNone
-	cs := fw.StateNone
-	var ctCost float64
-	stateFull := false
-	if n.rules != nil && !n.isManagement(s) {
-		cs, ctCost = n.classifyConn(s)
-		if cs == fw.StateInvalid {
-			// A packet that contradicts tracked connection state is
-			// dropped before rule evaluation — the NIC-offload posture is
-			// strict, unlike the host filter where rules may still match
-			// INVALID explicitly. The lookup still cost the processor.
-			if _, ok := n.proc.Admit(n.profile.CostPath(MatchNone, 0, 0) + ctCost); ok {
-				if n.prof != nil {
-					base, match, crypto := n.profile.CostPartsPath(MatchNone, 0, 0)
-					n.prof.RecordRx(0, 0, base, match+ctCost, crypto) //barbican:allow alloc -- profiled-only branch; prof==nil on the contract path
-				}
-				n.stats.RxNoStateDrops++
-				n.rxDrops[tracing.DropNoState]++
-				if tid != 0 {
-					tr.Drop(tid, tracing.StageNICRx, tracing.DropNoState)
-				}
-			} else {
-				n.stats.RxOverloadDrops++
-				reason := n.overloadReason()
-				n.rxDrops[reason]++
-				n.noteOverload(reason)
-				if tid != 0 {
-					tr.Drop(tid, tracing.StageNICRx, reason)
-				}
+	exempt := n.isManagement(s)
+	if n.degState == StateDegraded {
+		if handled, pass := n.degraded(fw.In, exempt, tid); handled {
+			if pass && n.deliver != nil {
+				n.deliver(f)
 			}
 			return
 		}
-		verdict, path = n.evalPolicy(s, fw.In, cs)
-		if tid != 0 {
-			tr.RuleWalk(tid, verdict.Index, verdict.Traversed, verdict.Action.String()) //barbican:allow alloc -- traced-only branch; tid==0 when no tracer is attached
-		}
-		if verdict.Action == fw.Allow {
-			// Only allowed packets occupy state-table slots: a denied SYN
-			// never consumes conntrack memory (netfilter's conntrack
-			// records what filter admits, not what arrives).
-			insertCost, fullDrop := n.commitConn(s, cs)
-			ctCost += insertCost
-			stateFull = fullDrop
-		}
 	}
-
-	cryptoBytes := 0
-	if s.Sealed {
-		matchedVPG := verdict.Action == fw.Allow && verdict.Rule != nil && verdict.Rule.IsVPG()
-		switch {
-		case n.profile.EagerVPGDecrypt:
-			// Ablation ABL2: an eager filter trial-decrypts the envelope
-			// at every candidate VPG rule it traverses, so non-matching
-			// VPGs above the action pair multiply the crypto cost. The
-			// real ADF is lazy — it decrypts once, at the matching rule.
-			trials := 1
-			if n.rules != nil {
-				if c := n.rules.CountVPGCandidates(fw.In, verdict.Traversed); c > trials {
-					trials = c
-				}
-			}
-			cryptoBytes = trials * s.IPLen
-		case matchedVPG:
-			cryptoBytes = s.IPLen
-		}
-	}
-
-	completeAt, ok := n.proc.Admit(n.profile.CostPath(path, verdict.Traversed, cryptoBytes) + ctCost)
-	if !ok {
-		n.stats.RxOverloadDrops++
-		reason := n.overloadReason()
-		n.rxDrops[reason]++
-		n.noteOverload(reason)
-		if tid != 0 {
-			tr.Drop(tid, tracing.StageNICRx, reason)
-		}
-		return
-	}
-	if n.prof != nil {
-		base, match, crypto := n.profile.CostPartsPath(path, verdict.Traversed, cryptoBytes)
-		n.prof.RecordRx(verdict.Traversed, verdict.Index, base, match+ctCost, crypto) //barbican:allow alloc -- profiled-only branch; prof==nil on the contract path
-	}
-	if verdict.Action == fw.Deny {
-		n.stats.RxDenied++
-		n.rxDrops[tracing.DropRuleDeny]++
-		if tid != 0 {
-			tr.Drop(tid, tracing.StageNICRx, tracing.DropRuleDeny)
-		}
-		n.noteDenied()
-		return
-	}
-	if stateFull {
-		// Policy said allow but the state table is full and the posture
-		// is not fail-open: the connection cannot be tracked, so it is
-		// not admitted. The work was already done, hence after Admit.
-		n.stats.RxStateFullDrops++
-		n.rxDrops[tracing.DropStateTableFull]++
-		if tid != 0 {
-			tr.Drop(tid, tracing.StageNICRx, tracing.DropStateTableFull)
-		}
+	var d decision
+	if !n.policyStage(fw.In, &s, exempt, tid, &d) {
 		return
 	}
 	if tid != 0 {
-		tr.Span(tid, tracing.StageNICRx, n.kernel.Now(), completeAt)
+		n.tracer.Span(tid, tracing.StageNICRx, n.kernel.Now(), d.completeAt)
 	}
 	var pi *pendingIngress
 	if k := len(n.ingressFree); k > 0 {
@@ -883,8 +806,8 @@ func (n *NIC) handleFrame(f *packet.Frame) {
 	} else {
 		pi = &pendingIngress{} //barbican:allow alloc -- cold-path freelist refill; steady state recycles
 	}
-	pi.f, pi.s, pi.verdict = f, s, verdict
-	n.kernel.AtCall(completeAt, n.finishFn, pi)
+	pi.f, pi.s, pi.verdict = f, s, d.verdict
+	n.kernel.AtCall(d.completeAt, n.finishFn, pi)
 }
 
 // finishIngress runs after the processor's admission delay: VPG opening
@@ -897,11 +820,7 @@ func (n *NIC) finishIngress(f *packet.Frame, s packet.Summary, verdict fw.Verdic
 		tid = 0
 	}
 	if n.locked {
-		n.stats.RxLockedDrops++
-		n.rxDrops[tracing.DropAgentNotReady]++
-		if tid != 0 {
-			n.tracer.Drop(tid, tracing.StageNICRx, tracing.DropAgentNotReady)
-		}
+		n.drop(fw.In, tracing.StageNICRx, tracing.DropAgentNotReady, tid)
 		return
 	}
 	if !s.Sealed {
@@ -911,7 +830,7 @@ func (n *NIC) finishIngress(f *packet.Frame, s packet.Summary, verdict fw.Verdic
 		}
 		return
 	}
-	inner, ok := n.open(f, s, verdict, tid)
+	inner, ok := n.open(f, verdict, tid)
 	if !ok {
 		return
 	}
@@ -925,22 +844,15 @@ func (n *NIC) finishIngress(f *packet.Frame, s packet.Summary, verdict fw.Verdic
 // cleartext frame. tid is the frame's sampled trace (0 = untraced);
 // drop reasons are recorded against it and propagated to the inner
 // frame on success.
-func (n *NIC) open(f *packet.Frame, s packet.Summary, verdict fw.Verdict, tid uint64) (*packet.Frame, bool) {
-	drop := func(stat *uint64, reason tracing.DropReason) {
-		*stat++
-		n.rxDrops[reason]++
-		if tid != 0 {
-			n.tracer.Drop(tid, tracing.StageVPG, reason)
-		}
-	}
+func (n *NIC) open(f *packet.Frame, verdict fw.Verdict, tid uint64) (*packet.Frame, bool) {
 	outer, err := packet.UnmarshalDatagram(f.Payload)
 	if err != nil {
-		drop(&n.stats.RxMalformed, tracing.DropMalformed)
+		n.drop(fw.In, tracing.StageVPG, tracing.DropMalformed, tid)
 		return nil, false
 	}
 	name, err := vpg.PeekGroupName(outer.Payload)
 	if err != nil {
-		drop(&n.stats.RxMalformed, tracing.DropMalformed)
+		n.drop(fw.In, tracing.StageVPG, tracing.DropMalformed, tid)
 		return nil, false
 	}
 	// Policy must have admitted the packet via the VPG rule for this
@@ -948,13 +860,13 @@ func (n *NIC) open(f *packet.Frame, s packet.Summary, verdict fw.Verdict, tid ui
 	// error and is dropped.
 	if verdict.Rule == nil || verdict.Rule.VPG != string(name) {
 		if n.rules != nil {
-			drop(&n.stats.RxNoGroup, tracing.DropNoGroup)
+			n.drop(fw.In, tracing.StageVPG, tracing.DropNoGroup, tid)
 			return nil, false
 		}
 	}
 	g, ok := n.groups[string(name)]
 	if !ok {
-		drop(&n.stats.RxNoGroup, tracing.DropNoGroup)
+		n.drop(fw.In, tracing.StageVPG, tracing.DropNoGroup, tid)
 		return nil, false
 	}
 	// The inner datagram is opened straight into the frame's buffer
@@ -964,7 +876,7 @@ func (n *NIC) open(f *packet.Frame, s packet.Summary, verdict fw.Verdict, tid ui
 	buf := make([]byte, packet.IPv4HeaderLen, packet.IPv4HeaderLen+max(size, 0))
 	proto, buf, seq, err := g.Open(buf, outer.Header.Src, outer.Header.Dst, outer.Payload)
 	if err != nil {
-		drop(&n.stats.RxAuthFailures, tracing.DropAuthFail)
+		n.drop(fw.In, tracing.StageVPG, tracing.DropAuthFail, tid)
 		return nil, false
 	}
 	key := replayKey{group: g.Name(), sender: outer.Header.Src}
@@ -974,7 +886,7 @@ func (n *NIC) open(f *packet.Frame, s packet.Summary, verdict fw.Verdict, tid ui
 		n.replay[key] = w
 	}
 	if !w.Check(seq) {
-		drop(&n.stats.RxReplayDrops, tracing.DropReplay)
+		n.drop(fw.In, tracing.StageVPG, tracing.DropReplay, tid)
 		return nil, false
 	}
 	n.stats.Opened++

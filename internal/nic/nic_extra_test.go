@@ -6,9 +6,11 @@ import (
 
 	"barbican/internal/fw"
 	"barbican/internal/link"
+	"barbican/internal/nic/conntrack"
 	"barbican/internal/obs/tracing"
 	"barbican/internal/packet"
 	"barbican/internal/sim"
+	"barbican/internal/vpg"
 )
 
 func TestManagementBypassExemptsControlChannel(t *testing.T) {
@@ -44,8 +46,8 @@ func TestManagementBypassExemptsControlChannel(t *testing.T) {
 	if delivered != 1 {
 		t.Errorf("delivered = %d, want only the management segment", delivered)
 	}
-	if b.Stats().RxDenied != 2 {
-		t.Errorf("RxDenied = %d, want 2", b.Stats().RxDenied)
+	if b.Stats().RxDrops[tracing.DropRuleDeny] != 2 {
+		t.Errorf("rx rule-deny drops = %d, want 2", b.Stats().RxDrops[tracing.DropRuleDeny])
 	}
 }
 
@@ -146,8 +148,8 @@ func TestMalformedEgressIsNotPolicyDeny(t *testing.T) {
 	}
 	st := a.Stats()
 	_, tx := a.DropCounts()
-	if st.TxDenied != 0 {
-		t.Errorf("TxDenied = %d, want 0: malformed egress is not a policy deny", st.TxDenied)
+	if st.TxDrops[tracing.DropRuleDeny] != 0 {
+		t.Errorf("tx rule-deny drops = %d, want 0: malformed egress is not a policy deny", st.TxDrops[tracing.DropRuleDeny])
 	}
 	if tx[tracing.DropMalformed] != 1 {
 		t.Errorf("tx malformed drops = %d, want 1", tx[tracing.DropMalformed])
@@ -236,8 +238,8 @@ func TestProcessorRingBound(t *testing.T) {
 	if p.Queued() != 4 {
 		t.Errorf("Queued = %d, want 4", p.Queued())
 	}
-	if p.OverloadDrops() != 6 {
-		t.Errorf("OverloadDrops = %d, want 6", p.OverloadDrops())
+	if p.Admitted() != 4 {
+		t.Errorf("Admitted = %d, want 4 of 10 offered", p.Admitted())
 	}
 	// After the queued work completes, the ring frees up.
 	if err := k.Run(); err != nil {
@@ -299,16 +301,281 @@ func TestNICAccountingConservation(t *testing.T) {
 	if err := k.RunUntil(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+	checkConservation(t, "target", b)
+	checkConservation(t, "sender", a)
 	st := b.Stats()
-	accounted := st.RxAllowed + st.RxDenied + st.RxOverloadDrops + st.RxMalformed +
-		st.RxLockedDrops + st.RxAuthFailures + st.RxReplayDrops + st.RxNoGroup
-	if accounted != st.RxFrames {
-		t.Errorf("accounting leak: frames=%d accounted=%d (%+v)", st.RxFrames, accounted, st)
-	}
 	if uint64(delivered) != st.RxAllowed {
 		t.Errorf("delivered %d != RxAllowed %d", delivered, st.RxAllowed)
 	}
-	if st.RxOverloadDrops == 0 || st.RxDenied == 0 || st.RxAllowed == 0 {
+	overload := st.RxDrops[tracing.DropCPUExhausted] + st.RxDrops[tracing.DropQueueOverflow]
+	if overload == 0 || st.RxDrops[tracing.DropRuleDeny] == 0 || st.RxAllowed == 0 {
 		t.Errorf("test did not exercise all dispositions: %+v", st)
+	}
+}
+
+// checkConservation holds one card to the per-direction packet laws:
+// every egress request is transmitted or dropped exactly once, and
+// every frame addressed to the card is delivered, dropped exactly once,
+// or still on the processor ring. The law assumes no ARP, which the
+// cards pass to the host uncounted.
+func checkConservation(t *testing.T, name string, n *NIC) {
+	t.Helper()
+	st := n.Stats()
+	var rx, tx uint64
+	for r := range st.RxDrops {
+		rx += st.RxDrops[r]
+		tx += st.TxDrops[r]
+	}
+	if st.TxRequests != st.TxAllowed+tx {
+		t.Errorf("%s: %d tx requests != %d allowed + %d dropped (%v)", name, st.TxRequests, st.TxAllowed, tx, st.TxDrops)
+	}
+	if ring := uint64(n.QueueDepth()); st.RxFrames != st.RxAllowed+rx+ring {
+		t.Errorf("%s: %d rx frames != %d delivered + %d dropped + %d on the ring (%v)", name, st.RxFrames, st.RxAllowed, rx, ring, st.RxDrops)
+	}
+}
+
+// TestNICConservationEveryDropReason drives each card drop reason in the
+// direction(s) it can occur and holds both cards of the pair to the
+// conservation laws: a reason counted twice, or a drop counted nowhere,
+// breaks them.
+func TestNICConservationEveryDropReason(t *testing.T) {
+	sealedFrame := func(t *testing.T, key string, seq uint64) *packet.Frame {
+		g, err := vpg.NewGroup("psq", vpg.DeriveKey(key), ipA, ipB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := g.Seal(nil, ipA, ipB, packet.ProtoUDP, make([]byte, 64), seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outer := packet.NewDatagram(ipA, ipB, packet.ProtoVPGEncap, 9, env)
+		return &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeVPG, Payload: outer.Marshal()}
+	}
+	degradedPair := func(t *testing.T, k *sim.Kernel, mode FailMode) (*NIC, *NIC) {
+		a, b := pair(t, k, EFW(), EFW())
+		a.InstallRuleSet(fw.MustRuleSet(fw.Allow))
+		b.InstallRuleSet(fw.MustRuleSet(fw.Allow))
+		a.SetFailMode(mode)
+		a.BeginPolicyUpdate()
+		a.AbortPolicyUpdate()
+		a.Send(udpDatagram(ipA, ipB, 1, 2, 10), macB)
+		a.SendRawFrame(&packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: udpDatagram(ipA, ipB, 1, 2, 10).Marshal()})
+		b.Send(udpDatagram(ipB, ipA, 2, 1, 10), macA)
+		return a, b
+	}
+	cases := []struct {
+		name   string
+		dir    fw.Direction
+		reason tracing.DropReason // DropNone: check the fail-open pass instead
+		drive  func(t *testing.T, k *sim.Kernel) (subject, peer *NIC)
+	}{
+		{"locked", fw.In, tracing.DropAgentNotReady, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
+			a, b := pair(t, k, Standard(), EFW())
+			b.locked = true
+			a.Send(udpDatagram(ipA, ipB, 1, 2, 10), macB)
+			return b, a
+		}},
+		{"locked", fw.Out, tracing.DropAgentNotReady, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
+			a, b := pair(t, k, EFW(), Standard())
+			a.locked = true
+			a.Send(udpDatagram(ipA, ipB, 1, 2, 10), macB)
+			a.SendRawFrame(&packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4})
+			return a, b
+		}},
+		{"malformed", fw.In, tracing.DropMalformed, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
+			a, b := pair(t, k, Standard(), EFW())
+			a.SendRawFrame(&packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: []byte{0x45, 0}})
+			return b, a
+		}},
+		{"malformed", fw.Out, tracing.DropMalformed, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
+			a, b := pair(t, k, EFW(), Standard())
+			a.Send(packet.NewDatagram(ipA, ipB, packet.ProtoTCP, 1, make([]byte, 5)), macB)
+			return a, b
+		}},
+		{"invalid", fw.In, tracing.DropNoState, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
+			a, b := pair(t, k, Standard(), Stateful())
+			b.InstallRuleSet(statefulRules())
+			a.Send(tcpDgram(ipA, ipB, 41000, 2000, packet.FlagACK), macB)
+			return b, a
+		}},
+		{"invalid", fw.Out, tracing.DropNoState, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
+			a, b := pair(t, k, Stateful(), Standard())
+			a.InstallRuleSet(statefulRules())
+			a.Send(tcpDgram(ipA, ipB, 41000, 2000, packet.FlagACK), macB)
+			return a, b
+		}},
+		{"deny", fw.In, tracing.DropRuleDeny, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
+			a, b := pair(t, k, Standard(), EFW())
+			b.InstallRuleSet(fw.MustRuleSet(fw.Deny))
+			a.Send(udpDatagram(ipA, ipB, 1, 2, 10), macB)
+			return b, a
+		}},
+		{"deny", fw.Out, tracing.DropRuleDeny, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
+			a, b := pair(t, k, EFW(), Standard())
+			a.InstallRuleSet(fw.MustRuleSet(fw.Deny))
+			a.Send(udpDatagram(ipA, ipB, 1, 2, 10), macB)
+			return a, b
+		}},
+		{"state-full", fw.In, tracing.DropStateTableFull, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
+			prof := Stateful()
+			prof.ConntrackEntries = 1
+			prof.ConntrackEvict = conntrack.EvictSYNDrop
+			a, b := pair(t, k, Standard(), prof)
+			b.InstallRuleSet(statefulRules())
+			establish(t, k, a, b, 41000)
+			a.Send(tcpDgram(ipA, ipB, 41001, 2000, packet.FlagSYN), macB)
+			return b, a
+		}},
+		{"overload", fw.In, tracing.DropCPUExhausted, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
+			a, b := pair(t, k, Standard(), EFW())
+			b.InstallRuleSet(depth64Allow(t))
+			for i := 0; i < 2*DefaultQueuePackets; i++ {
+				a.Send(udpDatagram(ipA, ipB, 1, 2, 10), macB)
+			}
+			return b, a
+		}},
+		{"overload", fw.Out, tracing.DropCPUExhausted, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
+			a, b := pair(t, k, EFW(), Standard())
+			a.InstallRuleSet(depth64Allow(t))
+			for i := 0; i < 2*DefaultQueuePackets; i++ {
+				a.Send(udpDatagram(ipA, ipB, 1, 2, 10), macB)
+			}
+			return a, b
+		}},
+		{"fail-closed", fw.In, tracing.DropDegraded, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
+			a, b := degradedPair(t, k, FailModeClosed)
+			return a, b
+		}},
+		{"fail-closed", fw.Out, tracing.DropDegraded, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
+			a, b := degradedPair(t, k, FailModeClosed)
+			return a, b
+		}},
+		{"fail-open", fw.Both, tracing.DropNone, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
+			a, b := degradedPair(t, k, FailModeOpen)
+			return a, b
+		}},
+		{"oversize", fw.Out, tracing.DropOversize, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
+			a, b, _ := vpgPair(t, k)
+			a.Send(udpDatagram(ipA, ipB, 1, 2000, packet.MaxPayload-packet.IPv4HeaderLen-packet.UDPHeaderLen), macB)
+			return a, b
+		}},
+		{"no-group", fw.Out, tracing.DropNoGroup, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
+			a, b := pair(t, k, ADF(), ADF())
+			a.InstallRuleSet(fw.MustRuleSet(fw.Deny, fw.VPGRulePair("psq", ipA, packet.MustPrefix("10.0.0.0/24"))...))
+			a.Send(udpDatagram(ipA, ipB, 1, 2000, 64), macB)
+			return a, b
+		}},
+		{"no-group", fw.In, tracing.DropNoGroup, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
+			a, b, _ := vpgPair(t, k)
+			delete(b.groups, "psq")
+			a.Send(udpDatagram(ipA, ipB, 1, 2000, 64), macB)
+			return b, a
+		}},
+		{"auth-fail", fw.In, tracing.DropAuthFail, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
+			a, b, _ := vpgPair(t, k)
+			a.SendRawFrame(sealedFrame(t, "WRONG", 99))
+			return b, a
+		}},
+		{"replay", fw.In, tracing.DropReplay, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
+			a, b, _ := vpgPair(t, k)
+			f := sealedFrame(t, "k", 7)
+			a.SendRawFrame(f)
+			a.SendRawFrame(f.Clone())
+			return b, a
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name+"/"+tc.dir.String(), func(t *testing.T) {
+			k := sim.NewKernel()
+			subject, peer := tc.drive(t, k)
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			st := subject.Stats()
+			switch {
+			case tc.reason == tracing.DropNone:
+				if st.DegradedPass == 0 {
+					t.Errorf("no fail-open pass: %+v", st)
+				}
+			case tc.dir == fw.In && st.RxDrops[tc.reason] == 0,
+				tc.dir == fw.Out && st.TxDrops[tc.reason] == 0:
+				t.Errorf("no %v %v drop: rx %v tx %v", tc.dir, tc.reason, st.RxDrops, st.TxDrops)
+			}
+			checkConservation(t, "subject", subject)
+			checkConservation(t, "peer", peer)
+		})
+	}
+}
+
+// TestIngressPathAllocFree gates the untraced ingress path — handleFrame
+// plus the processor-completion and delivery events it schedules — at
+// zero allocations per frame for the verdict shapes the experiments
+// drive hardest: a linear-walk allow and deny, a stateful established
+// flow and a flow-cache hit.
+func TestIngressPathAllocFree(t *testing.T) {
+	udpTo := func(port uint16) *packet.Frame {
+		d := udpDatagram(ipA, ipB, 1000, port, 100)
+		return &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: d.Marshal()}
+	}
+	allow2000 := func() *fw.RuleSet {
+		return fw.MustRuleSet(fw.Deny,
+			fw.Rule{Action: fw.Allow, Direction: fw.In, Proto: packet.ProtoUDP, DstPorts: fw.Port(2000)})
+	}
+	cases := []struct {
+		name string
+		card func(k *sim.Kernel, ep *link.Endpoint) (*NIC, *packet.Frame)
+	}{
+		{"efw-allow", func(k *sim.Kernel, ep *link.Endpoint) (*NIC, *packet.Frame) {
+			n := New(k, macB, EFW(), ep)
+			n.InstallRuleSet(allow2000())
+			return n, udpTo(2000)
+		}},
+		{"efw-deny", func(k *sim.Kernel, ep *link.Endpoint) (*NIC, *packet.Frame) {
+			n := New(k, macB, EFW(), ep)
+			n.InstallRuleSet(allow2000())
+			return n, udpTo(2001)
+		}},
+		{"stateful-established", func(k *sim.Kernel, ep *link.Endpoint) (*NIC, *packet.Frame) {
+			n := New(k, macB, Stateful(), ep)
+			n.InstallRuleSet(statefulRules())
+			n.handleFrame(tcpFrame(ipA, ipB, 40000, 2000, packet.FlagSYN))
+			n.Send(tcpDgram(ipB, ipA, 2000, 40000, packet.FlagSYN|packet.FlagACK), macA)
+			n.handleFrame(tcpFrame(ipA, ipB, 40000, 2000, packet.FlagACK))
+			return n, tcpFrame(ipA, ipB, 40000, 2000, packet.FlagACK|packet.FlagPSH)
+		}},
+		{"nextgen-cache-hit", func(k *sim.Kernel, ep *link.Endpoint) (*NIC, *packet.Frame) {
+			n := New(k, macB, NextGen(), ep)
+			n.InstallRuleSet(depth64Allow(t))
+			return n, udpTo(2000)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			_, ep := link.New(k, link.Config{QueueFrames: 1 << 16})
+			n, f := tc.card(k, ep)
+			n.SetDeliver(func(*packet.Frame) {})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			before := n.Stats()
+			allocs := testing.AllocsPerRun(100, func() {
+				n.handleFrame(f)
+				if err := k.Run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%.2f allocs per frame, want 0", allocs)
+			}
+			st := n.Stats()
+			passed, denied := st.RxAllowed-before.RxAllowed, st.RxDrops[tracing.DropRuleDeny]-before.RxDrops[tracing.DropRuleDeny]
+			if want := uint64(101); passed+denied != want || (tc.name == "efw-deny") != (denied == want) {
+				t.Errorf("%d frames passed, %d denied; want all %d %s", passed, denied, want, tc.name)
+			}
+			if tc.name == "nextgen-cache-hit" && n.FlowCacheStats().Hits < 100 {
+				t.Errorf("flow-cache hits = %d, want every frame after the first", n.FlowCacheStats().Hits)
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"barbican/internal/fw"
 	"barbican/internal/link"
+	"barbican/internal/obs/tracing"
 	"barbican/internal/packet"
 	"barbican/internal/sim"
 	"barbican/internal/vpg"
@@ -49,7 +50,7 @@ func TestStandardNICPassesTraffic(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("delivered %d frames, want 1", len(got))
 	}
-	if st := b.Stats(); st.RxAllowed != 1 || st.RxDenied != 0 {
+	if st := b.Stats(); st.RxAllowed != 1 || st.RxDrops[tracing.DropRuleDeny] != 0 {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -90,7 +91,7 @@ func TestIngressPolicyEnforced(t *testing.T) {
 		t.Fatalf("delivered %d, want 1", delivered)
 	}
 	st := b.Stats()
-	if st.RxAllowed != 1 || st.RxDenied != 1 {
+	if st.RxAllowed != 1 || st.RxDrops[tracing.DropRuleDeny] != 1 {
 		t.Errorf("stats = %+v, want 1 allowed / 1 denied", st)
 	}
 }
@@ -116,7 +117,7 @@ func TestEgressPolicyEnforced(t *testing.T) {
 	if delivered != 1 {
 		t.Errorf("delivered %d, want 1", delivered)
 	}
-	if st := a.Stats(); st.TxDenied != 1 || st.TxAllowed != 1 {
+	if st := a.Stats(); st.TxDrops[tracing.DropRuleDeny] != 1 || st.TxAllowed != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -166,7 +167,7 @@ func TestSaturationDropsFloodTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := b.Stats()
-	if st.RxOverloadDrops == 0 {
+	if st.RxDrops[tracing.DropCPUExhausted]+st.RxDrops[tracing.DropQueueOverflow] == 0 {
 		t.Fatal("no overload drops under 2x flood")
 	}
 	if float64(delivered) < cap64*0.8 || float64(delivered) > cap64*1.3 {
@@ -207,7 +208,7 @@ func TestEFWLockupAndAgentRestart(t *testing.T) {
 	if delivered != 0 {
 		t.Error("locked card delivered traffic")
 	}
-	lockedDrops := b.Stats().RxLockedDrops
+	lockedDrops := b.Stats().RxDrops[tracing.DropAgentNotReady]
 	if lockedDrops == 0 {
 		t.Error("locked card recorded no locked drops")
 	}
@@ -345,8 +346,8 @@ func TestVPGRejectsCleartextFromNonMember(t *testing.T) {
 	if delivered != 0 {
 		t.Error("cleartext from non-member delivered through VPG-only policy")
 	}
-	if b.Stats().RxDenied != 1 {
-		t.Errorf("RxDenied = %d, want 1", b.Stats().RxDenied)
+	if b.Stats().RxDrops[tracing.DropRuleDeny] != 1 {
+		t.Errorf("rx rule-deny drops = %d, want 1", b.Stats().RxDrops[tracing.DropRuleDeny])
 	}
 }
 
@@ -384,8 +385,8 @@ func TestVPGForgedFrameDropped(t *testing.T) {
 	if delivered != 2 {
 		t.Error("forged frame was delivered")
 	}
-	if b.Stats().RxAuthFailures != 1 {
-		t.Errorf("RxAuthFailures = %d, want 1", b.Stats().RxAuthFailures)
+	if b.Stats().RxDrops[tracing.DropAuthFail] != 1 {
+		t.Errorf("rx auth-fail drops = %d, want 1", b.Stats().RxDrops[tracing.DropAuthFail])
 	}
 }
 
@@ -423,8 +424,8 @@ func TestVPGReplayDropped(t *testing.T) {
 	if delivered != 2 {
 		t.Fatalf("delivered = %d, want 2 (original + first injected)", delivered)
 	}
-	if b.Stats().RxReplayDrops != 1 {
-		t.Errorf("RxReplayDrops = %d, want 1", b.Stats().RxReplayDrops)
+	if b.Stats().RxDrops[tracing.DropReplay] != 1 {
+		t.Errorf("rx replay drops = %d, want 1", b.Stats().RxDrops[tracing.DropReplay])
 	}
 }
 
@@ -439,8 +440,8 @@ func TestSealOverheadAndOversize(t *testing.T) {
 	if a.Send(big, macB) {
 		t.Error("oversized sealed frame accepted")
 	}
-	if a.Stats().TxOversize != 1 {
-		t.Errorf("TxOversize = %d, want 1", a.Stats().TxOversize)
+	if a.Stats().TxDrops[tracing.DropOversize] != 1 {
+		t.Errorf("tx oversize drops = %d, want 1", a.Stats().TxDrops[tracing.DropOversize])
 	}
 }
 
@@ -485,7 +486,7 @@ func TestLockedCardRefusesEgress(t *testing.T) {
 	if a.Send(udpDatagram(ipA, ipB, 1, 2, 10), macB) {
 		t.Error("locked card transmitted")
 	}
-	if a.Stats().TxLockedDrops != 1 {
-		t.Errorf("TxLockedDrops = %d, want 1", a.Stats().TxLockedDrops)
+	if a.Stats().TxDrops[tracing.DropAgentNotReady] != 1 {
+		t.Errorf("tx agent-not-ready drops = %d, want 1", a.Stats().TxDrops[tracing.DropAgentNotReady])
 	}
 }

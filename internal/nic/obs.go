@@ -18,47 +18,60 @@ func (n *NIC) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
 		reg.MustRegisterFunc(name, help, obs.KindGauge, read, labels...)
 	}
 
+	// Every drop is counted once, in the per-reason arrays; each named
+	// drop series sums some of their entries.
+	sum := func(drops *[tracing.NumDropReasons]uint64, reasons ...tracing.DropReason) func() float64 {
+		return func() float64 {
+			var total uint64
+			for _, r := range reasons {
+				total += drops[r]
+			}
+			return float64(total)
+		}
+	}
+	rx, tx := &n.stats.RxDrops, &n.stats.TxDrops
+	overload := []tracing.DropReason{tracing.DropCPUExhausted, tracing.DropQueueOverflow}
+
 	counter("nic_rx_frames_total", "Frames addressed to this card.",
 		func() float64 { return float64(n.stats.RxFrames) })
 	counter("nic_rx_allowed_total", "Ingress frames passed to the host.",
 		func() float64 { return float64(n.stats.RxAllowed) })
 	counter("nic_rx_denied_total", "Ingress frames denied by policy.",
-		func() float64 { return float64(n.stats.RxDenied) })
+		sum(rx, tracing.DropRuleDeny))
 	counter("nic_rx_overload_drops_total", "Ingress frames dropped by the saturated processor.",
-		func() float64 { return float64(n.stats.RxOverloadDrops) })
+		sum(rx, overload...))
 	counter("nic_rx_auth_failures_total", "VPG open failures (tamper, non-member, wrong key).",
-		func() float64 { return float64(n.stats.RxAuthFailures) })
+		sum(rx, tracing.DropAuthFail))
 	counter("nic_rx_replay_drops_total", "Sealed frames dropped by the replay window.",
-		func() float64 { return float64(n.stats.RxReplayDrops) })
+		sum(rx, tracing.DropReplay))
 	counter("nic_rx_no_group_total", "Sealed frames for groups the card lacks.",
-		func() float64 { return float64(n.stats.RxNoGroup) })
+		sum(rx, tracing.DropNoGroup))
 	counter("nic_rx_malformed_total", "Unparseable ingress frames.",
-		func() float64 { return float64(n.stats.RxMalformed) })
+		sum(rx, tracing.DropMalformed))
 	counter("nic_rx_locked_drops_total", "Ingress frames dropped while the card was wedged.",
-		func() float64 { return float64(n.stats.RxLockedDrops) })
+		sum(rx, tracing.DropAgentNotReady))
 
 	counter("nic_tx_requests_total", "Egress transmit requests from the host.",
 		func() float64 { return float64(n.stats.TxRequests) })
 	counter("nic_tx_allowed_total", "Egress frames accepted for transmission.",
 		func() float64 { return float64(n.stats.TxAllowed) })
 	counter("nic_tx_denied_total", "Egress frames denied by policy.",
-		func() float64 { return float64(n.stats.TxDenied) })
+		sum(tx, tracing.DropRuleDeny))
 	counter("nic_tx_overload_drops_total", "Egress frames dropped by the saturated processor.",
-		func() float64 { return float64(n.stats.TxOverloadDrops) })
+		sum(tx, overload...))
 	counter("nic_tx_locked_drops_total", "Egress frames dropped while the card was wedged.",
-		func() float64 { return float64(n.stats.TxLockedDrops) })
+		sum(tx, tracing.DropAgentNotReady))
 
 	// Per-reason drop taxonomy (see internal/obs/tracing.DropReason):
 	// one series per direction × reason, reading the always-on arrays.
 	for _, r := range tracing.DropReasons() {
-		r := r
 		reg.MustRegisterFunc("nic_drops_total", "Frames dropped, by first-class drop reason.",
 			obs.KindCounter,
-			func() float64 { return float64(n.rxDrops[r]) },
+			sum(rx, r),
 			append([]obs.Label{obs.L("dir", "rx"), obs.L("reason", r.String())}, labels...)...)
 		reg.MustRegisterFunc("nic_drops_total", "Frames dropped, by first-class drop reason.",
 			obs.KindCounter,
-			func() float64 { return float64(n.txDrops[r]) },
+			sum(tx, r),
 			append([]obs.Label{obs.L("dir", "tx"), obs.L("reason", r.String())}, labels...)...)
 	}
 
@@ -76,7 +89,7 @@ func (n *NIC) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
 	counter("nic_updates_aborted_total", "Policy updates declared interrupted.",
 		func() float64 { return float64(n.stats.UpdatesAborted) })
 	counter("nic_degraded_drops_total", "Frames dropped fail-closed while degraded (both directions).",
-		func() float64 { return float64(n.stats.RxDegradedDrops + n.stats.TxDegradedDrops) })
+		func() float64 { return float64(rx[tracing.DropDegraded] + tx[tracing.DropDegraded]) })
 	counter("nic_degraded_pass_total", "Frames passed unfiltered fail-open while degraded.",
 		func() float64 { return float64(n.stats.DegradedPass) })
 	gauge("nic_degraded_state", "Policy-plane state (0 healthy, 1 updating, 2 degraded, 3 wedged).",
@@ -132,7 +145,7 @@ func (n *NIC) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
 			reg.MustRegisterFunc("nic_conntrack_denied_total",
 				"Packets denied by connection tracking, by reason.",
 				obs.KindCounter,
-				func() float64 { return float64(n.rxDrops[r] + n.txDrops[r]) },
+				func() float64 { return float64(rx[r] + tx[r]) },
 				append([]obs.Label{obs.L("reason", r.String())}, labels...)...)
 		}
 	}

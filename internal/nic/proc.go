@@ -37,9 +37,8 @@ type Processor struct {
 	queued    int
 	busyUntil time.Duration
 
-	admitted      uint64
-	overloadDrops uint64
-	unitsDone     float64
+	admitted  uint64
+	unitsDone float64
 
 	// drainFn is the precomputed completion callback, scheduled through
 	// the kernel's pooled-event path so admitting work allocates nothing.
@@ -72,7 +71,6 @@ func (p *Processor) Admit(cost float64) (time.Duration, bool) {
 		return now, true
 	}
 	if p.queued >= p.maxQueue {
-		p.overloadDrops++
 		return 0, false
 	}
 	work := time.Duration(cost / p.capacity * float64(time.Second))
@@ -106,9 +104,6 @@ func (p *Processor) Reset() {
 
 // Queued returns the current ring occupancy.
 func (p *Processor) Queued() int { return p.queued }
-
-// OverloadDrops returns how many work items were rejected.
-func (p *Processor) OverloadDrops() uint64 { return p.overloadDrops }
 
 // Admitted returns how many work items were accepted.
 func (p *Processor) Admitted() uint64 { return p.admitted }

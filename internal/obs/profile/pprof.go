@@ -174,7 +174,9 @@ func (d *Data) WritePprof(w io.Writer) error {
 	}
 	tail.int64Field(12, d.Period)
 	for _, c := range d.Comments {
-		tail.int64Field(13, st.index(c))
+		// A repeated field keeps its zeros: index 0 is an empty comment.
+		tail.tag(13, wireVarint)
+		tail.varint(uint64(st.index(c)))
 	}
 	tail.int64Field(14, st.index(d.DefaultType))
 
@@ -251,7 +253,9 @@ func (r *protoReader) field() (num int, wire int, v uint64, p []byte, err error)
 		var n uint64
 		n, err = r.varint()
 		if err == nil {
-			if r.pos+int(n) > len(r.buf) {
+			// Compare in uint64: a huge length must not wrap negative
+			// as an int and slip past the bound.
+			if n > uint64(len(r.buf)-r.pos) {
 				return 0, 0, 0, nil, io.ErrUnexpectedEOF
 			}
 			p = r.buf[r.pos : r.pos+int(n)]
@@ -452,6 +456,10 @@ func ReadPprof(r io.Reader) (*Data, error) {
 	d.PeriodType = ValueType{Type: str(periodType.typ), Unit: str(periodType.unit)}
 	for _, c := range comments {
 		d.Comments = append(d.Comments, str(c))
+	}
+	if len(raws) > 0 && len(types) == 0 {
+		// Every Data method weighs a sample by one of its values.
+		return nil, fmt.Errorf("profile: %d samples but no sample types", len(raws))
 	}
 	for _, s := range raws {
 		if len(s.vals) != len(types) {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"barbican/internal/core"
+	"barbican/internal/obs/tracing"
 	"barbican/internal/packet"
 	"barbican/internal/policy"
 	"barbican/internal/stack"
@@ -139,7 +140,7 @@ func TestVPGRekeyOverPolicyChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	authBefore := tb.Target.NIC().Stats().RxAuthFailures
+	authBefore := tb.Target.NIC().Stats().RxDrops[tracing.DropAuthFail]
 	sock.SendTo(tb.Target.IP(), 7100, []byte("stale-key"))
 	if err := tb.Kernel.RunFor(time.Second); err != nil {
 		t.Fatal(err)
@@ -147,8 +148,8 @@ func TestVPGRekeyOverPolicyChannel(t *testing.T) {
 	if delivered != 0 {
 		t.Error("stale-key traffic delivered after rekey")
 	}
-	if tb.Target.NIC().Stats().RxAuthFailures != authBefore+1 {
-		t.Errorf("RxAuthFailures = %d, want +1", tb.Target.NIC().Stats().RxAuthFailures)
+	if tb.Target.NIC().Stats().RxDrops[tracing.DropAuthFail] != authBefore+1 {
+		t.Errorf("rx auth-fail drops = %d, want +1", tb.Target.NIC().Stats().RxDrops[tracing.DropAuthFail])
 	}
 
 	// Rekey the client too: traffic flows again.

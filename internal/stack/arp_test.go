@@ -7,6 +7,7 @@ import (
 	"barbican/internal/fw"
 	"barbican/internal/link"
 	"barbican/internal/nic"
+	"barbican/internal/obs/tracing"
 	"barbican/internal/packet"
 	"barbican/internal/sim"
 )
@@ -149,8 +150,8 @@ func TestARPPassesThroughDenyAllCard(t *testing.T) {
 	if a.ARPStats().RepliesHeard != 1 {
 		t.Error("ARP did not resolve through a deny-all card")
 	}
-	if b.NIC().Stats().RxDenied != 1 {
-		t.Errorf("RxDenied = %d; the resolved datagram should be denied", b.NIC().Stats().RxDenied)
+	if b.NIC().Stats().RxDrops[tracing.DropRuleDeny] != 1 {
+		t.Errorf("rx rule-deny drops = %d; the resolved datagram should be denied", b.NIC().Stats().RxDrops[tracing.DropRuleDeny])
 	}
 }
 

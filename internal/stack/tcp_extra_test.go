@@ -7,6 +7,7 @@ import (
 
 	"barbican/internal/fw"
 	"barbican/internal/nic"
+	"barbican/internal/obs/tracing"
 	"barbican/internal/packet"
 	"barbican/internal/vpg"
 )
@@ -313,8 +314,8 @@ func TestSpoofedInjectionBypassesLocalFirewallOnly(t *testing.T) {
 	if delivered != 1 {
 		t.Errorf("delivered = %d, want 1 (spoofed packet only)", delivered)
 	}
-	if b.NIC().Stats().RxDenied != 1 {
-		t.Errorf("RxDenied = %d, want 1", b.NIC().Stats().RxDenied)
+	if b.NIC().Stats().RxDrops[tracing.DropRuleDeny] != 1 {
+		t.Errorf("rx rule-deny drops = %d, want 1", b.NIC().Stats().RxDrops[tracing.DropRuleDeny])
 	}
 }
 
