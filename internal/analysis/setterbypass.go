@@ -27,14 +27,13 @@ type SetterSpec struct {
 // BarbicanSetters is the repository's enforced setter contracts, all
 // guarding the same invariant from different angles: the per-flow
 // verdict cache must never outlive the state that produced its
-// verdicts. The NIC's active rule set may change only through
-// setRules (which also rebuilds the compiled matcher), and its
-// conntrack table only through setConntrack — cached verdicts are
-// keyed by the conn-state classification the old table produced, so
+// verdicts. The NIC's active rule set may change only through setRules,
+// and its conntrack table only through setConntrack — cached verdicts
+// are keyed by the conn-state classification the old table produced, so
 // swapping the table without flushing the cache serves stale state.
 var BarbicanSetters = []SetterSpec{
 	{TypePath: "barbican/internal/nic.NIC", Field: "rules", Setter: "setRules",
-		Reason: "keeps the compiled matcher in sync and invalidates the flow cache"},
+		Reason: "invalidates the flow cache"},
 	{TypePath: "barbican/internal/nic.NIC", Field: "ct", Setter: "setConntrack",
 		Reason: "invalidates the flow cache, whose verdicts are keyed by the old table's conn-state classification"},
 }

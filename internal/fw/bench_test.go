@@ -30,7 +30,7 @@ func BenchmarkEvalByDepth(b *testing.B) {
 		b.Run(fmt.Sprintf("compiled-depth%d", depth), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if v := c.Eval(s, In); v.Action != Allow {
+				if v := c.EvalState(s, In, StateNone); v.Action != Allow {
 					b.Fatal("unexpected deny")
 				}
 			}

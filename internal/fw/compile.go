@@ -2,14 +2,14 @@ package fw
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
 	"barbican/internal/packet"
 )
 
-// This file is the "modern NIC" matcher: a RuleSet compiled into a
-// dimension-split interval structure whose lookup cost is independent
-// of rule depth. The geometry is space.go's — a rule's match space is
+// This file is the simulator's rule matcher (RuleSet.Match): a RuleSet
+// compiled into a dimension-split interval structure whose lookup cost
+// is independent of rule depth. The geometry is space.go's — a rule's match space is
 // a product of integer intervals — projected per dimension: each
 // dimension's axis is cut at every rule boundary into elementary
 // segments, and each segment stores the bitmask of rules whose
@@ -30,14 +30,14 @@ import (
 // rules that match packets without transport ports.
 
 // CompiledSet is the compiled form of a RuleSet. It shares the
-// underlying rule storage and hit counters: Eval updates the same
+// underlying rule storage and hit counters: EvalState updates the same
 // per-rule match counters, default-hit and eval totals the linear walk
 // would, so per-rule attribution, metrics collectors, and profiler
 // frames built on the RuleSet keep working unchanged.
 //
-// Like RuleSet.Eval, CompiledSet.Eval is not safe for concurrent use
-// (it increments the shared counters); the compiled tables themselves
-// are immutable after Compile.
+// Like RuleSet.EvalState, CompiledSet.EvalState is not safe for
+// concurrent use (it increments the shared counters); the compiled
+// tables themselves are immutable after Compile.
 type CompiledSet struct {
 	rs    *RuleSet
 	words int
@@ -90,13 +90,17 @@ func (t *segTable) lookup(v uint32) []uint64 {
 	return t.masks[lo*t.words : (lo+1)*t.words]
 }
 
-// buildSegTable cuts the [0, maxVal] axis at every interval boundary
-// and stores, per elementary segment, the mask of intervals covering
-// it. Intervals are per-rule, in rule order, so bit i is rule i+1.
-func buildSegTable(words int, ivals [][2]uint32, maxVal uint32) segTable {
-	bounds := make([]uint32, 0, 2*len(ivals)+1)
-	bounds = append(bounds, 0)
+// cutAxis writes into bounds (room for 2·len(ivals)+1 values) the
+// sorted first values of the segments the intervals cut [0, maxVal]
+// into: 0, every interval start and every value just past an end.
+func cutAxis(bounds []uint32, ivals [][2]uint32, maxVal uint32) []uint32 {
+	bounds = append(bounds[:0], 0)
+	last := [2]uint32{1, 0} // no interval is {1, 0}
 	for _, iv := range ivals {
+		if iv == last {
+			continue // a repeat adds no cut
+		}
+		last = iv
 		if iv[0] > 0 {
 			bounds = append(bounds, iv[0])
 		}
@@ -104,111 +108,115 @@ func buildSegTable(words int, ivals [][2]uint32, maxVal uint32) segTable {
 			bounds = append(bounds, iv[1]+1)
 		}
 	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
-	uniq := bounds[:1]
-	for _, b := range bounds[1:] {
-		if b != uniq[len(uniq)-1] {
-			uniq = append(uniq, b)
-		}
-	}
-	masks := make([]uint64, len(uniq)*words)
-	for seg, start := range uniq {
-		for i, iv := range ivals {
-			if iv[0] <= start && start <= iv[1] {
-				masks[seg*words+i/64] |= 1 << (i % 64)
+	slices.Sort(bounds)
+	return slices.Compact(bounds)
+}
+
+// fill sets rule i's bit (rule i+1) in each segment its interval
+// covers: interval ends are cuts, so that is the run of segments from
+// the one starting at its low end up to its high end. Only the run is
+// visited, and a repeat of the previous rule's interval reuses it.
+func (t *segTable) fill(ivals [][2]uint32) {
+	last, lo, hi := [2]uint32{1, 0}, 0, 0 // no interval is {1, 0}
+	for i, iv := range ivals {
+		if iv != last {
+			last = iv
+			lo, _ = slices.BinarySearch(t.bounds, iv[0])
+			for hi = lo; hi < len(t.bounds) && t.bounds[hi] <= iv[1]; hi++ {
 			}
 		}
+		w, bit := i/64, uint64(1)<<(i%64)
+		for seg := lo; seg < hi; seg++ {
+			t.masks[seg*t.words+w] |= bit
+		}
 	}
-	return segTable{bounds: uniq, masks: masks, words: words}
 }
 
 // Compile builds the depth-independent matcher for a validated
-// rule-set. Compilation is O(rules × segments) and allocates; it runs
-// once per policy install, off the per-packet path.
+// rule-set. Every table is carved from one backing slice of masks and
+// one of segment bounds, so compilation costs a handful of allocations
+// at any depth. RuleSet.Match calls it once per rule set.
 func Compile(rs *RuleSet) *CompiledSet {
 	n := len(rs.rules)
 	words := (n + 63) / 64
 	c := &CompiledSet{rs: rs, words: words}
-	for d := 0; d < 2; d++ {
-		for s := 0; s < 2; s++ {
-			c.class[d][s] = make([]uint64, words)
+	tables := [4]*segTable{&c.src, &c.dst, &c.srcPort, &c.dstPort}
+	maxVal := [4]uint32{^uint32(0), ^uint32(0), 65535, 65535}
+
+	// Axis a's interval for rule i is ivals[a*n+i].
+	ivals := make([][2]uint32, 4*n)
+	protos := make([]packet.Protocol, 0, n)
+	for i := range rs.rules {
+		r := &rs.rules[i]
+		if !r.IsVPG() && r.Proto != 0 {
+			protos = append(protos, r.Proto)
 		}
+		ivals[i], ivals[n+i] = prefixInterval(r.Src), prefixInterval(r.Dst)
+		ivals[2*n+i], ivals[3*n+i] = portInterval(r.SrcPorts), portInterval(r.DstPorts)
 	}
-	c.protoAny = make([]uint64, words)
-	c.portless = make([]uint64, words)
-	for cs := StateNone; cs < NumConnStates; cs++ {
-		c.stateMasks[cs] = make([]uint64, words)
+	slices.Sort(protos)
+	c.protoVals = slices.Clip(slices.Compact(protos))
+	per, segs := 2*n+1, 0
+	bounds := make([]uint32, 4*per)
+	for a, t := range tables {
+		t.bounds = cutAxis(bounds[a*per:a*per:(a+1)*per], ivals[a*n:(a+1)*n], maxVal[a])
+		segs += len(t.bounds)
 	}
 
-	dirs := [2]Direction{In, Out}
-	protoSet := make(map[packet.Protocol]bool)
-	srcIv := make([][2]uint32, n)
-	dstIv := make([][2]uint32, n)
-	spIv := make([][2]uint32, n)
-	dpIv := make([][2]uint32, n)
+	// The class, protoAny, portless and state masks, then one mask per
+	// protocol, then one per segment.
+	masks := make([]uint64, (4+2+int(NumConnStates)+len(c.protoVals)+segs)*words)
+	carve := func(k int) []uint64 {
+		m := masks[: k*words : k*words]
+		masks = masks[k*words:]
+		return m
+	}
+	c.class = [2][2][]uint64{{carve(1), carve(1)}, {carve(1), carve(1)}}
+	c.protoAny, c.portless = carve(1), carve(1)
+	for cs := range c.stateMasks {
+		c.stateMasks[cs] = carve(1)
+	}
+	c.protoMasks = carve(len(c.protoVals))
+	for a, t := range tables {
+		t.words, t.masks = words, carve(len(t.bounds))
+		t.fill(ivals[a*n : (a+1)*n])
+	}
+
 	for i := range rs.rules {
 		r := &rs.rules[i]
 		w, bit := i/64, uint64(1)<<(i%64)
-		for d, dir := range dirs {
-			if r.Direction != Both && r.Direction != dir {
-				continue
-			}
-			if r.IsVPG() {
+		for d, dir := range [2]Direction{In, Out} {
+			if r.Direction == Both || r.Direction == dir {
 				// VPG rules match sealed envelopes inbound and the
 				// cleartext traffic they will seal outbound.
-				if dir == In {
-					c.class[d][1][w] |= bit
-				} else {
-					c.class[d][0][w] |= bit
+				sealed := 0
+				if r.IsVPG() && dir == In {
+					sealed = 1
 				}
-			} else {
-				c.class[d][0][w] |= bit
+				c.class[d][sealed][w] |= bit
 			}
 		}
+		// Each protocol's mask also holds the rules for any protocol.
 		if r.IsVPG() || r.Proto == 0 {
 			c.protoAny[w] |= bit
+			for pi := range c.protoVals {
+				c.protoMasks[pi*words+w] |= bit
+			}
 		} else {
-			protoSet[r.Proto] = true
+			pi, _ := slices.BinarySearch(c.protoVals, r.Proto)
+			c.protoMasks[pi*words+w] |= bit
 		}
 		if r.SrcPorts.Any() && r.DstPorts.Any() {
 			c.portless[w] |= bit
 		}
-		for cs := StateNone; cs < NumConnStates; cs++ {
-			if r.States == 0 || r.States.Has(cs) {
+		for cs := range c.stateMasks {
+			if r.States == 0 || r.States.Has(ConnState(cs)) {
 				c.stateMasks[cs][w] |= bit
 			}
 		}
-		srcIv[i] = prefixInterval(r.Src)
-		dstIv[i] = prefixInterval(r.Dst)
-		spIv[i] = portInterval(r.SrcPorts)
-		dpIv[i] = portInterval(r.DstPorts)
 	}
-
-	c.protoVals = make([]packet.Protocol, 0, len(protoSet))
-	for p := range protoSet {
-		c.protoVals = append(c.protoVals, p)
-	}
-	sort.Slice(c.protoVals, func(i, j int) bool { return c.protoVals[i] < c.protoVals[j] })
-	c.protoMasks = make([]uint64, len(c.protoVals)*words)
-	for pi, p := range c.protoVals {
-		copy(c.protoMasks[pi*words:(pi+1)*words], c.protoAny)
-		for i := range rs.rules {
-			r := &rs.rules[i]
-			if !r.IsVPG() && r.Proto == p {
-				c.protoMasks[pi*words+i/64] |= 1 << (i % 64)
-			}
-		}
-	}
-
-	c.src = buildSegTable(words, srcIv, ^uint32(0))
-	c.dst = buildSegTable(words, dstIv, ^uint32(0))
-	c.srcPort = buildSegTable(words, spIv, 65535)
-	c.dstPort = buildSegTable(words, dpIv, 65535)
 	return c
 }
-
-// RuleSet returns the rule-set this matcher was compiled from.
-func (c *CompiledSet) RuleSet() *RuleSet { return c.rs }
 
 // protoMask returns the rule mask for packets carrying protocol p. The
 // distinct-protocol list is tiny (a handful of IP protocols per
@@ -224,19 +232,11 @@ func (c *CompiledSet) protoMask(p packet.Protocol) []uint64 {
 	return c.protoAny
 }
 
-// Eval returns the verdict the linear RuleSet.Eval would return for
-// the same packet and direction — identical on every Verdict field,
-// including the *Rule pointer — and applies the same counter updates.
-// The work is independent of where in the rule-set the match lands.
-//
-//barbican:noalloc
-func (c *CompiledSet) Eval(s packet.Summary, dir Direction) Verdict {
-	return c.EvalState(s, dir, StateNone)
-}
-
-// EvalState is Eval with a conntrack classification: the verdict the
-// linear RuleSet.EvalState would return for the same packet, direction,
-// and state, with identical counter updates.
+// EvalState returns the verdict the linear RuleSet.EvalState would
+// return for the same packet, direction and conntrack classification —
+// identical on every Verdict field, including the *Rule pointer — and
+// applies the same counter updates. The work is independent of where
+// in the rule-set the match lands.
 //
 //barbican:noalloc
 func (c *CompiledSet) EvalState(s packet.Summary, dir Direction, cs ConnState) Verdict {

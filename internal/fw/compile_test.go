@@ -78,7 +78,7 @@ func randomSummary(r *rand.Rand) packet.Summary {
 
 // TestCompiledDifferentialProperty is the seeded differential test the
 // compiled matcher's correctness rests on: across random rule sets and
-// random packets, in both directions, Compile(rs).Eval must agree with
+// random packets, in both directions, Compile(rs).EvalState must agree with
 // the linear reference walk on every Verdict field — including the
 // *Rule pointer — and apply identical counter updates. A replayed
 // verdict recorded via RuleSet.Record (the flow-cache hit path) must
@@ -107,7 +107,7 @@ func TestCompiledDifferentialProperty(t *testing.T) {
 			s := randomSummary(rng)
 			for _, dir := range []Direction{In, Out} {
 				want := rs.Eval(s, dir)
-				got := c.Eval(s, dir)
+				got := c.EvalState(s, dir, StateNone)
 				if got != want {
 					t.Fatalf("rule set %d: compiled verdict %+v != linear %+v\npacket %v %v\nrules:\n%s",
 						rsIdx, got, want, s, dir, rs)
@@ -233,7 +233,7 @@ func TestCompiledAdversarialCases(t *testing.T) {
 			for _, s := range probes {
 				for _, dir := range []Direction{In, Out} {
 					want := rs.Eval(s, dir)
-					got := c.Eval(s, dir)
+					got := c.EvalState(s, dir, StateNone)
 					if got != want {
 						t.Fatalf("compiled %+v != linear %+v for %v %v", got, want, s, dir)
 					}
@@ -251,7 +251,7 @@ func TestCompiledBothDirectionFallback(t *testing.T) {
 	c := Compile(rs)
 	s := packet.Summary{Proto: packet.ProtoTCP, Src: packet.IP{10, 0, 0, 1}, Dst: packet.IP{10, 0, 0, 2}, HasPorts: true, IPLen: 40}
 	want := rs.Eval(s, Both)
-	got := c.Eval(s, Both)
+	got := c.EvalState(s, Both, StateNone)
 	if got != want {
 		t.Fatalf("compiled %+v != linear %+v for dir=Both", got, want)
 	}
@@ -280,4 +280,60 @@ func TestRulesConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestCompiledAllocs gates compilation's allocations. A rule set
+// compiles on its first Match, inside the simulated run, so every
+// allocation here lands in the per-frame figures; the tables are carved
+// from a fixed handful of backing slices at any depth.
+func TestCompiledAllocs(t *testing.T) {
+	const maxAllocs = 8
+	for _, depth := range []int{1, 64, 512} {
+		rs, err := DepthRuleSet(depth, AllowAllRule(), Deny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { Compile(rs) }); allocs > maxAllocs {
+			t.Errorf("depth %d: Compile makes %.0f allocations, want <= %d", depth, allocs, maxAllocs)
+		}
+	}
+}
+
+// TestCompiledMatchMemo: RuleSet.Match compiles on its first call and
+// reuses that matcher afterwards — no allocation after the first
+// packet — while agreeing with the reference walk on a twin rule set,
+// counters included.
+func TestCompiledMatchMemo(t *testing.T) {
+	rs, err := DepthRuleSet(64, AllowAllRule(), Deny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := MustRuleSet(rs.Default(), rs.Rules()...)
+	s := packet.Summary{Proto: packet.ProtoUDP, Src: packet.IP{10, 0, 0, 1}, Dst: packet.IP{10, 0, 0, 2},
+		SrcPort: 1000, DstPort: 2000, HasPorts: true, IPLen: 128}
+	if rs.compiled != nil {
+		t.Fatal("rule set compiled before its first Match")
+	}
+	got, want := rs.Match(s, In, StateNone), ref.EvalState(s, In, StateNone)
+	if got.Action != want.Action || got.Index != want.Index || got.Traversed != want.Traversed {
+		t.Fatalf("Match %+v != EvalState %+v", got, want)
+	}
+	c := rs.compiled
+	if c == nil {
+		t.Fatal("first Match left no compiled matcher")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { rs.Match(s, Out, StateNone) }); allocs != 0 {
+		t.Errorf("Match after the first packet: %.0f allocations, want 0", allocs)
+	}
+	if rs.compiled != c {
+		t.Error("Match recompiled an unchanged rule set")
+	}
+	for i := 0; i < 101; i++ {
+		ref.EvalState(s, Out, StateNone)
+	}
+	ev1, per1, def1 := rs.Stats()
+	ev2, per2, def2 := ref.Stats()
+	if ev1 != ev2 || def1 != def2 || per1[63] != per2[63] {
+		t.Fatalf("counters: Match evals %d default %d rule64 %d, walk %d %d %d", ev1, def1, per1[63], ev2, def2, per2[63])
+	}
 }

@@ -32,6 +32,7 @@ type RuleSet struct {
 	matches  []uint64 // per-rule match counts
 	defHits  uint64
 	evals    uint64
+	compiled *CompiledSet // Match's matcher, compiled on its first call
 }
 
 // NewRuleSet validates rules and builds a rule-set with the given default
@@ -126,6 +127,21 @@ func (rs *RuleSet) EvalState(s packet.Summary, dir Direction, cs ConnState) Verd
 	}
 	rs.defHits++
 	return Verdict{Action: rs.def, Traversed: len(rs.rules)}
+}
+
+// Match is the product evaluation path: EvalState's verdict and counter
+// updates, from the rule set's compiled matcher, in time independent of
+// where the match lands. The matcher is compiled on the first call and
+// kept (the rules never change), so every holder of the set shares it.
+// EvalState stays the reference it is tested against. Like EvalState,
+// Match is not safe for concurrent use.
+//
+//barbican:noalloc
+func (rs *RuleSet) Match(s packet.Summary, dir Direction, cs ConnState) Verdict {
+	if rs.compiled == nil {
+		rs.compiled = Compile(rs)
+	}
+	return rs.compiled.EvalState(s, dir, cs)
 }
 
 // Record applies the counter updates an Eval producing verdict v would

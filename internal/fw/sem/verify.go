@@ -176,7 +176,7 @@ func (w *verifyWalker) check(c class, mask []uint64, spans []fw.Span) error {
 	first := firstBit(mask)
 	engine := RegionVerdict{Action: w.t.verdictOf(first), Index: first}
 	wv := w.walk.Eval(pkt, dir)
-	cv := w.compiled.Eval(pkt, dir)
+	cv := w.compiled.EvalState(pkt, dir, fw.StateNone)
 	if wv.Action != cv.Action || wv.Index != cv.Index || wv.Traversed != cv.Traversed ||
 		wv.Action != engine.Action || wv.Index != engine.Index {
 		w.res.Mismatch = &Mismatch{

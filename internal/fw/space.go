@@ -78,7 +78,7 @@ func DstPortSpan(r *Rule) Span { return PortSpan(r.DstPorts) }
 
 // AppliesTo reports whether the rule can match any packet in the
 // discrete traffic class (dir, sealed): the class-mask logic of
-// Rule.Matches and CompiledSet.Eval. VPG rules match sealed envelopes
+// Rule.Matches and CompiledSet.EvalState. VPG rules match sealed envelopes
 // inbound and the cleartext traffic they will seal outbound; plain
 // rules never match sealed envelopes. dir must be In or Out.
 func (r *Rule) AppliesTo(dir Direction, sealed bool) bool {

@@ -157,7 +157,7 @@ func (f *Firewall) filter(s packet.Summary, dir fw.Direction) (processed, allowe
 		cs = f.ct.Classify(s, f.kernel.Now())
 		ctCost = f.profile.ConntrackLookupCost
 	}
-	v := f.rules.EvalState(s, dir, cs)
+	v := f.rules.Match(s, dir, cs)
 	stateFull := false
 	if v.Action == fw.Allow && cs != fw.StateNone && cs != fw.StateInvalid {
 		switch f.ct.Commit(s, f.kernel.Now()) {

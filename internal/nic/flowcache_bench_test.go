@@ -29,7 +29,7 @@ func BenchmarkFlowCache(b *testing.B) {
 		c := fw.Compile(rs)
 		fc := newFlowCache(4096)
 		s := benchSummary(1, 4242)
-		fc.insert(s, fw.Out, fw.StateNone, c.Eval(s, fw.Out))
+		fc.insert(s, fw.Out, fw.StateNone, c.EvalState(s, fw.Out, fw.StateNone))
 		b.Run(fmt.Sprintf("hit-depth%d", depth), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -60,7 +60,7 @@ func BenchmarkFlowCache(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := flows[i&8191]
 			if _, ok := fc.lookup(s, fw.Out, fw.StateNone); !ok {
-				fc.insert(s, fw.Out, fw.StateNone, c.Eval(s, fw.Out))
+				fc.insert(s, fw.Out, fw.StateNone, c.EvalState(s, fw.Out, fw.StateNone))
 			}
 		}
 	})

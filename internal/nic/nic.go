@@ -62,13 +62,10 @@ type NIC struct {
 	sealers map[string]*vpg.Sealer
 	replay  map[replayKey]*vpg.ReplayWindow
 
-	// Fast-path machinery for CompiledMatch/FlowCacheSize profiles:
-	// compiled is the depth-independent matcher for the current rules
-	// (nil on linear profiles or without policy), fcache the per-flow
-	// verdict cache (nil when the profile has none). Both are kept in
-	// sync with rules by setRules — never assign n.rules directly.
-	compiled *fw.CompiledSet
-	fcache   *flowCache
+	// fcache is the per-flow verdict cache of FlowCacheSize profiles
+	// (nil when the profile has none). setRules invalidates it on every
+	// policy change — never assign n.rules directly.
+	fcache *flowCache
 
 	// ct is the connection-tracking table (nil on stateless profiles),
 	// consulted whenever the installed policy carries state matchers.
@@ -288,22 +285,13 @@ func (n *NIC) InstallRuleSet(rs *fw.RuleSet) {
 }
 
 // setRules makes rs the active enforced policy. Every assignment of the
-// active rule set funnels through here so the compiled matcher stays in
-// sync and the flow cache never serves a verdict produced under a
-// previous policy: any policy change — commit, degraded-mode
-// enforcement swap, watchdog restore — invalidates the whole cache.
+// active rule set funnels through here so the flow cache never serves a
+// verdict produced under a previous policy: any policy change — commit,
+// degraded-mode enforcement swap, watchdog restore — invalidates the
+// whole cache. The matcher belongs to the rule set (fw.RuleSet.Match), so
+// a restored policy reuses the one it compiled before.
 func (n *NIC) setRules(rs *fw.RuleSet) {
 	n.rules = rs
-	switch {
-	case rs == nil:
-		n.compiled = nil
-	case n.profile.CompiledMatch:
-		// Recompile only on an actual rule-set change; the watchdog
-		// restoring the already-compiled committed policy reuses it.
-		if n.compiled == nil || n.compiled.RuleSet() != rs {
-			n.compiled = fw.Compile(rs)
-		}
-	}
 	n.invalidateFlowCache()
 }
 
@@ -388,11 +376,12 @@ func (n *NIC) commitConn(s packet.Summary, cs fw.ConnState) (cost float64, fullD
 
 // evalPolicy produces the verdict for a policy-subject packet whose
 // conntrack classification is cs (StateNone on the stateless path): the
-// flow cache first, then the compiled matcher when the profile has one,
-// otherwise the linear reference walk. A cache hit replays the
-// remembered verdict and applies the same counter updates the walk
-// would (fw.RuleSet.Record), so per-rule hit metrics and attribution
-// stay exact. Callers guarantee n.rules != nil.
+// flow cache first, then the rule set's compiled matcher. Every profile
+// takes this path; the profile's cost formula alone decides whether the
+// card is charged per rule traversed or one flat lookup. A cache hit
+// replays the remembered verdict and applies the same counter updates
+// a match would (fw.RuleSet.Record), so per-rule hit metrics and
+// attribution stay exact. Callers guarantee n.rules != nil.
 //
 //barbican:noalloc
 func (n *NIC) evalPolicy(s packet.Summary, dir fw.Direction, cs fw.ConnState) (fw.Verdict, MatchPath) {
@@ -402,12 +391,7 @@ func (n *NIC) evalPolicy(s packet.Summary, dir fw.Direction, cs fw.ConnState) (f
 			return v, MatchCacheHit
 		}
 	}
-	var v fw.Verdict
-	if n.compiled != nil {
-		v = n.compiled.EvalState(s, dir, cs)
-	} else {
-		v = n.rules.EvalState(s, dir, cs)
-	}
+	v := n.rules.Match(s, dir, cs)
 	if n.fcache != nil {
 		n.fcache.insert(s, dir, cs, v)
 	}

@@ -510,8 +510,10 @@ func TestNICConservationEveryDropReason(t *testing.T) {
 // TestIngressPathAllocFree gates the untraced ingress path — handleFrame
 // plus the processor-completion and delivery events it schedules — at
 // zero allocations per frame for the verdict shapes the experiments
-// drive hardest: a linear-walk allow and deny, a stateful established
-// flow and a flow-cache hit.
+// drive hardest: an allow and a deny, an allow 64 rules deep, a
+// cleartext allow past a VPG pair, a stateful established flow and a
+// flow-cache hit. AllocsPerRun's warm-up packet pays the rule set's
+// one compilation; every later packet must allocate nothing.
 func TestIngressPathAllocFree(t *testing.T) {
 	udpTo := func(port uint16) *packet.Frame {
 		d := udpDatagram(ipA, ipB, 1000, port, 100)
@@ -542,6 +544,28 @@ func TestIngressPathAllocFree(t *testing.T) {
 			n.Send(tcpDgram(ipB, ipA, 2000, 40000, packet.FlagSYN|packet.FlagACK), macA)
 			n.handleFrame(tcpFrame(ipA, ipB, 40000, 2000, packet.FlagACK))
 			return n, tcpFrame(ipA, ipB, 40000, 2000, packet.FlagACK|packet.FlagPSH)
+		}},
+		{"efw-depth64", func(k *sim.Kernel, ep *link.Endpoint) (*NIC, *packet.Frame) {
+			n := New(k, macB, EFW(), ep)
+			rs, err := fw.DepthRuleSet(64, allow2000().Rules()[0], fw.Deny)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.InstallRuleSet(rs)
+			return n, udpTo(2000)
+		}},
+		{"adf-vpg-pair", func(k *sim.Kernel, ep *link.Endpoint) (*NIC, *packet.Frame) {
+			n := New(k, macB, ADF(), ep)
+			g, err := vpg.NewGroup("psq", vpg.DeriveKey("k"), ipA, ipB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.InstallGroup(g, ipB); err != nil {
+				t.Fatal(err)
+			}
+			rules := append(fw.VPGRulePair("psq", ipB, packet.MustPrefix("10.0.0.0/24")), allow2000().Rules()...)
+			n.InstallRuleSet(fw.MustRuleSet(fw.Deny, rules...))
+			return n, udpTo(2000)
 		}},
 		{"nextgen-cache-hit", func(k *sim.Kernel, ep *link.Endpoint) (*NIC, *packet.Frame) {
 			n := New(k, macB, NextGen(), ep)

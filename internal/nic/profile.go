@@ -8,17 +8,17 @@ import (
 
 // MatchPath classifies how a packet's verdict was produced, which is
 // what the cost model charges for: no policy consulted at all, a
-// rule-match (linear walk or compiled lookup, per the profile), or a
-// per-flow verdict-cache hit.
+// rule-match (priced as a linear walk or a compiled lookup, per the
+// profile), or a per-flow verdict-cache hit.
 type MatchPath uint8
 
 const (
 	// MatchNone: no rule matching happened (no policy installed,
 	// management bypass, raw frame injection).
 	MatchNone MatchPath = iota
-	// MatchWalk: the packet was evaluated against the policy — a
-	// linear first-match walk, or one compiled-classifier lookup when
-	// the profile compiles its rule set.
+	// MatchWalk: the packet was evaluated against the policy, priced
+	// as a linear first-match walk or, under CompiledMatch, as one
+	// compiled-classifier lookup.
 	MatchWalk
 	// MatchCacheHit: the verdict was replayed from the per-flow cache.
 	MatchCacheHit
@@ -76,10 +76,10 @@ type Profile struct {
 	// rules above the action rule costs almost nothing — and this knob
 	// exists for the ablation that shows why that matters.
 	EagerVPGDecrypt bool
-	// CompiledMatch, when true, models a card that compiles its
-	// installed rule set into a depth-independent classifier
-	// (fw.Compile): every rule match costs the flat CompiledLookupCost
-	// instead of PerRuleCost × rules traversed.
+	// CompiledMatch picks the cost formula only: when true, every rule
+	// match costs the flat CompiledLookupCost instead of PerRuleCost ×
+	// rules traversed. Every card computes its verdicts with the same
+	// compiled matcher (fw.RuleSet.Match) whatever this flag says.
 	CompiledMatch bool
 	// CompiledLookupCost is the flat per-packet cost of one compiled-
 	// classifier lookup. Used only when CompiledMatch is set.
@@ -166,8 +166,8 @@ func ADF() Profile {
 // sufficient tolerance to simple packet flood attacks". It models
 // purpose-built filtering hardware (the design 3Com rejected on cost
 // grounds, §2) the way modern cards actually escaped the depth cliff:
-// the rule set is compiled into a depth-independent classifier
-// (fw.Compile) and repeated flows short-circuit through a per-flow
+// each rule match is priced as one depth-independent classifier lookup
+// (CompiledMatch) and repeated flows short-circuit through a per-flow
 // verdict cache, on an order of magnitude more capacity.
 //
 // Calibration anchors (same 1518-byte/TCP accounting as EFW):
@@ -180,8 +180,8 @@ func ADF() Profile {
 //     so no flood the testbed can generate finds a DoS rate (Fig. 3
 //     rerun, EXT1)
 //   - PerRuleCost stays at the EFW's 1.0 as the reference cost of the
-//     equivalent linear walk (comparison output only; the compiled
-//     matcher never pays it)
+//     equivalent linear walk (comparison output only; a CompiledMatch
+//     profile is never charged it)
 func NextGen() Profile {
 	return Profile{
 		Name:               "NextGenFW",
