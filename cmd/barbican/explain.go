@@ -19,7 +19,7 @@ import (
 // identical invocations are byte-identical.
 func runExplain(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("barbican explain", flag.ContinueOnError)
-	device := fs.String("device", "efw", "card profile: standard|efw|adf|nextgen|stateful")
+	device := fs.String("device", "efw", "card profile: "+core.DeviceNames())
 	depth := fs.Int("depth", 64, "synthetic rule-set depth (paper shape: depth-1 non-matching rules above the action rule); 0 = no policy")
 	deny := fs.Bool("deny", false, "synthetic action rule denies the flood signature (default: allows everything)")
 	stateful := fs.Bool("stateful", false, "use the stateful synthetic rule set (new-to-service + established/related) instead of the stateless one")
@@ -48,10 +48,11 @@ func runExplain(w io.Writer, args []string) error {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 
-	profile, err := nic.ProfileByName(*device)
+	dev, err := core.ParseDevice(*device)
 	if err != nil {
 		return err
 	}
+	profile := dev.Profile()
 
 	var rs *fw.RuleSet
 	switch {

@@ -5,6 +5,7 @@
 // Usage:
 //
 //	barbican [flags] EXPERIMENT|all
+//	barbican flood [flags]
 //	barbican explain [flags]
 //	barbican profile [flags] FILE [FILE]
 //
@@ -32,6 +33,7 @@
 //	                 cost profiles
 //	-profile-sample N  kernel profiler samples 1 event in N (default 16;
 //	                 the cost domain is always exact)
+//	-pcap-out DIR    write each run's client-side wire capture as pcap
 //	-faults PLAN     custom management-channel fault plan for the chaos
 //	                 experiments (e.g. "loss=0.2,down=1s-2.5s")
 //	-fault-seed N    fault-injector seed (default: the simulation seed)
@@ -56,6 +58,17 @@
 // what each state-recovery policy does to live connections after a
 // fail-open degraded episode.
 //
+// The flood subcommand explores one device's flood tolerance: the
+// available bandwidth at every point of -depth × -rate (comma lists;
+// one value each is a single run, 2 s window by default), or with
+// -search the minimum denial-of-service flood rate at every depth. It
+// shares -duration, -seed, -parallel, -fault-seed and the artifact
+// flags with the experiments, and its points run on the same executor
+// and write artifacts under <dir>/flood/<label>. Its -faults is a
+// data-plane plan for the target's access link, not the chaos
+// experiments' management-channel plan. -device takes a name from the
+// one device table (internal/core); see barbican flood -h.
+//
 // The explain subcommand replays one hypothetical packet against a
 // rule set (the synthetic depth-N set, or a policy file with -policy)
 // and prints the matched rule, depth walked, and predicted per-stage
@@ -69,6 +82,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -80,34 +94,35 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "barbican:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
-	if len(args) > 0 && args[0] == "explain" {
-		return runExplain(os.Stdout, args[1:])
-	}
-	if len(args) > 0 && args[0] == "profile" {
-		return runProfileCmd(os.Stdout, args[1:])
+func run(w io.Writer, args []string) error {
+	if len(args) > 0 {
+		switch args[0] {
+		case "explain":
+			return runExplain(w, args[1:])
+		case "profile":
+			return runProfileCmd(w, args[1:])
+		case "flood":
+			return runFlood(w, args[1:])
+		}
 	}
 	fs := flag.NewFlagSet("barbican", flag.ContinueOnError)
-	quick := fs.Bool("quick", false, "shrink sweeps to representative points")
-	duration := fs.Duration("duration", 0, "per-measurement window (0 = tool default)")
-	seed := fs.Int64("seed", 0, "simulation seed (0 = 1)")
-	parallel := fs.Int("parallel", 0, "experiment points measured concurrently (0 = GOMAXPROCS, 1 = serial)")
 	var cfg experiment.Config
-	cfg.ArtifactFlags(fs)
+	fs.BoolVar(&cfg.Quick, "quick", false, "shrink sweeps to representative points")
+	sharedFlags(fs, &cfg)
 	faultSpec := fs.String("faults", "", `custom management-channel fault plan for the chaos experiments, e.g. "loss=0.2,down=1s-2.5s" (replaces the default condition sweep)`)
-	faultSeed := fs.Int64("fault-seed", 0, "fault-injector seed (0 = derive from the simulation seed)")
 	fs.Usage = func() {
 		var names []string
 		for _, e := range experiment.Experiments() {
 			names = append(names, e.Name)
 		}
 		fmt.Fprintf(fs.Output(), "usage: barbican [flags] %s|all\n", strings.Join(names, "|"))
+		fmt.Fprintln(fs.Output(), "       barbican flood [flags]  (one device's bandwidth over depths × flood rates)")
 		fmt.Fprintln(fs.Output(), "       barbican explain [flags]  (replay one packet against a rule set)")
 		fmt.Fprintln(fs.Output(), "       barbican profile [flags] FILE [FILE]  (summarize or diff profiles)")
 		fs.PrintDefaults()
@@ -119,9 +134,6 @@ func run(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("expected exactly one experiment name")
 	}
-	acct := &experiment.Accounting{}
-	cfg.Quick, cfg.Duration, cfg.Seed = *quick, *duration, *seed
-	cfg.Parallel, cfg.Account, cfg.FaultSeed = *parallel, acct, *faultSeed
 	if *faultSpec != "" {
 		plan, err := faults.ParsePlan(*faultSpec)
 		if err != nil {
@@ -129,16 +141,36 @@ func run(args []string) error {
 		}
 		cfg.Faults = &plan
 	}
-	workers := *parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	want := fs.Arg(0)
 	selected := experiment.Select(want)
 	if len(selected) == 0 {
 		fs.Usage()
 		return fmt.Errorf("unknown experiment %q", want)
+	}
+	return runExperiments(w, cfg, selected)
+}
+
+// sharedFlags declares the flags every simulating command takes, bound
+// to cfg: -duration, -seed, -parallel, -fault-seed and the artifact
+// flags.
+func sharedFlags(fs *flag.FlagSet, cfg *experiment.Config) {
+	fs.DurationVar(&cfg.Duration, "duration", 0, "per-measurement window (0 = tool default)")
+	fs.Int64Var(&cfg.Seed, "seed", 0, "simulation seed (0 = 1)")
+	fs.IntVar(&cfg.Parallel, "parallel", 0, "experiment points measured concurrently (0 = GOMAXPROCS, 1 = serial)")
+	fs.Int64Var(&cfg.FaultSeed, "fault-seed", 0, "fault-injector seed (0 = derive from the simulation seed)")
+	cfg.ArtifactFlags(fs)
+}
+
+// runExperiments runs the experiments in order and prints each one's
+// parts, joined by a blank line, then the executor's accounting
+// summary. With -metrics-out every part writes its data exports and
+// the executor its accounting.
+func runExperiments(w io.Writer, cfg experiment.Config, selected []experiment.Experiment) error {
+	acct := &experiment.Accounting{}
+	cfg.Account = acct
+	workers := cfg.Parallel
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	start := time.Now()
 	for _, e := range selected {
@@ -155,10 +187,10 @@ func run(args []string) error {
 			}
 			out = append(out, res.Render())
 		}
-		fmt.Println(strings.Join(out, "\n"))
+		fmt.Fprintln(w, strings.Join(out, "\n"))
 	}
 	elapsed := time.Since(start)
-	fmt.Println(acct.Summary(elapsed, workers))
+	fmt.Fprintln(w, acct.Summary(elapsed, workers))
 	if cfg.MetricsDir != "" {
 		reg := obs.NewRegistry()
 		acct.Publish(reg, elapsed, workers)

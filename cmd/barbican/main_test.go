@@ -2,28 +2,29 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {
-	err := run([]string{"figure9"})
+	err := run(io.Discard, []string{"figure9"})
 	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestRunRequiresExactlyOneArgument(t *testing.T) {
-	if err := run(nil); err == nil {
+	if err := run(io.Discard, nil); err == nil {
 		t.Error("no arguments accepted")
 	}
-	if err := run([]string{"fig2", "fig3a"}); err == nil {
+	if err := run(io.Discard, []string{"fig2", "fig3a"}); err == nil {
 		t.Error("two arguments accepted")
 	}
 }
 
 func TestRunRejectsBadFlag(t *testing.T) {
-	if err := run([]string{"-bogus", "fig2"}); err == nil {
+	if err := run(io.Discard, []string{"-bogus", "fig2"}); err == nil {
 		t.Error("unknown flag accepted")
 	}
 }
@@ -32,7 +33,7 @@ func TestRunQuickAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	if err := run([]string{"-quick", "-duration", "500ms", "ablations"}); err != nil {
+	if err := run(io.Discard, []string{"-quick", "-duration", "500ms", "ablations"}); err != nil {
 		t.Fatalf("run ablations: %v", err)
 	}
 }
@@ -52,6 +53,11 @@ func TestExplainOutput(t *testing.T) {
 			args: []string{"-policy", "-", "-dport", "1521", "-src", "10.0.0.7"},
 			want: []string{"allow by rule 4 after traversing 4 rule(s)", "port 1521"},
 		},
+		{
+			// iptables filters in the host; its card is the standard NIC.
+			args: []string{"-device", "iptables", "-depth", "64"},
+			want: []string{"device: Standard (wire speed, no filtering cost)", "traversing 64 rule(s)"},
+		},
 	} {
 		var out bytes.Buffer
 		if err := runExplain(&out, tt.args); err != nil {
@@ -66,10 +72,10 @@ func TestExplainOutput(t *testing.T) {
 }
 
 func TestExplainSubcommandDispatch(t *testing.T) {
-	if err := run([]string{"explain", "-bogus"}); err == nil {
+	if err := run(io.Discard, []string{"explain", "-bogus"}); err == nil {
 		t.Error("explain accepted unknown flag")
 	}
-	if err := run([]string{"explain", "-device", "warp-drive"}); err == nil || !strings.Contains(err.Error(), "unknown device") {
+	if err := run(io.Discard, []string{"explain", "-device", "warp-drive"}); err == nil || !strings.Contains(err.Error(), "unknown device") {
 		t.Errorf("err = %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -85,7 +86,7 @@ func TestProfileCmdArgErrors(t *testing.T) {
 // TestProfileSubcommandDispatch checks `barbican profile ...` routes
 // through run's dispatcher, like explain.
 func TestProfileSubcommandDispatch(t *testing.T) {
-	if err := run([]string{"profile"}); err == nil {
+	if err := run(io.Discard, []string{"profile"}); err == nil {
 		t.Error("bare profile subcommand: want usage error")
 	}
 }

@@ -105,7 +105,7 @@ type lintFinding struct {
 func lint(path string, args []string) error {
 	fs := flag.NewFlagSet("policyctl lint", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
-	device := fs.String("device", "efw", "card profile for depth predictions: standard|efw|adf|nextgen")
+	device := fs.String("device", "efw", "card profile for depth predictions: "+core.DeviceNames())
 	depthWarn := fs.Int("depth-warn", 16, "note reachable rules deeper than this position (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -118,10 +118,11 @@ func lint(path string, args []string) error {
 	if err != nil {
 		return err
 	}
-	profile, err := nic.ProfileByName(*device)
+	dev, err := core.ParseDevice(*device)
 	if err != nil {
 		return err
 	}
+	profile := dev.Profile()
 
 	findings := sem.Lint(rs, *depthWarn)
 	nextgen := nic.NextGen()

@@ -44,6 +44,14 @@ func TestLintSubcommand(t *testing.T) {
 	if err := run([]string{"lint", clean}); err != nil {
 		t.Fatalf("lint clean: %v", err)
 	}
+	for _, device := range []string{"iptables", "stateful", "vpg"} {
+		if err := run([]string{"lint", clean, "-device", device}); err != nil {
+			t.Errorf("lint -device %s: %v", device, err)
+		}
+	}
+	if err := run([]string{"lint", clean, "-device", "3com"}); err == nil {
+		t.Error("lint accepted an unknown device")
+	}
 	shadowed := filepath.Join(t.TempDir(), "shadowed.txt")
 	text := "deny in from 10.0.0.0/8 to any\n" +
 		"allow in proto tcp from 10.1.0.0/16 to any port 80\n" +

@@ -134,10 +134,7 @@ func TestDiffWitnessReplaysThroughExplain(t *testing.T) {
 	if res.Equivalent || len(res.Witnesses) == 0 {
 		t.Fatalf("constructed delta produced no witnesses: %+v", res)
 	}
-	profile, err := nic.ProfileByName("efw")
-	if err != nil {
-		t.Fatal(err)
-	}
+	profile := nic.EFW()
 	sawActionChange := false
 	for _, w := range res.Witnesses {
 		e1 := nic.Explain(profile, v1, w.Packet, w.Dir, "none")

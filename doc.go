@@ -19,8 +19,8 @@
 //	internal/experiment  runners that regenerate every figure and table
 //	internal/{sim,packet,link,fw,vpg,nic,hostfw,stack,apps,measure,policy}
 //	                     the substrates
-//	cmd/barbican         CLI that prints the paper's figures and tables
-//	cmd/floodsim         interactive flood-tolerance explorer
+//	cmd/barbican         CLI that prints the paper's figures and tables;
+//	                     barbican flood explores one device's flood tolerance
 //	cmd/policyctl        policy-file tooling and a distribution demo
 //	examples/            runnable walkthroughs of the public API
 package barbican

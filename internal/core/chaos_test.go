@@ -120,7 +120,8 @@ func TestChaosPartitionNeedsRetries(t *testing.T) {
 }
 
 // TestChaosDataPlaneFaultsViaScenario exercises the Scenario.Faults
-// hook floodsim uses: loss on the target's access link degrades iperf.
+// hook barbican flood -faults uses: loss on the target's access link
+// degrades iperf.
 func TestChaosDataPlaneFaultsViaScenario(t *testing.T) {
 	clean, err := core.RunBandwidth(core.Scenario{Device: core.DeviceADF, Depth: 1, Duration: time.Second})
 	if err != nil {

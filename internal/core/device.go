@@ -1,0 +1,112 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+
+	"barbican/internal/nic"
+)
+
+// Device identifies a firewall configuration under validation.
+type Device int
+
+// Devices the methodology knows how to build.
+const (
+	// DeviceStandard is the non-filtering control NIC (Intel EEPro 100).
+	DeviceStandard Device = iota + 1
+	// DeviceEFW is the 3Com Embedded Firewall.
+	DeviceEFW
+	// DeviceADF is the Autonomic Distributed Firewall with standard rules.
+	DeviceADF
+	// DeviceADFVPG is the ADF enforcing virtual private groups.
+	DeviceADFVPG
+	// DeviceIPTables is the software-firewall baseline: a standard NIC
+	// with filtering in the host.
+	DeviceIPTables
+	// DeviceNextGen is the hypothetical flood-tolerant card of the
+	// paper's conclusion (extension experiment EXT1).
+	DeviceNextGen
+	// DeviceStateful is the NextGen card with connection tracking: the
+	// compiled/cached fast path plus a hard-bounded conntrack table in
+	// card SRAM (extension experiment EXT4, the stateflood family).
+	DeviceStateful
+)
+
+// deviceSpec is one row of the device table.
+type deviceSpec struct {
+	// name is the device's command-line name; aliases are accepted
+	// too. Both match case-insensitively.
+	name    string
+	aliases []string
+	// label names the device as in the paper's figures.
+	label string
+	// profile builds the card the device puts on its host. iptables
+	// filters in the host behind a standard card.
+	profile func() nic.Profile
+}
+
+// devices is the one table of devices, indexed by Device: every name a
+// command line accepts, every figure label and every card profile.
+var devices = [...]deviceSpec{
+	DeviceStandard: {"standard", []string{"none"}, "Standard NIC", nic.Standard},
+	DeviceEFW:      {"efw", nil, "EFW", nic.EFW},
+	DeviceADF:      {"adf", nil, "ADF", nic.ADF},
+	DeviceADFVPG:   {"vpg", []string{"adf-vpg"}, "ADF (VPG)", nic.ADF},
+	DeviceIPTables: {"iptables", nil, "iptables", nic.Standard},
+	DeviceNextGen:  {"nextgen", nil, "NextGenFW", nic.NextGen},
+	DeviceStateful: {"stateful", nil, "StatefulFW", nic.Stateful},
+}
+
+// spec returns d's table row; ok is false for a value outside the table.
+func (d Device) spec() (s deviceSpec, ok bool) {
+	if d < DeviceStandard || int(d) >= len(devices) {
+		return deviceSpec{}, false
+	}
+	return devices[d], true
+}
+
+// String names the device as in the paper's figures.
+func (d Device) String() string {
+	if s, ok := d.spec(); ok {
+		return s.label
+	}
+	return fmt.Sprintf("device(%d)", int(d))
+}
+
+// Profile returns the calibrated profile of the card the device puts
+// on its host, or the zero Profile for a value outside the table.
+func (d Device) Profile() nic.Profile {
+	s, ok := d.spec()
+	if !ok {
+		return nic.Profile{}
+	}
+	return s.profile()
+}
+
+// ParseDevice maps a command-line device name or alias to its device,
+// case-insensitively.
+func ParseDevice(name string) (Device, error) {
+	lower := strings.ToLower(name)
+	for d := DeviceStandard; int(d) < len(devices); d++ {
+		s := devices[d]
+		if lower == s.name {
+			return d, nil
+		}
+		for _, a := range s.aliases {
+			if lower == a {
+				return d, nil
+			}
+		}
+	}
+	return 0, fmt.Errorf("unknown device %q (%s)", name, DeviceNames())
+}
+
+// DeviceNames lists every device's command-line name in table order,
+// separated by "|", for flag help and errors.
+func DeviceNames() string {
+	names := make([]string, 0, len(devices)-1)
+	for _, s := range devices[DeviceStandard:] {
+		names = append(names, s.name)
+	}
+	return strings.Join(names, "|")
+}

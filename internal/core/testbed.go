@@ -20,53 +20,6 @@ import (
 	"barbican/internal/vpg"
 )
 
-// Device identifies a firewall configuration under validation.
-type Device int
-
-// Devices the methodology knows how to build.
-const (
-	// DeviceStandard is the non-filtering control NIC (Intel EEPro 100).
-	DeviceStandard Device = iota + 1
-	// DeviceEFW is the 3Com Embedded Firewall.
-	DeviceEFW
-	// DeviceADF is the Autonomic Distributed Firewall with standard rules.
-	DeviceADF
-	// DeviceADFVPG is the ADF enforcing virtual private groups.
-	DeviceADFVPG
-	// DeviceIPTables is the software-firewall baseline: a standard NIC
-	// with filtering in the host.
-	DeviceIPTables
-	// DeviceNextGen is the hypothetical flood-tolerant card of the
-	// paper's conclusion (extension experiment EXT1).
-	DeviceNextGen
-	// DeviceStateful is the NextGen card with connection tracking: the
-	// compiled/cached fast path plus a hard-bounded conntrack table in
-	// card SRAM (extension experiment EXT4, the stateflood family).
-	DeviceStateful
-)
-
-// String names the device as in the paper's figures.
-func (d Device) String() string {
-	switch d {
-	case DeviceStandard:
-		return "Standard NIC"
-	case DeviceEFW:
-		return "EFW"
-	case DeviceADF:
-		return "ADF"
-	case DeviceADFVPG:
-		return "ADF (VPG)"
-	case DeviceIPTables:
-		return "iptables"
-	case DeviceNextGen:
-		return "NextGenFW"
-	case DeviceStateful:
-		return "StatefulFW"
-	default:
-		return fmt.Sprintf("device(%d)", int(d))
-	}
-}
-
 // Well-known testbed addresses.
 var (
 	PolicyServerIP = packet.MustIP("10.0.0.10")
@@ -164,23 +117,17 @@ func (tb *Testbed) AddHost(name string, ip packet.IP, device Device, respond boo
 	mac := packet.MAC{0x02, 0x42, 0, 0, 0, tb.nextMAC}
 	tb.macs[ip] = mac
 
-	var profile nic.Profile
-	var fwall *hostfw.Firewall
-	switch device {
-	case DeviceStandard, DeviceIPTables:
-		profile = nic.Standard()
-	case DeviceEFW:
-		profile = nic.EFW()
-	case DeviceADF, DeviceADFVPG:
-		profile = nic.ADF()
-		profile.EagerVPGDecrypt = tb.eager
-	case DeviceNextGen:
-		profile = nic.NextGen()
-	case DeviceStateful:
-		profile = nic.Stateful()
-	default:
+	spec, ok := device.spec()
+	if !ok {
 		return nil, fmt.Errorf("core: unknown device %v", device)
 	}
+	profile := spec.profile()
+	// Only the VPG-capable card (the ADF) has sealed traffic to decrypt
+	// eagerly.
+	if profile.CryptoPerPacket > 0 {
+		profile.EagerVPGDecrypt = tb.eager
+	}
+	var fwall *hostfw.Firewall
 	if device == DeviceIPTables {
 		fwall = hostfw.New(tb.Kernel, hostfw.IPTables())
 	}

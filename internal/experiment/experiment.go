@@ -181,6 +181,9 @@ type Config struct {
 	// rate; zero uses profile.DefaultKernelSampleEvery. The cost
 	// domain is always exact.
 	ProfileSample int
+	// PcapDir, when non-empty, captures the client's wire for each run
+	// and writes it as a classic pcap file under this directory.
+	PcapDir string
 	// Parallel is the number of experiment points measured concurrently;
 	// zero means runtime.GOMAXPROCS(0) and 1 runs points serially on the
 	// calling goroutine. Every point owns a private simulation kernel and
@@ -204,7 +207,7 @@ func (c Config) pool() runner.Pool { return runner.Pool{Workers: c.Parallel} }
 
 // ArtifactFlags declares the per-run artifact flags on fs, bound to
 // c: -metrics-out, -sample-every, -trace-out, -trace-sample,
-// -profile-out and -profile-sample.
+// -profile-out, -profile-sample and -pcap-out.
 func (c *Config) ArtifactFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.MetricsDir, "metrics-out", "", "write telemetry artifacts (prom/json/csv) under this directory")
 	fs.DurationVar(&c.SampleEvery, "sample-every", 0, "flight-recorder tick in virtual time (0 = 50ms default)")
@@ -212,19 +215,21 @@ func (c *Config) ArtifactFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.TraceSample, "trace-sample", 0, "trace 1 packet in N (0 = 64 default; needs -trace-out)")
 	fs.StringVar(&c.ProfileDir, "profile-out", "", "write dual-domain profiles (pprof + folded stacks) under this directory")
 	fs.IntVar(&c.ProfileSample, "profile-sample", 0, "kernel profiler samples 1 event in N (0 = 16 default; needs -profile-out)")
+	fs.StringVar(&c.PcapDir, "pcap-out", "", "write each run's client-side wire capture as pcap under this directory")
 }
 
-// Observing reports whether the configuration asks for per-run
-// artifacts (any of MetricsDir, TraceDir, ProfileDir).
-func (c Config) Observing() bool {
-	return c.MetricsDir != "" || c.TraceDir != "" || c.ProfileDir != ""
+// observing reports whether the configuration asks for per-run
+// artifacts (any of MetricsDir, TraceDir, ProfileDir, PcapDir).
+func (c Config) observing() bool {
+	return c.MetricsDir != "" || c.TraceDir != "" || c.ProfileDir != "" || c.PcapDir != ""
 }
 
-// ObserveOptions returns the observability pillars the configuration
+// observeOptions returns the observability pillars the configuration
 // selects: the recorder tick always, the tracer when TraceDir is set,
-// the profiler when ProfileDir is set.
-func (c Config) ObserveOptions() core.ObserveOptions {
-	opt := core.ObserveOptions{SampleEvery: c.SampleEvery}
+// the profiler when ProfileDir is set, the wire capture when PcapDir
+// is set.
+func (c Config) observeOptions() core.ObserveOptions {
+	opt := core.ObserveOptions{SampleEvery: c.SampleEvery, Capture: c.PcapDir != ""}
 	if c.TraceDir != "" {
 		opt.Trace.SampleEvery = c.TraceSample
 		if opt.Trace.SampleEvery <= 0 {

@@ -11,6 +11,7 @@ import (
 	"barbican/internal/core"
 	"barbican/internal/obs"
 	"barbican/internal/obs/profile"
+	"barbican/internal/trace"
 )
 
 // family pairs one core scenario family's plain and observed entry
@@ -35,11 +36,11 @@ var (
 
 // point is the experiments' one run path: it runs s — plainly when cfg
 // asks for no artifacts, observed otherwise — accounts the point, and
-// writes its artifacts (see WriteRunArtifacts) under
+// writes its artifacts (see writeRunArtifacts) under
 // <dir>/<exp>/<label>. Profiled points carry their merged cost profile
 // (CostProfile) back to the caller for per-experiment aggregation.
 func (f family[S, P]) point(cfg Config, exp, label string, s S) (P, error) {
-	if !cfg.Observing() {
+	if !cfg.observing() {
 		p, err := f.run(s)
 		if err == nil {
 			out := f.outcome(p)
@@ -54,55 +55,67 @@ func (f family[S, P]) point(cfg Config, exp, label string, s S) (P, error) {
 // observe is point for callers that read the run's recorder
 // themselves: the run is observed even when cfg writes no artifacts.
 func (f family[S, P]) observe(cfg Config, exp, label string, s S) (P, *core.Instrumentation, error) {
-	p, inst, err := f.observed(s, cfg.ObserveOptions())
+	p, inst, err := f.observed(s, cfg.observeOptions())
 	if err != nil {
 		return p, nil, err
 	}
 	out := f.outcome(p)
 	cfg.account(1, out.SimSeconds, out.WallBusy)
-	if _, err := cfg.WriteRunArtifacts(exp, label, out, inst); err != nil {
+	if err := cfg.writeRunArtifacts(exp, label, out, inst); err != nil {
 		return p, nil, fmt.Errorf("%s/%s: %w", exp, label, err)
 	}
 	return p, inst, nil
 }
 
-// WriteRunArtifacts writes one observed run's artifacts to the
+// writeRunArtifacts writes one observed run's artifacts to the
 // directories cfg selects, each joined with exp:
 // <MetricsDir>/<exp>/<label>.{prom,csv,json,snapshot.prom} plus the
 // per-rule breakdown <label>.rules.{csv,json} for filtered runs,
-// <TraceDir>/<exp>/<label>.trace.{json,txt}, and
-// <ProfileDir>/<exp>/<label>.{cost,kernel}.{pprof,folded}. It returns
-// the telemetry, trace and profile paths in that order.
-func (c Config) WriteRunArtifacts(exp, label string, out core.Outcome, inst *core.Instrumentation) ([]string, error) {
-	var paths []string
+// <TraceDir>/<exp>/<label>.trace.{json,txt},
+// <ProfileDir>/<exp>/<label>.{cost,kernel}.{pprof,folded} and
+// <PcapDir>/<exp>/<label>.pcap.
+func (c Config) writeRunArtifacts(exp, label string, out core.Outcome, inst *core.Instrumentation) error {
 	if c.MetricsDir != "" {
 		dir := filepath.Join(c.MetricsDir, exp)
-		mp, err := inst.WriteArtifacts(dir, label)
-		if err != nil {
-			return nil, err
+		if _, err := inst.WriteArtifacts(dir, label); err != nil {
+			return err
 		}
-		paths = append(paths, mp...)
 		if out.Attribution != nil {
 			if err := WriteRuleAttribution(dir, label, out.Attribution); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
 	if c.TraceDir != "" {
-		tp, err := inst.WriteTraceArtifacts(filepath.Join(c.TraceDir, exp), label)
-		if err != nil {
-			return nil, err
+		if _, err := inst.WriteTraceArtifacts(filepath.Join(c.TraceDir, exp), label); err != nil {
+			return err
 		}
-		paths = append(paths, tp...)
 	}
 	if c.ProfileDir != "" {
-		pp, err := inst.WriteProfileArtifacts(filepath.Join(c.ProfileDir, exp), label)
-		if err != nil {
-			return nil, err
+		if _, err := inst.WriteProfileArtifacts(filepath.Join(c.ProfileDir, exp), label); err != nil {
+			return err
 		}
-		paths = append(paths, pp...)
 	}
-	return paths, nil
+	if c.PcapDir != "" {
+		return writePCAP(filepath.Join(c.PcapDir, exp), label, inst.Capture)
+	}
+	return nil
+}
+
+// writePCAP writes a run's wire capture as <dir>/<label>.pcap.
+func writePCAP(dir, label string, capture *trace.Capture) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(dir, obs.SanitizeName(label)+".pcap"))
+	if err != nil {
+		return err
+	}
+	if err := capture.WritePCAP(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // writeMergedCostProfile merges per-point cost profiles (in the order

@@ -12,25 +12,6 @@ import (
 	"barbican/internal/sim"
 )
 
-// ProfileByName maps a CLI device name to its calibrated card profile,
-// shared by barbican explain and policyctl lint.
-func ProfileByName(name string) (Profile, error) {
-	switch strings.ToLower(name) {
-	case "standard":
-		return Standard(), nil
-	case "efw":
-		return EFW(), nil
-	case "adf", "vpg":
-		return ADF(), nil
-	case "nextgen":
-		return NextGen(), nil
-	case "stateful":
-		return Stateful(), nil
-	default:
-		return Profile{}, fmt.Errorf("unknown device %q (standard|efw|adf|nextgen|stateful)", name)
-	}
-}
-
 // PacketSpec describes one hypothetical packet for explain-style
 // replay against a rule set, as assembled from command-line flags.
 type PacketSpec struct {

@@ -97,11 +97,11 @@ func TestExplainMatchesCard(t *testing.T) {
 		{"stateful", statefulRules},
 		{"vpg", func() *fw.RuleSet { return fw.MustRuleSet(fw.Deny, fw.VPGRulePair("psq", ipB, peers)...) }},
 	}
-	for _, device := range []string{"standard", "efw", "adf", "nextgen", "stateful"} {
-		p, err := ProfileByName(device)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, card := range []struct {
+		device string
+		p      Profile
+	}{{"standard", Standard()}, {"efw", EFW()}, {"adf", ADF()}, {"nextgen", NextGen()}, {"stateful", Stateful()}} {
+		device, p := card.device, card.p
 		for _, pol := range policies {
 			for _, dir := range []string{"in", "out", "in-sealed"} {
 				for _, flags := range []packet.TCPFlags{packet.FlagSYN, packet.FlagACK} {

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -142,59 +141,5 @@ func TestMapEmpty(t *testing.T) {
 	res, err := Map(Pool{}, 0, func(i int) (int, error) { return 0, nil })
 	if err != nil || len(res) != 0 {
 		t.Fatalf("res = %v, err = %v", res, err)
-	}
-}
-
-func TestCollectorOrdersOutput(t *testing.T) {
-	var out bytes.Buffer
-	c := NewCollector(&out, 3)
-	// Task 2 and 1 write and finish before task 0: their output must
-	// still appear after task 0's, in task order.
-	c.Printf(2, "two-a\n")
-	c.Printf(1, "one-a\n")
-	c.Done(2)
-	c.Printf(0, "zero-a\n")
-	c.Printf(1, "one-b\n")
-	c.Done(1)
-	c.Printf(0, "zero-b\n")
-	c.Done(0)
-	want := "zero-a\nzero-b\none-a\none-b\ntwo-a\n"
-	if out.String() != want {
-		t.Errorf("output = %q, want %q", out.String(), want)
-	}
-}
-
-func TestCollectorStreamsLiveTask(t *testing.T) {
-	var out bytes.Buffer
-	c := NewCollector(&out, 2)
-	c.Printf(0, "live\n")
-	if out.String() != "live\n" {
-		t.Errorf("live task did not stream through: %q", out.String())
-	}
-	c.Done(0)
-	c.Printf(1, "next\n") // task 1 is live now
-	if out.String() != "live\nnext\n" {
-		t.Errorf("newly live task did not stream: %q", out.String())
-	}
-	c.Done(1)
-}
-
-func TestCollectorSerialIdentical(t *testing.T) {
-	render := func(workers int) string {
-		var out bytes.Buffer
-		c := NewCollector(&out, 4)
-		_, err := Map(Pool{Workers: workers}, 4, func(i int) (struct{}, error) {
-			c.Printf(i, "point %d begin\n", i)
-			c.Printf(i, "point %d end\n", i)
-			c.Done(i)
-			return struct{}{}, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out.String()
-	}
-	if serial, parallel := render(1), render(4); serial != parallel {
-		t.Errorf("serial %q != parallel %q", serial, parallel)
 	}
 }
