@@ -333,12 +333,12 @@ func runStateflood(s StatefloodScenario, opt *ObserveOptions) (StatefloodPoint, 
 }
 
 // MinStatefloodRate finds the minimum flood rate that denies service to
-// the probe session, by the same galloping bisection as MinFloodRate
-// but with the session-survival criterion instead of the bandwidth one.
+// the probe session, by the same grid bisection as MinFloodRate but
+// with the session-survival criterion instead of the bandwidth one.
 // The scenario's FloodRatePPS is ignored; each probe builds a fresh
 // testbed.
 func MinStatefloodRate(s StatefloodScenario) (MinFloodResult, error) {
-	return minFloodRate(0, func(rate float64) (bool, Outcome, error) {
+	return minFloodRate(func(rate float64) (bool, Outcome, error) {
 		sc := s
 		sc.FloodRatePPS = rate
 		p, err := RunStateflood(sc)

@@ -13,8 +13,7 @@ import (
 // required flood rate in Figure 3(b) — only ever stops the *first*
 // fragment of each flood packet. The table compares minimum DoS flood
 // rates with the flood allowed, denied, and denied-but-fragmented. The
-// three searches are independent (different flood classes, so no
-// warm-start chain applies) and run concurrently on the executor.
+// three searches are independent and run concurrently on the executor.
 func ExtensionFragmentEvasion(cfg Config) (*Table, error) {
 	device := core.DeviceADF // the deny series the paper could measure
 	const depth = 64

@@ -149,53 +149,40 @@ func Fig3NextGen(cfg Config) (*Figure, error) {
 }
 
 // minFloodRateVsDepth searches the minimum DoS flood rate of every class
-// at every depth, one series per class.
-//
-// Each class is one executor task; within a class, depths run
-// sequentially so each search warm-starts from the neighboring depth's
-// threshold — adjacent depths have nearby DoS rates, so galloping out
-// from the previous answer replaces the full cold bracket. Keeping the
-// warm-start chain inside one task means the probe sequence is
-// identical at any worker count.
+// at every depth, one series per class. Every (class, depth) point is
+// its own cold search and its own executor task, so a point depends on
+// its scenario and seed alone, never on the order of the sweep.
 func minFloodRateVsDepth(cfg Config, title string, depths []int, classes []floodClass) (*Figure, error) {
-	series, err := runner.Map(cfg.pool(), len(classes), func(ci int) (Series, error) {
-		class := classes[ci]
-		s := Series{Label: class.Label()}
-		hint := 0.0
-		for _, d := range depths {
-			r, err := core.MinFloodRateFrom(core.Scenario{
-				Device: class.Device, Depth: d, FloodAllowed: class.Allowed,
-				Duration: cfg.bandwidthDuration(), Seed: cfg.Seed,
-			}, hint)
-			if err != nil {
-				return Series{}, err
-			}
-			cfg.account(r.Probes, r.SimSeconds, r.WallBusy)
-			pt := Point{X: float64(d)}
-			switch {
-			case !r.Found:
-				pt.Note = "no DoS found"
-				hint = 0
-			case r.LockedUp:
-				pt.Y = r.RatePPS
-				pt.Note = "LOCKUP"
-				hint = r.RatePPS
-			default:
-				pt.Y = r.RatePPS
-				hint = r.RatePPS
-			}
-			s.Points = append(s.Points, pt)
+	points, err := runner.Map(cfg.pool(), len(classes)*len(depths), func(i int) (Point, error) {
+		class, d := classes[i/len(depths)], depths[i%len(depths)]
+		r, err := core.MinFloodRate(core.Scenario{
+			Device: class.Device, Depth: d, FloodAllowed: class.Allowed,
+			Duration: cfg.bandwidthDuration(), Seed: cfg.Seed,
+		})
+		if err != nil {
+			return Point{}, err
 		}
-		return s, nil
+		cfg.account(r.Probes, r.SimSeconds, r.WallBusy)
+		pt := Point{X: float64(d), Y: r.RatePPS}
+		switch {
+		case !r.Found:
+			pt.Note = "no DoS found"
+		case r.LockedUp:
+			pt.Note = "LOCKUP"
+		}
+		return pt, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	return &Figure{
+	fig := &Figure{
 		Title:  title,
 		XLabel: "rules traversed before action",
 		YLabel: "minimum flood rate (packets/s)",
-		Series: series,
-	}, nil
+	}
+	for ci, class := range classes {
+		fig.Series = append(fig.Series, Series{Label: class.Label(), Points: points[ci*len(depths) : (ci+1)*len(depths)]})
+	}
+	return fig, nil
 }

@@ -57,9 +57,10 @@ func renderEverything(t *testing.T, cfg Config) []byte {
 // TestParallelEquivalence is the executor's core contract: -parallel 1
 // and -parallel 8 must produce byte-identical fig2/fig3a/fig3b/table1
 // markdown and CSV artifacts. Every point owns a private kernel seeded
-// from the scenario, warm-start chains live inside single tasks, and
-// results reassemble in declaration order — so the only acceptable
-// difference between worker counts is wall-clock time.
+// from the scenario, every threshold search starts cold (each fig3b
+// point is its own task; TestThresholdLaw holds it to a standalone
+// search), and results reassemble in declaration order — so the only
+// acceptable difference between worker counts is wall-clock time.
 func TestParallelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full artifact regeneration; skipped in -short")

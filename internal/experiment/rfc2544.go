@@ -19,12 +19,8 @@ import (
 // sustains 100 Mbps of 1518-byte frames can still be far below the
 // medium's small-frame rate.
 //
-// Each device column is one executor task; within a column the frame
-// sizes run sequentially so each size's binary search warm-starts from
-// the neighboring size's result (scaled by the size ratio, since a
-// card's ceiling is roughly a fixed packet rate). The warm-start chain
-// stays inside one task, so trial sequences are identical at any worker
-// count.
+// Every (device, frame size) point is its own cold search and its own
+// executor task, so a point depends on its scenario and seed alone.
 func AppendixRFC2544(cfg Config) (*Table, error) {
 	sizes := measure.RFC2544FrameSizes
 	if cfg.Quick {
@@ -45,26 +41,13 @@ func AppendixRFC2544(cfg Config) (*Table, error) {
 		columns = columns[:3:3]
 	}
 
-	results, err := runner.Map(cfg.pool(), len(columns), func(ci int) ([]measure.ThroughputResult, error) {
-		col := columns[ci]
-		out := make([]measure.ThroughputResult, len(sizes))
-		hint, prevSize := 0.0, 0
-		for si, size := range sizes {
-			scaled := 0.0
-			if hint > 0 && prevSize > 0 {
-				// A device ceiling is ~constant in packets/s, a medium
-				// ceiling scales with frame size; scale by size ratio and
-				// let the gallop correct the difference either way.
-				scaled = hint * float64(prevSize) / float64(size)
-			}
-			res, err := rfc2544Point(cfg, col.device, col.depth, size, scaled)
-			if err != nil {
-				return nil, fmt.Errorf("rfc2544 %s %d-byte: %w", col.name, size, err)
-			}
-			out[si] = res
-			hint, prevSize = res.FramesPerSec, size
+	results, err := runner.Map(cfg.pool(), len(sizes)*len(columns), func(i int) (measure.ThroughputResult, error) {
+		size, col := sizes[i/len(columns)], columns[i%len(columns)]
+		res, err := rfc2544Point(cfg, col.device, col.depth, size)
+		if err != nil {
+			return res, fmt.Errorf("rfc2544 %s %d-byte: %w", col.name, size, err)
 		}
-		return out, nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
@@ -79,8 +62,7 @@ func AppendixRFC2544(cfg Config) (*Table, error) {
 	}
 	for si, size := range sizes {
 		row := []string{fmt.Sprint(size)}
-		for ci := range columns {
-			res := results[ci][si]
+		for _, res := range results[si*len(columns) : (si+1)*len(columns)] {
 			cell := fmt.Sprintf("%.0f", res.FramesPerSec)
 			if res.LineRateLimited {
 				cell += "*"
@@ -95,7 +77,7 @@ func AppendixRFC2544(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-func rfc2544Point(cfg Config, device core.Device, depth int, frameSize int, hint float64) (measure.ThroughputResult, error) {
+func rfc2544Point(cfg Config, device core.Device, depth int, frameSize int) (measure.ThroughputResult, error) {
 	// Trials must be long enough that a sustained over-capacity rate
 	// overruns the card's 128-frame ring and shows up as loss; the
 	// ThroughputConfig default (2 s) is the calibrated minimum.
@@ -112,7 +94,7 @@ func rfc2544Point(cfg Config, device core.Device, depth int, frameSize int, hint
 	// Ethernet payload = frame minus header+FCS; the medium's maximum
 	// frame rate for this size bounds the search.
 	maxRate := link.MaxFrameRate(frameSize-18, link.Rate100Mbps)
-	res, err := measure.ZeroLossThroughputFrom(tcfg, maxRate, hint, measure.HostThroughputTrial(tcfg, newPair))
+	res, err := measure.ZeroLossThroughput(tcfg, maxRate, measure.HostThroughputTrial(tcfg, newPair))
 	for _, k := range kernels {
 		cfg.account(1, k.Now().Seconds(), k.WallBusy())
 	}

@@ -17,7 +17,7 @@ import (
 
 func rfcPoint(t *testing.T, device core.Device, depth, frameSize int) measure.ThroughputResult {
 	t.Helper()
-	res, err := rfc2544Point(Config{Quick: true}, device, depth, frameSize, 0)
+	res, err := rfc2544Point(Config{Quick: true}, device, depth, frameSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestZeroLossThroughputSyntheticDevice(t *testing.T) {
 		}
 		return sent, received, nil
 	}
-	res, err := measure.ZeroLossThroughputFrom(measure.ThroughputConfig{FrameSize: 64}, 20000, 0, trial)
+	res, err := measure.ZeroLossThroughput(measure.ThroughputConfig{FrameSize: 64}, 20000, trial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestHostThroughputTrialIndependence(t *testing.T) {
 		tb.InstallPolicy(tb.Target, rs)
 		return tb.Kernel, tb.Client, tb.Target, nil
 	})
-	if _, err := measure.ZeroLossThroughputFrom(cfg, link.MaxFrameRate(238, link.Rate100Mbps), 0, trial); err != nil {
+	if _, err := measure.ZeroLossThroughput(cfg, link.MaxFrameRate(238, link.Rate100Mbps), trial); err != nil {
 		t.Fatal(err)
 	}
 	if builds < 2 {

@@ -204,7 +204,7 @@ func sanitize(v float64) float64 {
 }
 
 func TestThroughputConfigDefaults(t *testing.T) {
-	res, err := measure.ZeroLossThroughputFrom(measure.ThroughputConfig{}, 100, 0,
+	res, err := measure.ZeroLossThroughput(measure.ThroughputConfig{}, 100,
 		func(rate float64) (uint64, uint64, error) {
 			n := uint64(rate * 2)
 			return n, n, nil
@@ -222,7 +222,7 @@ func TestThroughputConfigDefaults(t *testing.T) {
 
 func TestZeroLossThroughputPropagatesErrors(t *testing.T) {
 	wantErr := errSentinel{}
-	_, err := measure.ZeroLossThroughputFrom(measure.ThroughputConfig{}, 100, 0,
+	_, err := measure.ZeroLossThroughput(measure.ThroughputConfig{}, 100,
 		func(rate float64) (uint64, uint64, error) { return 0, 0, wantErr })
 	if err == nil {
 		t.Error("trial error swallowed")

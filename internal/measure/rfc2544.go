@@ -27,12 +27,6 @@ type ThroughputConfig struct {
 	// TrialDuration is the per-rate trial length; zero defaults to 2 s
 	// (the RFC recommends 60 s; simulation trades that for search depth).
 	TrialDuration time.Duration
-	// LossTolerance is the acceptable loss fraction for a passing trial;
-	// the RFC demands zero, but a small epsilon (default 0.1 %)
-	// stabilizes the binary search against boundary jitter.
-	LossTolerance float64
-	// Port is the sink port; zero defaults to DefaultIperfPort.
-	Port uint16
 }
 
 func (c ThroughputConfig) withDefaults() ThroughputConfig {
@@ -42,14 +36,18 @@ func (c ThroughputConfig) withDefaults() ThroughputConfig {
 	if c.TrialDuration == 0 {
 		c.TrialDuration = 2 * time.Second
 	}
-	if c.LossTolerance == 0 {
-		c.LossTolerance = 0.001
-	}
-	if c.Port == 0 {
-		c.Port = DefaultIperfPort
-	}
 	return c
 }
+
+const (
+	// lossTolerance is the loss fraction a passing trial may show; the
+	// RFC demands zero, but 0.1 % stabilizes the search against
+	// boundary jitter.
+	lossTolerance = 0.001
+	// throughputGrid is the number of equal rate steps between zero and
+	// the medium's maximum frame rate that the search resolves.
+	throughputGrid = 256
+)
 
 // ThroughputResult reports a zero-loss throughput search.
 type ThroughputResult struct {
@@ -60,8 +58,6 @@ type ThroughputResult struct {
 	// Mbps is the corresponding line rate (frame bytes, excluding
 	// preamble/IFG, as RFC 2544 reports).
 	Mbps float64
-	// Trials is the number of rate trials run.
-	Trials int
 	// LineRateLimited reports that the search hit the medium's maximum
 	// frame rate rather than a device limit.
 	LineRateLimited bool
@@ -80,113 +76,33 @@ func (r ThroughputResult) String() string {
 // frame counts.
 type trialFn func(rate float64) (sent, received uint64, err error)
 
-// ZeroLossThroughputFrom performs the RFC 2544 §26.1 throughput search
-// for one frame size: binary search on the offered rate for the highest
-// rate whose loss is within tolerance. trial must build a *fresh*
-// client/server pair per trial (trials must be independent); it is
-// invoked once per trial.
-//
-// A hint in (0, maxRate) — typically the passing rate found at the
-// adjacent frame size, scaled by the size ratio — seeds the bisection
-// bracket by galloping outward from the hint, which cuts trial count
-// when neighboring sizes saturate at nearby rates. hint <= 0 runs the
-// cold search.
-func ZeroLossThroughputFrom(cfg ThroughputConfig, maxRate, hint float64, trial trialFn) (ThroughputResult, error) {
+// ZeroLossThroughput performs the RFC 2544 §26.1 throughput search for
+// one frame size: the highest rate on a grid of maxRate/256 steps whose
+// loss is within tolerance, found by Bisect for the lowest lossy step.
+// trial must build a *fresh* client/server pair per trial (trials must
+// be independent); it is invoked once per trial.
+func ZeroLossThroughput(cfg ThroughputConfig, maxRate float64, trial trialFn) (ThroughputResult, error) {
 	cfg = cfg.withDefaults()
 	res := ThroughputResult{FrameSize: cfg.FrameSize}
-
-	passes := func(rate float64) (bool, error) {
-		sent, received, err := trial(rate)
+	step := maxRate / throughputGrid
+	k, found, err := Bisect(0, throughputGrid, func(k int) (bool, error) {
+		sent, received, err := trial(float64(k) * step)
 		if err != nil {
 			return false, err
 		}
-		res.Trials++
 		if sent == 0 {
 			return false, fmt.Errorf("measure: trial offered no frames")
 		}
-		loss := 1 - float64(received)/float64(sent)
-		return loss <= cfg.LossTolerance, nil
+		return 1-float64(received)/float64(sent) > lossTolerance, nil
+	})
+	if err != nil {
+		return res, err
 	}
-
-	var lo, hi float64
-	if hint > 0 && hint < maxRate {
-		// Warm start: establish the lo-passes / hi-fails bracket by
-		// galloping from the hint, doubling the step until the outcome
-		// flips or a cold bound is reached.
-		ok, err := passes(hint)
-		if err != nil {
-			return res, err
-		}
-		step := maxRate / 256
-		if ok {
-			lo = hint
-			for {
-				hi = lo + step
-				if hi >= maxRate {
-					hi = maxRate
-				}
-				ok2, err := passes(hi)
-				if err != nil {
-					return res, err
-				}
-				if !ok2 {
-					break
-				}
-				lo = hi
-				if hi == maxRate {
-					res.FramesPerSec = maxRate
-					res.LineRateLimited = true
-					res.Mbps = maxRate * float64(cfg.FrameSize) * 8 / 1e6
-					return res, nil
-				}
-				step *= 2
-			}
-		} else {
-			hi = hint
-			for {
-				lo = hi - step
-				if lo <= 0 {
-					lo = 0
-					break // lo passes vacuously
-				}
-				ok2, err := passes(lo)
-				if err != nil {
-					return res, err
-				}
-				if ok2 {
-					break
-				}
-				hi = lo
-				step *= 2
-			}
-		}
-	} else {
-		ok, err := passes(maxRate)
-		if err != nil {
-			return res, err
-		}
-		if ok {
-			res.FramesPerSec = maxRate
-			res.LineRateLimited = true
-			res.Mbps = maxRate * float64(cfg.FrameSize) * 8 / 1e6
-			return res, nil
-		}
-		lo, hi = 0.0, maxRate // invariant: lo passes (vacuously), hi fails
+	res.FramesPerSec, res.LineRateLimited = maxRate, !found
+	if found {
+		res.FramesPerSec = float64(k-1) * step
 	}
-	for hi-lo > maxRate/256 {
-		mid := (lo + hi) / 2
-		ok, err := passes(mid)
-		if err != nil {
-			return res, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	res.FramesPerSec = lo
-	res.Mbps = lo * float64(cfg.FrameSize) * 8 / 1e6
+	res.Mbps = res.FramesPerSec * float64(cfg.FrameSize) * 8 / 1e6
 	return res, nil
 }
 
@@ -205,7 +121,7 @@ func HostThroughputTrial(cfg ThroughputConfig, newPair func() (k *sim.Kernel, cl
 		if err != nil {
 			return 0, 0, err
 		}
-		sink, err := apps.NewUDPSink(server, cfg.Port)
+		sink, err := apps.NewUDPSink(server, DefaultIperfPort)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -223,7 +139,7 @@ func HostThroughputTrial(cfg ThroughputConfig, newPair func() (k *sim.Kernel, cl
 				return
 			}
 			sent++
-			sock.SendTo(server.IP(), cfg.Port, buf)
+			sock.SendTo(server.IP(), DefaultIperfPort, buf)
 			k.After(interval, send)
 		}
 		send()
