@@ -98,6 +98,13 @@ type NIC struct {
 	finishFn    func(any)
 	ingressFree []*pendingIngress
 
+	// openBuf and openFrame are the card's one cleartext buffer and
+	// frame for opened VPG frames. finishIngress lends them to deliver
+	// for the length of the call; openLent is set while they are out.
+	openBuf   []byte
+	openFrame packet.Frame
+	openLent  bool
+
 	mgmtPeer packet.IP
 	mgmtPort uint16
 
@@ -272,7 +279,10 @@ func (n *NIC) overloadReason() tracing.DropReason {
 	return tracing.DropQueueOverflow
 }
 
-// SetDeliver registers the host-side receive handler.
+// SetDeliver registers the host-side receive handler. The frame, and
+// every byte of its payload, is valid only until fn returns: an opened
+// VPG frame lives in a buffer the card reuses for the next one, so a
+// handler copies whatever it keeps.
 func (n *NIC) SetDeliver(fn func(*packet.Frame)) { n.deliver = fn }
 
 // InstallRuleSet installs (or, with nil, removes) the enforced policy.
@@ -819,16 +829,22 @@ func (n *NIC) finishIngress(f *packet.Frame, s packet.Summary, verdict fw.Verdic
 		return
 	}
 	n.stats.RxAllowed++
+	n.openLent = true
 	if n.deliver != nil {
 		n.deliver(inner)
 	}
+	n.openLent = false
 }
 
 // open verifies and decrypts a sealed frame, returning the reconstructed
 // cleartext frame. tid is the frame's sampled trace (0 = untraced);
 // drop reasons are recorded against it and propagated to the inner
-// frame on success.
+// frame on success. The frame and its buffer belong to the card and are
+// reused by the next open, so open panics if deliver re-enters it.
 func (n *NIC) open(f *packet.Frame, verdict fw.Verdict, tid uint64) (*packet.Frame, bool) {
+	if n.openLent {
+		panic("nic: open re-entered while its buffer is lent to deliver")
+	}
 	outer, err := packet.UnmarshalDatagram(f.Payload)
 	if err != nil {
 		n.drop(fw.In, tracing.StageVPG, tracing.DropMalformed, tid)
@@ -853,12 +869,14 @@ func (n *NIC) open(f *packet.Frame, verdict fw.Verdict, tid uint64) (*packet.Fra
 		n.drop(fw.In, tracing.StageVPG, tracing.DropNoGroup, tid)
 		return nil, false
 	}
-	// The inner datagram is opened straight into the frame's buffer
+	// The inner datagram is opened straight into the card's buffer
 	// behind room for its IPv4 header, which is written once the
-	// transport protocol is known.
-	size := len(outer.Payload) - vpg.Overhead(len(name))
-	buf := make([]byte, packet.IPv4HeaderLen, packet.IPv4HeaderLen+max(size, 0))
-	proto, buf, seq, err := g.Open(buf, outer.Header.Src, outer.Header.Dst, outer.Payload)
+	// transport protocol is known. The buffer is made on the first
+	// open and grows only for a larger datagram.
+	if need := packet.IPv4HeaderLen + max(len(outer.Payload)-vpg.Overhead(len(name)), 0); cap(n.openBuf) < need {
+		n.openBuf = make([]byte, 0, need) //barbican:allow alloc -- first open, or a larger datagram than any before
+	}
+	proto, buf, seq, err := g.Open(n.openBuf[:packet.IPv4HeaderLen], outer.Header.Src, outer.Header.Dst, outer.Payload)
 	if err != nil {
 		n.drop(fw.In, tracing.StageVPG, tracing.DropAuthFail, tid)
 		return nil, false
@@ -878,7 +896,9 @@ func (n *NIC) open(f *packet.Frame, verdict fw.Verdict, tid uint64) (*packet.Fra
 		n.tracer.Point(tid, tracing.StageVPG, "opened "+g.Name())
 	}
 	putIPv4Header(buf, outer.Header.Src, outer.Header.Dst, proto, outer.Header.ID)
-	return &packet.Frame{Dst: f.Dst, Src: f.Src, Type: packet.EtherTypeIPv4, Payload: buf, TraceID: tid}, true
+	n.openBuf = buf[:0]
+	n.openFrame = packet.Frame{Dst: f.Dst, Src: f.Src, Type: packet.EtherTypeIPv4, Payload: buf, TraceID: tid}
+	return &n.openFrame, true
 }
 
 // putIPv4Header writes the header of a datagram with NewDatagram's

@@ -603,3 +603,39 @@ func TestIngressPathAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// TestOpenAllocatesOnlyKeystream: the ingress path of a sealed frame
+// opens into the card's own buffer and frame, so after the first frame
+// it allocates only cipher.NewCTR's keystream, and every delivery sees
+// the same lent frame.
+func TestOpenAllocatesOnlyKeystream(t *testing.T) {
+	k := sim.NewKernel()
+	a, b, _ := vpgPair(t, k)
+	sealed := make([]*packet.Frame, 102)
+	for i := range sealed {
+		f, ok := a.seal("psq", udpDatagram(ipA, ipB, 1000, 2000, 1200), macB)
+		if !ok {
+			t.Fatal("seal failed")
+		}
+		sealed[i] = f
+	}
+	lent := map[*packet.Frame]bool{}
+	b.SetDeliver(func(f *packet.Frame) { lent[f] = true })
+	next := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		b.handleFrame(sealed[next])
+		next++
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("%.2f allocs per sealed frame, want 1 (the CTR keystream)", allocs)
+	}
+	if got := b.Stats().Opened; got != uint64(next) {
+		t.Fatalf("opened %d of %d sealed frames", got, next)
+	}
+	if len(lent) != 1 {
+		t.Errorf("deliver saw %d distinct frames, want the card's one", len(lent))
+	}
+}

@@ -264,7 +264,12 @@ func TestVPGSealsAndOpensEndToEnd(t *testing.T) {
 	k := sim.NewKernel()
 	a, b, _ := vpgPair(t, k)
 	var got *packet.Frame
-	b.SetDeliver(func(f *packet.Frame) { got = f })
+	b.SetDeliver(func(f *packet.Frame) {
+		// The opened frame is lent until deliver returns: keep a copy.
+		c := *f
+		c.Payload = append([]byte(nil), f.Payload...)
+		got = &c
+	})
 
 	if !a.Send(udpDatagram(ipA, ipB, 1000, 2000, 256), macB) {
 		t.Fatal("Send refused")

@@ -48,6 +48,21 @@ func (e *Event) Cancel() bool {
 // Pending reports whether the event is still queued to fire.
 func (e *Event) Pending() bool { return e != nil && !e.fired && e.index >= 0 }
 
+// Reset re-arms e to fire d after the current virtual time, taking it
+// off the queue first if it is pending. It reuses the event rather than
+// allocating one, and takes one sequence number, exactly as Cancel
+// followed by After does, so the fire order is the same as theirs.
+// Reset works on any event a caller holds, pending, fired or canceled.
+func (e *Event) Reset(d time.Duration) {
+	k := e.kernel
+	if e.Pending() {
+		k.remove(e)
+	}
+	e.at, e.seq, e.fired = max(k.now+d, k.now), k.seq, false
+	k.seq++
+	k.push(e)
+}
+
 // Kernel is a discrete-event scheduler with a virtual clock.
 //
 // The zero value is not usable; construct kernels with NewKernel.
@@ -186,6 +201,12 @@ func (k *Kernel) At(t time.Duration, fn func()) *Event {
 // After schedules fn to run d after the current virtual time.
 func (k *Kernel) After(d time.Duration, fn func()) *Event {
 	return k.At(k.now+d, fn)
+}
+
+// Timer returns an unscheduled event that runs fn each time Reset arms
+// it: one event for a timer that is re-armed over and over.
+func (k *Kernel) Timer(fn func()) *Event {
+	return &Event{fn: fn, kernel: k, index: -1, fired: true}
 }
 
 // AtCall schedules fn(arg) at absolute virtual time t on a pooled,

@@ -297,3 +297,124 @@ func TestEventFitsSizeClass(t *testing.T) {
 		t.Errorf("Event is %d bytes, want at most 64", s)
 	}
 }
+
+// TestTimerResetMatchesCancelAfter runs seeded scripts on two kernels
+// in lockstep. One re-arms a set of timers in place with Reset; the
+// other cancels each timer's event and schedules a fresh one with
+// After. Plain At, AfterCall and Cancel calls, Steps and RunUntils are
+// interleaved, and fired timers re-arm themselves from inside their
+// callback, as a TCP retransmission timer does. Fire order, clock,
+// Len, Executed, the sequence counter and every timer's Pending must
+// agree after every call.
+func TestTimerResetMatchesCancelAfter(t *testing.T) {
+	const timers = 5
+	for seed := int64(1); seed <= 40; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			re, ca := NewKernel(), NewKernel()
+			var reLog, caLog []firing
+			var reTimers, caTimers [timers]*Event
+			var fires [2][timers]int
+			// rearm is the self-re-arming rule both sides apply when
+			// timer i fires for the n-th time.
+			rearm := func(i, n int) (time.Duration, bool) {
+				return time.Duration((i+n)%4) * unit, n%3 != 0
+			}
+			var caFire func(i int) func()
+			caFire = func(i int) func() {
+				return func() {
+					caLog = append(caLog, firing{i, ca.Now()})
+					fires[1][i]++
+					if d, ok := rearm(i, fires[1][i]); ok {
+						caTimers[i] = ca.After(d, caFire(i))
+					}
+				}
+			}
+			for i := range reTimers {
+				reTimers[i] = re.Timer(func() {
+					reLog = append(reLog, firing{i, re.Now()})
+					fires[0][i]++
+					if d, ok := rearm(i, fires[0][i]); ok {
+						reTimers[i].Reset(d)
+					}
+				})
+			}
+			plain := func(k *Kernel, log *[]firing) func(any) {
+				return func(x any) { *log = append(*log, firing{x.(int), k.Now()}) }
+			}
+			rePlain, caPlain := plain(re, &reLog), plain(ca, &caLog)
+			var reEvents, caEvents []*Event
+			id := timers
+			for op := 0; op < 600; op++ {
+				var what string
+				switch r := rng.Intn(100); {
+				case r < 30:
+					i, off := rng.Intn(timers), offset(rng)
+					reTimers[i].Reset(off)
+					caTimers[i].Cancel()
+					caTimers[i] = ca.After(off, caFire(i))
+					what = fmt.Sprintf("Reset(%d, %v)", i, off)
+				case r < 40:
+					i := rng.Intn(timers)
+					if got, want := reTimers[i].Cancel(), caTimers[i].Cancel(); got != want {
+						t.Fatalf("op %d: Cancel(timer %d) = %v, Cancel+After side %v", op, i, got, want)
+					}
+					what = fmt.Sprintf("Cancel(timer %d)", i)
+				case r < 55:
+					tm := re.Now() + offset(rng)
+					reEvents = append(reEvents, re.At(tm, func(id int) func() { return func() { rePlain(id) } }(id)))
+					caEvents = append(caEvents, ca.At(tm, func(id int) func() { return func() { caPlain(id) } }(id)))
+					id++
+					what = fmt.Sprintf("At(%v)", tm)
+				case r < 65:
+					off := offset(rng)
+					re.AfterCall(off, rePlain, id)
+					ca.AfterCall(off, caPlain, id)
+					id++
+					what = fmt.Sprintf("AfterCall(%v)", off)
+				case r < 72:
+					if len(reEvents) == 0 {
+						continue
+					}
+					h := rng.Intn(len(reEvents))
+					reEvents[h].Cancel()
+					caEvents[h].Cancel()
+					what = fmt.Sprintf("Cancel(event %d)", h)
+				case r < 92:
+					re.Step()
+					ca.Step()
+					what = "Step"
+				default:
+					tm := re.Now() + time.Duration(rng.Intn(8))*unit
+					if err := re.RunUntil(tm); err != nil {
+						t.Fatal(err)
+					}
+					if err := ca.RunUntil(tm); err != nil {
+						t.Fatal(err)
+					}
+					what = fmt.Sprintf("RunUntil(%v)", tm)
+				}
+				if re.Now() != ca.Now() || re.Len() != ca.Len() || re.Executed() != ca.Executed() || re.seq != ca.seq {
+					t.Fatalf("op %d (%s): Reset side now %v len %d executed %d seq %d; Cancel+After side now %v len %d executed %d seq %d",
+						op, what, re.Now(), re.Len(), re.Executed(), re.seq, ca.Now(), ca.Len(), ca.Executed(), ca.seq)
+				}
+				if len(reLog) != len(caLog) {
+					t.Fatalf("op %d (%s): Reset side fired %d events, Cancel+After side %d", op, what, len(reLog), len(caLog))
+				}
+				for i := range reLog {
+					if reLog[i] != caLog[i] {
+						t.Fatalf("op %d (%s): firing %d = %+v, Cancel+After side %+v", op, what, i, reLog[i], caLog[i])
+					}
+				}
+				for i := range reTimers {
+					if reTimers[i].Pending() != caTimers[i].Pending() {
+						t.Fatalf("op %d (%s): timer %d Pending = %v, Cancel+After side %v", op, what, i, reTimers[i].Pending(), caTimers[i].Pending())
+					}
+				}
+			}
+			if fires[0] == [timers]int{} {
+				t.Fatal("no timer fired; the script must exercise re-arming from a callback")
+			}
+		})
+	}
+}

@@ -100,6 +100,7 @@ type Host struct {
 
 	// OnICMP, when set, observes ICMP messages addressed to this host
 	// (other than echo requests, which are answered automatically).
+	// msg.Payload is valid only until OnICMP returns.
 	OnICMP func(src packet.IP, msg packet.ICMPMessage)
 
 	// tracer records lifecycle events for frames carrying a sampled

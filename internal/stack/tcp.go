@@ -2,6 +2,7 @@ package stack
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"barbican/internal/packet"
@@ -74,8 +75,10 @@ type Conn struct {
 	wnd   uint32
 
 	// Send side. buf holds unacknowledged and unsent bytes; bufSeq is
-	// the sequence number of buf[0].
+	// the sequence number of buf[0]. buf is a window onto bufArr, the
+	// whole backing array (see queue).
 	buf       []byte
+	bufArr    []byte
 	bufSeq    uint32
 	iss       uint32
 	sndUna    uint32
@@ -90,8 +93,7 @@ type Conn struct {
 	finSeq    uint32
 
 	rto         time.Duration
-	rtoTimer    *sim.Event
-	onRTOFn     func() // c.onRTO bound once, so arming allocates no closure
+	rtoTimer    *sim.Event // one event, re-armed in place
 	retransmits int
 	timeWait    *sim.Event
 
@@ -111,7 +113,9 @@ type Conn struct {
 
 	// OnConnect fires when the handshake completes.
 	OnConnect func()
-	// OnData fires for each in-order data segment.
+	// OnData fires for each in-order data segment. The slice is valid
+	// only until OnData returns (it may alias the card's receive
+	// buffer); copy what you keep.
 	OnData func([]byte)
 	// OnPeerClose fires when the peer's FIN is received (EOF).
 	OnPeerClose func()
@@ -181,7 +185,7 @@ func (h *Host) newConn(key connKey, state ConnState) *Conn {
 	c.cwnd = 4 * c.mss // RFC 3390-style initial window
 	c.ssthresh = defaultWindow
 	c.ooo = make(map[uint32][]byte)
-	c.onRTOFn = c.onRTO
+	c.rtoTimer = h.kernel.Timer(c.onRTO)
 	h.conns[key] = c
 	return c
 }
@@ -215,9 +219,26 @@ func (c *Conn) Write(data []byte) error {
 	if c.finQueued {
 		return fmt.Errorf("stack: write after close")
 	}
-	c.buf = append(c.buf, data...)
+	c.queue(data)
 	c.pump()
 	return nil
+}
+
+// queue appends data to the send buffer. When the array's tail is too
+// short, the queued bytes move down over the acknowledged front; only
+// when they would not fit the array at all does it grow, as append
+// grows a slice of the queued bytes. Segments never alias buf
+// (sendSegment marshals a copy), so moving is safe.
+func (c *Conn) queue(data []byte) {
+	if need := len(c.buf) + len(data); need > cap(c.buf) {
+		if need <= len(c.bufArr) {
+			c.buf = c.bufArr[:copy(c.bufArr, c.buf)]
+		} else {
+			c.buf = slices.Grow(c.buf[:len(c.buf):len(c.buf)], len(data))
+			c.bufArr = c.buf[:cap(c.buf)]
+		}
+	}
+	c.buf = append(c.buf, data...)
 }
 
 // Close initiates a graceful close: queued data is sent, then a FIN.
@@ -581,23 +602,18 @@ func (c *Conn) sendSegment(flags packet.TCPFlags, seq uint32, payload []byte, re
 }
 
 func (c *Conn) armRTO() {
-	if c.rtoTimer != nil && c.rtoTimer.Pending() {
-		return
+	if !c.rtoTimer.Pending() {
+		c.rtoTimer.Reset(c.rto)
 	}
-	c.rtoTimer = c.host.kernel.After(c.rto, c.onRTOFn)
 }
 
 func (c *Conn) resetRTOState() {
-	if c.rtoTimer != nil {
-		c.rtoTimer.Cancel()
-		c.rtoTimer = nil
-	}
+	c.rtoTimer.Cancel()
 	c.retransmits = 0
 	c.rto = initialRTO
 }
 
 func (c *Conn) onRTO() {
-	c.rtoTimer = nil
 	if c.state == StateClosed || c.state == StateTimeWait {
 		return
 	}

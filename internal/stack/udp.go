@@ -11,6 +11,8 @@ type UDPSocket struct {
 	host *Host
 	port uint16
 	// OnRecv is invoked for each datagram delivered to the socket.
+	// payload is valid only until OnRecv returns (it may alias the
+	// card's receive buffer); copy what you keep.
 	OnRecv func(src packet.IP, srcPort uint16, payload []byte)
 
 	rxDatagrams uint64
