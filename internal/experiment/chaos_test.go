@@ -10,8 +10,8 @@ import (
 )
 
 // renderChaosArtifacts runs the chaos family and renders every artifact
-// form (text, markdown, CSV) — the byte stream the determinism golden
-// compares across worker counts.
+// form (text, markdown, CSV) — the byte stream the determinism test
+// compares across worker counts and with testdata/chaos.golden.
 func renderChaosArtifacts(t *testing.T, cfg Config) []byte {
 	t.Helper()
 	var out bytes.Buffer
@@ -37,7 +37,7 @@ func renderChaosArtifacts(t *testing.T, cfg Config) []byte {
 }
 
 // TestChaosDeterminism: a fixed fault-plan seed yields byte-identical
-// chaos experiment output serially and at -parallel 8. Fault injectors
+// chaos experiment output serially, at -parallel 8 and to the golden. Fault injectors
 // draw from private seeded generators and every point owns a private
 // kernel, so worker count must not leak into any rendered byte.
 func TestChaosDeterminism(t *testing.T) {
@@ -54,15 +54,10 @@ func TestChaosDeterminism(t *testing.T) {
 	parallelCfg.Parallel = 8
 	parallel := renderChaosArtifacts(t, parallelCfg)
 
-	if !bytes.Equal(serial, parallel) {
-		i := 0
-		for i < len(serial) && i < len(parallel) && serial[i] == parallel[i] {
-			i++
-		}
-		lo, hiS, hiP := max(0, i-80), min(len(serial), i+80), min(len(parallel), i+80)
-		t.Fatalf("serial and parallel chaos artifacts diverge at byte %d:\nserial:   …%q…\nparallel: …%q…",
-			i, serial[lo:hiS], parallel[lo:hiP])
+	if d := firstDiff("serial", serial, "parallel", parallel); d != "" {
+		t.Fatalf("chaos artifacts of serial and parallel runs %s", d)
 	}
+	checkGolden(t, "chaos", serial)
 }
 
 // TestChaosConvergenceTable checks the family's headline result: the

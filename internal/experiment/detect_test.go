@@ -7,22 +7,15 @@ import (
 )
 
 // renderDetectArtifacts runs the detection family and renders every
-// artifact form — the byte stream the determinism golden compares
-// across worker counts. FleetHealth is included because its rendered
-// timeline exposes every transition timestamp, the most
-// divergence-sensitive output the plane produces.
+// artifact form — the byte stream the determinism test compares across
+// worker counts and with testdata/detect.golden. The exposure and
+// false-positive tables carry the responsive push and the benign
+// bursts; FleetHealth's rendered timeline exposes every transition
+// timestamp, the most divergence-sensitive output the plane produces.
 func renderDetectArtifacts(t *testing.T, cfg Config) []byte {
 	t.Helper()
 	var out bytes.Buffer
 	fig, err := DetectionLatency(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := DetectionChaos(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	health, err := FleetHealth(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,9 +24,21 @@ func renderDetectArtifacts(t *testing.T, cfg Config) []byte {
 	if err := fig.WriteCSV(&out); err != nil {
 		t.Fatal(err)
 	}
-	out.WriteString(tab.Render())
-	out.WriteString(tab.Markdown())
-	if err := tab.WriteCSV(&out); err != nil {
+	for _, fn := range []func(Config) (*Table, error){
+		DetectionExposure, DetectionChaos, DetectionFalsePositives,
+	} {
+		tab, err := fn(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.WriteString(tab.Render())
+		out.WriteString(tab.Markdown())
+		if err := tab.WriteCSV(&out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	health, err := FleetHealth(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	out.WriteString(health)
@@ -41,8 +46,8 @@ func renderDetectArtifacts(t *testing.T, cfg Config) []byte {
 }
 
 // TestDetectionDeterminism: detection artifacts — time-to-detect,
-// exposure windows, alert timelines — are byte-identical serially and
-// at -parallel 8 for a fixed seed pair. Alert timestamps come from
+// exposure windows, alert timelines — are byte-identical serially, at
+// -parallel 8 and to the golden for a fixed seed pair. Alert timestamps come from
 // per-point private kernels in virtual time, so worker count must not
 // leak into any rendered byte.
 func TestDetectionDeterminism(t *testing.T) {
@@ -59,15 +64,10 @@ func TestDetectionDeterminism(t *testing.T) {
 	parallelCfg.Parallel = 8
 	parallel := renderDetectArtifacts(t, parallelCfg)
 
-	if !bytes.Equal(serial, parallel) {
-		i := 0
-		for i < len(serial) && i < len(parallel) && serial[i] == parallel[i] {
-			i++
-		}
-		lo, hiS, hiP := max(0, i-80), min(len(serial), i+80), min(len(parallel), i+80)
-		t.Fatalf("serial and parallel detection artifacts diverge at byte %d:\nserial:   …%q…\nparallel: …%q…",
-			i, serial[lo:hiS], parallel[lo:hiP])
+	if d := firstDiff("serial", serial, "parallel", parallel); d != "" {
+		t.Fatalf("detection artifacts of serial and parallel runs %s", d)
 	}
+	checkGolden(t, "detect", serial)
 }
 
 // TestDetectionChaosTable checks the family's headline result at the

@@ -9,7 +9,8 @@ import (
 
 // renderStatefloodArtifacts runs the whole stateflood family and
 // renders every artifact form (text, markdown, CSV) — the byte stream
-// the determinism golden compares across worker counts.
+// the determinism test compares across worker counts and with
+// testdata/stateflood.golden.
 func renderStatefloodArtifacts(t *testing.T, cfg Config) []byte {
 	t.Helper()
 	var out bytes.Buffer
@@ -39,7 +40,7 @@ func renderStatefloodArtifacts(t *testing.T, cfg Config) []byte {
 }
 
 // TestStatefloodDeterminism: a fixed seed yields byte-identical
-// stateflood output serially and at -parallel 8. Conntrack eviction
+// stateflood output serially, at -parallel 8 and to the golden. Conntrack eviction
 // draws from a kernel-seeded private generator and every point owns a
 // private kernel, so worker count must not leak into any rendered byte.
 func TestStatefloodDeterminism(t *testing.T) {
@@ -56,15 +57,10 @@ func TestStatefloodDeterminism(t *testing.T) {
 	parallelCfg.Parallel = 8
 	parallel := renderStatefloodArtifacts(t, parallelCfg)
 
-	if !bytes.Equal(serial, parallel) {
-		i := 0
-		for i < len(serial) && i < len(parallel) && serial[i] == parallel[i] {
-			i++
-		}
-		lo, hiS, hiP := max(0, i-80), min(len(serial), i+80), min(len(parallel), i+80)
-		t.Fatalf("serial and parallel stateflood artifacts diverge at byte %d:\nserial:   …%q…\nparallel: …%q…",
-			i, serial[lo:hiS], parallel[lo:hiP])
+	if d := firstDiff("serial", serial, "parallel", parallel); d != "" {
+		t.Fatalf("stateflood artifacts of serial and parallel runs %s", d)
 	}
+	checkGolden(t, "stateflood", serial)
 }
 
 // TestStatefloodThresholdOrdering checks the family's headline result:
