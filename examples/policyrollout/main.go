@@ -84,9 +84,7 @@ func run() error {
 	}
 
 	// The same measurement now traverses a 30+ rule policy on the card.
-	after, err := measure.RunTCPIperf(tb.Kernel, tb.Client, tb.Target, measure.IperfConfig{
-		Duration: time.Second, Port: 5001,
-	})
+	after, err := measure.RunTCPIperf(tb.Kernel, tb.Client, tb.Target, measure.IperfConfig{Duration: time.Second})
 	if err != nil {
 		return err
 	}

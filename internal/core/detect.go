@@ -17,6 +17,17 @@ import (
 // error storm.
 const BenignBurstPort = 9
 
+// DetectionFloodStart is when a detection scenario's flood begins
+// (virtual time): late enough for the detector to learn a quiet
+// baseline.
+const DetectionFloodStart = time.Second
+
+// benignBurstOn and benignBurstOff are the benign bursts' duty cycle.
+const (
+	benignBurstOn  = 500 * time.Millisecond
+	benignBurstOff = 500 * time.Millisecond
+)
+
 // DetectionScenario measures whether — and how fast — the fleet
 // *knows* it is under attack. The target runs a telemetry agent
 // reporting card health to a collector on the policy server over the
@@ -36,22 +47,15 @@ type DetectionScenario struct {
 	// detection must come from overload drops and backlog), false
 	// denies it at the card (detection from the deny counters).
 	FloodAllowed bool
-	// FloodRatePPS, when positive, floods the target from FloodStart
-	// until the measurement window closes.
+	// FloodRatePPS, when positive, floods the target from
+	// DetectionFloodStart until the measurement window closes.
 	FloodRatePPS float64
-	// FloodStart is when the flood begins (virtual time); zero means
-	// 1 s — late enough for the detector to learn a quiet baseline.
-	FloodStart time.Duration
-	// Duration is the measurement window; zero means 5 s.
+	// Duration is the measurement window; zero means 5 s. The window
+	// carries no iperf stream: at depth 64 the stream alone overloads
+	// the filtering cards (the paper's fig2 cliff), and the detector —
+	// correctly — alerts on it before the flood even starts, which
+	// makes a poor detection-latency baseline.
 	Duration time.Duration
-	// Iperf, when true, runs the chaos-style TCP bandwidth measurement
-	// through the window. Off by default: at depth 64 the iperf stream
-	// alone overloads the filtering cards (the paper's fig2 cliff), and
-	// the detector — correctly — alerts on it before the flood even
-	// starts, which makes a poor detection-latency baseline. Quiet
-	// scenarios measure the detector; iperf scenarios measure how it
-	// behaves under production load.
-	Iperf bool
 	// Seed seeds the simulation; zero means 1. FaultSeed seeds the
 	// fault injectors; zero means Seed.
 	Seed      int64
@@ -60,27 +64,18 @@ type DetectionScenario struct {
 	// access link — telemetry reports and policy pushes share it, so a
 	// lossy plan delays detection AND mitigation.
 	MgmtFaults faults.Plan
-	// ReportEvery is the telemetry cadence; zero means
-	// telemetry.DefaultReportInterval.
-	ReportEvery time.Duration
-	// Detector tunes the collector's flood-onset detector.
-	Detector telemetry.DetectorConfig
 	// SilenceAfter arms the collector's staleness watchdog; zero means
 	// 3.5 report intervals (a mute device is a hot signal — the EFW
 	// lockup silences its own telemetry), negative disables it.
 	SilenceAfter time.Duration
 	// Respond, when true, pushes ChaosPolicy to the target the moment
-	// its detector alerts, closing the detect→mitigate loop.
+	// its detector alerts (with the default retry options), closing the
+	// detect→mitigate loop.
 	Respond bool
-	// Push tunes the responsive push's retry engine.
-	Push policy.PushOptions
-	// BenignBurstPPS, when positive, drives on/off UDP bursts from the
-	// client to the target's discard port — legitimate traffic the
-	// detector must not page on. BenignBurstOn/Off set the duty cycle
-	// (zero means 500 ms each).
+	// BenignBurstPPS, when positive, drives 500 ms on / 500 ms off UDP
+	// bursts from the client to the target's discard port — legitimate
+	// traffic the detector must not page on.
 	BenignBurstPPS float64
-	BenignBurstOn  time.Duration
-	BenignBurstOff time.Duration
 }
 
 // DetectionPoint is the outcome of a detection scenario.
@@ -89,13 +84,13 @@ type DetectionPoint struct {
 
 	// Detected reports whether the target's detector reached Alerting;
 	// AlertAt is when (virtual time), TimeToDetect measured from
-	// FloodStart.
+	// DetectionFloodStart.
 	Detected     bool
 	AlertAt      time.Duration
 	TimeToDetect time.Duration
 
 	// Converged reports the responsive push landing (Respond only);
-	// ResponseTime is FloodStart → ConvergedAt.
+	// ResponseTime is DetectionFloodStart → ConvergedAt.
 	Converged    bool
 	ConvergedAt  time.Duration
 	ResponseTime time.Duration
@@ -133,7 +128,6 @@ type DetectionPoint struct {
 	// per tracked device in tracking order.
 	Fleet []DeviceSummary
 
-	Iperf measure.IperfResult
 	Outcome
 }
 
@@ -147,11 +141,8 @@ type DeviceSummary struct {
 	LastSeen time.Duration
 }
 
-// Mbps returns the measured available bandwidth.
-func (p DetectionPoint) Mbps() float64 { return p.Iperf.Mbps }
-
 // RunDetection executes a detection scenario: quiet baseline until
-// FloodStart, flood through the rest of the iperf window, telemetry
+// DetectionFloodStart, flood through the rest of the window, telemetry
 // flowing throughout, alert (and optionally a responsive push) when the
 // collector's detector fires, then the kernel runs on until the push
 // settles.
@@ -171,25 +162,13 @@ func RunDetectionObserved(s DetectionScenario, opt ObserveOptions) (DetectionPoi
 // runDetection is the detection family's measurement on the one body;
 // opt nil runs unobserved.
 func runDetection(s DetectionScenario, opt *ObserveOptions) (DetectionPoint, *Instrumentation, error) {
-	if s.FloodStart == 0 {
-		s.FloodStart = time.Second
-	}
 	if s.Duration == 0 {
 		s.Duration = 5 * time.Second
 	}
-	if s.ReportEvery == 0 {
-		s.ReportEvery = telemetry.DefaultReportInterval
-	}
 	if s.SilenceAfter == 0 {
-		s.SilenceAfter = 7 * s.ReportEvery / 2
+		s.SilenceAfter = 7 * telemetry.ReportInterval / 2
 	} else if s.SilenceAfter < 0 {
 		s.SilenceAfter = 0
-	}
-	if s.BenignBurstOn == 0 {
-		s.BenignBurstOn = 500 * time.Millisecond
-	}
-	if s.BenignBurstOff == 0 {
-		s.BenignBurstOff = 500 * time.Millisecond
 	}
 
 	p := DetectionPoint{Scenario: s}
@@ -209,7 +188,7 @@ func runDetection(s DetectionScenario, opt *ObserveOptions) (DetectionPoint, *In
 	setup := func(e *env) (err error) {
 		tb := e.tb
 		pp, err = e.policyPlane("detect", s.MgmtFaults, func(at time.Duration, _ *fw.RuleSet) {
-			p.Converged, p.ConvergedAt, p.ResponseTime = true, at, at-s.FloodStart
+			p.Converged, p.ConvergedAt, p.ResponseTime = true, at, at-DetectionFloodStart
 			p.ExposedAtConverge = exposed()
 		})
 		if err != nil {
@@ -218,26 +197,24 @@ func runDetection(s DetectionScenario, opt *ObserveOptions) (DetectionPoint, *In
 		if sink, err = tb.Target.BindUDP(FloodPort); err != nil {
 			return err
 		}
-		tb.Kernel.After(s.FloodStart, func() {
+		tb.Kernel.After(DetectionFloodStart, func() {
 			exposureBase, _ = sink.Received()
 		})
 
 		collector, err = telemetry.NewCollector(tb.PolicyServer, telemetry.CollectorConfig{
-			Detector:     s.Detector,
 			SilenceAfter: s.SilenceAfter,
 			OnAlert: func(device string, at time.Duration) {
 				// Only an alert at or after flood start is the detection;
-				// earlier ones (for example iperf startup overloading a deep
-				// linear-walk card) land in FalseAlerts instead.
-				if device != "target" || p.Detected || s.FloodRatePPS <= 0 || at < s.FloodStart {
+				// earlier ones land in FalseAlerts instead.
+				if device != "target" || p.Detected || s.FloodRatePPS <= 0 || at < DetectionFloodStart {
 					return
 				}
 				p.Detected = true
 				p.AlertAt = at
-				p.TimeToDetect = at - s.FloodStart
+				p.TimeToDetect = at - DetectionFloodStart
 				p.ExposedAtDetect = exposed()
 				if s.Respond {
-					pp.push(s.Push)
+					pp.push(policy.PushOptions{})
 				}
 			},
 		})
@@ -250,7 +227,6 @@ func runDetection(s DetectionScenario, opt *ObserveOptions) (DetectionPoint, *In
 		targetAgent, err = telemetry.NewAgent(tb.Target, telemetry.AgentConfig{
 			Device:       "target",
 			Collector:    tb.PolicyServer.IP(),
-			Interval:     s.ReportEvery,
 			RulesVersion: pp.agent.InstalledVersion,
 		})
 		if err != nil {
@@ -259,7 +235,6 @@ func runDetection(s DetectionScenario, opt *ObserveOptions) (DetectionPoint, *In
 		clientAgent, err = telemetry.NewAgent(tb.Client, telemetry.AgentConfig{
 			Device:    "client",
 			Collector: tb.PolicyServer.IP(),
-			Interval:  s.ReportEvery,
 		})
 		if err != nil {
 			return err
@@ -288,23 +263,16 @@ func runDetection(s DetectionScenario, opt *ObserveOptions) (DetectionPoint, *In
 			var on, off func()
 			on = func() {
 				burst.Start()
-				tb.Kernel.After(s.BenignBurstOn, off)
+				tb.Kernel.After(benignBurstOn, off)
 			}
 			off = func() {
 				burst.Stop()
-				tb.Kernel.After(s.BenignBurstOff, on)
+				tb.Kernel.After(benignBurstOff, on)
 			}
 			on()
 		}
 
-		if s.Iperf {
-			res, err := measure.RunTCPIperf(tb.Kernel, tb.Client, tb.Target,
-				measure.IperfConfig{Duration: s.Duration, Metrics: e.reg})
-			if err != nil {
-				return err
-			}
-			p.Iperf = res
-		} else if err := tb.Kernel.RunFor(s.Duration); err != nil {
+		if err := tb.Kernel.RunFor(s.Duration); err != nil {
 			return err
 		}
 		if e.flood != nil {
@@ -332,7 +300,7 @@ func runDetection(s DetectionScenario, opt *ObserveOptions) (DetectionPoint, *In
 		Device:       s.Device,
 		Depth:        s.Depth,
 		FloodRatePPS: s.FloodRatePPS,
-		FloodStart:   s.FloodStart,
+		FloodStart:   DetectionFloodStart,
 		Duration:     s.Duration,
 		Seed:         s.Seed,
 		FaultSeed:    s.FaultSeed,
@@ -362,7 +330,7 @@ func runDetection(s DetectionScenario, opt *ObserveOptions) (DetectionPoint, *In
 		p.FinalState = h.Detector.State()
 		p.Gaps = h.Gaps
 		for _, tr := range p.Timeline {
-			if tr.To == telemetry.AlertAlerting && (s.FloodRatePPS <= 0 || tr.At < s.FloodStart) {
+			if tr.To == telemetry.AlertAlerting && (s.FloodRatePPS <= 0 || tr.At < DetectionFloodStart) {
 				p.FalseAlerts++
 			}
 		}

@@ -11,7 +11,7 @@ import (
 // TestDetectionBounds is the seeded detection smoke: a fixed-rate
 // denied flood against the NextGen card (no overload, telemetry
 // unimpeded) must alert within tight, explainable bounds — no earlier
-// than two report intervals (the detector needs RiseCount=2 hot
+// than two report intervals (the detector needs two consecutive hot
 // samples) and well before one second.
 func TestDetectionBounds(t *testing.T) {
 	p, err := RunDetection(DetectionScenario{
@@ -24,7 +24,7 @@ func TestDetectionBounds(t *testing.T) {
 	if !p.Detected {
 		t.Fatalf("denied 8000 pps flood went undetected; final state %v", p.FinalState)
 	}
-	lo := 2 * telemetry.DefaultReportInterval
+	lo := 2 * telemetry.ReportInterval
 	if p.TimeToDetect < lo || p.TimeToDetect > time.Second {
 		t.Errorf("time-to-detect = %v, want within [%v, 1s]", p.TimeToDetect, lo)
 	}

@@ -31,6 +31,11 @@ const SessionDoSRatio = 0.5
 // sparse, the worst case for sharing a state table with a flood.
 const echoMsgBytes = 8
 
+// keepaliveEvery is the probe session's send interval. The attack's
+// leverage is exactly this sparseness: the session's entry must
+// survive between keepalives.
+const keepaliveEvery = 250 * time.Millisecond
+
 // StatefulRuleSet builds the stateflood experimental policy: depth-1
 // non-matching rules, then a rule admitting new connections to the echo
 // service, then the classic "allow established,related" rule, default
@@ -82,20 +87,13 @@ type StatefloodScenario struct {
 	// so a real state attack spoofs addresses too.
 	SpoofCount int
 	// EvictPolicy overrides the card's table eviction policy (zero
-	// keeps the profile default, LRU).
+	// keeps the profile default, LRU). The degraded-mode machine stays
+	// off, so a full table drops new connections (the closed posture).
 	EvictPolicy conntrack.EvictPolicy
-	// FailMode arms the degraded-mode machine. Zero leaves it off, in
-	// which case a full table drops new connections (the closed
-	// posture); FailModeOpen instead admits them untracked.
-	FailMode nic.FailMode
 	// Seed makes the run reproducible; zero means 1.
 	Seed int64
 	// Duration is the flooded measurement window; zero means 2s.
 	Duration time.Duration
-	// KeepaliveEvery is the probe session's send interval; zero means
-	// 250ms. The attack's leverage is exactly this sparseness: the
-	// session's entry must survive between keepalives.
-	KeepaliveEvery time.Duration
 }
 
 func (s *StatefloodScenario) defaults() {
@@ -116,9 +114,6 @@ func (s *StatefloodScenario) defaults() {
 	}
 	if s.Duration == 0 {
 		s.Duration = 2 * time.Second
-	}
-	if s.KeepaliveEvery == 0 {
-		s.KeepaliveEvery = 250 * time.Millisecond
 	}
 }
 
@@ -191,8 +186,9 @@ func dialEcho(h *stack.Host, dst packet.IP) (*echoSession, error) {
 // echoed returns complete keepalive echoes received so far.
 func (s *echoSession) echoed() uint64 { return s.echoBytes / echoMsgBytes }
 
-// startKeepalive begins the periodic send loop.
-func (s *echoSession) startKeepalive(k *sim.Kernel, interval time.Duration) {
+// startKeepalive begins the periodic send loop, one keepalive every
+// keepaliveEvery.
+func (s *echoSession) startKeepalive(k *sim.Kernel) {
 	var tick func(any)
 	tick = func(any) {
 		if s.stopped {
@@ -202,9 +198,9 @@ func (s *echoSession) startKeepalive(k *sim.Kernel, interval time.Duration) {
 			s.sent++
 			_ = s.conn.Write(make([]byte, echoMsgBytes))
 		}
-		k.AfterCall(interval, tick, nil)
+		k.AfterCall(keepaliveEvery, tick, nil)
 	}
-	k.AfterCall(interval, tick, nil)
+	k.AfterCall(keepaliveEvery, tick, nil)
 }
 
 // exchange sends one keepalive and waits, reporting whether its echo
@@ -280,9 +276,6 @@ func runStateflood(s StatefloodScenario, opt *ObserveOptions) (StatefloodPoint, 
 		},
 		setup: func(e *env) (err error) {
 			tb := e.tb
-			if s.FailMode != 0 {
-				tb.Target.NIC().SetFailMode(s.FailMode)
-			}
 			if err := setupEchoServer(tb.Target); err != nil {
 				return err
 			}
@@ -295,8 +288,8 @@ func runStateflood(s StatefloodScenario, opt *ObserveOptions) (StatefloodPoint, 
 			if err := tb.Kernel.RunFor(100 * time.Millisecond); err != nil {
 				return err
 			}
-			es.startKeepalive(tb.Kernel, s.KeepaliveEvery)
-			return tb.Kernel.RunFor(2 * s.KeepaliveEvery)
+			es.startKeepalive(tb.Kernel)
+			return tb.Kernel.RunFor(2 * keepaliveEvery)
 		},
 		measure: func(e *env) error {
 			tb := e.tb

@@ -338,7 +338,7 @@ func FleetHealth(cfg Config) (string, error) {
 	var b strings.Builder
 	b.WriteString("# Fleet health & flood detection\n\n")
 	fmt.Fprintf(&b, "scenario: %s depth %d, %g pps admitted flood from t=%.0fs, responsive deny push\n\n",
-		p.Scenario.Device, p.Scenario.Depth, p.Scenario.FloodRatePPS, p.Scenario.FloodStart.Seconds())
+		p.Scenario.Device, p.Scenario.Depth, p.Scenario.FloodRatePPS, core.DetectionFloodStart.Seconds())
 	if p.Detected {
 		fmt.Fprintf(&b, "time-to-detect:     %8.1f ms  (alert at %.3fs)\n",
 			float64(p.TimeToDetect.Microseconds())/1e3, p.AlertAt.Seconds())

@@ -8,13 +8,14 @@ import (
 	"barbican/internal/packet"
 )
 
+// genVPGPercent is the percentage of generated rules that are VPG
+// rules.
+const genVPGPercent = 15
+
 // GenOptions shapes Generate's output.
 type GenOptions struct {
 	// Rules is the rule count (0 = 24).
 	Rules int
-	// VPGPercent is the percentage of VPG rules (0..100; negative
-	// disables VPG rules; 0 = 15).
-	VPGPercent int
 }
 
 // Generate builds a random valid rule set from a seeded source, biased
@@ -33,13 +34,9 @@ func Generate(r *rand.Rand, opts GenOptions) *fw.RuleSet {
 	if n == 0 {
 		n = 24
 	}
-	vpgPct := opts.VPGPercent
-	if vpgPct == 0 {
-		vpgPct = 15
-	}
 	rules := make([]fw.Rule, 0, n)
 	for i := 0; i < n; i++ {
-		if vpgPct > 0 && r.Intn(100) < vpgPct {
+		if r.Intn(100) < genVPGPercent {
 			rules = append(rules, genVPGRule(r, i))
 			continue
 		}

@@ -16,7 +16,8 @@ import (
 	"barbican/internal/sim"
 )
 
-// Rate100Mbps is Fast Ethernet's bit rate, the paper's network speed.
+// Rate100Mbps is Fast Ethernet's bit rate, the paper's network speed,
+// and the bit rate of every link.
 const Rate100Mbps = 100_000_000
 
 // DefaultQueueFrames is the default per-direction transmit queue bound.
@@ -24,8 +25,6 @@ const DefaultQueueFrames = 128
 
 // Config parameterizes a link.
 type Config struct {
-	// RateBits is the bit rate; zero defaults to 100 Mbps.
-	RateBits int64
 	// Propagation is the one-way propagation delay; zero defaults to
 	// 500 ns (≈100 m of copper).
 	Propagation time.Duration
@@ -35,9 +34,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.RateBits == 0 {
-		c.RateBits = Rate100Mbps
-	}
 	if c.Propagation == 0 {
 		c.Propagation = 500 * time.Nanosecond
 	}
@@ -185,9 +181,6 @@ func (e *Endpoint) SetTracer(tr *tracing.Tracer) { e.dir.tracer = tr }
 // Stats returns transmit-side statistics for this endpoint.
 func (e *Endpoint) Stats() Stats { return e.dir.stats }
 
-// Rate returns the link bit rate.
-func (e *Endpoint) Rate() int64 { return e.dir.cfg.RateBits }
-
 // Send queues a frame for transmission toward the peer endpoint. It
 // reports false when the transmit queue is full and the frame was dropped.
 func (e *Endpoint) Send(f *packet.Frame) bool {
@@ -204,7 +197,7 @@ func (e *Endpoint) Send(f *packet.Frame) bool {
 	if d.busyUntil > start {
 		start = d.busyUntil
 	}
-	done := start + TransmitTime(f.WireLen(), d.cfg.RateBits)
+	done := start + TransmitTime(f.WireLen(), Rate100Mbps)
 	d.busyUntil = done
 	d.queued++
 	d.stats.SentFrames++

@@ -28,6 +28,10 @@ const (
 	FloodTCPACK
 )
 
+// floodSrcPort is the flood's source port; TCP floods add the packet
+// count modulo 1024 so each packet is a distinct flow.
+const floodSrcPort = 4444
+
 // FloodConfig configures a flood.
 type FloodConfig struct {
 	// Kind of flood; defaults to FloodUDP.
@@ -45,8 +49,6 @@ type FloodConfig struct {
 	// the given addresses (the paper notes an attacker can spoof
 	// whatever addresses the policy allows deep rule traversal for).
 	SpoofSources []packet.IP
-	// SrcPort is the source port; zero defaults to 4444.
-	SrcPort uint16
 	// Duration bounds the flood; zero floods until Stop.
 	Duration time.Duration
 	// Fragment splits each flood packet into IP fragments (RFC 1858
@@ -92,9 +94,6 @@ func NewFlooder(host *stack.Host, target packet.IP, cfg FloodConfig) *Flooder {
 		} else {
 			cfg.DstPort = 7
 		}
-	}
-	if cfg.SrcPort == 0 {
-		cfg.SrcPort = 4444
 	}
 	f := &Flooder{
 		kernel:  host.Kernel(),
@@ -165,7 +164,7 @@ func (f *Flooder) buildDatagram() *packet.Datagram {
 	switch f.cfg.Kind {
 	case FloodTCPSYN:
 		seg := packet.TCPSegment{
-			SrcPort: f.cfg.SrcPort + uint16(f.sent%1024),
+			SrcPort: floodSrcPort + uint16(f.sent%1024),
 			DstPort: f.cfg.DstPort,
 			Seq:     uint32(f.sent),
 			Flags:   packet.FlagSYN,
@@ -175,7 +174,7 @@ func (f *Flooder) buildDatagram() *packet.Datagram {
 		proto = packet.ProtoTCP
 	case FloodTCPACK:
 		seg := packet.TCPSegment{
-			SrcPort: f.cfg.SrcPort + uint16(f.sent%1024),
+			SrcPort: floodSrcPort + uint16(f.sent%1024),
 			DstPort: f.cfg.DstPort,
 			Seq:     uint32(f.sent),
 			Ack:     uint32(f.sent) + 1,
@@ -186,7 +185,7 @@ func (f *Flooder) buildDatagram() *packet.Datagram {
 		proto = packet.ProtoTCP
 	default:
 		u := packet.UDPDatagram{
-			SrcPort: f.cfg.SrcPort,
+			SrcPort: floodSrcPort,
 			DstPort: f.cfg.DstPort,
 			Payload: f.payload,
 		}

@@ -8,28 +8,20 @@ import (
 	"barbican/internal/stack"
 )
 
+// httpLoadDrain allows the final in-flight fetch to finish.
+const httpLoadDrain = 250 * time.Millisecond
+
 // HTTPLoadConfig configures a web load measurement, mirroring the paper's
 // http_load invocation: "at most one connection at a time with an
-// unlimited rate for 30 s".
+// unlimited rate for 30 s". The server listens on apps.HTTPPort.
 type HTTPLoadConfig struct {
 	// Duration is the measurement window; zero defaults to 30 s.
 	Duration time.Duration
-	// Port is the web server port; zero defaults to 80.
-	Port uint16
-	// Drain allows the final in-flight fetch to finish; zero defaults to
-	// 250 ms.
-	Drain time.Duration
 }
 
 func (c HTTPLoadConfig) withDefaults() HTTPLoadConfig {
 	if c.Duration == 0 {
 		c.Duration = 30 * time.Second
-	}
-	if c.Port == 0 {
-		c.Port = 80
-	}
-	if c.Drain == 0 {
-		c.Drain = 250 * time.Millisecond
 	}
 	return c
 }
@@ -65,7 +57,7 @@ func RunHTTPLoad(k *sim.Kernel, client, server *stack.Host, cfg HTTPLoadConfig) 
 		}
 		dialAt := k.Now()
 		var connectAt, requestAt time.Duration
-		err := httpc.Get(server.IP(), cfg.Port,
+		err := httpc.Get(server.IP(), apps.HTTPPort,
 			func() { // connected
 				connectAt = k.Now()
 				requestAt = connectAt
@@ -89,7 +81,7 @@ func RunHTTPLoad(k *sim.Kernel, client, server *stack.Host, cfg HTTPLoadConfig) 
 	}
 	issue()
 
-	if err := k.RunUntil(start + cfg.Duration + cfg.Drain); err != nil {
+	if err := k.RunUntil(start + cfg.Duration + httpLoadDrain); err != nil {
 		return res, err
 	}
 	res.FetchesPerSec = float64(res.Fetches) / cfg.Duration.Seconds()

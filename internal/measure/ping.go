@@ -9,26 +9,22 @@ import (
 	"barbican/internal/stack"
 )
 
+// pingInterval spaces the echo requests; pingTimeout bounds the wait
+// for stragglers after the last one.
+const (
+	pingInterval = 10 * time.Millisecond
+	pingTimeout  = 500 * time.Millisecond
+)
+
 // PingConfig configures an ICMP round-trip-time measurement.
 type PingConfig struct {
 	// Count is the number of echo requests; zero defaults to 20.
 	Count int
-	// Interval spaces the requests; zero defaults to 10 ms.
-	Interval time.Duration
-	// Timeout bounds the wait for stragglers after the last request;
-	// zero defaults to 500 ms.
-	Timeout time.Duration
 }
 
 func (c PingConfig) withDefaults() PingConfig {
 	if c.Count == 0 {
 		c.Count = 20
-	}
-	if c.Interval == 0 {
-		c.Interval = 10 * time.Millisecond
-	}
-	if c.Timeout == 0 {
-		c.Timeout = 500 * time.Millisecond
 	}
 	return c
 }
@@ -81,13 +77,13 @@ func RunPingRTT(k *sim.Kernel, client, server *stack.Host, cfg PingConfig) (Ping
 	start := k.Now()
 	for i := 0; i < cfg.Count; i++ {
 		seq := uint16(i + 1)
-		k.At(start+time.Duration(i)*cfg.Interval, func() {
+		k.At(start+time.Duration(i)*pingInterval, func() {
 			sentAt[seq] = k.Now()
 			res.Sent++
 			client.Ping(server.IP(), id, seq)
 		})
 	}
-	deadline := start + time.Duration(cfg.Count)*cfg.Interval + cfg.Timeout
+	deadline := start + time.Duration(cfg.Count)*pingInterval + pingTimeout
 	if err := k.RunUntil(deadline); err != nil {
 		return res, err
 	}

@@ -138,19 +138,15 @@ type Config struct {
 	Policy EvictPolicy
 	// Seed feeds EvictRandom's private deterministic stream.
 	Seed int64
-	// Timeouts holds per-state idle timeouts; zero value means
-	// DefaultTimeouts.
-	Timeouts Timeouts
 }
 
 // Table is the bounded connection-tracking store. It is not safe for
 // concurrent use; the NIC serializes access on the simulator's
 // virtual-time event loop.
 type Table struct {
-	cap      int
-	policy   EvictPolicy
-	timeouts Timeouts
-	rng      *rand.Rand
+	cap    int
+	policy EvictPolicy
+	rng    *rand.Rand
 
 	idx       map[Key]int32
 	entries   []entry
@@ -175,13 +171,9 @@ func New(cfg Config) *Table {
 	if cfg.Policy == 0 {
 		cfg.Policy = EvictLRU
 	}
-	if cfg.Timeouts == (Timeouts{}) {
-		cfg.Timeouts = DefaultTimeouts()
-	}
 	t := &Table{
 		cap:       cfg.Cap,
 		policy:    cfg.Policy,
-		timeouts:  cfg.Timeouts,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		idx:       make(map[Key]int32, cfg.Cap),
 		entries:   make([]entry, cfg.Cap),
@@ -258,7 +250,7 @@ func (t *Table) pushTail(l *lruList, i int32, list uint8) {
 func (t *Table) touch(i int32, now time.Duration) {
 	e := &t.entries[i]
 	e.lastSeen = now
-	e.expiresAt = now + t.timeouts.forEntry(e)
+	e.expiresAt = now + idleTimeout(e)
 	list := uint8(onEmbryonic)
 	l := &t.embryonic
 	if e.assured {
@@ -506,7 +498,7 @@ func (t *Table) Commit(s packet.Summary, now time.Duration) CommitStatus {
 		list, l = onAssured, &t.assured
 	}
 	e.lastSeen = now
-	e.expiresAt = now + t.timeouts.forEntry(e)
+	e.expiresAt = now + idleTimeout(e)
 	t.pushTail(l, i, list)
 	t.stats.Created++
 	return status

@@ -149,7 +149,7 @@ func TestConntrackUDPPseudoState(t *testing.T) {
 		t.Fatalf("replied UDP flow classified %v, want established", cs)
 	}
 	// Idle past the replied timeout, the flow starts over.
-	later := now + DefaultTimeouts().UDPReplied + time.Second
+	later := now + timeoutUDPReplied + time.Second
 	if cs := step(t, tab, q, later); cs != fw.StateNew {
 		t.Fatalf("expired UDP flow classified %v, want new", cs)
 	}

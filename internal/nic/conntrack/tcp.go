@@ -55,67 +55,51 @@ func (s TCPState) String() string {
 	return fmt.Sprintf("tcpstate(%d)", int(s))
 }
 
-// Timeouts holds the per-state idle timeouts, on virtual time. An
-// entry that has not seen a packet for its state's timeout is expired
-// lazily on the next lookup or reaped when the table needs a slot.
-type Timeouts struct {
-	SynSent     time.Duration
-	SynRecv     time.Duration
-	Established time.Duration
-	FinWait     time.Duration
-	Closing     time.Duration
-	TimeWait    time.Duration
-	Closed      time.Duration
-	UDPNew      time.Duration
-	UDPReplied  time.Duration
-	ICMP        time.Duration
-}
+// The per-state idle timeouts, on virtual time: the netfilter shape
+// (embryonic states short, established long) scaled to the simulator's
+// seconds-long experiment horizon. An entry that has not seen a packet
+// for its state's timeout is expired lazily on the next lookup or
+// reaped when the table needs a slot.
+const (
+	timeoutSynSent     = 30 * time.Second
+	timeoutSynRecv     = 15 * time.Second
+	timeoutEstablished = 600 * time.Second
+	timeoutFinWait     = 30 * time.Second
+	timeoutClosing     = 15 * time.Second
+	timeoutTimeWait    = 30 * time.Second
+	timeoutClosed      = 5 * time.Second
+	timeoutUDPNew      = 10 * time.Second
+	timeoutUDPReplied  = 60 * time.Second
+	timeoutICMP        = 10 * time.Second
+)
 
-// DefaultTimeouts returns the stock timeout profile: the netfilter
-// shape (embryonic states short, established long) scaled to the
-// simulator's seconds-long experiment horizon.
-func DefaultTimeouts() Timeouts {
-	return Timeouts{
-		SynSent:     30 * time.Second,
-		SynRecv:     15 * time.Second,
-		Established: 600 * time.Second,
-		FinWait:     30 * time.Second,
-		Closing:     15 * time.Second,
-		TimeWait:    30 * time.Second,
-		Closed:      5 * time.Second,
-		UDPNew:      10 * time.Second,
-		UDPReplied:  60 * time.Second,
-		ICMP:        10 * time.Second,
-	}
-}
-
-// forEntry returns the idle timeout for an entry's current state.
-func (tm *Timeouts) forEntry(e *entry) time.Duration {
+// idleTimeout returns the idle timeout for an entry's current state.
+func idleTimeout(e *entry) time.Duration {
 	switch e.tcp {
 	case TCPNone:
 		if e.key.proto == packet.ProtoICMP {
-			return tm.ICMP
+			return timeoutICMP
 		}
 		if e.replied {
-			return tm.UDPReplied
+			return timeoutUDPReplied
 		}
-		return tm.UDPNew
+		return timeoutUDPNew
 	case TCPSynSent:
-		return tm.SynSent
+		return timeoutSynSent
 	case TCPSynRecv:
-		return tm.SynRecv
+		return timeoutSynRecv
 	case TCPEstablished:
-		return tm.Established
+		return timeoutEstablished
 	case TCPFinWait:
-		return tm.FinWait
+		return timeoutFinWait
 	case TCPClosing:
-		return tm.Closing
+		return timeoutClosing
 	case TCPTimeWait:
-		return tm.TimeWait
+		return timeoutTimeWait
 	case TCPClosed, NumTCPStates:
-		return tm.Closed
+		return timeoutClosed
 	default:
-		return tm.Closed
+		return timeoutClosed
 	}
 }
 

@@ -134,52 +134,29 @@ func (s *Server) Audit() []AuditEvent {
 // Stats returns a snapshot of the distribution counters.
 func (s *Server) Stats() ServerStats { return s.stats }
 
+// The retry engine's timing. Jitter draws from the host kernel's
+// seeded generator, which keeps runs deterministic; it never touches
+// the global math/rand source.
+const (
+	// pushAttemptTimeout bounds each connection attempt (dial → agent
+	// reply).
+	pushAttemptTimeout = time.Second
+	// pushBaseBackoff is the delay after the first failed attempt; each
+	// further failure doubles it up to pushMaxBackoff.
+	pushBaseBackoff = 100 * time.Millisecond
+	pushMaxBackoff  = 2 * time.Second
+	// pushJitterFrac spreads each backoff uniformly by ±frac.
+	pushJitterFrac = 0.2
+	// defaultMaxAttempts is the attempt cap of a zero PushOptions.
+	defaultMaxAttempts = 5
+)
+
 // PushOptions tunes the retry engine behind Push. The zero value means
 // defaults; see the field comments.
 type PushOptions struct {
-	// AttemptTimeout bounds each connection attempt (dial → agent
-	// reply). Zero means 1 s.
-	AttemptTimeout time.Duration
 	// MaxAttempts caps total attempts before the push settles
 	// terminally. Zero means 5; 1 disables retries (legacy behavior).
 	MaxAttempts int
-	// BaseBackoff is the delay after the first failed attempt; each
-	// further failure doubles it up to MaxBackoff. Zero means 100 ms
-	// (base) and 2 s (cap).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// JitterFrac spreads each backoff uniformly by ±frac. Zero means
-	// 0.2; negative disables jitter.
-	JitterFrac float64
-	// Rng drives the jitter. Nil means the host kernel's seeded
-	// generator, which keeps runs deterministic; jitter never touches
-	// the global math/rand source.
-	Rng *rand.Rand
-}
-
-func (o PushOptions) withDefaults(rng *rand.Rand) PushOptions {
-	if o.AttemptTimeout <= 0 {
-		o.AttemptTimeout = time.Second
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 5
-	}
-	if o.BaseBackoff <= 0 {
-		o.BaseBackoff = 100 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 2 * time.Second
-	}
-	switch {
-	case o.JitterFrac < 0:
-		o.JitterFrac = 0
-	case o.JitterFrac == 0:
-		o.JitterFrac = 0.2
-	}
-	if o.Rng == nil {
-		o.Rng = rng
-	}
-	return o
 }
 
 // retryableAgentErr classifies an agent ERR reply: corruption-shaped
@@ -226,8 +203,12 @@ func (s *Server) PushWith(device string, target packet.IP, opt PushOptions, done
 		target:  target,
 		version: a.version,
 		wire:    wire,
-		opt:     opt.withDefaults(s.host.Kernel().Rand()),
+		maxAtt:  opt.MaxAttempts,
+		rng:     s.host.Kernel().Rand(),
 		done:    done,
+	}
+	if r.maxAtt <= 0 {
+		r.maxAtt = defaultMaxAttempts
 	}
 	r.attempt(1)
 	return nil
@@ -242,7 +223,8 @@ type pushRun struct {
 	target  packet.IP
 	version uint32
 	wire    []byte
-	opt     PushOptions
+	maxAtt  int
+	rng     *rand.Rand
 	done    func(error)
 	settled bool
 }
@@ -276,17 +258,14 @@ func (r *pushRun) settle(outcome error) {
 }
 
 // backoff computes the post-attempt-i delay: capped exponential with
-// seeded ±JitterFrac jitter.
+// seeded ±pushJitterFrac jitter.
 func (r *pushRun) backoff(i int) time.Duration {
-	d := r.opt.MaxBackoff
-	if shift := i - 1; shift < 20 && r.opt.BaseBackoff<<shift < r.opt.MaxBackoff {
-		d = r.opt.BaseBackoff << shift
+	d := pushMaxBackoff
+	if shift := i - 1; shift < 20 && pushBaseBackoff<<shift < pushMaxBackoff {
+		d = pushBaseBackoff << shift
 	}
-	if r.opt.JitterFrac > 0 {
-		u := 2*r.opt.Rng.Float64() - 1
-		d = time.Duration(float64(d) * (1 + r.opt.JitterFrac*u))
-	}
-	return d
+	u := 2*r.rng.Float64() - 1
+	return time.Duration(float64(d) * (1 + pushJitterFrac*u))
 }
 
 // attemptFailed records a failed attempt and either schedules the next
@@ -295,14 +274,14 @@ func (r *pushRun) attemptFailed(i int, err error, retryable bool) {
 	if r.settled {
 		return
 	}
-	if !retryable || i >= r.opt.MaxAttempts {
+	if !retryable || i >= r.maxAtt {
 		if i > 1 || retryable {
 			err = fmt.Errorf("policy: push failed after %d attempt(s): %w", i, err)
 		}
 		r.settle(err)
 		return
 	}
-	r.auditEvent(false, fmt.Sprintf("attempt %d/%d: %v", i, r.opt.MaxAttempts, err))
+	r.auditEvent(false, fmt.Sprintf("attempt %d/%d: %v", i, r.maxAtt, err))
 	r.s.stats.Retries++
 	r.s.host.Kernel().After(r.backoff(i), func() { r.attempt(i + 1) })
 }
@@ -320,13 +299,13 @@ func (r *pushRun) attempt(i int) {
 	}
 
 	attemptDone := false
-	timeoutEv := r.s.host.Kernel().After(r.opt.AttemptTimeout, func() {
+	timeoutEv := r.s.host.Kernel().After(pushAttemptTimeout, func() {
 		if attemptDone || r.settled {
 			return
 		}
 		attemptDone = true
 		conn.Abort()
-		r.attemptFailed(i, fmt.Errorf("policy: attempt timed out after %v", r.opt.AttemptTimeout), true)
+		r.attemptFailed(i, fmt.Errorf("policy: attempt timed out after %v", pushAttemptTimeout), true)
 	})
 	finishAttempt := func() bool {
 		if attemptDone || r.settled {

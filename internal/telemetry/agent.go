@@ -11,24 +11,20 @@ import (
 	"barbican/internal/stack"
 )
 
-// DefaultReportInterval is the agent's report cadence when the config
-// leaves it zero. 100 ms is an order of magnitude faster than human
-// polling and an order slower than the card's 1 ms exhaustion
-// threshold — detection latency is then dominated by the detector's
-// hysteresis, not the sampling clock.
-const DefaultReportInterval = 100 * time.Millisecond
+// ReportInterval is the agent's report cadence. 100 ms is an order of
+// magnitude faster than human polling and an order slower than the
+// card's 1 ms exhaustion threshold — detection latency is then
+// dominated by the detector's hysteresis, not the sampling clock.
+const ReportInterval = 100 * time.Millisecond
 
 // AgentConfig configures one host's telemetry agent.
 type AgentConfig struct {
 	// Device is the fleet name stamped into every report (the policy
 	// plane's device name).
 	Device string
-	// Collector is the policy server's IP; Port its telemetry port
-	// (0 = TelemetryPort).
+	// Collector is the policy server's IP; reports go to its
+	// TelemetryPort.
 	Collector packet.IP
-	Port      uint16
-	// Interval between reports (0 = DefaultReportInterval).
-	Interval time.Duration
 	// RulesVersion, when non-nil, supplies the installed policy
 	// version for each snapshot — typically policy.Agent's
 	// InstalledVersion, taken as a closure so telemetry needs no
@@ -76,12 +72,6 @@ func NewAgent(h *stack.Host, cfg AgentConfig) (*Agent, error) {
 	if len(cfg.Device) > maxDeviceName {
 		return nil, fmt.Errorf("telemetry: device name %q longer than %d bytes", cfg.Device, maxDeviceName)
 	}
-	if cfg.Port == 0 {
-		cfg.Port = TelemetryPort
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultReportInterval
-	}
 	sock, err := h.BindUDP(0)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: bind agent socket: %w", err)
@@ -105,7 +95,7 @@ func (a *Agent) Start() {
 		return
 	}
 	a.running = true
-	a.kernel.AfterCall(a.cfg.Interval, a.tickFn, nil)
+	a.kernel.AfterCall(ReportInterval, a.tickFn, nil)
 }
 
 // Stop halts the loop permanently.
@@ -119,7 +109,7 @@ func (a *Agent) tick() {
 		return
 	}
 	a.ReportNow()
-	a.kernel.AfterCall(a.cfg.Interval, a.tickFn, nil)
+	a.kernel.AfterCall(ReportInterval, a.tickFn, nil)
 }
 
 // Snapshot fills r from the card's current counters without sending.
@@ -163,7 +153,7 @@ func (a *Agent) ReportNow() bool {
 	a.seq++
 	a.Snapshot(&a.report)
 	a.scratch = AppendReport(a.scratch[:0], &a.report)
-	ok := a.sock.SendTo(a.cfg.Collector, a.cfg.Port, a.scratch)
+	ok := a.sock.SendTo(a.cfg.Collector, TelemetryPort, a.scratch)
 	if ok {
 		a.sent++
 	} else {

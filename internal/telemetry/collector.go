@@ -12,26 +12,18 @@ import (
 
 // CollectorConfig configures the fleet-health collector.
 type CollectorConfig struct {
-	// Port to listen on (0 = TelemetryPort).
-	Port uint16
-	// Detector tunes the per-device flood-onset detector; zero fields
-	// take the documented defaults.
-	Detector DetectorConfig
 	// OnAlert fires whenever a device's detector enters AlertAlerting,
 	// with the collector's virtual time — the hook scenarios use to
 	// trigger a responsive blocklist push.
 	OnAlert func(device string, at time.Duration)
-	// OnReport fires for every accepted report, after ingestion.
-	OnReport func(r *Report)
 	// SilenceAfter, when positive, arms the staleness watchdog: a
 	// device that has reported at least once and then stays quiet for
 	// longer than this is fed to its detector as a hot "silence"
 	// sample. Loss of telemetry during a flood is itself a signal —
 	// the EFW Deny-All lockup silences its own victim. Zero disables
-	// the watchdog (the collector stays purely reactive).
+	// the watchdog (the collector stays purely reactive). The watchdog
+	// sweeps every SilenceAfter / 2.
 	SilenceAfter time.Duration
-	// SweepEvery is the watchdog cadence; zero means SilenceAfter / 2.
-	SweepEvery time.Duration
 }
 
 // DeviceHealth is the collector's model of one device.
@@ -68,13 +60,10 @@ type Collector struct {
 	bytes   uint64
 }
 
-// NewCollector binds the telemetry port on h (normally the policy
-// server) and starts accepting reports.
+// NewCollector binds TelemetryPort on h (normally the policy server)
+// and starts accepting reports.
 func NewCollector(h *stack.Host, cfg CollectorConfig) (*Collector, error) {
-	if cfg.Port == 0 {
-		cfg.Port = TelemetryPort
-	}
-	sock, err := h.BindUDP(cfg.Port)
+	sock, err := h.BindUDP(TelemetryPort)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: bind collector: %w", err)
 	}
@@ -86,10 +75,7 @@ func NewCollector(h *stack.Host, cfg CollectorConfig) (*Collector, error) {
 	}
 	sock.OnRecv = func(_ packet.IP, _ uint16, payload []byte) { c.ingest(payload) }
 	if cfg.SilenceAfter > 0 {
-		sweep := cfg.SweepEvery
-		if sweep <= 0 {
-			sweep = cfg.SilenceAfter / 2
-		}
+		sweep := cfg.SilenceAfter / 2
 		var sweepFn func(any)
 		sweepFn = func(any) {
 			c.sweepSilence()
@@ -123,7 +109,7 @@ func (c *Collector) Track(device string) *DeviceHealth {
 	if h, ok := c.devices[device]; ok {
 		return h
 	}
-	h := &DeviceHealth{Device: device, Detector: NewDetector(c.cfg.Detector)}
+	h := &DeviceHealth{Device: device, Detector: NewDetector()}
 	c.devices[device] = h
 	c.order = append(c.order, device)
 	return h
@@ -154,9 +140,6 @@ func (c *Collector) ingest(payload []byte) {
 	state, changed := h.Detector.Observe(now, r)
 	if changed && state == AlertAlerting && c.cfg.OnAlert != nil {
 		c.cfg.OnAlert(r.Device, now)
-	}
-	if c.cfg.OnReport != nil {
-		c.cfg.OnReport(r)
 	}
 }
 

@@ -13,14 +13,14 @@ const (
 	// learning what "normal" looks like.
 	AlertHealthy AlertState = iota
 	// AlertSuspect: one hot sample seen; baseline learning is frozen so
-	// an onset can't raise its own threshold. Needs RiseCount
+	// an onset can't raise its own threshold. Needs detectRiseCount
 	// consecutive hot samples to alert, one calm sample to clear.
 	AlertSuspect
 	// AlertAlerting: sustained anomaly. Entry timestamp is the
 	// detection instant.
 	AlertAlerting
 	// AlertRecovering: signal back under the clear threshold; needs
-	// FallCount consecutive calm samples before declaring healthy —
+	// detectFallCount consecutive calm samples before declaring healthy —
 	// hysteresis against flapping on a sputtering flood.
 	AlertRecovering
 
@@ -43,63 +43,36 @@ func (s AlertState) String() string {
 	return "alert?"
 }
 
-// DetectorConfig tunes the flood-onset detector. Zero values select
-// the defaults noted per field; the defaults are part of the
-// determinism contract (changing them changes every golden timeline).
-type DetectorConfig struct {
-	// Alpha is the EWMA smoothing factor for the drop-rate baseline
-	// (default 0.2). Higher adapts faster but lets a slow-ramping
-	// flood teach the detector that flooding is normal.
-	Alpha float64
-	// RiseFactor: a sample is hot when its drop rate exceeds
-	// RiseFactor × baseline (default 4).
-	RiseFactor float64
-	// AbsFloorPPS keeps the rise threshold meaningful when the
-	// baseline is near zero — below this rate (default 200 drops/s)
-	// nothing is ever hot, so counter noise on an idle card can't
-	// alert.
-	AbsFloorPPS float64
-	// BacklogFloor: a reported processor backlog at or above this
-	// (default 500µs, half the card's 1 ms exhaustion threshold) makes
-	// the sample hot regardless of drop rate — catches floods the
-	// policy admits but the CPU can't keep up with.
-	BacklogFloor time.Duration
-	// RiseCount consecutive hot samples promote Suspect → Alerting
-	// (default 2).
-	RiseCount int
-	// FallCount consecutive calm samples demote Recovering → Healthy
-	// (default 3).
-	FallCount int
-	// ClearFrac: a sample is calm when its drop rate is at or below
-	// ClearFrac × the rise threshold (default 0.5). The gap between
-	// hot and calm is the hysteresis band.
-	ClearFrac float64
-}
-
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.Alpha == 0 {
-		c.Alpha = 0.2
-	}
-	if c.RiseFactor == 0 {
-		c.RiseFactor = 4
-	}
-	if c.AbsFloorPPS == 0 {
-		c.AbsFloorPPS = 200
-	}
-	if c.BacklogFloor == 0 {
-		c.BacklogFloor = 500 * time.Microsecond
-	}
-	if c.RiseCount == 0 {
-		c.RiseCount = 2
-	}
-	if c.FallCount == 0 {
-		c.FallCount = 3
-	}
-	if c.ClearFrac == 0 {
-		c.ClearFrac = 0.5
-	}
-	return c
-}
+// The detector's thresholds. They are part of the determinism
+// contract: changing one changes every golden timeline.
+const (
+	// detectAlpha is the EWMA smoothing factor for the drop-rate
+	// baseline. Higher adapts faster but lets a slow-ramping flood
+	// teach the detector that flooding is normal.
+	detectAlpha = 0.2
+	// detectRiseFactor: a sample is hot when its drop rate exceeds
+	// detectRiseFactor × baseline.
+	detectRiseFactor = 4
+	// detectAbsFloorPPS keeps the rise threshold meaningful when the
+	// baseline is near zero — below this rate (drops/s) nothing is
+	// ever hot, so counter noise on an idle card can't alert.
+	detectAbsFloorPPS = 200
+	// detectBacklogFloor: a reported processor backlog at or above
+	// this (half the card's 1 ms exhaustion threshold) makes the sample
+	// hot regardless of drop rate — catches floods the policy admits
+	// but the CPU can't keep up with.
+	detectBacklogFloor = 500 * time.Microsecond
+	// detectRiseCount consecutive hot samples promote Suspect →
+	// Alerting.
+	detectRiseCount = 2
+	// detectFallCount consecutive calm samples demote Recovering →
+	// Healthy.
+	detectFallCount = 3
+	// detectClearFrac: a sample is calm when its drop rate is at or
+	// below detectClearFrac × the rise threshold. The gap between hot
+	// and calm is the hysteresis band.
+	detectClearFrac = 0.5
+)
 
 // Transition is one alert-state change, timestamped with the
 // collector's virtual arrival time of the report that caused it.
@@ -118,8 +91,6 @@ type Transition struct {
 // from collector arrival time, and no randomness enters anywhere. The
 // same report sequence always yields byte-identical timelines.
 type Detector struct {
-	cfg DetectorConfig
-
 	primed     bool
 	lastSentAt time.Duration
 	lastDrops  uint64
@@ -133,10 +104,8 @@ type Detector struct {
 	alerts      int
 }
 
-// NewDetector builds a detector with cfg's zero fields defaulted.
-func NewDetector(cfg DetectorConfig) *Detector {
-	return &Detector{cfg: cfg.withDefaults()}
-}
+// NewDetector builds a detector in AlertHealthy with no baseline.
+func NewDetector() *Detector { return &Detector{} }
 
 // State returns the current alert state.
 func (d *Detector) State() AlertState { return d.state }
@@ -189,12 +158,12 @@ func (d *Detector) Observe(at time.Duration, r *Report) (AlertState, bool) {
 	rate := float64(drops-d.lastDrops) / dt.Seconds()
 	d.lastSentAt, d.lastDrops = r.SentAt, drops
 
-	riseThresh := d.cfg.RiseFactor * d.baseline
-	if riseThresh < d.cfg.AbsFloorPPS {
-		riseThresh = d.cfg.AbsFloorPPS
+	riseThresh := detectRiseFactor * d.baseline
+	if riseThresh < detectAbsFloorPPS {
+		riseThresh = detectAbsFloorPPS
 	}
-	hot := rate > riseThresh || r.Backlog >= d.cfg.BacklogFloor
-	calm := rate <= d.cfg.ClearFrac*riseThresh && r.Backlog < d.cfg.BacklogFloor
+	hot := rate > riseThresh || r.Backlog >= detectBacklogFloor
+	calm := rate <= detectClearFrac*riseThresh && r.Backlog < detectBacklogFloor
 	return d.judge(at, rate, hot, calm)
 }
 
@@ -209,19 +178,19 @@ func (d *Detector) judge(at time.Duration, rate float64, hot, calm bool) (AlertS
 		} else {
 			// Baseline learns only while healthy: a flood must not
 			// drag its own threshold up (Suspect onward freezes it).
-			d.baseline += d.cfg.Alpha * (rate - d.baseline)
+			d.baseline += detectAlpha * (rate - d.baseline)
 		}
 	case AlertSuspect:
 		switch {
 		case hot:
 			d.hotStreak++
-			if d.hotStreak >= d.cfg.RiseCount {
+			if d.hotStreak >= detectRiseCount {
 				d.state = AlertAlerting
 				d.alerts++
 			}
 		case calm:
 			d.state = AlertHealthy
-			d.baseline += d.cfg.Alpha * (rate - d.baseline)
+			d.baseline += detectAlpha * (rate - d.baseline)
 		}
 	case AlertAlerting:
 		if calm {
@@ -236,7 +205,7 @@ func (d *Detector) judge(at time.Duration, rate float64, hot, calm bool) (AlertS
 			d.cool = 0
 		case calm:
 			d.cool++
-			if d.cool >= d.cfg.FallCount {
+			if d.cool >= detectFallCount {
 				d.state = AlertHealthy
 			}
 		}

@@ -26,7 +26,7 @@ func dropsOf(total uint64) (a [len(Report{}.RxDrops)]uint64) {
 // walk Healthy → Suspect → Alerting, and the alert timestamp must be
 // the second hot sample's arrival time.
 func TestDetectorFloodOnset(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	// Ten quiet samples (~50 drops/s), then a flood (~5000 drops/s).
 	series := make([]uint64, 0, 16)
 	for i := 0; i < 10; i++ {
@@ -51,15 +51,15 @@ func TestDetectorFloodOnset(t *testing.T) {
 	// 1100 ms sample is the first hot one (suspect), 1200 ms the second
 	// (alerting).
 	if want := 1200 * time.Millisecond; tl[1].At != want {
-		t.Fatalf("alert at %v, want %v (RiseCount=2 × 100 ms cadence)", tl[1].At, want)
+		t.Fatalf("alert at %v, want %v (detectRiseCount=2 × 100 ms cadence)", tl[1].At, want)
 	}
 }
 
 // TestDetectorSingleSpikeClears: one hot sample must reach Suspect but
 // never Alerting, and a calm follow-up returns to Healthy — the
-// RiseCount hysteresis that keeps benign bursts from paging.
+// detectRiseCount hysteresis that keeps benign bursts from paging.
 func TestDetectorSingleSpikeClears(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	feed(d, []uint64{5, 5, 5, 5, 500, 5, 5})
 	if d.Alerts() != 0 {
 		t.Fatalf("alerts = %d after a single-sample spike, want 0", d.Alerts())
@@ -70,10 +70,10 @@ func TestDetectorSingleSpikeClears(t *testing.T) {
 }
 
 // TestDetectorRecovery: after a flood stops, the detector must pass
-// through Recovering and only declare Healthy after FallCount calm
+// through Recovering and only declare Healthy after detectFallCount calm
 // samples; a re-burst mid-recovery snaps back to Alerting.
 func TestDetectorRecovery(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	feed(d, []uint64{5, 5, 5, 5, 500, 500, 500, 5, 5})
 	if d.State() != AlertRecovering {
 		t.Fatalf("state = %v two calm samples after flood end, want recovering", d.State())
@@ -88,12 +88,12 @@ func TestDetectorRecovery(t *testing.T) {
 		d.Observe(at, &Report{Device: "t", Seq: 10, SentAt: at, RxDrops: dropsOf(total)})
 	}
 	if d.State() != AlertHealthy {
-		t.Fatalf("state = %v after FallCount calm samples, want healthy", d.State())
+		t.Fatalf("state = %v after detectFallCount calm samples, want healthy", d.State())
 	}
 
 	// Re-burst during recovery must return to Alerting without a new
 	// Suspect detour.
-	d2 := NewDetector(DetectorConfig{})
+	d2 := NewDetector()
 	feed(d2, []uint64{5, 5, 5, 5, 500, 500, 500, 5, 500})
 	if d2.State() != AlertAlerting {
 		t.Fatalf("state = %v after re-burst mid-recovery, want alerting", d2.State())
@@ -106,7 +106,7 @@ func TestDetectorRecovery(t *testing.T) {
 // TestDetectorBacklogSignal: a report whose backlog crosses the floor
 // is hot even with zero drops — the admitted-but-overwhelmed case.
 func TestDetectorBacklogSignal(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	base := &Report{Device: "t", SentAt: 100 * time.Millisecond}
 	d.Observe(100*time.Millisecond, base)
 	for i := 2; i <= 3; i++ {
@@ -122,7 +122,7 @@ func TestDetectorBacklogSignal(t *testing.T) {
 // re-prime or no-op, never produce a transition from a negative or
 // infinite rate.
 func TestDetectorGuards(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	r := &Report{Device: "t", Seq: 1, SentAt: 100 * time.Millisecond, RxDrops: dropsOf(1000)}
 	d.Observe(100*time.Millisecond, r)
 	// Same SentAt (duplicated datagram): ignored.
