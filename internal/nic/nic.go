@@ -591,7 +591,8 @@ func (n *NIC) cryptoBytes(dir fw.Direction, s *packet.Summary, v *fw.Verdict) in
 //
 //barbican:noalloc
 func (n *NIC) admit(dir fw.Direction, tid uint64, path MatchPath, traversed, index, cryptoBytes int, ctCost float64) (time.Duration, bool) {
-	completeAt, ok := n.proc.Admit(n.profile.CostPath(path, traversed, cryptoBytes) + ctCost)
+	base, match, crypto := n.profile.CostPartsPath(path, traversed, cryptoBytes)
+	completeAt, ok := n.proc.Admit(base + match + crypto + ctCost)
 	if !ok {
 		reason := n.overloadReason()
 		n.drop(dir, cardStage(dir), reason, tid)
@@ -599,7 +600,6 @@ func (n *NIC) admit(dir fw.Direction, tid uint64, path MatchPath, traversed, ind
 		return 0, false
 	}
 	if n.prof != nil {
-		base, match, crypto := n.profile.CostPartsPath(path, traversed, cryptoBytes)
 		if dir == fw.In {
 			n.prof.RecordRx(traversed, index, base, match+ctCost, crypto) //barbican:allow alloc -- profiled-only branch; prof==nil on the contract path
 		} else {

@@ -264,11 +264,8 @@ func (p Profile) matchCost(path MatchPath, rulesTraversed int) float64 {
 //
 //barbican:noalloc
 func (p Profile) CostPath(path MatchPath, rulesTraversed, cryptoBytes int) float64 {
-	c := p.BaseCost + p.matchCost(path, rulesTraversed)
-	if cryptoBytes > 0 {
-		c += p.CryptoPerPacket + p.CryptoPerByte*float64(cryptoBytes)
-	}
-	return c
+	base, match, crypto := p.CostPartsPath(path, rulesTraversed, cryptoBytes)
+	return base + match + crypto
 }
 
 // Cost is the exported cost model for the rule-matched path, for
@@ -280,9 +277,9 @@ func (p Profile) Cost(rulesTraversed, cryptoBytes int) float64 {
 
 // CostPartsPath decomposes CostPath into its phases — fixed base,
 // rule-match (walk, compiled lookup, or cache hit), and crypto — for
-// the cost-domain profiler. The parts sum to CostPath(path,
-// rulesTraversed, cryptoBytes) exactly, which is what lets the profiler
-// attribute 100% of the processor's consumed units.
+// the cost-domain profiler. CostPath is their sum, base + match +
+// crypto in that order, which is what lets the profiler attribute 100%
+// of the processor's consumed units.
 //
 //barbican:noalloc
 func (p Profile) CostPartsPath(path MatchPath, rulesTraversed, cryptoBytes int) (base, match, crypto float64) {
