@@ -119,7 +119,7 @@ func TestFloodMeasurementAndPcap(t *testing.T) {
 				return
 			}
 			for _, p := range []string{
-				filepath.Join(dir, "m", "flood", label+".prom"),
+				filepath.Join(dir, "m", "flood", label+".csv"),
 				filepath.Join(dir, "t", "flood", label+".trace.json"),
 			} {
 				if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {

@@ -21,11 +21,12 @@
 //	-parallel N      experiment points measured concurrently (default
 //	                 GOMAXPROCS; 1 = serial). Output is byte-identical
 //	                 at any worker count.
-//	-metrics-out DIR write telemetry artifacts (Prometheus text, JSON,
-//	                 CSV) for every run, plus figure/table data exports
+//	-metrics-out DIR write telemetry artifacts (CSV timeline, Prometheus
+//	                 text snapshot) for every run, plus figure/table
+//	                 data exports
 //	-sample-every D  flight-recorder tick in virtual time (default 50ms)
 //	-trace-out DIR   write sampled packet-lifecycle traces (Perfetto
-//	                 trace_event JSON + annotated text) for every run
+//	                 trace_event JSON) for every run
 //	-trace-sample N  trace 1 packet in N (default 64)
 //	-profile-out DIR write dual-domain profiles (card cost units +
 //	                 kernel wall time) for every run as gzipped pprof

@@ -49,8 +49,8 @@ type Instrumentation struct {
 	target *nic.NIC
 }
 
-// WriteArtifacts writes the run's telemetry to dir as <base>.prom,
-// <base>.csv, <base>.json, and <base>.snapshot.prom.
+// WriteArtifacts writes the run's telemetry to dir as <base>.csv (the
+// timeline) and <base>.snapshot.prom (the final scrape-style snapshot).
 func (in *Instrumentation) WriteArtifacts(dir, base string) ([]string, error) {
 	return obs.WriteRunArtifacts(dir, base, in.Registry, in.Recorder)
 }

@@ -115,9 +115,8 @@ func dropCounterTracks(in *Instrumentation) []tracing.CounterTrack {
 
 // WriteTraceArtifacts writes the run's packet traces to dir as
 // <base>.trace.json (Perfetto trace_event format, embedding the
-// authoritative per-reason drop totals and recorder drop tracks) and
-// <base>.trace.txt (tcpdump-style annotated log). Returns the written
-// paths; no-op when the run was not traced.
+// authoritative per-reason drop totals and recorder drop tracks).
+// Returns the written paths; no-op when the run was not traced.
 func (in *Instrumentation) WriteTraceArtifacts(dir, base string) ([]string, error) {
 	if in == nil || in.Tracer == nil {
 		return nil, nil
@@ -141,17 +140,5 @@ func (in *Instrumentation) WriteTraceArtifacts(dir, base string) ([]string, erro
 	if err := jf.Close(); err != nil {
 		return nil, err
 	}
-	textPath := filepath.Join(dir, obs.SanitizeName(base)+".trace.txt")
-	tf, err := os.Create(textPath)
-	if err != nil {
-		return nil, err
-	}
-	if err := in.Tracer.WriteText(tf); err != nil {
-		tf.Close()
-		return nil, err
-	}
-	if err := tf.Close(); err != nil {
-		return nil, err
-	}
-	return []string{jsonPath, textPath}, nil
+	return []string{jsonPath}, nil
 }

@@ -3,7 +3,6 @@ package experiment
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,8 +27,8 @@ func isWall(s string) bool {
 }
 
 // simulatedBytes returns an artifact's content minus the wall-clock
-// series: Prometheus lines, CSV columns and JSON recorder series that
-// carry them are dropped. Every other file is returned as is.
+// series: the snapshot lines and timeline CSV columns that carry them
+// are dropped. Every other file is returned as is.
 func simulatedBytes(t *testing.T, path string) []byte {
 	t.Helper()
 	raw, err := os.ReadFile(path)
@@ -47,8 +46,11 @@ func simulatedBytes(t *testing.T, path string) []byte {
 		return out.Bytes()
 	case strings.HasSuffix(path, ".csv"):
 		rows, err := csv.NewReader(bytes.NewReader(raw)).ReadAll()
-		if err != nil || len(rows) == 0 {
-			return raw
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if len(rows) == 0 {
+			t.Fatalf("%s: empty CSV", path)
 		}
 		var out bytes.Buffer
 		w := csv.NewWriter(&out)
@@ -65,25 +67,6 @@ func simulatedBytes(t *testing.T, path string) []byte {
 		}
 		w.Flush()
 		return out.Bytes()
-	case strings.HasSuffix(path, ".json") && !strings.HasSuffix(path, ".trace.json"):
-		var doc map[string]any
-		if json.Unmarshal(raw, &doc) != nil {
-			return raw
-		}
-		if series, ok := doc["series"].([]any); ok {
-			var kept []any
-			for _, s := range series {
-				if id, _ := s.(map[string]any)["id"].(string); !isWall(id) {
-					kept = append(kept, s)
-				}
-			}
-			doc["series"] = kept
-		}
-		out, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
 	}
 	return raw
 }

@@ -159,15 +159,16 @@ type Config struct {
 	// Seed seeds every simulation; zero means 1.
 	Seed int64
 	// MetricsDir, when non-empty, attaches a flight recorder to each
-	// simulation run and writes telemetry artifacts (Prometheus text,
-	// JSON, CSV) plus figure/table data exports under this directory.
+	// simulation run and writes telemetry artifacts (the CSV timeline
+	// and the Prometheus text snapshot) plus figure/table data exports
+	// under this directory.
 	MetricsDir string
 	// SampleEvery is the flight-recorder tick in virtual time; zero
 	// uses obs.DefaultSampleEvery.
 	SampleEvery time.Duration
 	// TraceDir, when non-empty, attaches a packet-lifecycle tracer to
-	// each run and writes Perfetto trace_event JSON plus tcpdump-style
-	// text logs under this directory.
+	// each run and writes Perfetto trace_event JSON under this
+	// directory.
 	TraceDir string
 	// TraceSample is the tracer's 1-in-N sampling rate; zero uses
 	// tracing.DefaultSampleEvery.
@@ -209,9 +210,9 @@ func (c Config) pool() runner.Pool { return runner.Pool{Workers: c.Parallel} }
 // c: -metrics-out, -sample-every, -trace-out, -trace-sample,
 // -profile-out, -profile-sample and -pcap-out.
 func (c *Config) ArtifactFlags(fs *flag.FlagSet) {
-	fs.StringVar(&c.MetricsDir, "metrics-out", "", "write telemetry artifacts (prom/json/csv) under this directory")
+	fs.StringVar(&c.MetricsDir, "metrics-out", "", "write telemetry artifacts (csv timeline + prom snapshot) under this directory")
 	fs.DurationVar(&c.SampleEvery, "sample-every", 0, "flight-recorder tick in virtual time (0 = 50ms default)")
-	fs.StringVar(&c.TraceDir, "trace-out", "", "write packet-lifecycle traces (Perfetto JSON + text) under this directory")
+	fs.StringVar(&c.TraceDir, "trace-out", "", "write packet-lifecycle traces (Perfetto JSON) under this directory")
 	fs.IntVar(&c.TraceSample, "trace-sample", 0, "trace 1 packet in N (0 = 64 default; needs -trace-out)")
 	fs.StringVar(&c.ProfileDir, "profile-out", "", "write dual-domain profiles (pprof + folded stacks) under this directory")
 	fs.IntVar(&c.ProfileSample, "profile-sample", 0, "kernel profiler samples 1 event in N (0 = 16 default; needs -profile-out)")

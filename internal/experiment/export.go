@@ -69,9 +69,9 @@ func (f family[S, P]) observe(cfg Config, exp, label string, s S) (P, *core.Inst
 
 // writeRunArtifacts writes one observed run's artifacts to the
 // directories cfg selects, each joined with exp:
-// <MetricsDir>/<exp>/<label>.{prom,csv,json,snapshot.prom} plus the
-// per-rule breakdown <label>.rules.{csv,json} for filtered runs,
-// <TraceDir>/<exp>/<label>.trace.{json,txt},
+// <MetricsDir>/<exp>/<label>.{csv,snapshot.prom} plus the per-rule
+// breakdown <label>.rules.{csv,json} for filtered runs,
+// <TraceDir>/<exp>/<label>.trace.json,
 // <ProfileDir>/<exp>/<label>.{cost,kernel}.{pprof,folded} and
 // <PcapDir>/<exp>/<label>.pcap.
 func (c Config) writeRunArtifacts(exp, label string, out core.Outcome, inst *core.Instrumentation) error {

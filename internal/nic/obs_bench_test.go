@@ -37,7 +37,7 @@ func benchRx(b *testing.B, instrument bool, sampleEvery int, profiled bool) {
 	}
 	var tr *tracing.Tracer
 	if sampleEvery > 0 {
-		tr = tracing.New(k, tracing.Options{SampleEvery: sampleEvery, Limit: 1024})
+		tr = tracing.New(k, tracing.Options{SampleEvery: sampleEvery})
 		n.SetTracer(tr)
 	}
 	var cp *profile.CardProfiler

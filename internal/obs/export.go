@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -26,7 +25,7 @@ func escapeHelp(s string) string {
 func (r *Registry) WritePromText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	samples := r.Gather()
-	for _, fam := range familyOrder(samples, func(sv SampleValue) string { return sv.Name }) {
+	for _, fam := range familyOrder(samples) {
 		first := true
 		for _, sv := range samples {
 			if sv.Name != fam {
@@ -47,45 +46,16 @@ func (r *Registry) WritePromText(w io.Writer) error {
 
 // familyOrder returns distinct family names in first-appearance order,
 // so an exposition groups each family's series under one TYPE line.
-func familyOrder[T any](xs []T, name func(T) string) []string {
+func familyOrder(samples []SampleValue) []string {
 	var fams []string
 	seen := make(map[string]bool)
-	for _, x := range xs {
-		fam := name(x)
-		if !seen[fam] {
-			seen[fam] = true
-			fams = append(fams, fam)
+	for _, sv := range samples {
+		if !seen[sv.Name] {
+			seen[sv.Name] = true
+			fams = append(fams, sv.Name)
 		}
 	}
 	return fams
-}
-
-// WritePromText writes the recorded timeline in Prometheus text format
-// with explicit millisecond timestamps (virtual time), one exposition
-// line per series per tick — suitable for backfill tooling and for
-// eyeballing a run's evolution with standard Prometheus parsers.
-func (rec *Recorder) WritePromText(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	all := rec.AllSeries()
-	for _, fam := range familyOrder(all, func(sd SeriesData) string { return sd.Info.Name }) {
-		first := true
-		for _, sd := range all {
-			if sd.Info.Name != fam {
-				continue
-			}
-			if first {
-				first = false
-				if sd.Info.Help != "" {
-					fmt.Fprintf(bw, "# HELP %s %s\n", fam, escapeHelp(sd.Info.Help))
-				}
-				fmt.Fprintf(bw, "# TYPE %s %s\n", fam, sd.Info.Kind)
-			}
-			for _, p := range sd.Points {
-				fmt.Fprintf(bw, "%s %s %d\n", sd.Info.ID, formatValue(p.V), p.T.Milliseconds())
-			}
-		}
-	}
-	return bw.Flush()
 }
 
 // WriteCSV writes the timeline as a wide CSV: a time_s column, one
@@ -137,84 +107,6 @@ func (rec *Recorder) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// jsonSeries is the JSON shape of one recorded series.
-type jsonSeries struct {
-	ID     string            `json:"id"`
-	Name   string            `json:"name"`
-	Kind   string            `json:"kind"`
-	Help   string            `json:"help,omitempty"`
-	Labels map[string]string `json:"labels,omitempty"`
-	// Points are [virtual_seconds, value] pairs.
-	Points [][2]float64 `json:"points"`
-	// Rate is the per-second first difference, for counter series.
-	Rate [][2]float64 `json:"rate,omitempty"`
-}
-
-type jsonTimeline struct {
-	SampleEverySeconds float64      `json:"sample_every_seconds"`
-	Ticks              int          `json:"ticks"`
-	Series             []jsonSeries `json:"series"`
-}
-
-// WriteJSON writes the timeline as a machine-readable JSON document.
-func (rec *Recorder) WriteJSON(w io.Writer) error {
-	doc := jsonTimeline{
-		SampleEverySeconds: rec.every.Seconds(),
-		Ticks:              len(rec.ticks),
-	}
-	for _, sd := range rec.AllSeries() {
-		js := jsonSeries{
-			ID:   sd.Info.ID,
-			Name: sd.Info.Name,
-			Kind: sd.Info.Kind.String(),
-			Help: sd.Info.Help,
-		}
-		if len(sd.Info.Labels) > 0 {
-			js.Labels = make(map[string]string, len(sd.Info.Labels))
-			for _, l := range sd.Info.Labels {
-				js.Labels[l.Key] = l.Value
-			}
-		}
-		for _, p := range sd.Points {
-			js.Points = append(js.Points, [2]float64{p.T.Seconds(), p.V})
-		}
-		if sd.Info.Kind == KindCounter {
-			for _, p := range sd.Rate() {
-				js.Rate = append(js.Rate, [2]float64{p.T.Seconds(), p.V})
-			}
-		}
-		doc.Series = append(doc.Series, js)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
-}
-
-// WriteJSON writes a point-in-time snapshot of the registry as JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	type jsonSample struct {
-		ID     string            `json:"id"`
-		Name   string            `json:"name"`
-		Kind   string            `json:"kind"`
-		Labels map[string]string `json:"labels,omitempty"`
-		Value  float64           `json:"value"`
-	}
-	var doc []jsonSample
-	for _, sv := range r.Gather() {
-		js := jsonSample{ID: sv.ID, Name: sv.Name, Kind: sv.Kind.String(), Value: sv.Value}
-		if len(sv.Labels) > 0 {
-			js.Labels = make(map[string]string, len(sv.Labels))
-			for _, l := range sv.Labels {
-				js.Labels[l.Key] = l.Value
-			}
-		}
-		doc = append(doc, js)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
-}
-
 // SanitizeName maps an arbitrary label to a filesystem- and
 // metrics-friendly token: lowercase, [a-z0-9_-] only.
 func SanitizeName(s string) string {
@@ -238,9 +130,9 @@ func SanitizeName(s string) string {
 	return out
 }
 
-// WriteRunArtifacts writes one run's telemetry under dir as
-// <base>.prom (timeline with timestamps), <base>.csv, <base>.json, and
-// <base>.snapshot.prom (final scrape-style snapshot). It returns the
+// WriteRunArtifacts writes one run's telemetry under dir as <base>.csv
+// (the recorded timeline, when rec is non-nil) and <base>.snapshot.prom
+// (the final scrape-style snapshot, with HELP and TYPE). It returns the
 // paths written.
 func WriteRunArtifacts(dir, base string, reg *Registry, rec *Recorder) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -265,13 +157,7 @@ func WriteRunArtifacts(dir, base string, reg *Registry, rec *Recorder) ([]string
 		return nil
 	}
 	if rec != nil {
-		if err := write(base+".prom", rec.WritePromText); err != nil {
-			return paths, err
-		}
 		if err := write(base+".csv", rec.WriteCSV); err != nil {
-			return paths, err
-		}
-		if err := write(base+".json", rec.WriteJSON); err != nil {
 			return paths, err
 		}
 	}

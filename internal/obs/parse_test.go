@@ -42,9 +42,6 @@ func TestRegistrySnapshotRoundTripsThroughParser(t *testing.T) {
 	if rx.Value != 42 || rx.Labels["dir"] != "rx" || rx.Labels["host"] != "target" {
 		t.Fatalf("rx sample mangled: %+v", rx)
 	}
-	if rx.HasTimestamp {
-		t.Fatal("snapshot samples must not carry timestamps")
-	}
 	if tx := pk.Samples[1]; tx.Value != 0 || tx.Labels["dir"] != "tx" {
 		t.Fatalf("tx sample mangled: %+v", tx)
 	}
@@ -57,58 +54,6 @@ func TestRegistrySnapshotRoundTripsThroughParser(t *testing.T) {
 	}
 }
 
-// TestRecorderTimelineRoundTripsThroughParser: the recorder's timestamped
-// exposition must parse back with the recorded virtual-time stamps.
-func TestRecorderTimelineRoundTripsThroughParser(t *testing.T) {
-	k := sim.NewKernel()
-	reg := NewRegistry()
-	var bytesTotal float64
-	reg.MustRegisterFunc("bytes_total", "Bytes.", KindCounter, func() float64 { return bytesTotal }, L("proto", "tcp"))
-	rec := NewRecorder(k, reg, 100*time.Millisecond)
-	k.After(0, func() { rec.Start() })
-	k.After(50*time.Millisecond, func() { bytesTotal += 1000 })
-	k.After(150*time.Millisecond, func() { bytesTotal += 1000 })
-	if err := k.RunUntil(300 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	rec.Stop()
-
-	var buf bytes.Buffer
-	if err := rec.WritePromText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fams, err := ParsePromText(&buf)
-	if err != nil {
-		t.Fatalf("exported timeline does not parse: %v", err)
-	}
-	if len(fams) != 1 {
-		t.Fatalf("parsed %d families, want 1", len(fams))
-	}
-	sd, ok := rec.Series(`bytes_total{proto="tcp"}`)
-	if !ok {
-		t.Fatal("series missing from recorder")
-	}
-	samples := fams[0].Samples
-	if len(samples) != len(sd.Points) {
-		t.Fatalf("parsed %d samples, recorder has %d points", len(samples), len(sd.Points))
-	}
-	for i, p := range sd.Points {
-		s := samples[i]
-		if !s.HasTimestamp {
-			t.Fatalf("sample %d lost its timestamp", i)
-		}
-		if s.TimestampMS != p.T.Milliseconds() {
-			t.Fatalf("sample %d timestamp %dms, want %dms", i, s.TimestampMS, p.T.Milliseconds())
-		}
-		if s.Value != p.V {
-			t.Fatalf("sample %d value %g, want %g", i, s.Value, p.V)
-		}
-		if s.Labels["proto"] != "tcp" {
-			t.Fatalf("sample %d labels mangled: %+v", i, s.Labels)
-		}
-	}
-}
-
 // TestParsePromTextRejectsGarbage: malformed lines are errors, not
 // silently skipped samples.
 func TestParsePromTextRejectsGarbage(t *testing.T) {
@@ -117,7 +62,7 @@ func TestParsePromTextRejectsGarbage(t *testing.T) {
 		"pkts_total{dir=rx} 1",       // unquoted label value
 		"pkts_total one",             // non-numeric value
 		"pkts_total 1 2 3",           // too many fields
-		"pkts_total{dir=\"rx\"} 1 x", // non-numeric timestamp
+		"pkts_total{dir=\"rx\"} 1 0", // a timestamp: snapshots carry none
 	} {
 		if _, err := ParsePromText(strings.NewReader(bad)); err == nil {
 			t.Errorf("ParsePromText(%q) accepted garbage", bad)

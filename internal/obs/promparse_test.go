@@ -8,18 +8,14 @@ import (
 	"strings"
 )
 
-// PromSample is one parsed exposition line: a series identity, its
-// value, and (for timeline expositions) an optional millisecond
-// timestamp.
+// PromSample is one parsed exposition line: a series identity and its
+// value.
 type PromSample struct {
 	// ID is the canonical name{labels} identity as it appeared.
 	ID     string
 	Name   string
 	Labels map[string]string
 	Value  float64
-	// TimestampMS is the exposition timestamp; valid when HasTimestamp.
-	TimestampMS  int64
-	HasTimestamp bool
 }
 
 // PromFamily groups the parsed samples of one metric family with its
@@ -32,11 +28,10 @@ type PromFamily struct {
 }
 
 // ParsePromText parses Prometheus text exposition format — the inverse
-// of Registry.WritePromText and Recorder.WritePromText. It exists so
-// tests can round-trip exported artifacts instead of string-matching
-// them, and it accepts the subset of the format those exporters emit:
-// # HELP / # TYPE comments, name{labels} value lines, and optional
-// trailing millisecond timestamps. Families are returned in
+// of Registry.WritePromText. It exists so tests can round-trip the
+// exported snapshot instead of string-matching it, and it accepts the
+// subset of the format that exporter emits: # HELP / # TYPE comments
+// and name{labels} value lines. Families are returned in
 // first-appearance order; HELP text is unescaped (\\ and \n).
 func ParsePromText(r io.Reader) ([]PromFamily, error) {
 	var order []string
@@ -90,7 +85,7 @@ func ParsePromText(r io.Reader) ([]PromFamily, error) {
 	return out, nil
 }
 
-// parsePromSample parses one `name{labels} value [timestamp]` line.
+// parsePromSample parses one `name{labels} value` line.
 func parsePromSample(line string) (PromSample, error) {
 	var s PromSample
 	rest := line
@@ -116,21 +111,14 @@ func parsePromSample(line string) (PromSample, error) {
 		s.ID = s.Name
 	}
 	fields := strings.Fields(rest)
-	if len(fields) < 1 || len(fields) > 2 {
-		return s, fmt.Errorf("want `value [timestamp]` after series in %q", line)
+	if len(fields) != 1 {
+		return s, fmt.Errorf("want one value after series in %q", line)
 	}
 	v, err := strconv.ParseFloat(fields[0], 64)
 	if err != nil {
 		return s, fmt.Errorf("bad value %q: %v", fields[0], err)
 	}
 	s.Value = v
-	if len(fields) == 2 {
-		ts, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return s, fmt.Errorf("bad timestamp %q: %v", fields[1], err)
-		}
-		s.TimestampMS, s.HasTimestamp = ts, true
-	}
 	return s, nil
 }
 

@@ -158,23 +158,6 @@ func (rec *Recorder) Series(id string) (SeriesData, bool) {
 	return sd, true
 }
 
-// AllSeries returns every recorded series, in registration order.
-func (rec *Recorder) AllSeries() []SeriesData {
-	infos := rec.reg.Infos()
-	out := make([]SeriesData, len(infos))
-	for i, in := range infos {
-		out[i] = SeriesData{Info: in}
-	}
-	for _, t := range rec.ticks {
-		for i := range out {
-			if i < len(t.Values) {
-				out[i].Points = append(out[i].Points, Point{T: t.At, V: t.Values[i]})
-			}
-		}
-	}
-	return out
-}
-
 // PublishKernel registers the kernel's own observability surface:
 // events executed, pending queue length, virtual clock, wall-clock
 // execution time, and the virtual/wall speedup ratio.

@@ -16,8 +16,9 @@
 //     is one predictable branch and the instrumented binaries keep
 //     their 0 allocs/op contract on the rx fast path.
 //
-// Traces export as Chrome/Perfetto trace_event JSON (WritePerfetto)
-// and as a tcpdump-style annotated text log (WriteText).
+// Traces export as Chrome/Perfetto trace_event JSON (WritePerfetto),
+// which carries every span's stage, duration, rule attribution, note
+// and drop reason.
 package tracing
 
 import (
@@ -158,16 +159,14 @@ type Options struct {
 	// SampleEvery samples one packet in every N Take() calls.
 	// Values <= 0 mean DefaultSampleEvery.
 	SampleEvery int
-	// Limit caps retained traces; when full, the oldest completed
-	// trace is evicted (counted in Evicted). <= 0 means DefaultLimit.
-	Limit int
 }
 
 const (
 	// DefaultSampleEvery is the default 1-in-N sampling rate.
 	DefaultSampleEvery = 64
-	// DefaultLimit is the default retained-trace cap.
-	DefaultLimit = 4096
+	// Limit caps retained traces; when full, the oldest trace is
+	// evicted (counted in Evicted).
+	Limit = 4096
 )
 
 // Tracer records sampled packet lifecycles in virtual time. All
@@ -178,7 +177,6 @@ const (
 type Tracer struct {
 	kernel *sim.Kernel
 	every  uint64
-	limit  int
 
 	seen    uint64 // Take() calls
 	sampled uint64 // Take() calls that returned true
@@ -194,13 +192,9 @@ func New(k *sim.Kernel, opt Options) *Tracer {
 	if opt.SampleEvery <= 0 {
 		opt.SampleEvery = DefaultSampleEvery
 	}
-	if opt.Limit <= 0 {
-		opt.Limit = DefaultLimit
-	}
 	return &Tracer{
 		kernel: k,
 		every:  uint64(opt.SampleEvery),
-		limit:  opt.Limit,
 		byID:   make(map[uint64]*PacketTrace),
 	}
 }
@@ -227,7 +221,7 @@ func (t *Tracer) Begin(desc string) uint64 {
 	t.nextID++
 	id := t.nextID
 	pt := &PacketTrace{ID: id, Desc: desc, Start: t.kernel.Now()}
-	if len(t.order) >= t.limit {
+	if len(t.order) >= Limit {
 		old := t.order[0]
 		t.order = t.order[1:]
 		delete(t.byID, old.ID)

@@ -3,7 +3,6 @@ package tracing
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 
@@ -38,14 +37,11 @@ func TestDefaultsApplied(t *testing.T) {
 	if tr.SampleEvery() != DefaultSampleEvery {
 		t.Fatalf("SampleEvery = %d, want %d", tr.SampleEvery(), DefaultSampleEvery)
 	}
-	if tr.limit != DefaultLimit {
-		t.Fatalf("limit = %d, want %d", tr.limit, DefaultLimit)
-	}
 }
 
 func TestTraceLifecycleAndEviction(t *testing.T) {
 	k := sim.NewKernel()
-	tr := New(k, Options{SampleEvery: 1, Limit: 2})
+	tr := New(k, Options{SampleEvery: 1})
 
 	id1 := tr.Begin("udp a > b")
 	tr.Span(id1, StageNICTx, 0, 10*time.Microsecond)
@@ -55,19 +51,23 @@ func TestTraceLifecycleAndEviction(t *testing.T) {
 	id2 := tr.Begin("tcp a > b")
 	tr.Drop(id2, StageNICRx, DropCPUExhausted)
 
-	id3 := tr.Begin("icmp a > b") // evicts id1
+	// Fill to Limit+1 traces: the last Begin evicts id1.
+	var last uint64
+	for i := 2; i <= Limit; i++ {
+		last = tr.Begin("icmp a > b")
+	}
 	if tr.Evicted() != 1 {
 		t.Fatalf("evicted = %d, want 1", tr.Evicted())
 	}
-	if got := len(tr.Traces()); got != 2 {
-		t.Fatalf("retained %d traces, want 2", got)
+	if got := len(tr.Traces()); got != Limit {
+		t.Fatalf("retained %d traces, want %d", got, Limit)
 	}
-	if tr.Traces()[0].ID != id2 || tr.Traces()[1].ID != id3 {
-		t.Fatalf("retained IDs %d,%d, want %d,%d", tr.Traces()[0].ID, tr.Traces()[1].ID, id2, id3)
+	if first, newest := tr.Traces()[0].ID, tr.Traces()[Limit-1].ID; first != id2 || newest != last {
+		t.Fatalf("retained IDs %d..%d, want %d..%d", first, newest, id2, last)
 	}
 	// Events against the evicted ID are ignored, not resurrected.
 	tr.Span(id1, StageLink, 0, time.Microsecond)
-	if got := len(tr.Traces()); got != 2 {
+	if got := len(tr.Traces()); got != Limit {
 		t.Fatalf("evicted trace resurrected: %d retained", got)
 	}
 
@@ -165,29 +165,28 @@ func TestWritePerfettoLoadsAsTraceEventJSON(t *testing.T) {
 	if doc.OtherData["drop_rule-deny"] != "9" {
 		t.Fatalf("drop_rule-deny = %q, want 9", doc.OtherData["drop_rule-deny"])
 	}
-}
 
-func TestWriteTextRendersStagesAndDrop(t *testing.T) {
-	k := sim.NewKernel()
-	tr := New(k, Options{SampleEvery: 1})
-	id := tr.Begin("udp 10.0.0.66:4444 > 10.0.0.2:7")
-	tr.Span(id, StageNICTx, 200*time.Microsecond, 230*time.Microsecond)
-	tr.RuleWalk(id, 2, 2, "allow")
-	tr.Drop(id, StageNICRx, DropQueueOverflow)
-
-	var buf bytes.Buffer
-	if err := tr.WriteText(&buf); err != nil {
-		t.Fatal(err)
+	// The per-packet fields: the packet's thread carries its
+	// disposition, the card span its duration, the fw event its
+	// attribution, and the drop event its reason.
+	byName := map[string]map[string]any{}
+	for _, ev := range doc.TraceEvents {
+		name, _ := ev["name"].(string)
+		byName[name] = ev
 	}
-	out := buf.String()
-	for _, want := range []string{
-		"pkt 1  udp 10.0.0.66:4444 > 10.0.0.2:7  [drop queue-overflow]",
-		"0.000200000  nic.tx  +30µs",
-		"allow rule 2, 2 traversed",
-		"DROP queue-overflow",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("text export missing %q:\n%s", want, out)
-		}
+	thread, _ := byName["thread_name"]["args"].(map[string]any)
+	if thread["name"] != "pkt 1 udp 10.0.0.66:4444 > 10.0.0.2:7 [drop rule-deny]" {
+		t.Errorf("thread_name args = %v", thread)
+	}
+	if tx := byName["nic.tx"]; tx["ph"] != "X" || tx["ts"] != 100.0 || tx["dur"] != 30.0 {
+		t.Errorf("nic.tx slice = %v, want ph X, ts 100, dur 30 (µs)", tx)
+	}
+	fw := byName["fw"]
+	if args, _ := fw["args"].(map[string]any); fw["ph"] != "i" || args["rule"] != 64.0 || args["traversed"] != 64.0 || args["note"] != "deny" {
+		t.Errorf("fw event = %v, want instant with rule 64, traversed 64, note deny", fw)
+	}
+	drop := byName["drop rule-deny"]
+	if args, _ := drop["args"].(map[string]any); args["reason"] != "rule-deny" {
+		t.Errorf("drop event = %v, want reason rule-deny", drop)
 	}
 }
