@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -379,9 +378,9 @@ func FleetHealth(cfg Config) (string, error) {
 }
 
 // WriteAlertTimeline writes an alert timeline as
-// <dir>/<label>.timeline.{csv,json}.
+// <dir>/<label>.timeline.csv, one row per detector state transition.
 func WriteAlertTimeline(dir, label string, tl []telemetry.Transition) error {
-	writeCSV := func(w io.Writer) error {
+	return writeArtifact(dir, label+".timeline", ".csv", func(w io.Writer) error {
 		cw := csv.NewWriter(w)
 		if err := cw.Write([]string{"at_s", "from", "to", "signal_pps", "baseline_pps"}); err != nil {
 			return err
@@ -397,25 +396,5 @@ func WriteAlertTimeline(dir, label string, tl []telemetry.Transition) error {
 		}
 		cw.Flush()
 		return cw.Error()
-	}
-	writeJSON := func(w io.Writer) error {
-		type jsonTransition struct {
-			AtSeconds float64 `json:"at_s"`
-			From      string  `json:"from"`
-			To        string  `json:"to"`
-			Signal    float64 `json:"signal_pps"`
-			Baseline  float64 `json:"baseline_pps"`
-		}
-		out := make([]jsonTransition, 0, len(tl))
-		for _, tr := range tl {
-			out = append(out, jsonTransition{
-				AtSeconds: tr.At.Seconds(), From: tr.From.String(), To: tr.To.String(),
-				Signal: tr.Signal, Baseline: tr.Baseline,
-			})
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		return enc.Encode(out)
-	}
-	return writeArtifactPair(dir, label+".timeline", writeCSV, writeJSON)
+	})
 }

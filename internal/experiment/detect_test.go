@@ -2,8 +2,15 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/csv"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
+	"time"
+
+	"barbican/internal/telemetry"
 )
 
 // renderDetectArtifacts runs the detection family and renders every
@@ -106,5 +113,46 @@ func TestDetectionChaosTable(t *testing.T) {
 	}
 	if num(lossy, 6) == 0 {
 		t.Errorf("60%% loss produced no telemetry sequence gaps: %v", lossy)
+	}
+}
+
+// TestWriteAlertTimelineCSVOnly: the alert timeline is written once, as
+// CSV, with one row per transition under the five-field header.
+func TestWriteAlertTimelineCSVOnly(t *testing.T) {
+	dir := t.TempDir()
+	tl := []telemetry.Transition{
+		{At: 1500 * time.Millisecond, From: telemetry.AlertHealthy, To: telemetry.AlertSuspect, Signal: 812.5, Baseline: 3},
+		{At: 1750 * time.Millisecond, From: telemetry.AlertSuspect, To: telemetry.AlertAlerting, Signal: 900, Baseline: 3},
+	}
+	if err := WriteAlertTimeline(dir, "target", tl); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || names[0] != "target.timeline.csv" {
+		t.Fatalf("wrote %v, want only target.timeline.csv", names)
+	}
+	f, err := os.Open(filepath.Join(dir, names[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"at_s", "from", "to", "signal_pps", "baseline_pps"},
+		{"1.5", "healthy", "suspect", "812.5", "3"},
+		{"1.75", "suspect", "alerting", "900", "3"},
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("timeline CSV = %q, want %q", rows, want)
 	}
 }

@@ -240,26 +240,28 @@ func (t *Table) WriteArtifacts(dir, name string) error {
 }
 
 func writeArtifactPair(dir, base string, csvFn, jsonFn func(io.Writer) error) error {
+	if err := writeArtifact(dir, base, ".csv", csvFn); err != nil {
+		return err
+	}
+	return writeArtifact(dir, base, ".json", jsonFn)
+}
+
+// writeArtifact writes <dir>/<base><ext> with fn, creating dir.
+func writeArtifact(dir, base, ext string, fn func(io.Writer) error) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("experiment: artifacts dir: %w", err)
 	}
-	base = obs.SanitizeName(base)
-	for _, out := range []struct {
-		ext string
-		fn  func(io.Writer) error
-	}{{".csv", csvFn}, {".json", jsonFn}} {
-		p := filepath.Join(dir, base+out.ext)
-		f, err := os.Create(p)
-		if err != nil {
-			return err
-		}
-		if err := out.fn(f); err != nil {
-			f.Close()
-			return fmt.Errorf("experiment: write %s: %w", p, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("experiment: close %s: %w", p, err)
-		}
+	p := filepath.Join(dir, obs.SanitizeName(base)+ext)
+	f, err := os.Create(p)
+	if err != nil {
+		return err
+	}
+	if err := fn(f); err != nil {
+		f.Close()
+		return fmt.Errorf("experiment: write %s: %w", p, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("experiment: close %s: %w", p, err)
 	}
 	return nil
 }

@@ -185,7 +185,8 @@ func (in *Injector) Counts() (lost, corrupted, duplicated, reordered uint64) {
 // checked first (no randomness spent), then loss, corruption,
 // reordering, and duplication each draw once in that fixed order, so
 // the decision stream is a pure function of (seed, frame sequence).
-func (in *Injector) Apply(f *packet.Frame, now time.Duration) link.FaultOutcome {
+// The corrupted and duplicated copies come from frames.
+func (in *Injector) Apply(f *packet.Frame, now time.Duration, frames *packet.FramePool) link.FaultOutcome {
 	for _, w := range in.plan.Down {
 		if w.contains(now) {
 			in.lost++
@@ -200,7 +201,7 @@ func (in *Injector) Apply(f *packet.Frame, now time.Duration) link.FaultOutcome 
 	var out link.FaultOutcome
 	deliver := f
 	if in.plan.Corrupt > 0 && in.rng.Float64() < in.plan.Corrupt && len(f.Payload) > 0 {
-		c := f.Clone()
+		c := frames.Clone(f)
 		bit := in.rng.Intn(len(c.Payload) * 8)
 		c.Payload[bit/8] ^= 1 << (bit % 8)
 		deliver = c
@@ -228,7 +229,7 @@ func (in *Injector) Apply(f *packet.Frame, now time.Duration) link.FaultOutcome 
 	out.Deliveries = append(out.Deliveries, link.FaultDelivery{Frame: deliver, ExtraDelay: extra})
 	if dup {
 		out.Deliveries = append(out.Deliveries, link.FaultDelivery{
-			Frame: deliver.Clone(), ExtraDelay: extra + duplicateGap,
+			Frame: frames.Clone(deliver), ExtraDelay: extra + duplicateGap,
 		})
 	}
 	return out

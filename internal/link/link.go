@@ -90,13 +90,20 @@ type FaultOutcome struct {
 
 // FaultInjector decides the fate of each frame accepted onto a link
 // direction. Implementations must be deterministic in virtual time
-// (seeded rand only) — see internal/faults.
+// (seeded rand only) — see internal/faults. Any extra frame an outcome
+// delivers (a corrupted or duplicated copy) comes from frames; the link
+// releases f itself when no delivery carries it.
 type FaultInjector interface {
-	Apply(f *packet.Frame, now time.Duration) FaultOutcome
+	Apply(f *packet.Frame, now time.Duration, frames *packet.FramePool) FaultOutcome
 }
 
 // Endpoint is one end of a full-duplex link. Devices send frames with
 // Send and receive frames via the handler registered with Attach.
+//
+// Frames are owned: Send takes the frame, and the link hands it on to
+// the peer's receiver, which then owns it, or releases it to the
+// link's FramePool where it dies (a full queue, a fault loss, an
+// endpoint with no receiver).
 type Endpoint struct {
 	dir  *direction
 	peer *Endpoint
@@ -113,6 +120,7 @@ type direction struct {
 	dst       *Endpoint
 	tracer    *tracing.Tracer
 	faults    FaultInjector
+	frames    *packet.FramePool
 
 	// deliverFn is the precomputed arrival callback, scheduled through
 	// the kernel's pooled-event path so each frame in flight costs no
@@ -123,11 +131,16 @@ type direction struct {
 }
 
 // New creates a full-duplex link on the kernel's clock and returns its
-// two endpoints.
+// two endpoints, which share a new FramePool.
 func New(k *sim.Kernel, cfg Config) (*Endpoint, *Endpoint) {
+	return newLink(k, cfg, &packet.FramePool{})
+}
+
+// newLink creates a full-duplex link whose endpoints draw on frames.
+func newLink(k *sim.Kernel, cfg Config, frames *packet.FramePool) (*Endpoint, *Endpoint) {
 	cfg = cfg.withDefaults()
-	a := &Endpoint{dir: &direction{cfg: cfg, kernel: k}}
-	b := &Endpoint{dir: &direction{cfg: cfg, kernel: k}}
+	a := &Endpoint{dir: &direction{cfg: cfg, kernel: k, frames: frames}}
+	b := &Endpoint{dir: &direction{cfg: cfg, kernel: k, frames: frames}}
 	a.peer, b.peer = b, a
 	a.dir.dst, b.dir.dst = b, a
 	a.dir.deliverFn = a.dir.deliver
@@ -138,7 +151,10 @@ func New(k *sim.Kernel, cfg Config) (*Endpoint, *Endpoint) {
 }
 
 // deliver completes one frame's flight: it frees the transmit slot and
-// hands the frame to the destination endpoint's tap and receiver.
+// hands the frame to the destination endpoint's tap and receiver, or
+// releases it when nothing receives there.
+//
+//barbican:noalloc
 func (d *direction) deliver(x any) {
 	f := x.(*packet.Frame)
 	d.queued--
@@ -148,7 +164,9 @@ func (d *direction) deliver(x any) {
 	}
 	if dst.recv != nil {
 		dst.recv(f)
+		return
 	}
+	d.frames.Put(f)
 }
 
 // release frees one transmit-queue slot for a frame that will never
@@ -161,6 +179,10 @@ func (e *Endpoint) Attach(recv func(*packet.Frame)) { e.recv = recv }
 
 // Peer returns the other end of the link.
 func (e *Endpoint) Peer() *Endpoint { return e.peer }
+
+// Frames returns the pool the link's frames come from and return to:
+// the switch's pool for a switch port, shared by every station on it.
+func (e *Endpoint) Frames() *packet.FramePool { return e.dir.frames }
 
 // SetFaults attaches (or with nil detaches) a fault injector to this
 // endpoint's transmit direction. Disabled cost is one nil check on
@@ -181,8 +203,11 @@ func (e *Endpoint) SetTracer(tr *tracing.Tracer) { e.dir.tracer = tr }
 // Stats returns transmit-side statistics for this endpoint.
 func (e *Endpoint) Stats() Stats { return e.dir.stats }
 
-// Send queues a frame for transmission toward the peer endpoint. It
-// reports false when the transmit queue is full and the frame was dropped.
+// Send queues a frame for transmission toward the peer endpoint and
+// takes ownership of it. It reports false when the transmit queue is
+// full and the frame was dropped (and released).
+//
+//barbican:noalloc
 func (e *Endpoint) Send(f *packet.Frame) bool {
 	d := e.dir
 	if d.queued >= d.cfg.QueueFrames {
@@ -190,6 +215,7 @@ func (e *Endpoint) Send(f *packet.Frame) bool {
 		if d.tracer != nil && f.TraceID != 0 {
 			d.tracer.Drop(f.TraceID, tracing.StageLink, tracing.DropLinkQueue)
 		}
+		d.frames.Put(f)
 		return false
 	}
 	now := d.kernel.Now()
@@ -222,7 +248,7 @@ func (e *Endpoint) Send(f *packet.Frame) bool {
 // frame. The sender has seen a successful Send either way — faults act
 // on the wire, not on admission.
 func (d *direction) sendWithFaults(f *packet.Frame, now, done time.Duration) {
-	out := d.faults.Apply(f, now)
+	out := d.faults.Apply(f, now, d.frames)
 	if out.Lost {
 		d.stats.FaultLost++
 		reason := out.Reason
@@ -235,6 +261,7 @@ func (d *direction) sendWithFaults(f *packet.Frame, now, done time.Duration) {
 		// The wire is still occupied until serialization completes;
 		// only then does the transmit slot free up.
 		d.kernel.AfterCall(done-now, d.releaseFn, nil)
+		d.frames.Put(f)
 		return
 	}
 	if out.Corrupted {
@@ -253,8 +280,13 @@ func (d *direction) sendWithFaults(f *packet.Frame, now, done time.Duration) {
 	// Each scheduled delivery decrements queued on arrival; balance
 	// the extra arrivals duplication created.
 	d.queued += len(out.Deliveries) - 1
+	carried := false
 	for _, dv := range out.Deliveries {
+		carried = carried || dv.Frame == f
 		d.kernel.AfterCall(done+d.cfg.Propagation+dv.ExtraDelay-now, d.deliverFn, dv.Frame)
+	}
+	if !carried {
+		d.frames.Put(f) // replaced by a corrupted copy
 	}
 }
 

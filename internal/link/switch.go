@@ -38,17 +38,19 @@ type Switch struct {
 	macs      map[packet.MAC]int
 	stats     SwitchStats
 	tracer    *tracing.Tracer
+	// frames is the one FramePool every port's link draws on.
+	frames *packet.FramePool
 }
 
-// NewSwitch creates an empty switch.
+// NewSwitch creates an empty switch with its own FramePool.
 func NewSwitch(k *sim.Kernel, cfg SwitchConfig) *Switch {
-	return &Switch{kernel: k, cfg: cfg, macs: make(map[packet.MAC]int)}
+	return &Switch{kernel: k, cfg: cfg, macs: make(map[packet.MAC]int), frames: &packet.FramePool{}}
 }
 
 // NewPort creates an access link, connects one end to the switch, and
 // returns the station-side endpoint for a host NIC to use.
 func (s *Switch) NewPort() *Endpoint {
-	station, swSide := New(s.kernel, s.cfg.Link)
+	station, swSide := newLink(s.kernel, s.cfg.Link, s.frames)
 	port := len(s.ports)
 	s.ports = append(s.ports, swSide)
 	s.egressFns = append(s.egressFns, func(x any) { s.egress(port, x.(*packet.Frame)) })
@@ -73,6 +75,9 @@ func (s *Switch) Ports() int { return len(s.ports) }
 // Stats returns switch-level statistics.
 func (s *Switch) Stats() SwitchStats { return s.stats }
 
+// Frames returns the FramePool shared by every port's link.
+func (s *Switch) Frames() *packet.FramePool { return s.frames }
+
 // LearnedPort returns the port a MAC was learned on, or -1.
 func (s *Switch) LearnedPort(m packet.MAC) int {
 	if p, ok := s.macs[m]; ok {
@@ -96,11 +101,16 @@ func (s *Switch) ingress(port int, f *packet.Frame) {
 	s.kernel.AfterCall(switchLatency, s.egressFns[port], f)
 }
 
+// egress forwards a frame to its learned port, or floods a copy to
+// every other port and releases the original.
+//
+//barbican:noalloc
 func (s *Switch) egress(inPort int, f *packet.Frame) {
 	if !f.Dst.IsBroadcast() {
 		if out, ok := s.macs[f.Dst]; ok {
 			if out == inPort {
-				return // destination is behind the ingress port; filter
+				s.frames.Put(f) // destination is behind the ingress port; filter
+				return
 			}
 			s.stats.Forwarded++
 			if !s.ports[out].Send(f) {
@@ -114,8 +124,9 @@ func (s *Switch) egress(inPort int, f *packet.Frame) {
 		if i == inPort {
 			continue
 		}
-		if !p.Send(f.Clone()) {
+		if !p.Send(s.frames.Clone(f)) {
 			s.stats.Dropped++
 		}
 	}
+	s.frames.Put(f)
 }

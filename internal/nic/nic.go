@@ -56,6 +56,9 @@ type NIC struct {
 	proc    *Processor
 	ep      *link.Endpoint
 	deliver func(*packet.Frame)
+	// frames is the link's FramePool: the card takes every frame it
+	// sends from it and releases every frame it drops or has delivered.
+	frames *packet.FramePool
 
 	rules   *fw.RuleSet
 	groups  map[string]*vpg.Group
@@ -136,12 +139,9 @@ func New(k *sim.Kernel, mac packet.MAC, profile Profile, ep *link.Endpoint) *NIC
 		sealers: make(map[string]*vpg.Sealer),
 		replay:  make(map[replayKey]*vpg.ReplayWindow),
 		fcache:  newFlowCache(profile.FlowCacheSize),
+		frames:  ep.Frames(),
 	}
-	n.txFn = func(x any) {
-		if !n.locked {
-			n.ep.Send(x.(*packet.Frame))
-		}
-	}
+	n.txFn = n.transmit
 	n.finishFn = n.finishPending
 	if profile.ConntrackEntries > 0 {
 		// The eviction stream's seed comes from the kernel's seeded
@@ -175,6 +175,20 @@ func (n *NIC) finishPending(x any) {
 	pi.f, pi.verdict = nil, fw.Verdict{}
 	n.ingressFree = append(n.ingressFree, pi)
 	n.finishIngress(f, s, verdict)
+}
+
+// transmit puts a frame the processor has finished on the wire, unless
+// the card locked up meanwhile: a wedged card discards it. On the
+// per-packet hot path (BenchmarkFramePath).
+//
+//barbican:noalloc
+func (n *NIC) transmit(x any) {
+	f := x.(*packet.Frame)
+	if n.locked {
+		n.frames.Put(f)
+		return
+	}
+	n.ep.Send(f)
 }
 
 // MAC returns the card's hardware address.
@@ -279,10 +293,11 @@ func (n *NIC) overloadReason() tracing.DropReason {
 	return tracing.DropQueueOverflow
 }
 
-// SetDeliver registers the host-side receive handler. The frame, and
-// every byte of its payload, is valid only until fn returns: an opened
-// VPG frame lives in a buffer the card reuses for the next one, so a
-// handler copies whatever it keeps.
+// SetDeliver registers the host-side receive handler. The card owns
+// every frame it delivers, and the frame and every byte of its payload
+// are valid only until fn returns: a plain frame goes back to the
+// testbed's FramePool then, and an opened VPG frame lives in a buffer
+// the card reuses for the next one. A handler copies whatever it keeps.
 func (n *NIC) SetDeliver(fn func(*packet.Frame)) { n.deliver = fn }
 
 // InstallRuleSet installs (or, with nil, removes) the enforced policy.
@@ -611,7 +626,10 @@ func (n *NIC) admit(dir fw.Direction, tid uint64, path MatchPath, traversed, ind
 
 // Send transmits an IP datagram to the given destination MAC, subject to
 // the card's egress policy. It reports whether the datagram was accepted
-// for transmission.
+// for transmission. The datagram is copied into a pooled frame; the
+// caller keeps d. On the per-packet hot path (BenchmarkFramePath).
+//
+//barbican:noalloc
 func (n *NIC) Send(d *packet.Datagram, dstMAC packet.MAC) bool {
 	n.stats.TxRequests++
 	if n.locked {
@@ -631,14 +649,16 @@ func (n *NIC) Send(d *packet.Datagram, dstMAC packet.MAC) bool {
 	// through the rest of the pipeline.
 	var tid uint64
 	if tr := n.tracer; tr != nil && tr.Take() {
-		tid = tr.Begin(s.String())
+		tid = tr.Begin(s.String()) //barbican:allow alloc -- traced-only branch; no tracer on the contract path
 	}
 
 	exempt := n.isManagement(s)
 	if n.degState == StateDegraded {
 		if handled, pass := n.degraded(fw.Out, exempt, tid); handled {
 			if pass {
-				n.ep.Send(&packet.Frame{Dst: dstMAC, Src: n.mac, Type: packet.EtherTypeIPv4, Payload: d.Marshal(), TraceID: tid})
+				f := n.plainFrame(d, dstMAC)
+				f.TraceID = tid
+				n.ep.Send(f)
 			}
 			return pass
 		}
@@ -657,13 +677,14 @@ func (n *NIC) Send(d *packet.Datagram, dstMAC packet.MAC) bool {
 		}
 		frame = sealed
 		if tid != 0 {
-			n.tracer.Point(tid, tracing.StageVPG, "sealed "+r.VPG)
+			n.tracer.Point(tid, tracing.StageVPG, "sealed "+r.VPG) //barbican:allow alloc -- traced-only branch; no tracer on the contract path
 		}
 	} else {
-		frame = &packet.Frame{Dst: dstMAC, Src: n.mac, Type: packet.EtherTypeIPv4, Payload: d.Marshal()}
+		frame = n.plainFrame(d, dstMAC)
 	}
 	if len(frame.Payload) > packet.MaxPayload {
 		n.drop(fw.Out, tracing.StageNICTx, tracing.DropOversize, tid)
+		n.frames.Put(frame)
 		return false
 	}
 	n.stats.TxAllowed++
@@ -676,11 +697,21 @@ func (n *NIC) Send(d *packet.Datagram, dstMAC packet.MAC) bool {
 	return true
 }
 
+// plainFrame marshals d into a pooled frame addressed to dstMAC.
+//
+//barbican:noalloc
+func (n *NIC) plainFrame(d *packet.Datagram, dstMAC packet.MAC) *packet.Frame {
+	f := n.frames.Get(dstMAC, n.mac, packet.EtherTypeIPv4, packet.IPv4HeaderLen+len(d.Payload))
+	f.Payload = d.MarshalTo(f.Payload)
+	return f
+}
+
 // SendRawFrame transmits a pre-built frame without policy evaluation or
 // sealing — attacker tooling (raw sockets on a non-filtering card). A
 // filtering card still charges its base processing cost and honors
 // lockup and its degraded posture (with no management exemption); a
-// standard card passes it straight through.
+// standard card passes it straight through. The card takes ownership
+// of f, which should come from Endpoint().Frames().
 func (n *NIC) SendRawFrame(f *packet.Frame) bool {
 	n.stats.TxRequests++
 	var tid uint64
@@ -694,23 +725,27 @@ func (n *NIC) SendRawFrame(f *packet.Frame) bool {
 	}
 	if n.locked {
 		n.drop(fw.Out, tracing.StageNICTx, tracing.DropAgentNotReady, tid)
+		n.frames.Put(f)
 		return false
 	}
 	if n.degState == StateDegraded {
 		if handled, pass := n.degraded(fw.Out, false, tid); handled {
-			if pass {
-				// Hardware bypass: the frame skips the (degraded) filter
-				// processor entirely.
-				if tid != 0 {
-					f.TraceID = tid
-				}
-				n.ep.Send(f)
+			if !pass {
+				n.frames.Put(f)
+				return false
 			}
-			return pass
+			// Hardware bypass: the frame skips the (degraded) filter
+			// processor entirely.
+			if tid != 0 {
+				f.TraceID = tid
+			}
+			n.ep.Send(f)
+			return true
 		}
 	}
 	completeAt, ok := n.admit(fw.Out, tid, MatchNone, 0, 0, 0, 0)
 	if !ok {
+		n.frames.Put(f)
 		return false
 	}
 	n.stats.TxAllowed++
@@ -723,34 +758,40 @@ func (n *NIC) SendRawFrame(f *packet.Frame) bool {
 }
 
 // seal wraps the datagram's transport segment in a VPG envelope and
-// returns the sealed frame. The envelope is sealed straight into the
-// frame's buffer behind room for the outer IPv4 header, which is
-// written last, once the seal has succeeded.
+// returns the sealed frame, a pooled one. The envelope is sealed
+// straight into the frame's buffer behind room for the outer IPv4
+// header, which is written last, once the seal has succeeded.
+//
+//barbican:noalloc
 func (n *NIC) seal(group string, d *packet.Datagram, dstMAC packet.MAC) (*packet.Frame, bool) {
 	sealer, ok := n.sealers[group]
 	if !ok {
 		return nil, false
 	}
-	buf := make([]byte, packet.IPv4HeaderLen, packet.IPv4HeaderLen+len(d.Payload)+vpg.Overhead(len(group)))
-	buf, err := sealer.Seal(buf, d.Header.Dst, d.Header.Protocol, d.Payload)
+	f := n.frames.Get(dstMAC, n.mac, packet.EtherTypeVPG, packet.IPv4HeaderLen+len(d.Payload)+vpg.Overhead(len(group)))
+	buf, err := sealer.Seal(f.Payload[:packet.IPv4HeaderLen], d.Header.Dst, d.Header.Protocol, d.Payload)
 	if err != nil {
+		n.frames.Put(f)
 		return nil, false
 	}
 	n.ipID++
 	putIPv4Header(buf, d.Header.Src, d.Header.Dst, packet.ProtoVPGEncap, n.ipID)
 	n.stats.Sealed++
-	return &packet.Frame{Dst: dstMAC, Src: n.mac, Type: packet.EtherTypeVPG, Payload: buf}, true
+	f.Payload = buf
+	return f, true
 }
 
 // handleFrame is the ingress path: MAC filtering (free, in hardware),
 // the policy stage on the embedded processor, then VPG opening and
-// delivery to the host once the processor is done. On the per-packet
-// hot path (BenchmarkRxPath): the untraced steady state must not
-// allocate.
+// delivery to the host once the processor is done. The card owns f
+// from here on and releases it on every drop and after delivery. On
+// the per-packet hot path (BenchmarkRxPath): the untraced steady state
+// must not allocate.
 //
 //barbican:noalloc
 func (n *NIC) handleFrame(f *packet.Frame) {
 	if f.Dst != n.mac && !f.Dst.IsBroadcast() {
+		n.frames.Put(f)
 		return
 	}
 	n.stats.RxFrames++
@@ -760,33 +801,36 @@ func (n *NIC) handleFrame(f *packet.Frame) {
 	}
 	if n.locked {
 		n.drop(fw.In, tracing.StageNICRx, tracing.DropAgentNotReady, tid)
+		n.frames.Put(f)
 		return
 	}
 	if f.Type == packet.EtherTypeARP {
 		// The cards filter IP; address resolution passes untouched (and
 		// unmetered — ARP is handled below the filtering processor).
-		if n.deliver != nil {
-			n.deliver(f)
-		}
+		n.deliverFrame(f)
 		return
 	}
 	s, err := packet.Summarize(f)
 	if err != nil {
 		n.drop(fw.In, tracing.StageNICRx, tracing.DropMalformed, tid)
+		n.frames.Put(f)
 		return
 	}
 
 	exempt := n.isManagement(s)
 	if n.degState == StateDegraded {
 		if handled, pass := n.degraded(fw.In, exempt, tid); handled {
-			if pass && n.deliver != nil {
-				n.deliver(f)
+			if pass {
+				n.deliverFrame(f)
+			} else {
+				n.frames.Put(f)
 			}
 			return
 		}
 	}
 	var d decision
 	if !n.policyStage(fw.In, &s, exempt, tid, &d) {
+		n.frames.Put(f)
 		return
 	}
 	if tid != 0 {
@@ -815,16 +859,17 @@ func (n *NIC) finishIngress(f *packet.Frame, s packet.Summary, verdict fw.Verdic
 	}
 	if n.locked {
 		n.drop(fw.In, tracing.StageNICRx, tracing.DropAgentNotReady, tid)
+		n.frames.Put(f)
 		return
 	}
 	if !s.Sealed {
 		n.stats.RxAllowed++
-		if n.deliver != nil {
-			n.deliver(f)
-		}
+		n.deliverFrame(f)
 		return
 	}
+	// The opened frame is the card's own; the sealed one is done with.
 	inner, ok := n.open(f, verdict, tid)
+	n.frames.Put(f)
 	if !ok {
 		return
 	}
@@ -834,6 +879,17 @@ func (n *NIC) finishIngress(f *packet.Frame, s packet.Summary, verdict fw.Verdic
 		n.deliver(inner)
 	}
 	n.openLent = false
+}
+
+// deliverFrame hands a pooled frame to the host and releases it once
+// the host is done with it.
+//
+//barbican:noalloc
+func (n *NIC) deliverFrame(f *packet.Frame) {
+	if n.deliver != nil {
+		n.deliver(f)
+	}
+	n.frames.Put(f)
 }
 
 // open verifies and decrypts a sealed frame, returning the reconstructed

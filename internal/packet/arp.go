@@ -14,8 +14,8 @@ const (
 	ARPReply   = 2
 )
 
-// arpLen is the size of an Ethernet/IPv4 ARP message.
-const arpLen = 28
+// ARPLen is the size of an Ethernet/IPv4 ARP message.
+const ARPLen = 28
 
 // ARPMessage is an Ethernet/IPv4 ARP request or reply.
 type ARPMessage struct {
@@ -26,24 +26,26 @@ type ARPMessage struct {
 	TargetIP  IP
 }
 
-// Marshal encodes the message in the standard wire layout.
-func (m *ARPMessage) Marshal() []byte {
-	b := make([]byte, arpLen)
-	binary.BigEndian.PutUint16(b[0:2], 1)      // htype: Ethernet
-	binary.BigEndian.PutUint16(b[2:4], 0x0800) // ptype: IPv4
-	b[4] = 6                                   // hlen
-	b[5] = 4                                   // plen
-	binary.BigEndian.PutUint16(b[6:8], m.Op)
-	copy(b[8:14], m.SenderMAC[:])
-	copy(b[14:18], m.SenderIP[:])
-	copy(b[18:24], m.TargetMAC[:])
-	copy(b[24:28], m.TargetIP[:])
+// MarshalTo appends the message, in the standard wire layout, to b and
+// returns the extended slice.
+func (m *ARPMessage) MarshalTo(b []byte) []byte {
+	b, off := grow(b, ARPLen)
+	p := b[off:]
+	binary.BigEndian.PutUint16(p[0:2], 1)      // htype: Ethernet
+	binary.BigEndian.PutUint16(p[2:4], 0x0800) // ptype: IPv4
+	p[4] = 6                                   // hlen
+	p[5] = 4                                   // plen
+	binary.BigEndian.PutUint16(p[6:8], m.Op)
+	copy(p[8:14], m.SenderMAC[:])
+	copy(p[14:18], m.SenderIP[:])
+	copy(p[18:24], m.TargetMAC[:])
+	copy(p[24:28], m.TargetIP[:])
 	return b
 }
 
 // UnmarshalARPMessage parses an ARP message.
 func UnmarshalARPMessage(b []byte) (*ARPMessage, error) {
-	if len(b) < arpLen {
+	if len(b) < ARPLen {
 		return nil, fmt.Errorf("packet: ARP message too short (%d bytes)", len(b))
 	}
 	if binary.BigEndian.Uint16(b[0:2]) != 1 || binary.BigEndian.Uint16(b[2:4]) != 0x0800 {

@@ -35,9 +35,14 @@ const (
 
 // Frame is an Ethernet II frame.
 type Frame struct {
-	Dst     MAC
-	Src     MAC
-	Type    EtherType
+	Dst  MAC
+	Src  MAC
+	Type EtherType
+	// state is the frame's standing with the FramePool that issued it
+	// (frameUnpooled for a frame built directly). It sits beside Type,
+	// in what would be padding, so pooling adds no byte to a frame.
+	state frameState
+
 	Payload []byte
 
 	// TraceID is simulator-side metadata, not part of the wire
@@ -95,9 +100,12 @@ func grow(b []byte, n int) ([]byte, int) {
 	return b, off
 }
 
-// Clone returns a deep copy of the frame.
+// Clone returns a deep heap copy of the frame that no pool owns, for a
+// holder that keeps a frame past its owner's release (a wire capture).
+// FramePool.Clone makes a pooled copy.
 func (f *Frame) Clone() *Frame {
 	c := *f
 	c.Payload = append([]byte(nil), f.Payload...)
+	c.state = frameUnpooled
 	return &c
 }

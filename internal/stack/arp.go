@@ -118,12 +118,15 @@ func (a *arpState) sendRequest(ip packet.IP) {
 		SenderIP:  a.host.ip,
 		TargetIP:  ip,
 	}
-	a.host.card.SendRawFrame(&packet.Frame{
-		Dst:     packet.Broadcast,
-		Src:     a.host.card.MAC(),
-		Type:    packet.EtherTypeARP,
-		Payload: m.Marshal(),
-	})
+	a.sendFrame(packet.Broadcast, m)
+}
+
+// sendFrame transmits an ARP message in a pooled frame.
+func (a *arpState) sendFrame(dst packet.MAC, m *packet.ARPMessage) {
+	card := a.host.card
+	f := card.Endpoint().Frames().Get(dst, card.MAC(), packet.EtherTypeARP, packet.ARPLen)
+	f.Payload = m.MarshalTo(f.Payload)
+	card.SendRawFrame(f)
 }
 
 // handleFrame processes an inbound ARP frame.
@@ -149,12 +152,7 @@ func (a *arpState) handleFrame(f *packet.Frame) {
 			TargetMAC: m.SenderMAC,
 			TargetIP:  m.SenderIP,
 		}
-		a.host.card.SendRawFrame(&packet.Frame{
-			Dst:     m.SenderMAC,
-			Src:     a.host.card.MAC(),
-			Type:    packet.EtherTypeARP,
-			Payload: reply.Marshal(),
-		})
+		a.sendFrame(m.SenderMAC, reply)
 	case packet.ARPReply:
 		a.stats.RepliesHeard++
 	}

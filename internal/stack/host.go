@@ -472,7 +472,8 @@ func (h *Host) InjectSealed(d *packet.Datagram) bool {
 		h.stats.TxNoRoute++
 		return false
 	}
-	f := &packet.Frame{Dst: mac, Src: h.card.MAC(), Type: packet.EtherTypeVPG, Payload: d.Marshal()}
+	f := h.card.Endpoint().Frames().Get(mac, h.card.MAC(), packet.EtherTypeVPG, packet.IPv4HeaderLen+len(d.Payload))
+	f.Payload = d.MarshalTo(f.Payload)
 	// Hand the frame to the card's egress link directly: raw injection
 	// models an attacker NIC that is not itself a filtering card.
 	if !h.card.SendRawFrame(f) {

@@ -11,30 +11,32 @@ import (
 	"barbican/internal/fw"
 	"barbican/internal/nic"
 	"barbican/internal/packet"
+	"barbican/internal/sim"
 	"barbican/internal/vpg"
 )
 
-// poisonByte overwrites an opened frame's buffer once its delivery has
-// returned.
+// poisonByte overwrites a delivered frame's buffer once its delivery
+// has returned.
 const poisonByte = 0xa5
 
-// poisonOpenBuffer rewires h's card so that, each time delivery of an
-// opened VPG frame returns, the card's open buffer is filled with
-// poisonByte. A handler that kept any byte of a lent frame would then
-// read poison on its next look.
-func poisonOpenBuffer(h *Host) {
-	card := h.NIC()
-	var opened uint64
-	card.SetDeliver(func(f *packet.Frame) {
+// poisonDelivered rewires h's card so that, each time a delivery
+// returns, the delivered frame's whole buffer is filled with poisonByte:
+// a plain frame's pooled buffer before the card releases it, an opened
+// frame's card-owned one before the next open reuses it. A handler that
+// kept any byte of a delivered frame would then read poison on its next
+// look.
+func poisonDelivered(h *Host) {
+	h.NIC().SetDeliver(func(f *packet.Frame) {
 		h.receive(f)
-		if o := card.Stats().Opened; o != opened {
-			opened = o // f is the card's frame, lent for this call only
-			for i, b := 0, f.Payload[:cap(f.Payload)]; i < len(b); i++ {
-				b[i] = poisonByte
-			}
+		for i, b := 0, f.Payload[:cap(f.Payload)]; i < len(b); i++ {
+			b[i] = poisonByte
 		}
 	})
 }
+
+// lossyPlan drops and reorders enough of a bulk transfer that the
+// receiver's out-of-order queue and the sender's recovery both run.
+var lossyPlan = faults.Plan{Loss: 0.01, Reorder: 0.02}
 
 // vpgPair returns two ADF hosts in one VPG group, with a lossy,
 // reordering link out of a so the receiver's out-of-order queue is
@@ -55,7 +57,16 @@ func vpgPair(t *testing.T) (*net, *Host, *Host) {
 		}
 		h.NIC().InstallRuleSet(fw.MustRuleSet(fw.Deny, fw.VPGRulePair("psq", h.IP(), prefix)...))
 	}
-	a.NIC().Endpoint().SetFaults(faults.NewInjector(faults.Plan{Loss: 0.01, Reorder: 0.02}, 5))
+	a.NIC().Endpoint().SetFaults(faults.NewInjector(lossyPlan, 5))
+	return nw, a, b
+}
+
+// plainPair returns two standard hosts with the same lossy, reordering
+// link out of a: every frame they exchange is a pooled one.
+func plainPair(t *testing.T) (*net, *Host, *Host) {
+	t.Helper()
+	nw, a, b := twoHosts(t)
+	a.NIC().Endpoint().SetFaults(faults.NewInjector(lossyPlan, 5))
 	return nw, a, b
 }
 
@@ -67,71 +78,76 @@ type exchangeResult struct {
 	ConnA, ConnB ConnStats
 	HostA, HostB Stats
 	NICA, NICB   nic.Stats
+	ARPA, ARPB   ARPStats
 	Executed     uint64
 	End          time.Duration
 }
 
-// runVPGBulk pushes a patterned 512 KB stream from a to b over TCP
-// through the sealing cards, iperf style: refill on every ACK.
-func runVPGBulk(t *testing.T, poison bool) exchangeResult {
-	nw, a, b := vpgPair(t)
-	if poison {
-		poisonOpenBuffer(a)
-		poisonOpenBuffer(b)
-	}
-	stream := make([]byte, 512<<10)
-	rand.New(rand.NewSource(9)).Read(stream)
-	var res exchangeResult
-	var server *Conn
-	if _, err := b.ListenTCP(5001, func(c *Conn) {
-		server = c
-		c.OnData = func(p []byte) { res.Received = append(res.Received, p...) }
-	}); err != nil {
-		t.Fatal(err)
-	}
-	c, err := a.DialTCP(b.IP(), 5001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sent := 0
-	fill := func() {
-		for c.Buffered() < 64<<10 && sent < len(stream) {
-			n := min(16<<10, len(stream)-sent)
-			if err := c.Write(stream[sent : sent+n]); err != nil {
-				t.Fatal(err)
-			}
-			sent += n
-		}
-	}
-	c.OnConnect = fill
-	c.OnAcked = func(int) { fill() }
-	if err := nw.kernel.RunUntil(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Received, stream) {
-		t.Fatalf("received %d bytes that differ from the %d written", len(res.Received), len(stream))
-	}
-	if c.Stats().Retransmits == 0 || server.Stats().DupAcksSent == 0 {
-		t.Fatalf("no loss recovery (retransmits %d, dup ACKs %d); the run must exercise the out-of-order queue",
-			c.Stats().Retransmits, server.Stats().DupAcksSent)
-	}
-	res.ConnA, res.ConnB = c.Stats(), server.Stats()
-	res.HostA, res.HostB = a.Stats(), b.Stats()
-	res.NICA, res.NICB = a.NIC().Stats(), b.NIC().Stats()
-	res.Executed, res.End = nw.kernel.Executed(), nw.kernel.Now()
-	return res
+// finish records the hosts' counters and the kernel's position.
+func (r *exchangeResult) finish(k *sim.Kernel, a, b *Host) {
+	r.HostA, r.HostB = a.Stats(), b.Stats()
+	r.NICA, r.NICB = a.NIC().Stats(), b.NIC().Stats()
+	r.ARPA, r.ARPB = a.ARPStats(), b.ARPStats()
+	r.Executed, r.End = k.Executed(), k.Now()
 }
 
-// runVPGUDP sends sealed datagrams from a to b, which echoes each one
-// from inside OnRecv (straight out of the lent buffer).
-func runVPGUDP(t *testing.T, poison bool) exchangeResult {
-	nw, a, b := vpgPair(t)
-	if poison {
-		poisonOpenBuffer(a)
-		poisonOpenBuffer(b)
+// bulkRun pushes a patterned 512 KB stream from a to b of pair over
+// TCP, iperf style: refill on every ACK.
+func bulkRun(pair func(*testing.T) (*net, *Host, *Host)) func(*testing.T, bool) exchangeResult {
+	return func(t *testing.T, poison bool) exchangeResult {
+		nw, a, b := pair(t)
+		if poison {
+			poisonDelivered(a)
+			poisonDelivered(b)
+		}
+		stream := make([]byte, 512<<10)
+		rand.New(rand.NewSource(9)).Read(stream)
+		var res exchangeResult
+		var server *Conn
+		if _, err := b.ListenTCP(5001, func(c *Conn) {
+			server = c
+			c.OnData = func(p []byte) { res.Received = append(res.Received, p...) }
+		}); err != nil {
+			t.Fatal(err)
+		}
+		c, err := a.DialTCP(b.IP(), 5001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent := 0
+		fill := func() {
+			for c.Buffered() < 64<<10 && sent < len(stream) {
+				n := min(16<<10, len(stream)-sent)
+				if err := c.Write(stream[sent : sent+n]); err != nil {
+					t.Fatal(err)
+				}
+				sent += n
+			}
+		}
+		c.OnConnect = fill
+		c.OnAcked = func(int) { fill() }
+		if err := nw.kernel.RunUntil(20 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(res.Received, stream) {
+			t.Fatalf("received %d bytes that differ from the %d written", len(res.Received), len(stream))
+		}
+		if c.Stats().Retransmits == 0 || server.Stats().DupAcksSent == 0 {
+			t.Fatalf("no loss recovery (retransmits %d, dup ACKs %d); the run must exercise the out-of-order queue",
+				c.Stats().Retransmits, server.Stats().DupAcksSent)
+		}
+		res.ConnA, res.ConnB = c.Stats(), server.Stats()
+		res.finish(nw.kernel, a, b)
+		return res
 	}
+}
+
+// udpEcho sends 200 random datagrams from client to server, which
+// echoes each one from inside OnRecv (straight out of the delivered
+// frame), and records both directions.
+func udpEcho(t *testing.T, k *sim.Kernel, client, server *Host) exchangeResult {
 	var res exchangeResult
-	srv, err := b.BindUDP(7000)
+	srv, err := server.BindUDP(7000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +155,7 @@ func runVPGUDP(t *testing.T, poison bool) exchangeResult {
 		res.Received = append(res.Received, p...)
 		srv.SendTo(src, port, p)
 	}
-	cli, err := a.BindUDP(0)
+	cli, err := client.BindUDP(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,36 +164,95 @@ func runVPGUDP(t *testing.T, poison bool) exchangeResult {
 	}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
-		p := make([]byte, 1+rng.Intn(a.MaxUDPPayload()))
+		p := make([]byte, 1+rng.Intn(client.MaxUDPPayload()))
 		rng.Read(p)
-		nw.kernel.At(time.Duration(i)*100*time.Microsecond, func() { cli.SendTo(b.IP(), 7000, p) })
+		k.At(time.Duration(i)*100*time.Microsecond, func() { cli.SendTo(server.IP(), 7000, p) })
+	}
+	if err := k.RunUntil(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Replies) == 0 {
+		t.Fatal("no reply came back")
+	}
+	res.finish(k, client, server)
+	return res
+}
+
+// echoRun is udpEcho over pair.
+func echoRun(pair func(*testing.T) (*net, *Host, *Host)) func(*testing.T, bool) exchangeResult {
+	return func(t *testing.T, poison bool) exchangeResult {
+		nw, a, b := pair(t)
+		if poison {
+			poisonDelivered(a)
+			poisonDelivered(b)
+		}
+		return udpEcho(t, nw.kernel, a, b)
+	}
+}
+
+// runPing sends 100 ICMP echo requests from a to b over the lossy
+// plain pair and records every echo reply a hears.
+func runPing(t *testing.T, poison bool) exchangeResult {
+	nw, a, b := plainPair(t)
+	if poison {
+		poisonDelivered(a)
+		poisonDelivered(b)
+	}
+	var res exchangeResult
+	a.OnICMP = func(src packet.IP, m packet.ICMPMessage) {
+		res.Replies = append(res.Replies, []byte{byte(m.Type), byte(m.Seq >> 8), byte(m.Seq)})
+	}
+	for i := 0; i < 100; i++ {
+		seq := uint16(i)
+		nw.kernel.At(time.Duration(i)*time.Millisecond, func() { a.Ping(b.IP(), 7, seq) })
 	}
 	if err := nw.kernel.RunUntil(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Replies) == 0 || a.NIC().Stats().Opened == 0 {
-		t.Fatal("no sealed reply came back")
+	if len(res.Replies) == 0 {
+		t.Fatal("no echo reply came back")
 	}
-	res.HostA, res.HostB = a.Stats(), b.Stats()
-	res.NICA, res.NICB = a.NIC().Stats(), b.NIC().Stats()
-	res.Executed, res.End = nw.kernel.Executed(), nw.kernel.Now()
+	res.finish(nw.kernel, a, b)
+	return res
+}
+
+// runARPEcho is udpEcho between two hosts that resolve each other with
+// ARP: the first datagram waits behind a broadcast request, and every
+// ARP frame is a pooled one flooded by the switch.
+func runARPEcho(t *testing.T, poison bool) exchangeResult {
+	n := newARPNet()
+	a := n.addHost(t, "a", "10.0.0.1", nic.Standard())
+	b := n.addHost(t, "b", "10.0.0.2", nic.Standard())
+	if poison {
+		poisonDelivered(a)
+		poisonDelivered(b)
+	}
+	res := udpEcho(t, n.kernel, a, b)
+	if res.ARPA.RequestsSent == 0 || res.ARPB.RepliesSent == 0 {
+		t.Fatalf("no ARP resolution ran: a %+v, b %+v", res.ARPA, res.ARPB)
+	}
 	return res
 }
 
 // TestOpenedFrameOwnership holds the receive path to the card's
-// ownership rule: an opened frame is lent to deliver and reused after
-// it returns. Poisoning the card's open buffer after every delivery
-// must not change a sealed TCP bulk transfer or a sealed UDP exchange
-// in any byte or counter.
+// ownership rule: every delivered frame, plain or opened, is the card's
+// and is released or reused once deliver returns. Poisoning each one's
+// buffer after every delivery must not change a run in any byte or
+// counter, over plain and sealed TCP bulk transfers, plain and sealed
+// UDP echoes, ICMP pings and an ARP resolution.
 func TestOpenedFrameOwnership(t *testing.T) {
 	for name, run := range map[string]func(*testing.T, bool) exchangeResult{
-		"tcp-bulk": runVPGBulk,
-		"udp-echo": runVPGUDP,
+		"tcp-bulk":       bulkRun(vpgPair),
+		"udp-echo":       echoRun(vpgPair),
+		"plain-tcp-bulk": bulkRun(plainPair),
+		"plain-udp-echo": echoRun(plainPair),
+		"icmp-ping":      runPing,
+		"arp-resolution": runARPEcho,
 	} {
 		t.Run(name, func(t *testing.T) {
 			clean, poisoned := run(t, false), run(t, true)
 			if !reflect.DeepEqual(clean, poisoned) {
-				t.Fatalf("poisoning the open buffer changed the run:\nclean    %+v\npoisoned %+v",
+				t.Fatalf("poisoning delivered frames changed the run:\nclean    %+v\npoisoned %+v",
 					summary(clean), summary(poisoned))
 			}
 		})

@@ -31,7 +31,12 @@
 # BenchmarkTCPUnmarshal holds the decoders at 0 allocs/op and
 # BenchmarkHostReceive holds Host.receive of a UDP datagram to a bound
 # socket there too, while BenchmarkSeal and BenchmarkOpen, which seal
-# and open into a reused buffer, allocate only the CTR keystream).
+# and open into a reused buffer, allocate only the CTR keystream;
+# end to end, BenchmarkFramePath/plain holds Send → switch →
+# handleFrame → deliver at 0 allocs/op with pooled frames, and
+# BenchmarkFramePath/sealed allocates only the two keystreams, as
+# BenchmarkTCPMarshal/marshal-to-scratch, the host stack's encode
+# into a reused buffer, holds 0).
 # Benchmarks present on only one side are reported but never fail the
 # gate, so adding or renaming a benchmark doesn't break CI.
 #
