@@ -19,24 +19,14 @@ import (
 // fetches from.
 const HTTPPort = 80
 
-// DefaultPageSize approximates the default Gentoo Apache index page the
-// paper's http_load fetched.
-const DefaultPageSize = 10 * 1024
+// PageSize is the body size served for every request. It approximates
+// the default Gentoo Apache index page the paper's http_load fetched.
+const PageSize = 10 * 1024
 
-// DefaultServiceTime approximates Apache 2 on the paper's 1 GHz PIII
-// serving a static page: request parsing, filesystem cache hit, and
-// process scheduling.
-const DefaultServiceTime = 3 * time.Millisecond
-
-// HTTPServerConfig configures the web server.
-type HTTPServerConfig struct {
-	// PageSize is the body size served for every request; zero defaults
-	// to DefaultPageSize.
-	PageSize int
-	// ServiceTime is the server-side processing time per request; zero
-	// defaults to DefaultServiceTime. Negative disables the delay.
-	ServiceTime time.Duration
-}
+// ServiceTime is the server-side processing time per request. It
+// approximates Apache 2 on the paper's 1 GHz PIII serving a static
+// page: request parsing, filesystem cache hit, and process scheduling.
+const ServiceTime = 3 * time.Millisecond
 
 // HTTPServerStats counts server activity.
 type HTTPServerStats struct {
@@ -51,23 +41,13 @@ type HTTPServerStats struct {
 // index with keep-alive off.
 type HTTPServer struct {
 	host  *stack.Host
-	cfg   HTTPServerConfig
 	page  []byte
 	stats HTTPServerStats
 }
 
 // NewHTTPServer starts a web server on the host's HTTPPort.
-func NewHTTPServer(h *stack.Host, cfg HTTPServerConfig) (*HTTPServer, error) {
-	if cfg.PageSize == 0 {
-		cfg.PageSize = DefaultPageSize
-	}
-	switch {
-	case cfg.ServiceTime == 0:
-		cfg.ServiceTime = DefaultServiceTime
-	case cfg.ServiceTime < 0:
-		cfg.ServiceTime = 0
-	}
-	s := &HTTPServer{host: h, cfg: cfg, page: buildPage(cfg.PageSize)}
+func NewHTTPServer(h *stack.Host) (*HTTPServer, error) {
+	s := &HTTPServer{host: h, page: buildPage(PageSize)}
 	if _, err := h.ListenTCP(HTTPPort, s.accept); err != nil {
 		return nil, fmt.Errorf("apps: http server: %w", err)
 	}
@@ -105,11 +85,7 @@ func (s *HTTPServer) accept(c *stack.Conn) {
 			}
 			c.Close()
 		}
-		if s.cfg.ServiceTime > 0 {
-			s.host.Kernel().After(s.cfg.ServiceTime, respond)
-		} else {
-			respond()
-		}
+		s.host.Kernel().After(ServiceTime, respond)
 	}
 }
 

@@ -19,7 +19,7 @@ func testbed(t *testing.T) *core.Testbed {
 
 func TestHTTPServerServesPage(t *testing.T) {
 	tb := testbed(t)
-	srv, err := apps.NewHTTPServer(tb.Target, apps.HTTPServerConfig{PageSize: 4096})
+	srv, err := apps.NewHTTPServer(tb.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,18 +40,18 @@ func TestHTTPServerServesPage(t *testing.T) {
 	if !connected || !firstByte {
 		t.Errorf("callbacks: connected=%v firstByte=%v", connected, firstByte)
 	}
-	if result.Err != nil || result.Status != 200 || result.BodyBytes != 4096 {
+	if result.Err != nil || result.Status != 200 || result.BodyBytes != apps.PageSize {
 		t.Errorf("fetch result = %+v", result)
 	}
 	st := srv.Stats()
-	if st.Connections != 1 || st.Requests != 1 || st.BytesServed != 4096 {
+	if st.Connections != 1 || st.Requests != 1 || st.BytesServed != apps.PageSize {
 		t.Errorf("server stats = %+v", st)
 	}
 }
 
 func TestHTTPServerRejectsNonGET(t *testing.T) {
 	tb := testbed(t)
-	srv, err := apps.NewHTTPServer(tb.Target, apps.HTTPServerConfig{})
+	srv, err := apps.NewHTTPServer(tb.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestHTTPServerRejectsNonGET(t *testing.T) {
 
 func TestHTTPServerSequentialFetches(t *testing.T) {
 	tb := testbed(t)
-	if _, err := apps.NewHTTPServer(tb.Target, apps.HTTPServerConfig{ServiceTime: -1}); err != nil {
+	if _, err := apps.NewHTTPServer(tb.Target); err != nil {
 		t.Fatal(err)
 	}
 	client := apps.NewHTTPClient(tb.Client)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"barbican/internal/faults"
@@ -16,6 +18,16 @@ import (
 const ChaosPolicy = `deny in proto udp from any to any port 7
 default allow
 `
+
+// ChaosPushAt is when (virtual time) a chaos scenario's policy push
+// starts: the target is then already under flood.
+const ChaosPushAt = time.Second
+
+// ErrInstallUnproven reports that a chaos scenario's agent installed a
+// rule set the semantics engine could not prove equivalent to the
+// pushed policy, or whose compiled classifier it could not prove equal
+// to the linear walk.
+var ErrInstallUnproven = errors.New("core: installed policy not proven equivalent to the pushed policy")
 
 // ChaosScenario describes a chaos experiment: the target starts
 // unprotected and under flood, and the policy server pushes the
@@ -34,22 +46,12 @@ type ChaosScenario struct {
 	FaultSeed int64
 	// Seed seeds the simulation; zero means 1.
 	Seed int64
-	// PushAt is when the push starts (virtual time); zero means 1 s.
-	PushAt time.Duration
 	// Duration is the bandwidth measurement window; zero means 5 s.
 	Duration time.Duration
 	// Push tunes the server's retry engine. The zero value uses the
 	// defaults; MaxAttempts: 1 reproduces the pre-retry single-shot
 	// behavior, which never converges through a partition.
 	Push policy.PushOptions
-	// VerifySemantics runs the exact semantics engine when the agent
-	// installs the pushed policy: the installed rule set is proven
-	// verdict-identical to what the server pushed over the entire
-	// packet space, and the card's compiled classifier is proven equal
-	// to the linear walk on it — semantic convergence, not just
-	// version-number convergence. The proof outcome lands in
-	// ChaosPoint.SemanticsVerified / SemanticsError.
-	VerifySemantics bool
 }
 
 // ChaosPoint is the outcome of a chaos scenario.
@@ -57,7 +59,7 @@ type ChaosPoint struct {
 	Scenario ChaosScenario
 	// Converged reports whether the agent installed the pushed policy;
 	// ConvergedAt is when (virtual time), ConvergeTime is measured from
-	// PushAt.
+	// ChaosPushAt.
 	Converged    bool
 	ConvergedAt  time.Duration
 	ConvergeTime time.Duration
@@ -67,12 +69,6 @@ type ChaosPoint struct {
 	Server    policy.ServerStats
 	Agent     policy.AgentStats
 	Iperf     measure.IperfResult
-	// SemanticsVerified reports whether the install-time equivalence
-	// proof succeeded (only set when Scenario.VerifySemantics and the
-	// agent converged); SemanticsError carries the disproof or proof
-	// failure ("" otherwise).
-	SemanticsVerified bool
-	SemanticsError    string
 	Outcome
 }
 
@@ -80,9 +76,12 @@ type ChaosPoint struct {
 func (p ChaosPoint) Mbps() float64 { return p.Iperf.Mbps }
 
 // RunChaos executes a chaos scenario: flood from t=0, policy push at
-// PushAt over the faulty management channel, available bandwidth
+// ChaosPushAt over the faulty management channel, available bandwidth
 // measured across the window, then the kernel runs on until the push
-// settles (success or exhausted retry budget).
+// settles (success or exhausted retry budget). When the agent installs
+// the pushed policy, the exact semantics engine proves the install —
+// semantic convergence, not just version-number convergence — and a
+// failed proof is an ErrInstallUnproven error.
 func RunChaos(s ChaosScenario) (ChaosPoint, error) {
 	p, _, err := runChaos(s, nil)
 	return p, err
@@ -98,14 +97,12 @@ func RunChaosObserved(s ChaosScenario, opt ObserveOptions) (ChaosPoint, *Instrum
 // runChaos is the chaos family's measurement on the one body; opt nil
 // runs unobserved.
 func runChaos(s ChaosScenario, opt *ObserveOptions) (ChaosPoint, *Instrumentation, error) {
-	if s.PushAt == 0 {
-		s.PushAt = time.Second
-	}
 	if s.Duration == 0 {
 		s.Duration = 5 * time.Second
 	}
 	p := ChaosPoint{Scenario: s}
 	var pp *policyPlane
+	var proofErr error
 	out, inst, err := run(Scenario{
 		Device:       s.Device,
 		FloodRatePPS: s.FloodRatePPS,
@@ -116,16 +113,14 @@ func runChaos(s ChaosScenario, opt *ObserveOptions) (ChaosPoint, *Instrumentatio
 		floodNow: true,
 		setup: func(e *env) (err error) {
 			pp, err = e.policyPlane("chaos", s.MgmtFaults, func(at time.Duration, rs *fw.RuleSet) {
-				p.Converged, p.ConvergedAt, p.ConvergeTime = true, at, at-s.PushAt
-				if s.VerifySemantics {
-					p.SemanticsVerified, p.SemanticsError = verifyInstall(ChaosPolicy, rs)
-				}
+				p.Converged, p.ConvergedAt, p.ConvergeTime = true, at, at-ChaosPushAt
+				proofErr = verifyInstall(ChaosPolicy, rs)
 			})
 			return err
 		},
 		measure: func(e *env) (err error) {
 			pp.pending = true
-			e.tb.Kernel.After(s.PushAt, func() { pp.push(s.Push) })
+			e.tb.Kernel.After(ChaosPushAt, func() { pp.push(s.Push) })
 			p.Iperf, err = measure.RunTCPIperf(e.tb.Kernel, e.tb.Client, e.tb.Target,
 				measure.IperfConfig{Duration: s.Duration, Metrics: e.reg})
 			if err != nil {
@@ -138,6 +133,9 @@ func runChaos(s ChaosScenario, opt *ObserveOptions) (ChaosPoint, *Instrumentatio
 			return err
 		},
 	}, opt)
+	if err == nil {
+		err = proofErr
+	}
 	if err != nil {
 		return ChaosPoint{}, nil, err
 	}
@@ -151,32 +149,33 @@ func runChaos(s ChaosScenario, opt *ObserveOptions) (ChaosPoint, *Instrumentatio
 // verifyInstall proves semantic convergence for one installed rule
 // set: the installed rules must be verdict-identical to the pushed
 // policy text over the entire packet space, and the compiled
-// classifier the card runs must equal the linear walk on them.
-func verifyInstall(pushed string, installed *fw.RuleSet) (ok bool, detail string) {
+// classifier the card runs must equal the linear walk on them. A
+// failed proof wraps ErrInstallUnproven.
+func verifyInstall(pushed string, installed *fw.RuleSet) error {
 	want, err := policy.Parse(pushed)
 	if err != nil {
-		return false, "parse pushed policy: " + err.Error()
+		return fmt.Errorf("%w: parse pushed policy: %v", ErrInstallUnproven, err)
 	}
 	res, err := sem.Diff(want, installed, sem.DiffOptions{})
 	if err != nil {
-		return false, "equivalence proof: " + err.Error()
+		return fmt.Errorf("%w: equivalence proof: %v", ErrInstallUnproven, err)
 	}
 	if !res.Equivalent {
-		detail = "installed policy is not equivalent to the pushed policy"
+		detail := "the rule sets differ"
 		if len(res.Witnesses) > 0 {
-			detail += ": " + res.Witnesses[0].String()
+			detail = res.Witnesses[0].String()
 		}
-		return false, detail
+		return fmt.Errorf("%w: %s", ErrInstallUnproven, detail)
 	}
 	vres, err := sem.VerifyCompiled(installed, sem.VerifyOptions{})
 	if err != nil {
-		return false, "compiled-vs-walk proof: " + err.Error()
+		return fmt.Errorf("%w: compiled-vs-walk proof: %v", ErrInstallUnproven, err)
 	}
 	if !vres.OK() {
 		if vres.Mismatch != nil {
-			return false, "compiled classifier diverges: " + vres.Mismatch.String()
+			return fmt.Errorf("%w: compiled classifier diverges: %s", ErrInstallUnproven, vres.Mismatch)
 		}
-		return false, "compiled classifier counter parity: " + vres.ParityError
+		return fmt.Errorf("%w: compiled classifier counter parity: %s", ErrInstallUnproven, vres.ParityError)
 	}
-	return true, ""
+	return nil
 }

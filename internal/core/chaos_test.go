@@ -32,31 +32,6 @@ func TestChaosCleanChannelConverges(t *testing.T) {
 	}
 }
 
-// TestChaosVerifySemantics: with VerifySemantics on, convergence is
-// proven rather than assumed — the installed rule set is shown
-// verdict-identical to the pushed policy over the entire packet space,
-// and the card's compiled classifier equal to the linear walk on it.
-func TestChaosVerifySemantics(t *testing.T) {
-	p, err := core.RunChaos(core.ChaosScenario{
-		Device:          core.DeviceADF,
-		FloodRatePPS:    2000,
-		Duration:        2 * time.Second,
-		VerifySemantics: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Converged {
-		t.Fatalf("clean channel did not converge: %+v", p)
-	}
-	if !p.SemanticsVerified {
-		t.Fatalf("semantic convergence proof failed: %s", p.SemanticsError)
-	}
-	if p.SemanticsError != "" {
-		t.Errorf("verified install carries an error: %s", p.SemanticsError)
-	}
-}
-
 // TestChaosConvergesUnderLoss: ≥10% management-channel frame loss. TCP
 // retransmission plus the server's per-attempt timeout and retry/backoff
 // must still land the policy.
@@ -87,7 +62,6 @@ func TestChaosPartitionNeedsRetries(t *testing.T) {
 		Device:       core.DeviceADF,
 		FloodRatePPS: 2000,
 		MgmtFaults:   faults.Plan{Down: []faults.Window{{From: 900 * time.Millisecond, To: 2500 * time.Millisecond}}},
-		PushAt:       time.Second,
 		Duration:     5 * time.Second,
 	}
 

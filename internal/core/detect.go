@@ -64,10 +64,6 @@ type DetectionScenario struct {
 	// access link — telemetry reports and policy pushes share it, so a
 	// lossy plan delays detection AND mitigation.
 	MgmtFaults faults.Plan
-	// SilenceAfter arms the collector's staleness watchdog; zero means
-	// 3.5 report intervals (a mute device is a hot signal — the EFW
-	// lockup silences its own telemetry), negative disables it.
-	SilenceAfter time.Duration
 	// Respond, when true, pushes ChaosPolicy to the target the moment
 	// its detector alerts (with the default retry options), closing the
 	// detect→mitigate loop.
@@ -165,11 +161,6 @@ func runDetection(s DetectionScenario, opt *ObserveOptions) (DetectionPoint, *In
 	if s.Duration == 0 {
 		s.Duration = 5 * time.Second
 	}
-	if s.SilenceAfter == 0 {
-		s.SilenceAfter = 7 * telemetry.ReportInterval / 2
-	} else if s.SilenceAfter < 0 {
-		s.SilenceAfter = 0
-	}
 
 	p := DetectionPoint{Scenario: s}
 	var (
@@ -202,7 +193,6 @@ func runDetection(s DetectionScenario, opt *ObserveOptions) (DetectionPoint, *In
 		})
 
 		collector, err = telemetry.NewCollector(tb.PolicyServer, telemetry.CollectorConfig{
-			SilenceAfter: s.SilenceAfter,
 			OnAlert: func(device string, at time.Duration) {
 				// Only an alert at or after flood start is the detection;
 				// earlier ones land in FalseAlerts instead.

@@ -97,14 +97,14 @@ func TestDetectionClosesExposure(t *testing.T) {
 
 // TestDetectionSilenceCatchesLockup: the EFW Deny-All lockup silences
 // the victim's own telemetry; the collector's staleness watchdog must
-// still raise the alert. With the watchdog disabled the flood goes
-// undetected — the ablation that proves silence is the signal.
+// still raise the alert. The alert is the watchdog's silence sample
+// (Signal -1), taken after the target's last report: silence, not a
+// report, is the signal.
 func TestDetectionSilenceCatchesLockup(t *testing.T) {
-	base := DetectionScenario{
+	p, err := RunDetection(DetectionScenario{
 		Device: DeviceEFW, Depth: 64,
 		FloodRatePPS: 8000, Duration: 3 * time.Second, Seed: 7,
-	}
-	p, err := RunDetection(base)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,16 +114,24 @@ func TestDetectionSilenceCatchesLockup(t *testing.T) {
 	if !p.Detected {
 		t.Fatalf("lockup went undetected with the silence watchdog armed; final state %v", p.FinalState)
 	}
-
-	ablated := base
-	ablated.SilenceAfter = -1
-	q, err := RunDetection(ablated)
-	if err != nil {
-		t.Fatal(err)
+	var alert *telemetry.Transition
+	for i, tr := range p.Timeline {
+		if tr.To == telemetry.AlertAlerting && tr.At == p.AlertAt {
+			alert = &p.Timeline[i]
+			break
+		}
 	}
-	if q.Detected {
-		t.Errorf("lockup detected at %v without the watchdog; expected the mute victim to go unnoticed (report-driven detector only)",
-			q.TimeToDetect)
+	if alert == nil {
+		t.Fatalf("no Alerting transition at the detection time %v: %+v", p.AlertAt, p.Timeline)
+	}
+	if alert.Signal != -1 {
+		t.Errorf("the alert came from a report (signal %.1f), not from the silence sample", alert.Signal)
+	}
+	for _, d := range p.Fleet {
+		if d.Device == "target" && (d.Reports == 0 || d.LastSeen >= alert.At) {
+			t.Errorf("target's last report at %v (%d reports), want one before the alert at %v",
+				d.LastSeen, d.Reports, alert.At)
+		}
 	}
 }
 

@@ -47,10 +47,6 @@ type Scenario struct {
 	// EXT3): later fragments carry no ports, so a port-based deny rule
 	// only ever stops the first fragment of each packet.
 	FloodFragmented bool
-	// UseUDP measures raw UDP delivery instead of TCP goodput. The
-	// paper's iperf runs used the default protocol (TCP), whose collapse
-	// under loss is what turns card saturation into "0 Mbps available".
-	UseUDP bool
 	// Duration is the measurement window; zero uses the tool default.
 	Duration time.Duration
 	// Seed seeds the simulation; zero means 1.
@@ -165,12 +161,8 @@ func RunBandwidthObserved(s Scenario, opt ObserveOptions) (BandwidthPoint, *Inst
 func runBandwidth(s Scenario, opt *ObserveOptions) (BandwidthPoint, *Instrumentation, error) {
 	p := BandwidthPoint{Scenario: s}
 	out, inst, err := run(s, phases{measure: func(e *env) (err error) {
-		cfg := measure.IperfConfig{Duration: s.Duration, Metrics: e.reg}
-		if s.UseUDP {
-			p.Iperf, err = measure.RunUDPIperf(e.tb.Kernel, e.tb.Client, e.tb.Target, cfg)
-		} else {
-			p.Iperf, err = measure.RunTCPIperf(e.tb.Kernel, e.tb.Client, e.tb.Target, cfg)
-		}
+		p.Iperf, err = measure.RunTCPIperf(e.tb.Kernel, e.tb.Client, e.tb.Target,
+			measure.IperfConfig{Duration: s.Duration, Metrics: e.reg})
 		return err
 	}}, opt)
 	if err != nil {
@@ -186,7 +178,7 @@ func RunHTTP(s Scenario) (HTTPPoint, error) {
 	p := HTTPPoint{Scenario: s}
 	out, _, err := run(s, phases{
 		setup: func(e *env) error {
-			_, err := apps.NewHTTPServer(e.tb.Target, apps.HTTPServerConfig{})
+			_, err := apps.NewHTTPServer(e.tb.Target)
 			return err
 		},
 		measure: func(e *env) (err error) {

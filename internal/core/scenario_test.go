@@ -219,19 +219,6 @@ func TestScenarioDeterminism(t *testing.T) {
 	}
 }
 
-func TestUDPScenario(t *testing.T) {
-	p := bw(t, Scenario{Device: DeviceStandard, UseUDP: true})
-	if p.Iperf.Protocol != "udp" {
-		t.Fatalf("protocol = %q", p.Iperf.Protocol)
-	}
-	if p.Mbps() < 90 {
-		t.Errorf("UDP available bandwidth = %.1f, want >90", p.Mbps())
-	}
-	if p.Iperf.LossFraction > 0.05 {
-		t.Errorf("UDP loss on clean path = %.2f", p.Iperf.LossFraction)
-	}
-}
-
 func TestTestbedRejectsDuplicateHosts(t *testing.T) {
 	tb, err := NewTestbed(TestbedOptions{})
 	if err != nil {
@@ -387,24 +374,5 @@ func TestFragmentEvasionShape(t *testing.T) {
 	}
 	if frag.RatePPS >= deny.RatePPS*0.75 {
 		t.Errorf("fragmented flood min rate %.0f not well below denied rate %.0f", frag.RatePPS, deny.RatePPS)
-	}
-}
-
-func TestTestbedWithARP(t *testing.T) {
-	tb, err := NewTestbed(TestbedOptions{UseARP: true, TargetDevice: DeviceEFW})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := measure.RunTCPIperf(tb.Kernel, tb.Client, tb.Target, measure.IperfConfig{
-		Duration: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mbps < 85 {
-		t.Errorf("bandwidth with ARP resolution = %.1f Mbps", res.Mbps)
-	}
-	if tb.Client.ARPStats().RequestsSent == 0 {
-		t.Error("no ARP requests despite UseARP")
 	}
 }

@@ -41,10 +41,6 @@ type TestbedOptions struct {
 	// EagerVPGDecrypt makes filtering cards decrypt sealed traffic
 	// before rule matching (ablation ABL2); the real ADF is lazy.
 	EagerVPGDecrypt bool
-	// UseARP makes hosts resolve neighbors over the wire instead of the
-	// default static table. Experiments default to static resolution so
-	// measurements exclude neighbor-discovery warmup.
-	UseARP bool
 	// ConntrackEvict overrides the eviction policy of any conntrack-
 	// equipped card built by this testbed (zero keeps the profile's
 	// default). The stateflood experiments sweep this.
@@ -66,7 +62,6 @@ type Testbed struct {
 	devices map[*stack.Host]Device
 	nextMAC byte
 	eager   bool
-	useARP  bool
 	ctEvict conntrack.EvictPolicy
 }
 
@@ -93,7 +88,6 @@ func NewTestbed(opts TestbedOptions) (*Testbed, error) {
 		macs:    make(map[packet.IP]packet.MAC),
 		devices: make(map[*stack.Host]Device),
 		eager:   opts.EagerVPGDecrypt,
-		useARP:  opts.UseARP,
 		ctEvict: opts.ConntrackEvict,
 	}
 	var err error
@@ -144,18 +138,16 @@ func (tb *Testbed) AddHost(name string, ip packet.IP, device Device, respond boo
 	}
 
 	card := nic.New(tb.Kernel, mac, profile, tb.Switch.NewPort())
-	var resolve stack.Resolver
-	if !tb.useARP {
-		resolve = func(ip packet.IP) (packet.MAC, bool) {
+	h, err := stack.NewHost(tb.Kernel, stack.Config{
+		Name: name,
+		IP:   ip,
+		NIC:  card,
+		// Every host resolves neighbors from the testbed's static
+		// table, so measurements exclude neighbor-discovery warmup.
+		Resolve: func(ip packet.IP) (packet.MAC, bool) {
 			m, ok := tb.macs[ip]
 			return m, ok
-		}
-	}
-	h, err := stack.NewHost(tb.Kernel, stack.Config{
-		Name:            name,
-		IP:              ip,
-		NIC:             card,
-		Resolve:         resolve,
+		},
 		Firewall:        fwall,
 		RespondToFloods: respond,
 	})

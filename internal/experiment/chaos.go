@@ -15,9 +15,6 @@ import (
 // convergence requires surviving the window.
 var chaosPartition = faults.Plan{Down: []faults.Window{{From: 900 * time.Millisecond, To: 2500 * time.Millisecond}}}
 
-// chaosPushAt is when the mitigating policy push starts.
-const chaosPushAt = time.Second
-
 // chaosCondition is one management-channel state under test.
 type chaosCondition struct {
 	label string
@@ -53,7 +50,6 @@ func (c Config) chaosScenario(dev core.Device, rate float64, cond chaosCondition
 		MgmtFaults:   cond.plan,
 		FaultSeed:    c.FaultSeed,
 		Seed:         c.Seed,
-		PushAt:       chaosPushAt,
 		Duration:     c.window(4*time.Second, 8*time.Second),
 		Push:         cond.push,
 	}

@@ -42,7 +42,7 @@ func AppendixLatency(cfg Config) (*Table, error) {
 		if err != nil {
 			return "", err
 		}
-		res, err := measure.RunPingRTT(tb.Kernel, tb.Client, tb.Target, measure.PingConfig{})
+		res, err := measure.RunPingRTT(tb.Kernel, tb.Client, tb.Target)
 		if err != nil {
 			return "", err
 		}

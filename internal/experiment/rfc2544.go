@@ -78,9 +78,6 @@ func AppendixRFC2544(cfg Config) (*Table, error) {
 }
 
 func rfc2544Point(cfg Config, device core.Device, depth int, frameSize int) (measure.ThroughputResult, error) {
-	// Trials must be long enough that a sustained over-capacity rate
-	// overruns the card's 128-frame ring and shows up as loss; the
-	// ThroughputConfig default (2 s) is the calibrated minimum.
 	tcfg := measure.ThroughputConfig{FrameSize: frameSize}
 	var kernels []*sim.Kernel
 	newPair := func() (*sim.Kernel, *stack.Host, *stack.Host, error) {

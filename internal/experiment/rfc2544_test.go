@@ -5,7 +5,6 @@ import (
 	"encoding/csv"
 	"strings"
 	"testing"
-	"time"
 
 	"barbican/internal/core"
 	"barbican/internal/fw"
@@ -134,7 +133,7 @@ func TestZeroLossThroughputSyntheticDevice(t *testing.T) {
 // Keep the helper imports honest: rfc2544Point must build fresh pairs.
 func TestHostThroughputTrialIndependence(t *testing.T) {
 	builds := 0
-	cfg := measure.ThroughputConfig{FrameSize: 256, TrialDuration: 200 * time.Millisecond}
+	cfg := measure.ThroughputConfig{FrameSize: 256}
 	trial := measure.HostThroughputTrial(cfg, func() (*sim.Kernel, *stack.Host, *stack.Host, error) {
 		builds++
 		tb, err := core.NewTestbed(core.TestbedOptions{TargetDevice: core.DeviceEFW})

@@ -9,7 +9,6 @@ package hostfw
 import (
 	"barbican/internal/fw"
 	"barbican/internal/nic"
-	"barbican/internal/nic/conntrack"
 	"barbican/internal/packet"
 	"barbican/internal/sim"
 )
@@ -21,15 +20,6 @@ type Profile struct {
 	BaseCost      float64
 	PerRuleCost   float64
 	MaxQueue      int // kernel backlog, in packets
-
-	// Connection tracking (the ip_conntrack module). Zero entries =
-	// stateless host filter; state matchers in the policy then never
-	// see a classification other than StateNone and stateful rules
-	// simply cannot fire.
-	ConntrackEntries    int
-	ConntrackLookupCost float64
-	ConntrackInsertCost float64
-	ConntrackEvict      conntrack.EvictPolicy
 }
 
 // IPTables returns the calibrated Linux 2.4 iptables profile on the
@@ -50,47 +40,23 @@ func IPTables() Profile {
 type Stats struct {
 	InAllowed, InDenied, InOverloadDrops    uint64
 	OutAllowed, OutDenied, OutOverloadDrops uint64
-	// StateFullDrops counts allowed-by-policy packets dropped because
-	// the conntrack table was full ("nf_conntrack: table full, dropping
-	// packet"). The host has no fail-open posture for this.
-	StateFullDrops uint64
 }
 
 // Firewall is a host software firewall. A nil *Firewall admits all
 // traffic, so hosts can hold one unconditionally.
 type Firewall struct {
-	kernel  *sim.Kernel
 	profile Profile
 	proc    *nic.Processor
 	rules   *fw.RuleSet
-	ct      *conntrack.Table // nil without the conntrack module
 	stats   Stats
 }
 
 // New creates a host firewall with no rules installed (allow all).
 func New(k *sim.Kernel, profile Profile) *Firewall {
-	f := &Firewall{
-		kernel:  k,
+	return &Firewall{
 		profile: profile,
 		proc:    nic.NewProcessor(k, profile.CapacityUnits, profile.MaxQueue),
 	}
-	if profile.ConntrackEntries > 0 {
-		f.ct = conntrack.New(conntrack.Config{
-			Cap:    profile.ConntrackEntries,
-			Policy: profile.ConntrackEvict,
-			Seed:   k.Rand().Int63(),
-		})
-	}
-	return f
-}
-
-// Conntrack returns the host's connection-tracking table (nil without
-// the module).
-func (f *Firewall) Conntrack() *conntrack.Table {
-	if f == nil {
-		return nil
-	}
-	return f.ct
 }
 
 // Install sets (or with nil clears) the rule set.
@@ -145,37 +111,12 @@ func (f *Firewall) filter(s packet.Summary, dir fw.Direction) (processed, allowe
 	if f.rules == nil {
 		return true, true
 	}
-	// Classify before rule evaluation when both the module and a
-	// stateful policy are present. Unlike the NIC fast path, the host
-	// filter does NOT auto-drop ctstate INVALID: iptables hands every
-	// classification to the rules, and only an explicit match (or the
-	// default action) decides. A stateful policy without a `state
-	// invalid` rule falls through to its default.
-	cs := fw.StateNone
-	ctCost := 0.0
-	if f.ct != nil && !s.Sealed && f.rules.Stateful() {
-		cs = f.ct.Classify(s, f.kernel.Now())
-		ctCost = f.profile.ConntrackLookupCost
-	}
-	v := f.rules.Match(s, dir, cs)
-	stateFull := false
-	if v.Action == fw.Allow && cs != fw.StateNone && cs != fw.StateInvalid {
-		switch f.ct.Commit(s, f.kernel.Now()) {
-		case conntrack.CommitCreated, conntrack.CommitEvicted:
-			ctCost += f.profile.ConntrackInsertCost
-		case conntrack.CommitFull:
-			ctCost += f.profile.ConntrackInsertCost
-			stateFull = true
-		case conntrack.CommitExisting, conntrack.NumCommitStatuses:
-		}
-	}
-	cost := f.profile.BaseCost + f.profile.PerRuleCost*float64(v.Traversed) + ctCost
+	// The host filter has no connection tracking: every packet reaches
+	// the rules classified StateNone, so a stateful rule never fires.
+	v := f.rules.Match(s, dir, fw.StateNone)
+	cost := f.profile.BaseCost + f.profile.PerRuleCost*float64(v.Traversed)
 	if _, ok := f.proc.Admit(cost); !ok {
 		return false, false
-	}
-	if stateFull {
-		f.stats.StateFullDrops++
-		return true, false
 	}
 	return true, v.Action == fw.Allow
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"barbican/internal/fw"
-	"barbican/internal/nic/conntrack"
 	"barbican/internal/packet"
 	"barbican/internal/sim"
 )
@@ -94,114 +93,76 @@ func equivSummary(rng *rand.Rand, dir fw.Direction) packet.Summary {
 // verdict to the reference walk of a twin rule set: the Traversed the
 // host was charged for (recovered from its processor's units), the rule
 // its counters credit, and at the end every per-rule count, default hit
-// and eval total. The twin's state table is kept in step the way the
-// host keeps its own: every classification reaches the rules, INVALID
-// included, and allowed tracked packets are committed.
+// and eval total. The host tracks no connections, so every packet
+// reaches both walks classified StateNone.
 func TestHostMatcherEquivalence(t *testing.T) {
-	stateful := IPTables()
-	stateful.ConntrackEntries = 1024
-	stateful.ConntrackLookupCost = 1
-	stateful.ConntrackInsertCost = 3
-	stateful.ConntrackEvict = conntrack.EvictLRU
-	cases := []struct {
-		name string
-		p    Profile
-	}{
-		{"iptables", IPTables()},
-		{"iptables-conntrack", stateful},
-	}
 	const packets = 2000
-	for ci, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(21 + ci)))
-			k := sim.NewKernel()
-			f := New(k, tc.p)
-			rs := equivPolicy(rng, 64)
-			f.Install(rs)
-			twin := fw.MustRuleSet(rs.Default(), rs.Rules()...)
-			var ct *conntrack.Table
-			if tc.p.ConntrackEntries > 0 {
-				ct = conntrack.New(conntrack.Config{Cap: tc.p.ConntrackEntries, Policy: tc.p.ConntrackEvict})
-			}
+	t.Run("iptables", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(21))
+		k := sim.NewKernel()
+		p := IPTables()
+		f := New(k, p)
+		rs := equivPolicy(rng, 64)
+		f.Install(rs)
+		twin := fw.MustRuleSet(rs.Default(), rs.Rules()...)
 
-			var states [fw.NumConnStates]int
-			var sealed, portless, defaults int
-			var dirs [2]int
-			for i := 0; i < packets; i++ {
-				dir := []fw.Direction{fw.In, fw.Out}[rng.Intn(2)]
-				s := equivSummary(rng, dir)
-				now := k.Now()
-				cs, ctCost := fw.StateNone, 0.0
-				if ct != nil && !s.Sealed && twin.Stateful() {
-					cs, ctCost = ct.Classify(s, now), tc.p.ConntrackLookupCost
-				}
-				want := twin.EvalState(s, dir, cs)
-				if want.Action == fw.Allow && cs != fw.StateNone && cs != fw.StateInvalid {
-					switch ct.Commit(s, now) {
-					case conntrack.CommitCreated, conntrack.CommitEvicted, conntrack.CommitFull:
-						ctCost += tc.p.ConntrackInsertCost
-					case conntrack.CommitExisting, conntrack.NumCommitStatuses:
-					}
-				}
+		var sealed, portless, defaults int
+		var dirs [2]int
+		for i := 0; i < packets; i++ {
+			dir := []fw.Direction{fw.In, fw.Out}[rng.Intn(2)]
+			s := equivSummary(rng, dir)
+			now := k.Now()
+			want := twin.EvalState(s, dir, fw.StateNone)
 
-				units0 := f.proc.UnitsDone()
-				ev0, before, def0 := rs.Stats()
-				if dir == fw.In {
-					f.FilterIn(s)
-				} else {
-					f.FilterOut(s)
-				}
-				if err := k.RunUntil(now + time.Millisecond); err != nil {
-					t.Fatal(err)
-				}
-				ev1, after, def1 := rs.Stats()
-				index := 0
-				if def1 == def0 {
-					for j := range after {
-						if after[j] > before[j] {
-							index = j + 1
-						}
-					}
-				}
-				traversed := int(math.Round((f.proc.UnitsDone() - units0 - tc.p.BaseCost - ctCost) / tc.p.PerRuleCost))
-				if ev1 != ev0+1 || index != want.Index || traversed != want.Traversed {
-					t.Fatalf("packet %d (%v %v, %v): host credited rule %d over %d evals and charged %d rules, reference rule %d at %d",
-						i, dir, s, cs, index, ev1-ev0, traversed, want.Index, want.Traversed)
-				}
-				states[cs]++
-				dirs[dir-fw.In]++
-				if s.Sealed {
-					sealed++
-				}
-				if !s.HasPorts {
-					portless++
-				}
-				if want.Index == 0 {
-					defaults++
-				}
+			units0 := f.proc.UnitsDone()
+			ev0, before, def0 := rs.Stats()
+			if dir == fw.In {
+				f.FilterIn(s)
+			} else {
+				f.FilterOut(s)
 			}
-
-			ev1, per1, def1 := rs.Stats()
-			ev2, per2, def2 := twin.Stats()
-			if ev1 != ev2 || def1 != def2 {
-				t.Fatalf("evals %d / default hits %d, reference %d / %d", ev1, def1, ev2, def2)
+			if err := k.RunUntil(now + time.Millisecond); err != nil {
+				t.Fatal(err)
 			}
-			for i := range per1 {
-				if per1[i] != per2[i] {
-					t.Fatalf("rule %d matched %d times, reference %d", i+1, per1[i], per2[i])
-				}
-			}
-			if dirs[0] == 0 || dirs[1] == 0 || sealed == 0 || portless == 0 || defaults == 0 {
-				t.Errorf("coverage: in %d out %d sealed %d portless %d defaults %d", dirs[0], dirs[1], sealed, portless, defaults)
-			}
-			if ct != nil {
-				for _, st := range everyState {
-					if states[st] == 0 {
-						t.Errorf("coverage: no packet classified %v", st)
+			ev1, after, def1 := rs.Stats()
+			index := 0
+			if def1 == def0 {
+				for j := range after {
+					if after[j] > before[j] {
+						index = j + 1
 					}
 				}
 			}
-			t.Logf("in %d out %d, sealed %d, portless %d, defaults %d, states %v", dirs[0], dirs[1], sealed, portless, defaults, states)
-		})
-	}
+			traversed := int(math.Round((f.proc.UnitsDone() - units0 - p.BaseCost) / p.PerRuleCost))
+			if ev1 != ev0+1 || index != want.Index || traversed != want.Traversed {
+				t.Fatalf("packet %d (%v %v): host credited rule %d over %d evals and charged %d rules, reference rule %d at %d",
+					i, dir, s, index, ev1-ev0, traversed, want.Index, want.Traversed)
+			}
+			dirs[dir-fw.In]++
+			if s.Sealed {
+				sealed++
+			}
+			if !s.HasPorts {
+				portless++
+			}
+			if want.Index == 0 {
+				defaults++
+			}
+		}
+
+		ev1, per1, def1 := rs.Stats()
+		ev2, per2, def2 := twin.Stats()
+		if ev1 != ev2 || def1 != def2 {
+			t.Fatalf("evals %d / default hits %d, reference %d / %d", ev1, def1, ev2, def2)
+		}
+		for i := range per1 {
+			if per1[i] != per2[i] {
+				t.Fatalf("rule %d matched %d times, reference %d", i+1, per1[i], per2[i])
+			}
+		}
+		if dirs[0] == 0 || dirs[1] == 0 || sealed == 0 || portless == 0 || defaults == 0 {
+			t.Errorf("coverage: in %d out %d sealed %d portless %d defaults %d", dirs[0], dirs[1], sealed, portless, defaults)
+		}
+		t.Logf("in %d out %d, sealed %d, portless %d, defaults %d", dirs[0], dirs[1], sealed, portless, defaults)
+	})
 }

@@ -20,23 +20,21 @@ import (
 // and the bit rate of every link.
 const Rate100Mbps = 100_000_000
 
+// Propagation is every link's one-way propagation delay (≈100 m of
+// copper).
+const Propagation = 500 * time.Nanosecond
+
 // DefaultQueueFrames is the default per-direction transmit queue bound.
 const DefaultQueueFrames = 128
 
 // Config parameterizes a link.
 type Config struct {
-	// Propagation is the one-way propagation delay; zero defaults to
-	// 500 ns (≈100 m of copper).
-	Propagation time.Duration
 	// QueueFrames bounds the per-direction transmit queue; zero defaults
 	// to DefaultQueueFrames.
 	QueueFrames int
 }
 
 func (c Config) withDefaults() Config {
-	if c.Propagation == 0 {
-		c.Propagation = 500 * time.Nanosecond
-	}
 	if c.QueueFrames == 0 {
 		c.QueueFrames = DefaultQueueFrames
 	}
@@ -234,13 +232,13 @@ func (e *Endpoint) Send(f *packet.Frame) bool {
 	if d.tracer != nil && f.TraceID != 0 {
 		// The full wire occupancy is known at acceptance: queue wait
 		// (busyUntil), serialization, and propagation.
-		d.tracer.Span(f.TraceID, tracing.StageLink, now, done+d.cfg.Propagation)
+		d.tracer.Span(f.TraceID, tracing.StageLink, now, done+Propagation)
 	}
 	if d.faults != nil {
 		d.sendWithFaults(f, now, done)
 		return true
 	}
-	d.kernel.AfterCall(done+d.cfg.Propagation-now, d.deliverFn, f)
+	d.kernel.AfterCall(done+Propagation-now, d.deliverFn, f)
 	return true
 }
 
@@ -274,7 +272,7 @@ func (d *direction) sendWithFaults(f *packet.Frame, now, done time.Duration) {
 		d.stats.FaultReordered++
 	}
 	if len(out.Deliveries) == 0 {
-		d.kernel.AfterCall(done+d.cfg.Propagation-now, d.deliverFn, f)
+		d.kernel.AfterCall(done+Propagation-now, d.deliverFn, f)
 		return
 	}
 	// Each scheduled delivery decrements queued on arrival; balance
@@ -283,7 +281,7 @@ func (d *direction) sendWithFaults(f *packet.Frame, now, done time.Duration) {
 	carried := false
 	for _, dv := range out.Deliveries {
 		carried = carried || dv.Frame == f
-		d.kernel.AfterCall(done+d.cfg.Propagation+dv.ExtraDelay-now, d.deliverFn, dv.Frame)
+		d.kernel.AfterCall(done+Propagation+dv.ExtraDelay-now, d.deliverFn, dv.Frame)
 	}
 	if !carried {
 		d.frames.Put(f) // replaced by a corrupted copy

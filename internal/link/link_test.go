@@ -36,7 +36,7 @@ func TestLinkDeliversFrames(t *testing.T) {
 
 func TestLinkSerializationDelay(t *testing.T) {
 	k := sim.NewKernel()
-	a, b := New(k, Config{Propagation: time.Nanosecond})
+	a, b := New(k, Config{})
 	var arrival time.Duration
 	b.Attach(func(f *packet.Frame) { arrival = k.Now() })
 	f := frame(1, 2, 1500)
@@ -44,19 +44,19 @@ func TestLinkSerializationDelay(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	want := TransmitTime(f.WireLen(), Rate100Mbps) + time.Nanosecond
+	want := TransmitTime(f.WireLen(), Rate100Mbps) + Propagation
 	if arrival != want {
 		t.Errorf("arrival at %v, want %v", arrival, want)
 	}
-	// 1538 wire bytes at 100 Mbps = 123.04 µs.
-	if arrival < 123*time.Microsecond || arrival > 124*time.Microsecond {
-		t.Errorf("1518-byte frame arrived after %v, want ≈123µs", arrival)
+	// 1538 wire bytes at 100 Mbps = 123.04 µs, plus 0.5 µs on the wire.
+	if arrival != 123540*time.Nanosecond {
+		t.Errorf("1518-byte frame arrived after %v, want 123.54µs", arrival)
 	}
 }
 
 func TestLinkBackToBackFramesQueue(t *testing.T) {
 	k := sim.NewKernel()
-	a, b := New(k, Config{Propagation: time.Nanosecond})
+	a, b := New(k, Config{})
 	var arrivals []time.Duration
 	b.Attach(func(f *packet.Frame) { arrivals = append(arrivals, k.Now()) })
 	f := frame(1, 2, 1500)

@@ -49,8 +49,6 @@ type FloodConfig struct {
 	// the given addresses (the paper notes an attacker can spoof
 	// whatever addresses the policy allows deep rule traversal for).
 	SpoofSources []packet.IP
-	// Duration bounds the flood; zero floods until Stop.
-	Duration time.Duration
 	// Fragment splits each flood packet into IP fragments (RFC 1858
 	// style evasion): only the first fragment carries ports, so
 	// port-based deny rules never see the rest. Requires FloodUDP with
@@ -66,8 +64,6 @@ type Flooder struct {
 	cfg    FloodConfig
 
 	running bool
-	stopped bool
-	started time.Duration
 	sent    uint64
 	ipID    uint16
 
@@ -114,23 +110,17 @@ func (f *Flooder) Start() {
 		return
 	}
 	f.running = true
-	f.stopped = false
-	f.started = f.kernel.Now()
 	f.tick()
 }
 
 // Stop halts the flood.
-func (f *Flooder) Stop() { f.stopped = true; f.running = false }
+func (f *Flooder) Stop() { f.running = false }
 
 // Sent returns the number of flood packets injected.
 func (f *Flooder) Sent() uint64 { return f.sent }
 
 func (f *Flooder) tick() {
-	if f.stopped {
-		return
-	}
-	if f.cfg.Duration > 0 && f.kernel.Now()-f.started >= f.cfg.Duration {
-		f.running = false
+	if !f.running {
 		return
 	}
 	f.inject()

@@ -9,25 +9,14 @@ import (
 	"barbican/internal/stack"
 )
 
-// pingInterval spaces the echo requests; pingTimeout bounds the wait
-// for stragglers after the last one.
+// PingCount is the number of echo requests one RunPingRTT sends.
+// pingInterval spaces them; pingTimeout bounds the wait for stragglers
+// after the last one.
 const (
+	PingCount    = 20
 	pingInterval = 10 * time.Millisecond
 	pingTimeout  = 500 * time.Millisecond
 )
-
-// PingConfig configures an ICMP round-trip-time measurement.
-type PingConfig struct {
-	// Count is the number of echo requests; zero defaults to 20.
-	Count int
-}
-
-func (c PingConfig) withDefaults() PingConfig {
-	if c.Count == 0 {
-		c.Count = 20
-	}
-	return c
-}
 
 // PingResult reports an RTT measurement.
 type PingResult struct {
@@ -47,15 +36,14 @@ func (r PingResult) String() string {
 		r.Sent, r.Received, loss, r.RTTms.Mean(), r.RTTms.Stddev())
 }
 
-// RunPingRTT measures ICMP echo round-trip times from client to server.
-// It installs (and restores) the client's ICMP observer and drives the
-// simulation kernel for the measurement.
-func RunPingRTT(k *sim.Kernel, client, server *stack.Host, cfg PingConfig) (PingResult, error) {
-	cfg = cfg.withDefaults()
+// RunPingRTT measures ICMP echo round-trip times from client to server
+// over PingCount echo requests. It installs (and restores) the client's
+// ICMP observer and drives the simulation kernel for the measurement.
+func RunPingRTT(k *sim.Kernel, client, server *stack.Host) (PingResult, error) {
 	var res PingResult
 
 	const id = 0x4242
-	sentAt := make(map[uint16]time.Duration, cfg.Count)
+	sentAt := make(map[uint16]time.Duration, PingCount)
 	prev := client.OnICMP
 	defer func() { client.OnICMP = prev }()
 	client.OnICMP = func(src packet.IP, m packet.ICMPMessage) {
@@ -75,7 +63,7 @@ func RunPingRTT(k *sim.Kernel, client, server *stack.Host, cfg PingConfig) (Ping
 	}
 
 	start := k.Now()
-	for i := 0; i < cfg.Count; i++ {
+	for i := 0; i < PingCount; i++ {
 		seq := uint16(i + 1)
 		k.At(start+time.Duration(i)*pingInterval, func() {
 			sentAt[seq] = k.Now()
@@ -83,7 +71,7 @@ func RunPingRTT(k *sim.Kernel, client, server *stack.Host, cfg PingConfig) (Ping
 			client.Ping(server.IP(), id, seq)
 		})
 	}
-	deadline := start + time.Duration(cfg.Count)*pingInterval + pingTimeout
+	deadline := start + time.Duration(PingCount)*pingInterval + pingTimeout
 	if err := k.RunUntil(deadline); err != nil {
 		return res, err
 	}

@@ -10,11 +10,11 @@ import (
 
 func TestPingRTTCleanPath(t *testing.T) {
 	tb := testbed(t, core.TestbedOptions{})
-	res, err := measure.RunPingRTT(tb.Kernel, tb.Client, tb.Target, measure.PingConfig{Count: 10})
+	res, err := measure.RunPingRTT(tb.Kernel, tb.Client, tb.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sent != 10 || res.Received != 10 {
+	if res.Sent != measure.PingCount || res.Received != measure.PingCount {
 		t.Fatalf("sent/received = %d/%d", res.Sent, res.Received)
 	}
 	// Two switch hops each way on idle 100 Mbps links: well under 1 ms.
@@ -34,7 +34,7 @@ func TestPingRTTGrowsWithRuleDepth(t *testing.T) {
 			t.Fatal(err)
 		}
 		tb.InstallPolicy(tb.Target, rs)
-		res, err := measure.RunPingRTT(tb.Kernel, tb.Client, tb.Target, measure.PingConfig{Count: 10})
+		res, err := measure.RunPingRTT(tb.Kernel, tb.Client, tb.Target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,11 +57,11 @@ func TestPingRTTCountsLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb.InstallPolicy(tb.Target, rs)
-	res, err := measure.RunPingRTT(tb.Kernel, tb.Client, tb.Target, measure.PingConfig{Count: 5})
+	res, err := measure.RunPingRTT(tb.Kernel, tb.Client, tb.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Received != 0 || res.Sent != 5 {
+	if res.Received != 0 || res.Sent != measure.PingCount {
 		t.Errorf("result = %s", res)
 	}
 }

@@ -19,23 +19,24 @@ import (
 // RFC2544FrameSizes are the standard Ethernet trial frame sizes.
 var RFC2544FrameSizes = []int{64, 128, 256, 512, 1024, 1280, 1518}
 
+// TrialDuration is the length of one offered-rate trial. The RFC
+// recommends 60 s; simulation trades that for search depth. Trials must
+// be long enough that a sustained over-capacity rate overruns a card's
+// 128-frame ring and shows up as loss, and 2 s is the calibrated
+// minimum.
+const TrialDuration = 2 * time.Second
+
 // ThroughputConfig configures an RFC 2544-style zero-loss throughput
 // search.
 type ThroughputConfig struct {
 	// FrameSize is the Ethernet frame size (header+payload+FCS), one of
 	// the RFC's trial sizes; zero defaults to 1518.
 	FrameSize int
-	// TrialDuration is the per-rate trial length; zero defaults to 2 s
-	// (the RFC recommends 60 s; simulation trades that for search depth).
-	TrialDuration time.Duration
 }
 
 func (c ThroughputConfig) withDefaults() ThroughputConfig {
 	if c.FrameSize == 0 {
 		c.FrameSize = 1518
-	}
-	if c.TrialDuration == 0 {
-		c.TrialDuration = 2 * time.Second
 	}
 	return c
 }
@@ -138,7 +139,7 @@ func HostThroughputTrial(cfg ThroughputConfig, newPair func() (k *sim.Kernel, cl
 		interval := time.Duration(math.Round(float64(time.Second) / rate))
 		var send func()
 		send = func() {
-			if k.Now()-start >= cfg.TrialDuration {
+			if k.Now()-start >= TrialDuration {
 				return
 			}
 			sent++
@@ -146,7 +147,7 @@ func HostThroughputTrial(cfg ThroughputConfig, newPair func() (k *sim.Kernel, cl
 			k.After(interval, send)
 		}
 		send()
-		if err := k.RunUntil(start + cfg.TrialDuration + 100*time.Millisecond); err != nil {
+		if err := k.RunUntil(start + TrialDuration + 100*time.Millisecond); err != nil {
 			return 0, 0, err
 		}
 		received, _ := sink.Received()

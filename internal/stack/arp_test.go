@@ -196,3 +196,87 @@ func TestARPTCPEndToEnd(t *testing.T) {
 		t.Errorf("received = %d bytes", received)
 	}
 }
+
+// drainFrames runs the kernel until no pooled frame is out of the
+// switch's pool, and fails unless that moment comes within 10 s of
+// virtual time: every frame the pool issued has then been released,
+// exactly once (a second release panics).
+func (n *arpNet) drainFrames(t *testing.T) {
+	t.Helper()
+	pool := n.sw.Frames()
+	limit := n.kernel.Now() + 10*time.Second
+	for pool.Outstanding() > 0 && n.kernel.Now() <= limit && n.kernel.Step() {
+	}
+	if out := pool.Outstanding(); out != 0 || pool.Taken() == 0 {
+		t.Errorf("%d of %d pooled frames never released", out, pool.Taken())
+	}
+}
+
+// TestARPThroughEFWCard resolves neighbors over the wire to a host
+// behind an EFW-profile card: ARP frames bypass the card's IP filter,
+// a TCP bulk transfer then runs at Fast Ethernet goodput and ICMP
+// pings all come back, and once the traffic drains every pooled frame,
+// broadcast ARP copies included, is back in the switch's pool.
+func TestARPThroughEFWCard(t *testing.T) {
+	t.Run("tcp-bulk", func(t *testing.T) {
+		n := newARPNet()
+		a := n.addHost(t, "client", "10.0.0.1", nic.Standard())
+		b := n.addHost(t, "target", "10.0.0.2", nic.EFW())
+		var received int
+		if _, err := b.ListenTCP(5001, func(c *Conn) {
+			c.OnData = func(p []byte) { received += len(p) }
+		}); err != nil {
+			t.Fatal(err)
+		}
+		c, err := a.DialTCP(b.IP(), 5001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const window = time.Second
+		chunk := make([]byte, 64<<10)
+		fill := func() {
+			for c.Buffered() < 2*len(chunk) && n.kernel.Now() < window {
+				if err := c.Write(chunk); err != nil {
+					return
+				}
+			}
+		}
+		c.OnConnect = fill
+		c.OnAcked = func(int) { fill() }
+		if err := n.kernel.RunUntil(window + 50*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		c.Abort()
+		if mbps := float64(received) * 8 / window.Seconds() / 1e6; mbps < 85 {
+			t.Errorf("bandwidth with ARP resolution = %.1f Mbps", mbps)
+		}
+		if a.ARPStats().RequestsSent == 0 {
+			t.Error("no ARP requests from a host without a static table")
+		}
+		n.drainFrames(t)
+	})
+	t.Run("ping", func(t *testing.T) {
+		n := newARPNet()
+		a := n.addHost(t, "client", "10.0.0.1", nic.Standard())
+		b := n.addHost(t, "target", "10.0.0.2", nic.EFW())
+		replies := 0
+		a.OnICMP = func(_ packet.IP, m packet.ICMPMessage) {
+			if m.Type == packet.ICMPEchoReply {
+				replies++
+			}
+		}
+		for i := 0; i < 20; i++ {
+			seq := uint16(i + 1)
+			n.kernel.At(time.Duration(i)*10*time.Millisecond, func() { a.Ping(b.IP(), 0x4242, seq) })
+		}
+		if err := n.kernel.RunUntil(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		// The first request waits behind the ARP exchange and still
+		// goes out once it resolves.
+		if replies != 20 || a.ARPStats().RequestsSent != 1 {
+			t.Errorf("%d of 20 echo replies, %d ARP requests", replies, a.ARPStats().RequestsSent)
+		}
+		n.drainFrames(t)
+	})
+}

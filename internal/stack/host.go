@@ -184,12 +184,6 @@ func (h *Host) MSS() int {
 	return packet.MaxPayload - packet.IPv4HeaderLen - packet.TCPHeaderLen - h.card.SealOverhead()
 }
 
-// MaxUDPPayload returns the largest UDP payload that fits in one frame,
-// accounting for VPG sealing overhead on this host's card.
-func (h *Host) MaxUDPPayload() int {
-	return packet.MaxPayload - packet.IPv4HeaderLen - packet.UDPHeaderLen - h.card.SealOverhead()
-}
-
 // StaticNeighbors reports whether the host resolves neighbor MACs from
 // a static table. When true the NIC consumes every transmitted datagram
 // synchronously (nothing ever queues behind ARP), so transport marshal

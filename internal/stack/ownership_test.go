@@ -162,9 +162,11 @@ func udpEcho(t *testing.T, k *sim.Kernel, client, server *Host) exchangeResult {
 	cli.OnRecv = func(_ packet.IP, _ uint16, p []byte) {
 		res.Replies = append(res.Replies, append([]byte(nil), p...))
 	}
+	// Payloads up to the largest that fits one frame, sealed or not.
+	maxPayload := packet.MaxPayload - packet.IPv4HeaderLen - packet.UDPHeaderLen - client.card.SealOverhead()
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
-		p := make([]byte, 1+rng.Intn(client.MaxUDPPayload()))
+		p := make([]byte, 1+rng.Intn(maxPayload))
 		rng.Read(p)
 		k.At(time.Duration(i)*100*time.Microsecond, func() { cli.SendTo(server.IP(), 7000, p) })
 	}

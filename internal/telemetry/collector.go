@@ -10,20 +10,20 @@ import (
 	"barbican/internal/stack"
 )
 
+// SilenceAfter arms the collector's staleness watchdog: a device that
+// has reported at least once and then stays quiet for longer than this
+// (3.5 report intervals) is fed to its detector as a hot "silence"
+// sample. Loss of telemetry during a flood is itself a signal — the EFW
+// Deny-All lockup silences its own victim. The watchdog sweeps every
+// SilenceAfter / 2.
+const SilenceAfter = 7 * ReportInterval / 2
+
 // CollectorConfig configures the fleet-health collector.
 type CollectorConfig struct {
 	// OnAlert fires whenever a device's detector enters AlertAlerting,
 	// with the collector's virtual time — the hook scenarios use to
 	// trigger a responsive blocklist push.
 	OnAlert func(device string, at time.Duration)
-	// SilenceAfter, when positive, arms the staleness watchdog: a
-	// device that has reported at least once and then stays quiet for
-	// longer than this is fed to its detector as a hot "silence"
-	// sample. Loss of telemetry during a flood is itself a signal —
-	// the EFW Deny-All lockup silences its own victim. Zero disables
-	// the watchdog (the collector stays purely reactive). The watchdog
-	// sweeps every SilenceAfter / 2.
-	SilenceAfter time.Duration
 }
 
 // DeviceHealth is the collector's model of one device.
@@ -74,15 +74,12 @@ func NewCollector(h *stack.Host, cfg CollectorConfig) (*Collector, error) {
 		devices: make(map[string]*DeviceHealth),
 	}
 	sock.OnRecv = func(_ packet.IP, _ uint16, payload []byte) { c.ingest(payload) }
-	if cfg.SilenceAfter > 0 {
-		sweep := cfg.SilenceAfter / 2
-		var sweepFn func(any)
-		sweepFn = func(any) {
-			c.sweepSilence()
-			c.kernel.AfterCall(sweep, sweepFn, nil)
-		}
-		c.kernel.AfterCall(sweep, sweepFn, nil)
+	var sweepFn func(any)
+	sweepFn = func(any) {
+		c.sweepSilence()
+		c.kernel.AfterCall(SilenceAfter/2, sweepFn, nil)
 	}
+	c.kernel.AfterCall(SilenceAfter/2, sweepFn, nil)
 	return c, nil
 }
 
@@ -92,7 +89,7 @@ func (c *Collector) sweepSilence() {
 	now := c.kernel.Now()
 	for _, name := range c.order {
 		h := c.devices[name]
-		if h.Reports == 0 || now-h.LastAt <= c.cfg.SilenceAfter {
+		if h.Reports == 0 || now-h.LastAt <= SilenceAfter {
 			continue
 		}
 		state, changed := h.Detector.ObserveSilence(now)

@@ -27,7 +27,7 @@ func TestCaptureTCPHandshake(t *testing.T) {
 	cap := trace.NewCapture(tb.Kernel, 0)
 	cap.Tap(clientEndpoint(tb))
 
-	if _, err := apps.NewHTTPServer(tb.Target, apps.HTTPServerConfig{PageSize: 2048}); err != nil {
+	if _, err := apps.NewHTTPServer(tb.Target); err != nil {
 		t.Fatal(err)
 	}
 	client := apps.NewHTTPClient(tb.Client)
@@ -171,9 +171,10 @@ func TestCaptureFloodIsVisible(t *testing.T) {
 	cap := trace.NewCapture(tb.Kernel, 0)
 	cap.Tap(attackerEndpoint(tb))
 	f := measure.NewFlooder(tb.Attacker, tb.Target.IP(), measure.FloodConfig{
-		RatePPS: 1000, Duration: 100 * time.Millisecond, DstPort: 7,
+		RatePPS: 1000, DstPort: 7,
 	})
 	f.Start()
+	tb.Kernel.After(100*time.Millisecond, f.Stop)
 	if err := tb.Kernel.RunUntil(time.Second); err != nil {
 		t.Fatal(err)
 	}
