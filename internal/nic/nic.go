@@ -804,12 +804,6 @@ func (n *NIC) handleFrame(f *packet.Frame) {
 		n.frames.Put(f)
 		return
 	}
-	if f.Type == packet.EtherTypeARP {
-		// The cards filter IP; address resolution passes untouched (and
-		// unmetered — ARP is handled below the filtering processor).
-		n.deliverFrame(f)
-		return
-	}
 	s, err := packet.Summarize(f)
 	if err != nil {
 		n.drop(fw.In, tracing.StageNICRx, tracing.DropMalformed, tid)

@@ -316,8 +316,7 @@ func TestNICAccountingConservation(t *testing.T) {
 // checkConservation holds one card to the per-direction packet laws:
 // every egress request is transmitted or dropped exactly once, and
 // every frame addressed to the card is delivered, dropped exactly once,
-// or still on the processor ring. The law assumes no ARP, which the
-// cards pass to the host uncounted.
+// or still on the processor ring.
 func checkConservation(t *testing.T, name string, n *NIC) {
 	t.Helper()
 	st := n.Stats()

@@ -13,7 +13,7 @@ var ErrDoubleRelease = errors.New("packet: frame released twice")
 const FramePoolRetain = 4
 
 // smallFrameBuf is the payload capacity of the small size class: every
-// control frame the testbed sends (ARP, TCP SYN/ACK/RST, ICMP, a sealed
+// control frame the testbed sends (TCP SYN/ACK/RST, ICMP, a sealed
 // ACK, a minimum-size flood datagram) fits it. Larger payloads take a
 // full MaxPayload buffer. Two classes keep a small frame from pinning
 // an MTU buffer while it waits in a queue.

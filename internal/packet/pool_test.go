@@ -21,11 +21,11 @@ func TestFramePoolReusesAndResets(t *testing.T) {
 	buf := &f.Payload[:1][0]
 	pool.Put(f)
 
-	g := pool.Get(Broadcast, poolDst, EtherTypeARP, ARPLen)
+	g := pool.Get(Broadcast, poolDst, EtherTypeIPv4, IPv4HeaderLen)
 	if g != f {
 		t.Fatal("Get did not reuse the released frame")
 	}
-	if g.Dst != Broadcast || g.Src != poolDst || g.Type != EtherTypeARP || g.TraceID != 0 || len(g.Payload) != 0 {
+	if g.Dst != Broadcast || g.Src != poolDst || g.Type != EtherTypeIPv4 || g.TraceID != 0 || len(g.Payload) != 0 {
 		t.Fatalf("reused frame not re-initialized: %+v", g)
 	}
 	if &g.Payload[:1][0] != buf {

@@ -356,7 +356,7 @@ func TestSummarizeUDPAndICMP(t *testing.T) {
 
 func TestSummarizeRejectsUnknownEtherType(t *testing.T) {
 	if _, err := Summarize(&Frame{Type: 0x0806}); err == nil {
-		t.Error("ARP frame summarized successfully")
+		t.Error("frame of unknown EtherType 0x0806 summarized successfully")
 	}
 }
 

@@ -22,8 +22,9 @@ import (
 )
 
 // Resolver maps an IP address to the MAC address of its host. The
-// simulated network is a single switched segment, so a static neighbor
-// table replaces ARP.
+// simulated network is a single switched segment with a static neighbor
+// table, so resolution is a lookup: there is no neighbor discovery on
+// the wire.
 type Resolver func(packet.IP) (packet.MAC, bool)
 
 // Stats counts host-level stack activity.
@@ -54,8 +55,7 @@ type Config struct {
 	IP packet.IP
 	// NIC is the host's (possibly filtering) network card.
 	NIC *nic.NIC
-	// Resolve maps destination IPs to MACs. Nil enables ARP: the host
-	// resolves neighbors over the wire, queueing datagrams meanwhile.
+	// Resolve maps destination IPs to MACs. Required.
 	Resolve Resolver
 	// Firewall optionally filters traffic in the host (the iptables
 	// baseline). Nil means no host filtering.
@@ -89,12 +89,9 @@ type Host struct {
 	ipID      uint16
 	ephemeral uint16
 	reasm     *packet.Reassembler
-	arp       *arpState
 
-	// txScratch and txDatagram are reused across sends when the host
-	// resolves neighbors statically (see StaticNeighbors); with ARP a
-	// datagram may be queued past the send call, so fresh buffers are
-	// allocated instead.
+	// txScratch and txDatagram are reused across sends: the NIC
+	// consumes every transmitted datagram before Send returns.
 	txScratch  []byte
 	txDatagram packet.Datagram
 
@@ -119,6 +116,9 @@ func NewHost(k *sim.Kernel, cfg Config) (*Host, error) {
 	if cfg.NIC == nil {
 		return nil, fmt.Errorf("stack: host %q has no NIC", cfg.Name)
 	}
+	if cfg.Resolve == nil {
+		return nil, fmt.Errorf("stack: host %q has no resolver", cfg.Name)
+	}
 	h := &Host{
 		kernel:    k,
 		name:      cfg.Name,
@@ -132,9 +132,6 @@ func NewHost(k *sim.Kernel, cfg Config) (*Host, error) {
 		conns:     make(map[connKey]*Conn),
 		ephemeral: 32768,
 		reasm:     packet.NewReassembler(0, 0),
-	}
-	if cfg.Resolve == nil {
-		h.arp = newARPState(h)
 	}
 	cfg.NIC.SetDeliver(h.receive)
 	return h, nil
@@ -184,22 +181,6 @@ func (h *Host) MSS() int {
 	return packet.MaxPayload - packet.IPv4HeaderLen - packet.TCPHeaderLen - h.card.SealOverhead()
 }
 
-// StaticNeighbors reports whether the host resolves neighbor MACs from
-// a static table. When true the NIC consumes every transmitted datagram
-// synchronously (nothing ever queues behind ARP), so transport marshal
-// buffers may be reused across sends.
-func (h *Host) StaticNeighbors() bool { return h.resolve != nil }
-
-// scratch returns the host's reusable transport marshal buffer, emptied,
-// or nil — forcing a fresh allocation — when a pending ARP resolution
-// could retain the marshaled bytes past the send call.
-func (h *Host) scratch() []byte {
-	if h.resolve == nil {
-		return nil
-	}
-	return h.txScratch[:0]
-}
-
 // receive is the NIC's delivery callback. The decoded datagram and its
 // transport message live on the stack and alias f's bytes; nothing on
 // the path keeps them (the reassembler and the TCP out-of-order queue
@@ -207,12 +188,6 @@ func (h *Host) scratch() []byte {
 //
 //barbican:noalloc
 func (h *Host) receive(f *packet.Frame) {
-	if f.Type == packet.EtherTypeARP {
-		if h.arp != nil {
-			h.arp.handleFrame(f)
-		}
-		return
-	}
 	if h.tracer != nil {
 		h.rxTraceID = f.TraceID
 	}
@@ -343,7 +318,7 @@ func (h *Host) receiveICMP(d *packet.Datagram) {
 		h.stats.EchoReplies++
 		h.traceFinish("icmp: echo request, reply sent")
 		reply := &packet.ICMPMessage{Type: packet.ICMPEchoReply, ID: m.ID, Seq: m.Seq, Payload: m.Payload}
-		h.txScratch = reply.MarshalTo(h.scratch())
+		h.txScratch = reply.MarshalTo(h.txScratch[:0])
 		h.send(d.Header.Src, packet.ProtoICMP, h.txScratch)
 		return
 	}
@@ -369,30 +344,25 @@ func (h *Host) sendRSTFor(src packet.IP, seg *packet.TCPSegment) {
 		}
 		rst.Ack = ack
 	}
-	h.txScratch = rst.MarshalTo(h.ip, src, h.scratch())
+	h.txScratch = rst.MarshalTo(h.ip, src, h.txScratch[:0])
 	h.send(src, packet.ProtoTCP, h.txScratch)
 }
 
 func (h *Host) sendPortUnreachable(dst packet.IP) {
 	h.stats.UnreachSent++
 	m := &packet.ICMPMessage{Type: packet.ICMPDestUnreach, Code: packet.ICMPCodePortUnreach}
-	h.txScratch = m.MarshalTo(h.scratch())
+	h.txScratch = m.MarshalTo(h.txScratch[:0])
 	h.send(dst, packet.ProtoICMP, h.txScratch)
 }
 
 // send builds and transmits one IP datagram. It reports whether the
 // datagram made it onto the wire.
+//
+//barbican:noalloc
 func (h *Host) send(dst packet.IP, proto packet.Protocol, transport []byte) bool {
 	h.ipID++
-	var d *packet.Datagram
-	if h.resolve != nil {
-		// The NIC consumes the datagram synchronously, so the host-level
-		// scratch datagram is safe to reuse across sends.
-		h.txDatagram = *packet.NewDatagram(h.ip, dst, proto, h.ipID, transport)
-		d = &h.txDatagram
-	} else {
-		d = packet.NewDatagram(h.ip, dst, proto, h.ipID, transport)
-	}
+	h.txDatagram = *packet.NewDatagram(h.ip, dst, proto, h.ipID, transport)
+	d := &h.txDatagram
 	if h.fwall != nil {
 		s, err := packet.SummarizeDatagram(d)
 		if err == nil && !h.fwall.FilterOut(s) {
@@ -400,10 +370,7 @@ func (h *Host) send(dst packet.IP, proto packet.Protocol, transport []byte) bool
 			return false
 		}
 	}
-	mac, ok, queued := h.resolveMAC(dst, d)
-	if queued {
-		return true // pending ARP; transmitted (and counted) on resolve
-	}
+	mac, ok := h.resolve(dst)
 	if !ok {
 		h.stats.TxNoRoute++
 		return false
@@ -416,31 +383,13 @@ func (h *Host) send(dst packet.IP, proto packet.Protocol, transport []byte) bool
 	return true
 }
 
-// resolveMAC maps a destination to a MAC via the static resolver or ARP.
-// queued reports that the datagram was taken over by a pending ARP
-// resolution and will transmit when (if) the neighbor answers.
-func (h *Host) resolveMAC(dst packet.IP, d *packet.Datagram) (mac packet.MAC, ok, queued bool) {
-	if h.resolve != nil {
-		mac, ok = h.resolve(dst)
-		return mac, ok, false
-	}
-	if mac, ok := h.arp.lookup(dst); ok {
-		return mac, true, false
-	}
-	h.arp.enqueue(dst, d)
-	return packet.MAC{}, false, true
-}
-
 // InjectDatagram transmits a raw datagram as attacker tooling would via a
 // raw socket: the source address may be spoofed and the host firewall is
 // bypassed. The destination MAC is resolved from the datagram's
 // destination address; delivery still traverses this host's NIC egress
 // path (its firewall card, if any, still sees the packet).
 func (h *Host) InjectDatagram(d *packet.Datagram) bool {
-	mac, ok, queued := h.resolveMAC(d.Header.Dst, d)
-	if queued {
-		return true
-	}
+	mac, ok := h.resolve(d.Header.Dst)
 	if !ok {
 		h.stats.TxNoRoute++
 		return false
@@ -458,10 +407,7 @@ func (h *Host) InjectDatagram(d *packet.Datagram) bool {
 // Like InjectDatagram it bypasses the host firewall but still traverses
 // this host's NIC.
 func (h *Host) InjectSealed(d *packet.Datagram) bool {
-	mac, ok, queued := h.resolveMAC(d.Header.Dst, nil)
-	if queued {
-		return false // sealed injection does not queue behind ARP
-	}
+	mac, ok := h.resolve(d.Header.Dst)
 	if !ok {
 		h.stats.TxNoRoute++
 		return false
@@ -481,7 +427,7 @@ func (h *Host) InjectSealed(d *packet.Datagram) bool {
 // Ping sends an ICMP echo request.
 func (h *Host) Ping(dst packet.IP, id, seq uint16) bool {
 	m := &packet.ICMPMessage{Type: packet.ICMPEchoRequest, ID: id, Seq: seq}
-	h.txScratch = m.MarshalTo(h.scratch())
+	h.txScratch = m.MarshalTo(h.txScratch[:0])
 	return h.send(dst, packet.ProtoICMP, h.txScratch)
 }
 

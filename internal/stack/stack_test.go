@@ -2,6 +2,7 @@ package stack
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -61,6 +62,26 @@ func twoHosts(t testing.TB) (*net, *Host, *Host) {
 	a := n.addHost(t, "a", "10.0.0.1", nic.Standard(), nil)
 	b := n.addHost(t, "b", "10.0.0.2", nic.Standard(), nil)
 	return n, a, b
+}
+
+// TestNewHostRejectsIncompleteConfig: a host needs a card and a
+// resolver; without either NewHost fails instead of building a host
+// that cannot send.
+func TestNewHostRejectsIncompleteConfig(t *testing.T) {
+	n := newNet(t)
+	card := nic.New(n.kernel, packet.MAC{2, 0, 0, 0, 0, 9}, nic.Standard(), n.sw.NewPort())
+	resolve := func(packet.IP) (packet.MAC, bool) { return packet.MAC{}, false }
+	for name, cfg := range map[string]Config{
+		"no NIC":      {Name: "h", IP: packet.MustIP("10.0.0.9"), Resolve: resolve},
+		"no resolver": {Name: "h", IP: packet.MustIP("10.0.0.9"), NIC: card},
+	} {
+		t.Run(name, func(t *testing.T) {
+			h, err := NewHost(n.kernel, cfg)
+			if err == nil || !strings.Contains(err.Error(), name) || h != nil {
+				t.Fatalf("NewHost = %v, %v; want an error naming %q", h, err, name)
+			}
+		})
+	}
 }
 
 func TestUDPDelivery(t *testing.T) {

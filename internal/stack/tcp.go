@@ -107,8 +107,8 @@ type Conn struct {
 	ooo      map[uint32][]byte
 	oooBytes int
 
-	// tx is the connection's segment marshal scratch, reused when the
-	// host resolves neighbors statically.
+	// tx is the connection's segment marshal scratch, reused across
+	// sends.
 	tx []byte
 
 	// OnConnect fires when the handshake completes.
@@ -576,6 +576,8 @@ func (c *Conn) retransmitFront() {
 }
 
 // sendSegment emits one segment. retransmit suppresses the sent counter.
+//
+//barbican:noalloc
 func (c *Conn) sendSegment(flags packet.TCPFlags, seq uint32, payload []byte, retransmit bool) {
 	seg := &packet.TCPSegment{
 		SrcPort: c.key.localPort,
@@ -592,10 +594,6 @@ func (c *Conn) sendSegment(flags packet.TCPFlags, seq uint32, payload []byte, re
 	c.stats.SegmentsSent++
 	if retransmit {
 		c.stats.Retransmits++
-	}
-	if !c.host.StaticNeighbors() {
-		c.host.send(c.key.remote, packet.ProtoTCP, seg.Marshal(c.host.ip, c.key.remote))
-		return
 	}
 	c.tx = seg.MarshalTo(c.host.ip, c.key.remote, c.tx[:0])
 	c.host.send(c.key.remote, packet.ProtoTCP, c.tx)

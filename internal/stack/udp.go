@@ -18,8 +18,7 @@ type UDPSocket struct {
 	rxDatagrams uint64
 	rxBytes     uint64
 
-	// tx is the socket's transport marshal scratch, reused when the host
-	// resolves neighbors statically.
+	// tx is the socket's transport marshal scratch, reused across sends.
 	tx []byte
 }
 
@@ -53,11 +52,10 @@ func (s *UDPSocket) Received() (datagrams, bytes uint64) {
 
 // SendTo transmits one datagram. It reports whether the datagram made it
 // onto the wire.
+//
+//barbican:noalloc
 func (s *UDPSocket) SendTo(dst packet.IP, dstPort uint16, payload []byte) bool {
 	u := packet.UDPDatagram{SrcPort: s.port, DstPort: dstPort, Payload: payload}
-	if !s.host.StaticNeighbors() {
-		return s.host.send(dst, packet.ProtoUDP, u.Marshal(s.host.ip, dst))
-	}
 	s.tx = u.MarshalTo(s.host.ip, dst, s.tx[:0])
 	return s.host.send(dst, packet.ProtoUDP, s.tx)
 }
