@@ -29,9 +29,8 @@
 //	                 trace_event JSON) for every run
 //	-trace-sample N  trace 1 packet in N (default 64)
 //	-profile-out DIR write dual-domain profiles (card cost units +
-//	                 kernel wall time) for every run as gzipped pprof
-//	                 and folded stacks, plus merged per-experiment
-//	                 cost profiles
+//	                 kernel wall time) for every run as gzipped pprof,
+//	                 plus merged per-experiment cost profiles
 //	-profile-sample N  kernel profiler samples 1 event in N (default 16;
 //	                 the cost domain is always exact)
 //	-pcap-out DIR    write each run's client-side wire capture as pcap

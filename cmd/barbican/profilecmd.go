@@ -10,9 +10,9 @@ import (
 
 // runProfileCmd implements `barbican profile`: summarize one profile
 // written by -profile-out (top-N phases and stacks), or with -diff
-// report per-phase and per-stack deltas between two. Both the gzipped
-// pprof and folded-stack encodings are accepted (sniffed by magic
-// bytes). Like explain, the output is a pure function of the inputs.
+// report per-phase and per-stack deltas between two. Profiles are the
+// gzipped pprof files -profile-out writes. Like explain, the output is
+// a pure function of the inputs.
 func runProfileCmd(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("barbican profile", flag.ContinueOnError)
 	top := fs.Int("top", 20, "rows in the top-stacks table")
@@ -21,7 +21,7 @@ func runProfileCmd(w io.Writer, args []string) error {
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: barbican profile [flags] FILE        (summarize one profile)")
 		fmt.Fprintln(fs.Output(), "       barbican profile -diff OLD NEW       (report per-phase deltas)")
-		fmt.Fprintln(fs.Output(), "FILEs may be .pprof (gzipped profile.proto) or .folded stacks")
+		fmt.Fprintln(fs.Output(), "FILEs are .pprof profiles (gzipped profile.proto) as -profile-out writes them")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {

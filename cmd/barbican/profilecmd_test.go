@@ -10,9 +10,9 @@ import (
 	"barbican/internal/obs/profile"
 )
 
-// writeTestProfiles writes a small cost profile in both encodings plus
-// a grown variant for diffing, returning their paths.
-func writeTestProfiles(t *testing.T) (pprofPath, foldedPath, grownPath string) {
+// writeTestProfiles writes a small cost profile plus a grown variant
+// for diffing, returning their paths.
+func writeTestProfiles(t *testing.T) (pprofPath, grownPath string) {
 	t.Helper()
 	dir := t.TempDir()
 	d := profile.NewData(profile.CostSampleTypes, "cost")
@@ -23,37 +23,31 @@ func writeTestProfiles(t *testing.T) (pprofPath, foldedPath, grownPath string) {
 	if err := d.WritePprofFile(pprofPath); err != nil {
 		t.Fatal(err)
 	}
-	foldedPath = filepath.Join(dir, "run.cost.folded")
-	if err := d.WriteFoldedFile(foldedPath); err != nil {
-		t.Fatal(err)
-	}
 
 	d.Add([]string{"target (EFW)", "rx", "match", "rule 001"}, 200, 0)
 	grownPath = filepath.Join(dir, "grown.cost.pprof")
 	if err := d.WritePprofFile(grownPath); err != nil {
 		t.Fatal(err)
 	}
-	return pprofPath, foldedPath, grownPath
+	return pprofPath, grownPath
 }
 
 func TestProfileCmdSummary(t *testing.T) {
-	pprofPath, foldedPath, _ := writeTestProfiles(t)
-	for _, path := range []string{pprofPath, foldedPath} {
-		var out bytes.Buffer
-		if err := runProfileCmd(&out, []string{"-top", "5", path}); err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		s := out.String()
-		for _, want := range []string{"Phases:", "Top 5 stacks:", "target (EFW);rx;match", "400"} {
-			if !strings.Contains(s, want) {
-				t.Errorf("%s summary missing %q:\n%s", filepath.Ext(path), want, s)
-			}
+	pprofPath, _ := writeTestProfiles(t)
+	var out bytes.Buffer
+	if err := runProfileCmd(&out, []string{"-top", "5", pprofPath}); err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	for _, want := range []string{"Phases:", "Top 5 stacks:", "target (EFW);rx;match", "400"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("summary missing %q:\n%s", want, s)
 		}
 	}
 }
 
 func TestProfileCmdDiff(t *testing.T) {
-	pprofPath, _, grownPath := writeTestProfiles(t)
+	pprofPath, grownPath := writeTestProfiles(t)
 	var out bytes.Buffer
 	if err := runProfileCmd(&out, []string{"-diff", pprofPath, grownPath}); err != nil {
 		t.Fatal(err)
@@ -67,7 +61,7 @@ func TestProfileCmdDiff(t *testing.T) {
 }
 
 func TestProfileCmdArgErrors(t *testing.T) {
-	pprofPath, _, grownPath := writeTestProfiles(t)
+	pprofPath, grownPath := writeTestProfiles(t)
 	var out bytes.Buffer
 	if err := runProfileCmd(&out, nil); err == nil {
 		t.Error("no args: want error")

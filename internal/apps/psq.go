@@ -70,9 +70,6 @@ func (b *PSQBroker) Port() uint16 { return b.port }
 // Stats returns a snapshot of the broker counters.
 func (b *PSQBroker) Stats() PSQBrokerStats { return b.stats }
 
-// Topics returns the number of known topics.
-func (b *PSQBroker) Topics() int { return len(b.topics) }
-
 func (b *PSQBroker) topic(name string) *psqTopic {
 	t := b.topics[name]
 	if t == nil {

@@ -107,7 +107,7 @@ func (tb *Testbed) observe(opt ObserveOptions) *Instrumentation {
 		tb.Kernel.SetStepProfiler(in.Profiling.Kernel)
 	}
 	if opt.Capture {
-		in.Capture = trace.NewCapture(tb.Kernel, 0)
+		in.Capture = trace.NewCapture(tb.Kernel)
 		in.Capture.Tap(tb.Client.NIC().Endpoint())
 	}
 	return in

@@ -33,11 +33,9 @@ func (p *Profiling) CostData() *profile.Data {
 // deterministic; wall-nanosecond values are measured on the host.
 func (p *Profiling) KernelData() *profile.Data { return p.Kernel.Data() }
 
-// WriteProfileArtifacts writes the run's profiles to dir as
-// <base>.cost.{pprof,folded} and <base>.kernel.{pprof,folded} —
-// gzipped pprof profile.proto plus folded stacks for
-// flamegraph.pl/speedscope. Returns the written paths; no-op when the
-// run was not profiled.
+// WriteProfileArtifacts writes the run's profiles to dir as gzipped
+// pprof profile.proto, <base>.cost.pprof and <base>.kernel.pprof.
+// Returns the written paths; no-op when the run was not profiled.
 func (in *Instrumentation) WriteProfileArtifacts(dir, base string) ([]string, error) {
 	if in == nil || in.Profiling == nil {
 		return nil, nil
@@ -54,15 +52,11 @@ func (in *Instrumentation) WriteProfileArtifacts(dir, base string) ([]string, er
 		{"cost", in.Profiling.CostData()},
 		{"kernel", in.Profiling.KernelData()},
 	} {
-		pprofPath := filepath.Join(dir, base+"."+out.domain+".pprof")
-		if err := out.data.WritePprofFile(pprofPath); err != nil {
+		path := filepath.Join(dir, base+"."+out.domain+".pprof")
+		if err := out.data.WritePprofFile(path); err != nil {
 			return nil, err
 		}
-		foldedPath := filepath.Join(dir, base+"."+out.domain+".folded")
-		if err := out.data.WriteFoldedFile(foldedPath); err != nil {
-			return nil, err
-		}
-		paths = append(paths, pprofPath, foldedPath)
+		paths = append(paths, path)
 	}
 	return paths, nil
 }

@@ -33,9 +33,7 @@ type Outcome struct {
 	WallBusy   time.Duration
 	// CostProfile is the run's merged cost-domain card profile; nil
 	// unless the run was profiled (see the RunXObserved entry points).
-	// Excluded from point serialization — profiles have their own
-	// artifacts.
-	CostProfile *profile.Data `json:"-"`
+	CostProfile *profile.Data
 }
 
 // env is a run in progress as a family's phases see it.

@@ -15,11 +15,11 @@ import (
 // matched and the predicted per-packet cost/latency of a packet that
 // walks to (and matches at) its position.
 type RuleHit struct {
-	Index     int           `json:"index"`
-	Text      string        `json:"rule"`
-	Hits      uint64        `json:"hits"`
-	CostUnits float64       `json:"cost_units"`
-	Latency   time.Duration `json:"latency_ns"`
+	Index     int
+	Text      string
+	Hits      uint64
+	CostUnits float64
+	Latency   time.Duration
 }
 
 // RuleAttribution is the per-rule breakdown of the target's policy
@@ -27,12 +27,11 @@ type RuleHit struct {
 // the profile's predicted walk cost at each rule position. Default*
 // describe packets that walked the full depth without matching.
 type RuleAttribution struct {
-	Device         string        `json:"device"`
-	Evals          uint64        `json:"evals"`
-	DefaultHits    uint64        `json:"default_hits"`
-	DefaultCost    float64       `json:"default_cost_units"`
-	DefaultLatency time.Duration `json:"default_latency_ns"`
-	Rules          []RuleHit     `json:"rules"`
+	Evals          uint64
+	DefaultHits    uint64
+	DefaultCost    float64
+	DefaultLatency time.Duration
+	Rules          []RuleHit
 }
 
 // ruleAttribution snapshots the target's enforcement-point counters.
@@ -47,7 +46,6 @@ func ruleAttribution(tb *Testbed) *RuleAttribution {
 	}
 	profile := tb.Target.NIC().Profile()
 	a := &RuleAttribution{
-		Device:      profile.Name,
 		Evals:       rs.EvalCount(),
 		DefaultHits: rs.DefaultHits(),
 		DefaultCost: profile.Cost(rs.Len(), 0),

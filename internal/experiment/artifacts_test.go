@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"barbican/internal/core"
 	"barbican/internal/faults"
 )
 
@@ -172,5 +173,49 @@ func TestScenarioFamiliesArtifactsParallelIdentity(t *testing.T) {
 					telemetry, traces, costs)
 			}
 		})
+	}
+}
+
+// TestArtifactSet pins the files one observed point writes with every
+// artifact directory set, plus its experiment's figure data and merged
+// cost profile: each artifact in exactly one encoding.
+func TestArtifactSet(t *testing.T) {
+	root := t.TempDir()
+	cfg := Config{Quick: true, Duration: 200 * time.Millisecond, Parallel: 1,
+		MetricsDir: filepath.Join(root, "metrics"), TraceDir: filepath.Join(root, "trace"),
+		ProfileDir: filepath.Join(root, "profile"), PcapDir: filepath.Join(root, "pcap")}
+	fig, err := bandwidthVsDepth(cfg, "fig2", "one point", []depthSeries{{core.DeviceEFW, []int{4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fig.WriteArtifacts(cfg.MetricsDir, "fig2"); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		got = append(got, filepath.ToSlash(rel))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(got)
+	want := []string{
+		"metrics/fig2.figure.csv",
+		"metrics/fig2/efw_depth-4.csv",
+		"metrics/fig2/efw_depth-4.rules.csv",
+		"metrics/fig2/efw_depth-4.snapshot.prom",
+		"pcap/fig2/efw_depth-4.pcap",
+		"profile/fig2/efw_depth-4.cost.pprof",
+		"profile/fig2/efw_depth-4.kernel.pprof",
+		"profile/fig2/fig2.cost.pprof",
+		"trace/fig2/efw_depth-4.trace.json",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("artifact set:\n got  %q\n want %q", got, want)
 	}
 }

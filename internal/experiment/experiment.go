@@ -214,7 +214,7 @@ func (c *Config) ArtifactFlags(fs *flag.FlagSet) {
 	fs.DurationVar(&c.SampleEvery, "sample-every", 0, "flight-recorder tick in virtual time (0 = 50ms default)")
 	fs.StringVar(&c.TraceDir, "trace-out", "", "write packet-lifecycle traces (Perfetto JSON) under this directory")
 	fs.IntVar(&c.TraceSample, "trace-sample", 0, "trace 1 packet in N (0 = 64 default; needs -trace-out)")
-	fs.StringVar(&c.ProfileDir, "profile-out", "", "write dual-domain profiles (pprof + folded stacks) under this directory")
+	fs.StringVar(&c.ProfileDir, "profile-out", "", "write dual-domain profiles (gzipped pprof) under this directory")
 	fs.IntVar(&c.ProfileSample, "profile-sample", 0, "kernel profiler samples 1 event in N (0 = 16 default; needs -profile-out)")
 	fs.StringVar(&c.PcapDir, "pcap-out", "", "write each run's client-side wire capture as pcap under this directory")
 }

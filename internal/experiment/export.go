@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -70,9 +69,9 @@ func (f family[S, P]) observe(cfg Config, exp, label string, s S) (P, *core.Inst
 // writeRunArtifacts writes one observed run's artifacts to the
 // directories cfg selects, each joined with exp:
 // <MetricsDir>/<exp>/<label>.{csv,snapshot.prom} plus the per-rule
-// breakdown <label>.rules.{csv,json} for filtered runs,
+// breakdown <label>.rules.csv for filtered runs,
 // <TraceDir>/<exp>/<label>.trace.json,
-// <ProfileDir>/<exp>/<label>.{cost,kernel}.{pprof,folded} and
+// <ProfileDir>/<exp>/<label>.{cost,kernel}.pprof and
 // <PcapDir>/<exp>/<label>.pcap.
 func (c Config) writeRunArtifacts(exp, label string, out core.Outcome, inst *core.Instrumentation) error {
 	if c.MetricsDir != "" {
@@ -121,7 +120,7 @@ func writePCAP(dir, label string, capture *trace.Capture) error {
 // writeMergedCostProfile merges per-point cost profiles (in the order
 // given, which callers keep in declaration order so the merged bytes
 // are parallelism-independent) and writes them as
-// <ProfileDir>/<exp>/<exp>.cost.{pprof,folded}. No-op without
+// <ProfileDir>/<exp>/<exp>.cost.pprof. No-op without
 // cfg.ProfileDir.
 func writeMergedCostProfile(cfg Config, exp string, parts []*profile.Data) error {
 	if cfg.ProfileDir == "" {
@@ -137,19 +136,15 @@ func writeMergedCostProfile(cfg Config, exp string, parts []*profile.Data) error
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	base := filepath.Join(dir, obs.SanitizeName(exp))
-	if err := merged.WritePprofFile(base + ".cost.pprof"); err != nil {
-		return err
-	}
-	return merged.WriteFoldedFile(base + ".cost.folded")
+	return merged.WritePprofFile(filepath.Join(dir, obs.SanitizeName(exp)+".cost.pprof"))
 }
 
 // WriteRuleAttribution writes a run's per-rule firewall breakdown as
-// <dir>/<label>.rules.{csv,json}: one row per rule with hit count and
+// <dir>/<label>.rules.csv: one row per rule with hit count and
 // the profile's predicted walk cost/latency at that rule's position,
 // plus a final default-action row.
 func WriteRuleAttribution(dir, label string, a *core.RuleAttribution) error {
-	writeCSV := func(w io.Writer) error {
+	return writeArtifact(dir, label+".rules", ".csv", func(w io.Writer) error {
 		cw := csv.NewWriter(w)
 		if err := cw.Write([]string{"rule_index", "rule", "hits", "cost_units", "latency_us"}); err != nil {
 			return err
@@ -173,13 +168,7 @@ func WriteRuleAttribution(dir, label string, a *core.RuleAttribution) error {
 		}
 		cw.Flush()
 		return cw.Error()
-	}
-	writeJSON := func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		return enc.Encode(a)
-	}
-	return writeArtifactPair(dir, label+".rules", writeCSV, writeJSON)
+	})
 }
 
 // WriteCSV writes the figure as long-form CSV: series,x,y,note.
@@ -200,13 +189,6 @@ func (f *Figure) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// WriteJSON writes the figure as a machine-readable JSON document.
-func (f *Figure) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(f)
-}
-
 // WriteCSV writes the table as CSV, header row first.
 func (t *Table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
@@ -222,28 +204,14 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// WriteJSON writes the table as a machine-readable JSON document.
-func (t *Table) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(t)
-}
-
-// WriteArtifacts writes <dir>/<name>.figure.{csv,json}.
+// WriteArtifacts writes <dir>/<name>.figure.csv.
 func (f *Figure) WriteArtifacts(dir, name string) error {
-	return writeArtifactPair(dir, name+".figure", f.WriteCSV, f.WriteJSON)
+	return writeArtifact(dir, name+".figure", ".csv", f.WriteCSV)
 }
 
-// WriteArtifacts writes <dir>/<name>.table.{csv,json}.
+// WriteArtifacts writes <dir>/<name>.table.csv.
 func (t *Table) WriteArtifacts(dir, name string) error {
-	return writeArtifactPair(dir, name+".table", t.WriteCSV, t.WriteJSON)
-}
-
-func writeArtifactPair(dir, base string, csvFn, jsonFn func(io.Writer) error) error {
-	if err := writeArtifact(dir, base, ".csv", csvFn); err != nil {
-		return err
-	}
-	return writeArtifact(dir, base, ".json", jsonFn)
+	return writeArtifact(dir, name+".table", ".csv", t.WriteCSV)
 }
 
 // writeArtifact writes <dir>/<base><ext> with fn, creating dir.

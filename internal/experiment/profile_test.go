@@ -11,9 +11,9 @@ import (
 	"barbican/internal/obs/profile"
 )
 
-// fig2CostArtifacts runs the quick Fig. 2 sweep with profiling on and
-// returns the bytes of the merged cost-domain artifacts.
-func fig2CostArtifacts(t *testing.T, parallel int) (pprofBytes, foldedBytes []byte) {
+// fig2CostArtifact runs the quick Fig. 2 sweep with profiling on and
+// returns the bytes of the merged cost-domain profile.
+func fig2CostArtifact(t *testing.T, parallel int) []byte {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := Config{
@@ -29,11 +29,7 @@ func fig2CostArtifacts(t *testing.T, parallel int) (pprofBytes, foldedBytes []by
 	if err != nil {
 		t.Fatal(err)
 	}
-	foldedBytes, err = os.ReadFile(filepath.Join(dir, "fig2", "fig2.cost.folded"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pprofBytes, foldedBytes
+	return pprofBytes
 }
 
 // TestFig2CostProfileParallelByteIdentity is the determinism golden:
@@ -45,11 +41,8 @@ func TestFig2CostProfileParallelByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full profiled sweep; skipped in -short")
 	}
-	p1, f1 := fig2CostArtifacts(t, 1)
-	p4, f4 := fig2CostArtifacts(t, 4)
-	if !bytes.Equal(f1, f4) {
-		t.Error("fig2.cost.folded differs between -parallel 1 and 4")
-	}
+	p1 := fig2CostArtifact(t, 1)
+	p4 := fig2CostArtifact(t, 4)
 	if !bytes.Equal(p1, p4) {
 		t.Error("fig2.cost.pprof differs between -parallel 1 and 4")
 	}
@@ -62,9 +55,7 @@ func TestFig2CostProfileContent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full profiled sweep; skipped in -short")
 	}
-	pprofBytes, foldedBytes := fig2CostArtifacts(t, 2)
-
-	d, err := profile.ReadPprof(bytes.NewReader(pprofBytes))
+	d, err := profile.ReadPprof(bytes.NewReader(fig2CostArtifact(t, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,17 +117,6 @@ func TestFig2CostProfileContent(t *testing.T) {
 	if !(r1 > r16 && r16 > r64 && r64 > 0) {
 		t.Errorf("depth sweep structure missing from rule counts: r1=%d r16=%d r64=%d", r1, r16, r64)
 	}
-
-	// The folded artifact parses back and agrees on the total.
-	fd, err := profile.ParseFolded(bytes.NewReader(foldedBytes), profile.ValueType{Type: "cost", Unit: "units"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fd.Total() != d.Total() {
-		// Folded skips zero-weight samples, which carry no cost by
-		// definition — totals must still agree.
-		t.Errorf("folded total %d != pprof total %d", fd.Total(), d.Total())
-	}
 }
 
 // TestFloodTimelineWritesProfiles: the timeline experiment honours
@@ -149,7 +129,7 @@ func TestFloodTimelineWritesProfiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, device := range []string{"standard_nic", "adf"} {
-		for _, ext := range []string{".cost.pprof", ".cost.folded", ".kernel.pprof", ".kernel.folded"} {
+		for _, ext := range []string{".cost.pprof", ".kernel.pprof"} {
 			if _, err := os.Stat(filepath.Join(dir, "timeline", device+ext)); err != nil {
 				t.Error(err)
 			}

@@ -11,7 +11,7 @@ type Experiment struct {
 // Table and Text is set.
 type Part struct {
 	// Name names the part's data exports:
-	// <Name>.figure.{csv,json} or <Name>.table.{csv,json}.
+	// <Name>.figure.csv or <Name>.table.csv.
 	Name string
 	// Heading is the part's section heading in the markdown report;
 	// empty leaves the part out of the report.

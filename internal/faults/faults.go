@@ -64,11 +64,6 @@ type Plan struct {
 	Down []Window
 }
 
-// Active reports whether the plan injects any fault at all.
-func (p Plan) Active() bool {
-	return p.Loss > 0 || p.Corrupt > 0 || p.Duplicate > 0 || p.Reorder > 0 || len(p.Down) > 0
-}
-
 // String renders the plan in canonical ParsePlan syntax: fields in
 // fixed order, zero fields omitted, down windows sorted by start.
 func (p Plan) String() string {
@@ -163,9 +158,6 @@ func ParsePlan(spec string) (Plan, error) {
 type Injector struct {
 	plan Plan
 	rng  *rand.Rand
-
-	// Decision counts, by effect.
-	lost, corrupted, duplicated, reordered uint64
 }
 
 // NewInjector binds a plan to a fresh generator seeded with seed.
@@ -176,11 +168,6 @@ func NewInjector(plan Plan, seed int64) *Injector {
 // Plan returns the injector's plan.
 func (in *Injector) Plan() Plan { return in.plan }
 
-// Counts reports how many frames each effect was applied to.
-func (in *Injector) Counts() (lost, corrupted, duplicated, reordered uint64) {
-	return in.lost, in.corrupted, in.duplicated, in.reordered
-}
-
 // Apply decides the fate of one accepted frame. Down windows are
 // checked first (no randomness spent), then loss, corruption,
 // reordering, and duplication each draw once in that fixed order, so
@@ -189,12 +176,10 @@ func (in *Injector) Counts() (lost, corrupted, duplicated, reordered uint64) {
 func (in *Injector) Apply(f *packet.Frame, now time.Duration, frames *packet.FramePool) link.FaultOutcome {
 	for _, w := range in.plan.Down {
 		if w.contains(now) {
-			in.lost++
 			return link.FaultOutcome{Lost: true, Reason: tracing.DropLinkDown}
 		}
 	}
 	if in.plan.Loss > 0 && in.rng.Float64() < in.plan.Loss {
-		in.lost++
 		return link.FaultOutcome{Lost: true, Reason: tracing.DropFaultLoss}
 	}
 
@@ -206,7 +191,6 @@ func (in *Injector) Apply(f *packet.Frame, now time.Duration, frames *packet.Fra
 		c.Payload[bit/8] ^= 1 << (bit % 8)
 		deliver = c
 		out.Corrupted = true
-		in.corrupted++
 	}
 	var extra time.Duration
 	if in.plan.Reorder > 0 && in.rng.Float64() < in.plan.Reorder {
@@ -216,12 +200,10 @@ func (in *Injector) Apply(f *packet.Frame, now time.Duration, frames *packet.Fra
 		}
 		extra = time.Duration(1 + in.rng.Int63n(int64(bound)))
 		out.Reordered = true
-		in.reordered++
 	}
 	dup := in.plan.Duplicate > 0 && in.rng.Float64() < in.plan.Duplicate
 	if dup {
 		out.Duplicated = true
-		in.duplicated++
 	}
 	if !out.Corrupted && !out.Reordered && !dup {
 		return link.FaultOutcome{} // pass through, no allocation

@@ -239,16 +239,6 @@ func Diff(a, b *fw.RuleSet, opts DiffOptions) (*DiffResult, error) {
 	return res, nil
 }
 
-// Equivalent reports whether two rule sets assign every packet the
-// same action, with witnesses for the difference when they do not.
-func Equivalent(a, b *fw.RuleSet) (bool, []RegionDiff, error) {
-	res, err := Diff(a, b, DiffOptions{})
-	if err != nil {
-		return false, nil, err
-	}
-	return res.Equivalent, res.Witnesses, nil
-}
-
 // diffGroup is one mask-distinct child during a level expansion.
 type diffGroup struct {
 	repSeg int

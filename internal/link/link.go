@@ -106,7 +106,7 @@ type Endpoint struct {
 	dir  *direction
 	peer *Endpoint
 	recv func(*packet.Frame)
-	tap  func(f *packet.Frame, tx bool)
+	tap  func(f *packet.Frame)
 }
 
 type direction struct {
@@ -158,7 +158,7 @@ func (d *direction) deliver(x any) {
 	d.queued--
 	dst := d.dst
 	if dst.tap != nil {
-		dst.tap(f, false)
+		dst.tap(f)
 	}
 	if dst.recv != nil {
 		dst.recv(f)
@@ -188,10 +188,10 @@ func (e *Endpoint) Frames() *packet.FramePool { return e.dir.frames }
 func (e *Endpoint) SetFaults(fi FaultInjector) { e.dir.faults = fi }
 
 // SetTap registers a passive observer: it sees every frame this endpoint
-// transmits (tx true, at acceptance) and receives (tx false, at
-// delivery). Passing nil removes the tap. Taps are how internal/trace
-// captures traffic without perturbing it.
-func (e *Endpoint) SetTap(tap func(f *packet.Frame, tx bool)) { e.tap = tap }
+// transmits (at acceptance) and receives (at delivery); the frame's
+// addresses tell the two apart. Passing nil removes the tap. Taps are
+// how internal/trace captures traffic without perturbing it.
+func (e *Endpoint) SetTap(tap func(f *packet.Frame)) { e.tap = tap }
 
 // SetTracer attaches (or with nil detaches) a packet-lifecycle tracer
 // to this endpoint's transmit direction: traced frames record one
@@ -227,7 +227,7 @@ func (e *Endpoint) Send(f *packet.Frame) bool {
 	d.stats.SentFrames++
 	d.stats.SentBytes += uint64(f.WireLen())
 	if e.tap != nil {
-		e.tap(f, true)
+		e.tap(f)
 	}
 	if d.tracer != nil && f.TraceID != 0 {
 		// The full wire occupancy is known at acceptance: queue wait

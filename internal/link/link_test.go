@@ -332,8 +332,9 @@ func TestEndpointTapSeesBothDirections(t *testing.T) {
 	a, b := New(k, Config{})
 	b.Attach(func(f *packet.Frame) {})
 	var tx, rx int
-	a.SetTap(func(f *packet.Frame, isTx bool) {
-		if isTx {
+	aMAC := frame(1, 2, 0).Src // a sends as 2, b as 1
+	a.SetTap(func(f *packet.Frame) {
+		if f.Src == aMAC {
 			tx++
 		} else {
 			rx++

@@ -12,8 +12,8 @@ import (
 
 func tcpFrame(src, dst packet.IP, sport, dport uint16, flags packet.TCPFlags) *packet.Frame {
 	seg := &packet.TCPSegment{SrcPort: sport, DstPort: dport, Flags: flags, Window: 65535}
-	d := packet.NewDatagram(src, dst, packet.ProtoTCP, 1, seg.Marshal(src, dst))
-	return &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: d.Marshal()}
+	d := packet.NewDatagram(src, dst, packet.ProtoTCP, 1, seg.MarshalTo(src, dst, nil))
+	return &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: d.MarshalTo(nil)}
 }
 
 // benchRxStateful drives the stateful card's ingress: conntrack
@@ -37,7 +37,7 @@ func benchRxStateful(b *testing.B, invalid bool) {
 	n.handleFrame(tcpFrame(ipA, ipB, 40000, 2000, packet.FlagSYN))
 	seg := &packet.TCPSegment{SrcPort: 2000, DstPort: 40000,
 		Flags: packet.FlagSYN | packet.FlagACK, Window: 65535}
-	n.Send(packet.NewDatagram(ipB, ipA, packet.ProtoTCP, 2, seg.Marshal(ipB, ipA)), macA)
+	n.Send(packet.NewDatagram(ipB, ipA, packet.ProtoTCP, 2, seg.MarshalTo(ipB, ipA, nil)), macA)
 	n.handleFrame(tcpFrame(ipA, ipB, 40000, 2000, packet.FlagACK))
 	if err := k.Run(); err != nil {
 		b.Fatal(err)

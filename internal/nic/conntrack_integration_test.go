@@ -12,7 +12,7 @@ import (
 
 func tcpDgram(src, dst packet.IP, sport, dport uint16, flags packet.TCPFlags) *packet.Datagram {
 	s := &packet.TCPSegment{SrcPort: sport, DstPort: dport, Flags: flags, Window: 65535}
-	return packet.NewDatagram(src, dst, packet.ProtoTCP, 1, s.Marshal(src, dst))
+	return packet.NewDatagram(src, dst, packet.ProtoTCP, 1, s.MarshalTo(src, dst, nil))
 }
 
 // statefulRules is the canonical stateful policy: new connections only

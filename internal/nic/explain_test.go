@@ -150,14 +150,14 @@ func explainAgainstCard(t *testing.T, p Profile, rs *fw.RuleSet, dir string, fla
 		drops = func() [tracing.NumDropReasons]uint64 { _, tx := b.DropCounts(); return tx }
 	} else {
 		d := tcpDgram(ipA, ipB, 40000, 2000, flags)
-		f := &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: d.Marshal()}
+		f := &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: d.MarshalTo(nil)}
 		if dir == "in-sealed" {
 			env, err := g.Seal(nil, ipA, ipB, packet.ProtoTCP, d.Payload, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			outer := packet.NewDatagram(ipA, ipB, packet.ProtoVPGEncap, 1, env)
-			f = &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeVPG, Payload: outer.Marshal()}
+			f = &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeVPG, Payload: outer.MarshalTo(nil)}
 		}
 		if s, err = packet.Summarize(f); err != nil {
 			t.Fatal(err)

@@ -103,7 +103,7 @@ func equivDatagram(rng *rand.Rand, dir fw.Direction, remote packet.IP) *packet.D
 		return udpDatagram(src, dst, sport, dport, rng.Intn(200))
 	}
 	m := &packet.ICMPMessage{Type: []uint8{0, 8}[rng.Intn(2)], ID: 7, Seq: uint16(rng.Intn(100))}
-	return packet.NewDatagram(src, dst, packet.ProtoICMP, 1, m.Marshal())
+	return packet.NewDatagram(src, dst, packet.ProtoICMP, 1, m.MarshalTo(nil))
 }
 
 // refTwin is the reference the card is held to: a twin rule set walked
@@ -203,7 +203,7 @@ func TestCardMatcherEquivalence(t *testing.T) {
 				var s packet.Summary
 				var f *packet.Frame
 				if dir == fw.In {
-					f = &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: d.Marshal()}
+					f = &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: d.MarshalTo(nil)}
 					if tc.group != "" && remote == ipA && rng.Intn(2) == 0 {
 						var ok bool
 						if f, ok = peer.seal(tc.group, d, macB); !ok {

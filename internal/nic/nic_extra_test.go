@@ -26,18 +26,18 @@ func TestManagementBypassExemptsControlChannel(t *testing.T) {
 	// A TCP segment from the policy server to the agent port passes the
 	// deny-all policy.
 	seg := &packet.TCPSegment{SrcPort: 33000, DstPort: 4747, Flags: packet.FlagSYN}
-	d := packet.NewDatagram(serverIP, ipB, packet.ProtoTCP, 1, seg.Marshal(serverIP, ipB))
+	d := packet.NewDatagram(serverIP, ipB, packet.ProtoTCP, 1, seg.MarshalTo(serverIP, ipB, nil))
 	a.Send(d, macB)
 
 	// The same segment from any other address is denied.
 	other := packet.MustIP("10.0.0.77")
 	seg2 := &packet.TCPSegment{SrcPort: 33000, DstPort: 4747, Flags: packet.FlagSYN}
-	d2 := packet.NewDatagram(other, ipB, packet.ProtoTCP, 2, seg2.Marshal(other, ipB))
+	d2 := packet.NewDatagram(other, ipB, packet.ProtoTCP, 2, seg2.MarshalTo(other, ipB, nil))
 	a.Send(d2, macB)
 
 	// And a non-management port from the server is denied too.
 	seg3 := &packet.TCPSegment{SrcPort: 33000, DstPort: 80, Flags: packet.FlagSYN}
-	d3 := packet.NewDatagram(serverIP, ipB, packet.ProtoTCP, 3, seg3.Marshal(serverIP, ipB))
+	d3 := packet.NewDatagram(serverIP, ipB, packet.ProtoTCP, 3, seg3.MarshalTo(serverIP, ipB, nil))
 	a.Send(d3, macB)
 
 	if err := k.Run(); err != nil {
@@ -60,7 +60,7 @@ func TestManagementBypassEgress(t *testing.T) {
 
 	// Agent reply toward the server from the management port passes.
 	seg := &packet.TCPSegment{SrcPort: 4747, DstPort: 33000, Flags: packet.FlagSYN | packet.FlagACK}
-	d := packet.NewDatagram(ipA, serverIP, packet.ProtoTCP, 1, seg.Marshal(ipA, serverIP))
+	d := packet.NewDatagram(ipA, serverIP, packet.ProtoTCP, 1, seg.MarshalTo(ipA, serverIP, nil))
 	if !a.Send(d, macB) {
 		t.Error("management egress denied")
 	}
@@ -94,7 +94,7 @@ func TestManagementBypassDoesNotSurviveLockup(t *testing.T) {
 	delivered := 0
 	b.SetDeliver(func(f *packet.Frame) { delivered++ })
 	seg := &packet.TCPSegment{SrcPort: 33000, DstPort: 4747, Flags: packet.FlagSYN}
-	d := packet.NewDatagram(serverIP, ipB, packet.ProtoTCP, 1, seg.Marshal(serverIP, ipB))
+	d := packet.NewDatagram(serverIP, ipB, packet.ProtoTCP, 1, seg.MarshalTo(serverIP, ipB, nil))
 	a.Send(d, macB)
 	if err := k.RunFor(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestSendRawFrameBypassesPolicy(t *testing.T) {
 	b.SetDeliver(func(f *packet.Frame) { delivered++ })
 
 	d := udpDatagram(ipA, ipB, 1, 2, 32)
-	f := &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: d.Marshal()}
+	f := &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: d.MarshalTo(nil)}
 	if !a.SendRawFrame(f) {
 		t.Fatal("raw frame refused")
 	}
@@ -348,7 +348,7 @@ func TestNICConservationEveryDropReason(t *testing.T) {
 			t.Fatal(err)
 		}
 		outer := packet.NewDatagram(ipA, ipB, packet.ProtoVPGEncap, 9, env)
-		return &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeVPG, Payload: outer.Marshal()}
+		return &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeVPG, Payload: outer.MarshalTo(nil)}
 	}
 	degradedPair := func(t *testing.T, k *sim.Kernel, mode FailMode) (*NIC, *NIC) {
 		a, b := pair(t, k, EFW(), EFW())
@@ -358,7 +358,7 @@ func TestNICConservationEveryDropReason(t *testing.T) {
 		a.BeginPolicyUpdate()
 		a.AbortPolicyUpdate()
 		a.Send(udpDatagram(ipA, ipB, 1, 2, 10), macB)
-		a.SendRawFrame(&packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: udpDatagram(ipA, ipB, 1, 2, 10).Marshal()})
+		a.SendRawFrame(&packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: udpDatagram(ipA, ipB, 1, 2, 10).MarshalTo(nil)})
 		b.Send(udpDatagram(ipB, ipA, 2, 1, 10), macA)
 		return a, b
 	}
@@ -516,7 +516,7 @@ func TestNICConservationEveryDropReason(t *testing.T) {
 func TestIngressPathAllocFree(t *testing.T) {
 	udpTo := func(port uint16) *packet.Frame {
 		d := udpDatagram(ipA, ipB, 1000, port, 100)
-		return &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: d.Marshal()}
+		return &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: d.MarshalTo(nil)}
 	}
 	allow2000 := func() *fw.RuleSet {
 		return fw.MustRuleSet(fw.Deny,

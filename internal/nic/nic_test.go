@@ -28,12 +28,12 @@ func pair(t *testing.T, k *sim.Kernel, profA, profB Profile) (*NIC, *NIC) {
 
 func udpDatagram(src, dst packet.IP, sport, dport uint16, payload int) *packet.Datagram {
 	u := &packet.UDPDatagram{SrcPort: sport, DstPort: dport, Payload: make([]byte, payload)}
-	return packet.NewDatagram(src, dst, packet.ProtoUDP, 1, u.Marshal(src, dst))
+	return packet.NewDatagram(src, dst, packet.ProtoUDP, 1, u.MarshalTo(src, dst, nil))
 }
 
 func tcpSyn(src, dst packet.IP, sport, dport uint16) *packet.Datagram {
 	s := &packet.TCPSegment{SrcPort: sport, DstPort: dport, Flags: packet.FlagSYN}
-	return packet.NewDatagram(src, dst, packet.ProtoTCP, 1, s.Marshal(src, dst))
+	return packet.NewDatagram(src, dst, packet.ProtoTCP, 1, s.MarshalTo(src, dst, nil))
 }
 
 func TestStandardNICPassesTraffic(t *testing.T) {
@@ -343,7 +343,7 @@ func TestVPGRejectsCleartextFromNonMember(t *testing.T) {
 	b.SetDeliver(func(f *packet.Frame) { delivered++ })
 	evil := packet.MustIP("10.0.0.66")
 	d := udpDatagram(evil, ipB, 1, 2000, 64)
-	f := &packet.Frame{Dst: macB, Src: packet.MAC{2, 0, 0, 0, 0, 66}, Type: packet.EtherTypeIPv4, Payload: d.Marshal()}
+	f := &packet.Frame{Dst: macB, Src: packet.MAC{2, 0, 0, 0, 0, 66}, Type: packet.EtherTypeIPv4, Payload: d.MarshalTo(nil)}
 	b.handleFrame(f)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -382,7 +382,7 @@ func TestVPGForgedFrameDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	outer := packet.NewDatagram(ipA, ipB, packet.ProtoVPGEncap, 9, env)
-	forged := &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeVPG, Payload: outer.Marshal()}
+	forged := &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeVPG, Payload: outer.MarshalTo(nil)}
 	b.handleFrame(forged)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -420,7 +420,7 @@ func TestVPGReplayDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	outer := packet.NewDatagram(ipA, ipB, packet.ProtoVPGEncap, 9, env)
-	f := &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeVPG, Payload: outer.Marshal()}
+	f := &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeVPG, Payload: outer.MarshalTo(nil)}
 	b.handleFrame(f)
 	b.handleFrame(f.Clone())
 	if err := k.Run(); err != nil {
@@ -474,7 +474,7 @@ func TestEagerVPGDecryptCostsMore(t *testing.T) {
 			t.Fatal(err)
 		}
 		outer := packet.NewDatagram(ipA, ipB, packet.ProtoVPGEncap, 1, env)
-		f := &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeVPG, Payload: outer.Marshal()}
+		f := &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeVPG, Payload: outer.MarshalTo(nil)}
 		b.handleFrame(f)
 		return b.proc.UnitsDone()
 	}

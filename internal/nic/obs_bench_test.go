@@ -48,7 +48,7 @@ func benchRx(b *testing.B, instrument bool, sampleEvery int, profiled bool) {
 	}
 
 	d := udpDatagram(ipA, ipB, 1000, 2000, 100)
-	f := &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: d.Marshal()}
+	f := &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: d.MarshalTo(nil)}
 
 	b.ReportAllocs()
 	b.ResetTimer()

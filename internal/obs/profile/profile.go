@@ -19,8 +19,8 @@
 //     which simulation regions are worth sharding.
 //
 // Both domains export through one in-memory Data model as gzipped
-// pprof profile.proto (hand-rolled, stdlib only — see pprof.go) and
-// as folded-stack text for flamegraph.pl / speedscope (folded.go).
+// pprof profile.proto (hand-rolled, stdlib only — see pprof.go), which
+// carries every value column; `go tool pprof` and speedscope open it.
 //
 // Determinism contract (DESIGN.md §12): cost-domain profiles are
 // exact, not sampled — every admitted packet is recorded — so their
@@ -175,8 +175,8 @@ func (cp *CardProfiler) RecordTx(traversed, matched int, base, match, crypto flo
 func (cp *CardProfiler) Units() float64 { return cp.Rx.Units() + cp.Tx.Units() }
 
 // ruleFrame renders the stack frame of one 1-based rule index.
-// Semicolons are reserved by the folded-stack format, so they can
-// never appear in a frame.
+// Semicolons join frames in summaries and diffs, so they can never
+// appear in a frame.
 func (cp *CardProfiler) ruleFrame(i int) string {
 	label := fmt.Sprintf("rule %03d", i)
 	if cp.RuleText != nil {
@@ -397,8 +397,8 @@ type Sample struct {
 // is insertion order, which keeps every export deterministic.
 type Data struct {
 	SampleTypes []ValueType
-	// DefaultType selects the value column folded output and
-	// summaries weight by; must name one of SampleTypes.
+	// DefaultType selects the value column summaries and diffs
+	// weight by; must name one of SampleTypes.
 	DefaultType string
 	Period      int64
 	PeriodType  ValueType

@@ -193,14 +193,14 @@ func TestDataAddMergeDeterminism(t *testing.T) {
 
 	// Same build sequence → byte-identical exports.
 	var b1, b2 bytes.Buffer
-	if err := build().WriteFolded(&b1); err != nil {
+	if err := build().WritePprof(&b1); err != nil {
 		t.Fatal(err)
 	}
-	if err := build().WriteFolded(&b2); err != nil {
+	if err := build().WritePprof(&b2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatal("identical builds produced different folded bytes")
+		t.Fatal("identical builds produced different pprof bytes")
 	}
 }
 
@@ -251,43 +251,8 @@ func TestPprofRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFoldedRoundTrip(t *testing.T) {
-	d := testProfile()
-	var buf bytes.Buffer
-	if err := d.WriteFolded(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	// The zero-cost verdict sample must be skipped, others present.
-	if strings.Contains(out, "verdict") {
-		t.Errorf("zero-weight sample in folded output:\n%s", out)
-	}
-	if !strings.Contains(out, "target (EFW);rx;match;rule 001: allow tcp 250\n") {
-		t.Errorf("missing match line in folded output:\n%s", out)
-	}
-	got, err := ParseFolded(strings.NewReader(out), ValueType{Type: "cost", Unit: "units"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Total() != 425 {
-		t.Fatalf("parsed total = %d, want 425", got.Total())
-	}
-	if len(got.Samples) != 3 {
-		t.Fatalf("parsed %d samples, want 3", len(got.Samples))
-	}
-	if s := got.Samples[1]; s.Stack[3] != "rule 001: allow tcp" || s.Values[0] != 250 {
-		t.Fatalf("parsed sample = %v %v", s.Stack, s.Values)
-	}
-
-	// Blank lines and comments are tolerated; garbage is not.
-	if _, err := ParseFolded(strings.NewReader("\n# comment\na;b 5\n"), ValueType{Type: "x", Unit: "y"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseFolded(strings.NewReader("nocount\n"), ValueType{Type: "x", Unit: "y"}); err == nil {
-		t.Fatal("folded line without count: want error")
-	}
-}
-
+// TestReadProfileFileSniffing: ReadProfileFile loads what
+// WritePprofFile wrote, every value column intact.
 func TestReadProfileFileSniffing(t *testing.T) {
 	d := testProfile()
 	dir := t.TempDir()
@@ -301,18 +266,6 @@ func TestReadProfileFileSniffing(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertDataEqual(t, d, got)
-
-	foldedPath := dir + "/p.folded"
-	if err := d.WriteFoldedFile(foldedPath); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadProfileFile(foldedPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Total() != 425 {
-		t.Fatalf("folded-sniffed total = %d, want 425", got.Total())
-	}
 }
 
 func TestSummaryAndDiff(t *testing.T) {

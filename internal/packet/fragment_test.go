@@ -210,7 +210,7 @@ func TestFragmentHeaderRoundTrip(t *testing.T) {
 		TTL: 64, Protocol: ProtoUDP,
 		Src: MustIP("1.1.1.1"), Dst: MustIP("2.2.2.2"),
 	}
-	got, _, err := ParseIPv4Header(append(h.Marshal(), make([]byte, 40)...))
+	got, _, err := ParseIPv4Header(append(h.MarshalTo(nil), make([]byte, 40)...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,19 +222,19 @@ func TestFragmentHeaderRoundTrip(t *testing.T) {
 func TestSummarizeFragments(t *testing.T) {
 	d := bigDatagram(100)
 	u := &UDPDatagram{SrcPort: 9, DstPort: 7, Payload: make([]byte, 92)}
-	d.Payload = u.Marshal(d.Header.Src, d.Header.Dst)
+	d.Payload = u.MarshalTo(d.Header.Src, d.Header.Dst, nil)
 	frags, err := Fragment(d, IPv4HeaderLen+32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := SummarizeIPv4(frags[0].Marshal())
+	first, err := SummarizeIPv4(frags[0].MarshalTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !first.Fragment || !first.HasPorts || first.DstPort != 7 {
 		t.Errorf("first fragment summary = %+v", first)
 	}
-	later, err := SummarizeIPv4(frags[1].Marshal())
+	later, err := SummarizeIPv4(frags[1].MarshalTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,14 +10,14 @@ import (
 // simulator decodes: UDP, TCP and ICMP.
 func fuzzSeedDatagrams() [][]byte {
 	src, dst := MustIP("10.0.0.1"), MustIP("10.0.0.2")
-	udp := (&UDPDatagram{SrcPort: 5001, DstPort: 9, Payload: []byte("flood")}).Marshal(src, dst)
+	udp := (&UDPDatagram{SrcPort: 5001, DstPort: 9, Payload: []byte("flood")}).MarshalTo(src, dst, nil)
 	tcp := (&TCPSegment{SrcPort: 4242, DstPort: 80, Seq: 1000, Ack: 2000, Flags: FlagPSH | FlagACK,
-		Window: 65535, Payload: []byte("GET /")}).Marshal(src, dst)
-	icmp := (&ICMPMessage{Type: ICMPEchoRequest, ID: 0x4242, Seq: 1, Payload: []byte("ping")}).Marshal()
+		Window: 65535, Payload: []byte("GET /")}).MarshalTo(src, dst, nil)
+	icmp := (&ICMPMessage{Type: ICMPEchoRequest, ID: 0x4242, Seq: 1, Payload: []byte("ping")}).MarshalTo(nil)
 	return [][]byte{
-		NewDatagram(src, dst, ProtoUDP, 1, udp).Marshal(),
-		NewDatagram(src, dst, ProtoTCP, 2, tcp).Marshal(),
-		NewDatagram(src, dst, ProtoICMP, 3, icmp).Marshal(),
+		NewDatagram(src, dst, ProtoUDP, 1, udp).MarshalTo(nil),
+		NewDatagram(src, dst, ProtoTCP, 2, tcp).MarshalTo(nil),
+		NewDatagram(src, dst, ProtoICMP, 3, icmp).MarshalTo(nil),
 	}
 }
 
@@ -107,10 +107,10 @@ func FuzzUnmarshalDatagram(f *testing.F) {
 			return
 		}
 		// Without options the decoder loses only what it normalizes: the
-		// reserved flag bit, and with it the checksum, which Marshal
+		// reserved flag bit, and with it the checksum, which MarshalTo
 		// recomputes (0x0000 and 0xffff both verify when the rest of the
 		// header sums to 0xffff). Compare the rest byte for byte.
-		got := d.Marshal()
+		got := d.MarshalTo(nil)
 		if Checksum(got[:IPv4HeaderLen]) != 0 {
 			t.Fatalf("re-marshaled header %x fails its checksum", got[:IPv4HeaderLen])
 		}

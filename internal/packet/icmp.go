@@ -28,11 +28,6 @@ type ICMPMessage struct {
 	Payload []byte
 }
 
-// Marshal encodes the message with a correct checksum.
-func (m *ICMPMessage) Marshal() []byte {
-	return m.MarshalTo(make([]byte, 0, ICMPHeaderLen+len(m.Payload)))
-}
-
 // MarshalTo appends the encoded message to b and returns the extended
 // slice.
 func (m *ICMPMessage) MarshalTo(b []byte) []byte {

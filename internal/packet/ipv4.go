@@ -60,11 +60,6 @@ type IPv4Header struct {
 // later) of a larger datagram.
 func (h *IPv4Header) IsFragment() bool { return h.MoreFrags || h.FragOffset > 0 }
 
-// Marshal encodes the header with a correct checksum.
-func (h *IPv4Header) Marshal() []byte {
-	return h.MarshalTo(make([]byte, 0, IPv4HeaderLen))
-}
-
 // MarshalTo appends the encoded header (with a correct checksum) to b
 // and returns the extended slice.
 func (h *IPv4Header) MarshalTo(b []byte) []byte {
@@ -133,11 +128,6 @@ func ParseIPv4Header(b []byte) (IPv4Header, int, error) {
 type Datagram struct {
 	Header  IPv4Header
 	Payload []byte
-}
-
-// Marshal encodes the datagram, fixing TotalLen to match the payload.
-func (d *Datagram) Marshal() []byte {
-	return d.MarshalTo(make([]byte, 0, IPv4HeaderLen+len(d.Payload)))
 }
 
 // MarshalTo appends the encoded datagram to b (fixing TotalLen to match

@@ -62,7 +62,7 @@ func SummarizeIPv4(b []byte) (Summary, error) {
 // allocations) that Summarize over the wire bytes would cost. The
 // result is identical to summarizing the datagram's marshaled form.
 func SummarizeDatagram(d *Datagram) (Summary, error) {
-	// Marshal fixes TotalLen to the option-free header plus payload, so
+	// MarshalTo fixes TotalLen to the option-free header plus payload, so
 	// the wire-identical length is reconstructed the same way here.
 	return summarize(&d.Header, IPv4HeaderLen+len(d.Payload), d.Payload)
 }

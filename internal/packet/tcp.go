@@ -58,12 +58,6 @@ type TCPSegment struct {
 	Payload []byte
 }
 
-// Marshal encodes the segment with a correct checksum computed over the
-// IPv4 pseudo-header for src and dst.
-func (s *TCPSegment) Marshal(src, dst IP) []byte {
-	return s.MarshalTo(src, dst, make([]byte, 0, TCPHeaderLen+len(s.Payload)))
-}
-
 // MarshalTo appends the encoded segment to b and returns the extended
 // slice.
 func (s *TCPSegment) MarshalTo(src, dst IP, b []byte) []byte {

@@ -15,12 +15,6 @@ type UDPDatagram struct {
 	Payload []byte
 }
 
-// Marshal encodes the datagram with a correct checksum computed over the
-// IPv4 pseudo-header for src and dst.
-func (u *UDPDatagram) Marshal(src, dst IP) []byte {
-	return u.MarshalTo(src, dst, make([]byte, 0, UDPHeaderLen+len(u.Payload)))
-}
-
 // MarshalTo appends the encoded datagram to b and returns the extended
 // slice.
 func (u *UDPDatagram) MarshalTo(src, dst IP, b []byte) []byte {

@@ -122,7 +122,7 @@ func TestIPv4HeaderRoundTrip(t *testing.T) {
 		Src:      MustIP("10.0.0.1"),
 		Dst:      MustIP("10.0.0.2"),
 	}
-	b := h.Marshal()
+	b := h.MarshalTo(nil)
 	got, n, err := ParseIPv4Header(append(b, make([]byte, 100)...))
 	if err != nil {
 		t.Fatalf("ParseIPv4Header: %v", err)
@@ -138,7 +138,7 @@ func TestIPv4HeaderRoundTrip(t *testing.T) {
 func TestIPv4HeaderChecksumValidation(t *testing.T) {
 	h := &IPv4Header{TotalLen: 20, TTL: 64, Protocol: ProtoUDP,
 		Src: MustIP("1.1.1.1"), Dst: MustIP("2.2.2.2")}
-	b := h.Marshal()
+	b := h.MarshalTo(nil)
 	b[8] ^= 0xff // corrupt TTL
 	if _, _, err := ParseIPv4Header(b); err == nil {
 		t.Error("corrupted header parsed successfully")
@@ -155,7 +155,7 @@ func TestIPv4RejectsNonIPv4(t *testing.T) {
 
 func TestDatagramRoundTrip(t *testing.T) {
 	d := NewDatagram(MustIP("10.0.0.1"), MustIP("10.0.0.2"), ProtoUDP, 7, []byte("payload"))
-	got, err := UnmarshalDatagram(d.Marshal())
+	got, err := UnmarshalDatagram(d.MarshalTo(nil))
 	if err != nil {
 		t.Fatalf("UnmarshalDatagram: %v", err)
 	}
@@ -167,7 +167,7 @@ func TestDatagramRoundTrip(t *testing.T) {
 
 func TestDatagramTotalLenTruncates(t *testing.T) {
 	d := NewDatagram(MustIP("1.1.1.1"), MustIP("2.2.2.2"), ProtoUDP, 0, []byte("abcdef"))
-	b := d.Marshal()
+	b := d.MarshalTo(nil)
 	// Trailing garbage beyond TotalLen (e.g. Ethernet pad bytes) must be dropped.
 	b = append(b, 0xde, 0xad)
 	got, err := UnmarshalDatagram(b)
@@ -187,7 +187,7 @@ func TestTCPSegmentRoundTrip(t *testing.T) {
 		Flags: FlagSYN | FlagACK, Window: 65535,
 		Payload: []byte("GET /"),
 	}
-	got, err := UnmarshalTCPSegment(src, dst, s.Marshal(src, dst))
+	got, err := UnmarshalTCPSegment(src, dst, s.MarshalTo(src, dst, nil))
 	if err != nil {
 		t.Fatalf("UnmarshalTCPSegment: %v", err)
 	}
@@ -201,7 +201,7 @@ func TestTCPSegmentRoundTrip(t *testing.T) {
 func TestTCPChecksumCoversPseudoHeader(t *testing.T) {
 	src, dst := MustIP("10.0.0.1"), MustIP("10.0.0.2")
 	s := &TCPSegment{SrcPort: 1, DstPort: 2, Flags: FlagSYN}
-	b := s.Marshal(src, dst)
+	b := s.MarshalTo(src, dst, nil)
 	// Same bytes with a different destination IP must fail verification.
 	if _, err := UnmarshalTCPSegment(src, MustIP("10.0.0.3"), b); err == nil {
 		t.Error("TCP checksum did not bind destination address")
@@ -228,7 +228,7 @@ func TestTCPFlagsString(t *testing.T) {
 func TestUDPDatagramRoundTrip(t *testing.T) {
 	src, dst := MustIP("10.0.0.1"), MustIP("10.0.0.2")
 	u := &UDPDatagram{SrcPort: 5001, DstPort: 5002, Payload: []byte("iperf data")}
-	got, err := UnmarshalUDPDatagram(src, dst, u.Marshal(src, dst))
+	got, err := UnmarshalUDPDatagram(src, dst, u.MarshalTo(src, dst, nil))
 	if err != nil {
 		t.Fatalf("UnmarshalUDPDatagram: %v", err)
 	}
@@ -240,7 +240,7 @@ func TestUDPDatagramRoundTrip(t *testing.T) {
 func TestUDPChecksumTamperDetected(t *testing.T) {
 	src, dst := MustIP("10.0.0.1"), MustIP("10.0.0.2")
 	u := &UDPDatagram{SrcPort: 1, DstPort: 2, Payload: []byte("xyz")}
-	b := u.Marshal(src, dst)
+	b := u.MarshalTo(src, dst, nil)
 	b[len(b)-1] ^= 0x01
 	if _, err := UnmarshalUDPDatagram(src, dst, b); err == nil {
 		t.Error("tampered UDP datagram parsed successfully")
@@ -249,7 +249,7 @@ func TestUDPChecksumTamperDetected(t *testing.T) {
 
 func TestICMPRoundTrip(t *testing.T) {
 	m := &ICMPMessage{Type: ICMPEchoRequest, ID: 77, Seq: 3, Payload: []byte("ping")}
-	got, err := UnmarshalICMPMessage(m.Marshal())
+	got, err := UnmarshalICMPMessage(m.MarshalTo(nil))
 	if err != nil {
 		t.Fatalf("UnmarshalICMPMessage: %v", err)
 	}
@@ -260,7 +260,7 @@ func TestICMPRoundTrip(t *testing.T) {
 
 func TestICMPChecksumTamperDetected(t *testing.T) {
 	m := &ICMPMessage{Type: ICMPEchoReply, ID: 1}
-	b := m.Marshal()
+	b := m.MarshalTo(nil)
 	b[0] = ICMPEchoRequest
 	if _, err := UnmarshalICMPMessage(b); err == nil {
 		t.Error("tampered ICMP message parsed successfully")
@@ -278,7 +278,7 @@ func TestTCPRoundTripProperty(t *testing.T) {
 			SrcPort: srcPort, DstPort: dstPort, Seq: seq, Ack: ack,
 			Flags: TCPFlags(flags & 0x3f), Window: window, Payload: payload,
 		}
-		got, err := UnmarshalTCPSegment(src, dst, s.Marshal(src, dst))
+		got, err := UnmarshalTCPSegment(src, dst, s.MarshalTo(src, dst, nil))
 		if err != nil {
 			return false
 		}
@@ -297,7 +297,7 @@ func TestUDPRoundTripProperty(t *testing.T) {
 	f := func(srcPort, dstPort uint16, payload []byte) bool {
 		src, dst := IP{192, 0, 2, 1}, IP{192, 0, 2, 2}
 		u := &UDPDatagram{SrcPort: srcPort, DstPort: dstPort, Payload: payload}
-		got, err := UnmarshalUDPDatagram(src, dst, u.Marshal(src, dst))
+		got, err := UnmarshalUDPDatagram(src, dst, u.MarshalTo(src, dst, nil))
 		if err != nil {
 			return false
 		}
@@ -313,8 +313,8 @@ func TestUDPRoundTripProperty(t *testing.T) {
 func TestSummarizeTCP(t *testing.T) {
 	src, dst := MustIP("10.0.0.1"), MustIP("10.0.0.2")
 	seg := &TCPSegment{SrcPort: 4242, DstPort: 80, Flags: FlagSYN}
-	d := NewDatagram(src, dst, ProtoTCP, 1, seg.Marshal(src, dst))
-	f := &Frame{Type: EtherTypeIPv4, Payload: d.Marshal()}
+	d := NewDatagram(src, dst, ProtoTCP, 1, seg.MarshalTo(src, dst, nil))
+	f := &Frame{Type: EtherTypeIPv4, Payload: d.MarshalTo(nil)}
 	s, err := Summarize(f)
 	if err != nil {
 		t.Fatalf("Summarize: %v", err)
@@ -331,8 +331,8 @@ func TestSummarizeTCP(t *testing.T) {
 func TestSummarizeUDPAndICMP(t *testing.T) {
 	src, dst := MustIP("10.0.0.1"), MustIP("10.0.0.2")
 	u := &UDPDatagram{SrcPort: 53, DstPort: 5353, Payload: []byte("x")}
-	d := NewDatagram(src, dst, ProtoUDP, 1, u.Marshal(src, dst))
-	s, err := Summarize(&Frame{Type: EtherTypeIPv4, Payload: d.Marshal()})
+	d := NewDatagram(src, dst, ProtoUDP, 1, u.MarshalTo(src, dst, nil))
+	s, err := Summarize(&Frame{Type: EtherTypeIPv4, Payload: d.MarshalTo(nil)})
 	if err != nil {
 		t.Fatalf("Summarize UDP: %v", err)
 	}
@@ -341,8 +341,8 @@ func TestSummarizeUDPAndICMP(t *testing.T) {
 	}
 
 	m := &ICMPMessage{Type: ICMPEchoRequest}
-	d2 := NewDatagram(src, dst, ProtoICMP, 2, m.Marshal())
-	s2, err := Summarize(&Frame{Type: EtherTypeIPv4, Payload: d2.Marshal()})
+	d2 := NewDatagram(src, dst, ProtoICMP, 2, m.MarshalTo(nil))
+	s2, err := Summarize(&Frame{Type: EtherTypeIPv4, Payload: d2.MarshalTo(nil)})
 	if err != nil {
 		t.Fatalf("Summarize ICMP: %v", err)
 	}
@@ -363,7 +363,7 @@ func TestSummarizeRejectsUnknownEtherType(t *testing.T) {
 func TestSummarizeTruncatedTransport(t *testing.T) {
 	src, dst := MustIP("10.0.0.1"), MustIP("10.0.0.2")
 	d := NewDatagram(src, dst, ProtoTCP, 1, make([]byte, 5)) // < TCP header
-	if _, err := Summarize(&Frame{Type: EtherTypeIPv4, Payload: d.Marshal()}); err == nil {
+	if _, err := Summarize(&Frame{Type: EtherTypeIPv4, Payload: d.MarshalTo(nil)}); err == nil {
 		t.Error("truncated TCP summarized successfully")
 	}
 }

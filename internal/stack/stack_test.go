@@ -118,8 +118,8 @@ func TestUDPDelivery(t *testing.T) {
 // b's card delivers it.
 func udpFrame(a, b *Host, port uint16, payload []byte) *packet.Frame {
 	u := &packet.UDPDatagram{SrcPort: 40000, DstPort: port, Payload: payload}
-	d := packet.NewDatagram(a.IP(), b.IP(), packet.ProtoUDP, 1, u.Marshal(a.IP(), b.IP()))
-	return &packet.Frame{Dst: b.card.MAC(), Src: a.card.MAC(), Type: packet.EtherTypeIPv4, Payload: d.Marshal()}
+	d := packet.NewDatagram(a.IP(), b.IP(), packet.ProtoUDP, 1, u.MarshalTo(a.IP(), b.IP(), nil))
+	return &packet.Frame{Dst: b.card.MAC(), Src: a.card.MAC(), Type: packet.EtherTypeIPv4, Payload: d.MarshalTo(nil)}
 }
 
 // Receiving a UDP datagram for a bound socket decodes the datagram and

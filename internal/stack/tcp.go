@@ -707,7 +707,6 @@ type Listener struct {
 	host     *Host
 	port     uint16
 	onAccept func(*Conn)
-	accepted uint64
 
 	backlog  int
 	halfOpen map[connKey]*Conn
@@ -749,9 +748,6 @@ func (l *Listener) HalfOpen() int { return len(l.halfOpen) }
 // Port returns the listening port.
 func (l *Listener) Port() uint16 { return l.port }
 
-// Accepted returns the number of completed handshakes.
-func (l *Listener) Accepted() uint64 { return l.accepted }
-
 // Close unbinds the listener. Established connections are unaffected.
 func (l *Listener) Close() {
 	if l.host.listeners[l.port] == l {
@@ -781,7 +777,6 @@ func (l *Listener) accept(src packet.IP, syn *packet.TCPSegment) {
 	onAccept := l.onAccept
 	c.OnConnect = func() {
 		release()
-		l.accepted++
 		if onAccept != nil {
 			onAccept(c)
 		}

@@ -302,11 +302,11 @@ func TestSpoofedInjectionBypassesLocalFirewallOnly(t *testing.T) {
 
 	// Own address: denied by the victim's rule 1.
 	own := &packet.UDPDatagram{SrcPort: 1, DstPort: 7000, Payload: []byte("x")}
-	a.InjectDatagram(packet.NewDatagram(a.IP(), b.IP(), packet.ProtoUDP, 1, own.Marshal(a.IP(), b.IP())))
+	a.InjectDatagram(packet.NewDatagram(a.IP(), b.IP(), packet.ProtoUDP, 1, own.MarshalTo(a.IP(), b.IP(), nil)))
 	// Spoofed as the trusted client: slips past the block.
 	spoofIP := packet.MustIP("10.0.0.1")
 	sp := &packet.UDPDatagram{SrcPort: 1, DstPort: 7000, Payload: []byte("x")}
-	a.InjectDatagram(packet.NewDatagram(spoofIP, b.IP(), packet.ProtoUDP, 2, sp.Marshal(spoofIP, b.IP())))
+	a.InjectDatagram(packet.NewDatagram(spoofIP, b.IP(), packet.ProtoUDP, 2, sp.MarshalTo(spoofIP, b.IP(), nil)))
 
 	if err := nw.kernel.RunUntil(time.Second); err != nil {
 		t.Fatal(err)
@@ -335,7 +335,7 @@ func TestSYNFloodFillsListenerBacklog(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		src := packet.IP{192, 0, 2, byte(i + 1)}
 		seg := &packet.TCPSegment{SrcPort: 1000 + uint16(i), DstPort: 80, Seq: uint32(i), Flags: packet.FlagSYN, Window: 65535}
-		d := packet.NewDatagram(src, srv.IP(), packet.ProtoTCP, uint16(i), seg.Marshal(src, srv.IP()))
+		d := packet.NewDatagram(src, srv.IP(), packet.ProtoTCP, uint16(i), seg.MarshalTo(src, srv.IP(), nil))
 		atk.InjectDatagram(d)
 	}
 	if err := nw.kernel.RunUntil(time.Second); err != nil {

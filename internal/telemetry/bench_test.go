@@ -108,12 +108,12 @@ func BenchmarkRxPathTelemetry(b *testing.B) {
 
 	u := &packet.UDPDatagram{SrcPort: 1000, DstPort: 2000, Payload: make([]byte, 100)}
 	src, dst := packet.MustIP("10.0.0.1"), packet.MustIP("10.0.0.2")
-	d := packet.NewDatagram(src, dst, packet.ProtoUDP, 1, u.Marshal(src, dst))
+	d := packet.NewDatagram(src, dst, packet.ProtoUDP, 1, u.MarshalTo(src, dst, nil))
 	f := &packet.Frame{
 		Dst:     packet.MAC{0x02, 0, 0, 0, 0, 2},
 		Src:     packet.MAC{0x02, 0, 0, 0, 0, 1},
 		Type:    packet.EtherTypeIPv4,
-		Payload: d.Marshal(),
+		Payload: d.MarshalTo(nil),
 	}
 	base := card.Stats().RxAllowed
 

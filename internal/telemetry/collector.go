@@ -152,16 +152,6 @@ func (c *Collector) Health(device string) *DeviceHealth {
 	return c.devices[device]
 }
 
-// Staleness returns virtual time since the device's last accepted
-// report, or (0, false) if none has arrived yet.
-func (c *Collector) Staleness(device string) (time.Duration, bool) {
-	h := c.devices[device]
-	if h == nil || h.Reports == 0 {
-		return 0, false
-	}
-	return c.kernel.Now() - h.LastAt, true
-}
-
 // Totals returns (accepted, corrupt, bytes) across all devices.
 func (c *Collector) Totals() (reports, corrupt, bytes uint64) {
 	return c.reports, c.corrupt, c.bytes

@@ -40,10 +40,10 @@
 # Benchmarks present on only one side are reported but never fail the
 # gate, so adding or renaming a benchmark doesn't break CI.
 #
-# With --profile-compare the two arguments are cost/kernel profiles
-# written by -profile-out (.pprof or .folded); the script prints the
-# per-phase and per-stack deltas of NEW against OLD and exits 0 — the
-# diff is a report, not a gate.
+# With --profile-compare the two arguments are .pprof cost/kernel
+# profiles written by -profile-out; the script prints the per-phase and
+# per-stack deltas of NEW against OLD and exits 0 — the diff is a
+# report, not a gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
