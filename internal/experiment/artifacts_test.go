@@ -12,6 +12,10 @@ import (
 
 	"barbican/internal/core"
 	"barbican/internal/faults"
+	"barbican/internal/link"
+	"barbican/internal/packet"
+	"barbican/internal/sim"
+	"barbican/internal/trace"
 )
 
 // wallSeries are the registry series that measure the host rather than
@@ -217,5 +221,47 @@ func TestArtifactSet(t *testing.T) {
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("artifact set:\n got  %q\n want %q", got, want)
+	}
+}
+
+// TestWritePCAPReportsTruncation: a capture pushed past
+// trace.CaptureLimit still writes its retained tail, and writePCAP
+// names the file, the dropped count and the first retained timestamp
+// in one warning line. A capture within the limit warns nothing.
+func TestWritePCAPReportsTruncation(t *testing.T) {
+	k := sim.NewKernel()
+	a, _ := link.New(k, link.Config{QueueFrames: trace.CaptureLimit + 2})
+	capture := trace.NewCapture(k)
+	capture.Tap(a)
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			if !a.Send(&packet.Frame{Type: packet.EtherTypeIPv4, Payload: []byte{byte(i)}}) {
+				t.Fatalf("frame %d refused", i)
+			}
+		}
+	}
+	dir := t.TempDir()
+	var warn bytes.Buffer
+	send(2)
+	if err := writePCAP(dir, "short", capture, &warn); err != nil {
+		t.Fatal(err)
+	}
+	if warn.Len() != 0 {
+		t.Fatalf("a capture within the limit warned %q", warn.String())
+	}
+	k.At(1500*time.Millisecond, func() { send(trace.CaptureLimit) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := writePCAP(dir, "long", capture, &warn); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "long.pcap")
+	want := path + ": capture limit of 65536 records reached; dropped the first 2, file starts at 1.5s\n"
+	if warn.String() != want {
+		t.Errorf("warning %q, want %q", warn.String(), want)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+		t.Errorf("truncated capture not written: %v", err)
 	}
 }

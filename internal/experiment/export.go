@@ -96,17 +96,21 @@ func (c Config) writeRunArtifacts(exp, label string, out core.Outcome, inst *cor
 		}
 	}
 	if c.PcapDir != "" {
-		return writePCAP(filepath.Join(c.PcapDir, exp), label, inst.Capture)
+		return writePCAP(filepath.Join(c.PcapDir, exp), label, inst.Capture, os.Stderr)
 	}
 	return nil
 }
 
-// writePCAP writes a run's wire capture as <dir>/<label>.pcap.
-func writePCAP(dir, label string, capture *trace.Capture) error {
+// writePCAP writes a run's wire capture as <dir>/<label>.pcap. A
+// capture that passed trace.CaptureLimit holds only the run's tail, so
+// writePCAP then prints one line to warn naming the file, the dropped
+// record count and the first retained timestamp.
+func writePCAP(dir, label string, capture *trace.Capture, warn io.Writer) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, obs.SanitizeName(label)+".pcap"))
+	path := filepath.Join(dir, obs.SanitizeName(label)+".pcap")
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
@@ -114,7 +118,14 @@ func writePCAP(dir, label string, capture *trace.Capture) error {
 		f.Close()
 		return err
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if n := capture.Dropped(); n > 0 {
+		fmt.Fprintf(warn, "%s: capture limit of %d records reached; dropped the first %d, file starts at %v\n",
+			path, trace.CaptureLimit, n, capture.Records()[0].At)
+	}
+	return nil
 }
 
 // writeMergedCostProfile merges per-point cost profiles (in the order

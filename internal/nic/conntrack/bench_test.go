@@ -12,8 +12,8 @@ import (
 // path (every packet of every established flow — must stay at 0
 // allocs/op, it runs inside the card's noalloc ingress), the miss that
 // classifies INVALID (the ACK-flood drop path, also alloc-free), and
-// insert/evict churn per policy (the SYN-flood path; map bookkeeping
-// amortizes but the steady state must not grow).
+// insert/evict churn per policy (the SYN-flood path: the flat index is
+// sized once in New, so churn is also 0 allocs/op).
 func BenchmarkConntrack(b *testing.B) {
 	now := time.Second
 	establish := func(tab *Table, src packet.IP, sport uint16) packet.Summary {

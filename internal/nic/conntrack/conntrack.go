@@ -16,12 +16,21 @@
 // decides deterministically (seeded, on virtual time) which entry dies
 // — the difference between the three policies under SYN flood is one
 // of the experiment families this repository measures.
+//
+// The bound holds for the host's memory too. Entries live in a slab of
+// Cap slots, and the two lookup structures — the tuple index and the
+// per-address-pair counts behind RELATED — are internal/flatidx
+// indexes sized once in New for Cap keys, so a table allocates nothing
+// after New however hard it churns. (Go maps in their place grew past
+// their size hints under a SYN flood.) Eviction order comes from the
+// LRU lists and the seeded stream alone; nothing iterates an index.
 package conntrack
 
 import (
 	"math/rand"
 	"time"
 
+	"barbican/internal/flatidx"
 	"barbican/internal/fw"
 	"barbican/internal/packet"
 )
@@ -58,35 +67,34 @@ func (p EvictPolicy) String() string {
 	return "evict(?)"
 }
 
-// Key is the canonical connection tuple: the two endpoints ordered
-// (lower address, then lower port, first) plus the IP protocol, so
-// both directions of a connection hash to the same entry. ICMP pairs
-// use zero ports.
-type Key struct {
-	loIP, hiIP     packet.IP
-	loPort, hiPort uint16
-	proto          packet.Protocol
-}
-
-// keyOf canonicalizes a summary's tuple.
+// keyOf canonicalizes a summary's tuple into the index key: the two
+// endpoints ordered (lower address, then lower port, first) plus the IP
+// protocol, so both directions of a connection map to the same entry.
+// Hi holds the lower and the higher address, Lo the lower port, the
+// higher port and the protocol. ICMP pairs use zero ports.
 //
 //barbican:noalloc
-func keyOf(s packet.Summary) Key {
+func keyOf(s packet.Summary) flatidx.Key {
 	sp, dp := s.SrcPort, s.DstPort
 	if s.Proto == packet.ProtoICMP || !s.HasPorts {
 		sp, dp = 0, 0
 	}
 	su, du := s.Src.Uint32(), s.Dst.Uint32()
-	if su < du || (su == du && sp <= dp) {
-		return Key{loIP: s.Src, hiIP: s.Dst, loPort: sp, hiPort: dp, proto: s.Proto}
+	if su > du || (su == du && sp > dp) {
+		su, du, sp, dp = du, su, dp, sp
 	}
-	return Key{loIP: s.Dst, hiIP: s.Src, loPort: dp, hiPort: sp, proto: s.Proto}
+	return flatidx.Key{
+		Hi: uint64(su)<<32 | uint64(du),
+		Lo: uint64(sp)<<24 | uint64(dp)<<8 | uint64(s.Proto),
+	}
 }
 
-// ipPair is the unordered address pair, for the ICMP-related index.
-type ipPair struct{ lo, hi packet.IP }
+// protoOf is a key's IP protocol.
+func protoOf(k flatidx.Key) packet.Protocol { return packet.Protocol(k.Lo) }
 
-func pairOf(k Key) ipPair { return ipPair{lo: k.loIP, hi: k.hiIP} }
+// pairOf is a key's unordered address pair, the ICMP-related index's
+// key.
+func pairOf(k flatidx.Key) flatidx.Key { return flatidx.Key{Hi: k.Hi} }
 
 // List identifiers for an entry's intrusive-list membership.
 const (
@@ -99,7 +107,7 @@ const (
 // intrusive prev/next indices thread them onto exactly one of two LRU
 // lists (embryonic or assured), least recently used at the head.
 type entry struct {
-	key       Key
+	key       flatidx.Key
 	origSrc   packet.IP // initiator's address ...
 	origSport uint16    // ... and source port, for direction semantics
 	tcp       TCPState
@@ -148,12 +156,12 @@ type Table struct {
 	policy EvictPolicy
 	rng    *rand.Rand
 
-	idx       map[Key]int32
+	idx       *flatidx.Index // key → entry slot
 	entries   []entry
 	freeList  []int32
 	embryonic lruList
 	assured   lruList
-	pairCount map[ipPair]uint16 // live non-ICMP entries per address pair
+	pairCount *flatidx.Index // address pair → its live non-ICMP entries
 
 	// looseUntil, when in the future, admits TCP packets with no entry
 	// as New (and Commit re-establishes them directly): the recovery
@@ -175,10 +183,10 @@ func New(cfg Config) *Table {
 		cap:       cfg.Cap,
 		policy:    cfg.Policy,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		idx:       make(map[Key]int32, cfg.Cap),
+		idx:       flatidx.New(cfg.Cap),
 		entries:   make([]entry, cfg.Cap),
 		freeList:  make([]int32, 0, cfg.Cap),
-		pairCount: make(map[ipPair]uint16),
+		pairCount: flatidx.New(cfg.Cap),
 	}
 	t.embryonic = lruList{head: -1, tail: -1}
 	t.assured = lruList{head: -1, tail: -1}
@@ -261,16 +269,18 @@ func (t *Table) touch(i int32, now time.Duration) {
 }
 
 // remove frees entry i.
+//
+//barbican:noalloc
 func (t *Table) remove(i int32) {
 	e := &t.entries[i]
 	t.unlink(i)
-	delete(t.idx, e.key)
-	if e.key.proto != packet.ProtoICMP {
+	t.idx.Delete(e.key)
+	if protoOf(e.key) != packet.ProtoICMP {
 		p := pairOf(e.key)
-		if c := t.pairCount[p]; c <= 1 {
-			delete(t.pairCount, p)
+		if c, _ := t.pairCount.Get(p); c <= 1 {
+			t.pairCount.Delete(p)
 		} else {
-			t.pairCount[p] = c - 1
+			t.pairCount.Put(p, c-1)
 		}
 	}
 	*e = entry{}
@@ -311,8 +321,8 @@ func (t *Table) expiredAt(i int32, now time.Duration) bool {
 // one.
 //
 //barbican:noalloc
-func (t *Table) lookupLive(k Key, now time.Duration) (int32, bool) {
-	i, ok := t.idx[k]
+func (t *Table) lookupLive(k flatidx.Key, now time.Duration) (int32, bool) {
+	i, ok := t.idx.Get(k)
 	if !ok {
 		return -1, false
 	}
@@ -389,7 +399,7 @@ func (t *Table) Classify(s packet.Summary, now time.Duration) fw.ConnState {
 // classifyNoEntry decides the state of a packet with no table entry.
 //
 //barbican:noalloc
-func (t *Table) classifyNoEntry(s packet.Summary, k Key, now time.Duration) fw.ConnState {
+func (t *Table) classifyNoEntry(s packet.Summary, k flatidx.Key, now time.Duration) fw.ConnState {
 	switch s.Proto {
 	case packet.ProtoTCP:
 		if s.Flags.Has(packet.FlagSYN) && !s.Flags.Has(packet.FlagACK) &&
@@ -403,7 +413,7 @@ func (t *Table) classifyNoEntry(s packet.Summary, k Key, now time.Duration) fw.C
 		}
 		return fw.StateInvalid
 	case packet.ProtoICMP:
-		if t.pairCount[pairOf(k)] > 0 {
+		if _, ok := t.pairCount.Get(pairOf(k)); ok {
 			return fw.StateRelated
 		}
 		return fw.StateNew
@@ -414,6 +424,8 @@ func (t *Table) classifyNoEntry(s packet.Summary, k Key, now time.Duration) fw.C
 
 // restart rewinds a Closed/TimeWait entry for tuple reuse: the packet
 // is a fresh SYN from whichever side sent it.
+//
+//barbican:noalloc
 func (t *Table) restart(i int32, s packet.Summary, now time.Duration) {
 	e := &t.entries[i]
 	e.origSrc, e.origSport = s.Src, s.SrcPort
@@ -445,6 +457,8 @@ const (
 // its entry (evicting per policy when the table is full). Packets
 // whose connection is already tracked, and Related packets, are
 // no-ops.
+//
+//barbican:noalloc
 func (t *Table) Commit(s packet.Summary, now time.Duration) CommitStatus {
 	k := keyOf(s)
 	if _, ok := t.lookupLive(k, now); ok {
@@ -462,9 +476,11 @@ func (t *Table) Commit(s packet.Summary, now time.Duration) CommitStatus {
 		} else {
 			st = TCPSynSent
 		}
-	} else if s.Proto == packet.ProtoICMP && t.pairCount[pairOf(k)] > 0 {
-		// Related ICMP rides on the connection it refers to.
-		return CommitExisting
+	} else if s.Proto == packet.ProtoICMP {
+		if _, ok := t.pairCount.Get(pairOf(k)); ok {
+			// Related ICMP rides on the connection it refers to.
+			return CommitExisting
+		}
 	}
 
 	i, ok := t.slot(now)
@@ -489,9 +505,11 @@ func (t *Table) Commit(s packet.Summary, now time.Duration) CommitStatus {
 		e.tcp = TCPEstablished
 		e.replied, e.assured = true, true
 	}
-	t.idx[k] = i
-	if k.proto != packet.ProtoICMP {
-		t.pairCount[pairOf(k)]++
+	t.idx.Put(k, i)
+	if s.Proto != packet.ProtoICMP {
+		p := pairOf(k)
+		c, _ := t.pairCount.Get(p)
+		t.pairCount.Put(p, c+1)
 	}
 	list, l := uint8(onEmbryonic), &t.embryonic
 	if e.assured {
@@ -505,6 +523,8 @@ func (t *Table) Commit(s packet.Summary, now time.Duration) CommitStatus {
 }
 
 // slot returns a free slot, reaping one expired list head if needed.
+//
+//barbican:noalloc
 func (t *Table) slot(now time.Duration) (int32, bool) {
 	if n := len(t.freeList); n > 0 {
 		i := t.freeList[n-1]
@@ -528,6 +548,8 @@ func (t *Table) slot(now time.Duration) (int32, bool) {
 }
 
 // evict frees a slot per the configured policy and returns it.
+//
+//barbican:noalloc
 func (t *Table) evict(now time.Duration) (int32, bool) {
 	var victim int32 = -1
 	switch t.policy {
@@ -577,7 +599,7 @@ type PeekInfo struct {
 // Peek returns the tracked connection a packet would consult, without
 // mutating anything (no expiry, no transitions, no counters).
 func (t *Table) Peek(s packet.Summary, now time.Duration) (PeekInfo, bool) {
-	i, ok := t.idx[keyOf(s)]
+	i, ok := t.idx.Get(keyOf(s))
 	if !ok || t.expiredAt(i, now) {
 		return PeekInfo{}, false
 	}

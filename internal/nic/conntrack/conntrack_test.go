@@ -265,6 +265,48 @@ func TestConntrackEvictionPolicies(t *testing.T) {
 	})
 }
 
+// TestConntrackChurnAllocatesNothing holds the SYN-flood write path to
+// zero allocations after New: filling a table and then churning it —
+// every classify-and-commit of a fresh SYN evicting one entry and
+// inserting another — allocates nothing under any policy. Each
+// measured call churns a table built before measuring, so the fill is
+// measured too.
+func TestConntrackChurnAllocatesNothing(t *testing.T) {
+	const capacity = 64
+	for _, policy := range []EvictPolicy{EvictLRU, EvictRandom, EvictSYNDrop} {
+		t.Run(policy.String(), func(t *testing.T) {
+			const runs = 4
+			var tables [runs + 1]*Table // AllocsPerRun calls once more to warm up
+			for i := range tables {
+				tables[i] = New(Config{Cap: capacity, Policy: policy, Seed: 1})
+			}
+			calls := 0
+			churn := func() {
+				tab := tables[calls]
+				calls++
+				now := time.Second
+				for n := 1; n <= 8*capacity; n++ {
+					s := tcpPkt(packet.IP{198, 18, byte(n >> 8), byte(n)}, ipS, uint16(n), 80, packet.FlagSYN)
+					tab.Classify(s, now)
+					want := CommitEvicted
+					if n <= capacity {
+						want = CommitCreated
+					}
+					if st := tab.Commit(s, now); st != want {
+						t.Fatalf("commit %d = %v, want %v", n, st, want)
+					}
+				}
+				if st := tab.Stats(); tab.Len() != capacity || st.Evicted != 7*capacity {
+					t.Fatalf("len %d, %d evicted; want %d and %d", tab.Len(), st.Evicted, capacity, 7*capacity)
+				}
+			}
+			if a := testing.AllocsPerRun(runs, churn); a != 0 {
+				t.Errorf("%v allocs per fill-and-churn, want 0", a)
+			}
+		})
+	}
+}
+
 func TestConntrackFlush(t *testing.T) {
 	tab := New(Config{Cap: 8, Seed: 1})
 	for i := 0; i < 5; i++ {

@@ -77,7 +77,7 @@ const (
 func idleTimeout(e *entry) time.Duration {
 	switch e.tcp {
 	case TCPNone:
-		if e.key.proto == packet.ProtoICMP {
+		if protoOf(e.key) == packet.ProtoICMP {
 			return timeoutICMP
 		}
 		if e.replied {

@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"barbican/internal/flatidx"
 	"barbican/internal/fw"
 	"barbican/internal/packet"
 )
@@ -13,28 +14,10 @@ import (
 // and degraded-mode transition, which is what keeps a cached verdict
 // always equal to what the installed policy would decide.
 //
-// The structure is an index map over fixed parallel slot arrays with a
-// round-robin eviction cursor: bounded memory, deterministic eviction
-// order, and a hit path that performs no map writes — so lookup holds
-// 0 allocs/op under the noalloc gate.
-
-// flowKey is the flow identity a verdict depends on. It carries exactly
-// the packet attributes fw.Rule.MatchesState reads — protocol,
-// addresses, ports (and whether they exist), sealing, travel
-// direction, and the conntrack classification — and nothing else, so
-// two packets with equal keys are guaranteed the same verdict under a
-// fixed policy. Per-packet attributes that do not change the verdict
-// (length, TCP flags except through cs, fragmentation) stay out of the
-// key and keep the hit rate high. On stateless policies cs is always
-// fw.StateNone and the key degenerates to the old 5-tuple form.
-type flowKey struct {
-	src, dst         packet.IP
-	srcPort, dstPort uint16
-	proto            packet.Protocol
-	dir              fw.Direction
-	cs               fw.ConnState
-	flags            uint8 // bit 0: has transport ports; bit 1: sealed
-}
+// The structure is a fixed flat index (internal/flatidx) over fixed
+// parallel slot arrays with a round-robin eviction cursor: memory is
+// allocated once, at construction, eviction order comes from the
+// cursor alone, and neither a hit nor an insert allocates.
 
 // FlowCacheStats is a snapshot of the cache's counters.
 type FlowCacheStats struct {
@@ -47,8 +30,8 @@ type FlowCacheStats struct {
 
 type flowCache struct {
 	cap      int
-	idx      map[flowKey]int32
-	keys     []flowKey
+	idx      *flatidx.Index
+	keys     []flatidx.Key
 	verdicts []fw.Verdict
 	used     []bool
 	cursor   int
@@ -62,35 +45,46 @@ func newFlowCache(capacity int) *flowCache {
 	}
 	return &flowCache{
 		cap:      capacity,
-		idx:      make(map[flowKey]int32, capacity),
-		keys:     make([]flowKey, capacity),
+		idx:      flatidx.New(capacity),
+		keys:     make([]flatidx.Key, capacity),
 		verdicts: make([]fw.Verdict, capacity),
 		used:     make([]bool, capacity),
 	}
 }
 
 // key builds the flow identity for a packet summary traveling in dir
-// whose conntrack classification is cs.
+// whose conntrack classification is cs. It carries exactly the packet
+// attributes fw.Rule.MatchesState reads — protocol, addresses, ports
+// (and whether they exist), sealing, travel direction, and the
+// conntrack classification — and nothing else, so two packets with
+// equal keys are guaranteed the same verdict under a fixed policy.
+// Per-packet attributes that do not change the verdict (length, TCP
+// flags except through cs, fragmentation) stay out of the key and keep
+// the hit rate high. On stateless policies cs is always fw.StateNone.
+//
+// The key packs into 128 bits with no padding: Hi holds the source and
+// destination addresses; Lo the source and destination ports, the
+// protocol, the direction and cs (one byte each), and a flags byte
+// (bit 0: has transport ports; bit 1: sealed).
 //
 //barbican:noalloc
-func (c *flowCache) key(s packet.Summary, dir fw.Direction, cs fw.ConnState) flowKey {
-	k := flowKey{src: s.Src, dst: s.Dst, proto: s.Proto, dir: dir, cs: cs}
+func (c *flowCache) key(s packet.Summary, dir fw.Direction, cs fw.ConnState) flatidx.Key {
+	lo := uint64(s.Proto)<<24 | uint64(uint8(dir))<<16 | uint64(uint8(cs))<<8
 	if s.HasPorts {
-		k.srcPort, k.dstPort = s.SrcPort, s.DstPort
-		k.flags |= 1
+		lo |= uint64(s.SrcPort)<<48 | uint64(s.DstPort)<<32 | 1
 	}
 	if s.Sealed {
-		k.flags |= 2
+		lo |= 2
 	}
-	return k
+	return flatidx.Key{Hi: uint64(s.Src.Uint32())<<32 | uint64(s.Dst.Uint32()), Lo: lo}
 }
 
 // lookup returns the cached verdict for the packet's flow. It is the
-// per-packet hot path: one map read, no writes beyond the counters.
+// per-packet hot path: one index probe, no writes beyond the counters.
 //
 //barbican:noalloc
 func (c *flowCache) lookup(s packet.Summary, dir fw.Direction, cs fw.ConnState) (fw.Verdict, bool) {
-	if i, ok := c.idx[c.key(s, dir, cs)]; ok {
+	if i, ok := c.idx.Get(c.key(s, dir, cs)); ok {
 		c.hits++
 		return c.verdicts[i], true
 	}
@@ -100,9 +94,11 @@ func (c *flowCache) lookup(s packet.Summary, dir fw.Direction, cs fw.ConnState) 
 
 // insert remembers the verdict for the packet's flow, evicting the
 // slot under the round-robin cursor when the cache is full.
+//
+//barbican:noalloc
 func (c *flowCache) insert(s packet.Summary, dir fw.Direction, cs fw.ConnState, v fw.Verdict) {
 	k := c.key(s, dir, cs)
-	if i, ok := c.idx[k]; ok {
+	if i, ok := c.idx.Get(k); ok {
 		c.verdicts[i] = v
 		return
 	}
@@ -112,20 +108,20 @@ func (c *flowCache) insert(s packet.Summary, dir fw.Direction, cs fw.ConnState, 
 		c.cursor = 0
 	}
 	if c.used[slot] {
-		delete(c.idx, c.keys[slot])
+		c.idx.Delete(c.keys[slot])
 		c.evictions++
 	}
 	c.keys[slot] = k
 	c.verdicts[slot] = v
 	c.used[slot] = true
-	c.idx[k] = int32(slot)
+	c.idx.Put(k, int32(slot))
 }
 
 // invalidate drops every cached verdict. Called on policy commits and
-// degraded-mode transitions; the map keeps its buckets, so refill after
-// invalidation does not allocate in steady state.
+// degraded-mode transitions; the index and the slot arrays keep their
+// memory, so refill after invalidation does not allocate.
 func (c *flowCache) invalidate() {
-	clear(c.idx)
+	c.idx.Clear()
 	for i := range c.used {
 		c.used[i] = false
 	}
@@ -137,6 +133,6 @@ func (c *flowCache) stats() FlowCacheStats {
 	return FlowCacheStats{
 		Hits: c.hits, Misses: c.misses,
 		Evictions: c.evictions, Invalidations: c.invalidations,
-		Entries: len(c.idx),
+		Entries: c.idx.Len(),
 	}
 }

@@ -17,9 +17,9 @@ func benchSummary(srcLast byte, sport uint16) packet.Summary {
 }
 
 // BenchmarkFlowCache prices the two cache outcomes the NextGen cost
-// model charges for: a hit (one map read + counter replay — flat at
+// model charges for: a hit (one index probe + counter replay — flat at
 // any rule depth, 0 allocs/op) and a miss under churn (failed lookup +
-// compiled eval + bounded insert with eviction).
+// compiled eval + bounded insert with eviction, also 0 allocs/op).
 func BenchmarkFlowCache(b *testing.B) {
 	for _, depth := range []int{1, 64, 512} {
 		rs, err := fw.DepthRuleSet(depth, fw.AllowAllRule(), fw.Deny)

@@ -68,6 +68,34 @@ func TestFlowCacheBoundedEviction(t *testing.T) {
 	}
 }
 
+// TestFlowCacheInsertEvictAllocatesNothing: after newFlowCache,
+// filling the cache and then inserting new flows — each evicting the
+// slot under the cursor — allocates nothing. Each measured call churns
+// a cache built before measuring, so the fill is measured too. The
+// capacity is the stateful card's, where this churn grows a Go map.
+func TestFlowCacheInsertEvictAllocatesNothing(t *testing.T) {
+	const capacity, runs = 1024, 4
+	var caches [runs + 1]*flowCache // AllocsPerRun calls once more to warm up
+	for i := range caches {
+		caches[i] = newFlowCache(capacity)
+	}
+	v := depth64Allow(t).Eval(benchSummary(1, 1), fw.In)
+	calls := 0
+	churn := func() {
+		c := caches[calls]
+		calls++
+		for n := 1; n <= 8*capacity; n++ {
+			c.insert(benchSummary(byte(n), uint16(n)), fw.In, fw.StateNew, v)
+		}
+		if st := c.stats(); st.Entries != capacity || st.Evictions != 7*capacity {
+			t.Fatalf("after churn: %+v, want %d entries and %d evictions", st, capacity, 7*capacity)
+		}
+	}
+	if a := testing.AllocsPerRun(runs, churn); a != 0 {
+		t.Errorf("%v allocs per fill-and-churn, want 0", a)
+	}
+}
+
 // TestFlowCacheKeySeparation: flows differing in any verdict-relevant
 // attribute — ports, direction, sealing — must not share a cache entry.
 func TestFlowCacheKeySeparation(t *testing.T) {

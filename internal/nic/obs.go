@@ -119,7 +119,7 @@ func (n *NIC) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
 		counter("nic_flow_cache_invalidations_total", "Whole-cache invalidations (policy commits and degraded-mode transitions).",
 			func() float64 { return float64(n.fcache.invalidations) })
 		gauge("nic_flow_cache_entries", "Flow verdicts currently cached.",
-			func() float64 { return float64(len(n.fcache.idx)) })
+			func() float64 { return float64(n.fcache.idx.Len()) })
 	}
 
 	if n.ct != nil {

@@ -10,6 +10,13 @@
 // denial-of-service findings. The EFW additionally exhibits the paper's
 // Deny-All lockup: flooded with denied packets above ~1,000/s the card
 // wedges until the firewall agent is restarted.
+//
+// The hypothetical NextGen and stateful cards add a per-flow verdict
+// cache (flowcache.go), and the stateful card a connection-tracking
+// table (package conntrack). Both live in fixed memory, as on a card:
+// their slot arrays and their internal/flatidx indexes are allocated
+// when the card is built and never grow, however hard a flood churns
+// them.
 package nic
 
 import (
