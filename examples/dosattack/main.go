@@ -6,20 +6,22 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"barbican/internal/core"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	fmt.Println("== Available bandwidth under flood (64-rule policy, flood allowed) ==")
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "== Available bandwidth under flood (64-rule policy, flood allowed) ==")
 	for _, device := range []core.Device{core.DeviceStandard, core.DeviceEFW} {
 		depth := 64
 		if device == core.DeviceStandard {
@@ -34,11 +36,11 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("  %-12v flood %5.0f pps -> %5.1f Mbps\n", device, rate, p.Mbps())
+			fmt.Fprintf(w, "  %-12v flood %5.0f pps -> %5.1f Mbps\n", device, rate, p.Mbps())
 		}
 	}
 
-	fmt.Println("\n== Minimum flood rate for denial of service ==")
+	fmt.Fprintln(w, "\n== Minimum flood rate for denial of service ==")
 	for _, tc := range []struct {
 		device  core.Device
 		depth   int
@@ -61,16 +63,16 @@ func run() error {
 		}
 		switch {
 		case !r.Found:
-			fmt.Printf("  %-4v depth %2d (%s): no DoS up to %d pps\n",
+			fmt.Fprintf(w, "  %-4v depth %2d (%s): no DoS up to %d pps\n",
 				tc.device, tc.depth, mode, core.MaxSearchRatePPS)
 		case r.LockedUp:
-			fmt.Printf("  %-4v depth %2d (%s): ≈%5.0f pps — card LOCKED UP; only an agent restart recovers it\n",
+			fmt.Fprintf(w, "  %-4v depth %2d (%s): ≈%5.0f pps — card LOCKED UP; only an agent restart recovers it\n",
 				tc.device, tc.depth, mode, r.RatePPS)
 		default:
-			fmt.Printf("  %-4v depth %2d (%s): ≈%5.0f pps\n", tc.device, tc.depth, mode, r.RatePPS)
+			fmt.Fprintf(w, "  %-4v depth %2d (%s): ≈%5.0f pps\n", tc.device, tc.depth, mode, r.RatePPS)
 		}
 	}
 
-	fmt.Println("\nAn attacker on a 100 Mbps segment can trivially reach every one of those rates.")
+	fmt.Fprintln(w, "\nAn attacker on a 100 Mbps segment can trivially reach every one of those rates.")
 	return nil
 }

@@ -7,8 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
-	"sort"
+	"os"
 	"time"
 
 	"barbican/internal/core"
@@ -19,12 +20,12 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	tb, err := core.NewTestbed(core.TestbedOptions{TargetDevice: core.DeviceEFW})
 	if err != nil {
 		return err
@@ -37,13 +38,15 @@ func run() error {
 	psk := policy.DeriveKey("dpasa")
 	srv := policy.NewServer(tb.PolicyServer, psk)
 
-	agents := map[string]*policy.Agent{}
-	for name, h := range map[string]*stack.Host{"target": tb.Target, "oracle-db": db} {
-		agent, err := policy.NewAgent(h, tb.PolicyServer.IP(), psk)
-		if err != nil {
+	fleet := []struct {
+		name  string
+		host  *stack.Host
+		agent *policy.Agent
+	}{{name: "oracle-db", host: db}, {name: "target", host: tb.Target}}
+	for i := range fleet {
+		if fleet[i].agent, err = policy.NewAgent(fleet[i].host, tb.PolicyServer.IP(), psk); err != nil {
 			return err
 		}
-		agents[name] = agent
 	}
 
 	// Baseline: unfiltered bandwidth to the target.
@@ -56,13 +59,11 @@ func run() error {
 	// rules ride on top of the recommended Oracle protection.
 	oracle := "allow in proto tcp from 10.0.0.1/32 to any port 5001 # iperf\n" +
 		"allow out proto tcp from any port 5001 to 10.0.0.1/32\n" + policy.OraclePolicy
-	for name := range agents {
-		if _, err := srv.SetPolicy(name, oracle); err != nil {
+	for _, m := range fleet {
+		if _, err := srv.SetPolicy(m.name, oracle); err != nil {
 			return err
 		}
-	}
-	for name, h := range map[string]packet.IP{"target": tb.Target.IP(), "oracle-db": db.IP()} {
-		if err := srv.Push(name, h, nil); err != nil {
+		if err := srv.Push(m.name, m.host.IP(), nil); err != nil {
 			return err
 		}
 	}
@@ -70,17 +71,12 @@ func run() error {
 		return err
 	}
 
-	fmt.Println("== audit log ==")
+	fmt.Fprintln(w, "== audit log ==")
 	for _, e := range srv.Audit() {
-		fmt.Println(" ", e)
+		fmt.Fprintln(w, " ", e)
 	}
-	enforcing := make([]string, 0, len(agents))
-	for name := range agents {
-		enforcing = append(enforcing, name)
-	}
-	sort.Strings(enforcing)
-	for _, name := range enforcing {
-		fmt.Printf("%s: enforcing v%d\n", name, agents[name].InstalledVersion())
+	for _, m := range fleet {
+		fmt.Fprintf(w, "%s: enforcing v%d\n", m.name, m.agent.InstalledVersion())
 	}
 
 	// The same measurement now traverses a 30+ rule policy on the card.
@@ -88,9 +84,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nbandwidth before policy: %5.1f Mbps\n", before.Mbps)
-	fmt.Printf("bandwidth after rollout: %5.1f Mbps (iperf allowed at rule 1)\n", after.Mbps)
-	fmt.Println("\nThe paper's point: real policies (Oracle needs 31+ rules) put")
-	fmt.Println("performance-sensitive traffic deep in the rule-set unless ordered carefully.")
+	fmt.Fprintf(w, "\nbandwidth before policy: %5.1f Mbps\n", before.Mbps)
+	fmt.Fprintf(w, "bandwidth after rollout: %5.1f Mbps (iperf allowed at rule 1)\n", after.Mbps)
+	fmt.Fprintln(w, "\nThe paper's point: real policies (Oracle needs 31+ rules) put")
+	fmt.Fprintln(w, "performance-sensitive traffic deep in the rule-set unless ordered carefully.")
 	return nil
 }

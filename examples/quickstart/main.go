@@ -5,7 +5,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"barbican/internal/core"
@@ -14,12 +16,12 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// The testbed is the paper's: policy server, attacker, client, and
 	// target on one 100 Mbps switch. The target gets a 3Com EFW card.
 	tb, err := core.NewTestbed(core.TestbedOptions{TargetDevice: core.DeviceEFW})
@@ -46,11 +48,11 @@ default deny
 	if err != nil {
 		return err
 	}
-	fmt.Printf("bandwidth through the EFW: %v\n", res)
+	fmt.Fprintf(w, "bandwidth through the EFW: %v\n", res)
 
 	// The card kept per-rule statistics while we measured.
 	evals, perRule, defHits := rs.Stats()
-	fmt.Printf("card evaluated %d packets (per-rule matches %v, default hits %d)\n",
+	fmt.Fprintf(w, "card evaluated %d packets (per-rule matches %v, default hits %d)\n",
 		evals, perRule, defHits)
 	return nil
 }

@@ -1,7 +1,7 @@
 // Package apps provides the application substrates the paper's
 // experiments run against: an HTTP/1.0-subset web server standing in for
-// the Apache 2 instance behind the firewall, a matching client, and
-// simple UDP traffic sinks.
+// the Apache 2 instance behind the firewall, a matching client, and a
+// counting UDP sink.
 package apps
 
 import (

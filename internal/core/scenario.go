@@ -98,43 +98,30 @@ func StandardRuleSet(depth int, floodAllowed bool) (*fw.RuleSet, error) {
 // (default deny); otherwise it denies the flood signature and the
 // default allows the measurement traffic.
 func standardRuleSet(depth int, floodAllowed bool, trailing int) (*fw.RuleSet, error) {
-	rules := make([]fw.Rule, 0, depth+trailing)
-	for i := 1; i < depth; i++ {
-		rules = append(rules, fw.NonMatchingRule(i))
-	}
-	def := fw.Deny
 	if floodAllowed {
-		rules = append(rules, fw.AllowAllRule())
-	} else {
-		rules = append(rules, fw.Rule{
-			Name:      "deny-flood",
-			Action:    fw.Deny,
-			Direction: fw.In,
-			Proto:     packet.ProtoUDP,
-			DstPorts:  fw.Port(FloodPort),
-		})
-		def = fw.Allow
+		return fw.DepthRuleSet(fw.Deny, depth, trailing, fw.AllowAllRule())
 	}
-	for i := 0; i < trailing; i++ {
-		rules = append(rules, fw.NonMatchingRule(100+i))
-	}
-	return fw.NewRuleSet(def, rules...)
+	return fw.DepthRuleSet(fw.Allow, depth, trailing, fw.Rule{
+		Name:      "deny-flood",
+		Action:    fw.Deny,
+		Direction: fw.In,
+		Proto:     packet.ProtoUDP,
+		DstPorts:  fw.Port(FloodPort),
+	})
 }
 
 // vpgRuleSet builds a rule set with depth-1 non-matching VPG pairs above
 // the matching VPG pair for the host at local, as the paper constructed
-// its VPG depth sweeps.
+// its VPG depth sweeps. The pairs are the padding, so DepthRuleSet adds
+// only the trailing rules.
 func vpgRuleSet(depth int, local packet.IP, trailing int) (*fw.RuleSet, error) {
-	var rules []fw.Rule
+	rules := make([]fw.Rule, 0, 2*depth)
 	for i := 1; i < depth; i++ {
 		pad := packet.Prefix{Addr: packet.IP{203, 0, 113, byte(i)}, Bits: 32}
 		rules = append(rules, fw.VPGRulePair(fmt.Sprintf("pad-%d", i), packet.IP{203, 0, 113, 200}, pad)...)
 	}
 	rules = append(rules, fw.VPGRulePair(VPGGroupName, local, packet.MustPrefix("10.0.0.0/24"))...)
-	for i := 0; i < trailing; i++ {
-		rules = append(rules, fw.NonMatchingRule(100+i))
-	}
-	return fw.NewRuleSet(fw.Deny, rules...)
+	return fw.DepthRuleSet(fw.Deny, 1, trailing, rules...)
 }
 
 // RunBandwidth executes a bandwidth scenario: build the testbed, start

@@ -42,11 +42,7 @@ const keepaliveEvery = 250 * time.Millisecond
 // deny. The shape mirrors the paper's depth sweeps while exercising the
 // conntrack matchers on every packet.
 func StatefulRuleSet(depth int) (*fw.RuleSet, error) {
-	rules := make([]fw.Rule, 0, depth+1)
-	for i := 1; i < depth; i++ {
-		rules = append(rules, fw.NonMatchingRule(i))
-	}
-	rules = append(rules,
+	return fw.DepthRuleSet(fw.Deny, depth, 0,
 		fw.Rule{
 			Name:      "allow-new-echo",
 			Action:    fw.Allow,
@@ -62,7 +58,6 @@ func StatefulRuleSet(depth int) (*fw.RuleSet, error) {
 			States:    fw.MaskOf(fw.StateEstablished, fw.StateRelated),
 		},
 	)
-	return fw.NewRuleSet(fw.Deny, rules...)
 }
 
 // StatefloodScenario describes one state-exhaustion measurement: a

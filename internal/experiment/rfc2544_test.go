@@ -140,7 +140,7 @@ func TestHostThroughputTrialIndependence(t *testing.T) {
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		rs, err := fw.DepthRuleSet(8, fw.AllowAllRule(), fw.Deny)
+		rs, err := fw.DepthRuleSet(fw.Deny, 8, 0, fw.AllowAllRule())
 		if err != nil {
 			return nil, nil, nil, err
 		}

@@ -14,7 +14,7 @@ import (
 func BenchmarkEvalByDepth(b *testing.B) {
 	s := tcpSummary("10.0.0.1", "10.0.0.2", 4242, 80)
 	for _, depth := range []int{1, 8, 64, 512} {
-		rs, err := DepthRuleSet(depth, AllowAllRule(), Deny)
+		rs, err := DepthRuleSet(Deny, depth, 0, AllowAllRule())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func BenchmarkEvalByDepth(b *testing.B) {
 // pays for depth-independent lookups.
 func BenchmarkCompile(b *testing.B) {
 	for _, depth := range []int{64, 512} {
-		rs, err := DepthRuleSet(depth, AllowAllRule(), Deny)
+		rs, err := DepthRuleSet(Deny, depth, 0, AllowAllRule())
 		if err != nil {
 			b.Fatal(err)
 		}

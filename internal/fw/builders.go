@@ -24,15 +24,19 @@ func NonMatchingRule(i int) Rule {
 	}
 }
 
-// DepthRuleSet builds the paper's experimental rule-set shape: depth-1
-// non-matching rules followed by the action rule at position depth, with
-// the given default action. depth must be >= 1.
-func DepthRuleSet(depth int, action Rule, def Action) (*RuleSet, error) {
-	rules := make([]Rule, 0, depth)
+// DepthRuleSet builds the paper's experimental rule-set shape with
+// default def: depth-1 non-matching rules, then the action rules (the
+// first at position depth), then trailing non-matching rules numbered
+// from 100 so that they never repeat the padding above.
+func DepthRuleSet(def Action, depth, trailing int, action ...Rule) (*RuleSet, error) {
+	rules := make([]Rule, 0, max(depth-1, 0)+len(action)+trailing)
 	for i := 1; i < depth; i++ {
 		rules = append(rules, NonMatchingRule(i))
 	}
-	rules = append(rules, action)
+	rules = append(rules, action...)
+	for i := 0; i < trailing; i++ {
+		rules = append(rules, NonMatchingRule(100+i))
+	}
 	return NewRuleSet(def, rules...)
 }
 

@@ -289,7 +289,7 @@ func TestRulesConcurrent(t *testing.T) {
 func TestCompiledAllocs(t *testing.T) {
 	const maxAllocs = 8
 	for _, depth := range []int{1, 64, 512} {
-		rs, err := DepthRuleSet(depth, AllowAllRule(), Deny)
+		rs, err := DepthRuleSet(Deny, depth, 0, AllowAllRule())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +304,7 @@ func TestCompiledAllocs(t *testing.T) {
 // packet — while agreeing with the reference walk on a twin rule set,
 // counters included.
 func TestCompiledMatchMemo(t *testing.T) {
-	rs, err := DepthRuleSet(64, AllowAllRule(), Deny)
+	rs, err := DepthRuleSet(Deny, 64, 0, AllowAllRule())
 	if err != nil {
 		t.Fatal(err)
 	}

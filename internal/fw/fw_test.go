@@ -226,7 +226,7 @@ func TestRuleSetCopiesInput(t *testing.T) {
 
 func TestDepthRuleSet(t *testing.T) {
 	for _, depth := range []int{1, 8, 16, 32, 64} {
-		rs, err := DepthRuleSet(depth, AllowAllRule(), Deny)
+		rs, err := DepthRuleSet(Deny, depth, 0, AllowAllRule())
 		if err != nil {
 			t.Fatalf("DepthRuleSet(%d): %v", depth, err)
 		}
@@ -242,12 +242,13 @@ func TestDepthRuleSet(t *testing.T) {
 
 func TestTrailingRulesAreFree(t *testing.T) {
 	// Paper §3: rules after the action rule do not affect traversal.
-	action := AllowAllRule()
-	rules := []Rule{action}
-	for i := 0; i < 63; i++ {
-		rules = append(rules, NonMatchingRule(i))
+	rs, err := DepthRuleSet(Deny, 1, 63, AllowAllRule())
+	if err != nil {
+		t.Fatal(err)
 	}
-	rs := MustRuleSet(Deny, rules...)
+	if rs.Len() != 64 {
+		t.Fatalf("DepthRuleSet with 63 trailing rules has %d rules", rs.Len())
+	}
 	v := rs.Eval(tcpSummary("10.0.0.1", "10.0.0.2", 1, 2), In)
 	if v.Traversed != 1 {
 		t.Errorf("traversed = %d, want 1 despite 63 trailing rules", v.Traversed)

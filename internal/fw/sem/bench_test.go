@@ -17,7 +17,7 @@ func BenchmarkSemEquiv(b *testing.B) {
 	for _, depth := range []int{64, 512} {
 		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
 			mk := func() *fw.RuleSet {
-				rs, err := fw.DepthRuleSet(depth, fw.AllowAllRule(), fw.Deny)
+				rs, err := fw.DepthRuleSet(fw.Deny, depth, 0, fw.AllowAllRule())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -44,7 +44,7 @@ func BenchmarkSemEquiv(b *testing.B) {
 func BenchmarkSemVerifyCompiled(b *testing.B) {
 	for _, depth := range []int{64, 512} {
 		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
-			rs, err := fw.DepthRuleSet(depth, fw.AllowAllRule(), fw.Deny)
+			rs, err := fw.DepthRuleSet(fw.Deny, depth, 0, fw.AllowAllRule())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -69,7 +69,7 @@ func BenchmarkSemVerifyCompiled(b *testing.B) {
 func BenchmarkLint(b *testing.B) {
 	for _, depth := range []int{64, 512} {
 		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
-			rs, err := fw.DepthRuleSet(depth, fw.AllowAllRule(), fw.Deny)
+			rs, err := fw.DepthRuleSet(fw.Deny, depth, 0, fw.AllowAllRule())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -229,7 +229,7 @@ func TestVerifyCompiled(t *testing.T) {
 		"empty":  fw.MustRuleSet(fw.Allow),
 		"oracle": mustParse(t, policy.OraclePolicy),
 	}
-	d64, err := fw.DepthRuleSet(64, fw.AllowAllRule(), fw.Deny)
+	d64, err := fw.DepthRuleSet(fw.Deny, 64, 0, fw.AllowAllRule())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func TestIPTablesSurvives100MbpsFloods(t *testing.T) {
 	// consume well under the host budget.
 	k := sim.NewKernel()
 	f := New(k, IPTables())
-	rs, err := fw.DepthRuleSet(64, fw.AllowAllRule(), fw.Deny)
+	rs, err := fw.DepthRuleSet(fw.Deny, 64, 0, fw.AllowAllRule())
 	if err != nil {
 		t.Fatal(err)
 	}

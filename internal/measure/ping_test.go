@@ -29,7 +29,7 @@ func TestPingRTTCleanPath(t *testing.T) {
 func TestPingRTTGrowsWithRuleDepth(t *testing.T) {
 	rtt := func(depth int) float64 {
 		tb := testbed(t, core.TestbedOptions{TargetDevice: core.DeviceEFW})
-		rs, err := fw.DepthRuleSet(depth, fw.AllowAllRule(), fw.Deny)
+		rs, err := fw.DepthRuleSet(fw.Deny, depth, 0, fw.AllowAllRule())
 		if err != nil {
 			t.Fatal(err)
 		}

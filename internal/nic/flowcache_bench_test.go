@@ -22,7 +22,7 @@ func benchSummary(srcLast byte, sport uint16) packet.Summary {
 // compiled eval + bounded insert with eviction, also 0 allocs/op).
 func BenchmarkFlowCache(b *testing.B) {
 	for _, depth := range []int{1, 64, 512} {
-		rs, err := fw.DepthRuleSet(depth, fw.AllowAllRule(), fw.Deny)
+		rs, err := fw.DepthRuleSet(fw.Deny, depth, 0, fw.AllowAllRule())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func BenchmarkFlowCache(b *testing.B) {
 	// Churn: 8192 distinct flows over a 4096-entry cache, so the
 	// round-robin clock displaces every flow before it returns — each
 	// packet pays the full miss path.
-	rs, err := fw.DepthRuleSet(64, fw.AllowAllRule(), fw.Deny)
+	rs, err := fw.DepthRuleSet(fw.Deny, 64, 0, fw.AllowAllRule())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 
 func depth64Allow(t *testing.T) *fw.RuleSet {
 	t.Helper()
-	rs, err := fw.DepthRuleSet(64, fw.AllowAllRule(), fw.Deny)
+	rs, err := fw.DepthRuleSet(fw.Deny, 64, 0, fw.AllowAllRule())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -280,9 +280,9 @@ func TestNICEndpointAccessor(t *testing.T) {
 func TestNICAccountingConservation(t *testing.T) {
 	k := sim.NewKernel(sim.WithSeed(99))
 	a, b := pair(t, k, Standard(), EFW())
-	rs, err := fw.DepthRuleSet(16, fw.Rule{
+	rs, err := fw.DepthRuleSet(fw.Deny, 16, 0, fw.Rule{
 		Action: fw.Allow, Direction: fw.Both, Proto: packet.ProtoUDP, DstPorts: fw.Ports(1000, 2000),
-	}, fw.Deny)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +546,7 @@ func TestIngressPathAllocFree(t *testing.T) {
 		}},
 		{"efw-depth64", func(k *sim.Kernel, ep *link.Endpoint) (*NIC, *packet.Frame) {
 			n := New(k, macB, EFW(), ep)
-			rs, err := fw.DepthRuleSet(64, allow2000().Rules()[0], fw.Deny)
+			rs, err := fw.DepthRuleSet(fw.Deny, 64, 0, allow2000().Rules()[0])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -146,7 +146,7 @@ func TestUnfilteredNICAllowsWithoutRuleCost(t *testing.T) {
 func TestSaturationDropsFloodTraffic(t *testing.T) {
 	k := sim.NewKernel()
 	a, b := pair(t, k, Standard(), EFW())
-	rs, err := fw.DepthRuleSet(64, fw.AllowAllRule(), fw.Deny)
+	rs, err := fw.DepthRuleSet(fw.Deny, 64, 0, fw.AllowAllRule())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestCardProfilerAttributionExact(t *testing.T) {
 	k := sim.NewKernel()
 	a, b := pair(t, k, Standard(), EFW())
 	const depth = 16
-	rs, err := fw.DepthRuleSet(depth, fw.AllowAllRule(), fw.Deny)
+	rs, err := fw.DepthRuleSet(fw.Deny, depth, 0, fw.AllowAllRule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCardProfilerMatchCostLinearInDepth(t *testing.T) {
 	matchUnits := func(depth int) (match, base float64) {
 		k := sim.NewKernel()
 		a, b := pair(t, k, Standard(), EFW())
-		rs, err := fw.DepthRuleSet(depth, fw.AllowAllRule(), fw.Deny)
+		rs, err := fw.DepthRuleSet(fw.Deny, depth, 0, fw.AllowAllRule())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestProfilerDoesNotPerturbRun(t *testing.T) {
 	run := func(prof bool) Stats {
 		k := sim.NewKernel()
 		a, b := pair(t, k, Standard(), EFW())
-		rs, err := fw.DepthRuleSet(8, fw.AllowAllRule(), fw.Deny)
+		rs, err := fw.DepthRuleSet(fw.Deny, 8, 0, fw.AllowAllRule())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,9 +53,6 @@ func (ip IP) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", ip[0], ip[1], ip[2], ip[3])
 }
 
-// IsZero reports whether the address is 0.0.0.0.
-func (ip IP) IsZero() bool { return ip == IP{} }
-
 // Uint32 returns the address as a big-endian 32-bit integer.
 func (ip IP) Uint32() uint32 {
 	return uint32(ip[0])<<24 | uint32(ip[1])<<16 | uint32(ip[2])<<8 | uint32(ip[3])

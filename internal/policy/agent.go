@@ -82,9 +82,6 @@ func (a *Agent) Staleness() time.Duration {
 	return a.host.Kernel().Now() - a.lastGoodAt
 }
 
-// Installed returns the enforced rule set (nil before the first push).
-func (a *Agent) Installed() *fw.RuleSet { return a.installed }
-
 // Stats returns a snapshot of the agent counters.
 func (a *Agent) Stats() AgentStats { return a.stats }
 

@@ -34,7 +34,7 @@ func (e AuditEvent) String() string {
 	if !e.OK {
 		status = "FAIL"
 	}
-	return fmt.Sprintf("%v push %q v%d -> %v: %s %s", e.At, e.Device, e.Target, e.Version, status, e.Detail)
+	return fmt.Sprintf("%v push %q v%d -> %v: %s %s", e.At, e.Device, e.Version, e.Target, status, e.Detail)
 }
 
 // assignment is a device's policy state on the server.

@@ -186,60 +186,6 @@ func TestKernelDeterministicWithSeed(t *testing.T) {
 	}
 }
 
-func TestTickerFiresAtInterval(t *testing.T) {
-	k := NewKernel()
-	var times []time.Duration
-	tk := k.NewTicker(100*time.Millisecond, func() {
-		times = append(times, k.Now())
-	})
-	if err := k.RunUntil(time.Second); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	tk.Stop()
-	if err := k.RunUntil(2 * time.Second); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	if len(times) != 10 {
-		t.Fatalf("ticker fired %d times, want 10: %v", len(times), times)
-	}
-	for i, tm := range times {
-		want := time.Duration(i+1) * 100 * time.Millisecond
-		if tm != want {
-			t.Errorf("tick %d at %v, want %v", i, tm, want)
-		}
-	}
-	if tk.Fires() != 10 {
-		t.Errorf("Fires() = %d, want 10", tk.Fires())
-	}
-}
-
-func TestTickerStopFromCallback(t *testing.T) {
-	k := NewKernel()
-	var tk *Ticker
-	count := 0
-	tk = k.NewTicker(time.Second, func() {
-		count++
-		if count == 3 {
-			tk.Stop()
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if count != 3 {
-		t.Errorf("ticker fired %d times after in-callback Stop, want 3", count)
-	}
-}
-
-func TestTickerNonPositiveIntervalNeverFires(t *testing.T) {
-	k := NewKernel()
-	tk := k.NewTicker(0, func() { t.Error("ticker with zero interval fired") })
-	if err := k.RunUntil(time.Hour); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	tk.Stop()
-}
-
 // Property: for any set of scheduling offsets, events execute in
 // non-decreasing timestamp order and the executed count matches.
 func TestEventOrderingProperty(t *testing.T) {

@@ -402,28 +402,6 @@ func (h *Host) InjectDatagram(d *packet.Datagram) bool {
 	return true
 }
 
-// InjectSealed transmits a raw datagram framed as VPG-sealed traffic
-// (EtherTypeVPG), as an attacker replaying or forging envelopes would.
-// Like InjectDatagram it bypasses the host firewall but still traverses
-// this host's NIC.
-func (h *Host) InjectSealed(d *packet.Datagram) bool {
-	mac, ok := h.resolve(d.Header.Dst)
-	if !ok {
-		h.stats.TxNoRoute++
-		return false
-	}
-	f := h.card.Endpoint().Frames().Get(mac, h.card.MAC(), packet.EtherTypeVPG, packet.IPv4HeaderLen+len(d.Payload))
-	f.Payload = d.MarshalTo(f.Payload)
-	// Hand the frame to the card's egress link directly: raw injection
-	// models an attacker NIC that is not itself a filtering card.
-	if !h.card.SendRawFrame(f) {
-		h.stats.TxNICRefused++
-		return false
-	}
-	h.stats.TxDatagrams++
-	return true
-}
-
 // Ping sends an ICMP echo request.
 func (h *Host) Ping(dst packet.IP, id, seq uint16) bool {
 	m := &packet.ICMPMessage{Type: packet.ICMPEchoRequest, ID: id, Seq: seq}

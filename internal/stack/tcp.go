@@ -199,9 +199,6 @@ func (c *Conn) Stats() ConnStats { return c.stats }
 // LocalPort returns the connection's local port.
 func (c *Conn) LocalPort() uint16 { return c.key.localPort }
 
-// RemoteAddr returns the peer address and port.
-func (c *Conn) RemoteAddr() (packet.IP, uint16) { return c.key.remote, c.key.remotePort }
-
 // MSS returns the maximum segment size in use.
 func (c *Conn) MSS() int { return c.mss }
 
@@ -708,7 +705,6 @@ type Listener struct {
 	port     uint16
 	onAccept func(*Conn)
 
-	backlog  int
 	halfOpen map[connKey]*Conn
 	synDrops uint64
 }
@@ -724,19 +720,10 @@ func (h *Host) ListenTCP(port uint16, onAccept func(*Conn)) (*Listener, error) {
 	}
 	l := &Listener{
 		host: h, port: port, onAccept: onAccept,
-		backlog:  DefaultSYNBacklog,
 		halfOpen: make(map[connKey]*Conn),
 	}
 	h.listeners[port] = l
 	return l, nil
-}
-
-// SetBacklog adjusts the half-open connection bound (minimum 1).
-func (l *Listener) SetBacklog(n int) {
-	if n < 1 {
-		n = 1
-	}
-	l.backlog = n
 }
 
 // SYNDrops returns how many SYNs were dropped by a full backlog.
@@ -761,7 +748,7 @@ func (l *Listener) accept(src packet.IP, syn *packet.TCPSegment) {
 	if _, exists := l.host.conns[key]; exists {
 		return // duplicate SYN; the half-open conn's RTO will resend SYN-ACK
 	}
-	if len(l.halfOpen) >= l.backlog {
+	if len(l.halfOpen) >= DefaultSYNBacklog {
 		l.synDrops++
 		return // SYN queue full: drop silently, as real stacks do
 	}

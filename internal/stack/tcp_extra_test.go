@@ -197,7 +197,7 @@ func TestTCPThroughputThroughFilteringCard(t *testing.T) {
 	k := newNet(t)
 	a := k.addHost(t, "a", "10.0.0.1", nic.Standard(), nil)
 	b := k.addHost(t, "b", "10.0.0.2", nic.EFW(), nil)
-	rs, err := fw.DepthRuleSet(64, fw.AllowAllRule(), fw.Deny)
+	rs, err := fw.DepthRuleSet(fw.Deny, 64, 0, fw.AllowAllRule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,12 +327,12 @@ func TestSYNFloodFillsListenerBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	listener.SetBacklog(16)
 
 	// Spoofed SYNs from addresses that do not exist: SYN-ACKs go
 	// nowhere, so half-open slots are held until retransmission gives
-	// up.
-	for i := 0; i < 64; i++ {
+	// up. The SYNs past the backlog are dropped.
+	const excess = 64
+	for i := 0; i < DefaultSYNBacklog+excess; i++ {
 		src := packet.IP{192, 0, 2, byte(i + 1)}
 		seg := &packet.TCPSegment{SrcPort: 1000 + uint16(i), DstPort: 80, Seq: uint32(i), Flags: packet.FlagSYN, Window: 65535}
 		d := packet.NewDatagram(src, srv.IP(), packet.ProtoTCP, uint16(i), seg.MarshalTo(src, srv.IP(), nil))
@@ -341,11 +341,11 @@ func TestSYNFloodFillsListenerBacklog(t *testing.T) {
 	if err := nw.kernel.RunUntil(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if listener.HalfOpen() != 16 {
-		t.Errorf("half-open = %d, want backlog cap 16", listener.HalfOpen())
+	if listener.HalfOpen() != DefaultSYNBacklog {
+		t.Errorf("half-open = %d, want backlog cap %d", listener.HalfOpen(), DefaultSYNBacklog)
 	}
-	if listener.SYNDrops() != 48 {
-		t.Errorf("SYN drops = %d, want 48", listener.SYNDrops())
+	if listener.SYNDrops() != excess {
+		t.Errorf("SYN drops = %d, want %d", listener.SYNDrops(), excess)
 	}
 
 	// A legitimate client cannot get in while the backlog is full...

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/knobs.golden from the source tree")
@@ -27,9 +28,17 @@ func knobStruct(name string) bool {
 		strings.HasSuffix(name, "Scenario"))
 }
 
+// setter reports whether an exported method name is a setter: Set
+// followed by an upper-case letter (SetTracer, not Setup).
+func setter(name string) bool {
+	return strings.HasPrefix(name, "Set") && len(name) > 3 && unicode.IsUpper(rune(name[3]))
+}
+
 // knobInventory lists every field of every knob struct in the
 // module's production Go — test files, testdata and the separate
-// perfbench module excluded — as "<dir>.<Type>.<Field>", sorted.
+// perfbench module excluded — as "<dir>.<Type>.<Field>", and every
+// setter method of an exported type as "<dir>.<Type>.<Method>()",
+// sorted.
 func knobInventory(root string) ([]string, error) {
 	var knobs []string
 	fset := token.NewFileSet()
@@ -53,6 +62,14 @@ func knobInventory(root string) ([]string, error) {
 		}
 		dir := filepath.ToSlash(filepath.Dir(path))
 		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				if fn.Recv != nil && setter(fn.Name.Name) {
+					if recv := embeddedName(fn.Recv.List[0].Type); ast.IsExported(recv) {
+						knobs = append(knobs, fmt.Sprintf("%s.%s.%s()", dir, recv, fn.Name.Name))
+					}
+				}
+				continue
+			}
 			gen, ok := decl.(*ast.GenDecl)
 			if !ok || gen.Tok != token.TYPE {
 				continue
@@ -80,8 +97,8 @@ func knobInventory(root string) ([]string, error) {
 	return knobs, err
 }
 
-// embeddedName names an embedded field by its type, without package
-// or pointer.
+// embeddedName names an embedded field or a method receiver by its
+// type, without package or pointer.
 func embeddedName(e ast.Expr) string {
 	switch t := e.(type) {
 	case *ast.StarExpr:
@@ -96,7 +113,7 @@ func embeddedName(e ast.Expr) string {
 
 // TestKnobInventory pins the settable values of the production code:
 // every field of an exported *Config, *Options, *Scenario or Profile
-// struct. A new knob, or one that goes, shows up as a diff against
+// struct, and every Set* method of an exported type. A new knob, or one that goes, shows up as a diff against
 // testdata/knobs.golden; `go test -run TestKnobInventory . -update`
 // rewrites it, and `wc -l testdata/knobs.golden` counts them.
 func TestKnobInventory(t *testing.T) {
