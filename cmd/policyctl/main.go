@@ -24,9 +24,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
-	"sort"
 	"time"
 
 	"barbican/internal/core"
@@ -70,7 +70,7 @@ func run(args []string) error {
 		fmt.Print(policy.OraclePolicy)
 		return nil
 	case "demo":
-		return demo(fs.Arg(1))
+		return demo(os.Stdout, fs.Arg(1))
 	default:
 		fs.Usage()
 		return fmt.Errorf("unknown subcommand %q", fs.Arg(0))
@@ -408,8 +408,10 @@ func check(path string) error {
 }
 
 // demo pushes the policy to a simulated fleet of EFW-protected hosts and
-// prints the audit log.
-func demo(path string) error {
+// writes the audit log and each host's installed version to w. The fleet
+// is a slice, so agents start and pushes leave in one fixed order and
+// the output is the same on every run.
+func demo(w io.Writer, path string) error {
 	text, err := readPolicy(path)
 	if err != nil {
 		return err
@@ -429,21 +431,24 @@ func demo(path string) error {
 
 	psk := policy.DeriveKey("demo")
 	srv := policy.NewServer(tb.PolicyServer, psk)
-	fleet := map[string]*policyHost{
-		"client":    {host: tb.Client},
-		"target":    {host: tb.Target},
-		"db-server": {host: extra},
+	fleet := []struct {
+		name  string
+		host  *stack.Host
+		agent *policy.Agent
+	}{
+		{name: "client", host: tb.Client},
+		{name: "db-server", host: extra},
+		{name: "target", host: tb.Target},
 	}
-	for name, ph := range fleet {
-		agent, err := policy.NewAgent(ph.host, tb.PolicyServer.IP(), psk)
-		if err != nil {
+	for i := range fleet {
+		m := &fleet[i]
+		if m.agent, err = policy.NewAgent(m.host, tb.PolicyServer.IP(), psk); err != nil {
 			return err
 		}
-		ph.agent = agent
-		if _, err := srv.SetPolicy(name, text); err != nil {
+		if _, err := srv.SetPolicy(m.name, text); err != nil {
 			return err
 		}
-		if err := srv.Push(name, ph.host.IP(), nil); err != nil {
+		if err := srv.Push(m.name, m.host.IP(), nil); err != nil {
 			return err
 		}
 	}
@@ -452,22 +457,11 @@ func demo(path string) error {
 	}
 
 	for _, e := range srv.Audit() {
-		fmt.Println(e)
+		fmt.Fprintln(w, e)
 	}
-	names := make([]string, 0, len(fleet))
-	for name := range fleet {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ph := fleet[name]
-		fmt.Printf("%-10s installed v%d (%d rules on card)\n",
-			name, ph.agent.InstalledVersion(), ph.host.NIC().RuleSet().Len())
+	for _, m := range fleet {
+		fmt.Fprintf(w, "%-10s installed v%d (%d rules on card)\n",
+			m.name, m.agent.InstalledVersion(), m.host.NIC().RuleSet().Len())
 	}
 	return nil
-}
-
-type policyHost struct {
-	host  *stack.Host
-	agent *policy.Agent
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -70,11 +72,30 @@ func TestOracleSubcommand(t *testing.T) {
 	}
 }
 
+// TestDemoPushesBuiltinPolicy: every host installs the built-in policy,
+// and two demo runs print the same bytes — the same push order, the
+// same audit times.
 func TestDemoPushesBuiltinPolicy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a simulation")
 	}
-	if err := run([]string{"demo", "-"}); err != nil {
-		t.Fatalf("demo: %v", err)
+	var first, second bytes.Buffer
+	if err := demo(&first, "-"); err != nil {
+		t.Fatal(err)
+	}
+	if err := demo(&second, "-"); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("two demo runs differ:\n%s\n---\n%s", first.Bytes(), second.Bytes())
+	}
+	out := first.String()
+	if got := strings.Count(out, ": OK installed"); got != 3 {
+		t.Errorf("%d OK pushes, want 3:\n%s", got, out)
+	}
+	// Pushes leave in fleet order.
+	c, d, tg := strings.Index(out, `push "client"`), strings.Index(out, `push "db-server"`), strings.Index(out, `push "target"`)
+	if !(c < d && d < tg) {
+		t.Errorf("pushes out of fleet order:\n%s", out)
 	}
 }

@@ -390,8 +390,6 @@ func RunStateRecovery(s StateRecoveryScenario) (StateRecoveryResult, error) {
 // degraded episode on tb's stateful target, recording which survive.
 func stateRecovery(tb *Testbed, recovery nic.StateRecovery, res *StateRecoveryResult) error {
 	card := tb.Target.NIC()
-	card.SetFailMode(nic.FailModeOpen)
-	card.SetStateRecovery(recovery)
 	if err := setupEchoServer(tb.Target); err != nil {
 		return err
 	}
@@ -412,8 +410,7 @@ func stateRecovery(tb *Testbed, recovery nic.StateRecovery, res *StateRecoveryRe
 
 	// Outage: a policy push torn down mid-flight degrades the card,
 	// which fails open. The watchdog restores enforcement ~100ms later.
-	card.BeginPolicyUpdate()
-	card.AbortPolicyUpdate()
+	card.Degrade(nic.FailModeOpen, recovery)
 	if card.DegradedState() != nic.StateDegraded {
 		return fmt.Errorf("core: card did not degrade")
 	}

@@ -143,8 +143,8 @@ func TestStatefulHandshakeAndStateKeyedCache(t *testing.T) {
 
 // TestStateTableFullPosture: with every entry assured and a policy
 // (syn-drop) that refuses to evict assured state, a new connection hits
-// CommitFull. The default posture is closed (drop, DropStateTableFull);
-// FailModeOpen admits the connection untracked instead.
+// CommitFull. The card's posture is closed: it admits no connection it
+// cannot track (drop, DropStateTableFull), and the table stays at cap.
 func TestStateTableFullPosture(t *testing.T) {
 	k := sim.NewKernel()
 	prof := Stateful()
@@ -161,39 +161,25 @@ func TestStateTableFullPosture(t *testing.T) {
 		t.Fatalf("conntrack entries = %d, want 2 (table full)", b.Conntrack().Len())
 	}
 
-	// Closed posture (default): the third connection's SYN is dropped.
+	// The third connection's SYN is dropped.
 	preDeliver := delivered
 	a.Send(tcpDgram(ipA, ipB, 41002, 2000, packet.FlagSYN), macB)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	st := b.Stats()
-	if st.RxDrops[tracing.DropStateTableFull] != 1 || st.StateUntrackedPass != 0 {
-		t.Errorf("closed posture: stats = %+v, want 1 state-full drop", st)
+	if st.RxDrops[tracing.DropStateTableFull] != 1 {
+		t.Errorf("stats = %+v, want 1 state-full drop", st)
 	}
 	rx, _ := b.DropCounts()
 	if rx[tracing.DropStateTableFull] != 1 {
 		t.Errorf("rxDrops[DropStateTableFull] = %d, want 1", rx[tracing.DropStateTableFull])
 	}
 	if delivered != preDeliver {
-		t.Error("closed posture delivered the overflow SYN")
-	}
-
-	// Open posture: the same overflow admits untracked.
-	b.SetFailMode(FailModeOpen)
-	a.Send(tcpDgram(ipA, ipB, 41003, 2000, packet.FlagSYN), macB)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	st = b.Stats()
-	if st.StateUntrackedPass != 1 {
-		t.Errorf("open posture: StateUntrackedPass = %d, want 1", st.StateUntrackedPass)
-	}
-	if delivered != preDeliver+1 {
-		t.Errorf("open posture: delivered = %d, want %d", delivered, preDeliver+1)
+		t.Error("the card delivered the overflow SYN")
 	}
 	if b.Conntrack().Len() != 2 {
-		t.Error("untracked pass grew the table past its cap")
+		t.Error("the overflow SYN grew the table past its cap")
 	}
 }
 

@@ -10,15 +10,17 @@ import (
 	"barbican/internal/sim"
 )
 
-// TestFailModeNoneIsInert: with the machine disarmed (the default),
-// Begin/Abort are no-ops and the card never leaves healthy.
+// TestFailModeNoneIsInert: a healthy card reports FailModeNone, and a
+// Degrade with FailModeNone enters no episode.
 func TestFailModeNoneIsInert(t *testing.T) {
 	k := sim.NewKernel()
 	a, b := pair(t, k, Standard(), EFW())
-	b.BeginPolicyUpdate()
-	b.AbortPolicyUpdate()
+	b.Degrade(FailModeNone, RecoveryResync)
 	if got := b.DegradedState(); got != StateHealthy {
 		t.Fatalf("state = %v, want healthy", got)
+	}
+	if got := b.FailMode(); got != FailModeNone {
+		t.Fatalf("FailMode = %v, want none", got)
 	}
 	var delivered int
 	b.SetDeliver(func(*packet.Frame) { delivered++ })
@@ -29,31 +31,34 @@ func TestFailModeNoneIsInert(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("delivered %d, want 1", delivered)
 	}
-	if st := b.Stats(); st.DegradedEntries != 0 || st.UpdatesAborted != 0 {
-		t.Errorf("disarmed machine recorded activity: %+v", st)
+	if st := b.Stats(); st.DegradedEntries != 0 || st.WatchdogResets != 0 {
+		t.Errorf("no-op Degrade recorded activity: %+v", st)
 	}
 }
 
-// TestInterruptedUpdateFailClosed: an aborted policy update degrades a
-// fail-closed card, which drops everything until the watchdog resets
-// it back to the last committed rule set.
+// TestInterruptedUpdateFailClosed: a fail-closed degraded episode, as
+// an interrupted policy update leaves, drops everything until the
+// watchdog resets the card to the installed rule set.
 func TestInterruptedUpdateFailClosed(t *testing.T) {
 	k := sim.NewKernel()
 	a, b := pair(t, k, Standard(), EFW())
 	committed := fw.MustRuleSet(fw.Allow)
 	b.InstallRuleSet(committed)
-	b.SetFailMode(FailModeClosed)
 
 	var delivered int
 	b.SetDeliver(func(*packet.Frame) { delivered++ })
 
-	b.BeginPolicyUpdate()
-	if got := b.DegradedState(); got != StateUpdating {
-		t.Fatalf("after begin: state = %v, want updating", got)
-	}
-	b.AbortPolicyUpdate()
+	b.Degrade(FailModeClosed, RecoveryResync)
 	if got := b.DegradedState(); got != StateDegraded {
-		t.Fatalf("after abort: state = %v, want degraded", got)
+		t.Fatalf("after Degrade: state = %v, want degraded", got)
+	}
+	if got := b.FailMode(); got != FailModeClosed {
+		t.Fatalf("FailMode = %v, want fail-closed", got)
+	}
+	// A second Degrade during the episode changes nothing.
+	b.Degrade(FailModeOpen, RecoveryFlush)
+	if got := b.FailMode(); got != FailModeClosed {
+		t.Fatalf("FailMode after a second Degrade = %v, want fail-closed", got)
 	}
 
 	// Traffic during the degraded window is dropped fail-closed.
@@ -67,7 +72,7 @@ func TestInterruptedUpdateFailClosed(t *testing.T) {
 		t.Fatalf("fail-closed degraded card delivered %d frames", delivered)
 	}
 	st := b.Stats()
-	if st.RxDrops[tracing.DropDegraded] != 1 || st.UpdatesAborted != 1 || st.DegradedEntries != 1 {
+	if st.RxDrops[tracing.DropDegraded] != 1 || st.DegradedEntries != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	rx, _ := b.DropCounts()
@@ -75,15 +80,25 @@ func TestInterruptedUpdateFailClosed(t *testing.T) {
 		t.Fatalf("rxDrops[degraded] = %d, want 1", rx[tracing.DropDegraded])
 	}
 
-	// The watchdog resets the card and restores the committed policy.
+	// The watchdog ends the episode after DefaultRecoveryInterval and
+	// the installed policy is enforced again.
+	if err := k.RunUntil(DefaultRecoveryInterval - time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.DegradedState(); got != StateDegraded {
+		t.Fatalf("before the watchdog: state = %v, want degraded", got)
+	}
 	if err := k.RunUntil(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.DegradedState(); got != StateHealthy {
 		t.Fatalf("after watchdog: state = %v, want healthy", got)
 	}
+	if got := b.FailMode(); got != FailModeNone {
+		t.Fatalf("FailMode after watchdog = %v, want none", got)
+	}
 	if b.RuleSet() != committed {
-		t.Fatal("watchdog did not restore the committed rule set")
+		t.Fatal("the episode replaced the installed rule set")
 	}
 	if b.Stats().WatchdogResets != 1 {
 		t.Fatalf("WatchdogResets = %d, want 1", b.Stats().WatchdogResets)
@@ -99,20 +114,18 @@ func TestInterruptedUpdateFailClosed(t *testing.T) {
 	}
 }
 
-// TestInterruptedUpdateFailOpen: same interruption, opposite posture —
-// the card passes traffic unfiltered while degraded, even traffic the
-// committed policy denies.
+// TestInterruptedUpdateFailOpen: same episode, opposite posture — the
+// card passes traffic unfiltered while degraded, even traffic the
+// installed policy denies.
 func TestInterruptedUpdateFailOpen(t *testing.T) {
 	k := sim.NewKernel()
 	a, b := pair(t, k, Standard(), EFW())
-	b.InstallRuleSet(fw.MustRuleSet(fw.Deny)) // deny-all committed policy
-	b.SetFailMode(FailModeOpen)
+	b.InstallRuleSet(fw.MustRuleSet(fw.Deny)) // deny-all installed policy
 
 	var delivered int
 	b.SetDeliver(func(*packet.Frame) { delivered++ })
 
-	b.BeginPolicyUpdate()
-	b.AbortPolicyUpdate()
+	b.Degrade(FailModeOpen, RecoveryResync)
 	k.AtCall(10*time.Millisecond, func(any) {
 		a.Send(udpDatagram(ipA, ipB, 1000, 2000, 100), macB)
 	}, nil)
@@ -141,75 +154,5 @@ func TestInterruptedUpdateFailOpen(t *testing.T) {
 	}
 	if delivered != 1 {
 		t.Fatalf("recovered deny-all card delivered %d total, want still 1", delivered)
-	}
-}
-
-// TestWatchdogFiresOnStalledUpdate: BeginPolicyUpdate with no commit
-// degrades on its own once the update watchdog expires.
-func TestWatchdogFiresOnStalledUpdate(t *testing.T) {
-	k := sim.NewKernel()
-	_, b := pair(t, k, Standard(), EFW())
-	b.SetFailMode(FailModeClosed)
-	b.BeginPolicyUpdate()
-	if err := k.RunUntil(DefaultUpdateWatchdog / 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.DegradedState(); got != StateUpdating {
-		t.Fatalf("before watchdog: state = %v, want updating", got)
-	}
-	if err := k.RunUntil(DefaultUpdateWatchdog + time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.DegradedState(); got != StateDegraded {
-		t.Fatalf("after watchdog: state = %v, want degraded", got)
-	}
-	if b.Stats().UpdatesAborted != 1 {
-		t.Fatalf("UpdatesAborted = %d, want 1", b.Stats().UpdatesAborted)
-	}
-}
-
-// TestCommitCancelsWatchdog: a commit inside the window installs the
-// new policy and the watchdog never fires.
-func TestCommitCancelsWatchdog(t *testing.T) {
-	k := sim.NewKernel()
-	_, b := pair(t, k, Standard(), EFW())
-	b.SetFailMode(FailModeClosed)
-	next := fw.MustRuleSet(fw.Allow)
-	b.BeginPolicyUpdate()
-	k.At(DefaultUpdateWatchdog/4, func() { b.CommitPolicyUpdate(next) })
-	if err := k.RunUntil(2 * DefaultUpdateWatchdog); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.DegradedState(); got != StateHealthy {
-		t.Fatalf("state = %v, want healthy", got)
-	}
-	if b.RuleSet() != next || b.LastCommitted() != next {
-		t.Fatal("commit did not install the new policy")
-	}
-	if st := b.Stats(); st.DegradedEntries != 0 || st.UpdatesAborted != 0 {
-		t.Fatalf("watchdog fired despite commit: %+v", st)
-	}
-}
-
-// TestRestartAgentClearsDegraded: the paper's recovery action resets
-// the degraded machine too.
-func TestRestartAgentClearsDegraded(t *testing.T) {
-	k := sim.NewKernel()
-	_, b := pair(t, k, Standard(), EFW())
-	b.SetFailMode(FailModeClosed)
-	b.BeginPolicyUpdate()
-	b.AbortPolicyUpdate()
-	if got := b.DegradedState(); got != StateDegraded {
-		t.Fatalf("state = %v, want degraded", got)
-	}
-	b.RestartAgent()
-	if got := b.DegradedState(); got != StateHealthy {
-		t.Fatalf("after restart: state = %v, want healthy", got)
-	}
-	if err := k.Run(); err != nil { // any leftover watchdog events must be inert
-		t.Fatal(err)
-	}
-	if b.Stats().WatchdogResets != 0 {
-		t.Fatalf("WatchdogResets = %d, want 0 after manual restart", b.Stats().WatchdogResets)
 	}
 }

@@ -178,7 +178,7 @@ func TestFlowCacheInvalidatedOnPolicyCommit(t *testing.T) {
 		t.Fatalf("cache not warm before commit: %+v", st)
 	}
 
-	a.CommitPolicyUpdate(fw.MustRuleSet(fw.Deny, fw.Rule{Name: "deny-all", Action: fw.Deny, Direction: fw.Both}))
+	a.InstallRuleSet(fw.MustRuleSet(fw.Deny, fw.Rule{Name: "deny-all", Action: fw.Deny, Direction: fw.Both}))
 	if st := a.FlowCacheStats(); st.Invalidations != invalAfterInstall+1 {
 		t.Fatalf("commit did not invalidate: %+v", st)
 	}
@@ -193,13 +193,12 @@ func TestFlowCacheInvalidatedOnPolicyCommit(t *testing.T) {
 	}
 }
 
-// TestFlowCacheInvalidatedOnDegradedTransitions: entering degraded
-// (interrupted update) and the watchdog recovery back to the committed
-// policy each invalidate the cache.
+// TestFlowCacheInvalidatedOnDegradedTransitions: entering a degraded
+// episode and the watchdog recovery back to enforcement each
+// invalidate the cache.
 func TestFlowCacheInvalidatedOnDegradedTransitions(t *testing.T) {
 	k := sim.NewKernel()
 	a, _ := pair(t, k, NextGen(), Standard())
-	a.SetFailMode(FailModeClosed)
 	a.InstallRuleSet(depth64Allow(t))
 
 	d := udpDatagram(ipA, ipB, 1000, 2000, 100)
@@ -211,8 +210,7 @@ func TestFlowCacheInvalidatedOnDegradedTransitions(t *testing.T) {
 		t.Fatalf("cache not warm: %+v", before)
 	}
 
-	a.BeginPolicyUpdate()
-	a.AbortPolicyUpdate()
+	a.Degrade(FailModeClosed, RecoveryResync)
 	if got := a.DegradedState(); got != StateDegraded {
 		t.Fatalf("state = %v, want degraded", got)
 	}
@@ -224,7 +222,7 @@ func TestFlowCacheInvalidatedOnDegradedTransitions(t *testing.T) {
 		t.Errorf("degraded entry left %d cached verdicts", afterAbort.Entries)
 	}
 
-	// Let the watchdog restore the committed rule set.
+	// Let the watchdog end the episode.
 	if err := k.RunUntil(time.Second); err != nil {
 		t.Fatal(err)
 	}

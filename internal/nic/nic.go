@@ -32,14 +32,10 @@ type Stats struct {
 	Opened  uint64
 	Lockups uint64
 
-	// Degraded-mode machine activity (all zero while FailModeNone).
+	// Degraded-episode activity (all zero on a card never degraded).
 	DegradedEntries uint64 // transitions into StateDegraded
-	WatchdogResets  uint64 // automatic recoveries to the committed rule set
-	UpdatesAborted  uint64 // policy updates declared interrupted
+	WatchdogResets  uint64 // watchdog recoveries back to healthy
 	DegradedPass    uint64 // frames passed unfiltered fail-open
-
-	// Conntrack activity (zero on stateless profiles/policies).
-	StateUntrackedPass uint64 // table full, FailModeOpen: admitted untracked
 }
 
 type replayKey struct {
@@ -75,8 +71,8 @@ type NIC struct {
 	// Assigned only through setConntrack — cached flow verdicts embed
 	// the classifications the current table produced, so a table swap
 	// must invalidate the cache with it. stateRecovery decides what
-	// happens to tracked state when enforcement returns after a
-	// degraded episode (see degraded.go).
+	// happens to tracked state when enforcement returns after the
+	// current degraded episode (see degraded.go).
 	ct            *conntrack.Table
 	stateRecovery StateRecovery
 
@@ -85,14 +81,9 @@ type NIC struct {
 	deniedInWin int
 	ipID        uint16
 
-	// Degraded-mode state machine (see degraded.go). failMode's zero
-	// value FailModeNone keeps the machine fully disarmed.
-	failMode        FailMode
-	degState        DegradedState
-	lastCommitted   *fw.RuleSet
-	overloadDegrade bool
-	updateEv        *sim.Event
-	recoverEv       *sim.Event
+	// failMode is the current degraded episode's posture (see
+	// degraded.go); FailModeNone while the card is healthy.
+	failMode FailMode
 
 	// Precomputed hot-path callbacks and the pending-ingress freelist:
 	// together with the kernel's pooled events they make the steady-state
@@ -205,8 +196,7 @@ func (n *NIC) Profile() Profile { return n.profile }
 func (n *NIC) Stats() Stats { return n.stats }
 
 // Backlog returns the embedded processor's queued work, expressed as
-// the time it will take to drain at current capacity. The card enters
-// degraded mode when this crosses cpuExhaustedBacklog.
+// the time it will take to drain at current capacity.
 func (n *NIC) Backlog() time.Duration { return n.proc.Backlog() }
 
 // QueueDepth returns the processor's descriptor-ring occupancy.
@@ -302,26 +292,21 @@ func (n *NIC) SetDeliver(fn func(*packet.Frame)) { n.deliver = fn }
 
 // InstallRuleSet installs (or, with nil, removes) the enforced policy.
 // In the real systems this is done by the firewall agent on behalf of the
-// central policy server. A direct install is a committed policy: it is
-// what a degraded card's watchdog reset restores.
-func (n *NIC) InstallRuleSet(rs *fw.RuleSet) {
-	n.setRules(rs)
-	n.lastCommitted = rs
-}
+// central policy server; it is the card's one install path.
+func (n *NIC) InstallRuleSet(rs *fw.RuleSet) { n.setRules(rs) }
 
 // setRules makes rs the active enforced policy. Every assignment of the
 // active rule set funnels through here so the flow cache never serves a
-// verdict produced under a previous policy: any policy change — commit,
-// degraded-mode enforcement swap, watchdog restore — invalidates the
+// verdict produced under a previous policy: any install invalidates the
 // whole cache. The matcher belongs to the rule set (fw.RuleSet.Match), so
-// a restored policy reuses the one it compiled before.
+// a re-installed policy reuses the one it compiled before.
 func (n *NIC) setRules(rs *fw.RuleSet) {
 	n.rules = rs
 	n.invalidateFlowCache()
 }
 
 // invalidateFlowCache drops every cached flow verdict (no-op without a
-// cache). Called on policy changes and degraded-mode transitions.
+// cache). Called on policy changes and degraded-episode transitions.
 func (n *NIC) invalidateFlowCache() {
 	if n.fcache != nil {
 		n.fcache.invalidate()
@@ -377,8 +362,8 @@ func (n *NIC) classifyConn(s packet.Summary) (fw.ConnState, float64) {
 
 // commitConn records an allowed new connection in the state table and
 // returns the insert cost plus whether the packet must instead be
-// dropped because the table is full and the card's posture forbids
-// admitting untracked connections (FailModeOpen admits them, counted).
+// dropped because the table is full: the card admits no connection it
+// cannot track.
 //
 //barbican:noalloc
 func (n *NIC) commitConn(s packet.Summary, cs fw.ConnState) (cost float64, fullDrop bool) {
@@ -389,10 +374,6 @@ func (n *NIC) commitConn(s packet.Summary, cs fw.ConnState) (cost float64, fullD
 	case conntrack.CommitCreated, conntrack.CommitEvicted:
 		return n.profile.ConntrackInsertCost, false
 	case conntrack.CommitFull:
-		if n.failMode == FailModeOpen {
-			n.stats.StateUntrackedPass++
-			return n.profile.ConntrackInsertCost, false
-		}
 		return n.profile.ConntrackInsertCost, true
 	case conntrack.CommitExisting, conntrack.NumCommitStatuses:
 	}
@@ -473,31 +454,6 @@ func (n *NIC) isManagement(s packet.Summary) bool {
 // Locked reports whether the card is wedged (the EFW Deny-All failure).
 func (n *NIC) Locked() bool { return n.locked }
 
-// RestartAgent models restarting the firewall agent software, which the
-// paper found was the only way to restore a wedged card. Installed policy
-// and groups survive; queued work is discarded.
-func (n *NIC) RestartAgent() {
-	n.locked = false
-	n.deniedInWin = 0
-	n.winStart = n.kernel.Now()
-	n.proc.Reset()
-	// A restart also clears the degraded machine back to healthy with
-	// the committed policy enforced.
-	if n.updateEv != nil {
-		n.updateEv.Cancel()
-		n.updateEv = nil
-	}
-	if n.recoverEv != nil {
-		n.recoverEv.Cancel()
-		n.recoverEv = nil
-	}
-	if n.degState != StateHealthy {
-		n.setRules(n.lastCommitted)
-		n.degState = StateHealthy
-		n.conntrackRecovered()
-	}
-}
-
 // decision is the policy stage's account of one packet: how its verdict
 // was reached and what the embedded processor was charged for it.
 type decision struct {
@@ -563,9 +519,8 @@ func (n *NIC) policyStage(dir fw.Direction, s *packet.Summary, exempt bool, tid 
 		return false
 	}
 	if stateFull {
-		// Policy said allow but the state table is full and the posture
-		// is not fail-open: the connection cannot be tracked, so it is
-		// not admitted. The work was already done, hence after admit.
+		// Policy said allow but the state table is full: the
+		// connection cannot be tracked, so it is not admitted. The work was already done, hence after admit.
 		n.drop(dir, cardStage(dir), tracing.DropStateTableFull, tid)
 		return false
 	}
@@ -602,16 +557,14 @@ func (n *NIC) cryptoBytes(dir fw.Direction, s *packet.Summary, v *fw.Verdict) in
 
 // admit charges one packet's work to the embedded processor and records
 // it with the profiler; ctCost is the conntrack share. A full descriptor
-// ring drops the packet as overload, which the degraded machine watches.
+// ring drops the packet as overload.
 //
 //barbican:noalloc
 func (n *NIC) admit(dir fw.Direction, tid uint64, path MatchPath, traversed, index, cryptoBytes int, ctCost float64) (time.Duration, bool) {
 	base, match, crypto := n.profile.CostPartsPath(path, traversed, cryptoBytes)
 	completeAt, ok := n.proc.Admit(base + match + crypto + ctCost)
 	if !ok {
-		reason := n.overloadReason()
-		n.drop(dir, cardStage(dir), reason, tid)
-		n.noteOverload(reason)
+		n.drop(dir, cardStage(dir), n.overloadReason(), tid)
 		return 0, false
 	}
 	if n.prof != nil {
@@ -653,7 +606,7 @@ func (n *NIC) Send(d *packet.Datagram, dstMAC packet.MAC) bool {
 	}
 
 	exempt := n.isManagement(s)
-	if n.degState == StateDegraded {
+	if n.failMode != FailModeNone {
 		if handled, pass := n.degraded(fw.Out, exempt, tid); handled {
 			if pass {
 				f := n.plainFrame(d, dstMAC)
@@ -728,7 +681,7 @@ func (n *NIC) SendRawFrame(f *packet.Frame) bool {
 		n.frames.Put(f)
 		return false
 	}
-	if n.degState == StateDegraded {
+	if n.failMode != FailModeNone {
 		if handled, pass := n.degraded(fw.Out, false, tid); handled {
 			if !pass {
 				n.frames.Put(f)
@@ -812,7 +765,7 @@ func (n *NIC) handleFrame(f *packet.Frame) {
 	}
 
 	exempt := n.isManagement(s)
-	if n.degState == StateDegraded {
+	if n.failMode != FailModeNone {
 		if handled, pass := n.degraded(fw.In, exempt, tid); handled {
 			if pass {
 				n.deliverFrame(f)

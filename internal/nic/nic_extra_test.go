@@ -253,19 +253,6 @@ func TestProcessorRingBound(t *testing.T) {
 	}
 }
 
-func TestProcessorReset(t *testing.T) {
-	k := sim.NewKernel()
-	p := NewProcessor(k, 100, 8)
-	p.Admit(1000) // 10 seconds of work
-	if p.Backlog() == 0 {
-		t.Fatal("no backlog after admit")
-	}
-	p.Reset()
-	if p.Backlog() != 0 || p.Queued() != 0 {
-		t.Error("Reset did not clear the processor")
-	}
-}
-
 func TestNICEndpointAccessor(t *testing.T) {
 	k := sim.NewKernel()
 	ea, _ := link.New(k, link.Config{})
@@ -354,9 +341,7 @@ func TestNICConservationEveryDropReason(t *testing.T) {
 		a, b := pair(t, k, EFW(), EFW())
 		a.InstallRuleSet(fw.MustRuleSet(fw.Allow))
 		b.InstallRuleSet(fw.MustRuleSet(fw.Allow))
-		a.SetFailMode(mode)
-		a.BeginPolicyUpdate()
-		a.AbortPolicyUpdate()
+		a.Degrade(mode, RecoveryResync)
 		a.Send(udpDatagram(ipA, ipB, 1, 2, 10), macB)
 		a.SendRawFrame(&packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: udpDatagram(ipA, ipB, 1, 2, 10).MarshalTo(nil)})
 		b.Send(udpDatagram(ipB, ipA, 2, 1, 10), macA)

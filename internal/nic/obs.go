@@ -86,13 +86,11 @@ func (n *NIC) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
 		func() float64 { return float64(n.stats.DegradedEntries) })
 	counter("nic_watchdog_resets_total", "Automatic watchdog recoveries to the last committed rule set.",
 		func() float64 { return float64(n.stats.WatchdogResets) })
-	counter("nic_updates_aborted_total", "Policy updates declared interrupted.",
-		func() float64 { return float64(n.stats.UpdatesAborted) })
 	counter("nic_degraded_drops_total", "Frames dropped fail-closed while degraded (both directions).",
 		func() float64 { return float64(rx[tracing.DropDegraded] + tx[tracing.DropDegraded]) })
 	counter("nic_degraded_pass_total", "Frames passed unfiltered fail-open while degraded.",
 		func() float64 { return float64(n.stats.DegradedPass) })
-	gauge("nic_degraded_state", "Policy-plane state (0 healthy, 1 updating, 2 degraded, 3 wedged).",
+	gauge("nic_degraded_state", "Policy-plane state (0 healthy, 1 degraded, 2 wedged).",
 		func() float64 { return float64(n.DegradedState()) })
 	// The same state as a labeled one-hot family, so dashboards can
 	// plot/alert per state by name instead of decoding the enum value.

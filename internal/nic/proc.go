@@ -102,13 +102,6 @@ func (p *Processor) Backlog() time.Duration {
 	return b
 }
 
-// Reset discards queued work (used when the firewall agent restarts the
-// card).
-func (p *Processor) Reset() {
-	p.busyUntil = p.kernel.Now()
-	p.queued = 0
-}
-
 // Queued returns the current ring occupancy.
 func (p *Processor) Queued() int { return p.queued }
 

@@ -68,7 +68,8 @@ type Profile struct {
 	// LockupDeniedPPS, when positive, wedges the card once it denies
 	// more than this many packets within one second — the EFW's
 	// Deny-All failure the paper could not work around. A wedged card
-	// drops all traffic until the firewall agent restarts it.
+	// drops all traffic for the rest of the run (the paper restarted the
+	// firewall agent; the model has no restart).
 	LockupDeniedPPS int
 	// EagerVPGDecrypt, when true, decrypts sealed packets before rule
 	// matching instead of on reaching the matching VPG rule. The real

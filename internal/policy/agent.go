@@ -8,7 +8,6 @@ import (
 	"barbican/internal/nic"
 	"barbican/internal/packet"
 	"barbican/internal/stack"
-	"barbican/internal/vpg"
 )
 
 // AgentStats counts agent activity.
@@ -20,27 +19,22 @@ type AgentStats struct {
 	IdempotentAcks uint64 // re-pushes of the installed version, acked without reinstall
 	TimeoutAborts  uint64 // connections reaped by the per-push read deadline
 	AbortedPushes  uint64 // connections torn down mid-push by the peer
-	Restarts       uint64
 }
 
 // AgentReadTimeout bounds how long one push connection may stay open
 // without completing: a truncated message (its tail lost to a fault or
-// partition) must not wedge the listener slot or hold the card's
-// update watchdog hostage forever.
+// partition) must not hold the connection forever.
 const AgentReadTimeout = 3 * time.Second
 
 // Agent is the firewall agent running on a protected host: it receives
 // signed policy pushes from the central server and installs them on the
-// host's filtering card. It is also the component the operator restarts
-// to clear the EFW's Deny-All lockup.
+// host's filtering card.
 type Agent struct {
 	host *stack.Host
 	card *nic.NIC
 	psk  []byte
 
 	installedVersion uint32
-	installed        *fw.RuleSet
-	installedGroups  []*vpg.Group
 	listener         *stack.Listener
 	stats            AgentStats
 	lastGoodAt       time.Duration // virtual time of the last successful install
@@ -85,41 +79,15 @@ func (a *Agent) Staleness() time.Duration {
 // Stats returns a snapshot of the agent counters.
 func (a *Agent) Stats() AgentStats { return a.stats }
 
-// InstalledGroups returns the names of the provisioned VPGs.
-func (a *Agent) InstalledGroups() []string {
-	names := make([]string, 0, len(a.installedGroups))
-	for _, g := range a.installedGroups {
-		names = append(names, g.Name())
-	}
-	return names
-}
-
-// Restart restarts the agent software: the card is reset (clearing a
-// lockup) and the current policy and groups re-installed.
-func (a *Agent) Restart() {
-	a.stats.Restarts++
-	a.card.RestartAgent()
-	if a.installed != nil {
-		a.card.InstallRuleSet(a.installed)
-	}
-	for _, g := range a.installedGroups {
-		// Re-installation of a surviving group cannot fail membership
-		// validation; ignore the impossible error.
-		_ = a.card.InstallGroup(g, a.host.IP())
-	}
-}
-
 // Close stops accepting pushes.
 func (a *Agent) Close() { a.listener.Close() }
 
 // serve handles one push connection. Faults on the management channel
 // mean the bytes may be truncated, bit-flipped, or never complete; the
-// handler must reject without panicking and, crucially, without
-// wedging: every exit path settles the card's update watchdog and the
-// read deadline frees the connection when the tail never arrives.
+// handler must reject without panicking and without wedging: the read
+// deadline frees the connection when the tail never arrives.
 func (a *Agent) serve(c *stack.Conn) {
 	var buf []byte
-	began := false    // card told an update is in flight
 	complete := false // a push was answered (OK or ERR)
 
 	deadline := a.host.Kernel().After(AgentReadTimeout, func() {
@@ -128,22 +96,12 @@ func (a *Agent) serve(c *stack.Conn) {
 		}
 		complete = true
 		a.stats.TimeoutAborts++
-		if began {
-			// The push died mid-flight: this is a real interruption,
-			// the degraded machine's fail-mode applies.
-			a.card.AbortPolicyUpdate()
-		}
 		c.Abort()
 	})
-	// reject answers a malformed push and settles the update state
-	// cleanly (a fully received, cleanly rejected message is not an
-	// interruption).
+	// reject answers a malformed push.
 	reject := func(msg string) {
 		complete = true
 		deadline.Cancel()
-		if began {
-			a.card.CancelPolicyUpdate()
-		}
 		if werr := c.Write(encodeErr(msg)); werr == nil {
 			c.Close()
 		} else {
@@ -157,9 +115,6 @@ func (a *Agent) serve(c *stack.Conn) {
 		complete = true
 		deadline.Cancel()
 		a.stats.AbortedPushes++
-		if began {
-			a.card.AbortPolicyUpdate()
-		}
 	}
 	c.OnReset = torndown
 	c.OnPeerClose = torndown
@@ -169,10 +124,6 @@ func (a *Agent) serve(c *stack.Conn) {
 			return
 		}
 		buf = append(buf, p...)
-		if !began && len(buf) > 0 {
-			began = true
-			a.card.BeginPolicyUpdate()
-		}
 		msg, n, err := decodePush(a.psk, buf)
 		if err != nil {
 			if err == ErrBadMAC {
@@ -200,13 +151,10 @@ func (a *Agent) serve(c *stack.Conn) {
 	}
 }
 
-// handlePush processes one fully received, authenticated push. The
-// card's update watchdog is armed (serve called BeginPolicyUpdate);
-// every path here settles it — commit on install, cancel on a clean
-// rejection or idempotent ack.
+// handlePush processes one fully received, authenticated push: it
+// installs the rule-set on the card, or answers why not.
 func (a *Agent) handlePush(c *stack.Conn, msg *pushMessage) {
 	rejectWith := func(detail string) {
-		a.card.CancelPolicyUpdate()
 		if werr := c.Write(encodeErr(detail)); werr == nil {
 			c.Close()
 		} else {
@@ -218,7 +166,6 @@ func (a *Agent) handlePush(c *stack.Conn, msg *pushMessage) {
 		// management channel. Confirm without reinstalling.
 		a.stats.IdempotentAcks++
 		a.lastGoodAt = a.host.Kernel().Now()
-		a.card.CancelPolicyUpdate()
 		if err := c.Write(encodeOK(msg.Version)); err == nil {
 			c.Close()
 		} else {
@@ -237,26 +184,10 @@ func (a *Agent) handlePush(c *stack.Conn, msg *pushMessage) {
 		rejectWith(err.Error())
 		return
 	}
-	// Provision the pushed VPGs before enforcing rules that require them.
-	groups := make([]*vpg.Group, 0, len(msg.Groups))
-	for _, def := range msg.Groups {
-		g, err := vpg.NewGroup(def.Name, def.Key, def.Members...)
-		if err == nil {
-			err = a.card.InstallGroup(g, a.host.IP())
-		}
-		if err != nil {
-			a.stats.ParseFails++
-			rejectWith(fmt.Sprintf("group %q: %v", def.Name, err))
-			return
-		}
-		groups = append(groups, g)
-	}
-	a.installedGroups = groups
-	a.installed = rs
 	a.installedVersion = msg.Version
 	a.everInstalled = true
 	a.lastGoodAt = a.host.Kernel().Now()
-	a.card.CommitPolicyUpdate(rs)
+	a.card.InstallRuleSet(rs)
 	a.stats.Installs++
 	if a.OnInstall != nil {
 		a.OnInstall(msg.Version, rs)

@@ -2,31 +2,21 @@ package policy
 
 import (
 	"testing"
-
-	"barbican/internal/packet"
-	"barbican/internal/vpg"
 )
 
-// validWire builds a representative signed push wire image: a policy
-// with rules, a device name, and one VPG (so every field of the body
-// format is present).
+// validWire builds a representative signed push wire image: a device
+// name and a policy with rules in both directions (every field of the
+// body format is present; the group count is its one legal value, 0).
 func validWire(t testing.TB, psk []byte) []byte {
 	t.Helper()
 	msg := &pushMessage{
 		Version: 7,
 		Name:    "target",
-		Text:    "allow in proto tcp from any to 10.0.0.2/32 port 80\ndefault deny\n",
-		Groups: []groupDef{{
-			Name:    "psq",
-			Key:     vpg.Key{1, 2, 3},
-			Members: []packet.IP{packet.MustIP("10.0.0.1"), packet.MustIP("10.0.0.2")},
-		}},
+		Text: "allow in proto tcp from any to 10.0.0.2/32 port 80\n" +
+			"allow out proto udp from 10.0.0.2/32 to any port 53\n" +
+			"default deny\n",
 	}
-	wire, err := msg.encode(psk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wire
+	return msg.encode(psk)
 }
 
 // TestDecodePushTruncationSweep: every strict prefix of a valid wire

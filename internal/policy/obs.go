@@ -13,8 +13,6 @@ func (a *Agent) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
 		obs.KindCounter, func() float64 { return float64(a.stats.ParseFails) }, labels...)
 	reg.MustRegisterFunc("policy_agent_stale_drops_total", "Pushes older than the installed version.",
 		obs.KindCounter, func() float64 { return float64(a.stats.StaleDrops) }, labels...)
-	reg.MustRegisterFunc("policy_agent_restarts_total", "Agent restarts (EFW lockup recovery).",
-		obs.KindCounter, func() float64 { return float64(a.stats.Restarts) }, labels...)
 	reg.MustRegisterFunc("policy_agent_idempotent_acks_total", "Re-pushes of the installed version acked without reinstall.",
 		obs.KindCounter, func() float64 { return float64(a.stats.IdempotentAcks) }, labels...)
 	reg.MustRegisterFunc("policy_agent_timeout_aborts_total", "Push connections reaped by the read deadline.",

@@ -7,16 +7,8 @@ import (
 	"time"
 
 	"barbican/internal/core"
-	"barbican/internal/measure"
 	"barbican/internal/policy"
 )
-
-func newFlood(tb *core.Testbed, rate float64) *measure.Flooder {
-	return measure.NewFlooder(tb.Attacker, tb.Target.IP(), measure.FloodConfig{
-		RatePPS: rate,
-		DstPort: core.FloodPort,
-	})
-}
 
 const webPolicy = `allow in proto tcp from any to 10.0.0.2/32 port 80
 allow out proto tcp from 10.0.0.2/32 port 80 to any
@@ -225,41 +217,6 @@ func TestPushToDeadAgentTimesOut(t *testing.T) {
 	st := srv.Stats()
 	if st.Attempts != 5 || st.Retries != 4 || st.Failures != 1 || st.Successes != 0 {
 		t.Errorf("server stats = %+v", st)
-	}
-}
-
-func TestAgentRestartClearsLockupAndKeepsPolicy(t *testing.T) {
-	tb, srv, agent := setup(t)
-	if _, err := srv.SetPolicy("target", "default deny\n"); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Push("target", tb.Target.IP(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Kernel.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	// Flood the deny-all EFW over the lockup threshold.
-	flood := newFlood(tb, 2000)
-	flood.Start()
-	if err := tb.Kernel.RunFor(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	flood.Stop()
-	if !tb.Target.NIC().Locked() {
-		t.Fatal("EFW did not lock up")
-	}
-
-	agent.Restart()
-	if tb.Target.NIC().Locked() {
-		t.Error("restart did not clear the lockup")
-	}
-	if tb.Target.NIC().RuleSet() == nil {
-		t.Error("restart lost the installed policy")
-	}
-	if agent.Stats().Restarts != 1 {
-		t.Errorf("Restarts = %d", agent.Stats().Restarts)
 	}
 }
 

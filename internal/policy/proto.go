@@ -8,9 +8,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"barbican/internal/packet"
-	"barbican/internal/vpg"
 )
 
 // AgentPort is the TCP port firewall agents listen on for policy pushes.
@@ -19,21 +16,19 @@ const AgentPort = 4747
 // Wire framing: "BPL2" | uint32 payloadLen | payload, where payload is
 //
 //	uint32 version | uint16 nameLen | name | uint32 textLen | text |
-//	uint8 groupCount | groups... | 32-byte HMAC
+//	uint8 groupCount | 32-byte HMAC
 //
-// and each group is
-//
-//	uint8 nameLen | name | 32-byte key | uint16 memberCount | members (4 bytes each)
-//
-// The HMAC (SHA-256, pre-shared key) covers everything before it. VPG
-// keys ride the same authenticated channel as rule-sets, as in the ADF
-// architecture, where the policy server provisions group membership.
+// The HMAC (SHA-256, pre-shared key) covers everything before it. A push
+// carries a rule-set only: VPGs are provisioned with the testbed
+// (core.Testbed.SetupVPG), so the group count is always 0 and the
+// decoder rejects any other value. The byte stays because every push's
+// transfer time, and with it the audit times runs report, depends on
+// the wire length.
 const (
 	protoMagic     = "BPL2"
 	headerLen      = 8
 	macLen         = 32
 	maxPayloadSize = 1 << 20
-	maxGroups      = 255
 )
 
 // Errors surfaced by message decoding.
@@ -42,49 +37,25 @@ var (
 	ErrTruncated = errors.New("policy: truncated message")
 	ErrBadMAC    = errors.New("policy: message authentication failed")
 	ErrTooLarge  = errors.New("policy: message too large")
+	ErrGroups    = errors.New("policy: push carries group definitions")
 )
 
-// groupDef is a VPG provisioning record carried in a push.
-type groupDef struct {
-	Name    string
-	Key     vpg.Key
-	Members []packet.IP
-}
-
-// pushMessage is a policy push: a rule-set plus the VPGs the device
-// participates in.
+// pushMessage is a policy push: one device's versioned rule-set.
 type pushMessage struct {
 	Version uint32
 	Name    string
 	Text    string
-	Groups  []groupDef
 }
 
 // body serializes everything the MAC covers.
-func (m *pushMessage) body() ([]byte, error) {
-	if len(m.Groups) > maxGroups {
-		return nil, fmt.Errorf("policy: too many groups (%d)", len(m.Groups))
-	}
+func (m *pushMessage) body() []byte {
 	var b []byte
 	b = binary.BigEndian.AppendUint32(b, m.Version)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Name)))
 	b = append(b, m.Name...)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(m.Text)))
 	b = append(b, m.Text...)
-	b = append(b, byte(len(m.Groups)))
-	for _, g := range m.Groups {
-		if len(g.Name) > 255 {
-			return nil, fmt.Errorf("policy: group name too long")
-		}
-		b = append(b, byte(len(g.Name)))
-		b = append(b, g.Name...)
-		b = append(b, g.Key[:]...)
-		b = binary.BigEndian.AppendUint16(b, uint16(len(g.Members)))
-		for _, ip := range g.Members {
-			b = append(b, ip[:]...)
-		}
-	}
-	return b, nil
+	return append(b, 0) // group count
 }
 
 func sign(psk, body []byte) []byte {
@@ -94,18 +65,14 @@ func sign(psk, body []byte) []byte {
 }
 
 // encode frames and signs the message.
-func (m *pushMessage) encode(psk []byte) ([]byte, error) {
-	body, err := m.body()
-	if err != nil {
-		return nil, err
-	}
+func (m *pushMessage) encode(psk []byte) []byte {
+	body := m.body()
 	payloadLen := len(body) + macLen
 	b := make([]byte, 0, headerLen+payloadLen)
 	b = append(b, protoMagic...)
 	b = binary.BigEndian.AppendUint32(b, uint32(payloadLen))
 	b = append(b, body...)
-	b = append(b, sign(psk, body)...)
-	return b, nil
+	return append(b, sign(psk, body)...)
 }
 
 // decodePush parses a framed buffer. It returns (nil, nil) when more
@@ -156,35 +123,10 @@ func parseBody(p []byte) (*pushMessage, error) {
 		return nil, ErrTruncated
 	}
 	m.Text = string(p[:textLen])
-	p = p[textLen:]
-	groupCount := int(p[0])
-	p = p[1:]
-	for i := 0; i < groupCount; i++ {
-		if len(p) < 1 {
-			return nil, ErrTruncated
-		}
-		n := int(p[0])
-		p = p[1:]
-		if len(p) < n+32+2 {
-			return nil, ErrTruncated
-		}
-		var g groupDef
-		g.Name = string(p[:n])
-		copy(g.Key[:], p[n:n+32])
-		members := int(binary.BigEndian.Uint16(p[n+32 : n+34]))
-		p = p[n+34:]
-		if len(p) < members*4 {
-			return nil, ErrTruncated
-		}
-		for j := 0; j < members; j++ {
-			var ip packet.IP
-			copy(ip[:], p[j*4:j*4+4])
-			g.Members = append(g.Members, ip)
-		}
-		p = p[members*4:]
-		m.Groups = append(m.Groups, g)
+	if p[textLen] != 0 {
+		return nil, ErrGroups
 	}
-	if len(p) != 0 {
+	if len(p) != textLen+1 {
 		return nil, ErrTruncated
 	}
 	return m, nil

@@ -8,10 +8,7 @@ import (
 func TestPushMessageRoundTrip(t *testing.T) {
 	psk := DeriveKey("k")
 	m := &pushMessage{Version: 7, Name: "target", Text: "default deny\n"}
-	b, err := m.encode(psk)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := m.encode(psk)
 
 	got, n, err := decodePush(psk, b)
 	if err != nil {
@@ -30,10 +27,7 @@ func TestPushMessageRoundTrip(t *testing.T) {
 
 func TestDecodePushPartial(t *testing.T) {
 	psk := DeriveKey("k")
-	b, err := (&pushMessage{Version: 1, Name: "t", Text: "default deny\n"}).encode(psk)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := (&pushMessage{Version: 1, Name: "t", Text: "default deny\n"}).encode(psk)
 	for i := 0; i < len(b); i++ {
 		got, _, err := decodePush(psk, b[:i])
 		if err != nil {
@@ -46,20 +40,14 @@ func TestDecodePushPartial(t *testing.T) {
 }
 
 func TestDecodePushWrongKey(t *testing.T) {
-	b, err := (&pushMessage{Version: 1, Name: "t", Text: "x"}).encode(DeriveKey("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := (&pushMessage{Version: 1, Name: "t", Text: "x"}).encode(DeriveKey("a"))
 	if _, _, err := decodePush(DeriveKey("b"), b); !errors.Is(err, ErrBadMAC) {
 		t.Errorf("err = %v, want ErrBadMAC", err)
 	}
 }
 
 func TestDecodePushBadMagic(t *testing.T) {
-	b, err := (&pushMessage{Version: 1, Name: "t", Text: "x"}).encode(DeriveKey("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := (&pushMessage{Version: 1, Name: "t", Text: "x"}).encode(DeriveKey("a"))
 	b[0] = 'X'
 	if _, _, err := decodePush(DeriveKey("a"), b); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("err = %v, want ErrBadMagic", err)

@@ -1,6 +1,10 @@
 package policy_test
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
+	"strings"
 	"testing"
 	"time"
 
@@ -186,5 +190,45 @@ func TestAgentSurvivesTruncatedGarbage(t *testing.T) {
 	}
 	if agent.InstalledVersion() != 1 {
 		t.Errorf("installed = %d, want 1", agent.InstalledVersion())
+	}
+}
+
+// TestAgentRejectsPushWithGroups: pushes carry rule-sets only. A
+// correctly signed BPL2 push whose group count is 1 is answered with
+// ERR, and the agent installs nothing.
+func TestAgentRejectsPushWithGroups(t *testing.T) {
+	tb, _, agent := setup(t)
+	before := tb.Target.NIC().RuleSet()
+
+	var body []byte
+	body = binary.BigEndian.AppendUint32(body, 1) // version
+	body = binary.BigEndian.AppendUint16(body, uint16(len("target")))
+	body = append(body, "target"...)
+	body = binary.BigEndian.AppendUint32(body, uint32(len(webPolicy)))
+	body = append(body, webPolicy...)
+	body = append(body, 1) // group count
+	mac := hmac.New(sha256.New, policy.DeriveKey("test"))
+	mac.Write(body)
+	wire := binary.BigEndian.AppendUint32([]byte("BPL2"), uint32(len(body)+sha256.Size))
+	wire = append(append(wire, body...), mac.Sum(nil)...)
+
+	c, err := tb.PolicyServer.DialTCP(tb.Target.IP(), policy.AgentPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply []byte
+	c.OnConnect = func() { _ = c.Write(wire) }
+	c.OnData = func(p []byte) { reply = append(reply, p...) }
+	if err := tb.Kernel.RunFor(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(reply), "ERR ") {
+		t.Fatalf("reply = %q, want an ERR line", reply)
+	}
+	if agent.InstalledVersion() != 0 || agent.Stats().Installs != 0 {
+		t.Errorf("agent installed v%d (%d installs), want nothing", agent.InstalledVersion(), agent.Stats().Installs)
+	}
+	if tb.Target.NIC().RuleSet() != before {
+		t.Error("the card's rule set changed")
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"barbican/internal/packet"
 	"barbican/internal/stack"
-	"barbican/internal/vpg"
 )
 
 // DeriveKey derives the pre-shared distribution key from a passphrase.
@@ -41,12 +40,11 @@ func (e AuditEvent) String() string {
 type assignment struct {
 	text    string
 	version uint32
-	groups  []groupDef
 }
 
 // ServerStats counts policy-distribution activity.
 type ServerStats struct {
-	Pushes    uint64 // Push calls accepted (policy existed and encoded)
+	Pushes    uint64 // Push calls accepted (a policy was stored)
 	Attempts  uint64 // connection attempts, including retries
 	Retries   uint64 // attempts after the first
 	Successes uint64 // pushes settled with an agent OK
@@ -81,38 +79,6 @@ func (s *Server) SetPolicy(device, text string) (version uint32, err error) {
 		s.assignments[device] = a
 	}
 	a.text = text
-	a.version++
-	return a.version, nil
-}
-
-// SetVPG provisions (or, for an existing name, replaces) a VPG on a
-// device's next push: the group key and member set ride the same
-// authenticated channel as the rule-set, as in the ADF architecture.
-// The device must already have a policy stored, and it bumps the
-// version.
-func (s *Server) SetVPG(device, group string, key vpg.Key, members []packet.IP) (version uint32, err error) {
-	a := s.assignments[device]
-	if a == nil {
-		return 0, fmt.Errorf("policy: no policy stored for device %q", device)
-	}
-	if group == "" || len(group) > 64 {
-		return 0, fmt.Errorf("policy: invalid group name %q", group)
-	}
-	if len(members) == 0 {
-		return 0, fmt.Errorf("policy: group %q has no members", group)
-	}
-	def := groupDef{Name: group, Key: key, Members: append([]packet.IP(nil), members...)}
-	replaced := false
-	for i := range a.groups {
-		if a.groups[i].Name == group {
-			a.groups[i] = def
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		a.groups = append(a.groups, def)
-	}
 	a.version++
 	return a.version, nil
 }
@@ -174,7 +140,7 @@ func retryableAgentErr(msg string) bool {
 
 // Push distributes the device's current policy to the agent at target
 // with default retry options. A non-nil return means the push never
-// started (no stored policy, encode failure) and done will NOT be
+// started (no stored policy) and done will NOT be
 // invoked; once Push returns nil, done (if non-nil) is invoked exactly
 // once with the terminal outcome — after the agent's OK, or after the
 // retry budget is exhausted.
@@ -191,18 +157,14 @@ func (s *Server) PushWith(device string, target packet.IP, opt PushOptions, done
 	if a == nil {
 		return fmt.Errorf("policy: no policy stored for device %q", device)
 	}
-	msg := &pushMessage{Version: a.version, Name: device, Text: a.text, Groups: a.groups}
-	wire, err := msg.encode(s.psk)
-	if err != nil {
-		return err
-	}
+	msg := &pushMessage{Version: a.version, Name: device, Text: a.text}
 	s.stats.Pushes++
 	r := &pushRun{
 		s:       s,
 		device:  device,
 		target:  target,
 		version: a.version,
-		wire:    wire,
+		wire:    msg.encode(s.psk),
 		maxAtt:  opt.MaxAttempts,
 		rng:     s.host.Kernel().Rand(),
 		done:    done,

@@ -62,6 +62,11 @@ type Report struct {
 	// RulesVersion is the installed policy version (0 = none/unknown).
 	RulesVersion uint32
 
+	// State is the card's policy-plane state and Locked the EFW
+	// lockup. Mode is the current degraded episode's posture,
+	// FailModeNone while the card is healthy; it keeps its byte even
+	// where no card is ever degraded, because the report's length sets
+	// its transfer time and with it the detection times runs report.
 	State  nic.DegradedState
 	Mode   nic.FailMode
 	Locked bool

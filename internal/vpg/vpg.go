@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"hash"
 	"slices"
-	"sort"
 
 	"barbican/internal/packet"
 )
@@ -73,8 +72,8 @@ type Group struct {
 	members map[packet.IP]struct{}
 }
 
-// NewGroup creates a group. Member addresses may be added later with
-// AddMember.
+// NewGroup creates a group of the given member addresses; membership
+// is fixed from then on.
 func NewGroup(name string, key Key, members ...packet.IP) (*Group, error) {
 	if name == "" || len(name) > maxNameLen {
 		return nil, fmt.Errorf("vpg: invalid group name %q", name)
@@ -108,26 +107,10 @@ func deriveSubkey(key Key, label string) [32]byte {
 // Name returns the group name.
 func (g *Group) Name() string { return g.name }
 
-// AddMember adds a host address to the group.
-func (g *Group) AddMember(ip packet.IP) { g.members[ip] = struct{}{} }
-
-// RemoveMember removes a host address from the group.
-func (g *Group) RemoveMember(ip packet.IP) { delete(g.members, ip) }
-
 // IsMember reports whether ip belongs to the group.
 func (g *Group) IsMember(ip packet.IP) bool {
 	_, ok := g.members[ip]
 	return ok
-}
-
-// Members returns the member addresses in sorted order.
-func (g *Group) Members() []packet.IP {
-	out := make([]packet.IP, 0, len(g.members))
-	for m := range g.members {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Uint32() < out[j].Uint32() })
-	return out
 }
 
 // Seal encrypts and authenticates a transport segment from sender to
