@@ -7,7 +7,6 @@
 //	barbican [flags] EXPERIMENT|all
 //	barbican flood [flags]
 //	barbican explain [flags]
-//	barbican profile [flags] FILE [FILE]
 //
 // barbican -h lists the experiment names. all runs every experiment
 // except report, which reruns the paper's figures and tables as one
@@ -74,9 +73,10 @@
 // and prints the matched rule, depth walked, and predicted per-stage
 // cost; see barbican explain -h.
 //
-// The profile subcommand summarizes a profile written by -profile-out
-// (top-N phases and stacks) or, with -diff, reports per-phase and
-// per-stack deltas between two profiles; see barbican profile -h.
+// The profiles -profile-out writes are read with the toolchain's own
+// reader: go tool pprof -top [-cum] FILE for the top phases and
+// stacks, -traces for every stack, and -top -diff_base OLD NEW for the
+// per-stack deltas between two runs.
 package main
 
 import (
@@ -105,8 +105,6 @@ func run(w io.Writer, args []string) error {
 		switch args[0] {
 		case "explain":
 			return runExplain(w, args[1:])
-		case "profile":
-			return runProfileCmd(w, args[1:])
 		case "flood":
 			return runFlood(w, args[1:])
 		}
@@ -124,7 +122,6 @@ func run(w io.Writer, args []string) error {
 		fmt.Fprintf(fs.Output(), "usage: barbican [flags] %s|all\n", strings.Join(names, "|"))
 		fmt.Fprintln(fs.Output(), "       barbican flood [flags]  (one device's bandwidth over depths × flood rates)")
 		fmt.Fprintln(fs.Output(), "       barbican explain [flags]  (replay one packet against a rule set)")
-		fmt.Fprintln(fs.Output(), "       barbican profile [flags] FILE [FILE]  (summarize or diff profiles)")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {

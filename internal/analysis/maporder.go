@@ -7,28 +7,45 @@ import (
 	"strings"
 )
 
+// BarbicanSchedulers names the types through which a call schedules
+// simulator events: the kernel itself and the host, whose stack,
+// sockets and card all run on it. A map range that hands either to a
+// call lets the iteration order decide event order.
+var BarbicanSchedulers = []string{
+	"barbican/internal/sim.Kernel",
+	"barbican/internal/stack.Host",
+}
+
 // Maporder returns the analyzer for the classic nondeterminism leak:
 // ranging over a map and letting the iteration order escape — by
-// appending to a slice that outlives the loop or by writing output
-// from inside the body. Go randomizes map iteration per process, so
-// any such path breaks the byte-identical artifact contract.
+// appending to a slice that outlives the loop, by writing output from
+// inside the body, or by making a call whose receiver or an argument
+// is one of the scheduler types (fully qualified "import/path.Type",
+// as a value or a pointer): such a call may schedule simulator events,
+// so the iteration order becomes event order. Go randomizes map
+// iteration per process, so any such path breaks the byte-identical
+// artifact contract.
 //
 // The analyzer understands the standard repair: if the slice the loop
 // fills is passed to a sort (sort.*, slices.Sort*, or any local
 // helper whose name contains "sort") later in the same function, the
 // order was laundered and the loop is fine. Writes from inside the
 // body have no such repair — the bytes are already out — so they are
-// always flagged (//barbican:allow maporder documents the exceptions,
-// e.g. an order-free aggregate).
-func Maporder() *Analyzer {
+// always flagged, as are scheduler calls (//barbican:allow maporder
+// documents the exceptions, e.g. an order-free aggregate or a getter).
+func Maporder(schedulers []string) *Analyzer {
+	sched := make(map[string]bool, len(schedulers))
+	for _, s := range schedulers {
+		sched[s] = true
+	}
 	return &Analyzer{
 		Name: "maporder",
-		Doc:  "flag map iteration whose order escapes into slices or output without a sort",
-		Run:  runMaporder,
+		Doc:  "flag map iteration whose order escapes into slices, output or scheduled simulator events without a sort",
+		Run:  func(pass *Pass) error { return runMaporder(pass, sched) },
 	}
 }
 
-func runMaporder(pass *Pass) error {
+func runMaporder(pass *Pass, sched map[string]bool) error {
 	for _, f := range pass.Files() {
 		parents := buildParents(f)
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -43,14 +60,14 @@ func runMaporder(pass *Pass) error {
 			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 				return true
 			}
-			checkMapRange(pass, rs, parents)
+			checkMapRange(pass, rs, parents, sched)
 			return true
 		})
 	}
 	return nil
 }
 
-func checkMapRange(pass *Pass, rs *ast.RangeStmt, parents map[ast.Node]ast.Node) {
+func checkMapRange(pass *Pass, rs *ast.RangeStmt, parents map[ast.Node]ast.Node, sched map[string]bool) {
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.RangeStmt:
@@ -89,6 +106,11 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, parents map[ast.Node]ast.Node)
 					"%s inside a map range writes output in iteration order; collect and sort first, or //barbican:allow maporder with a reason",
 					name)
 			}
+			if typ, ok := schedulerCall(pass, n, sched); ok {
+				pass.Reportf(n.Pos(),
+					"call %s inside a map range is handed a %s, so iteration order can become simulator event order; range over a fixed order, or //barbican:allow maporder with a reason",
+					types.ExprString(n.Fun), typ)
+			}
 		}
 		return true
 	})
@@ -123,6 +145,35 @@ func writerCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	// io.Writer, exporters).
 	if _, isMethod := pass.Info().Selections[sel]; isMethod {
 		return "call to method " + name, true
+	}
+	return "", false
+}
+
+// schedulerCall reports whether call's method receiver or one of its
+// arguments has a scheduler type, and names that type for the report.
+func schedulerCall(pass *Pass, call *ast.CallExpr, sched map[string]bool) (string, bool) {
+	exprs := call.Args
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+		if _, isMethod := pass.Info().Selections[sel]; isMethod {
+			exprs = append([]ast.Expr{sel.X}, exprs...)
+		}
+	}
+	for _, e := range exprs {
+		tv, ok := pass.Info().Types[e]
+		if !ok {
+			continue
+		}
+		t := tv.Type
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		named, ok := t.(*types.Named)
+		if !ok || named.Obj().Pkg() == nil {
+			continue
+		}
+		if name := named.Obj().Pkg().Path() + "." + named.Obj().Name(); sched[name] {
+			return types.TypeString(tv.Type, nil), true
+		}
 	}
 	return "", false
 }

@@ -8,7 +8,7 @@ func Suite() []*Analyzer {
 	return []*Analyzer{
 		Walltime(DeterministicPackages),
 		Seededrand(),
-		Maporder(),
+		Maporder(BarbicanSchedulers),
 		Exhaustive(BarbicanEnums),
 		Setterbypass(BarbicanSetters),
 	}

@@ -105,3 +105,76 @@ func rangeOverSliceIsFine(s []string, b *strings.Builder) {
 		b.WriteString(v)
 	}
 }
+
+// Kernel and Host stand in for sim.Kernel and stack.Host, the types
+// the test names as schedulers: a call handed one may schedule
+// simulator events.
+type Kernel struct{ events []func() }
+
+func (k *Kernel) After(fn func()) { k.events = append(k.events, fn) }
+
+func (k *Kernel) Run() error { return nil }
+
+type Host struct{ ip string }
+
+func (h *Host) IP() string { return h.ip }
+
+type Agent struct{ host *Host }
+
+func NewAgent(h *Host, server string) (*Agent, error) { return &Agent{host: h}, nil }
+
+type Server struct{ pushed []string }
+
+func (s *Server) Push(name, ip string) error {
+	s.pushed = append(s.pushed, name+"@"+ip)
+	return nil
+}
+
+// fleetDemoEscapes has the shape of a fleet demo that ranged over a
+// map: every agent and push is created in iteration order, so push
+// order and audit times changed from run to run.
+func fleetDemoEscapes(k *Kernel, srv *Server, fleet map[string]*Host) error {
+	for name, h := range fleet {
+		if _, err := NewAgent(h, "10.0.0.1"); err != nil { // want `call NewAgent inside a map range is handed a \*fixture/maporder\.Host`
+			return err
+		}
+		if err := srv.Push(name, h.IP()); err != nil { // want `call h\.IP inside a map range is handed a \*fixture/maporder\.Host`
+			return err
+		}
+	}
+	return k.Run()
+}
+
+func kernelReceiverEscapes(k *Kernel, timers map[string]func()) {
+	for _, fn := range timers {
+		k.After(fn) // want `call k\.After inside a map range is handed a \*fixture/maporder\.Kernel`
+	}
+}
+
+// fleetDemoFixedOrder is the repair: a slice fixes the order.
+func fleetDemoFixedOrder(k *Kernel, srv *Server, fleet []*Host, names []string) error {
+	for i, h := range fleet {
+		if _, err := NewAgent(h, "10.0.0.1"); err != nil {
+			return err
+		}
+		if err := srv.Push(names[i], h.IP()); err != nil {
+			return err
+		}
+	}
+	return k.Run()
+}
+
+// schedulerFreeCallsAreFine makes calls no scheduler is handed to.
+func schedulerFreeCallsAreFine(ips map[string]string) int {
+	n := 0
+	for name, ip := range ips {
+		n += len(strings.ToUpper(name)) + len(ip)
+	}
+	return n
+}
+
+func allowedSchedulerCall(k *Kernel, timers map[string]func()) {
+	for _, fn := range timers {
+		k.After(fn) //barbican:allow maporder -- fixture escape hatch
+	}
+}

@@ -137,7 +137,11 @@ func TestFloodTimelineWritesProfiles(t *testing.T) {
 	}
 	// The filtering card does the run's firewall work, so its cost
 	// profile cannot be empty.
-	d, err := profile.ReadProfileFile(filepath.Join(dir, "timeline", "adf.cost.pprof"))
+	image, err := os.ReadFile(filepath.Join(dir, "timeline", "adf.cost.pprof"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := profile.ReadPprof(bytes.NewReader(image))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -203,7 +203,7 @@ func (n *NIC) Backlog() time.Duration { return n.proc.Backlog() }
 func (n *NIC) QueueDepth() int { return n.proc.Queued() }
 
 // SetTracer attaches (or with nil detaches) a packet-lifecycle
-// tracer. The card samples egress packets (Send/SendRawFrame) and
+// tracer. The card samples egress packets (Send) and
 // records spans for frames whose TraceID is already set.
 func (n *NIC) SetTracer(tr *tracing.Tracer) { n.tracer = tr }
 
@@ -657,57 +657,6 @@ func (n *NIC) plainFrame(d *packet.Datagram, dstMAC packet.MAC) *packet.Frame {
 	f := n.frames.Get(dstMAC, n.mac, packet.EtherTypeIPv4, packet.IPv4HeaderLen+len(d.Payload))
 	f.Payload = d.MarshalTo(f.Payload)
 	return f
-}
-
-// SendRawFrame transmits a pre-built frame without policy evaluation or
-// sealing — attacker tooling (raw sockets on a non-filtering card). A
-// filtering card still charges its base processing cost and honors
-// lockup and its degraded posture (with no management exemption); a
-// standard card passes it straight through. The card takes ownership
-// of f, which should come from Endpoint().Frames().
-func (n *NIC) SendRawFrame(f *packet.Frame) bool {
-	n.stats.TxRequests++
-	var tid uint64
-	tr := n.tracer
-	if tr != nil && tr.Take() {
-		if s, err := packet.Summarize(f); err == nil {
-			tid = tr.Begin(s.String())
-		} else {
-			tid = tr.Begin("raw frame")
-		}
-	}
-	if n.locked {
-		n.drop(fw.Out, tracing.StageNICTx, tracing.DropAgentNotReady, tid)
-		n.frames.Put(f)
-		return false
-	}
-	if n.failMode != FailModeNone {
-		if handled, pass := n.degraded(fw.Out, false, tid); handled {
-			if !pass {
-				n.frames.Put(f)
-				return false
-			}
-			// Hardware bypass: the frame skips the (degraded) filter
-			// processor entirely.
-			if tid != 0 {
-				f.TraceID = tid
-			}
-			n.ep.Send(f)
-			return true
-		}
-	}
-	completeAt, ok := n.admit(fw.Out, tid, MatchNone, 0, 0, 0, 0)
-	if !ok {
-		n.frames.Put(f)
-		return false
-	}
-	n.stats.TxAllowed++
-	if tid != 0 {
-		f.TraceID = tid
-		tr.Span(tid, tracing.StageNICTx, n.kernel.Now(), completeAt)
-	}
-	n.kernel.AtCall(completeAt, n.txFn, f)
-	return true
 }
 
 // seal wraps the datagram's transport segment in a VPG envelope and

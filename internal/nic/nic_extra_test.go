@@ -104,36 +104,6 @@ func TestManagementBypassDoesNotSurviveLockup(t *testing.T) {
 	}
 }
 
-func TestSendRawFrameBypassesPolicy(t *testing.T) {
-	k := sim.NewKernel()
-	a, b := pair(t, k, EFW(), Standard())
-	a.InstallRuleSet(fw.MustRuleSet(fw.Deny))
-	delivered := 0
-	b.SetDeliver(func(f *packet.Frame) { delivered++ })
-
-	d := udpDatagram(ipA, ipB, 1, 2, 32)
-	f := &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: d.MarshalTo(nil)}
-	if !a.SendRawFrame(f) {
-		t.Fatal("raw frame refused")
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if delivered != 1 {
-		t.Errorf("delivered = %d, want 1 (raw injection skips egress policy)", delivered)
-	}
-}
-
-func TestSendRawFrameHonorsLockup(t *testing.T) {
-	k := sim.NewKernel()
-	a, _ := pair(t, k, EFW(), Standard())
-	a.locked = true
-	f := &packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4}
-	if a.SendRawFrame(f) {
-		t.Error("locked card transmitted a raw frame")
-	}
-}
-
 // TestMalformedEgressIsNotPolicyDeny: a datagram the card cannot
 // summarize is a malformed drop, not a policy deny, and the tx
 // conservation law still holds.
@@ -343,7 +313,7 @@ func TestNICConservationEveryDropReason(t *testing.T) {
 		b.InstallRuleSet(fw.MustRuleSet(fw.Allow))
 		a.Degrade(mode, RecoveryResync)
 		a.Send(udpDatagram(ipA, ipB, 1, 2, 10), macB)
-		a.SendRawFrame(&packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: udpDatagram(ipA, ipB, 1, 2, 10).MarshalTo(nil)})
+		a.Endpoint().Send(&packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: udpDatagram(ipA, ipB, 1, 2, 10).MarshalTo(nil)})
 		b.Send(udpDatagram(ipB, ipA, 2, 1, 10), macA)
 		return a, b
 	}
@@ -363,12 +333,11 @@ func TestNICConservationEveryDropReason(t *testing.T) {
 			a, b := pair(t, k, EFW(), Standard())
 			a.locked = true
 			a.Send(udpDatagram(ipA, ipB, 1, 2, 10), macB)
-			a.SendRawFrame(&packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4})
 			return a, b
 		}},
 		{"malformed", fw.In, tracing.DropMalformed, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
 			a, b := pair(t, k, Standard(), EFW())
-			a.SendRawFrame(&packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: []byte{0x45, 0}})
+			a.Endpoint().Send(&packet.Frame{Dst: macB, Src: macA, Type: packet.EtherTypeIPv4, Payload: []byte{0x45, 0}})
 			return b, a
 		}},
 		{"malformed", fw.Out, tracing.DropMalformed, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
@@ -457,14 +426,15 @@ func TestNICConservationEveryDropReason(t *testing.T) {
 		}},
 		{"auth-fail", fw.In, tracing.DropAuthFail, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
 			a, b, _ := vpgPair(t, k)
-			a.SendRawFrame(sealedFrame(t, "WRONG", 99))
+			a.Endpoint().Send(sealedFrame(t, "WRONG", 99))
 			return b, a
 		}},
 		{"replay", fw.In, tracing.DropReplay, func(t *testing.T, k *sim.Kernel) (*NIC, *NIC) {
 			a, b, _ := vpgPair(t, k)
 			f := sealedFrame(t, "k", 7)
-			a.SendRawFrame(f)
-			a.SendRawFrame(f.Clone())
+			replay := f.Clone()
+			a.Endpoint().Send(f)
+			a.Endpoint().Send(replay)
 			return b, a
 		}},
 	}

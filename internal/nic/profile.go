@@ -14,7 +14,7 @@ type MatchPath uint8
 
 const (
 	// MatchNone: no rule matching happened (no policy installed,
-	// management bypass, raw frame injection).
+	// management bypass).
 	MatchNone MatchPath = iota
 	// MatchWalk: the packet was evaluated against the policy, priced
 	// as a linear first-match walk or, under CompiledMatch, as one

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"encoding/csv"
 	"fmt"
 	"io"
 	"os"
@@ -64,47 +65,49 @@ func familyOrder(samples []SampleValue) []string {
 // difference — the instantaneous-rate view (goodput, deny rate, …).
 // Cells for ticks taken before a series existed are left empty.
 func (rec *Recorder) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
+	cw := csv.NewWriter(w)
 	infos := rec.reg.Infos()
-	bw.WriteString("time_s")
+	row := []string{"time_s"}
 	for _, in := range infos {
-		bw.WriteString(",")
-		bw.WriteString(csvEscape(in.ID))
+		row = append(row, in.ID)
 	}
 	var rateCols []int
 	for i, in := range infos {
 		if in.Kind == KindCounter {
 			rateCols = append(rateCols, i)
-			bw.WriteString(",")
-			bw.WriteString(csvEscape("rate:" + in.ID))
+			row = append(row, "rate:"+in.ID)
 		}
 	}
-	bw.WriteByte('\n')
+	if err := cw.Write(row); err != nil {
+		return err
+	}
 
 	ticks := rec.ticks
 	for ti, t := range ticks {
-		fmt.Fprintf(bw, "%.6f", t.At.Seconds())
+		row = append(row[:0], strconv.FormatFloat(t.At.Seconds(), 'f', 6, 64))
 		for i := range infos {
-			bw.WriteByte(',')
+			cell := ""
 			if i < len(t.Values) {
-				bw.WriteString(formatValue(t.Values[i]))
+				cell = formatValue(t.Values[i])
 			}
+			row = append(row, cell)
 		}
 		for _, i := range rateCols {
-			bw.WriteByte(',')
-			if ti == 0 {
-				continue
+			cell := ""
+			if ti > 0 {
+				prev := ticks[ti-1]
+				if dt := t.At - prev.At; i < len(t.Values) && i < len(prev.Values) && dt > 0 {
+					cell = formatValue((t.Values[i] - prev.Values[i]) / dt.Seconds())
+				}
 			}
-			prev := ticks[ti-1]
-			dt := t.At - prev.At
-			if i >= len(t.Values) || i >= len(prev.Values) || dt <= 0 {
-				continue
-			}
-			bw.WriteString(formatValue((t.Values[i] - prev.Values[i]) / dt.Seconds()))
+			row = append(row, cell)
 		}
-		bw.WriteByte('\n')
+		if err := cw.Write(row); err != nil {
+			return err
+		}
 	}
-	return bw.Flush()
+	cw.Flush()
+	return cw.Error()
 }
 
 // SanitizeName maps an arbitrary label to a filesystem- and
@@ -169,11 +172,4 @@ func WriteRunArtifacts(dir, base string, reg *Registry, rec *Recorder) ([]string
 
 func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-func csvEscape(s string) string {
-	if strings.ContainsAny(s, ",\"\n") {
-		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-	}
-	return s
 }

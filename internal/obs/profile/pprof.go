@@ -208,17 +208,6 @@ func (d *Data) WritePprofFile(path string) error {
 	return f.Close()
 }
 
-// ReadProfileFile loads a gzipped pprof profile from path, as
-// WritePprofFile writes it.
-func ReadProfileFile(path string) (*Data, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadPprof(f)
-}
-
 // --- decoding ---
 
 type protoReader struct {

@@ -38,7 +38,6 @@ package profile
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 )
@@ -397,8 +396,8 @@ type Sample struct {
 // is insertion order, which keeps every export deterministic.
 type Data struct {
 	SampleTypes []ValueType
-	// DefaultType selects the value column summaries and diffs
-	// weight by; must name one of SampleTypes.
+	// DefaultType selects the value column pprof shows by default
+	// and Total sums; must name one of SampleTypes.
 	DefaultType string
 	Period      int64
 	PeriodType  ValueType
@@ -496,18 +495,4 @@ func contains(list []string, s string) bool {
 		}
 	}
 	return false
-}
-
-// sortedByWeight returns the samples ordered by descending
-// default-type value, ties broken by stack text for determinism.
-func (d *Data) sortedByWeight() []*Sample {
-	di := d.defaultIndex()
-	out := append([]*Sample(nil), d.Samples...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Values[di] != out[j].Values[di] {
-			return out[i].Values[di] > out[j].Values[di]
-		}
-		return stackKey(out[i].Stack) < stackKey(out[j].Stack)
-	})
-	return out
 }

@@ -4,13 +4,14 @@
 // nothing: each point builds its own sim.Kernel, testbed, and rule-set,
 // so points can run on separate OS threads without any synchronization
 // beyond the result hand-off. The executor here fans a task list over a
-// GOMAXPROCS-sized worker pool with work stealing (experiment points
-// have wildly uneven costs — a no-flood bandwidth point finishes an
-// order of magnitude before a minimum-flood-rate search — so static
-// partitioning would leave workers idle), then reassembles the results
-// in declaration order. Serial and parallel execution therefore produce
-// byte-identical output: the only thing parallelism changes is which
-// wall-clock instant each deterministic simulation runs at.
+// GOMAXPROCS-sized worker pool that claims task indexes from one
+// shared atomic cursor (experiment points have wildly uneven costs — a
+// no-flood bandwidth point finishes an order of magnitude before a
+// minimum-flood-rate search — so static partitioning would leave
+// workers idle), then reassembles the results in declaration order.
+// Serial and parallel execution therefore produce byte-identical
+// output: the only thing parallelism changes is which wall-clock
+// instant each deterministic simulation runs at.
 package runner
 
 import (
@@ -40,10 +41,11 @@ func (p Pool) workers() int {
 // get deterministic output for deterministic tasks.
 //
 // On failure Map returns the error of the lowest-indexed failing task —
-// deterministically, for deterministic tasks: after a failure at index
-// m, tasks above m are skipped but tasks below m still run, so a
-// lower-indexed failure always surfaces over a higher-indexed one no
-// matter which worker hit its error first.
+// deterministically, for deterministic tasks: indexes are claimed in
+// ascending order, so by the time index m fails every index below m
+// has been claimed and still runs, while unstarted tasks above m are
+// skipped. A lower-indexed failure therefore always surfaces over a
+// higher-indexed one no matter which worker hit its error first.
 func Map[T any](p Pool, n int, fn func(i int) (T, error)) ([]T, error) {
 	res := make([]T, n)
 	if n == 0 {
@@ -64,38 +66,22 @@ func Map[T any](p Pool, n int, fn func(i int) (T, error)) ([]T, error) {
 		return res, nil
 	}
 
-	// Each worker owns a contiguous index span packed into one atomic
-	// word: the owner pops from the front, thieves CAS the tail half
-	// away. Claimed indexes never re-enter any span, so a stale steal
-	// CAS can never succeed by ABA: a repeated bit pattern would need
-	// already-claimed indexes to reappear.
-	spans := make([]span, w)
-	per, extra := n/w, n%w
-	begin := 0
-	for i := range spans {
-		end := begin + per
-		if i < extra {
-			end++
-		}
-		spans[i].v.Store(pack(uint32(begin), uint32(end)))
-		begin = end
-	}
-
+	// Workers claim indexes from one shared cursor, in ascending order:
+	// a worker that finishes a cheap task simply takes the next one, so
+	// uneven task costs still keep every worker busy.
+	var cursor atomic.Int64
 	var minFail atomic.Int64 // lowest failing index so far; n = none
 	minFail.Store(int64(n))
 	errs := make([]error, n) // each index is claimed once, so no lock
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for wk := 0; wk < w; wk++ {
-		go func(self int) {
+		go func() {
 			defer wg.Done()
 			for {
-				i, ok := next(spans, self)
-				if !ok {
-					return
-				}
-				if int64(i) >= minFail.Load() {
-					continue // doomed by an earlier failure; drain without running
+				i := int(cursor.Add(1) - 1)
+				if i >= n || int64(i) >= minFail.Load() {
+					return // done, or every index left is doomed by an earlier failure
 				}
 				v, err := fn(i)
 				if err != nil {
@@ -110,7 +96,7 @@ func Map[T any](p Pool, n int, fn func(i int) (T, error)) ([]T, error) {
 				}
 				res[i] = v
 			}
-		}(wk)
+		}()
 	}
 	wg.Wait()
 	if m := minFail.Load(); m < int64(n) {
@@ -123,58 +109,4 @@ func Map[T any](p Pool, n int, fn func(i int) (T, error)) ([]T, error) {
 // results in declaration order.
 func Funcs[T any](p Pool, fns ...func() (T, error)) ([]T, error) {
 	return Map(p, len(fns), func(i int) (T, error) { return fns[i]() })
-}
-
-// span is a half-open index range [begin, end) packed into one atomic
-// uint64 (begin in the high 32 bits) so pop and steal are single-word
-// CAS transitions.
-type span struct{ v atomic.Uint64 }
-
-func pack(b, e uint32) uint64       { return uint64(b)<<32 | uint64(e) }
-func unpack(v uint64) (b, e uint32) { return uint32(v >> 32), uint32(v) }
-
-// next claims the next task index for worker self: first from the front
-// of its own span, then — when that runs dry — by stealing the tail
-// half of the fullest victim span. Spans only ever shrink, so when a
-// full scan finds every span empty, all tasks are claimed and the
-// worker can exit.
-func next(spans []span, self int) (int, bool) {
-	for {
-		v := spans[self].v.Load()
-		b, e := unpack(v)
-		if b >= e {
-			break
-		}
-		if spans[self].v.CompareAndSwap(v, pack(b+1, e)) {
-			return int(b), true
-		}
-	}
-	for {
-		victim, best := -1, uint32(0)
-		var seen uint64
-		for j := range spans {
-			if j == self {
-				continue
-			}
-			v := spans[j].v.Load()
-			b, e := unpack(v)
-			if e-b > best {
-				victim, best, seen = j, e-b, v
-			}
-		}
-		if victim < 0 {
-			return 0, false
-		}
-		b, e := unpack(seen)
-		take := (e - b + 1) / 2
-		mid := e - take
-		if !spans[victim].v.CompareAndSwap(seen, pack(b, mid)) {
-			continue // the span moved under us; rescan
-		}
-		// Run the first stolen index now; park the rest as our own
-		// span. Our span is empty here and no CAS succeeds on an empty
-		// span, so a plain store cannot clobber a concurrent steal.
-		spans[self].v.Store(pack(mid+1, e))
-		return int(mid), true
-	}
 }

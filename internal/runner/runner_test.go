@@ -46,12 +46,12 @@ func TestMapRunsEveryTaskExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestMapStealsUnevenWork(t *testing.T) {
-	// Front-load all the cost onto worker 0's initial span: without
-	// stealing, the other workers would finish instantly and the heavy
-	// tasks would run serially. With stealing, at least two goroutines
-	// must observe heavy tasks concurrently at some point — detect via
-	// a high-water mark of concurrent heavy tasks.
+func TestMapBalancesUnevenWork(t *testing.T) {
+	// Front-load all the cost onto the first quarter of the indexes:
+	// with static partitioning one worker would own every heavy task
+	// and run them serially. With a shared cursor, at least two
+	// goroutines must observe heavy tasks concurrently at some point —
+	// detect via a high-water mark of concurrent heavy tasks.
 	const n = 64
 	var inFlight, highWater atomic.Int32
 	var mu sync.Mutex
@@ -90,7 +90,7 @@ func TestMapStealsUnevenWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	if highWater.Load() < 2 {
-		t.Errorf("heavy tasks never ran concurrently; stealing failed (high water %d)", highWater.Load())
+		t.Errorf("heavy tasks never ran concurrently; balancing failed (high water %d)", highWater.Load())
 	}
 }
 
@@ -113,8 +113,8 @@ func TestMapSerialFastPathStopsAtError(t *testing.T) {
 }
 
 func TestMapParallelReturnsLowestIndexedError(t *testing.T) {
-	// Every task fails; each worker starts on the front of its own
-	// span, so index 0's error always executes and must win.
+	// Every task fails; indexes are claimed in ascending order, so
+	// index 0 always runs and its error must win.
 	_, err := Map(Pool{Workers: 4}, 32, func(i int) (int, error) {
 		return 0, fmt.Errorf("task %d failed", i)
 	})

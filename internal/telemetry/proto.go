@@ -13,6 +13,7 @@
 package telemetry
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -128,19 +129,6 @@ func checksum(b []byte) uint64 {
 	return h
 }
 
-func appendU16(dst []byte, v uint16) []byte {
-	return append(dst, byte(v>>8), byte(v))
-}
-
-func appendU32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
 // AppendReport appends the report's wire image to dst and returns the
 // extended slice. Pure appends into the caller's scratch: the agent's
 // steady-state encode path is allocation-free once the scratch has
@@ -150,7 +138,7 @@ func appendU64(dst []byte, v uint64) []byte {
 func AppendReport(dst []byte, r *Report) []byte {
 	start := len(dst)
 	dst = append(dst, reportMagic...)
-	dst = appendU16(dst, 0) // body length, patched below
+	dst = binary.BigEndian.AppendUint16(dst, 0) // body length, patched below
 	bodyStart := len(dst)
 
 	name := r.Device
@@ -159,31 +147,30 @@ func AppendReport(dst []byte, r *Report) []byte {
 	}
 	dst = append(dst, byte(len(name)))
 	dst = append(dst, name...)
-	dst = appendU32(dst, r.Seq)
-	dst = appendU64(dst, uint64(r.SentAt))
-	dst = appendU32(dst, r.RulesVersion)
+	dst = binary.BigEndian.AppendUint32(dst, r.Seq)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(r.SentAt))
+	dst = binary.BigEndian.AppendUint32(dst, r.RulesVersion)
 	dst = append(dst, byte(r.State), byte(r.Mode), boolByte(r.Locked))
-	dst = appendU64(dst, uint64(r.Backlog))
-	dst = appendU32(dst, r.QueueDepth)
-	dst = appendU64(dst, r.RxFrames)
-	dst = appendU64(dst, r.RxAllowed)
-	dst = appendU64(dst, r.FlowHits)
-	dst = appendU64(dst, r.FlowMisses)
-	dst = appendU32(dst, r.CTEntries)
-	dst = appendU32(dst, r.CTCapacity)
-	dst = appendU64(dst, r.CTEvictions)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(r.Backlog))
+	dst = binary.BigEndian.AppendUint32(dst, r.QueueDepth)
+	dst = binary.BigEndian.AppendUint64(dst, r.RxFrames)
+	dst = binary.BigEndian.AppendUint64(dst, r.RxAllowed)
+	dst = binary.BigEndian.AppendUint64(dst, r.FlowHits)
+	dst = binary.BigEndian.AppendUint64(dst, r.FlowMisses)
+	dst = binary.BigEndian.AppendUint32(dst, r.CTEntries)
+	dst = binary.BigEndian.AppendUint32(dst, r.CTCapacity)
+	dst = binary.BigEndian.AppendUint64(dst, r.CTEvictions)
 	dst = append(dst, byte(tracing.NumDropReasons))
 	for i := range r.RxDrops {
-		dst = appendU64(dst, r.RxDrops[i])
+		dst = binary.BigEndian.AppendUint64(dst, r.RxDrops[i])
 	}
 	for i := range r.TxDrops {
-		dst = appendU64(dst, r.TxDrops[i])
+		dst = binary.BigEndian.AppendUint64(dst, r.TxDrops[i])
 	}
 
 	body := dst[bodyStart:]
-	dst[start+4] = byte(len(body) >> 8)
-	dst[start+5] = byte(len(body))
-	return appendU64(dst, checksum(body))
+	binary.BigEndian.PutUint16(dst[start+4:], uint16(len(body)))
+	return binary.BigEndian.AppendUint64(dst, checksum(body))
 }
 
 func boolByte(b bool) byte {
@@ -206,7 +193,7 @@ func DecodeReport(buf []byte) (*Report, int, error) {
 	if string(buf[:4]) != reportMagic {
 		return nil, 0, ErrBadMagic
 	}
-	bodyLen := int(buf[4])<<8 | int(buf[5])
+	bodyLen := int(binary.BigEndian.Uint16(buf[4:]))
 	if bodyLen > maxReportSize {
 		return nil, 0, ErrTooLarge
 	}
@@ -215,7 +202,7 @@ func DecodeReport(buf []byte) (*Report, int, error) {
 		return nil, 0, nil
 	}
 	body := buf[headerLen : headerLen+bodyLen]
-	want := u64(buf[headerLen+bodyLen:])
+	want := binary.BigEndian.Uint64(buf[headerLen+bodyLen:])
 	if checksum(body) != want {
 		return nil, 0, ErrBadChecksum
 	}
@@ -224,15 +211,6 @@ func DecodeReport(buf []byte) (*Report, int, error) {
 		return nil, 0, err
 	}
 	return r, total, nil
-}
-
-func u32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func u64(b []byte) uint64 {
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
 }
 
 // parseReportBody parses a checksum-verified body. Every read is
@@ -268,21 +246,21 @@ func parseReportBody(body []byte) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.Seq = u32(fixed[0:])
-	r.SentAt = time.Duration(u64(fixed[4:]))
-	r.RulesVersion = u32(fixed[12:])
+	r.Seq = binary.BigEndian.Uint32(fixed[0:])
+	r.SentAt = time.Duration(binary.BigEndian.Uint64(fixed[4:]))
+	r.RulesVersion = binary.BigEndian.Uint32(fixed[12:])
 	r.State = nic.DegradedState(fixed[16])
 	r.Mode = nic.FailMode(fixed[17])
 	r.Locked = fixed[18] != 0
-	r.Backlog = time.Duration(u64(fixed[19:]))
-	r.QueueDepth = u32(fixed[27:])
-	r.RxFrames = u64(fixed[31:])
-	r.RxAllowed = u64(fixed[39:])
-	r.FlowHits = u64(fixed[47:])
-	r.FlowMisses = u64(fixed[55:])
-	r.CTEntries = u32(fixed[63:])
-	r.CTCapacity = u32(fixed[67:])
-	r.CTEvictions = u64(fixed[71:])
+	r.Backlog = time.Duration(binary.BigEndian.Uint64(fixed[19:]))
+	r.QueueDepth = binary.BigEndian.Uint32(fixed[27:])
+	r.RxFrames = binary.BigEndian.Uint64(fixed[31:])
+	r.RxAllowed = binary.BigEndian.Uint64(fixed[39:])
+	r.FlowHits = binary.BigEndian.Uint64(fixed[47:])
+	r.FlowMisses = binary.BigEndian.Uint64(fixed[55:])
+	r.CTEntries = binary.BigEndian.Uint32(fixed[63:])
+	r.CTCapacity = binary.BigEndian.Uint32(fixed[67:])
+	r.CTEvictions = binary.BigEndian.Uint64(fixed[71:])
 	if reasons := int(fixed[79]); reasons != int(tracing.NumDropReasons) {
 		return nil, fmt.Errorf("telemetry: report carries %d drop reasons, want %d", reasons, tracing.NumDropReasons)
 	}
@@ -294,14 +272,14 @@ func parseReportBody(body []byte) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.RxDrops[i] = u64(b)
+		r.RxDrops[i] = binary.BigEndian.Uint64(b)
 	}
 	for i := range r.TxDrops {
 		b, err := take(8)
 		if err != nil {
 			return nil, err
 		}
-		r.TxDrops[i] = u64(b)
+		r.TxDrops[i] = binary.BigEndian.Uint64(b)
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("telemetry: %d trailing bytes after report body", len(rest))

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"time"
@@ -174,7 +175,7 @@ func TestDecodeReportRejects(t *testing.T) {
 	body[reasonOff] = byte(tracing.NumDropReasons) + 1
 	reframed := AppendReport(nil, mismatched)[:headerLen]
 	reframed = append(reframed[:headerLen], body...)
-	reframed = appendU64(reframed, checksum(body))
+	reframed = binary.BigEndian.AppendUint64(reframed, checksum(body))
 	if _, _, err := DecodeReport(reframed); err == nil {
 		t.Error("mismatched drop-reason count decoded cleanly")
 	}

@@ -7,7 +7,6 @@
 #
 #   scripts/bench.sh [output.json]
 #   scripts/bench.sh --compare BENCH_baseline.json [output.json]
-#   scripts/bench.sh --profile-compare OLD NEW
 #
 # Writes BENCH_baseline.json (or the given path) at the repo root with
 # one record per benchmark: ns/op, B/op, allocs/op, MB/s, and any
@@ -40,18 +39,10 @@
 # Benchmarks present on only one side are reported but never fail the
 # gate, so adding or renaming a benchmark doesn't break CI.
 #
-# With --profile-compare the two arguments are .pprof cost/kernel
-# profiles written by -profile-out; the script prints the per-phase and
-# per-stack deltas of NEW against OLD and exits 0 — the diff is a
-# report, not a gate.
+# To compare two .pprof cost/kernel profiles written by -profile-out,
+# use the toolchain's reader: go tool pprof -top -diff_base OLD NEW.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-if [ "${1:-}" = "--profile-compare" ]; then
-  old="${2:?--profile-compare needs OLD and NEW profile paths}"
-  new="${3:?--profile-compare needs OLD and NEW profile paths}"
-  exec go run ./cmd/barbican profile -diff "$old" "$new"
-fi
 
 baseline=""
 if [ "${1:-}" = "--compare" ]; then
