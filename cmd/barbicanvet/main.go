@@ -7,7 +7,7 @@
 //	walltime   - no host-clock reads in deterministic packages
 //	seededrand - no global math/rand functions outside tests
 //	maporder   - no map-iteration order escaping into output or into calls handed a sim.Kernel / stack.Host
-//	exhaustive - DropReason / fw ConnState / nic FailMode + DegradedState + StateRecovery / conntrack TCPState + EvictPolicy + CommitStatus / sem FindingKind + RegionClass switches and tables cover every constant
+//	exhaustive - DropReason / fw ConnState / nic FailMode + MatchPath + DegradedState + StateRecovery / conntrack TCPState + EvictPolicy + CommitStatus / profile Phase / telemetry AlertState / sem FindingKind + RegionClass switches and tables cover every constant
 //	setterbypass - nic.NIC's rules and ct fields are written only through setRules / setConntrack (flow-cache invalidation contract)
 //	noalloc    - //barbican:noalloc functions stay free of heap escapes
 //

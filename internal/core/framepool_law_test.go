@@ -107,7 +107,19 @@ func TestFramePoolBalanceLaw(t *testing.T) {
 			return err
 		}},
 		{"chaos/faulty-mgmt", func() error {
-			_, err := RunChaos(ChaosScenario{Device: DeviceEFW, FloodRatePPS: 8000, MgmtFaults: faultPlan, Duration: 2 * time.Second})
+			p, err := RunChaos(ChaosScenario{Device: DeviceEFW, FloodRatePPS: 8000, MgmtFaults: faultPlan, Duration: 2 * time.Second})
+			if err == nil && (p.FloodSent == 0 || p.Server.Attempts == 0) {
+				err = errors.New("no policy push under the flood")
+			}
+			return err
+		}},
+		{"chaos/clean-mgmt", func() error {
+			// A push that succeeds closes its connection: TIME_WAIT
+			// and the close path run with the flood still on.
+			p, err := RunChaos(ChaosScenario{Device: DeviceADF, FloodRatePPS: 8000, Duration: 2 * time.Second})
+			if err == nil && (p.FloodSent == 0 || p.Server.Successes == 0) {
+				err = errors.New("no successful policy push under the flood")
+			}
 			return err
 		}},
 		{"detect/respond", func() error {

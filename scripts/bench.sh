@@ -36,8 +36,10 @@
 # BenchmarkFramePath/sealed allocates only the two keystreams, as
 # BenchmarkTCPMarshal/marshal-to-scratch, the host stack's encode
 # into a reused buffer, holds 0).
-# Benchmarks present on only one side are reported but never fail the
-# gate, so adding or renaming a benchmark doesn't break CI.
+# A baseline row the run did not measure also fails, so renaming or
+# deleting a gated benchmark cannot drop its gate in silence: a change
+# that does so edits the baseline with it. A new benchmark with no
+# baseline row is reported but does not fail.
 #
 # To compare two .pprof cost/kernel profiles written by -profile-out,
 # use the toolchain's reader: go tool pprof -top -diff_base OLD NEW.
@@ -101,7 +103,7 @@ cur = json.load(open(cur_path))
 failures, notes = [], []
 for name in sorted(set(base) | set(cur)):
     if name not in cur:
-        notes.append(f"  {name}: in baseline only (removed or renamed)")
+        failures.append(f"  {name}: in baseline only; not measured (removed or renamed?)")
         continue
     if name not in base:
         notes.append(f"  {name}: new benchmark, no baseline")
