@@ -34,17 +34,18 @@ type RuleAttribution struct {
 	Rules          []RuleHit
 }
 
-// ruleAttribution snapshots the target's enforcement-point counters.
-// Returns nil when the target enforces no policy.
+// ruleAttribution snapshots the target's enforcement-point counters,
+// priced by the profile of whichever point enforces the rules: the
+// card, or else the host filter. Returns nil when the target enforces
+// no policy.
 func ruleAttribution(tb *Testbed) *RuleAttribution {
-	rs := tb.Target.NIC().RuleSet()
-	if rs == nil && tb.Target.Firewall() != nil {
-		rs = tb.Target.Firewall().RuleSet()
+	rs, profile := tb.Target.NIC().RuleSet(), tb.Target.NIC().Profile()
+	if hf := tb.Target.Firewall(); rs == nil && hf.RuleSet() != nil {
+		rs, profile = hf.RuleSet(), hf.Profile()
 	}
 	if rs == nil {
 		return nil
 	}
-	profile := tb.Target.NIC().Profile()
 	a := &RuleAttribution{
 		Evals:       rs.EvalCount(),
 		DefaultHits: rs.DefaultHits(),

@@ -229,3 +229,35 @@ func TestRuleAttributionPopulated(t *testing.T) {
 		t.Fatal("no rule hits recorded for iperf traffic")
 	}
 }
+
+// TestRuleAttributionPricedByEnforcementPoint: the per-rule breakdown
+// is priced by the profile of whichever point enforces the rules, so
+// the iptables target's rules cost the host filter's 60 + 2.2·i units
+// rather than the zero of its wire-speed card.
+func TestRuleAttributionPricedByEnforcementPoint(t *testing.T) {
+	for _, tc := range []struct {
+		device            Device
+		base, perRule, hz float64
+	}{
+		{DeviceEFW, 29.5, 1.0, 750_000},
+		{DeviceIPTables, 60, 2.2, 6_000_000},
+	} {
+		t.Run(tc.device.String(), func(t *testing.T) {
+			p, err := RunBandwidth(Scenario{Device: tc.device, Depth: 16, Duration: 100 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := p.Attribution
+			if a == nil || len(a.Rules) != 16 {
+				t.Fatalf("attribution = %+v, want 16 rules", a)
+			}
+			for _, r := range a.Rules {
+				want := tc.base + tc.perRule*float64(r.Index)
+				latency := time.Duration(want / tc.hz * float64(time.Second))
+				if r.CostUnits != want || r.Latency != latency {
+					t.Errorf("rule %d: %v units, %v; want %v units, %v", r.Index, r.CostUnits, r.Latency, want, latency)
+				}
+			}
+		})
+	}
+}

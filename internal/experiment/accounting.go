@@ -86,9 +86,4 @@ func (a *Accounting) Publish(reg *obs.Registry, elapsed time.Duration, workers i
 	reg.MustRegisterFunc("executor_workers",
 		"Worker-pool size the run executed with.",
 		obs.KindGauge, func() float64 { return float64(workers) })
-	if elapsed > 0 {
-		reg.MustRegisterFunc("executor_sim_seconds_per_wall_second",
-			"Aggregate simulation throughput: virtual seconds per elapsed wall second.",
-			obs.KindGauge, func() float64 { return simSecs / elapsed.Seconds() })
-	}
 }

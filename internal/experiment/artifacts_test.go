@@ -20,7 +20,7 @@ import (
 
 // wallSeries are the registry series that measure the host rather than
 // the simulation; they differ between any two runs.
-var wallSeries = []string{"sim_wall_busy_seconds", "sim_speedup_ratio"}
+var wallSeries = []string{"sim_wall_busy_seconds"}
 
 func isWall(s string) bool {
 	for _, w := range wallSeries {

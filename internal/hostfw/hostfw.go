@@ -1,7 +1,8 @@
 // Package hostfw models a host-resident software firewall (the paper's
 // iptables baseline): the same first-match rule semantics as the embedded
-// cards, but executed on the host CPU, whose budget dwarfs the NIC's
-// embedded processor. That ratio is why the paper found iptables lost no
+// cards, priced by the same nic.Profile cost model on a nic.Processor,
+// but with the host CPU's budget, which dwarfs the NIC's embedded
+// processor. That ratio is why the paper found iptables lost no
 // bandwidth at 64 rules on a 100 Mbps network and shrugged off every
 // flood their generator could produce.
 package hostfw
@@ -9,25 +10,17 @@ package hostfw
 import (
 	"barbican/internal/fw"
 	"barbican/internal/nic"
+	"barbican/internal/obs/tracing"
 	"barbican/internal/packet"
 	"barbican/internal/sim"
 )
 
-// Profile parameterizes the host CPU cost of filtering.
-type Profile struct {
-	Name          string
-	CapacityUnits float64
-	BaseCost      float64
-	PerRuleCost   float64
-	MaxQueue      int // kernel backlog, in packets
-}
-
 // IPTables returns the calibrated Linux 2.4 iptables profile on the
 // paper's 1 GHz Pentium III hosts: roughly 17× the embedded card's
 // packet budget, so a 100 Mbps network cannot saturate it at any rule
-// depth the paper tested.
-func IPTables() Profile {
-	return Profile{
+// depth the paper tested. MaxQueue is the kernel backlog, in packets.
+func IPTables() nic.Profile {
+	return nic.Profile{
 		Name:          "iptables",
 		CapacityUnits: 6_000_000,
 		BaseCost:      60,
@@ -36,23 +29,16 @@ func IPTables() Profile {
 	}
 }
 
-// Stats counts filter activity.
-type Stats struct {
-	InAllowed, InDenied, InOverloadDrops    uint64
-	OutAllowed, OutDenied, OutOverloadDrops uint64
-}
-
 // Firewall is a host software firewall. A nil *Firewall admits all
 // traffic, so hosts can hold one unconditionally.
 type Firewall struct {
-	profile Profile
+	profile nic.Profile
 	proc    *nic.Processor
 	rules   *fw.RuleSet
-	stats   Stats
 }
 
 // New creates a host firewall with no rules installed (allow all).
-func New(k *sim.Kernel, profile Profile) *Firewall {
+func New(k *sim.Kernel, profile nic.Profile) *Firewall {
 	return &Firewall{
 		profile: profile,
 		proc:    nic.NewProcessor(k, profile.CapacityUnits, profile.MaxQueue),
@@ -70,53 +56,25 @@ func (f *Firewall) RuleSet() *fw.RuleSet {
 	return f.rules
 }
 
-// Stats returns a snapshot of the counters.
-func (f *Firewall) Stats() Stats { return f.stats }
+// Profile returns the cost model the filter is priced by.
+func (f *Firewall) Profile() nic.Profile { return f.profile }
 
-// FilterIn reports whether an inbound packet is admitted.
-func (f *Firewall) FilterIn(s packet.Summary) bool {
-	if f == nil {
-		return true
-	}
-	ok, allowed := f.filter(s, fw.In)
-	switch {
-	case !ok:
-		f.stats.InOverloadDrops++
-	case allowed:
-		f.stats.InAllowed++
-	default:
-		f.stats.InDenied++
-	}
-	return ok && allowed
-}
-
-// FilterOut reports whether an outbound packet is admitted.
-func (f *Firewall) FilterOut(s packet.Summary) bool {
-	if f == nil {
-		return true
-	}
-	ok, allowed := f.filter(s, fw.Out)
-	switch {
-	case !ok:
-		f.stats.OutOverloadDrops++
-	case allowed:
-		f.stats.OutAllowed++
-	default:
-		f.stats.OutDenied++
-	}
-	return ok && allowed
-}
-
-func (f *Firewall) filter(s packet.Summary, dir fw.Direction) (processed, allowed bool) {
-	if f.rules == nil {
-		return true, true
+// Filter decides one packet in direction dir and returns why it was
+// dropped: tracing.DropNone when admitted, DropRuleDeny when the rules
+// deny it, or the processor's overload reason when the host CPU's
+// backlog is full.
+func (f *Firewall) Filter(s packet.Summary, dir fw.Direction) tracing.DropReason {
+	if f == nil || f.rules == nil {
+		return tracing.DropNone
 	}
 	// The host filter has no connection tracking: every packet reaches
 	// the rules classified StateNone, so a stateful rule never fires.
 	v := f.rules.Match(s, dir, fw.StateNone)
-	cost := f.profile.BaseCost + f.profile.PerRuleCost*float64(v.Traversed)
-	if _, ok := f.proc.Admit(cost); !ok {
-		return false, false
+	if _, ok := f.proc.Admit(f.profile.Cost(v.Traversed, 0)); !ok {
+		return f.proc.OverloadReason()
 	}
-	return true, v.Action == fw.Allow
+	if v.Action != fw.Allow {
+		return tracing.DropRuleDeny
+	}
+	return tracing.DropNone
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"barbican/internal/fw"
+	"barbican/internal/obs/tracing"
 	"barbican/internal/packet"
 	"barbican/internal/sim"
 )
@@ -19,7 +20,7 @@ func summary(dport uint16) packet.Summary {
 
 func TestNilFirewallAllowsAll(t *testing.T) {
 	var f *Firewall
-	if !f.FilterIn(summary(80)) || !f.FilterOut(summary(80)) {
+	if f.Filter(summary(80), fw.In) != tracing.DropNone || f.Filter(summary(80), fw.Out) != tracing.DropNone {
 		t.Error("nil firewall filtered traffic")
 	}
 	if f.RuleSet() != nil {
@@ -29,7 +30,7 @@ func TestNilFirewallAllowsAll(t *testing.T) {
 
 func TestNoRulesAllowsAll(t *testing.T) {
 	f := New(sim.NewKernel(), IPTables())
-	if !f.FilterIn(summary(80)) {
+	if f.Filter(summary(80), fw.In) != tracing.DropNone {
 		t.Error("empty firewall denied traffic")
 	}
 }
@@ -39,15 +40,11 @@ func TestRulesEnforced(t *testing.T) {
 	f.Install(fw.MustRuleSet(fw.Deny,
 		fw.Rule{Action: fw.Allow, Direction: fw.In, Proto: packet.ProtoTCP, DstPorts: fw.Port(80)},
 	))
-	if !f.FilterIn(summary(80)) {
-		t.Error("allowed traffic denied")
+	if r := f.Filter(summary(80), fw.In); r != tracing.DropNone {
+		t.Errorf("allowed traffic dropped: %v", r)
 	}
-	if f.FilterIn(summary(81)) {
-		t.Error("denied traffic allowed")
-	}
-	st := f.Stats()
-	if st.InAllowed != 1 || st.InDenied != 1 {
-		t.Errorf("stats = %+v", st)
+	if r := f.Filter(summary(81), fw.In); r != tracing.DropRuleDeny {
+		t.Errorf("denied traffic: reason %v, want rule-deny", r)
 	}
 }
 
@@ -56,10 +53,10 @@ func TestDirectionsIndependent(t *testing.T) {
 	f.Install(fw.MustRuleSet(fw.Allow,
 		fw.Rule{Action: fw.Deny, Direction: fw.Out, Proto: packet.ProtoTCP, DstPorts: fw.Port(80)},
 	))
-	if !f.FilterIn(summary(80)) {
+	if f.Filter(summary(80), fw.In) != tracing.DropNone {
 		t.Error("inbound denied by out-rule")
 	}
-	if f.FilterOut(summary(80)) {
+	if f.Filter(summary(80), fw.Out) != tracing.DropRuleDeny {
 		t.Error("outbound allowed despite out-rule")
 	}
 }
@@ -79,7 +76,7 @@ func TestIPTablesSurvives100MbpsFloods(t *testing.T) {
 	interval := time.Second / 12_500
 	for i := 0; i < 12_500; i++ {
 		k.At(time.Duration(i)*interval, func() {
-			if !f.FilterIn(summary(80)) {
+			if f.Filter(summary(80), fw.In) != tracing.DropNone {
 				denied++
 			}
 		})
@@ -92,23 +89,32 @@ func TestIPTablesSurvives100MbpsFloods(t *testing.T) {
 	}
 }
 
+// TestOverloadDropsWhenSaturated: a full host backlog drops packets
+// with the card's overload reason, which the stack traces: with at
+// least 1 ms of queued work the CPU is exhausted, below it the backlog
+// overflowed in a burst. Neither is a rule denial.
 func TestOverloadDropsWhenSaturated(t *testing.T) {
-	k := sim.NewKernel()
-	p := IPTables()
-	p.CapacityUnits = 1000 // tiny budget
-	p.MaxQueue = 4
-	f := New(k, p)
-	f.Install(fw.MustRuleSet(fw.Allow))
-	drops := 0
-	for i := 0; i < 1000; i++ {
-		if !f.FilterIn(summary(80)) {
-			drops++
-		}
-	}
-	if drops == 0 {
-		t.Error("saturated host firewall dropped nothing")
-	}
-	if f.Stats().InOverloadDrops == 0 {
-		t.Error("overload drops not counted")
+	for _, tc := range []struct {
+		name     string
+		capacity float64
+		want     tracing.DropReason
+	}{
+		{"tiny budget", 1000, tracing.DropCPUExhausted},                // 60 ms per packet
+		{"burst", IPTables().CapacityUnits, tracing.DropQueueOverflow}, // 10 µs per packet
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := IPTables()
+			p.CapacityUnits = tc.capacity
+			p.MaxQueue = 4
+			f := New(sim.NewKernel(), p)
+			f.Install(fw.MustRuleSet(fw.Allow))
+			reasons := map[tracing.DropReason]int{}
+			for i := 0; i < 1000; i++ {
+				reasons[f.Filter(summary(80), fw.In)]++
+			}
+			if reasons[tc.want] != 1000-p.MaxQueue || reasons[tracing.DropNone] != p.MaxQueue {
+				t.Errorf("reasons = %v, want %d %v and %d admitted", reasons, 1000-p.MaxQueue, tc.want, p.MaxQueue)
+			}
+		})
 	}
 }

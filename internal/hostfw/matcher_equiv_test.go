@@ -89,7 +89,7 @@ func equivSummary(rng *rand.Rand, dir fw.Direction) packet.Summary {
 }
 
 // TestHostMatcherEquivalence drives a seeded packet stream through the
-// host firewall's product path (FilterIn/FilterOut) and holds every
+// host firewall's product path (Filter) and holds every
 // verdict to the reference walk of a twin rule set: the Traversed the
 // host was charged for (recovered from its processor's units), the rule
 // its counters credit, and at the end every per-rule count, default hit
@@ -116,11 +116,7 @@ func TestHostMatcherEquivalence(t *testing.T) {
 
 			units0 := f.proc.UnitsDone()
 			ev0, before, def0 := rs.Stats()
-			if dir == fw.In {
-				f.FilterIn(s)
-			} else {
-				f.FilterOut(s)
-			}
+			f.Filter(s, dir)
 			if err := k.RunUntil(now + time.Millisecond); err != nil {
 				t.Fatal(err)
 			}

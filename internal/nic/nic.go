@@ -23,8 +23,8 @@ type Stats struct {
 	TxAllowed  uint64
 
 	// Per-reason drop counters by direction, indexed by
-	// tracing.DropReason. The named series PublishMetrics exports
-	// (nic_rx_denied_total, ...) are sums over these.
+	// tracing.DropReason; PublishMetrics exports each entry as one
+	// nic_drops_total{dir,reason} series.
 	RxDrops [tracing.NumDropReasons]uint64
 	TxDrops [tracing.NumDropReasons]uint64
 
@@ -266,21 +266,6 @@ func cardStage(dir fw.Direction) tracing.Stage {
 		return tracing.StageNICRx
 	}
 	return tracing.StageNICTx
-}
-
-// cpuExhaustedBacklog separates the two overload drop reasons: when
-// the embedded processor has at least this much queued work at the
-// moment the descriptor ring rejects a packet, the card is saturated
-// (cpu-exhausted, the paper's flood-collapse regime); below it the
-// ring filled transiently (queue-overflow burst).
-const cpuExhaustedBacklog = time.Millisecond
-
-// overloadReason classifies a processor admission rejection.
-func (n *NIC) overloadReason() tracing.DropReason {
-	if n.proc.Backlog() >= cpuExhaustedBacklog {
-		return tracing.DropCPUExhausted
-	}
-	return tracing.DropQueueOverflow
 }
 
 // SetDeliver registers the host-side receive handler. The card owns
@@ -564,7 +549,7 @@ func (n *NIC) admit(dir fw.Direction, tid uint64, path MatchPath, traversed, ind
 	base, match, crypto := n.profile.CostPartsPath(path, traversed, cryptoBytes)
 	completeAt, ok := n.proc.Admit(base + match + crypto + ctCost)
 	if !ok {
-		n.drop(dir, cardStage(dir), n.overloadReason(), tid)
+		n.drop(dir, cardStage(dir), n.proc.OverloadReason(), tid)
 		return 0, false
 	}
 	if n.prof != nil {

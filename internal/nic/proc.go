@@ -22,6 +22,7 @@ package nic
 import (
 	"time"
 
+	"barbican/internal/obs/tracing"
 	"barbican/internal/sim"
 )
 
@@ -100,6 +101,21 @@ func (p *Processor) Backlog() time.Duration {
 		return 0
 	}
 	return b
+}
+
+// cpuExhaustedBacklog separates the two overload drop reasons: when
+// the processor has at least this much queued work at the moment the
+// ring rejects a packet, it is saturated (cpu-exhausted, the paper's
+// flood-collapse regime); below it the ring filled transiently
+// (queue-overflow burst).
+const cpuExhaustedBacklog = time.Millisecond
+
+// OverloadReason classifies a rejection by Admit.
+func (p *Processor) OverloadReason() tracing.DropReason {
+	if p.Backlog() >= cpuExhaustedBacklog {
+		return tracing.DropCPUExhausted
+	}
+	return tracing.DropQueueOverflow
 }
 
 // Queued returns the current ring occupancy.

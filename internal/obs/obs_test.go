@@ -165,8 +165,8 @@ func TestPublishKernel(t *testing.T) {
 	if got["sim_virtual_time_seconds"] != 1 {
 		t.Errorf("virtual time = %v, want 1", got["sim_virtual_time_seconds"])
 	}
-	if _, ok := got["sim_speedup_ratio"]; !ok {
-		t.Error("speedup ratio not registered")
+	if _, ok := got["sim_wall_busy_seconds"]; !ok {
+		t.Error("wall busy time not registered")
 	}
 }
 

@@ -159,8 +159,8 @@ func (rec *Recorder) Series(id string) (SeriesData, bool) {
 }
 
 // PublishKernel registers the kernel's own observability surface:
-// events executed, pending queue length, virtual clock, wall-clock
-// execution time, and the virtual/wall speedup ratio.
+// events executed, pending queue length, virtual clock and wall-clock
+// execution time.
 func PublishKernel(reg *Registry, k *sim.Kernel, labels ...Label) {
 	reg.MustRegisterFunc("sim_events_executed_total",
 		"Events executed by the simulation kernel.", KindCounter,
@@ -174,7 +174,4 @@ func PublishKernel(reg *Registry, k *sim.Kernel, labels ...Label) {
 	reg.MustRegisterFunc("sim_wall_busy_seconds",
 		"Wall-clock time spent executing events.", KindCounter,
 		func() float64 { return k.WallBusy().Seconds() }, labels...)
-	reg.MustRegisterFunc("sim_speedup_ratio",
-		"Virtual seconds simulated per wall-clock second.", KindGauge,
-		k.Speedup, labels...)
 }

@@ -68,14 +68,6 @@ func (a *Agent) LastGood() (version uint32, at time.Duration, ok bool) {
 	return a.installedVersion, a.lastGoodAt, a.everInstalled
 }
 
-// Staleness reports how long the enforced policy has gone without a
-// successful (re-)install — the operator-facing "how far behind might
-// this card be" signal. Before the first install it is the agent's
-// whole lifetime.
-func (a *Agent) Staleness() time.Duration {
-	return a.host.Kernel().Now() - a.lastGoodAt
-}
-
 // Stats returns a snapshot of the agent counters.
 func (a *Agent) Stats() AgentStats { return a.stats }
 

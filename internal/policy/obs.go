@@ -21,8 +21,6 @@ func (a *Agent) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
 		obs.KindCounter, func() float64 { return float64(a.stats.AbortedPushes) }, labels...)
 	reg.MustRegisterFunc("policy_agent_installed_version", "Installed policy version.",
 		obs.KindGauge, func() float64 { return float64(a.installedVersion) }, labels...)
-	reg.MustRegisterFunc("policy_agent_staleness_seconds", "Time since the last successful install or idempotent ack.",
-		obs.KindGauge, func() float64 { return a.Staleness().Seconds() }, labels...)
 	reg.MustRegisterFunc("policy_agent_last_good_timestamp_seconds", "Virtual time of the last successful install or idempotent ack (0 until one lands).",
 		obs.KindGauge, func() float64 {
 			_, at, ok := a.LastGood()
@@ -30,13 +28,6 @@ func (a *Agent) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
 				return 0
 			}
 			return at.Seconds()
-		}, labels...)
-	reg.MustRegisterFunc("policy_agent_ever_installed", "Whether any policy has ever been installed or acked (0/1).",
-		obs.KindGauge, func() float64 {
-			if _, _, ok := a.LastGood(); ok {
-				return 1
-			}
-			return 0
 		}, labels...)
 }
 

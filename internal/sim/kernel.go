@@ -151,17 +151,6 @@ func (k *Kernel) WallBusy() time.Duration {
 	return k.wallBusy
 }
 
-// Speedup returns the virtual/wall-clock ratio: how many virtual
-// seconds the kernel has simulated per wall-clock second of execution.
-// Zero until the kernel has run.
-func (k *Kernel) Speedup() float64 {
-	w := k.WallBusy().Seconds()
-	if w <= 0 {
-		return 0
-	}
-	return k.now.Seconds() / w
-}
-
 // beginRun/endRun bracket the Run variants for wall-clock accounting.
 // Nested runs (an event callback driving the kernel again) are counted
 // once, by the outermost frame.

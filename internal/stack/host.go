@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"time"
 
+	"barbican/internal/fw"
 	"barbican/internal/hostfw"
 	"barbican/internal/nic"
 	"barbican/internal/obs/tracing"
@@ -209,9 +210,9 @@ func (h *Host) receive(f *packet.Frame) {
 			h.traceDrop(tracing.StageStack, tracing.DropMalformed)
 			return
 		}
-		if !h.fwall.FilterIn(s) {
+		if r := h.fwall.Filter(s, fw.In); r != tracing.DropNone {
 			h.stats.RxFiltered++
-			h.traceDrop(tracing.StageStack, tracing.DropRuleDeny)
+			h.traceDrop(tracing.StageStack, r)
 			return
 		}
 	}
@@ -365,7 +366,7 @@ func (h *Host) send(dst packet.IP, proto packet.Protocol, transport []byte) bool
 	d := &h.txDatagram
 	if h.fwall != nil {
 		s, err := packet.SummarizeDatagram(d)
-		if err == nil && !h.fwall.FilterOut(s) {
+		if err == nil && h.fwall.Filter(s, fw.Out) != tracing.DropNone {
 			h.stats.TxFiltered++
 			return false
 		}

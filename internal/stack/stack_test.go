@@ -10,6 +10,7 @@ import (
 	"barbican/internal/hostfw"
 	"barbican/internal/link"
 	"barbican/internal/nic"
+	"barbican/internal/obs/tracing"
 	"barbican/internal/packet"
 	"barbican/internal/sim"
 	"barbican/internal/vpg"
@@ -483,6 +484,48 @@ func TestHostFirewallFiltersInbound(t *testing.T) {
 	}
 	if b.Stats().RxFiltered != 1 {
 		t.Errorf("RxFiltered = %d, want 1", b.Stats().RxFiltered)
+	}
+}
+
+// TestHostFirewallOverloadTraced: a datagram the host filter's
+// saturated processor refuses is traced with the overload reason, not
+// as a rule denial, and still counts as filtered.
+func TestHostFirewallOverloadTraced(t *testing.T) {
+	n := newNet(t)
+	a := n.addHost(t, "a", "10.0.0.1", nic.Standard(), nil)
+	p := hostfw.IPTables()
+	p.CapacityUnits, p.MaxQueue = 1000, 2 // 60 ms per datagram
+	f := hostfw.New(n.kernel, p)
+	f.Install(fw.MustRuleSet(fw.Allow))
+	b := n.addHost(t, "b", "10.0.0.2", nic.Standard(), f)
+	tr := tracing.New(n.kernel, tracing.Options{SampleEvery: 1})
+	for _, h := range []*Host{a, b} {
+		h.SetTracer(tr)
+		h.NIC().SetTracer(tr)
+	}
+	if _, err := b.BindUDP(53); err != nil {
+		t.Fatal(err)
+	}
+	cli, err := a.BindUDP(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sent = 10
+	for i := 0; i < sent; i++ {
+		cli.SendTo(b.IP(), 53, []byte("q"))
+	}
+	if err := n.kernel.Run(); err != nil {
+		t.Fatal(err)
+	}
+	reasons := map[tracing.DropReason]int{}
+	for _, pt := range tr.Traces() {
+		reasons[pt.Dropped]++
+	}
+	if reasons[tracing.DropCPUExhausted] != sent-p.MaxQueue || reasons[tracing.DropRuleDeny] != 0 {
+		t.Errorf("traced drop reasons = %v, want %d cpu-exhausted", reasons, sent-p.MaxQueue)
+	}
+	if got := int(b.Stats().RxFiltered); got != sent-p.MaxQueue {
+		t.Errorf("RxFiltered = %d, want %d", got, sent-p.MaxQueue)
 	}
 }
 

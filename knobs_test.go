@@ -16,7 +16,7 @@ import (
 	"unicode"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/knobs.golden from the source tree")
+var update = flag.Bool("update", false, "rewrite testdata/knobs.golden and testdata/metrics.golden")
 
 // knobStruct reports whether an exported type name is one of the
 // configuration shapes whose fields are settable values: a *Config,
