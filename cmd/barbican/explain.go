@@ -13,13 +13,13 @@ import (
 )
 
 // runExplain implements `barbican explain`: replay one hypothetical
-// packet against a rule set on a card profile and print the matched
-// rule, the depth walked, and the predicted per-stage cost. The output
-// is a pure function of the flags — no clocks, no map iteration — so
-// identical invocations are byte-identical.
+// packet against a rule set on a device's enforcement point and print
+// the matched rule, the depth walked, and the predicted per-stage cost.
+// The output is a pure function of the flags — no clocks, no map
+// iteration — so identical invocations are byte-identical.
 func runExplain(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("barbican explain", flag.ContinueOnError)
-	device := fs.String("device", "efw", "card profile: "+core.DeviceNames())
+	device := fs.String("device", "efw", "device whose enforcement point (card, or host firewall for iptables) prices the packet: "+core.DeviceNames())
 	depth := fs.Int("depth", 64, "synthetic rule-set depth (paper shape: depth-1 non-matching rules above the action rule); 0 = no policy")
 	deny := fs.Bool("deny", false, "synthetic action rule denies the flood signature (default: allows everything)")
 	stateful := fs.Bool("stateful", false, "use the stateful synthetic rule set (new-to-service + established/related) instead of the stateless one")

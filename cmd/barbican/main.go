@@ -28,8 +28,7 @@
 //	                 trace_event JSON) for every run
 //	-trace-sample N  trace 1 packet in N (default 64)
 //	-profile-out DIR write dual-domain profiles (card cost units +
-//	                 kernel wall time) for every run as gzipped pprof,
-//	                 plus merged per-experiment cost profiles
+//	                 kernel wall time) for every run as gzipped pprof
 //	-profile-sample N  kernel profiler samples 1 event in N (default 16;
 //	                 the cost domain is always exact)
 //	-pcap-out DIR    write each run's client-side wire capture as pcap
@@ -76,7 +75,9 @@
 // The profiles -profile-out writes are read with the toolchain's own
 // reader: go tool pprof -top [-cum] FILE for the top phases and
 // stacks, -traces for every stack, and -top -diff_base OLD NEW for the
-// per-stack deltas between two runs.
+// per-stack deltas between two runs. Given several files (say
+// DIR/fig2/*.cost.pprof, every point of one experiment), pprof merges
+// them into one view.
 package main
 
 import (
@@ -90,7 +91,6 @@ import (
 
 	"barbican/internal/experiment"
 	"barbican/internal/faults"
-	"barbican/internal/obs"
 )
 
 func main() {
@@ -189,9 +189,7 @@ func runExperiments(w io.Writer, cfg experiment.Config, selected []experiment.Ex
 	elapsed := time.Since(start)
 	fmt.Fprintln(w, acct.Summary(elapsed, workers))
 	if cfg.MetricsDir != "" {
-		reg := obs.NewRegistry()
-		acct.Publish(reg, elapsed, workers)
-		if _, err := obs.WriteRunArtifacts(cfg.MetricsDir, "executor", reg, nil); err != nil {
+		if err := acct.WriteArtifacts(cfg.MetricsDir, elapsed, workers); err != nil {
 			return fmt.Errorf("executor metrics: %w", err)
 		}
 	}

@@ -54,9 +54,11 @@ func TestExplainOutput(t *testing.T) {
 			want: []string{"allow by rule 4 after traversing 4 rule(s)", "port 1521"},
 		},
 		{
-			// iptables filters in the host; its card is the standard NIC.
+			// iptables filters in the host: the host firewall's profile
+			// prices the walk (60 + 64 × 2.2 units).
 			args: []string{"-device", "iptables", "-depth", "64"},
-			want: []string{"device: Standard (wire speed, no filtering cost)", "traversing 64 rule(s)"},
+			want: []string{"device: iptables (capacity 6000000 units/s, base 60, per-rule 2.2)",
+				"traversing 64 rule(s)", "total          200.8 units"},
 		},
 	} {
 		var out bytes.Buffer

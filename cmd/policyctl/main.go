@@ -61,7 +61,7 @@ func run(args []string) error {
 		if fs.NArg() > 2 {
 			flags = fs.Args()[2:]
 		}
-		return lint(fs.Arg(1), flags)
+		return lint(os.Stdout, fs.Arg(1), flags)
 	case "verify":
 		return verify(fs.Args()[1:])
 	case "diff":
@@ -102,10 +102,10 @@ type lintFinding struct {
 // findings translate rule position into the card's sustainable packet
 // rate via the Fig. 2 cost model. Exit status is 1 when any
 // error-severity finding (conflict, shadowed, unreachable) is present.
-func lint(path string, args []string) error {
+func lint(w io.Writer, path string, args []string) error {
 	fs := flag.NewFlagSet("policyctl lint", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
-	device := fs.String("device", "efw", "card profile for depth predictions: "+core.DeviceNames())
+	device := fs.String("device", "efw", "device whose enforcement point (card, or host firewall for iptables) prices depth predictions: "+core.DeviceNames())
 	depthWarn := fs.Int("depth-warn", 16, "note reachable rules deeper than this position (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -149,31 +149,31 @@ func lint(path string, args []string) error {
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
 			return err
 		}
 	} else {
 		for _, lf := range out {
-			fmt.Printf("%s: %s\n", lf.Severity, lf.Message)
+			fmt.Fprintf(w, "%s: %s\n", lf.Severity, lf.Message)
 			if lf.By != 0 {
-				fmt.Printf("  rule %d: %s\n", lf.By, rs.Rule(lf.By))
+				fmt.Fprintf(w, "  rule %d: %s\n", lf.By, rs.Rule(lf.By))
 			}
 			for _, j := range lf.Covering {
-				fmt.Printf("  rule %d: %s\n", j, rs.Rule(j))
+				fmt.Fprintf(w, "  rule %d: %s\n", j, rs.Rule(j))
 			}
 			if lf.Rule != 0 && lf.Kind != "deep" {
-				fmt.Printf("  rule %d: %s\n", lf.Rule, rs.Rule(lf.Rule))
+				fmt.Fprintf(w, "  rule %d: %s\n", lf.Rule, rs.Rule(lf.Rule))
 			}
 			if lf.SustainablePPS > 0 {
-				fmt.Printf("  %s sustains ≈ %.0f pkt/s for packets walking %d rules\n",
+				fmt.Fprintf(w, "  %s sustains ≈ %.0f pkt/s for packets walking %d rules\n",
 					profile.Name, lf.SustainablePPS, lf.Depth)
-				fmt.Printf("  %s (compiled) sustains ≈ %.0f pkt/s at that depth\n",
+				fmt.Fprintf(w, "  %s (compiled) sustains ≈ %.0f pkt/s at that depth\n",
 					nextgen.Name, lf.SustainablePPSNextGen)
 			}
 		}
-		fmt.Printf("# %d rules, %d finding(s)\n", rs.Len(), len(out))
+		fmt.Fprintf(w, "# %d rules, %d finding(s)\n", rs.Len(), len(out))
 	}
 	if errors > 0 {
 		return fmt.Errorf("%d error-severity finding(s)", errors)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"barbican/internal/hostfw"
 	"barbican/internal/nic"
 )
 
@@ -40,21 +41,25 @@ type deviceSpec struct {
 	aliases []string
 	// label names the device as in the paper's figures.
 	label string
-	// profile builds the card the device puts on its host. iptables
-	// filters in the host behind a standard card.
-	profile func() nic.Profile
+	// card builds the card the device puts on its host.
+	card func() nic.Profile
+	// hostFW, when non-nil, builds the host firewall that enforces the
+	// device's rules instead of its card (iptables, behind a standard
+	// card).
+	hostFW func() nic.Profile
 }
 
 // devices is the one table of devices, indexed by Device: every name a
-// command line accepts, every figure label and every card profile.
+// command line accepts, every figure label, every card profile and
+// every host firewall profile.
 var devices = [...]deviceSpec{
-	DeviceStandard: {"standard", []string{"none"}, "Standard NIC", nic.Standard},
-	DeviceEFW:      {"efw", nil, "EFW", nic.EFW},
-	DeviceADF:      {"adf", nil, "ADF", nic.ADF},
-	DeviceADFVPG:   {"vpg", []string{"adf-vpg"}, "ADF (VPG)", nic.ADF},
-	DeviceIPTables: {"iptables", nil, "iptables", nic.Standard},
-	DeviceNextGen:  {"nextgen", nil, "NextGenFW", nic.NextGen},
-	DeviceStateful: {"stateful", nil, "StatefulFW", nic.Stateful},
+	DeviceStandard: {"standard", []string{"none"}, "Standard NIC", nic.Standard, nil},
+	DeviceEFW:      {"efw", nil, "EFW", nic.EFW, nil},
+	DeviceADF:      {"adf", nil, "ADF", nic.ADF, nil},
+	DeviceADFVPG:   {"vpg", []string{"adf-vpg"}, "ADF (VPG)", nic.ADF, nil},
+	DeviceIPTables: {"iptables", nil, "iptables", nic.Standard, hostfw.IPTables},
+	DeviceNextGen:  {"nextgen", nil, "NextGenFW", nic.NextGen, nil},
+	DeviceStateful: {"stateful", nil, "StatefulFW", nic.Stateful, nil},
 }
 
 // spec returns d's table row; ok is false for a value outside the table.
@@ -73,14 +78,19 @@ func (d Device) String() string {
 	return fmt.Sprintf("device(%d)", int(d))
 }
 
-// Profile returns the calibrated profile of the card the device puts
-// on its host, or the zero Profile for a value outside the table.
+// Profile returns the calibrated profile of the device's
+// rule-enforcement point, the one that prices its rules: the host
+// firewall's for iptables, the card's otherwise. It returns the zero
+// Profile for a value outside the table.
 func (d Device) Profile() nic.Profile {
 	s, ok := d.spec()
-	if !ok {
+	switch {
+	case !ok:
 		return nic.Profile{}
+	case s.hostFW != nil:
+		return s.hostFW()
 	}
-	return s.profile()
+	return s.card()
 }
 
 // ParseDevice maps a command-line device name or alias to its device,

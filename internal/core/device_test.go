@@ -4,14 +4,16 @@ import (
 	"strings"
 	"testing"
 
+	"barbican/internal/hostfw"
 	"barbican/internal/nic"
 )
 
 // TestDeviceTable pins the one device table: every device round-trips
 // through its command-line name and aliases in any case, prints its
-// figure label, and NewTestbed puts the card the table names on a host
-// of that device (plus the host firewall for iptables, and the eager
-// VPG override on the ADF only).
+// figure label, prices its rules with its enforcement point's profile
+// (the host firewall's for iptables), and NewTestbed puts the card the
+// table names on a host of that device (plus the host firewall for
+// iptables, and the eager VPG override on the ADF only).
 func TestDeviceTable(t *testing.T) {
 	tests := []struct {
 		device  Device
@@ -44,8 +46,12 @@ func TestDeviceTable(t *testing.T) {
 			if got := tt.device.String(); got != tt.label {
 				t.Errorf("String() = %q, want %q", got, tt.label)
 			}
-			if got := tt.device.Profile(); got != tt.card {
-				t.Errorf("Profile() = %+v, want %+v", got, tt.card)
+			enforce := tt.card
+			if tt.hostFW {
+				enforce = hostfw.IPTables()
+			}
+			if got := tt.device.Profile(); got != enforce {
+				t.Errorf("Profile() = %+v, want %+v", got, enforce)
 			}
 			for _, eager := range []bool{false, true} {
 				tb, err := NewTestbed(TestbedOptions{TargetDevice: tt.device, EagerVPGDecrypt: eager})
@@ -59,6 +65,8 @@ func TestDeviceTable(t *testing.T) {
 				}
 				if got := tb.Target.Firewall() != nil; got != tt.hostFW {
 					t.Errorf("eager=%v: host firewall = %v, want %v", eager, got, tt.hostFW)
+				} else if got && tb.Target.Firewall().Profile() != enforce {
+					t.Errorf("eager=%v: host firewall = %+v, want %+v", eager, tb.Target.Firewall().Profile(), enforce)
 				}
 			}
 		})

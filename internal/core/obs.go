@@ -35,10 +35,10 @@ type Instrumentation struct {
 	Registry *obs.Registry
 	Recorder *obs.Recorder
 	// Tracer is non-nil when the run was traced; export it with
-	// WriteTraceArtifacts.
+	// Tracer.WritePerfetto and TraceExportOptions.
 	Tracer *tracing.Tracer
-	// Profiling is non-nil when the run was profiled; export it with
-	// WriteProfileArtifacts.
+	// Profiling is non-nil when the run was profiled; export its
+	// CostData and KernelData with profile.Data.WritePprof.
 	Profiling *Profiling
 	// Capture is non-nil when the client's wire was captured; export
 	// it with Capture.WritePCAP.
@@ -47,12 +47,6 @@ type Instrumentation struct {
 	// target is the system-under-test card, the authoritative source
 	// of the per-reason drop totals embedded in trace exports.
 	target *nic.NIC
-}
-
-// WriteArtifacts writes the run's telemetry to dir as <base>.csv (the
-// timeline) and <base>.snapshot.prom (the final scrape-style snapshot).
-func (in *Instrumentation) WriteArtifacts(dir, base string) ([]string, error) {
-	return obs.WriteRunArtifacts(dir, base, in.Registry, in.Recorder)
 }
 
 // hosts lists the standard testbed hosts in a fixed order.

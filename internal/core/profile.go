@@ -1,12 +1,6 @@
 package core
 
-import (
-	"os"
-	"path/filepath"
-
-	"barbican/internal/obs"
-	"barbican/internal/obs/profile"
-)
+import "barbican/internal/obs/profile"
 
 // Profiling bundles one run's attached profilers: a cost-domain
 // CardProfiler per testbed NIC (exact per-packet attribution) and one
@@ -32,31 +26,3 @@ func (p *Profiling) CostData() *profile.Data {
 // KernelData exports the wall-domain kernel profile. Event counts are
 // deterministic; wall-nanosecond values are measured on the host.
 func (p *Profiling) KernelData() *profile.Data { return p.Kernel.Data() }
-
-// WriteProfileArtifacts writes the run's profiles to dir as gzipped
-// pprof profile.proto, <base>.cost.pprof and <base>.kernel.pprof.
-// Returns the written paths; no-op when the run was not profiled.
-func (in *Instrumentation) WriteProfileArtifacts(dir, base string) ([]string, error) {
-	if in == nil || in.Profiling == nil {
-		return nil, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	base = obs.SanitizeName(base)
-	var paths []string
-	for _, out := range []struct {
-		domain string
-		data   *profile.Data
-	}{
-		{"cost", in.Profiling.CostData()},
-		{"kernel", in.Profiling.KernelData()},
-	} {
-		path := filepath.Join(dir, base+"."+out.domain+".pprof")
-		if err := out.data.WritePprofFile(path); err != nil {
-			return nil, err
-		}
-		paths = append(paths, path)
-	}
-	return paths, nil
-}

@@ -9,7 +9,6 @@ import (
 	"barbican/internal/nic"
 	"barbican/internal/nic/conntrack"
 	"barbican/internal/obs"
-	"barbican/internal/obs/profile"
 	"barbican/internal/policy"
 	"barbican/internal/sim"
 )
@@ -31,9 +30,6 @@ type Outcome struct {
 	// inputs to the executor's sim-seconds-per-wall-second accounting.
 	SimSeconds float64
 	WallBusy   time.Duration
-	// CostProfile is the run's merged cost-domain card profile; nil
-	// unless the run was profiled (see the RunXObserved entry points).
-	CostProfile *profile.Data
 }
 
 // env is a run in progress as a family's phases see it.
@@ -103,9 +99,6 @@ func run(s Scenario, ph phases, opt *ObserveOptions) (Outcome, *Instrumentation,
 		out.FloodSent = e.flood.Sent()
 	}
 	if inst != nil {
-		if inst.Profiling != nil {
-			out.CostProfile = inst.Profiling.CostData()
-		}
 		// Final sample at the close of the measurement window.
 		inst.Recorder.Sample()
 		inst.Recorder.Stop()

@@ -136,9 +136,7 @@ func RunBandwidth(s Scenario) (BandwidthPoint, error) {
 // opt selects attached for the whole run; the iperf sink's byte counter
 // joins the registry so the recorded timeline carries an
 // instantaneous-goodput series. Observation never changes the simulated
-// outcome. Profiled runs carry the merged cost-domain profile on the
-// returned point (CostProfile) so experiment fan-outs can merge
-// per-point profiles deterministically.
+// outcome.
 func RunBandwidthObserved(s Scenario, opt ObserveOptions) (BandwidthPoint, *Instrumentation, error) {
 	return runBandwidth(s, &opt)
 }

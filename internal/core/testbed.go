@@ -123,15 +123,15 @@ func (tb *Testbed) AddHost(name string, ip packet.IP, device Device, respond boo
 	if !ok {
 		return nil, fmt.Errorf("core: unknown device %v", device)
 	}
-	profile := spec.profile()
+	profile := spec.card()
 	// Only the VPG-capable card (the ADF) has sealed traffic to decrypt
 	// eagerly.
 	if profile.CryptoPerPacket > 0 {
 		profile.EagerVPGDecrypt = tb.eager
 	}
 	var fwall *hostfw.Firewall
-	if device == DeviceIPTables {
-		fwall = hostfw.New(tb.Kernel, hostfw.IPTables())
+	if spec.hostFW != nil {
+		fwall = hostfw.New(tb.Kernel, spec.hostFW())
 	}
 	if profile.ConntrackEntries > 0 && tb.ctEvict != 0 {
 		profile.ConntrackEvict = tb.ctEvict
@@ -159,10 +159,10 @@ func (tb *Testbed) AddHost(name string, ip packet.IP, device Device, respond boo
 }
 
 // InstallPolicy installs a rule set on the host's enforcement point: the
-// host firewall for DeviceIPTables, the NIC otherwise. A nil rule set
-// removes filtering.
+// host firewall for a device that has one (iptables), the NIC
+// otherwise. A nil rule set removes filtering.
 func (tb *Testbed) InstallPolicy(h *stack.Host, rs *fw.RuleSet) {
-	if tb.devices[h] == DeviceIPTables {
+	if spec, _ := tb.devices[h].spec(); spec.hostFW != nil {
 		h.Firewall().Install(rs)
 		return
 	}

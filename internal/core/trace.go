@@ -2,12 +2,9 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"barbican/internal/fw"
-	"barbican/internal/obs"
 	"barbican/internal/obs/tracing"
 )
 
@@ -112,32 +109,9 @@ func dropCounterTracks(in *Instrumentation) []tracing.CounterTrack {
 	return tracks
 }
 
-// WriteTraceArtifacts writes the run's packet traces to dir as
-// <base>.trace.json (Perfetto trace_event format, embedding the
-// authoritative per-reason drop totals and recorder drop tracks).
-// Returns the written paths; no-op when the run was not traced.
-func (in *Instrumentation) WriteTraceArtifacts(dir, base string) ([]string, error) {
-	if in == nil || in.Tracer == nil {
-		return nil, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	opt := tracing.ExportOptions{
-		Drops:    dropCounters(in),
-		Counters: dropCounterTracks(in),
-	}
-	jsonPath := filepath.Join(dir, obs.SanitizeName(base)+".trace.json")
-	jf, err := os.Create(jsonPath)
-	if err != nil {
-		return nil, err
-	}
-	if err := in.Tracer.WritePerfetto(jf, opt); err != nil {
-		jf.Close()
-		return nil, err
-	}
-	if err := jf.Close(); err != nil {
-		return nil, err
-	}
-	return []string{jsonPath}, nil
+// TraceExportOptions returns what a Perfetto export of the run's trace
+// embeds: the target card's authoritative per-reason drop totals and
+// the recorder's drop tracks.
+func (in *Instrumentation) TraceExportOptions() tracing.ExportOptions {
+	return tracing.ExportOptions{Drops: dropCounters(in), Counters: dropCounterTracks(in)}
 }

@@ -42,8 +42,7 @@ func TestTracedFloodDropCountersSumToTotalDrops(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	opt := tracing.ExportOptions{Drops: dropCounters(inst), Counters: dropCounterTracks(inst)}
-	if err := inst.Tracer.WritePerfetto(&buf, opt); err != nil {
+	if err := inst.Tracer.WritePerfetto(&buf, inst.TraceExportOptions()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -91,9 +90,9 @@ func TestTracedFloodDropCountersSumToTotalDrops(t *testing.T) {
 }
 
 // simulated strips an outcome of what observation may legitimately
-// change: the wall clock the run burned and the profile it carries.
+// change: the wall clock the run burned.
 func simulated(o Outcome) Outcome {
-	o.WallBusy, o.CostProfile = 0, nil
+	o.WallBusy = 0
 	return o
 }
 

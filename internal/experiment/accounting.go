@@ -87,3 +87,11 @@ func (a *Accounting) Publish(reg *obs.Registry, elapsed time.Duration, workers i
 		"Worker-pool size the run executed with.",
 		obs.KindGauge, func() float64 { return float64(workers) })
 }
+
+// WriteArtifacts writes the run's accounting (see Publish) as
+// <dir>/executor.snapshot.prom.
+func (a *Accounting) WriteArtifacts(dir string, elapsed time.Duration, workers int) error {
+	reg := obs.NewRegistry()
+	a.Publish(reg, elapsed, workers)
+	return writeArtifact(dir, "executor", ".snapshot.prom", reg.WritePromText)
+}

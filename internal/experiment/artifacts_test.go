@@ -181,8 +181,8 @@ func TestScenarioFamiliesArtifactsParallelIdentity(t *testing.T) {
 }
 
 // TestArtifactSet pins the files one observed point writes with every
-// artifact directory set, plus its experiment's figure data and merged
-// cost profile: each artifact in exactly one encoding.
+// artifact directory set, plus its experiment's figure data: each
+// artifact in exactly one encoding.
 func TestArtifactSet(t *testing.T) {
 	root := t.TempDir()
 	cfg := Config{Quick: true, Duration: 200 * time.Millisecond, Parallel: 1,
@@ -216,7 +216,6 @@ func TestArtifactSet(t *testing.T) {
 		"pcap/fig2/efw_depth-4.pcap",
 		"profile/fig2/efw_depth-4.cost.pprof",
 		"profile/fig2/efw_depth-4.kernel.pprof",
-		"profile/fig2/fig2.cost.pprof",
 		"trace/fig2/efw_depth-4.trace.json",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {

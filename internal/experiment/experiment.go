@@ -175,8 +175,8 @@ type Config struct {
 	TraceSample int
 	// ProfileDir, when non-empty, attaches the dual-domain profiler
 	// (cost-unit card attribution + wall-clock kernel sampling) to
-	// each run and writes pprof + folded-stack artifacts under this
-	// directory, plus a merged per-experiment cost profile.
+	// each run and writes its cost and kernel pprof profiles under
+	// this directory.
 	ProfileDir string
 	// ProfileSample is the kernel profiler's 1-in-N event sampling
 	// rate; zero uses profile.DefaultKernelSampleEvery. The cost

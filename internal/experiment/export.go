@@ -9,7 +9,6 @@ import (
 
 	"barbican/internal/core"
 	"barbican/internal/obs"
-	"barbican/internal/obs/profile"
 	"barbican/internal/trace"
 )
 
@@ -36,8 +35,7 @@ var (
 // point is the experiments' one run path: it runs s — plainly when cfg
 // asks for no artifacts, observed otherwise — accounts the point, and
 // writes its artifacts (see writeRunArtifacts) under
-// <dir>/<exp>/<label>. Profiled points carry their merged cost profile
-// (CostProfile) back to the caller for per-experiment aggregation.
+// <dir>/<exp>/<label>.
 func (f family[S, P]) point(cfg Config, exp, label string, s S) (P, error) {
 	if !cfg.observing() {
 		p, err := f.run(s)
@@ -76,7 +74,10 @@ func (f family[S, P]) observe(cfg Config, exp, label string, s S) (P, *core.Inst
 func (c Config) writeRunArtifacts(exp, label string, out core.Outcome, inst *core.Instrumentation) error {
 	if c.MetricsDir != "" {
 		dir := filepath.Join(c.MetricsDir, exp)
-		if _, err := inst.WriteArtifacts(dir, label); err != nil {
+		if err := writeArtifact(dir, label, ".csv", inst.Recorder.WriteCSV); err != nil {
+			return err
+		}
+		if err := writeArtifact(dir, label, ".snapshot.prom", inst.Registry.WritePromText); err != nil {
 			return err
 		}
 		if out.Attribution != nil {
@@ -86,12 +87,19 @@ func (c Config) writeRunArtifacts(exp, label string, out core.Outcome, inst *cor
 		}
 	}
 	if c.TraceDir != "" {
-		if _, err := inst.WriteTraceArtifacts(filepath.Join(c.TraceDir, exp), label); err != nil {
+		err := writeArtifact(filepath.Join(c.TraceDir, exp), label, ".trace.json", func(w io.Writer) error {
+			return inst.Tracer.WritePerfetto(w, inst.TraceExportOptions())
+		})
+		if err != nil {
 			return err
 		}
 	}
 	if c.ProfileDir != "" {
-		if _, err := inst.WriteProfileArtifacts(filepath.Join(c.ProfileDir, exp), label); err != nil {
+		dir := filepath.Join(c.ProfileDir, exp)
+		if err := writeArtifact(dir, label, ".cost.pprof", inst.Profiling.CostData().WritePprof); err != nil {
+			return err
+		}
+		if err := writeArtifact(dir, label, ".kernel.pprof", inst.Profiling.KernelData().WritePprof); err != nil {
 			return err
 		}
 	}
@@ -106,48 +114,14 @@ func (c Config) writeRunArtifacts(exp, label string, out core.Outcome, inst *cor
 // writePCAP then prints one line to warn naming the file, the dropped
 // record count and the first retained timestamp.
 func writePCAP(dir, label string, capture *trace.Capture, warn io.Writer) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, obs.SanitizeName(label)+".pcap")
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := capture.WritePCAP(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeArtifact(dir, label, ".pcap", capture.WritePCAP); err != nil {
 		return err
 	}
 	if n := capture.Dropped(); n > 0 {
 		fmt.Fprintf(warn, "%s: capture limit of %d records reached; dropped the first %d, file starts at %v\n",
-			path, trace.CaptureLimit, n, capture.Records()[0].At)
+			artifactPath(dir, label, ".pcap"), trace.CaptureLimit, n, capture.Records()[0].At)
 	}
 	return nil
-}
-
-// writeMergedCostProfile merges per-point cost profiles (in the order
-// given, which callers keep in declaration order so the merged bytes
-// are parallelism-independent) and writes them as
-// <ProfileDir>/<exp>/<exp>.cost.pprof. No-op without
-// cfg.ProfileDir.
-func writeMergedCostProfile(cfg Config, exp string, parts []*profile.Data) error {
-	if cfg.ProfileDir == "" {
-		return nil
-	}
-	merged := profile.NewData(profile.CostSampleTypes, "cost")
-	for _, p := range parts {
-		if err := merged.Merge(p); err != nil {
-			return fmt.Errorf("%s: merge cost profile: %w", exp, err)
-		}
-	}
-	dir := filepath.Join(cfg.ProfileDir, exp)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return merged.WritePprofFile(filepath.Join(dir, obs.SanitizeName(exp)+".cost.pprof"))
 }
 
 // WriteRuleAttribution writes a run's per-rule firewall breakdown as
@@ -225,12 +199,19 @@ func (t *Table) WriteArtifacts(dir, name string) error {
 	return writeArtifact(dir, name+".table", ".csv", t.WriteCSV)
 }
 
-// writeArtifact writes <dir>/<base><ext> with fn, creating dir.
+// artifactPath is the one artifact layout: <dir>/<base><ext>, with
+// base sanitized (obs.SanitizeName).
+func artifactPath(dir, base, ext string) string {
+	return filepath.Join(dir, obs.SanitizeName(base)+ext)
+}
+
+// writeArtifact writes artifactPath(dir, base, ext) with fn, creating
+// dir. It is the only code that creates artifact files.
 func writeArtifact(dir, base, ext string, fn func(io.Writer) error) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("experiment: artifacts dir: %w", err)
 	}
-	p := filepath.Join(dir, obs.SanitizeName(base)+ext)
+	p := artifactPath(dir, base, ext)
 	f, err := os.Create(p)
 	if err != nil {
 		return err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"barbican/internal/core"
-	"barbican/internal/obs/profile"
 	"barbican/internal/runner"
 )
 
@@ -61,7 +60,7 @@ func Fig2NextGen(cfg Config) (*Figure, error) {
 // point of series, one series per device. Every point is independent,
 // so the sweep fans out over the executor; points land back in their
 // series in declaration order. exp names the per-run artifacts
-// (<exp>/<device>_depth-<d>) and the merged cost profile.
+// (<exp>/<device>_depth-<d>).
 func bandwidthVsDepth(cfg Config, exp, title string, series []depthSeries) (*Figure, error) {
 	type task struct {
 		series int
@@ -75,14 +74,7 @@ func bandwidthVsDepth(cfg Config, exp, title string, series []depthSeries) (*Fig
 		}
 	}
 
-	// Each point carries its cost profile back so the experiment-level
-	// merge happens in task declaration order, independent of which
-	// worker finished first.
-	type result struct {
-		point Point
-		prof  *profile.Data
-	}
-	results, err := runner.Map(cfg.pool(), len(tasks), func(i int) (result, error) {
+	points, err := runner.Map(cfg.pool(), len(tasks), func(i int) (Point, error) {
 		t := tasks[i]
 		label := fmt.Sprintf("%s_depth-%d", t.dev, t.depth)
 		p, err := bandwidthRuns.point(cfg, exp, label, core.Scenario{
@@ -90,23 +82,12 @@ func bandwidthVsDepth(cfg Config, exp, title string, series []depthSeries) (*Fig
 			Duration: cfg.bandwidthDuration(), Seed: cfg.Seed,
 		})
 		if err != nil {
-			return result{}, err
+			return Point{}, err
 		}
-		return result{point: Point{X: float64(t.depth), Y: p.Mbps()}, prof: p.CostProfile}, nil
+		return Point{X: float64(t.depth), Y: p.Mbps()}, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if cfg.ProfileDir != "" {
-		parts := make([]*profile.Data, 0, len(results))
-		for _, r := range results {
-			if r.prof != nil {
-				parts = append(parts, r.prof)
-			}
-		}
-		if err := writeMergedCostProfile(cfg, exp, parts); err != nil {
-			return nil, err
-		}
 	}
 
 	fig := &Figure{
@@ -119,7 +100,7 @@ func bandwidthVsDepth(cfg Config, exp, title string, series []depthSeries) (*Fig
 	}
 	for i, t := range tasks {
 		s := &fig.Series[t.series]
-		s.Points = append(s.Points, results[i].point)
+		s.Points = append(s.Points, points[i])
 	}
 	return fig, nil
 }

@@ -11,9 +11,10 @@ import (
 	"barbican/internal/obs/profile"
 )
 
-// fig2CostArtifact runs the quick Fig. 2 sweep with profiling on and
-// returns the bytes of the merged cost-domain profile.
-func fig2CostArtifact(t *testing.T, parallel int) []byte {
+// fig2CostArtifacts runs the quick Fig. 2 sweep with profiling on and
+// returns the bytes of every per-point cost-domain profile, keyed by
+// file name.
+func fig2CostArtifacts(t *testing.T, parallel int) map[string][]byte {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := Config{
@@ -25,42 +26,63 @@ func fig2CostArtifact(t *testing.T, parallel int) []byte {
 	if _, err := Fig2(cfg); err != nil {
 		t.Fatal(err)
 	}
-	pprofBytes, err := os.ReadFile(filepath.Join(dir, "fig2", "fig2.cost.pprof"))
+	paths, err := filepath.Glob(filepath.Join(dir, "fig2", "*.cost.pprof"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pprofBytes
+	if len(paths) == 0 {
+		t.Fatal("fig2 wrote no cost profiles")
+	}
+	files := make(map[string][]byte, len(paths))
+	for _, path := range paths {
+		if files[filepath.Base(path)], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
 }
 
 // TestFig2CostProfileParallelByteIdentity is the determinism golden:
 // the cost domain is exact (every admitted packet recorded, per-point
-// private kernels, merge in declaration order), so the merged Fig. 2
-// profile must be byte-identical at any -parallel setting. Wall-domain
-// kernel profiles are excluded — their nanosecond values are measured.
+// private kernels), so every per-point Fig. 2 cost profile must be
+// byte-identical at any -parallel setting. Wall-domain kernel profiles
+// are excluded — their nanosecond values are measured.
 func TestFig2CostProfileParallelByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full profiled sweep; skipped in -short")
 	}
-	p1 := fig2CostArtifact(t, 1)
-	p4 := fig2CostArtifact(t, 4)
-	if !bytes.Equal(p1, p4) {
-		t.Error("fig2.cost.pprof differs between -parallel 1 and 4")
+	p1 := fig2CostArtifacts(t, 1)
+	p4 := fig2CostArtifacts(t, 4)
+	if len(p1) != len(p4) {
+		t.Errorf("%d cost profiles at -parallel 1, %d at 4", len(p1), len(p4))
+	}
+	for name, b1 := range p1 {
+		if b4, ok := p4[name]; !ok || !bytes.Equal(b1, b4) {
+			t.Errorf("%s differs between -parallel 1 and 4 (present at 4: %v)", name, ok)
+		}
 	}
 }
 
-// TestFig2CostProfileContent checks the ISSUE's attribution criteria on
-// a real sweep: the profile decodes, phases carry the bulk of the
-// units, and per-rule match cost is visibly linear in rule depth.
+// TestFig2CostProfileContent checks the attribution on a real sweep,
+// summed over its per-point profiles as go tool pprof merges them:
+// every profile decodes, phases carry the bulk of the units, and
+// per-rule match cost is visibly linear in rule depth.
 func TestFig2CostProfileContent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full profiled sweep; skipped in -short")
 	}
-	d, err := profile.ReadPprof(bytes.NewReader(fig2CostArtifact(t, 2)))
-	if err != nil {
-		t.Fatal(err)
+	d := profile.NewData(profile.CostSampleTypes, "cost")
+	for name, b := range fig2CostArtifacts(t, 2) {
+		part, err := profile.ReadPprof(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, s := range part.Samples {
+			d.Add(s.Stack, s.Values...)
+		}
 	}
 	if d.Total() == 0 {
-		t.Fatal("merged cost profile is empty")
+		t.Fatal("summed cost profile is empty")
 	}
 	// Every sample belongs to a named phase.
 	phases := map[string]int64{}
@@ -93,7 +115,7 @@ func TestFig2CostProfileContent(t *testing.T) {
 		}
 	}
 	if len(perRule) == 0 {
-		t.Fatal("no per-rule EFW match samples in merged profile")
+		t.Fatal("no per-rule EFW match samples in summed profile")
 	}
 	// Sum across frames: the same rule index carries different DSL text
 	// in different depth configurations (pad vs action rule), so "rule

@@ -5,8 +5,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 )
@@ -131,43 +129,6 @@ func SanitizeName(s string) string {
 		return "run"
 	}
 	return out
-}
-
-// WriteRunArtifacts writes one run's telemetry under dir as <base>.csv
-// (the recorded timeline, when rec is non-nil) and <base>.snapshot.prom
-// (the final scrape-style snapshot, with HELP and TYPE). It returns the
-// paths written.
-func WriteRunArtifacts(dir, base string, reg *Registry, rec *Recorder) ([]string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("obs: artifacts dir: %w", err)
-	}
-	base = SanitizeName(base)
-	var paths []string
-	write := func(name string, fn func(io.Writer) error) error {
-		p := filepath.Join(dir, name)
-		f, err := os.Create(p)
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return fmt.Errorf("obs: write %s: %w", p, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("obs: close %s: %w", p, err)
-		}
-		paths = append(paths, p)
-		return nil
-	}
-	if rec != nil {
-		if err := write(base+".csv", rec.WriteCSV); err != nil {
-			return paths, err
-		}
-	}
-	if err := write(base+".snapshot.prom", reg.WritePromText); err != nil {
-		return paths, err
-	}
-	return paths, nil
 }
 
 func formatValue(v float64) string {

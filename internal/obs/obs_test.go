@@ -3,8 +3,6 @@ package obs
 import (
 	"bytes"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -227,31 +225,31 @@ func TestRecorderExportFormats(t *testing.T) {
 	}
 }
 
+// TestWriteRunArtifacts: the two encoders a run's telemetry artifacts
+// are written with produce the recorded timeline (a header and one row
+// per sample) and the final snapshot (with HELP and TYPE).
 func TestWriteRunArtifacts(t *testing.T) {
 	k := sim.NewKernel()
 	reg := NewRegistry()
-	reg.MustRegisterFunc("x", "", KindGauge, func() float64 { return 1 })
+	reg.MustRegisterFunc("x", "one gauge", KindGauge, func() float64 { return 1 })
 	rec := NewRecorder(k, reg, 0)
 	if rec.Every() != DefaultSampleEvery {
 		t.Errorf("default every = %v", rec.Every())
 	}
 	rec.Sample()
 
-	dir := t.TempDir()
-	paths, err := WriteRunArtifacts(dir, "My Run (ADF)", reg, rec)
-	if err != nil {
+	var timeline, snapshot bytes.Buffer
+	if err := rec.WriteCSV(&timeline); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{filepath.Join(dir, "my_run_adf.csv"), filepath.Join(dir, "my_run_adf.snapshot.prom")}
-	if strings.Join(paths, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("paths = %v, want %v", paths, want)
+	if lines := strings.Split(strings.TrimSpace(timeline.String()), "\n"); len(lines) != 2 || !strings.HasSuffix(lines[0], ",x") {
+		t.Errorf("timeline = %q, want a header ending in x and one row", timeline.String())
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	if err := reg.WritePromText(&snapshot); err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != len(want) {
-		t.Fatalf("dir holds %d files, want %d", len(entries), len(want))
+	if want := "# HELP x one gauge\n# TYPE x gauge\nx 1\n"; snapshot.String() != want {
+		t.Errorf("snapshot = %q, want %q", snapshot.String(), want)
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
-	"os"
 )
 
 // protobuf wire types.
@@ -193,19 +192,6 @@ func (d *Data) WritePprof(w io.Writer) error {
 		return err
 	}
 	return gz.Close()
-}
-
-// WritePprofFile writes the profile to path as gzipped pprof.
-func (d *Data) WritePprofFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := d.WritePprof(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // --- decoding ---

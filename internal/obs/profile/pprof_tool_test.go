@@ -1,6 +1,8 @@
 package profile
 
 import (
+	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -30,7 +32,14 @@ func goToolPprof(t *testing.T, args ...string) string {
 func writeProfile(t *testing.T, d *Data, name string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name)
-	if err := d.WritePprofFile(path); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WritePprof(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -149,5 +158,92 @@ func TestPprofToolDiff(t *testing.T) {
 	same, _ := parseTop(t, goToolPprof(t, "-top", "-diff_base", oldPath, oldPath))
 	if len(same) != 0 {
 		t.Errorf("self-diff lists %d frames, want none: %v", len(same), same)
+	}
+}
+
+var (
+	rawSampleRE   = regexp.MustCompile(`^\s*(\d+)\s+(\d+): ([\d ]+)$`)
+	rawLocationRE = regexp.MustCompile(`^\s*(\d+): 0x[0-9a-f]+ M=\d+ (.+) \S+:\d+:\d+ s=\d+$`)
+)
+
+// parseRaw maps each root-first stack of a two-column `pprof -raw`
+// listing to its values, keyed as stackKey.
+func parseRaw(t *testing.T, out string) map[string][2]int64 {
+	t.Helper()
+	_, rest, ok := strings.Cut(out, "\nSamples:\n")
+	if !ok {
+		t.Fatalf("no Samples section in:\n%s", out)
+	}
+	samples, rest, ok := strings.Cut(rest, "\nLocations\n")
+	if !ok {
+		t.Fatalf("no Locations section in:\n%s", out)
+	}
+	locations, _, _ := strings.Cut(rest, "\nMappings\n")
+	names := map[string]string{}
+	for _, line := range strings.Split(locations, "\n") {
+		if m := rawLocationRE.FindStringSubmatch(line); m != nil {
+			names[m[1]] = m[2]
+		}
+	}
+	got := map[string][2]int64{}
+	for _, line := range strings.Split(samples, "\n")[1:] { // skip the column header
+		m := rawSampleRE.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("unparsed -raw sample %q in:\n%s", line, out)
+		}
+		ids := strings.Fields(m[3])
+		stack := make([]string, len(ids))
+		for i, id := range ids { // -raw lists leaf first
+			name, ok := names[id]
+			if !ok {
+				t.Fatalf("sample %q names unknown location %s in:\n%s", line, id, out)
+			}
+			stack[len(ids)-1-i] = name
+		}
+		var v [2]int64
+		fmt.Sscan(m[1], &v[0])
+		fmt.Sscan(m[2], &v[1])
+		key := stackKey(stack)
+		got[key] = [2]int64{got[key][0] + v[0], got[key][1] + v[1]}
+	}
+	return got
+}
+
+// TestPprofToolMerge: `go tool pprof` given several cost profiles — the
+// per-point files of one experiment — merges them: every stack's values
+// are the sum of that stack's values in each file as ReadPprof decodes
+// it, stacks unique to one file included.
+func TestPprofToolMerge(t *testing.T) {
+	grown := testProfile()
+	grown.Add([]string{"target (EFW)", "rx", "match", "rule 001: allow tcp"}, 100, 20)
+	grown.Add([]string{"target (EFW)", "rx", "match", "rule 002: deny udp"}, 30, 5)
+	paths := []string{
+		writeProfile(t, testProfile(), "a.cost.pprof"),
+		writeProfile(t, grown, "b.cost.pprof"),
+	}
+	want := map[string][2]int64{}
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := ReadPprof(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range d.Samples {
+			key := stackKey(s.Stack)
+			want[key] = [2]int64{want[key][0] + s.Values[0], want[key][1] + s.Values[1]}
+		}
+	}
+	got := parseRaw(t, goToolPprof(t, append([]string{"-raw"}, paths...)...))
+	if len(got) != len(want) {
+		t.Errorf("merged -raw lists %d stacks, want %d", len(got), len(want))
+	}
+	for key, w := range want {
+		if g, ok := got[key]; !ok || g != w {
+			t.Errorf("stack %q = %v (present %v), want %v", strings.ReplaceAll(key, stackSep, ";"), g, ok, w)
+		}
 	}
 }

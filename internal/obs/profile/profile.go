@@ -460,39 +460,3 @@ func (d *Data) Total() int64 {
 	}
 	return total
 }
-
-// Merge accumulates other's samples into d, matching by stack;
-// unmatched stacks append in other's order, so merging a deterministic
-// sequence of profiles is itself deterministic. The value schemas must
-// match.
-func (d *Data) Merge(other *Data) error {
-	if other == nil {
-		return nil
-	}
-	if len(other.SampleTypes) != len(d.SampleTypes) {
-		return fmt.Errorf("profile: merge schema mismatch: %v vs %v", other.SampleTypes, d.SampleTypes)
-	}
-	for i, vt := range d.SampleTypes {
-		if other.SampleTypes[i] != vt {
-			return fmt.Errorf("profile: merge schema mismatch: %v vs %v", other.SampleTypes, d.SampleTypes)
-		}
-	}
-	for _, s := range other.Samples {
-		d.Add(s.Stack, s.Values...)
-	}
-	for _, c := range other.Comments {
-		if !contains(d.Comments, c) {
-			d.Comments = append(d.Comments, c)
-		}
-	}
-	return nil
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}

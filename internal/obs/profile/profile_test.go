@@ -3,7 +3,6 @@ package profile
 import (
 	"bytes"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -159,40 +158,6 @@ func TestDataAddMergeDeterminism(t *testing.T) {
 		t.Fatalf("Total = %d, want 35", d.Total())
 	}
 
-	other := NewData(CostSampleTypes, "cost")
-	other.Add([]string{"a", "c"}, 1, 1)
-	other.Add([]string{"z"}, 100, 7)
-	other.Comments = []string{"note"}
-	if err := d.Merge(other); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Merge(nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Samples) != 3 || d.Samples[2].Stack[0] != "z" {
-		t.Fatalf("merge order broken: %d samples", len(d.Samples))
-	}
-	if d.Samples[1].Values[0] != 21 {
-		t.Fatalf("merged a;c = %v, want 21", d.Samples[1].Values)
-	}
-	if len(d.Comments) != 1 || d.Comments[0] != "note" {
-		t.Fatalf("comments = %v", d.Comments)
-	}
-	// Merging the same comment again must not duplicate it.
-	if err := d.Merge(other); err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Comments) != 1 {
-		t.Fatalf("comment deduped: %v", d.Comments)
-	}
-
-	// Schema mismatch is an error, not silent corruption.
-	bad := NewData(KernelSampleTypes, "walltime")
-	bad.Add([]string{"x"}, 1, 1)
-	if err := d.Merge(bad); err == nil {
-		t.Fatal("Merge with mismatched schema: want error")
-	}
-
 	// Same build sequence → byte-identical exports.
 	var b1, b2 bytes.Buffer
 	if err := build().WritePprof(&b1); err != nil {
@@ -253,15 +218,11 @@ func TestPprofRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWritePprofFileRoundTrip: ReadPprof loads what WritePprofFile
-// wrote, every value column intact.
+// TestWritePprofFileRoundTrip: ReadPprof loads what WritePprof wrote
+// to a file, every value column intact.
 func TestWritePprofFileRoundTrip(t *testing.T) {
 	d := testProfile()
-	path := filepath.Join(t.TempDir(), "p.pprof")
-	if err := d.WritePprofFile(path); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
+	f, err := os.Open(writeProfile(t, d, "p.pprof"))
 	if err != nil {
 		t.Fatal(err)
 	}
