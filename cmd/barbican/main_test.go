@@ -55,10 +55,11 @@ func TestExplainOutput(t *testing.T) {
 		},
 		{
 			// iptables filters in the host: the host firewall's profile
-			// prices the walk (60 + 64 × 2.2 units).
+			// prices the walk (60 + 64 × 2.2 units), and the service
+			// time is per packet, not "on card".
 			args: []string{"-device", "iptables", "-depth", "64"},
 			want: []string{"device: iptables (capacity 6000000 units/s, base 60, per-rule 2.2)",
-				"traversing 64 rule(s)", "total          200.8 units"},
+				"traversing 64 rule(s)", "total          200.8 units → 33.466µs per packet, ≈ 29880 pkt/s sustainable"},
 		},
 	} {
 		var out bytes.Buffer

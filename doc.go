@@ -7,7 +7,7 @@
 // NIC — is unobtainable, so this repository rebuilds the entire testbed
 // in a deterministic discrete-event simulator: the 100 Mbps switched
 // network, the filtering cards (calibrated embedded-processor cost
-// models), the virtual private groups (real AES-CTR+HMAC cryptography),
+// models), the virtual private groups (real AES-256-GCM cryptography),
 // the host TCP/IP stacks, the central policy server and firewall agents,
 // and the measurement toolchain (iperf, http_load, and a flood
 // generator). See DESIGN.md for the system inventory and EXPERIMENTS.md

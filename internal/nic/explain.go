@@ -325,7 +325,7 @@ func (e Explanation) Render() string {
 	}
 	fmt.Fprintf(&b, "  total       %8.1f units", e.TotalCost)
 	if e.Profile.CapacityUnits > 0 {
-		fmt.Fprintf(&b, " → %v on card, ≈ %.0f pkt/s sustainable", e.ServiceTime, e.MaxPPS)
+		fmt.Fprintf(&b, " → %v per packet, ≈ %.0f pkt/s sustainable", e.ServiceTime, e.MaxPPS)
 	}
 	b.WriteByte('\n')
 	if e.FlowCache && e.CachedTotalCost > 0 {

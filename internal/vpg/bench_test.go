@@ -17,7 +17,7 @@ func benchGroup(b *testing.B) *Group {
 }
 
 // BenchmarkSeal seals into one reused buffer, as the card seals into
-// its frame buffer: only the CTR keystream allocates.
+// its frame buffer: nothing allocates.
 func BenchmarkSeal(b *testing.B) {
 	g := benchGroup(b)
 	for _, size := range []int{64, 512, 1460} {
@@ -37,7 +37,7 @@ func BenchmarkSeal(b *testing.B) {
 }
 
 // BenchmarkOpen opens into one reused buffer, as the card opens into
-// the inner frame's buffer: only the CTR keystream allocates.
+// the inner frame's buffer: nothing allocates.
 func BenchmarkOpen(b *testing.B) {
 	g := benchGroup(b)
 	for _, size := range []int{64, 1460} {

@@ -2,10 +2,16 @@
 // host-to-host channels (Carney et al., "Virtual Private Groups").
 //
 // A group is a set of member hosts sharing a group key. Traffic between
-// members is sealed into envelopes providing confidentiality (AES-256-CTR),
-// integrity, and sender authentication (HMAC-SHA-256 bound to the sender
-// and destination addresses, plus group membership checks). Receivers keep
-// a per-sender anti-replay window.
+// members is sealed into envelopes with AES-256-GCM, which provides
+// confidentiality, integrity, and sender authentication: the additional
+// data binds the sender and destination addresses and the envelope
+// header, and Open checks group membership. Receivers keep a per-sender
+// anti-replay window.
+//
+// The GCM nonce is the sender address followed by the sequence number,
+// so it is unique per (group key, sender, seq). A sealer that restarted
+// its sequence under the same key would repeat nonces; sequence numbers
+// must never repeat for one sender and key.
 //
 // The real ADF's cipher suite is proprietary; this package substitutes
 // modern stdlib primitives with the same security properties. The *cost*
@@ -15,12 +21,10 @@ package vpg
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"slices"
 
 	"barbican/internal/packet"
@@ -39,7 +43,8 @@ func DeriveKey(passphrase string) Key {
 // Envelope framing constants.
 const (
 	envVersion  = 1
-	tagLen      = 16
+	tagLen      = 16 // GCM's default tag size
+	nonceLen    = 12 // sender(4) + seq(8), GCM's standard nonce size
 	maxNameLen  = 64
 	fixedHdrLen = 11 // version(1) + origProto(1) + nameLen(1) + seq(8)
 )
@@ -59,16 +64,14 @@ var (
 // Group is a named virtual private group with a shared key and a member
 // set.
 //
-// A group's Seal and Open reuse one cipher and one MAC state, so they
-// serve one goroutine at a time; each simulation owns its groups (see
-// DESIGN.md §7).
+// A group's Seal and Open reuse one AEAD and the group's nonce and
+// additional-data buffers, so they serve one goroutine at a time; each
+// simulation owns its groups (see DESIGN.md §7).
 type Group struct {
 	name    string
-	block   cipher.Block        // AES-256 under the encryption subkey
-	mac     hash.Hash           // HMAC-SHA-256 under the MAC subkey, Reset per tag
-	iv      [aes.BlockSize]byte // stream's IV, so it stays off the heap
-	addrs   [8]byte             // tag's sender and destination, likewise
-	sum     [sha256.Size]byte   // tag's output, so a tag allocates nothing
+	aead    cipher.AEAD                        // AES-256-GCM under the group key
+	nonce   [nonceLen]byte                     // nonceFor's output, so it stays off the heap
+	ad      [8 + fixedHdrLen + maxNameLen]byte // additionalData's output, likewise
 	members map[packet.IP]struct{}
 }
 
@@ -78,30 +81,24 @@ func NewGroup(name string, key Key, members ...packet.IP) (*Group, error) {
 	if name == "" || len(name) > maxNameLen {
 		return nil, fmt.Errorf("vpg: invalid group name %q", name)
 	}
-	encKey, macKey := deriveSubkey(key, "enc"), deriveSubkey(key, "mac")
-	block, err := aes.NewCipher(encKey[:])
+	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		// AES-256 with a fixed 32-byte key cannot fail; treat as corruption.
 		panic("vpg: aes.NewCipher: " + err.Error())
 	}
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		panic("vpg: cipher.NewGCM: " + err.Error())
+	}
 	g := &Group{
 		name:    name,
-		block:   block,
-		mac:     hmac.New(sha256.New, macKey[:]),
+		aead:    aead,
 		members: make(map[packet.IP]struct{}, len(members)),
 	}
 	for _, m := range members {
 		g.members[m] = struct{}{}
 	}
 	return g, nil
-}
-
-func deriveSubkey(key Key, label string) [32]byte {
-	mac := hmac.New(sha256.New, key[:])
-	mac.Write([]byte(label))
-	var out [32]byte
-	copy(out[:], mac.Sum(nil))
-	return out
 }
 
 // Name returns the group name.
@@ -118,8 +115,9 @@ func (g *Group) IsMember(ip packet.IP) bool {
 // as cipher.AEAD's Seal does. It allocates a new buffer only when dst
 // lacks the capacity; the remaining capacity of dst must not overlap
 // transport. origProto records the encapsulated transport protocol so
-// the receiver can restore the original datagram. seq must be strictly
-// increasing per sender (use a Sealer).
+// the receiver can restore the original datagram. seq is the nonce's
+// counter: it must be strictly increasing per sender and never reused
+// under the group's key (use a Sealer).
 func (g *Group) Seal(dst []byte, sender, recipient packet.IP, origProto packet.Protocol, transport []byte, seq uint64) ([]byte, error) {
 	if !g.IsMember(sender) {
 		return nil, ErrNotMember
@@ -128,26 +126,25 @@ func (g *Group) Seal(dst []byte, sender, recipient packet.IP, origProto packet.P
 		return nil, fmt.Errorf("%w (destination %v)", ErrNotMember, recipient)
 	}
 	n := len(g.name)
-	ret, env := grow(dst, fixedHdrLen+n+len(transport)+tagLen)
-	env[0] = envVersion
-	env[1] = byte(origProto)
-	env[2] = byte(n)
-	copy(env[3:], g.name)
-	binary.BigEndian.PutUint64(env[3+n:], seq)
-	ct := env[fixedHdrLen+n : fixedHdrLen+n+len(transport)]
-	g.stream(sender, seq).XORKeyStream(ct, transport)
-	tag := g.tag(sender, recipient, env[:len(env)-tagLen])
-	copy(env[len(env)-tagLen:], tag)
-	return ret, nil
+	hdrLen := fixedHdrLen + n
+	ret := slices.Grow(dst, hdrLen+len(transport)+tagLen)[:len(dst)+hdrLen]
+	hdr := ret[len(dst):]
+	hdr[0] = envVersion
+	hdr[1] = byte(origProto)
+	hdr[2] = byte(n)
+	copy(hdr[3:], g.name)
+	binary.BigEndian.PutUint64(hdr[3+n:], seq)
+	return g.aead.Seal(ret, g.nonceFor(sender, seq), transport, g.additionalData(sender, recipient, hdr)), nil
 }
 
 // Open verifies and decrypts an envelope received from sender addressed
 // to recipient, appends the transport segment to dst and returns the
 // original protocol, the extended slice, and the sequence number, as
 // cipher.AEAD's Open does. It allocates a new buffer only when dst lacks
-// the capacity; the remaining capacity of dst must not overlap env.
-// Replay checking is the caller's responsibility (see ReplayWindow);
-// Open itself is stateless.
+// the capacity; the remaining capacity of dst must not overlap env, and
+// a failed Open may overwrite it, as cipher.AEAD's Open may. Every
+// authentication failure is ErrAuth. Replay checking is the caller's
+// responsibility (see ReplayWindow); Open itself is stateless.
 func (g *Group) Open(dst []byte, sender, recipient packet.IP, env []byte) (packet.Protocol, []byte, uint64, error) {
 	if len(env) < fixedHdrLen+tagLen {
 		return 0, nil, 0, ErrBadEnvelope
@@ -156,7 +153,8 @@ func (g *Group) Open(dst []byte, sender, recipient packet.IP, env []byte) (packe
 		return 0, nil, 0, fmt.Errorf("%w: version %d", ErrBadEnvelope, env[0])
 	}
 	n := int(env[2])
-	if len(env) < fixedHdrLen+n+tagLen {
+	hdrLen := fixedHdrLen + n
+	if len(env) < hdrLen+tagLen {
 		return 0, nil, 0, ErrBadEnvelope
 	}
 	if string(env[3:3+n]) != g.name {
@@ -165,48 +163,33 @@ func (g *Group) Open(dst []byte, sender, recipient packet.IP, env []byte) (packe
 	if !g.IsMember(sender) {
 		return 0, nil, 0, ErrNotMember
 	}
-	body := env[:len(env)-tagLen]
-	want := g.tag(sender, recipient, body)
-	if !hmac.Equal(want, env[len(env)-tagLen:]) {
+	seq := binary.BigEndian.Uint64(env[3+n:])
+	ret, err := g.aead.Open(dst, g.nonceFor(sender, seq), env[hdrLen:], g.additionalData(sender, recipient, env[:hdrLen]))
+	if err != nil {
 		return 0, nil, 0, ErrAuth
 	}
-	seq := binary.BigEndian.Uint64(env[3+n:])
-	ct := env[fixedHdrLen+n : len(env)-tagLen]
-	ret, pt := grow(dst, len(ct))
-	g.stream(sender, seq).XORKeyStream(pt, ct)
 	return packet.Protocol(env[1]), ret, seq, nil
 }
 
-// grow extends b by n bytes, reallocating only when b lacks the
-// capacity, and returns the extended slice and its last n bytes.
-func grow(b []byte, n int) (whole, tail []byte) {
-	whole = slices.Grow(b, n)[:len(b)+n]
-	return whole, whole[len(b):]
-}
-
-// stream builds the CTR keystream bound to (sender, seq). The IV goes
-// through the group's iv buffer, which NewCTR copies, so only the
-// keystream itself is allocated.
-func (g *Group) stream(sender packet.IP, seq uint64) cipher.Stream {
-	copy(g.iv[0:4], sender[:])
-	binary.BigEndian.PutUint64(g.iv[4:12], seq)
-	return cipher.NewCTR(g.block, g.iv[:])
-}
-
-// tag computes the truncated HMAC binding sender, destination, and body.
-// The addresses go through the group's addrs buffer, so nothing escapes
-// into the MAC's interface call. The result aliases the group's sum
-// buffer and is valid until the next tag.
+// nonceFor writes the GCM nonce sender ‖ seq into the group's nonce
+// buffer and returns it; it is valid until the next call.
 //
 //barbican:noalloc
-func (g *Group) tag(sender, dst packet.IP, body []byte) []byte {
-	mac := g.mac
-	mac.Reset()
-	copy(g.addrs[0:4], sender[:])
-	copy(g.addrs[4:8], dst[:])
-	mac.Write(g.addrs[:])
-	mac.Write(body)
-	return mac.Sum(g.sum[:0])[:tagLen]
+func (g *Group) nonceFor(sender packet.IP, seq uint64) []byte {
+	copy(g.nonce[0:4], sender[:])
+	binary.BigEndian.PutUint64(g.nonce[4:], seq)
+	return g.nonce[:]
+}
+
+// additionalData writes sender ‖ destination ‖ envelope header into the
+// group's ad buffer and returns it, so the tag binds the addresses and
+// every header byte; it is valid until the next call.
+//
+//barbican:noalloc
+func (g *Group) additionalData(sender, dst packet.IP, hdr []byte) []byte {
+	copy(g.ad[0:4], sender[:])
+	copy(g.ad[4:8], dst[:])
+	return g.ad[:8+copy(g.ad[8:], hdr)]
 }
 
 // PeekGroupName extracts the group name from an envelope without
@@ -225,7 +208,9 @@ func PeekGroupName(env []byte) ([]byte, error) {
 }
 
 // Sealer seals traffic from one member with automatically increasing
-// sequence numbers.
+// sequence numbers, so its nonces never repeat. Its sequence starts at
+// 1 and must not restart under the same group key: a new Sealer for a
+// sender that has already sealed under that key would repeat nonces.
 type Sealer struct {
 	group  *Group
 	sender packet.IP

@@ -29,13 +29,11 @@
 # the queue depths a flood keeps pending; on the receiving host,
 # BenchmarkTCPUnmarshal holds the decoders at 0 allocs/op and
 # BenchmarkHostReceive holds Host.receive of a UDP datagram to a bound
-# socket there too, while BenchmarkSeal and BenchmarkOpen, which seal
-# and open into a reused buffer, allocate only the CTR keystream;
-# end to end, BenchmarkFramePath/plain holds Send → switch →
-# handleFrame → deliver at 0 allocs/op with pooled frames, and
-# BenchmarkFramePath/sealed allocates only the two keystreams, as
-# BenchmarkTCPMarshal/marshal-to-scratch, the host stack's encode
-# into a reused buffer, holds 0).
+# socket there too, as do BenchmarkSeal and BenchmarkOpen, which seal
+# and open into a reused buffer; end to end, BenchmarkFramePath/plain
+# and /sealed hold Send → switch → handleFrame → deliver at 0
+# allocs/op with pooled frames, as BenchmarkTCPMarshal/marshal-to-scratch,
+# the host stack's encode into a reused buffer, holds 0).
 # A baseline row the run did not measure also fails, so renaming or
 # deleting a gated benchmark cannot drop its gate in silence: a change
 # that does so edits the baseline with it. A new benchmark with no
