@@ -2,6 +2,7 @@ package sem
 
 import (
 	"math/bits"
+	"slices"
 
 	"barbican/internal/fw"
 )
@@ -62,7 +63,7 @@ func lintWalk(rs *fw.RuleSet) *lintWalker {
 	w := &lintWalker{
 		sp:      sp,
 		t:       t,
-		visited: make(map[string]struct{}),
+		visited: nodeSet{stride: 1 + t.words},
 		reached: make([]uint64, t.words),
 		win:     make([]uint64, t.n*t.words),
 	}
@@ -123,8 +124,7 @@ func classifyUnreachable(t *setTables, i int, winners []int) Finding {
 type lintWalker struct {
 	sp      *space
 	t       *setTables
-	visited map[string]struct{}
-	key     []byte
+	visited nodeSet
 	child   [numAxes][]uint64 // per-level child mask scratch
 	reached []uint64          // rules that decide at least one region
 	win     []uint64          // row i-1: rules deciding a region where rule i matches
@@ -136,12 +136,9 @@ func (w *lintWalker) enter(axes []int, level int, mask []uint64) {
 	if maskEmpty(mask) {
 		return
 	}
-	w.key = append(w.key[:0], byte(len(axes)), byte(level))
-	w.key = appendMaskKey(w.key, mask)
-	if _, ok := w.visited[string(w.key)]; ok {
+	if !w.visited.add(uint64(len(axes))<<8|uint64(level), mask) {
 		return
 	}
-	w.visited[string(w.key)] = struct{}{}
 
 	if level == len(axes) {
 		f := firstBit(mask) - 1 // mask is non-empty
@@ -161,6 +158,81 @@ func (w *lintWalker) enter(axes []int, level int, mask []uint64) {
 	for k := range w.sp.bounds[axis] {
 		andMasks(child, mask, w.t.segMask(axis, k))
 		w.enter(axes, level+1, child)
+	}
+}
+
+// nodeSet is the walk's set of visited nodes, each keyed by one head
+// word (axes and level) and its live mask: an open-addressed table with
+// linear probing, a fixed hash, and the keys back to back in chunks.
+// A Go map's growth follows its per-map hash seed, so Lint's
+// allocation count would vary from run to run; this set grows on its
+// key count alone.
+type nodeSet struct {
+	stride int        // words per key: the head word and the mask
+	n      int        // keys in the set
+	chunks [][]uint64 // the keys, stride words each, chunkKeys per chunk
+	slots  []int32    // 1 + key index, 0 when empty; a power of two long
+	shift  uint       // 64 - log2(len(slots)): a hash's top bits pick the home slot
+}
+
+// chunkKeys is how many keys one chunk of nodeSet holds. Chunks are
+// never copied, so the set allocates its keys' size and no more.
+const chunkKeys = 256
+
+func (s *nodeSet) key(j int) []uint64 {
+	o := j % chunkKeys * s.stride
+	return s.chunks[j/chunkKeys][o : o+s.stride]
+}
+
+// add inserts the node and reports whether it was not yet in the set.
+func (s *nodeSet) add(head uint64, mask []uint64) bool {
+	if 2*(s.n+1) > len(s.slots) {
+		s.grow()
+	}
+	limit := len(s.slots) - 1
+	for i := s.home(head, mask); ; i = (i + 1) & limit {
+		j := int(s.slots[i]) - 1
+		if j < 0 {
+			if s.n%chunkKeys == 0 {
+				s.chunks = append(s.chunks, make([]uint64, 0, chunkKeys*s.stride))
+			}
+			c := &s.chunks[len(s.chunks)-1]
+			*c = append(append(*c, head), mask...)
+			s.n++
+			s.slots[i] = int32(s.n)
+			return true
+		}
+		if k := s.key(j); k[0] == head && slices.Equal(k[1:], mask) {
+			return false
+		}
+	}
+}
+
+// home is the node's first probe slot: a multiply-xorshift hash over
+// its words, whose top bits index the table.
+func (s *nodeSet) home(head uint64, mask []uint64) int {
+	h := head * 0x9e3779b97f4a7c15
+	for _, x := range mask {
+		h ^= h >> 29
+		h = (h ^ x) * 0x9e3779b97f4a7c15
+	}
+	return int(h >> s.shift)
+}
+
+// grow doubles the table (to 64 slots at first) and re-places every
+// key.
+func (s *nodeSet) grow() {
+	size := max(64, 2*len(s.slots))
+	s.slots = make([]int32, size)
+	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	limit := size - 1
+	for j := 0; j < s.n; j++ {
+		k := s.key(j)
+		i := s.home(k[0], k[1:])
+		for s.slots[i] != 0 {
+			i = (i + 1) & limit
+		}
+		s.slots[i] = int32(j + 1)
 	}
 }
 

@@ -631,7 +631,7 @@ func (n *NIC) Send(d *packet.Datagram, dstMAC packet.MAC) bool {
 		n.tracer.Span(tid, tracing.StageNICTx, n.kernel.Now(), dec.completeAt)
 	}
 	// The frame leaves the card once the embedded processor finishes it.
-	n.kernel.AtCall(dec.completeAt, n.txFn, frame)
+	n.proc.lane.AtCall(dec.completeAt, n.txFn, frame)
 	return true
 }
 
@@ -726,7 +726,7 @@ func (n *NIC) handleFrame(f *packet.Frame) {
 		pi = &pendingIngress{} //barbican:allow alloc -- cold-path freelist refill; steady state recycles
 	}
 	pi.f, pi.s, pi.verdict = f, s, d.verdict
-	n.kernel.AtCall(d.completeAt, n.finishFn, pi)
+	n.proc.lane.AtCall(d.completeAt, n.finishFn, pi)
 }
 
 // finishIngress runs after the processor's admission delay: VPG opening

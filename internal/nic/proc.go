@@ -38,6 +38,13 @@ const DefaultQueuePackets = 128
 // through a 64-rule policy buffers several milliseconds of work, while
 // the same ring holds far less time at one rule. That property is what
 // lets TCP ride a slow card smoothly and still collapse under floods.
+//
+// The ring is a single server in FIFO order, so its completion times
+// never decrease. Its drain events and the card's completion callbacks
+// for the same packets therefore go on one sim.Lane, sized once for
+// two events per ring slot (no ring on a wire-speed processor, whose
+// completions are immediate): under a flood that keeps the ring full,
+// the kernel's heap holds one of them rather than all of them.
 type Processor struct {
 	kernel    *sim.Kernel
 	capacity  float64 // units per second; <= 0 means infinitely fast
@@ -48,9 +55,11 @@ type Processor struct {
 	admitted  uint64
 	unitsDone float64
 
-	// drainFn is the precomputed completion callback, scheduled through
-	// the kernel's pooled-event path so admitting work allocates nothing.
+	// drainFn is the precomputed completion callback, scheduled on lane
+	// through the kernel's pooled-event path so admitting work allocates
+	// nothing.
 	drainFn func(any)
+	lane    *sim.Lane
 }
 
 // NewProcessor creates a processor. capacity <= 0 models a wire-speed
@@ -60,7 +69,11 @@ func NewProcessor(k *sim.Kernel, capacity float64, maxQueue int) *Processor {
 	if maxQueue <= 0 {
 		maxQueue = DefaultQueuePackets
 	}
-	p := &Processor{kernel: k, capacity: capacity, maxQueue: maxQueue}
+	laneSize := 0
+	if capacity > 0 {
+		laneSize = 2 * maxQueue
+	}
+	p := &Processor{kernel: k, capacity: capacity, maxQueue: maxQueue, lane: k.NewLane(laneSize)}
 	p.drainFn = func(any) {
 		if p.queued > 0 {
 			p.queued--
@@ -72,6 +85,8 @@ func NewProcessor(k *sim.Kernel, capacity float64, maxQueue int) *Processor {
 // Admit offers work of the given cost. It returns the virtual time at
 // which the work completes and whether the work was accepted; rejected
 // work models a packet dropped off a full ring by a saturated card.
+//
+//barbican:noalloc
 func (p *Processor) Admit(cost float64) (time.Duration, bool) {
 	now := p.kernel.Now()
 	if p.capacity <= 0 {
@@ -90,7 +105,7 @@ func (p *Processor) Admit(cost float64) (time.Duration, bool) {
 	p.queued++
 	p.admitted++
 	p.unitsDone += cost
-	p.kernel.AtCall(p.busyUntil, p.drainFn, nil)
+	p.lane.AtCall(p.busyUntil, p.drainFn, nil)
 	return p.busyUntil, true
 }
 

@@ -7,6 +7,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"time"
@@ -28,6 +29,7 @@ type Event struct {
 	index  int32 // heap index; -1 when not queued
 	fired  bool
 	pooled bool
+	lane   uint16 // 1 + index in Kernel.lanes while on a lane; 0 otherwise
 }
 
 // At reports the virtual time at which the event is (or was) scheduled to fire.
@@ -71,6 +73,12 @@ type Kernel struct {
 	seq   uint64
 	queue []*Event // binary min-heap on (at, seq); see push/pop
 	rng   *rand.Rand
+
+	// lanes are the kernel's event lanes (see Lane), indexed by
+	// Event.lane-1; laned counts the events waiting in them behind
+	// their heads, which are the only lane events in queue.
+	lanes []*Lane
+	laned int
 
 	executed uint64
 
@@ -171,8 +179,9 @@ func (k *Kernel) endRun(outermost bool) {
 	k.running = false
 }
 
-// Len returns the number of pending events.
-func (k *Kernel) Len() int { return len(k.queue) }
+// Len returns the number of pending events, those waiting on lanes
+// included.
+func (k *Kernel) Len() int { return len(k.queue) + k.laned }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // is clamped to the current time (the event fires "now", after already-queued
@@ -204,6 +213,13 @@ func (k *Kernel) Timer(fn func()) *Event {
 // returns to the kernel's free list, and because fn is a precomputed
 // func(any) rather than a fresh closure, a call site allocates nothing.
 func (k *Kernel) AtCall(t time.Duration, fn func(any), arg any) {
+	k.push(k.pooled(t, fn, arg))
+}
+
+// pooled stamps a pooled event for fn(arg) at t, clamped to now, with
+// the next seq. The event comes off the free list, or is allocated
+// while the list is still filling.
+func (k *Kernel) pooled(t time.Duration, fn func(any), arg any) *Event {
 	if t < k.now {
 		t = k.now
 	}
@@ -216,10 +232,10 @@ func (k *Kernel) AtCall(t time.Duration, fn func(any), arg any) {
 	} else {
 		e = &Event{kernel: k, pooled: true}
 	}
-	e.at, e.seq = t, k.seq
+	e.at, e.seq, e.lane = t, k.seq, 0
 	e.fnArg, e.arg = fn, arg
 	k.seq++
-	k.push(e)
+	return e
 }
 
 // AfterCall schedules fn(arg) d after the current virtual time on a
@@ -235,6 +251,9 @@ func (k *Kernel) Step() bool {
 		return false
 	}
 	ev := k.pop()
+	if ev.lane != 0 {
+		k.lanes[ev.lane-1].advance()
+	}
 	ev.fired = true
 	k.now = ev.at
 	k.executed++
@@ -291,9 +310,88 @@ func (k *Kernel) RunFor(d time.Duration) error {
 	return k.RunUntil(k.now + d)
 }
 
-// The queue is a binary min-heap of events ordered by (at, seq). seq is
-// unique, so the order is total and the fire order is a pure function of
-// the scheduling calls, whatever the heap's internal layout. Sifts move a
+// Lane is a FIFO of pooled events for one source whose events mostly
+// come in fire order, such as a single-server queue whose completion
+// times never decrease. Only the lane's head, its first event, sits in
+// the kernel's heap; the events behind it wait in a fixed ring, and
+// Step pushes the next one when it pops the head. A flood that keeps
+// hundreds of such completions pending thus keeps one of them in the
+// heap.
+//
+// An event whose (at, seq) key does not come after the lane's tail, or
+// that finds the ring full, goes to the heap as a plain pooled event,
+// so the fire order is the kernel's total (at, seq) order whatever the
+// caller does.
+type Lane struct {
+	k     *Kernel
+	id    uint16
+	tail  *Event   // the lane's last event; nil when the lane is empty
+	ring  []*Event // the events behind the head, in fire order, from ring[first]
+	first int
+	n     int
+}
+
+// NewLane returns an empty lane whose ring holds size events behind its
+// head. The ring never grows; with size 0 the lane holds its head only.
+func (k *Kernel) NewLane(size int) *Lane {
+	if len(k.lanes) == math.MaxUint16 {
+		panic("sim: too many lanes")
+	}
+	l := &Lane{k: k, id: uint16(len(k.lanes) + 1), ring: make([]*Event, size)}
+	k.lanes = append(k.lanes, l)
+	return l
+}
+
+// AtCall schedules fn(arg) at absolute virtual time t on a pooled event,
+// exactly as Kernel.AtCall does: same clamp, same seq. The event joins
+// the lane when it fires after the lane's tail.
+//
+//barbican:noalloc
+func (l *Lane) AtCall(t time.Duration, fn func(any), arg any) {
+	k := l.k
+	e := k.pooled(t, fn, arg)
+	switch {
+	case l.tail == nil:
+		e.lane = l.id
+		l.tail = e
+		k.push(e)
+	case l.n < len(l.ring) && l.tail.before(e):
+		i := l.first + l.n
+		if i >= len(l.ring) {
+			i -= len(l.ring)
+		}
+		e.lane = l.id
+		l.ring[i], l.tail = e, e
+		l.n++
+		k.laned++
+	default:
+		k.push(e)
+	}
+}
+
+// advance moves the lane past its head, which Step has just popped,
+// and pushes the next event into the heap.
+//
+//barbican:noalloc
+func (l *Lane) advance() {
+	if l.n == 0 {
+		l.tail = nil
+		return
+	}
+	e := l.ring[l.first]
+	l.ring[l.first] = nil
+	if l.first++; l.first == len(l.ring) {
+		l.first = 0
+	}
+	l.n--
+	l.k.laned--
+	l.k.push(e)
+}
+
+// The queue is a binary min-heap of events ordered by (at, seq), plus
+// the lanes, each of which holds its head in the heap. seq is unique,
+// so the order is total and the fire order is a pure function of the
+// scheduling calls, whatever the heap's internal layout. Sifts move a
 // hole through the slice rather than swapping, so an event's index is
 // written once per level it moves and only for events that do move.
 

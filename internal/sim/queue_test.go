@@ -19,6 +19,7 @@ type refSched struct {
 	log      []firing
 	nextID   int
 	handles  []uint64 // cancellable handle → seq
+	ids      []int    // cancellable handle → event id
 	onFire   func(id int)
 }
 
@@ -114,6 +115,17 @@ type lockstep struct {
 	kNextID int
 	events  []*Event // kernel handles, index-aligned with ref.handles
 	callFn  func(any)
+
+	// lanes, when set, take the pooled events of the script and of
+	// kind-3 children; last is the latest time scheduled on each.
+	lanes []*Lane
+	last  []time.Duration
+	stats laneStats
+}
+
+// laneStats counts where lane-scheduled events went.
+type laneStats struct {
+	joined, outOfOrder, full, maxDepth int
 }
 
 // unit is coarse enough, against the offsets drawn below, that many
@@ -141,6 +153,7 @@ func newLockstep(t *testing.T) *lockstep {
 		s := d.ref.schedule(d.ref.now+off, child)
 		if kind != 3 {
 			d.ref.handles = append(d.ref.handles, s)
+			d.ref.ids = append(d.ref.ids, child)
 		}
 	}
 	d.callFn = func(x any) { d.kFire(x.(int)) }
@@ -161,8 +174,31 @@ func (d *lockstep) kFire(id int) {
 	case 1, 2:
 		d.events = append(d.events, d.k.After(off, d.fireFn(child)))
 	case 3:
-		d.k.AtCall(d.k.Now()+off, d.callFn, child)
+		if len(d.lanes) > 0 {
+			d.laneAtCall(child%len(d.lanes), d.k.Now()+off, child)
+		} else {
+			d.k.AtCall(d.k.Now()+off, d.callFn, child)
+		}
 	}
+}
+
+// laneAtCall schedules event id at t on lane i and records whether it
+// joined the lane or fell back to the heap. The reference schedules it
+// like any other event (the caller does that).
+func (d *lockstep) laneAtCall(i int, t time.Duration, id int) {
+	l := d.lanes[i]
+	tail, full := l.tail, l.tail != nil && l.n == len(l.ring)
+	l.AtCall(t, d.callFn, id)
+	switch {
+	case l.tail != tail:
+		d.stats.joined++
+	case full:
+		d.stats.full++
+	default:
+		d.stats.outOfOrder++
+	}
+	d.stats.maxDepth = max(d.stats.maxDepth, l.n)
+	d.last[i] = max(d.last[i], t)
 }
 
 func (d *lockstep) fireFn(id int) func() { return func() { d.kFire(id) } }
@@ -186,16 +222,42 @@ func offset(rng *rand.Rand) time.Duration {
 
 func (d *lockstep) op(rng *rand.Rand) string {
 	k, ref := d.k, d.ref
+	if len(d.lanes) > 0 {
+		switch r := rng.Intn(10); {
+		case r < 3:
+			// Two in three in order, at or after everything on the lane
+			// so far; the rest around now, often behind the lane's tail.
+			i, id := rng.Intn(len(d.lanes)), d.newID()
+			t := k.Now() + offset(rng)
+			if r < 2 {
+				t = max(k.Now(), d.last[i]) + time.Duration(rng.Intn(3))*unit
+			}
+			d.laneAtCall(i, t, id)
+			ref.schedule(t, id)
+			return fmt.Sprintf("lane %d AtCall(%v)", i, t)
+		case r == 3:
+			if len(d.events) == 0 {
+				return "Reset(none)"
+			}
+			h, off := rng.Intn(len(d.events)), offset(rng)
+			d.events[h].Reset(off)
+			ref.cancel(h)
+			ref.handles[h] = ref.schedule(ref.now+off, ref.ids[h])
+			return fmt.Sprintf("Reset(%d, %v)", h, off)
+		}
+	}
 	switch r := rng.Intn(100); {
 	case r < 25:
 		id, t := d.newID(), k.Now()+offset(rng)
 		d.events = append(d.events, k.At(t, d.fireFn(id)))
 		ref.handles = append(ref.handles, ref.schedule(t, id))
+		ref.ids = append(ref.ids, id)
 		return fmt.Sprintf("At(%v)", t)
 	case r < 40:
 		id, off := d.newID(), offset(rng)
 		d.events = append(d.events, k.After(off, d.fireFn(id)))
 		ref.handles = append(ref.handles, ref.schedule(ref.now+off, id))
+		ref.ids = append(ref.ids, id)
 		return fmt.Sprintf("After(%v)", off)
 	case r < 55:
 		id, t := d.newID(), k.Now()+offset(rng)
@@ -287,6 +349,45 @@ func TestQueueMatchesReference(t *testing.T) {
 			}
 			d.check(-1, "drain")
 		})
+	}
+}
+
+// TestLanesMatchReference runs the lockstep script with four lanes, of
+// ring sizes 0, 1, 4 and 32, taking a share of the pooled events, from
+// the script and from inside callbacks, interleaved with At, After,
+// AtCall, Cancel, Reset, Step and RunUntil. Two thirds of the script's
+// lane times are in order and one third are drawn around now, so events
+// both join lanes and fall back to the heap, behind the tail or past a
+// full ring. The reference has no lanes: fire order, clock, Len,
+// Pending and Executed must match it after every call.
+func TestLanesMatchReference(t *testing.T) {
+	var total laneStats
+	for seed := int64(1); seed <= 40; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			d := newLockstep(t)
+			for _, size := range []int{0, 1, 4, 32} {
+				d.lanes = append(d.lanes, d.k.NewLane(size))
+			}
+			d.last = make([]time.Duration, len(d.lanes))
+			for i := 0; i < 600; i++ {
+				d.check(i, d.op(rng))
+			}
+			if err := d.k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for d.ref.step() {
+			}
+			d.check(-1, "drain")
+			total.joined += d.stats.joined
+			total.outOfOrder += d.stats.outOfOrder
+			total.full += d.stats.full
+			total.maxDepth = max(total.maxDepth, d.stats.maxDepth)
+		})
+	}
+	t.Logf("lane coverage %+v", total)
+	if total.joined < 1000 || total.outOfOrder < 100 || total.full < 100 || total.maxDepth < 8 {
+		t.Fatalf("lane coverage %+v: the script must append deep lanes and fall back both ways", total)
 	}
 }
 

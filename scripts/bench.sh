@@ -26,7 +26,9 @@
 # BenchmarkRxPathStateful plus BenchmarkConntrack's lookup variants
 # hold the conntrack-enabled ingress there too, and
 # BenchmarkKernelQueue holds the pooled event path at 0 allocs/op at
-# the queue depths a flood keeps pending; on the receiving host,
+# the queue depths a flood keeps pending, and BenchmarkKernelQueue/lane
+# holds a card's full ring of completions on one sim.Lane there too;
+# on the receiving host,
 # BenchmarkTCPUnmarshal holds the decoders at 0 allocs/op and
 # BenchmarkHostReceive holds Host.receive of a UDP datagram to a bound
 # socket there too, as do BenchmarkSeal and BenchmarkOpen, which seal
