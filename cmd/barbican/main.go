@@ -27,8 +27,12 @@
 //	-trace-out DIR   write sampled packet-lifecycle traces (Perfetto
 //	                 trace_event JSON) for every run
 //	-trace-sample N  trace 1 packet in N (default 64)
-//	-profile-out DIR write dual-domain profiles (card cost units +
-//	                 kernel wall time) for every run as gzipped pprof
+//	-profile-out DIR write dual-domain profiles for every run as gzipped
+//	                 pprof: the always-recorded cost units of every
+//	                 enforcement point, the iptables host filter included
+//	                 (phases parse, match, conntrack, crypto, verdict;
+//	                 frames per rule, compiled lookup, cache hit), and
+//	                 kernel wall time
 //	-profile-sample N  kernel profiler samples 1 event in N (default 16;
 //	                 the cost domain is always exact)
 //	-pcap-out DIR    write each run's client-side wire capture as pcap

@@ -39,13 +39,14 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "policyctl:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run executes one policyctl command line, writing its output to w.
+func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("policyctl", flag.ContinueOnError)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: policyctl check <file> | lint <file> [flags] | verify <file> [<file>] [flags] | diff <a> <b> [flags] | oracle | demo <file>")
@@ -55,22 +56,22 @@ func run(args []string) error {
 	}
 	switch fs.Arg(0) {
 	case "check":
-		return check(fs.Arg(1))
+		return check(w, fs.Arg(1))
 	case "lint":
 		var flags []string
 		if fs.NArg() > 2 {
 			flags = fs.Args()[2:]
 		}
-		return lint(os.Stdout, fs.Arg(1), flags)
+		return lint(w, fs.Arg(1), flags)
 	case "verify":
-		return verify(fs.Args()[1:])
+		return verify(w, fs.Args()[1:])
 	case "diff":
-		return diffCmd(fs.Args()[1:])
+		return diffCmd(w, fs.Args()[1:])
 	case "oracle":
-		fmt.Print(policy.OraclePolicy)
+		fmt.Fprint(w, policy.OraclePolicy)
 		return nil
 	case "demo":
-		return demo(os.Stdout, fs.Arg(1))
+		return demo(w, fs.Arg(1))
 	default:
 		fs.Usage()
 		return fmt.Errorf("unknown subcommand %q", fs.Arg(0))
@@ -188,7 +189,7 @@ func lint(w io.Writer, path string, args []string) error {
 // verdict-identical (semantic convergence), or prints witness packets
 // for the difference. With -generate it verifies a seeded random
 // corpus instead of a file. Exit status is 1 when any proof fails.
-func verify(args []string) error {
+func verify(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("policyctl verify", flag.ContinueOnError)
 	generate := fs.Int("generate", 0, "verify this many generated rule sets instead of a file")
 	seed := fs.Int64("seed", 1, "corpus seed for -generate")
@@ -209,13 +210,13 @@ func verify(args []string) error {
 				return fmt.Errorf("corpus seed %d set %d: %w", *seed, i, err)
 			}
 			if !res.OK() {
-				fmt.Printf("FAIL corpus seed %d set %d (%d rules):\n", *seed, i, rs.Len())
-				printVerifyFailure(res, rs)
+				fmt.Fprintf(w, "FAIL corpus seed %d set %d (%d rules):\n", *seed, i, rs.Len())
+				printVerifyFailure(w, res, rs)
 				return fmt.Errorf("compiled classifier diverges from the linear walk")
 			}
 			regions += res.Regions
 		}
-		fmt.Printf("ok: %d generated rule sets (seed %d, %d rules each), %d regions proven\n",
+		fmt.Fprintf(w, "ok: %d generated rule sets (seed %d, %d rules each), %d regions proven\n",
 			*generate, *seed, *genRules, regions)
 		return nil
 	}
@@ -231,10 +232,10 @@ func verify(args []string) error {
 			return err
 		}
 		if !res.OK() {
-			printVerifyFailure(res, rs)
+			printVerifyFailure(w, res, rs)
 			return fmt.Errorf("compiled classifier diverges from the linear walk")
 		}
-		fmt.Printf("ok: compiled classifier == linear walk over all %d atomic regions (%d rules)\n",
+		fmt.Fprintf(w, "ok: compiled classifier == linear walk over all %d atomic regions (%d rules)\n",
 			res.Regions, res.Rules)
 		return nil
 	case 2:
@@ -251,39 +252,39 @@ func verify(args []string) error {
 			return err
 		}
 		if !res.Equivalent {
-			fmt.Printf("NOT equivalent: %v packets change action, %v change deciding rule (%d regions)\n",
+			fmt.Fprintf(w, "NOT equivalent: %v packets change action, %v change deciding rule (%d regions)\n",
 				res.ChangedPackets, res.RedecidedPackets, res.ChangedRegions)
-			for _, w := range res.Witnesses {
-				fmt.Printf("  %v\n", w)
+			for _, wit := range res.Witnesses {
+				fmt.Fprintf(w, "  %v\n", wit)
 			}
 			return fmt.Errorf("policies are not semantically equivalent")
 		}
-		fmt.Printf("ok: policies are verdict-identical over the entire packet space")
+		fmt.Fprintf(w, "ok: policies are verdict-identical over the entire packet space")
 		if !*strict && res.RedecidedPackets.Sign() != 0 {
-			fmt.Printf(" (%v packets decided by a different rule; -strict rejects this)", res.RedecidedPackets)
+			fmt.Fprintf(w, " (%v packets decided by a different rule; -strict rejects this)", res.RedecidedPackets)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		return nil
 	default:
 		return fmt.Errorf("verify needs one policy, two policies, or -generate N")
 	}
 }
 
-func printVerifyFailure(res *sem.VerifyResult, rs *fw.RuleSet) {
+func printVerifyFailure(w io.Writer, res *sem.VerifyResult, rs *fw.RuleSet) {
 	if res.Mismatch != nil {
-		fmt.Printf("  %v\n", res.Mismatch)
+		fmt.Fprintf(w, "  %v\n", res.Mismatch)
 	}
 	if res.ParityError != "" {
-		fmt.Printf("  counter parity: %s\n", res.ParityError)
+		fmt.Fprintf(w, "  counter parity: %s\n", res.ParityError)
 	}
-	fmt.Printf("policy under test:\n%v", rs)
+	fmt.Fprintf(w, "policy under test:\n%v", rs)
 }
 
 // diffCmd prints the exact semantic diff between two policies: how
 // many packets change verdict, in which direction, and one witness
 // packet per changed traffic class. The witness line replays verbatim
 // through `barbican explain -policy`.
-func diffCmd(args []string) error {
+func diffCmd(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("policyctl diff", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit the diff as JSON")
 	witnesses := fs.Int("witnesses", 8, "maximum witness packets to print")
@@ -349,22 +350,22 @@ func diffCmd(args []string) error {
 				SrcPort: int(w.Packet.SrcPort), DstPort: int(w.Packet.DstPort), Sealed: w.Packet.Sealed,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(doc)
 	}
 
 	if res.Equivalent && res.RedecidedPackets.Sign() == 0 {
-		fmt.Println("policies are semantically identical (every packet: same action, same deciding rule)")
+		fmt.Fprintln(w, "policies are semantically identical (every packet: same action, same deciding rule)")
 		return nil
 	}
-	fmt.Printf("changed packets: %v of %v\n", res.ChangedPackets, res.TotalPackets)
-	fmt.Printf("  allow -> deny: %v\n", res.ByClass[sem.RegionAllowToDeny])
-	fmt.Printf("  deny -> allow: %v\n", res.ByClass[sem.RegionDenyToAllow])
-	fmt.Printf("  redecided (same action, different rule): %v\n", res.RedecidedPackets)
-	fmt.Printf("changed regions: %d\n", res.ChangedRegions)
-	for _, w := range res.Witnesses {
-		fmt.Printf("  %v\n", w)
+	fmt.Fprintf(w, "changed packets: %v of %v\n", res.ChangedPackets, res.TotalPackets)
+	fmt.Fprintf(w, "  allow -> deny: %v\n", res.ByClass[sem.RegionAllowToDeny])
+	fmt.Fprintf(w, "  deny -> allow: %v\n", res.ByClass[sem.RegionDenyToAllow])
+	fmt.Fprintf(w, "  redecided (same action, different rule): %v\n", res.RedecidedPackets)
+	fmt.Fprintf(w, "changed regions: %d\n", res.ChangedRegions)
+	for _, wit := range res.Witnesses {
+		fmt.Fprintf(w, "  %v\n", wit)
 	}
 	return nil
 }
@@ -393,17 +394,13 @@ func readPolicy(path string) (string, error) {
 	return string(b), nil
 }
 
-func check(path string) error {
-	text, err := readPolicy(path)
+func check(w io.Writer, path string) error {
+	rs, err := loadPolicy(path)
 	if err != nil {
 		return err
 	}
-	rs, err := policy.Parse(text)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("# valid: %d rules, default %v\n", rs.Len(), rs.Default())
-	fmt.Print(policy.Format(rs))
+	fmt.Fprintf(w, "# valid: %d rules, default %v\n", rs.Len(), rs.Default())
+	fmt.Fprint(w, policy.Format(rs))
 	return nil
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,7 +15,7 @@ func TestCheckValidFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"check", path}); err != nil {
+	if err := run(io.Discard, []string{"check", path}); err != nil {
 		t.Fatalf("check: %v", err)
 	}
 }
@@ -24,16 +25,16 @@ func TestCheckInvalidFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("nonsense\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"check", path}); err == nil {
+	if err := run(io.Discard, []string{"check", path}); err == nil {
 		t.Error("invalid policy accepted")
 	}
 }
 
 func TestCheckMissingArgs(t *testing.T) {
-	if err := run([]string{"check"}); err == nil {
+	if err := run(io.Discard, []string{"check"}); err == nil {
 		t.Error("missing file accepted")
 	}
-	if err := run([]string{"frobnicate"}); err == nil {
+	if err := run(io.Discard, []string{"frobnicate"}); err == nil {
 		t.Error("unknown subcommand accepted")
 	}
 }
@@ -43,15 +44,15 @@ func TestLintSubcommand(t *testing.T) {
 	if err := os.WriteFile(clean, []byte("allow in proto tcp from any to any port 80\ndefault deny\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"lint", clean}); err != nil {
+	if err := run(io.Discard, []string{"lint", clean}); err != nil {
 		t.Fatalf("lint clean: %v", err)
 	}
 	for _, device := range []string{"iptables", "stateful", "vpg"} {
-		if err := run([]string{"lint", clean, "-device", device}); err != nil {
+		if err := run(io.Discard, []string{"lint", clean, "-device", device}); err != nil {
 			t.Errorf("lint -device %s: %v", device, err)
 		}
 	}
-	if err := run([]string{"lint", clean, "-device", "3com"}); err == nil {
+	if err := run(io.Discard, []string{"lint", clean, "-device", "3com"}); err == nil {
 		t.Error("lint accepted an unknown device")
 	}
 	// iptables rules are priced by the host firewall that enforces
@@ -77,13 +78,13 @@ func TestLintSubcommand(t *testing.T) {
 	if err := os.WriteFile(shadowed, []byte(text), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"lint", shadowed}); err == nil {
+	if err := run(io.Discard, []string{"lint", shadowed}); err == nil {
 		t.Error("lint of shadowed policy reported no error")
 	}
 }
 
 func TestOracleSubcommand(t *testing.T) {
-	if err := run([]string{"oracle"}); err != nil {
+	if err := run(io.Discard, []string{"oracle"}); err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
 }

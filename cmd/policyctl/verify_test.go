@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -32,17 +34,37 @@ allow in proto tcp from any to 10.0.0.2/32 port 80
 `
 
 func TestVerifySingle(t *testing.T) {
-	if err := run([]string{"verify", "-"}); err != nil {
+	if err := run(io.Discard, []string{"verify", "-"}); err != nil {
 		t.Fatalf("verify oracle: %v", err)
 	}
 	p := writePolicy(t, "v1.txt", verifyV1)
-	if err := run([]string{"verify", p}); err != nil {
+	if err := run(io.Discard, []string{"verify", p}); err != nil {
 		t.Fatalf("verify v1: %v", err)
 	}
 }
 
+// TestVerifyOracleOutput runs `policyctl verify -` in process and holds
+// its output to the line the README shows for it.
+func TestVerifyOracleOutput(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(&out, []string{"verify", "-"}); err != nil {
+		t.Fatalf("verify oracle: %v", err)
+	}
+	const want = "ok: compiled classifier == linear walk over all 93 atomic regions (32 rules)\n"
+	if out.String() != want {
+		t.Errorf("verify - printed %q, want %q", out.String(), want)
+	}
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(readme, []byte("\n"+want)) {
+		t.Errorf("README.md does not show the line verify - prints: %q", want)
+	}
+}
+
 func TestVerifyGeneratedCorpus(t *testing.T) {
-	if err := run([]string{"verify", "-generate", "4", "-seed", "11", "-rules", "12"}); err != nil {
+	if err := run(io.Discard, []string{"verify", "-generate", "4", "-seed", "11", "-rules", "12"}); err != nil {
 		t.Fatalf("verify corpus: %v", err)
 	}
 }
@@ -50,11 +72,11 @@ func TestVerifyGeneratedCorpus(t *testing.T) {
 func TestVerifyEquivalence(t *testing.T) {
 	a := writePolicy(t, "a.txt", verifyV1)
 	b := writePolicy(t, "b.txt", verifyV1)
-	if err := run([]string{"verify", a, b}); err != nil {
+	if err := run(io.Discard, []string{"verify", a, b}); err != nil {
 		t.Fatalf("identical policies reported inequivalent: %v", err)
 	}
 	c := writePolicy(t, "c.txt", verifyV2)
-	if err := run([]string{"verify", a, c}); err == nil {
+	if err := run(io.Discard, []string{"verify", a, c}); err == nil {
 		t.Fatal("inequivalent policies reported equivalent")
 	}
 }
@@ -62,10 +84,10 @@ func TestVerifyEquivalence(t *testing.T) {
 func TestVerifyStrictRejectsReorder(t *testing.T) {
 	a := writePolicy(t, "a.txt", "allow in proto tcp from any to any\nallow in from any to any\ndefault deny\n")
 	b := writePolicy(t, "b.txt", "allow in from any to any\nallow in proto tcp from any to any\ndefault deny\n")
-	if err := run([]string{"verify", a, b}); err != nil {
+	if err := run(io.Discard, []string{"verify", a, b}); err != nil {
 		t.Fatalf("action-equivalent reorder rejected without -strict: %v", err)
 	}
-	if err := run([]string{"verify", "-strict", a, b}); err == nil {
+	if err := run(io.Discard, []string{"verify", "-strict", a, b}); err == nil {
 		t.Fatal("-strict accepted a reorder that changes deciding rules")
 	}
 }
@@ -73,13 +95,13 @@ func TestVerifyStrictRejectsReorder(t *testing.T) {
 func TestDiffSubcommand(t *testing.T) {
 	a := writePolicy(t, "a.txt", verifyV1)
 	b := writePolicy(t, "b.txt", verifyV2)
-	if err := run([]string{"diff", a, b}); err != nil {
+	if err := run(io.Discard, []string{"diff", a, b}); err != nil {
 		t.Fatalf("diff: %v", err)
 	}
-	if err := run([]string{"diff", "-json", a, b}); err != nil {
+	if err := run(io.Discard, []string{"diff", "-json", a, b}); err != nil {
 		t.Fatalf("diff -json: %v", err)
 	}
-	if err := run([]string{"diff", a}); err == nil {
+	if err := run(io.Discard, []string{"diff", a}); err == nil {
 		t.Fatal("diff with one file accepted")
 	}
 }
@@ -90,12 +112,12 @@ func TestLintExact(t *testing.T) {
 	// error, so lint exits 0 — but on a shadowed variant it must exit 1.
 	text := "allow out from any to any\nallow out vpg g from 10.0.0.0/8 to any\ndefault deny\n"
 	p := writePolicy(t, "cross.txt", text)
-	if err := run([]string{"lint", p, "-depth-warn", "0"}); err != nil {
+	if err := run(io.Discard, []string{"lint", p, "-depth-warn", "0"}); err != nil {
 		t.Fatalf("lint on redundant-only policy: %v", err)
 	}
 	shadow := "allow out from any to any\ndeny out proto tcp from 10.0.0.0/8 to any\ndefault deny\n"
 	sp := writePolicy(t, "shadow.txt", shadow)
-	if err := run([]string{"lint", sp, "-depth-warn", "0"}); err == nil {
+	if err := run(io.Discard, []string{"lint", sp, "-depth-warn", "0"}); err == nil {
 		t.Fatal("lint missed a shadowed rule")
 	}
 }
@@ -108,7 +130,7 @@ func TestLintStateful(t *testing.T) {
 		"allow in proto tcp from any to any port 80 state new\n" +
 		"allow in proto tcp from any to any state established\n"
 	p := writePolicy(t, "stateful.txt", text)
-	err := run([]string{"lint", p})
+	err := run(io.Discard, []string{"lint", p})
 	if err == nil || err.Error() != "2 error-severity finding(s)" {
 		t.Fatalf("lint = %v, want rules 2 and 3 reported shadowed", err)
 	}

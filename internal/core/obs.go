@@ -12,16 +12,17 @@ import (
 )
 
 // ObserveOptions selects which observability pillars ride along with
-// a run. The metrics registry and flight recorder are always attached;
-// the packet tracer, the dual-domain profiler and the wire capture are
-// opt-in.
+// a run. The metrics registry and flight recorder are always attached
+// (and every processor's cost account always records); the packet
+// tracer, the kernel profiler and the wire capture are opt-in.
 type ObserveOptions struct {
 	// SampleEvery is the flight-recorder tick; <= 0 uses
 	// obs.DefaultSampleEvery.
 	SampleEvery time.Duration
 	// Trace attaches the packet tracer when Trace.SampleEvery > 0.
 	Trace tracing.Options
-	// Profile attaches the dual-domain profiler when non-nil.
+	// Profile, when non-nil, attaches the wall-domain kernel profiler
+	// and exports the always-on cost accounts.
 	Profile *profile.Options
 	// Capture taps the client's wire with a passive frame capture for
 	// the whole run.
@@ -61,8 +62,8 @@ var testbedHostNames = [...]string{"client", "target", "attacker", "policy-serve
 // Instrumentation. Kernel, switch, and every host's stack, card and
 // link endpoint publish into a fresh registry sampled by a started
 // flight recorder; the tracer is threaded through every pipeline
-// component, each card gets a cost profiler and the kernel the step
-// sampler, and the capture taps the client's wire, each per opt.
+// component, the kernel gets the step sampler (the cost accounts are
+// always on), and the capture taps the client's wire, each per opt.
 func (tb *Testbed) observe(opt ObserveOptions) *Instrumentation {
 	reg := obs.NewRegistry()
 	obs.PublishKernel(reg, tb.Kernel)
@@ -92,12 +93,7 @@ func (tb *Testbed) observe(opt ObserveOptions) *Instrumentation {
 		tb.Switch.SetTracer(in.Tracer)
 	}
 	if opt.Profile != nil {
-		in.Profiling = &Profiling{Kernel: profile.NewKernelProfiler(opt.Profile.KernelSampleEvery)}
-		for i, h := range tb.hosts() {
-			cp := profile.NewCardProfiler(testbedHostNames[i], "", 0)
-			h.NIC().SetProfiler(cp)
-			in.Profiling.Cards = append(in.Profiling.Cards, cp)
-		}
+		in.Profiling = &Profiling{Kernel: profile.NewKernelProfiler(opt.Profile.KernelSampleEvery), tb: tb}
 		tb.Kernel.SetStepProfiler(in.Profiling.Kernel)
 	}
 	if opt.Capture {

@@ -2,23 +2,29 @@ package core
 
 import "barbican/internal/obs/profile"
 
-// Profiling bundles one run's attached profilers: a cost-domain
-// CardProfiler per testbed NIC (exact per-packet attribution) and one
-// wall-domain KernelProfiler sampling the event loop. The testbed's
-// attach point (observe) creates it.
+// Profiling is one profiled run's export side: the cost domain read
+// from every enforcement point's always-on account, and one wall-domain
+// KernelProfiler sampling the event loop. The testbed's attach point
+// (observe) creates it.
 type Profiling struct {
-	Cards  []*profile.CardProfiler // testbed host order: client, target, attacker, policy-server
 	Kernel *profile.KernelProfiler
+
+	tb *Testbed
 }
 
-// CostData merges every card's attributed samples into one
-// cost-domain profile, in host order. The result is exact and
-// deterministic: identical scenarios produce identical profiles.
+// CostData renders every enforcement point's cost account into one
+// cost-domain profile, in host order, each card followed by its host's
+// firewall (iptables) if it has one. The result is exact and
+// deterministic: identical scenarios produce identical profiles, and
+// each point's stacks sum to its processor's units done.
 func (p *Profiling) CostData() *profile.Data {
 	d := profile.NewData(profile.CostSampleTypes, "cost")
 	d.Comments = append(d.Comments, "cost-domain card profile: exact per-packet attribution in virtual cost units")
-	for _, cp := range p.Cards {
-		cp.AppendCostSamples(d)
+	for i, h := range p.tb.hosts() {
+		h.NIC().Processor().AppendCostSamples(d, testbedHostNames[i], h.NIC().RuleSet())
+		if hf := h.Firewall(); hf != nil {
+			hf.Processor().AppendCostSamples(d, testbedHostNames[i], hf.RuleSet())
+		}
 	}
 	return d
 }

@@ -173,10 +173,10 @@ type Config struct {
 	// TraceSample is the tracer's 1-in-N sampling rate; zero uses
 	// tracing.DefaultSampleEvery.
 	TraceSample int
-	// ProfileDir, when non-empty, attaches the dual-domain profiler
-	// (cost-unit card attribution + wall-clock kernel sampling) to
-	// each run and writes its cost and kernel pprof profiles under
-	// this directory.
+	// ProfileDir, when non-empty, attaches the wall-clock kernel
+	// sampler to each run and writes its cost profile (every
+	// enforcement point's always-on account) and kernel profile as
+	// pprof under this directory.
 	ProfileDir string
 	// ProfileSample is the kernel profiler's 1-in-N event sampling
 	// rate; zero uses profile.DefaultKernelSampleEvery. The cost

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,10 +12,10 @@ import (
 	"barbican/internal/obs/profile"
 )
 
-// fig2CostArtifacts runs the quick Fig. 2 sweep with profiling on and
-// returns the bytes of every per-point cost-domain profile, keyed by
-// file name.
-func fig2CostArtifacts(t *testing.T, parallel int) map[string][]byte {
+// costArtifacts runs the quick sweep of experiment exp with profiling
+// on and returns the bytes of every per-point cost-domain profile,
+// keyed by file name.
+func costArtifacts(t *testing.T, exp string, sweep func(Config) (*Figure, error), parallel int) map[string][]byte {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := Config{
@@ -23,15 +24,15 @@ func fig2CostArtifacts(t *testing.T, parallel int) map[string][]byte {
 		Parallel:   parallel,
 		ProfileDir: dir,
 	}
-	if _, err := Fig2(cfg); err != nil {
+	if _, err := sweep(cfg); err != nil {
 		t.Fatal(err)
 	}
-	paths, err := filepath.Glob(filepath.Join(dir, "fig2", "*.cost.pprof"))
+	paths, err := filepath.Glob(filepath.Join(dir, exp, "*.cost.pprof"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(paths) == 0 {
-		t.Fatal("fig2 wrote no cost profiles")
+		t.Fatalf("%s wrote no cost profiles", exp)
 	}
 	files := make(map[string][]byte, len(paths))
 	for _, path := range paths {
@@ -40,6 +41,49 @@ func fig2CostArtifacts(t *testing.T, parallel int) map[string][]byte {
 		}
 	}
 	return files
+}
+
+// TestFig2NGMatchCostFlat is EXT1's flat-cost claim seen in the cost
+// profile: NextGen's target pays the same match units per admitted
+// packet at 1, 64 and 512 rules, while the EFW's grow with depth.
+func TestFig2NGMatchCostFlat(t *testing.T) {
+	files := costArtifacts(t, "fig2ng", Fig2NextGen, 2)
+	perPacket := func(device string, depth int) float64 {
+		t.Helper()
+		name := fmt.Sprintf("%s_depth-%d.cost.pprof", device, depth)
+		b, ok := files[name]
+		if !ok {
+			t.Fatalf("fig2ng wrote no %s", name)
+		}
+		d, err := profile.ReadPprof(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var match, packets int64
+		for _, s := range d.Samples {
+			if !strings.HasPrefix(s.Stack[0], "target ") {
+				continue
+			}
+			switch s.Stack[2] {
+			case "match":
+				match += s.Values[0]
+			case "parse":
+				packets += s.Values[1]
+			}
+		}
+		if packets == 0 {
+			t.Fatalf("%s: the target admitted no packets", name)
+		}
+		return float64(match) / float64(packets)
+	}
+	ng1, ng64, ng512 := perPacket("nextgenfw", 1), perPacket("nextgenfw", 64), perPacket("nextgenfw", 512)
+	if ng1 == 0 || ng64 != ng1 || ng512 != ng1 {
+		t.Errorf("NextGen match units per packet at depths 1/64/512 = %.3f/%.3f/%.3f, want one flat nonzero value", ng1, ng64, ng512)
+	}
+	efw1, efw64, efw512 := perPacket("efw", 1), perPacket("efw", 64), perPacket("efw", 512)
+	if !(efw1 < efw64 && efw64 < efw512) {
+		t.Errorf("EFW match units per packet at depths 1/64/512 = %.3f/%.3f/%.3f, want growth with depth", efw1, efw64, efw512)
+	}
 }
 
 // TestFig2CostProfileParallelByteIdentity is the determinism golden:
@@ -51,8 +95,8 @@ func TestFig2CostProfileParallelByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full profiled sweep; skipped in -short")
 	}
-	p1 := fig2CostArtifacts(t, 1)
-	p4 := fig2CostArtifacts(t, 4)
+	p1 := costArtifacts(t, "fig2", Fig2, 1)
+	p4 := costArtifacts(t, "fig2", Fig2, 4)
 	if len(p1) != len(p4) {
 		t.Errorf("%d cost profiles at -parallel 1, %d at 4", len(p1), len(p4))
 	}
@@ -72,7 +116,7 @@ func TestFig2CostProfileContent(t *testing.T) {
 		t.Skip("full profiled sweep; skipped in -short")
 	}
 	d := profile.NewData(profile.CostSampleTypes, "cost")
-	for name, b := range fig2CostArtifacts(t, 2) {
+	for name, b := range costArtifacts(t, "fig2", Fig2, 2) {
 		part, err := profile.ReadPprof(bytes.NewReader(b))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -41,12 +41,15 @@ type Firewall struct {
 func New(k *sim.Kernel, profile nic.Profile) *Firewall {
 	return &Firewall{
 		profile: profile,
-		proc:    nic.NewProcessor(k, profile.CapacityUnits, profile.MaxQueue),
+		proc:    nic.NewProcessor(k, profile),
 	}
 }
 
 // Install sets (or with nil clears) the rule set.
-func (f *Firewall) Install(rs *fw.RuleSet) { f.rules = rs }
+func (f *Firewall) Install(rs *fw.RuleSet) {
+	f.proc.Reserve(rs)
+	f.rules = rs
+}
 
 // RuleSet returns the installed policy (nil when unfiltered).
 func (f *Firewall) RuleSet() *fw.RuleSet {
@@ -59,6 +62,10 @@ func (f *Firewall) RuleSet() *fw.RuleSet {
 // Profile returns the cost model the filter is priced by.
 func (f *Firewall) Profile() nic.Profile { return f.profile }
 
+// Processor returns the host CPU's share that runs the filter, which
+// holds its cost account.
+func (f *Firewall) Processor() *nic.Processor { return f.proc }
+
 // Filter decides one packet in direction dir and returns why it was
 // dropped: tracing.DropNone when admitted, DropRuleDeny when the rules
 // deny it, or the processor's overload reason when the host CPU's
@@ -70,7 +77,7 @@ func (f *Firewall) Filter(s packet.Summary, dir fw.Direction) tracing.DropReason
 	// The host filter has no connection tracking: every packet reaches
 	// the rules classified StateNone, so a stateful rule never fires.
 	v := f.rules.Match(s, dir, fw.StateNone)
-	if _, ok := f.proc.Admit(f.profile.Cost(v.Traversed, 0)); !ok {
+	if _, ok := f.proc.Charge(dir, nic.MatchWalk, v.Traversed, v.Index, 0, 0); !ok {
 		return f.proc.OverloadReason()
 	}
 	if v.Action != fw.Allow {

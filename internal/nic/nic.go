@@ -7,7 +7,6 @@ import (
 	"barbican/internal/fw"
 	"barbican/internal/link"
 	"barbican/internal/nic/conntrack"
-	"barbican/internal/obs/profile"
 	"barbican/internal/obs/tracing"
 	"barbican/internal/packet"
 	"barbican/internal/sim"
@@ -107,12 +106,6 @@ type NIC struct {
 	// Optional packet-lifecycle tracer (nil = disabled, the hot-path
 	// cost is a nil check).
 	tracer *tracing.Tracer
-
-	// Optional cost-domain profiler (nil = disabled, hot-path cost is
-	// a nil check). Recording happens on every successful processor
-	// admission, so the profiler's unit totals reconcile exactly with
-	// the processor's UnitsDone.
-	prof *profile.CardProfiler
 }
 
 // New creates a card with the given hardware profile, attached to one end
@@ -124,7 +117,7 @@ func New(k *sim.Kernel, mac packet.MAC, profile Profile, ep *link.Endpoint) *NIC
 		kernel:  k,
 		mac:     mac,
 		profile: profile,
-		proc:    NewProcessor(k, profile.CapacityUnits, profile.MaxQueue),
+		proc:    NewProcessor(k, profile),
 		ep:      ep,
 		groups:  make(map[string]*vpg.Group),
 		sealers: make(map[string]*vpg.Sealer),
@@ -207,27 +200,9 @@ func (n *NIC) QueueDepth() int { return n.proc.Queued() }
 // records spans for frames whose TraceID is already set.
 func (n *NIC) SetTracer(tr *tracing.Tracer) { n.tracer = tr }
 
-// SetProfiler attaches (or with nil detaches) a cost-domain profiler.
-// The card fills in its device parameters and a lazy rule-label hook
-// that reads whatever policy is installed at export time.
-func (n *NIC) SetProfiler(cp *profile.CardProfiler) {
-	n.prof = cp
-	if cp == nil {
-		return
-	}
-	cp.Device = n.profile.Name
-	cp.PerRule = n.profile.PerRuleCost
-	cp.RuleText = func(i int) string {
-		if n.rules == nil || i < 1 || i > n.rules.Len() {
-			return ""
-		}
-		return n.rules.Rule(i).String()
-	}
-}
-
-// Profiler returns the attached cost-domain profiler (nil when
-// profiling is off).
-func (n *NIC) Profiler() *profile.CardProfiler { return n.prof }
+// Processor returns the card's embedded processor, which holds its
+// cost account.
+func (n *NIC) Processor() *Processor { return n.proc }
 
 // DropCounts returns the per-reason ingress and egress drop counters,
 // indexed by tracing.DropReason.
@@ -286,6 +261,7 @@ func (n *NIC) InstallRuleSet(rs *fw.RuleSet) { n.setRules(rs) }
 // whole cache. The matcher belongs to the rule set (fw.RuleSet.Match), so
 // a re-installed policy reuses the one it compiled before.
 func (n *NIC) setRules(rs *fw.RuleSet) {
+	n.proc.Reserve(rs)
 	n.rules = rs
 	n.invalidateFlowCache()
 }
@@ -540,26 +516,17 @@ func (n *NIC) cryptoBytes(dir fw.Direction, s *packet.Summary, v *fw.Verdict) in
 	return 0
 }
 
-// admit charges one packet's work to the embedded processor and records
-// it with the profiler; ctCost is the conntrack share. A full descriptor
-// ring drops the packet as overload.
+// admit charges one packet's work to the embedded processor, which
+// records it in the card's cost account; ctCost is the conntrack
+// share. A full descriptor ring drops the packet as overload.
 //
 //barbican:noalloc
 func (n *NIC) admit(dir fw.Direction, tid uint64, path MatchPath, traversed, index, cryptoBytes int, ctCost float64) (time.Duration, bool) {
-	base, match, crypto := n.profile.CostPartsPath(path, traversed, cryptoBytes)
-	completeAt, ok := n.proc.Admit(base + match + crypto + ctCost)
+	completeAt, ok := n.proc.Charge(dir, path, traversed, index, cryptoBytes, ctCost)
 	if !ok {
 		n.drop(dir, cardStage(dir), n.proc.OverloadReason(), tid)
-		return 0, false
 	}
-	if n.prof != nil {
-		if dir == fw.In {
-			n.prof.RecordRx(traversed, index, base, match+ctCost, crypto) //barbican:allow alloc -- profiled-only branch; prof==nil on the contract path
-		} else {
-			n.prof.RecordTx(traversed, index, base, match+ctCost, crypto) //barbican:allow alloc -- profiled-only branch; prof==nil on the contract path
-		}
-	}
-	return completeAt, true
+	return completeAt, ok
 }
 
 // Send transmits an IP datagram to the given destination MAC, subject to

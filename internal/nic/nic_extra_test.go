@@ -182,9 +182,9 @@ func TestProfileCalibrationAnchors(t *testing.T) {
 
 func TestStandardProfileIsWireSpeed(t *testing.T) {
 	k := sim.NewKernel()
-	p := NewProcessor(k, Standard().CapacityUnits, 0)
+	p := NewProcessor(k, Standard())
 	for i := 0; i < 100000; i++ {
-		if _, ok := p.Admit(1e9); !ok {
+		if _, ok := p.admit(1e9); !ok {
 			t.Fatal("wire-speed processor rejected work")
 		}
 	}
@@ -195,10 +195,10 @@ func TestStandardProfileIsWireSpeed(t *testing.T) {
 
 func TestProcessorRingBound(t *testing.T) {
 	k := sim.NewKernel()
-	p := NewProcessor(k, 1000, 4)
+	p := NewProcessor(k, Profile{CapacityUnits: 1000, MaxQueue: 4})
 	accepted := 0
 	for i := 0; i < 10; i++ {
-		if _, ok := p.Admit(10); ok {
+		if _, ok := p.admit(10); ok {
 			accepted++
 		}
 	}
@@ -218,7 +218,7 @@ func TestProcessorRingBound(t *testing.T) {
 	if p.Queued() != 0 {
 		t.Errorf("Queued after drain = %d", p.Queued())
 	}
-	if _, ok := p.Admit(10); !ok {
+	if _, ok := p.admit(10); !ok {
 		t.Error("drained ring rejected work")
 	}
 }

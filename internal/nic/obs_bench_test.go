@@ -20,10 +20,10 @@ import (
 // closures only run at gather time. With sampleEvery > 0 a packet
 // tracer is attached and frames are stamped upstream at that 1-in-N
 // rate, measuring the tracing overhead documented in DESIGN.md §8.
-// With profiled, a cost-domain card profiler and a wall-domain kernel
-// profiler are both attached — the documented profiling overhead of
-// DESIGN.md §12; the uninstrumented (profiling-off) variant must stay
-// at 0 allocs/op.
+// With profiled, the wall-domain kernel profiler is attached — the
+// documented profiling overhead of DESIGN.md §12. The card's cost
+// account records in every variant, so the uninstrumented one holds
+// the always-on account at 0 allocs/op.
 func benchRx(b *testing.B, instrument bool, sampleEvery int, profiled bool) {
 	k := sim.NewKernel()
 	_, eb := link.New(k, link.Config{QueueFrames: 1 << 16})
@@ -40,10 +40,7 @@ func benchRx(b *testing.B, instrument bool, sampleEvery int, profiled bool) {
 		tr = tracing.New(k, tracing.Options{SampleEvery: sampleEvery})
 		n.SetTracer(tr)
 	}
-	var cp *profile.CardProfiler
 	if profiled {
-		cp = profile.NewCardProfiler("bench", "", 0)
-		n.SetProfiler(cp)
 		k.SetStepProfiler(profile.NewKernelProfiler(profile.DefaultKernelSampleEvery))
 	}
 
@@ -72,8 +69,8 @@ func benchRx(b *testing.B, instrument bool, sampleEvery int, profiled bool) {
 	if tr != nil && b.N >= sampleEvery && tr.Sampled() == 0 {
 		b.Fatal("tracer attached but nothing sampled")
 	}
-	if cp != nil && cp.Rx.Packets != uint64(b.N) {
-		b.Fatalf("profiler recorded %d rx packets, want %d", cp.Rx.Packets, b.N)
+	if got := n.proc.rx.packets; got != uint64(b.N) {
+		b.Fatalf("cost account recorded %d rx packets, want %d", got, b.N)
 	}
 }
 

@@ -278,9 +278,9 @@ func (p Profile) Cost(rulesTraversed, cryptoBytes int) float64 {
 
 // CostPartsPath decomposes CostPath into its phases — fixed base,
 // rule-match (walk, compiled lookup, or cache hit), and crypto — for
-// the cost-domain profiler. CostPath is their sum, base + match +
-// crypto in that order, which is what lets the profiler attribute 100%
-// of the processor's consumed units.
+// the processor's cost account (Processor.Charge). CostPath is their
+// sum, base + match + crypto in that order, which is what lets the
+// account attribute 100% of the processor's consumed units.
 //
 //barbican:noalloc
 func (p Profile) CostPartsPath(path MatchPath, rulesTraversed, cryptoBytes int) (base, match, crypto float64) {

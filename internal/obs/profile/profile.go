@@ -5,13 +5,16 @@
 // Two budgets matter in this simulator, and they live in different
 // clocks:
 //
-//   - The cost domain is the card's embedded-CPU budget, in the
-//     abstract cost units of nic.Profile. A CardProfiler attached to a
-//     NIC attributes every admitted unit to a named phase — base
-//     parse, the per-rule match walk (with rule-index granularity),
-//     VPG crypto seal/open, and verdict bookkeeping. This is the
-//     paper's Fig. 2/3 collapse decomposed: per-rule match cost ×
-//     depth is what exhausts the budget.
+//   - The cost domain is an enforcement point's processor budget, in
+//     the abstract cost units of nic.Profile. It is always recorded:
+//     every nic.Processor — each card's, and the iptables host
+//     filter's — tallies each packet it admits by Phase, and renders
+//     the tally (Processor.AppendCostSamples) to stacks that sum to
+//     its units done: base parse, the rule match (a frame per rule for
+//     a linear walk, one flat "compiled lookup" or "cache hit" frame
+//     otherwise), conntrack, VPG crypto seal/open, and verdict
+//     bookkeeping. This is the paper's Fig. 2/3 collapse decomposed:
+//     per-rule match cost × depth is what exhausts the budget.
 //   - The wall domain is the host CPU running the simulation. A
 //     KernelProfiler samples the sim event loop 1-in-N
 //     (counter-based, like the tracing sampler) and attributes
@@ -30,9 +33,8 @@
 // deterministic event sequence) but their wall-nanosecond values are
 // measured, and therefore vary run to run.
 //
-// The disabled state is a nil profiler: hot-path call sites guard
-// with one nil check, which is what keeps the //barbican:noalloc
-// rx-path contract (0 allocs/op with profiling off) intact.
+// Recording cost allocates nothing; the wall domain's disabled state
+// is a nil KernelProfiler.
 package profile
 
 import (
@@ -42,16 +44,17 @@ import (
 	"time"
 )
 
-// Phase names one slice of a card's per-packet work in the cost
-// model: cost(pkt) = base + perRule×traversed + crypto.
+// Phase names one slice of an enforcement point's per-packet work in
+// the cost model: cost(pkt) = base + match + conntrack + crypto.
 type Phase uint8
 
-// The card work phases. PhaseVerdict carries no cost units in the
-// model (the verdict is implicit in where the walk stopped); it
-// exists so profiles still count packets per matched rule.
+// The work phases. PhaseVerdict carries no cost units in the model
+// (the verdict is implicit in where the walk stopped); it exists so
+// profiles still count packets per matched rule.
 const (
 	PhaseParse      Phase = iota // fixed per-packet base cost (header parse, DMA, ring bookkeeping)
-	PhaseMatch                   // linear rule walk, perRule × rules traversed
+	PhaseMatch                   // rule match: linear walk, compiled lookup or flow-cache hit
+	PhaseConntrack               // connection-tracking classification and entry insert
 	PhaseCryptoSeal              // VPG seal on egress
 	PhaseCryptoOpen              // VPG open on ingress
 	PhaseVerdict                 // verdict/forward bookkeeping (packet counts only)
@@ -62,6 +65,7 @@ const (
 var phaseNames = [NumPhases]string{
 	PhaseParse:      "parse",
 	PhaseMatch:      "match",
+	PhaseConntrack:  "conntrack",
 	PhaseCryptoSeal: "crypto.seal",
 	PhaseCryptoOpen: "crypto.open",
 	PhaseVerdict:    "verdict",
@@ -86,163 +90,9 @@ type Options struct {
 // of the wall-domain kernel profiler.
 const DefaultKernelSampleEvery = 16
 
-// DirProfile accumulates one direction (rx or tx) of a card's
-// attributed cost. All fields are exact sums over admitted packets.
-type DirProfile struct {
-	Packets     uint64  // admitted packets
-	BaseUnits   float64 // PhaseParse units
-	MatchUnits  float64 // PhaseMatch units
-	CryptoUnits float64 // crypto units (seal on tx, open on rx)
-	CryptoPkts  uint64  // packets that paid crypto
-
-	// Walks[t] counts packets whose verdict came after traversing
-	// exactly t rules; rule i (1-based) was therefore examined by
-	// every packet with t >= i, which is what makes per-rule match
-	// cost reconstructible without O(depth) work per packet.
-	Walks []uint64
-	// Hits[i] counts packets matched at 1-based rule i; Hits[0] is
-	// the default action.
-	Hits []uint64
-}
-
-// record accumulates one admitted packet. Hot path when profiling is
-// on; the only allocations are the rare Walks/Hits growth steps.
-func (d *DirProfile) record(traversed, matched int, base, match, crypto float64) {
-	d.Packets++
-	d.BaseUnits += base
-	d.MatchUnits += match
-	if crypto > 0 {
-		d.CryptoUnits += crypto
-		d.CryptoPkts++
-	}
-	for traversed >= len(d.Walks) {
-		d.Walks = append(d.Walks, 0)
-	}
-	d.Walks[traversed]++
-	if matched < 0 {
-		matched = 0
-	}
-	for matched >= len(d.Hits) {
-		d.Hits = append(d.Hits, 0)
-	}
-	d.Hits[matched]++
-}
-
-// Units returns the direction's total attributed cost units.
-func (d *DirProfile) Units() float64 { return d.BaseUnits + d.MatchUnits + d.CryptoUnits }
-
-// CardProfiler attributes one card's admitted cost units to phases
-// and rule indices. It is exact (every admitted packet recorded) and
-// single-threaded, like the kernel that drives it. A nil *CardProfiler
-// is the disabled state.
-type CardProfiler struct {
-	// Host labels the card's testbed host ("target", "client", ...).
-	Host string
-	// Device is the card profile name ("EFW", "ADF", ...).
-	Device string
-	// PerRule is the card's per-rule match cost, used to reconstruct
-	// per-rule units from traversal counts.
-	PerRule float64
-	// RuleText, when non-nil, resolves a 1-based rule index to its
-	// DSL text for profile frame labels (evaluated at export time, so
-	// labels reflect the finally-installed policy).
-	RuleText func(i int) string
-
-	Rx DirProfile
-	Tx DirProfile
-}
-
-// NewCardProfiler creates a profiler for one card.
-func NewCardProfiler(host, device string, perRule float64) *CardProfiler {
-	return &CardProfiler{Host: host, Device: device, PerRule: perRule}
-}
-
-// RecordRx attributes one admitted ingress packet: its fixed base
-// cost, match-walk cost, crypto (open) cost, the rules traversed, and
-// the 1-based matched rule (0 = default action).
-func (cp *CardProfiler) RecordRx(traversed, matched int, base, match, crypto float64) {
-	cp.Rx.record(traversed, matched, base, match, crypto)
-}
-
-// RecordTx attributes one admitted egress packet (crypto = seal).
-func (cp *CardProfiler) RecordTx(traversed, matched int, base, match, crypto float64) {
-	cp.Tx.record(traversed, matched, base, match, crypto)
-}
-
-// Units returns the card's total attributed cost units, both
-// directions — comparable against the processor's UnitsDone.
-func (cp *CardProfiler) Units() float64 { return cp.Rx.Units() + cp.Tx.Units() }
-
-// ruleFrame renders the stack frame of one 1-based rule index.
-// Semicolons join frames in summaries and diffs, so they can never
-// appear in a frame.
-func (cp *CardProfiler) ruleFrame(i int) string {
-	label := fmt.Sprintf("rule %03d", i)
-	if cp.RuleText != nil {
-		if text := cp.RuleText(i); text != "" {
-			label += ": " + text
-		}
-	}
-	return strings.ReplaceAll(label, ";", ",")
-}
-
 // CostSampleTypes is the value schema of cost-domain profiles: cost
 // units first (the default flamegraph weight), packet counts second.
 var CostSampleTypes = []ValueType{{Type: "cost", Unit: "units"}, {Type: "packets", Unit: "count"}}
-
-// AppendCostSamples appends the card's attributed samples to d, which
-// must use CostSampleTypes. Stacks are root→leaf:
-//
-//	<host> (<device>) ; rx|tx ; phase [; rule NNN[: text] | default]
-//
-// Zero-valued samples are skipped, so profiles stay proportional to
-// the rules actually exercised.
-func (cp *CardProfiler) AppendCostSamples(d *Data) {
-	card := strings.ReplaceAll(fmt.Sprintf("%s (%s)", cp.Host, cp.Device), ";", ",")
-	for _, dir := range []struct {
-		name string
-		p    *DirProfile
-	}{{"rx", &cp.Rx}, {"tx", &cp.Tx}} {
-		dp := dir.p
-		if dp.Packets == 0 {
-			continue
-		}
-		d.Add([]string{card, dir.name, PhaseParse.String()}, round(dp.BaseUnits), int64(dp.Packets))
-		// Per-rule match attribution: rule i was examined by every
-		// packet that traversed at least i rules. The suffix sum runs
-		// deepest-first so each rule's count is O(1).
-		examined := uint64(0)
-		perRule := make([]uint64, len(dp.Walks))
-		for t := len(dp.Walks) - 1; t >= 1; t-- {
-			examined += dp.Walks[t]
-			perRule[t] = examined
-		}
-		for i := 1; i < len(perRule); i++ {
-			if perRule[i] == 0 {
-				continue
-			}
-			d.Add([]string{card, dir.name, PhaseMatch.String(), cp.ruleFrame(i)},
-				round(cp.PerRule*float64(perRule[i])), int64(perRule[i]))
-		}
-		if dp.CryptoUnits > 0 {
-			phase := PhaseCryptoOpen
-			if dir.name == "tx" {
-				phase = PhaseCryptoSeal
-			}
-			d.Add([]string{card, dir.name, phase.String()}, round(dp.CryptoUnits), int64(dp.CryptoPkts))
-		}
-		for i, hits := range dp.Hits {
-			if hits == 0 {
-				continue
-			}
-			frame := "default"
-			if i > 0 {
-				frame = cp.ruleFrame(i)
-			}
-			d.Add([]string{card, dir.name, PhaseVerdict.String(), frame}, 0, int64(hits))
-		}
-	}
-}
 
 // KernelSite is one event handler observed by the wall-domain
 // profiler.
@@ -369,14 +219,6 @@ func splitSymbol(name string) (string, string) {
 	}
 	cut := slash + 1 + dot
 	return name[:cut], name[cut+1:]
-}
-
-// round converts accumulated float units to a profile value.
-func round(v float64) int64 {
-	if v < 0 {
-		return 0
-	}
-	return int64(v + 0.5)
 }
 
 // ValueType describes one value column of a profile, pprof-style.

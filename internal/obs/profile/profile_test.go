@@ -17,6 +17,7 @@ func TestPhaseString(t *testing.T) {
 	want := map[Phase]string{
 		PhaseParse:      "parse",
 		PhaseMatch:      "match",
+		PhaseConntrack:  "conntrack",
 		PhaseCryptoSeal: "crypto.seal",
 		PhaseCryptoOpen: "crypto.open",
 		PhaseVerdict:    "verdict",
@@ -25,116 +26,6 @@ func TestPhaseString(t *testing.T) {
 	for p, s := range want {
 		if got := p.String(); got != s {
 			t.Errorf("Phase(%d).String() = %q, want %q", p, got, s)
-		}
-	}
-}
-
-func TestDirProfileRecord(t *testing.T) {
-	var d DirProfile
-	d.record(3, 2, 1.0, 0.6, 0)   // matched rule 2 after 3 traversals, no crypto
-	d.record(3, 0, 1.0, 0.6, 0)   // default action after full walk
-	d.record(1, 1, 1.0, 0.2, 2.5) // matched rule 1, paid crypto
-	d.record(0, -1, 1.0, 0, 0)    // no policy: no walk, matched clamped to 0
-
-	if d.Packets != 4 {
-		t.Fatalf("Packets = %d, want 4", d.Packets)
-	}
-	if d.CryptoPkts != 1 || d.CryptoUnits != 2.5 {
-		t.Fatalf("crypto = (%d pkts, %g units), want (1, 2.5)", d.CryptoPkts, d.CryptoUnits)
-	}
-	if got := d.Units(); got != 4*1.0+1.4+2.5 {
-		t.Fatalf("Units() = %g, want %g", got, 4*1.0+1.4+2.5)
-	}
-	wantWalks := []uint64{1, 1, 0, 2}
-	for i, w := range wantWalks {
-		if d.Walks[i] != w {
-			t.Errorf("Walks[%d] = %d, want %d", i, d.Walks[i], w)
-		}
-	}
-	wantHits := []uint64{2, 1, 1}
-	for i, h := range wantHits {
-		if d.Hits[i] != h {
-			t.Errorf("Hits[%d] = %d, want %d", i, d.Hits[i], h)
-		}
-	}
-}
-
-// TestAppendCostSamplesAttribution checks the per-rule suffix-sum
-// reconstruction: rule i's match samples must count every packet that
-// traversed at least i rules, and the attributed units must reconcile
-// exactly with the profiler's running totals.
-func TestAppendCostSamplesAttribution(t *testing.T) {
-	cp := NewCardProfiler("target", "EFW", 0.5)
-	cp.RuleText = func(i int) string {
-		if i == 2 {
-			return "allow tcp; dst 10.0.0.1" // ";" must be sanitized
-		}
-		return ""
-	}
-	// 10 packets stop at rule 1, 5 walk to rule 3, 2 walk all 4 rules
-	// to the default action.
-	for i := 0; i < 10; i++ {
-		cp.RecordRx(1, 1, 1, 0.5, 0)
-	}
-	for i := 0; i < 5; i++ {
-		cp.RecordRx(3, 3, 1, 1.5, 0)
-	}
-	for i := 0; i < 2; i++ {
-		cp.RecordRx(4, 0, 1, 2.0, 0)
-	}
-	cp.RecordTx(2, 2, 1, 1.0, 3.0)
-
-	d := NewData(CostSampleTypes, "cost")
-	cp.AppendCostSamples(d)
-
-	find := func(stack ...string) *Sample {
-		t.Helper()
-		key := stackKey(stack)
-		for _, s := range d.Samples {
-			if stackKey(s.Stack) == key {
-				return s
-			}
-		}
-		t.Fatalf("no sample with stack %v in %d samples", stack, len(d.Samples))
-		return nil
-	}
-
-	// Rule 1 examined by all 17 rx packets, rule 3 by 7, rule 4 by 2.
-	card := "target (EFW)"
-	if s := find(card, "rx", "match", "rule 001"); s.Values[1] != 17 || s.Values[0] != round(0.5*17) {
-		t.Errorf("rule 1: values = %v, want [%d 17]", s.Values, round(0.5*17))
-	}
-	if s := find(card, "rx", "match", "rule 003"); s.Values[1] != 7 {
-		t.Errorf("rule 3: packets = %d, want 7", s.Values[1])
-	}
-	if s := find(card, "rx", "match", "rule 004"); s.Values[1] != 2 {
-		t.Errorf("rule 4: packets = %d, want 2", s.Values[1])
-	}
-	// Rule 2's frame carries sanitized DSL text.
-	s2 := find(card, "rx", "match", "rule 002: allow tcp, dst 10.0.0.1")
-	if s2.Values[1] != 7 {
-		t.Errorf("rule 2: packets = %d, want 7", s2.Values[1])
-	}
-	// Verdict samples: 15 matched packets across rules, 2 defaults.
-	if s := find(card, "rx", "verdict", "default"); s.Values[1] != 2 {
-		t.Errorf("default verdicts = %d, want 2", s.Values[1])
-	}
-	// Crypto only on tx (seal).
-	if s := find(card, "tx", "crypto.seal"); s.Values[0] != 3 || s.Values[1] != 1 {
-		t.Errorf("crypto.seal values = %v, want [3 1]", s.Values)
-	}
-
-	// Exact reconciliation: profile total == profiler unit total.
-	// round() is applied per-sample, so allow the per-sample rounding
-	// slack (< 1 unit per sample).
-	total := d.Total()
-	units := cp.Units()
-	if diff := float64(total) - units; diff > float64(len(d.Samples)) || diff < -float64(len(d.Samples)) {
-		t.Errorf("profile total %d vs profiler units %g: outside rounding slack", total, units)
-	}
-	for _, s := range d.Samples {
-		if strings.Contains(strings.Join(s.Stack, ""), ";") {
-			t.Errorf("frame contains reserved ';': %v", s.Stack)
 		}
 	}
 }
