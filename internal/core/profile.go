@@ -21,9 +21,9 @@ func (p *Profiling) CostData() *profile.Data {
 	d := profile.NewData(profile.CostSampleTypes, "cost")
 	d.Comments = append(d.Comments, "cost-domain card profile: exact per-packet attribution in virtual cost units")
 	for i, h := range p.tb.hosts() {
-		h.NIC().Processor().AppendCostSamples(d, testbedHostNames[i], h.NIC().RuleSet())
+		h.NIC().Processor().AppendCostSamples(d, testbedHostNames[i])
 		if hf := h.Firewall(); hf != nil {
-			hf.Processor().AppendCostSamples(d, testbedHostNames[i], hf.RuleSet())
+			hf.Processor().AppendCostSamples(d, testbedHostNames[i])
 		}
 	}
 	return d

@@ -13,21 +13,20 @@ import (
 // a fixed allowed flood with responses on and off.
 func AblationDenyResponses(cfg Config) (*Table, error) {
 	const rate = 9000
-	run := func(suppress bool) func() (core.BandwidthPoint, error) {
-		return func() (core.BandwidthPoint, error) {
-			label := "abl1_responses-enabled"
-			if suppress {
-				label = "abl1_responses-suppressed"
-			}
-			return bandwidthRuns.point(cfg, "ablations", label, core.Scenario{
-				Device: core.DeviceEFW, Depth: 1,
-				FloodRatePPS: rate, FloodAllowed: true,
-				SuppressFloodResponses: suppress,
-				Duration:               cfg.bandwidthDuration(), Seed: cfg.Seed,
-			})
+	// One row per table row: responses enabled, then suppressed.
+	points, err := sweep(cfg, rect(2, 1), func(r, _ int) (core.BandwidthPoint, error) {
+		suppress := r == 1
+		label := "abl1_responses-enabled"
+		if suppress {
+			label = "abl1_responses-suppressed"
 		}
-	}
-	points, err := runner.Funcs(cfg.pool(), run(false), run(true))
+		return bandwidthRuns.point(cfg, "ablations", label, core.Scenario{
+			Device: core.DeviceEFW, Depth: 1,
+			FloodRatePPS: rate, FloodAllowed: true,
+			SuppressFloodResponses: suppress,
+			Duration:               cfg.bandwidthDuration(), Seed: cfg.Seed,
+		})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -35,8 +34,8 @@ func AblationDenyResponses(cfg Config) (*Table, error) {
 		Title:   "Ablation ABL1: victim responses double the card's flood load (EFW, 1 rule, 9,000 pps allowed flood)",
 		Columns: []string{"Victim responses", "Available bandwidth (Mbps)"},
 		Rows: [][]string{
-			{"enabled (real stacks)", fmt.Sprintf("%.1f", points[0].Mbps())},
-			{"suppressed", fmt.Sprintf("%.1f", points[1].Mbps())},
+			{"enabled (real stacks)", fmt.Sprintf("%.1f", points[0][0].Mbps())},
+			{"suppressed", fmt.Sprintf("%.1f", points[1][0].Mbps())},
 		},
 	}, nil
 }
@@ -50,22 +49,16 @@ func AblationVPGLazyDecrypt(cfg Config) (*Table, error) {
 	if !cfg.Quick {
 		depths = []int{1, 2, 3, 4}
 	}
-	type task struct {
-		depth int
-		eager bool
-	}
-	var tasks []task
-	for _, d := range depths {
-		tasks = append(tasks, task{depth: d}, task{depth: d, eager: true})
-	}
-	points, err := runner.Map(cfg.pool(), len(tasks), func(i int) (core.BandwidthPoint, error) {
-		label := fmt.Sprintf("abl2_depth-%d_lazy", tasks[i].depth)
-		if tasks[i].eager {
-			label = fmt.Sprintf("abl2_depth-%d_eager", tasks[i].depth)
+	// Each depth is one row: lazy (the real ADF), then eager.
+	points, err := sweep(cfg, rect(len(depths), 2), func(r, c int) (core.BandwidthPoint, error) {
+		eager := c == 1
+		label := fmt.Sprintf("abl2_depth-%d_lazy", depths[r])
+		if eager {
+			label = fmt.Sprintf("abl2_depth-%d_eager", depths[r])
 		}
 		return bandwidthRuns.point(cfg, "ablations", label, core.Scenario{
-			Device: core.DeviceADFVPG, Depth: tasks[i].depth,
-			EagerVPGDecrypt: tasks[i].eager,
+			Device: core.DeviceADFVPG, Depth: depths[r],
+			EagerVPGDecrypt: eager,
 			Duration:        cfg.bandwidthDuration(), Seed: cfg.Seed,
 		})
 	})
@@ -77,11 +70,11 @@ func AblationVPGLazyDecrypt(cfg Config) (*Table, error) {
 		Title:   "Ablation ABL2: lazy vs eager VPG decryption (bandwidth, Mbps)",
 		Columns: []string{"VPGs before action", "Lazy (real ADF)", "Eager"},
 	}
-	for i, d := range depths {
+	for r, d := range depths {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(d),
-			fmt.Sprintf("%.1f", points[2*i].Mbps()),
-			fmt.Sprintf("%.1f", points[2*i+1].Mbps()),
+			fmt.Sprintf("%.1f", points[r][0].Mbps()),
+			fmt.Sprintf("%.1f", points[r][1].Mbps()),
 		})
 	}
 	return t, nil

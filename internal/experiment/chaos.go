@@ -2,12 +2,12 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"barbican/internal/core"
 	"barbican/internal/faults"
 	"barbican/internal/policy"
-	"barbican/internal/runner"
 )
 
 // chaosPartition is the management-channel outage the chaos family
@@ -68,26 +68,13 @@ func ChaosBandwidth(cfg Config) (*Figure, error) {
 	}
 	conds := chaosConditions(cfg)
 
-	type task struct {
-		series int
-		rate   float64
-		cond   chaosCondition
-	}
-	var tasks []task
-	for si, cond := range conds {
-		for _, rate := range rates {
-			tasks = append(tasks, task{series: si, rate: rate, cond: cond})
-		}
-	}
-
-	points, err := runner.Map(cfg.pool(), len(tasks), func(i int) (Point, error) {
-		t := tasks[i]
-		label := fmt.Sprintf("%s_rate-%.0f", t.cond.label, t.rate)
-		p, err := chaosRuns.point(cfg, "chaos-bandwidth", label, cfg.chaosScenario(core.DeviceADF, t.rate, t.cond))
+	points, err := sweep(cfg, rect(len(conds), len(rates)), func(r, c int) (Point, error) {
+		label := fmt.Sprintf("%s_rate-%.0f", conds[r].label, rates[c])
+		p, err := chaosRuns.point(cfg, "chaos-bandwidth", label, cfg.chaosScenario(core.DeviceADF, rates[c], conds[r]))
 		if err != nil {
 			return Point{}, err
 		}
-		pt := Point{X: t.rate, Y: p.Mbps()}
+		pt := Point{X: rates[c], Y: p.Mbps()}
 		switch {
 		case p.TargetLocked:
 			pt.Note = "LOCKUP"
@@ -105,11 +92,8 @@ func ChaosBandwidth(cfg Config) (*Figure, error) {
 		XLabel: "flood rate (packets/s)",
 		YLabel: "available bandwidth (Mbps)",
 	}
-	for _, cond := range conds {
-		fig.Series = append(fig.Series, Series{Label: cond.label})
-	}
-	for i, t := range tasks {
-		fig.Series[t.series].Points = append(fig.Series[t.series].Points, points[i])
+	for r, cond := range conds {
+		fig.Series = append(fig.Series, Series{Label: cond.label, Points: points[r]})
 	}
 	return fig, nil
 }
@@ -125,21 +109,10 @@ func ChaosConvergence(cfg Config) (*Table, error) {
 	}
 	conds := chaosConditions(cfg)
 
-	type task struct {
-		dev  core.Device
-		cond chaosCondition
-	}
-	var tasks []task
-	for _, dev := range devs {
-		for _, cond := range conds {
-			tasks = append(tasks, task{dev: dev, cond: cond})
-		}
-	}
-
-	rows, err := runner.Map(cfg.pool(), len(tasks), func(i int) ([]string, error) {
-		t := tasks[i]
-		label := fmt.Sprintf("%s_%s", t.dev, t.cond.label)
-		p, err := chaosRuns.point(cfg, "chaos-convergence", label, cfg.chaosScenario(t.dev, 2000, t.cond))
+	cells, err := sweep(cfg, rect(len(devs), len(conds)), func(r, c int) ([]string, error) {
+		dev, cond := devs[r], conds[c]
+		label := fmt.Sprintf("%s_%s", dev, cond.label)
+		p, err := chaosRuns.point(cfg, "chaos-convergence", label, cfg.chaosScenario(dev, 2000, cond))
 		if err != nil {
 			return nil, err
 		}
@@ -157,7 +130,7 @@ func ChaosConvergence(cfg Config) (*Table, error) {
 			note += "LOCKUP"
 		}
 		return []string{
-			t.dev.String(), t.cond.label, converged, convergeMS,
+			dev.String(), cond.label, converged, convergeMS,
 			fmt.Sprintf("%d", p.Server.Attempts), fmt.Sprintf("%d", p.Server.Retries),
 			fmt.Sprintf("%.1f", p.Mbps()), note,
 		}, nil
@@ -169,6 +142,6 @@ func ChaosConvergence(cfg Config) (*Table, error) {
 	return &Table{
 		Title:   "Chaos: Policy Convergence Over a Faulty Management Channel (2,000 pps flood)",
 		Columns: []string{"device", "mgmt channel", "converged", "converge (ms)", "attempts", "retries", "bandwidth (Mbps)", "notes"},
-		Rows:    rows,
+		Rows:    slices.Concat(cells...),
 	}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -91,26 +92,13 @@ func DetectionLatency(cfg Config) (*Figure, error) {
 	conds := detectConditions(cfg)
 	cond := conds[0] // latency sweeps the clean channel (or -faults)
 
-	type task struct {
-		series int
-		dev    core.Device
-		rate   float64
-	}
-	var tasks []task
-	for si, dev := range devs {
-		for _, rate := range rates {
-			tasks = append(tasks, task{series: si, dev: dev, rate: rate})
-		}
-	}
-
-	points, err := runner.Map(cfg.pool(), len(tasks), func(i int) (Point, error) {
-		t := tasks[i]
-		label := fmt.Sprintf("%s_rate-%.0f", t.dev, t.rate)
-		p, err := detectRuns.point(cfg, "detect-latency", label, cfg.detectScenario(t.dev, 64, t.rate, false, cond))
+	points, err := sweep(cfg, rect(len(devs), len(rates)), func(r, c int) (Point, error) {
+		label := fmt.Sprintf("%s_rate-%.0f", devs[r], rates[c])
+		p, err := detectRuns.point(cfg, "detect-latency", label, cfg.detectScenario(devs[r], 64, rates[c], false, cond))
 		if err != nil {
 			return Point{}, err
 		}
-		pt := Point{X: t.rate, Note: detectNote(p)}
+		pt := Point{X: rates[c], Note: detectNote(p)}
 		if p.Detected {
 			pt.Y = float64(p.TimeToDetect.Microseconds()) / 1e3
 		}
@@ -125,11 +113,8 @@ func DetectionLatency(cfg Config) (*Figure, error) {
 		XLabel: "flood rate (packets/s)",
 		YLabel: "time to detect (ms)",
 	}
-	for _, dev := range devs {
-		fig.Series = append(fig.Series, Series{Label: dev.String()})
-	}
-	for i, t := range tasks {
-		fig.Series[t.series].Points = append(fig.Series[t.series].Points, points[i])
+	for r, dev := range devs {
+		fig.Series = append(fig.Series, Series{Label: dev.String(), Points: points[r]})
 	}
 	return fig, nil
 }
@@ -246,28 +231,16 @@ func DetectionFalsePositives(cfg Config) (*Table, error) {
 		devs = []core.Device{core.DeviceADF}
 	}
 
-	type task struct {
-		dev  core.Device
-		rate float64
-	}
-	var tasks []task
-	for _, dev := range devs {
-		for _, rate := range burstRates {
-			tasks = append(tasks, task{dev: dev, rate: rate})
-		}
-	}
-
-	rows, err := runner.Map(cfg.pool(), len(tasks), func(i int) ([]string, error) {
-		t := tasks[i]
-		s := cfg.detectScenario(t.dev, 64, 0, false, chaosCondition{})
-		s.BenignBurstPPS = t.rate
-		label := fmt.Sprintf("%s_burst-%.0f", t.dev, t.rate)
-		p, err := detectRuns.point(cfg, "detect-false-positives", label, s)
+	cells, err := sweep(cfg, rect(len(devs), len(burstRates)), func(r, c int) ([]string, error) {
+		dev, rate := devs[r], burstRates[c]
+		s := cfg.detectScenario(dev, 64, 0, false, chaosCondition{})
+		s.BenignBurstPPS = rate
+		p, err := detectRuns.point(cfg, "detect-false-positives", fmt.Sprintf("%s_burst-%.0f", dev, rate), s)
 		if err != nil {
 			return nil, err
 		}
 		return []string{
-			t.dev.String(), fmt.Sprintf("%.0f", t.rate),
+			dev.String(), fmt.Sprintf("%.0f", rate),
 			fmt.Sprintf("%d", p.FalseAlerts), p.FinalState.String(),
 			fmt.Sprintf("%d", p.Reports), detectNote(p),
 		}, nil
@@ -279,7 +252,7 @@ func DetectionFalsePositives(cfg Config) (*Table, error) {
 	return &Table{
 		Title:   "Detection: False Positives Under Benign Bursty Traffic (500 ms on/off, no flood)",
 		Columns: []string{"device", "burst (pps)", "false alerts", "final state", "reports", "notes"},
-		Rows:    rows,
+		Rows:    slices.Concat(cells...),
 	}, nil
 }
 

@@ -206,6 +206,39 @@ type Config struct {
 // pool returns the executor pool the configuration selects.
 func (c Config) pool() runner.Pool { return runner.Pool{Workers: c.Parallel} }
 
+// sweep measures a grid of independent cells on the executor: row r
+// has cols[r] cells and fn(r, c) measures cell c of row r. The grid is
+// flattened row by row onto runner.Map, so cells[r][c] holds fn(r, c)
+// at any worker count, the serial path runs cells in declaration order,
+// and a failure returns the lowest-declared failing cell's error.
+func sweep[T any](cfg Config, cols []int, fn func(r, c int) (T, error)) ([][]T, error) {
+	var at [][2]int
+	for r, n := range cols {
+		for c := 0; c < n; c++ {
+			at = append(at, [2]int{r, c})
+		}
+	}
+	flat, err := runner.Map(cfg.pool(), len(at), func(i int) (T, error) { return fn(at[i][0], at[i][1]) })
+	if err != nil {
+		return nil, err
+	}
+	cells := make([][]T, len(cols))
+	for r, n := range cols {
+		cells[r], flat = flat[:n:n], flat[n:]
+	}
+	return cells, nil
+}
+
+// rect is the column list of a rectangular sweep: rows rows of cols
+// cells each.
+func rect(rows, cols int) []int {
+	n := make([]int, rows)
+	for r := range n {
+		n[r] = cols
+	}
+	return n
+}
+
 // ArtifactFlags declares the per-run artifact flags on fs, bound to
 // c: -metrics-out, -sample-every, -trace-out, -trace-sample,
 // -profile-out, -profile-sample and -pcap-out.

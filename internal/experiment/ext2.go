@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"barbican/internal/core"
-	"barbican/internal/runner"
 )
 
 // ExtensionHTTPUnderFlood (EXT2) combines Table 1 and Figure 3(a): what
@@ -20,27 +19,14 @@ func ExtensionHTTPUnderFlood(cfg Config) (*Table, error) {
 	}
 	devices := []core.Device{core.DeviceStandard, core.DeviceEFW}
 
-	type task struct {
-		rate  float64
-		dev   core.Device
-		depth int
-	}
-	var tasks []task
-	for _, rate := range rates {
-		for _, dev := range devices {
-			depth := 64
-			if dev == core.DeviceStandard {
-				depth = 0
-			}
-			tasks = append(tasks, task{rate: rate, dev: dev, depth: depth})
+	points, err := sweep(cfg, rect(len(rates), len(devices)), func(r, c int) (core.HTTPPoint, error) {
+		depth := 64
+		if devices[c] == core.DeviceStandard {
+			depth = 0
 		}
-	}
-
-	points, err := runner.Map(cfg.pool(), len(tasks), func(i int) (core.HTTPPoint, error) {
-		t := tasks[i]
 		p, err := core.RunHTTP(core.Scenario{
-			Device: t.dev, Depth: t.depth,
-			FloodRatePPS: t.rate, FloodAllowed: true,
+			Device: devices[c], Depth: depth,
+			FloodRatePPS: rates[r], FloodAllowed: true,
 			Duration: cfg.httpDuration(), Seed: cfg.Seed,
 		})
 		if err != nil {
@@ -62,8 +48,7 @@ func ExtensionHTTPUnderFlood(cfg Config) (*Table, error) {
 	}
 	for ri, rate := range rates {
 		row := []string{fmt.Sprintf("%.0f", rate)}
-		for di := range devices {
-			p := points[ri*len(devices)+di]
+		for _, p := range points[ri] {
 			row = append(row,
 				fmt.Sprintf("%.1f", p.Load.FetchesPerSec),
 				fmt.Sprintf("%.2f", p.Load.ConnectMs.Mean()))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"barbican/internal/core"
-	"barbican/internal/runner"
 )
 
 // depthSeries is one curve of a bandwidth-vs-depth figure: a device and
@@ -62,29 +61,20 @@ func Fig2NextGen(cfg Config) (*Figure, error) {
 // series in declaration order. exp names the per-run artifacts
 // (<exp>/<device>_depth-<d>).
 func bandwidthVsDepth(cfg Config, exp, title string, series []depthSeries) (*Figure, error) {
-	type task struct {
-		series int
-		dev    core.Device
-		depth  int
+	cols := make([]int, len(series))
+	for r, s := range series {
+		cols[r] = len(s.depths)
 	}
-	var tasks []task
-	for si, s := range series {
-		for _, d := range s.depths {
-			tasks = append(tasks, task{series: si, dev: s.dev, depth: d})
-		}
-	}
-
-	points, err := runner.Map(cfg.pool(), len(tasks), func(i int) (Point, error) {
-		t := tasks[i]
-		label := fmt.Sprintf("%s_depth-%d", t.dev, t.depth)
-		p, err := bandwidthRuns.point(cfg, exp, label, core.Scenario{
-			Device: t.dev, Depth: t.depth,
+	points, err := sweep(cfg, cols, func(r, c int) (Point, error) {
+		dev, depth := series[r].dev, series[r].depths[c]
+		p, err := bandwidthRuns.point(cfg, exp, fmt.Sprintf("%s_depth-%d", dev, depth), core.Scenario{
+			Device: dev, Depth: depth,
 			Duration: cfg.bandwidthDuration(), Seed: cfg.Seed,
 		})
 		if err != nil {
 			return Point{}, err
 		}
-		return Point{X: float64(t.depth), Y: p.Mbps()}, nil
+		return Point{X: float64(depth), Y: p.Mbps()}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -95,12 +85,8 @@ func bandwidthVsDepth(cfg Config, exp, title string, series []depthSeries) (*Fig
 		XLabel: "rules traversed",
 		YLabel: "available bandwidth (Mbps)",
 	}
-	for _, s := range series {
-		fig.Series = append(fig.Series, Series{Label: s.dev.String()})
-	}
-	for i, t := range tasks {
-		s := &fig.Series[t.series]
-		s.Points = append(s.Points, points[i])
+	for r, s := range series {
+		fig.Series = append(fig.Series, Series{Label: s.dev.String(), Points: points[r]})
 	}
 	return fig, nil
 }

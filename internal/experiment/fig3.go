@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"barbican/internal/core"
-	"barbican/internal/runner"
 )
 
 // Fig3a reproduces Figure 3(a): available bandwidth during a packet
@@ -20,47 +19,6 @@ func Fig3a(cfg Config) (*Figure, error) {
 	devs := []core.Device{
 		core.DeviceStandard, core.DeviceIPTables, core.DeviceEFW, core.DeviceADF, core.DeviceADFVPG,
 	}
-	type task struct {
-		series int
-		label  string
-		dev    core.Device
-		depth  int
-		rate   float64
-	}
-	var tasks []task
-	for si, dev := range devs {
-		depth := 1
-		label := dev.String()
-		if dev == core.DeviceStandard {
-			depth = 0 // "No Firewall"
-			label = "No Firewall"
-		}
-		for _, rate := range rates {
-			tasks = append(tasks, task{series: si, label: label, dev: dev, depth: depth, rate: rate})
-		}
-	}
-
-	points, err := runner.Map(cfg.pool(), len(tasks), func(i int) (Point, error) {
-		t := tasks[i]
-		runLabel := fmt.Sprintf("%s_rate-%.0f", t.label, t.rate)
-		p, err := bandwidthRuns.point(cfg, "fig3a", runLabel, core.Scenario{
-			Device: t.dev, Depth: t.depth,
-			FloodRatePPS: t.rate, FloodAllowed: true,
-			Duration: cfg.bandwidthDuration(), Seed: cfg.Seed,
-		})
-		if err != nil {
-			return Point{}, err
-		}
-		pt := Point{X: t.rate, Y: p.Mbps()}
-		if p.TargetLocked {
-			pt.Note = "LOCKUP"
-		}
-		return pt, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	fig := &Figure{
 		Title:  "Figure 3(a): Available Bandwidth During Packet Flood (single-rule rule-set)",
 		XLabel: "flood rate (packets/s)",
@@ -73,8 +31,32 @@ func Fig3a(cfg Config) (*Figure, error) {
 		}
 		fig.Series = append(fig.Series, Series{Label: label})
 	}
-	for i, t := range tasks {
-		fig.Series[t.series].Points = append(fig.Series[t.series].Points, points[i])
+
+	points, err := sweep(cfg, rect(len(devs), len(rates)), func(r, c int) (Point, error) {
+		depth := 1
+		if devs[r] == core.DeviceStandard {
+			depth = 0 // "No Firewall"
+		}
+		runLabel := fmt.Sprintf("%s_rate-%.0f", fig.Series[r].Label, rates[c])
+		p, err := bandwidthRuns.point(cfg, "fig3a", runLabel, core.Scenario{
+			Device: devs[r], Depth: depth,
+			FloodRatePPS: rates[c], FloodAllowed: true,
+			Duration: cfg.bandwidthDuration(), Seed: cfg.Seed,
+		})
+		if err != nil {
+			return Point{}, err
+		}
+		pt := Point{X: rates[c], Y: p.Mbps()}
+		if p.TargetLocked {
+			pt.Note = "LOCKUP"
+		}
+		return pt, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for r := range fig.Series {
+		fig.Series[r].Points = points[r]
 	}
 	return fig, nil
 }
@@ -153,8 +135,8 @@ func Fig3NextGen(cfg Config) (*Figure, error) {
 // its own cold search and its own executor task, so a point depends on
 // its scenario and seed alone, never on the order of the sweep.
 func minFloodRateVsDepth(cfg Config, title string, depths []int, classes []floodClass) (*Figure, error) {
-	points, err := runner.Map(cfg.pool(), len(classes)*len(depths), func(i int) (Point, error) {
-		class, d := classes[i/len(depths)], depths[i%len(depths)]
+	points, err := sweep(cfg, rect(len(classes), len(depths)), func(ci, di int) (Point, error) {
+		class, d := classes[ci], depths[di]
 		r, err := core.MinFloodRate(core.Scenario{
 			Device: class.Device, Depth: d, FloodAllowed: class.Allowed,
 			Duration: cfg.bandwidthDuration(), Seed: cfg.Seed,
@@ -181,8 +163,8 @@ func minFloodRateVsDepth(cfg Config, title string, depths []int, classes []flood
 		XLabel: "rules traversed before action",
 		YLabel: "minimum flood rate (packets/s)",
 	}
-	for ci, class := range classes {
-		fig.Series = append(fig.Series, Series{Label: class.Label(), Points: points[ci*len(depths) : (ci+1)*len(depths)]})
+	for r, class := range classes {
+		fig.Series = append(fig.Series, Series{Label: class.Label(), Points: points[r]})
 	}
 	return fig, nil
 }

@@ -2,12 +2,12 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"barbican/internal/core"
 	"barbican/internal/obs/tracing"
-	"barbican/internal/runner"
 )
 
 // floodWindow is a flood point's measurement window when the
@@ -40,29 +40,23 @@ func (f FloodSweep) run(cfg Config) (string, error) {
 	base := f.Base
 	base.Duration = cfg.window(floodWindow, floodWindow)
 	base.Seed, base.FaultSeed = cfg.Seed, cfg.FaultSeed
-	var points []core.Scenario
-	for _, d := range f.Depths {
-		s := base
-		s.Depth = d
-		if f.Search {
-			points = append(points, s)
-			continue
-		}
-		for _, r := range f.Rates {
-			s.FloodRatePPS = r
-			points = append(points, s)
-		}
+	// One row per depth: its rates, or its one search.
+	cols := rect(len(f.Depths), len(f.Rates))
+	if f.Search {
+		cols = rect(len(f.Depths), 1)
 	}
-	reports, err := runner.Map(cfg.pool(), len(points), func(i int) (string, error) {
-		s := points[i]
+	reports, err := sweep(cfg, cols, func(r, c int) (string, error) {
+		s := base
+		s.Depth = f.Depths[r]
 		if f.Search {
-			r, err := core.MinFloodRate(s)
+			res, err := core.MinFloodRate(s)
 			if err != nil {
 				return "", err
 			}
-			cfg.account(r.Probes, r.SimSeconds, r.WallBusy)
-			return searchReport(s, r), nil
+			cfg.account(res.Probes, res.SimSeconds, res.WallBusy)
+			return searchReport(s, res), nil
 		}
+		s.FloodRatePPS = f.Rates[c]
 		label := fmt.Sprintf("%s_depth-%d_rate-%.0f_%s", s.Device, s.Depth, s.FloodRatePPS, floodMode(s.FloodAllowed))
 		p, err := bandwidthRuns.point(cfg, "flood", label, s)
 		if err != nil {
@@ -74,7 +68,7 @@ func (f FloodSweep) run(cfg Config) (string, error) {
 		return "", err
 	}
 	// Every report ends in a newline; the command adds the last one.
-	return strings.TrimSuffix(strings.Join(reports, ""), "\n"), nil
+	return strings.TrimSuffix(strings.Join(slices.Concat(reports...), ""), "\n"), nil
 }
 
 // searchReport renders a minimum-flood-rate search result.

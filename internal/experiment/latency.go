@@ -5,7 +5,6 @@ import (
 
 	"barbican/internal/core"
 	"barbican/internal/measure"
-	"barbican/internal/runner"
 )
 
 // AppendixLatency (APX2) measures per-packet round-trip latency through
@@ -21,21 +20,10 @@ func AppendixLatency(cfg Config) (*Table, error) {
 	}
 	devices := []core.Device{core.DeviceStandard, core.DeviceIPTables, core.DeviceEFW, core.DeviceADF}
 
-	type task struct {
-		depth int
-		dev   core.Device
-	}
-	var tasks []task
-	for _, depth := range depths {
-		for _, dev := range devices {
-			tasks = append(tasks, task{depth: depth, dev: dev})
-		}
-	}
-
-	cells, err := runner.Map(cfg.pool(), len(tasks), func(i int) (string, error) {
-		tk := tasks[i]
-		s := core.Scenario{Device: tk.dev, Depth: tk.depth, FloodAllowed: true, Seed: cfg.Seed}
-		if tk.dev == core.DeviceStandard {
+	cells, err := sweep(cfg, rect(len(depths), len(devices)), func(r, c int) (string, error) {
+		dev, depth := devices[c], depths[r]
+		s := core.Scenario{Device: dev, Depth: depth, FloodAllowed: true, Seed: cfg.Seed}
+		if dev == core.DeviceStandard {
 			s.Depth = 0 // the unfiltered control
 		}
 		tb, err := core.BuildTestbed(s)
@@ -48,7 +36,7 @@ func AppendixLatency(cfg Config) (*Table, error) {
 		}
 		cfg.account(1, tb.Kernel.Now().Seconds(), tb.Kernel.WallBusy())
 		if res.Received == 0 {
-			return "", fmt.Errorf("latency %v depth %d: no echo replies", tk.dev, tk.depth)
+			return "", fmt.Errorf("latency %v depth %d: no echo replies", dev, depth)
 		}
 		return fmt.Sprintf("%.3f±%.3f", res.RTTms.Mean(), res.RTTms.Stderr()), nil
 	})
@@ -63,10 +51,8 @@ func AppendixLatency(cfg Config) (*Table, error) {
 	for _, d := range devices {
 		t.Columns = append(t.Columns, d.String())
 	}
-	for di, depth := range depths {
-		row := []string{fmt.Sprint(depth)}
-		row = append(row, cells[di*len(devices):(di+1)*len(devices)]...)
-		t.Rows = append(t.Rows, row)
+	for r, depth := range depths {
+		t.Rows = append(t.Rows, append([]string{fmt.Sprint(depth)}, cells[r]...))
 	}
 	return t, nil
 }

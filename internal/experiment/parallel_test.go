@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -124,5 +125,52 @@ func TestAccountingAccumulates(t *testing.T) {
 	// 11 quick points × (0.25 s window + 50 ms drain + handshakes).
 	if simSecs < 2 {
 		t.Errorf("sim seconds = %.3f, want ≥ 2", simSecs)
+	}
+}
+
+// TestSweep pins the grid layout every sweep relies on: on a ragged
+// grid, cells[r] holds cols[r] values and cells[r][c] is fn(r, c) at
+// any worker count, and of two failing cells the lower-declared one's
+// error is returned even when the higher one fails first.
+func TestSweep(t *testing.T) {
+	cols := []int{3, 0, 5, 1}
+	for _, workers := range []int{1, 8} {
+		cfg := Config{Parallel: workers}
+		cells, err := sweep(cfg, cols, func(r, c int) (int, error) { return 10*r + c, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cells) != len(cols) {
+			t.Fatalf("workers=%d: %d rows, want %d", workers, len(cells), len(cols))
+		}
+		for r, n := range cols {
+			if len(cells[r]) != n {
+				t.Fatalf("workers=%d: row %d has %d cells, want %d", workers, r, len(cells[r]), n)
+			}
+			for c, v := range cells[r] {
+				if v != 10*r+c {
+					t.Errorf("workers=%d: cells[%d][%d] = %d, want %d", workers, r, c, v, 10*r+c)
+				}
+			}
+		}
+		// A row is its own slice: appending to one never overwrites the next.
+		_ = append(cells[0], -1)
+		if cells[2][0] != 20 {
+			t.Errorf("workers=%d: append to row 0 overwrote row 2: %d", workers, cells[2][0])
+		}
+
+		_, err = sweep(cfg, cols, func(r, c int) (int, error) {
+			switch {
+			case r == 0 && c == 2:
+				time.Sleep(20 * time.Millisecond) // let the later cell fail first
+				return 0, fmt.Errorf("cell %d,%d", r, c)
+			case r == 2 && c == 1:
+				return 0, fmt.Errorf("cell %d,%d", r, c)
+			}
+			return 0, nil
+		})
+		if err == nil || err.Error() != "cell 0,2" {
+			t.Errorf("workers=%d: err = %v, want the lower-declared cell 0,2's", workers, err)
+		}
 	}
 }

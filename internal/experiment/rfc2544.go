@@ -6,7 +6,6 @@ import (
 	"barbican/internal/core"
 	"barbican/internal/link"
 	"barbican/internal/measure"
-	"barbican/internal/runner"
 	"barbican/internal/sim"
 	"barbican/internal/stack"
 )
@@ -41,8 +40,8 @@ func AppendixRFC2544(cfg Config) (*Table, error) {
 		columns = columns[:3:3]
 	}
 
-	results, err := runner.Map(cfg.pool(), len(sizes)*len(columns), func(i int) (measure.ThroughputResult, error) {
-		size, col := sizes[i/len(columns)], columns[i%len(columns)]
+	results, err := sweep(cfg, rect(len(sizes), len(columns)), func(r, c int) (measure.ThroughputResult, error) {
+		size, col := sizes[r], columns[c]
 		res, err := rfc2544Point(cfg, col.device, col.depth, size)
 		if err != nil {
 			return res, fmt.Errorf("rfc2544 %s %d-byte: %w", col.name, size, err)
@@ -60,9 +59,9 @@ func AppendixRFC2544(cfg Config) (*Table, error) {
 	for _, c := range columns {
 		t.Columns = append(t.Columns, c.name)
 	}
-	for si, size := range sizes {
+	for r, size := range sizes {
 		row := []string{fmt.Sprint(size)}
-		for _, res := range results[si*len(columns) : (si+1)*len(columns)] {
+		for _, res := range results[r] {
 			cell := fmt.Sprintf("%.0f", res.FramesPerSec)
 			if res.LineRateLimited {
 				cell += "*"

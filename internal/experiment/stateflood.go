@@ -45,26 +45,13 @@ func StatefloodCurves(cfg Config) (*Figure, error) {
 	}
 	policies := []conntrack.EvictPolicy{conntrack.EvictLRU, conntrack.EvictRandom, conntrack.EvictSYNDrop}
 
-	type task struct {
-		series int
-		policy conntrack.EvictPolicy
-		rate   float64
-	}
-	var tasks []task
-	for si, pol := range policies {
-		for _, rate := range rates {
-			tasks = append(tasks, task{series: si, policy: pol, rate: rate})
-		}
-	}
-
-	points, err := runner.Map(cfg.pool(), len(tasks), func(i int) (Point, error) {
-		t := tasks[i]
-		label := fmt.Sprintf("evict-%s_rate-%.0f", t.policy, t.rate)
-		p, err := statefloodRuns.point(cfg, "stateflood-curves", label, cfg.statefloodScenario(measure.FloodTCPSYN, t.policy, t.rate))
+	points, err := sweep(cfg, rect(len(policies), len(rates)), func(r, c int) (Point, error) {
+		label := fmt.Sprintf("evict-%s_rate-%.0f", policies[r], rates[c])
+		p, err := statefloodRuns.point(cfg, "stateflood-curves", label, cfg.statefloodScenario(measure.FloodTCPSYN, policies[r], rates[c]))
 		if err != nil {
 			return Point{}, err
 		}
-		pt := Point{X: t.rate, Y: p.SessionRatio()}
+		pt := Point{X: rates[c], Y: p.SessionRatio()}
 		if p.DoSed() {
 			pt.Note = "DoS"
 		}
@@ -79,11 +66,8 @@ func StatefloodCurves(cfg Config) (*Figure, error) {
 		XLabel: "flood rate (packets/s)",
 		YLabel: "session keepalives echoed (fraction)",
 	}
-	for _, pol := range policies {
-		fig.Series = append(fig.Series, Series{Label: "evict " + pol.String()})
-	}
-	for i, t := range tasks {
-		fig.Series[t.series].Points = append(fig.Series[t.series].Points, points[i])
+	for r, pol := range policies {
+		fig.Series = append(fig.Series, Series{Label: "evict " + pol.String(), Points: points[r]})
 	}
 	return fig, nil
 }

@@ -70,6 +70,12 @@ type Processor struct {
 	lane    *sim.Lane
 
 	profile Profile // CapacityUnits <= 0 means infinitely fast
+
+	// rules is the last rule set Reserve saw, and stale reports that a
+	// packet had walked or matched a rule before it came: the account's
+	// rule indexes then span more than one rule set.
+	rules *fw.RuleSet
+	stale bool
 }
 
 // NewProcessor creates a processor priced by prof. Its CapacityUnits
@@ -179,9 +185,12 @@ func (a *costAccount) record(path MatchPath, traversed, index int, base, ct, cry
 }
 
 // Reserve sizes the cost account for rs (nil: no policy) before rs is
-// installed. It only grows, so what a deeper earlier policy recorded
-// stays.
+// installed, and remembers rs for labelling. It only grows, so what a
+// deeper earlier policy recorded stays.
 func (p *Processor) Reserve(rs *fw.RuleSet) {
+	if rs != p.rules {
+		p.rules, p.stale = rs, p.rx.ruled() || p.tx.ruled()
+	}
 	n := 1
 	if rs != nil {
 		n += rs.Len()
@@ -194,21 +203,33 @@ func (p *Processor) Reserve(rs *fw.RuleSet) {
 	}
 }
 
+// ruled reports whether any packet walked or matched a rule.
+func (a *costAccount) ruled() bool {
+	for i := 1; i < len(a.walks); i++ {
+		if a.walks[i] > 0 || a.hits[i] > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // AppendCostSamples renders the cost account into d, which must use
 // profile.CostSampleTypes, as root→leaf stacks
 //
 //	<host> (<profile>) ; rx|tx ; phase [; rule NNN[: text] | compiled lookup | cache hit | default]
 //
-// labelling rule frames from rs, the finally installed rule set. A
-// walk-priced match gets a frame per rule examined, a compiled lookup
-// or cache hit one flat frame, and the units sum to UnitsDone up to
-// rounding each sample. Only exercised frames appear.
-func (p *Processor) AppendCostSamples(d *profile.Data, host string, rs *fw.RuleSet) {
+// A rule frame carries the text of the finally installed rule set only
+// when every packet that walked or matched a rule did so under that
+// set; after a mid-run policy change it is a bare index. A walk-priced
+// match gets a frame per rule examined, a compiled lookup or cache hit
+// one flat frame, and the units sum to UnitsDone up to rounding each
+// sample. Only exercised frames appear.
+func (p *Processor) AppendCostSamples(d *profile.Data, host string) {
 	card := strings.ReplaceAll(fmt.Sprintf("%s (%s)", host, p.profile.Name), ";", ",")
 	// Semicolons join frames in summaries and diffs, so no frame holds one.
 	ruleFrame := func(i int) string {
 		label := fmt.Sprintf("rule %03d", i)
-		if rs != nil && i <= rs.Len() {
+		if rs := p.rules; rs != nil && !p.stale && i <= rs.Len() {
 			label += ": " + rs.Rule(i).String()
 		}
 		return strings.ReplaceAll(label, ";", ",")

@@ -15,7 +15,7 @@ import (
 // costData renders one card's cost account as host "target".
 func costData(n *NIC) *profile.Data {
 	d := profile.NewData(profile.CostSampleTypes, "cost")
-	n.Processor().AppendCostSamples(d, "target", n.RuleSet())
+	n.Processor().AppendCostSamples(d, "target")
 	return d
 }
 
@@ -68,7 +68,7 @@ func TestCardProfilerAttributionExact(t *testing.T) {
 	// packets are still counted but carry zero units, matching
 	// UnitsDone = 0.
 	client := profile.NewData(profile.CostSampleTypes, "cost")
-	a.Processor().AppendCostSamples(client, "client", a.RuleSet())
+	a.Processor().AppendCostSamples(client, "client")
 	if _, packets := phaseUnits(client); packets["parse"] != 50 {
 		t.Errorf("client parse packets = %d, want 50", packets["parse"])
 	}
@@ -202,6 +202,49 @@ func TestDirProfileRecord(t *testing.T) {
 	}
 }
 
+// TestCostSamplesAfterPolicyChange: once packets have walked a rule
+// set that a later install replaced, rule index i covers two different
+// rules, so no rule frame may carry the final set's text. The depth-64
+// walks stay attributed by index.
+func TestCostSamplesAfterPolicyChange(t *testing.T) {
+	k := sim.NewKernel()
+	a, b := pair(t, k, Standard(), EFW())
+	deep, err := fw.DepthRuleSet(fw.Deny, 64, 0, fw.AllowAllRule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.InstallRuleSet(deep)
+	b.SetDeliver(func(f *packet.Frame) {})
+	send := func(from time.Duration, n int) {
+		for i := 0; i < n; i++ {
+			d := udpDatagram(ipA, ipB, 1000, 2000, 64)
+			k.At(from+time.Duration(i)*time.Millisecond, func() { a.Send(d, macB) })
+		}
+	}
+	// 20 packets walk all 64 rules to allow-all; after the push, 5
+	// more stop at the one-rule set's rule 1.
+	send(0, 20)
+	k.At(100*time.Millisecond, func() { b.InstallRuleSet(fw.MustRuleSet(fw.Deny, fw.AllowAllRule())) })
+	send(200*time.Millisecond, 5)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	examined := map[string]int64{}
+	for _, s := range costData(b).Samples {
+		if len(s.Stack) == 4 && s.Stack[1] == "rx" && s.Stack[2] == "match" {
+			examined[s.Stack[3]] = s.Values[1]
+		}
+		if strings.Contains(s.Stack[len(s.Stack)-1], ": ") {
+			t.Errorf("rule frame labelled from the final set after a policy change: %v", s.Stack)
+		}
+	}
+	if examined["rule 001"] != 25 || examined["rule 064"] != 20 || len(examined) != 64 {
+		t.Errorf("rx match frames: rule 001 ×%d, rule 064 ×%d, %d frames; want 25, 20, 64",
+			examined["rule 001"], examined["rule 064"], len(examined))
+	}
+}
+
 // TestAppendCostSamplesAttribution checks the rendering: rule i's match
 // samples count every walk that examined at least i rules, compiled
 // lookups, cache hits and conntrack get flat frames, rule frames carry
@@ -230,8 +273,8 @@ func TestAppendCostSamplesAttribution(t *testing.T) {
 	compiled.Charge(fw.Out, MatchCacheHit, 4, 4, 0, 6)
 
 	d := profile.NewData(profile.CostSampleTypes, "cost")
-	walk.AppendCostSamples(d, "target", rs)
-	compiled.AppendCostSamples(d, "target", rs)
+	walk.AppendCostSamples(d, "target")
+	compiled.AppendCostSamples(d, "target")
 	find := func(stack ...string) []int64 {
 		t.Helper()
 		for _, s := range d.Samples {

@@ -104,9 +104,3 @@ func Map[T any](p Pool, n int, fn func(i int) (T, error)) ([]T, error) {
 	}
 	return res, nil
 }
-
-// Funcs runs the given task functions on the pool and returns their
-// results in declaration order.
-func Funcs[T any](p Pool, fns ...func() (T, error)) ([]T, error) {
-	return Map(p, len(fns), func(i int) (T, error) { return fns[i]() })
-}

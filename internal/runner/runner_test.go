@@ -123,20 +123,6 @@ func TestMapParallelReturnsLowestIndexedError(t *testing.T) {
 	}
 }
 
-func TestFuncs(t *testing.T) {
-	res, err := Funcs(Pool{Workers: 2},
-		func() (string, error) { return "a", nil },
-		func() (string, error) { return "b", nil },
-		func() (string, error) { return "c", nil },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprint(res); got != "[a b c]" {
-		t.Errorf("results = %s", got)
-	}
-}
-
 func TestMapEmpty(t *testing.T) {
 	res, err := Map(Pool{}, 0, func(i int) (int, error) { return 0, nil })
 	if err != nil || len(res) != 0 {
