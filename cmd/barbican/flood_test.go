@@ -59,18 +59,32 @@ func TestFloodEveryDevice(t *testing.T) {
 // TestFloodSweepGolden: a depth × rate sweep prints the pinned report,
 // byte for byte, serially and on four workers.
 func TestFloodSweepGolden(t *testing.T) {
+	floodGolden(t, "flood_efw_sweep.golden", "-device", "efw", "-depth", "1,64", "-rate", "4000,12500",
+		"-duration", "500ms", "-seed", "1")
+}
+
+// TestFloodFaultsGolden: a sweep under a data-plane fault plan that
+// loses, corrupts, duplicates and reorders frames on the target's link
+// prints the pinned report, serially and on four workers.
+func TestFloodFaultsGolden(t *testing.T) {
+	floodGolden(t, "flood_adf_faults.golden", "-device", "adf", "-depth", "1,16", "-rate", "0,8000",
+		"-duration", "1s", "-faults", "loss=0.05,corrupt=0.01,dup=0.02,reorder=0.05", "-fault-seed", "42")
+}
+
+// floodGolden runs flood with args at -parallel 1 and 4 and compares
+// each output, minus the wall-clock line, with testdata/golden.
+func floodGolden(t *testing.T, golden string, args ...string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "flood_efw_sweep.golden"))
+	want, err := os.ReadFile(filepath.Join("testdata", golden))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, parallel := range []string{"1", "4"} {
 		var out bytes.Buffer
-		err := run(&out, []string{"flood", "-device", "efw", "-depth", "1,64", "-rate", "4000,12500",
-			"-duration", "500ms", "-seed", "1", "-parallel", parallel})
-		if err != nil {
+		if err := run(&out, append(append([]string{"flood"}, args...), "-parallel", parallel)); err != nil {
 			t.Fatalf("-parallel %s: %v", parallel, err)
 		}
 		if got := withoutWallClock(out.String()); got != string(want) {
