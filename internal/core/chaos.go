@@ -42,7 +42,7 @@ type ChaosScenario struct {
 	// MgmtFaults is applied to both directions of the policy server's
 	// access link; the zero plan leaves the channel clean.
 	MgmtFaults faults.Plan
-	// FaultSeed seeds the fault injectors; zero means Seed.
+	// FaultSeed seeds the links' fault plans; zero means Seed.
 	FaultSeed int64
 	// Seed seeds the simulation; zero means 1.
 	Seed int64

@@ -57,7 +57,7 @@ type DetectionScenario struct {
 	// makes a poor detection-latency baseline.
 	Duration time.Duration
 	// Seed seeds the simulation; zero means 1. FaultSeed seeds the
-	// fault injectors; zero means Seed.
+	// links' fault plans; zero means Seed.
 	Seed      int64
 	FaultSeed int64
 	// MgmtFaults is applied to both directions of the policy server's

@@ -5,6 +5,7 @@ import (
 
 	"barbican/internal/faults"
 	"barbican/internal/fw"
+	"barbican/internal/link"
 	"barbican/internal/measure"
 	"barbican/internal/nic"
 	"barbican/internal/nic/conntrack"
@@ -143,7 +144,7 @@ func buildTestbed(s Scenario, ph phases) (*Testbed, error) {
 		return nil, err
 	}
 	if s.Faults != nil {
-		faults.Attach(tb.Target.NIC().Endpoint(), *s.Faults, s.FaultSeed)
+		link.AttachFaults(tb.Target.NIC().Endpoint(), *s.Faults, s.FaultSeed)
 	}
 	if s.Depth <= 0 {
 		return tb, nil
@@ -254,7 +255,7 @@ func (e *env) policyPlane(passphrase string, plan faults.Plan, onInstall func(at
 	if pp.agent, err = policy.NewAgent(e.tb.Target, e.tb.PolicyServer.IP(), psk); err != nil {
 		return nil, err
 	}
-	faults.Attach(e.tb.PolicyServer.NIC().Endpoint(), plan, e.s.FaultSeed)
+	link.AttachFaults(e.tb.PolicyServer.NIC().Endpoint(), plan, e.s.FaultSeed)
 	installed := false
 	pp.agent.OnInstall = func(_ uint32, rs *fw.RuleSet) {
 		if !installed {

@@ -54,7 +54,7 @@ type Scenario struct {
 	// Faults, when non-nil, attaches a deterministic fault-injection
 	// plan to both directions of the target's access link.
 	Faults *faults.Plan
-	// FaultSeed seeds the fault injectors; zero means Seed.
+	// FaultSeed seeds the links' fault plans; zero means Seed.
 	FaultSeed int64
 
 	// SuppressFloodResponses disables victim RST/ICMP responses

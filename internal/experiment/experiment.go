@@ -198,7 +198,7 @@ type Config struct {
 	// management-channel condition sweep with this single plan (the
 	// barbican -faults flag).
 	Faults *faults.Plan
-	// FaultSeed seeds the fault injectors; zero derives from each
+	// FaultSeed seeds the links' fault plans; zero derives from each
 	// scenario's simulation seed.
 	FaultSeed int64
 }

@@ -1,43 +1,29 @@
-// Package faults is the deterministic fault-injection layer: seeded,
-// virtual-time fault plans applied to link endpoints through the
-// link.FaultInjector hook.
+// Package faults describes deterministic fault plans: the loss,
+// corruption, duplication, reordering and scheduled down windows a link
+// direction applies to the frames it accepts.
 //
-// A Plan is pure data — probabilities and scheduled windows — and an
-// Injector is a Plan bound to an explicitly seeded *rand.Rand. Every
-// random decision comes from that private generator, never from the
-// global source or wall clock, so a (plan, seed, traffic) triple
-// yields byte-identical behavior on every run and at any -parallel
-// setting: the experiment runner gives each point its own kernel and
-// its own injectors, and nothing here escapes the simulation
-// goroutine.
+// A Plan is pure data, probabilities and virtual-time windows. A link
+// applies it (link.Endpoint.SetFaults, link.AttachFaults) with its own
+// explicitly seeded generator, never the global source or the wall
+// clock, so a (plan, seed, traffic) triple yields byte-identical
+// behavior on every run and at any -parallel setting.
 //
-// Plans compose loss, corruption, duplication, reordering, and
-// scheduled down windows; ParsePlan/String round-trip the CLI spec
-// format used by the -faults flag:
+// ParsePlan and String round-trip the spec format of the -faults flag:
 //
 //	loss=0.1,corrupt=0.01,dup=0.02,reorder=0.05,reorder-delay=1ms,down=1s-2s
 package faults
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
-
-	"barbican/internal/link"
-	"barbican/internal/obs/tracing"
-	"barbican/internal/packet"
 )
 
 // DefaultReorderDelay is the extra-delay bound applied to reordered
 // frames when the plan does not set one.
 const DefaultReorderDelay = 2 * time.Millisecond
-
-// duplicateGap is the fixed extra delay of a duplicated frame's second
-// copy, enough to land it behind the original.
-const duplicateGap = time.Microsecond
 
 // Window is a half-open [From, To) interval of virtual time during
 // which the link is down: every frame sent inside it is lost.
@@ -45,10 +31,9 @@ type Window struct {
 	From, To time.Duration
 }
 
-func (w Window) contains(t time.Duration) bool { return t >= w.From && t < w.To }
-
-// Plan describes what a fault injector does. The zero Plan injects
-// nothing. Probabilities are per-frame in [0, 1] and independent.
+// Plan describes what a link direction does to the frames it accepts.
+// The zero Plan injects nothing. Probabilities are per-frame in [0, 1]
+// and independent.
 type Plan struct {
 	Loss      float64 // probabilistic frame loss
 	Corrupt   float64 // single-bit payload corruption
@@ -149,83 +134,4 @@ func ParsePlan(spec string) (Plan, error) {
 		}
 	}
 	return p, nil
-}
-
-// Injector applies a Plan to one link direction. It implements
-// link.FaultInjector. All randomness comes from its private seeded
-// generator; an Injector must only be used from the simulation
-// goroutine of the kernel whose traffic it sees.
-type Injector struct {
-	plan Plan
-	rng  *rand.Rand
-}
-
-// NewInjector binds a plan to a fresh generator seeded with seed.
-func NewInjector(plan Plan, seed int64) *Injector {
-	return &Injector{plan: plan, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Plan returns the injector's plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
-// Apply decides the fate of one accepted frame. Down windows are
-// checked first (no randomness spent), then loss, corruption,
-// reordering, and duplication each draw once in that fixed order, so
-// the decision stream is a pure function of (seed, frame sequence).
-// The corrupted and duplicated copies come from frames.
-func (in *Injector) Apply(f *packet.Frame, now time.Duration, frames *packet.FramePool) link.FaultOutcome {
-	for _, w := range in.plan.Down {
-		if w.contains(now) {
-			return link.FaultOutcome{Lost: true, Reason: tracing.DropLinkDown}
-		}
-	}
-	if in.plan.Loss > 0 && in.rng.Float64() < in.plan.Loss {
-		return link.FaultOutcome{Lost: true, Reason: tracing.DropFaultLoss}
-	}
-
-	var out link.FaultOutcome
-	deliver := f
-	if in.plan.Corrupt > 0 && in.rng.Float64() < in.plan.Corrupt && len(f.Payload) > 0 {
-		c := frames.Clone(f)
-		bit := in.rng.Intn(len(c.Payload) * 8)
-		c.Payload[bit/8] ^= 1 << (bit % 8)
-		deliver = c
-		out.Corrupted = true
-	}
-	var extra time.Duration
-	if in.plan.Reorder > 0 && in.rng.Float64() < in.plan.Reorder {
-		bound := in.plan.ReorderDelay
-		if bound <= 0 {
-			bound = DefaultReorderDelay
-		}
-		extra = time.Duration(1 + in.rng.Int63n(int64(bound)))
-		out.Reordered = true
-	}
-	dup := in.plan.Duplicate > 0 && in.rng.Float64() < in.plan.Duplicate
-	if dup {
-		out.Duplicated = true
-	}
-	if !out.Corrupted && !out.Reordered && !dup {
-		return link.FaultOutcome{} // pass through, no allocation
-	}
-	out.Deliveries = append(out.Deliveries, link.FaultDelivery{Frame: deliver, ExtraDelay: extra})
-	if dup {
-		out.Deliveries = append(out.Deliveries, link.FaultDelivery{
-			Frame: frames.Clone(deliver), ExtraDelay: extra + duplicateGap,
-		})
-	}
-	return out
-}
-
-// Attach binds the plan to both directions of e's link with derived
-// seeds (seed for e's transmit side, seed+1 for the peer's), returning
-// the two injectors. This is the usual way to make a host's access
-// link — e.g. the policy server's management channel — lossy in both
-// directions.
-func Attach(e *link.Endpoint, plan Plan, seed int64) (tx, rx *Injector) {
-	tx = NewInjector(plan, seed)
-	rx = NewInjector(plan, seed+1)
-	e.SetFaults(tx)
-	e.Peer().SetFaults(rx)
-	return tx, rx
 }

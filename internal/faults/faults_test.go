@@ -1,10 +1,11 @@
-package faults
+package faults_test
 
 import (
 	"bytes"
 	"testing"
 	"time"
 
+	"barbican/internal/faults"
 	"barbican/internal/link"
 	"barbican/internal/packet"
 	"barbican/internal/sim"
@@ -28,11 +29,11 @@ func TestParsePlanRoundTrip(t *testing.T) {
 		"corrupt=1",
 	}
 	for _, spec := range cases {
-		p, err := ParsePlan(spec)
+		p, err := faults.ParsePlan(spec)
 		if err != nil {
 			t.Fatalf("ParsePlan(%q): %v", spec, err)
 		}
-		p2, err := ParsePlan(p.String())
+		p2, err := faults.ParsePlan(p.String())
 		if err != nil {
 			t.Fatalf("ParsePlan(String(%q)=%q): %v", spec, p.String(), err)
 		}
@@ -53,7 +54,7 @@ func TestParsePlanRejectsBadSpecs(t *testing.T) {
 		"reorder-delay=0", // non-positive
 		"reorder-delay=x", // unparsable
 	} {
-		if _, err := ParsePlan(spec); err == nil {
+		if _, err := faults.ParsePlan(spec); err == nil {
 			t.Errorf("ParsePlan(%q) accepted, want error", spec)
 		}
 	}
@@ -62,14 +63,14 @@ func TestParsePlanRejectsBadSpecs(t *testing.T) {
 // TestInjectorDeterminism: identical (plan, seed, traffic) triples
 // must produce identical decision streams and stats.
 func TestInjectorDeterminism(t *testing.T) {
-	plan, err := ParsePlan("loss=0.2,corrupt=0.1,dup=0.1,reorder=0.2,reorder-delay=500us")
+	plan, err := faults.ParsePlan("loss=0.2,corrupt=0.1,dup=0.1,reorder=0.2,reorder-delay=500us")
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func() ([]time.Duration, []byte, link.Stats) {
 		k := sim.NewKernel()
 		a, b := link.New(k, link.Config{})
-		a.SetFaults(NewInjector(plan, 42))
+		a.SetFaults(plan, 42)
 		var arrivals []time.Duration
 		var payloads []byte
 		b.Attach(func(f *packet.Frame) {
@@ -107,10 +108,10 @@ func TestInjectorDeterminism(t *testing.T) {
 }
 
 func TestDownWindowLosesEverything(t *testing.T) {
-	plan := Plan{Down: []Window{{From: time.Millisecond, To: 2 * time.Millisecond}}}
+	plan := faults.Plan{Down: []faults.Window{{From: time.Millisecond, To: 2 * time.Millisecond}}}
 	k := sim.NewKernel()
 	a, b := link.New(k, link.Config{})
-	a.SetFaults(NewInjector(plan, 1))
+	a.SetFaults(plan, 1)
 	var got int
 	b.Attach(func(*packet.Frame) { got++ })
 	// One frame before, three inside, one after the window.
@@ -132,10 +133,10 @@ func TestDownWindowLosesEverything(t *testing.T) {
 }
 
 func TestCorruptionFlipsExactlyOneBit(t *testing.T) {
-	plan := Plan{Corrupt: 1}
+	plan := faults.Plan{Corrupt: 1}
 	k := sim.NewKernel()
 	a, b := link.New(k, link.Config{})
-	a.SetFaults(NewInjector(plan, 7))
+	a.SetFaults(plan, 7)
 	orig := frame(1, 2, 128)
 	for i := range orig.Payload {
 		orig.Payload[i] = byte(i)
@@ -168,10 +169,10 @@ func TestCorruptionFlipsExactlyOneBit(t *testing.T) {
 // to cycle the transmit queue and checks it never wedges: every
 // accepted frame's slot is released, so the queue drains to zero.
 func TestDuplicateQueueAccounting(t *testing.T) {
-	plan := Plan{Duplicate: 0.5, Loss: 0.2}
+	plan := faults.Plan{Duplicate: 0.5, Loss: 0.2}
 	k := sim.NewKernel()
 	a, b := link.New(k, link.Config{QueueFrames: 4})
-	a.SetFaults(NewInjector(plan, 99))
+	a.SetFaults(plan, 99)
 	var got int
 	b.Attach(func(*packet.Frame) { got++ })
 	sent := 0
@@ -204,10 +205,10 @@ func TestDuplicateQueueAccounting(t *testing.T) {
 }
 
 func TestAttachCoversBothDirections(t *testing.T) {
-	plan := Plan{Loss: 1}
+	plan := faults.Plan{Loss: 1}
 	k := sim.NewKernel()
 	a, b := link.New(k, link.Config{})
-	Attach(a, plan, 5)
+	link.AttachFaults(a, plan, 5)
 	var got int
 	a.Attach(func(*packet.Frame) { got++ })
 	b.Attach(func(*packet.Frame) { got++ })

@@ -9,8 +9,10 @@
 package link
 
 import (
+	"math/rand"
 	"time"
 
+	"barbican/internal/faults"
 	"barbican/internal/obs/tracing"
 	"barbican/internal/packet"
 	"barbican/internal/sim"
@@ -23,6 +25,10 @@ const Rate100Mbps = 100_000_000
 // Propagation is every link's one-way propagation delay (≈100 m of
 // copper).
 const Propagation = 500 * time.Nanosecond
+
+// duplicateGap is the fixed extra delay of a duplicated frame's second
+// copy, enough to land it behind the first.
+const duplicateGap = time.Microsecond
 
 // DefaultQueueFrames is the default per-direction transmit queue bound.
 const DefaultQueueFrames = 128
@@ -47,52 +53,12 @@ type Stats struct {
 	SentBytes     uint64 // wire bytes, including preamble/IFG
 	DroppedFrames uint64 // transmit queue overflow
 
-	// Fault-injection effects applied to accepted frames (all zero
-	// unless a FaultInjector is attached).
+	// Fault-plan effects applied to accepted frames (all zero unless
+	// SetFaults gave the direction a plan).
 	FaultLost       uint64 // frames consumed by the wire (loss or down window)
 	FaultCorrupted  uint64 // frames delivered with flipped bits
 	FaultDuplicated uint64 // frames delivered more than once
 	FaultReordered  uint64 // frames delivered with extra delay
-}
-
-// FaultDelivery is one (possibly modified, possibly extra) arrival of
-// a frame at the far end of the link.
-type FaultDelivery struct {
-	Frame *packet.Frame
-	// ExtraDelay is added on top of the frame's normal
-	// serialization + propagation arrival time.
-	ExtraDelay time.Duration
-}
-
-// FaultOutcome is a FaultInjector's decision for one accepted frame.
-// The zero value means "deliver normally" and costs nothing, so a
-// mostly-quiet injector stays off the allocation path.
-type FaultOutcome struct {
-	// Lost consumes the frame: it occupies the wire (the sender saw a
-	// successful Send) but never arrives. Reason annotates sampled
-	// traces; DropNone defaults to DropFaultLoss.
-	Lost   bool
-	Reason tracing.DropReason
-
-	// Deliveries, when non-empty, replaces the single on-time
-	// delivery: one entry per arrival (corruption substitutes a
-	// mangled clone, duplication adds entries, reordering adds
-	// ExtraDelay). Ignored when Lost is set.
-	Deliveries []FaultDelivery
-
-	// Effect flags drive the per-endpoint Stats counters.
-	Corrupted  bool
-	Duplicated bool
-	Reordered  bool
-}
-
-// FaultInjector decides the fate of each frame accepted onto a link
-// direction. Implementations must be deterministic in virtual time
-// (seeded rand only) — see internal/faults. Any extra frame an outcome
-// delivers (a corrupted or duplicated copy) comes from frames; the link
-// releases f itself when no delivery carries it.
-type FaultInjector interface {
-	Apply(f *packet.Frame, now time.Duration, frames *packet.FramePool) FaultOutcome
 }
 
 // Endpoint is one end of a full-duplex link. Devices send frames with
@@ -117,15 +83,17 @@ type direction struct {
 	stats     Stats
 	dst       *Endpoint
 	tracer    *tracing.Tracer
-	faults    FaultInjector
+	rng       *rand.Rand // the fault plan's decisions; nil without a plan
 	frames    *packet.FramePool
 
 	// deliverFn is the precomputed arrival callback, scheduled through
 	// the kernel's pooled-event path so each frame in flight costs no
 	// allocation beyond the frame itself. releaseFn frees the transmit
-	// slot of a frame the injector consumed (no arrival to do it).
+	// slot of a frame the fault plan consumed (no arrival to do it).
 	deliverFn func(any)
 	releaseFn func(any)
+
+	plan faults.Plan
 }
 
 // New creates a full-duplex link on the kernel's clock and returns its
@@ -168,7 +136,7 @@ func (d *direction) deliver(x any) {
 }
 
 // release frees one transmit-queue slot for a frame that will never
-// be delivered (consumed by fault injection at serialization end).
+// be delivered (consumed by the fault plan at serialization end).
 func (d *direction) release(any) { d.queued-- }
 
 // Attach registers the frame handler invoked when a frame arrives at this
@@ -182,10 +150,26 @@ func (e *Endpoint) Peer() *Endpoint { return e.peer }
 // the switch's pool for a switch port, shared by every station on it.
 func (e *Endpoint) Frames() *packet.FramePool { return e.dir.frames }
 
-// SetFaults attaches (or with nil detaches) a fault injector to this
-// endpoint's transmit direction. Disabled cost is one nil check on
-// the send path.
-func (e *Endpoint) SetFaults(fi FaultInjector) { e.dir.faults = fi }
+// SetFaults applies plan to this endpoint's transmit direction, every
+// random decision drawn from a private generator seeded with seed, so a
+// (plan, seed, traffic) triple behaves the same on every run. A plan
+// that injects nothing (the zero Plan) detaches it. Disabled cost is
+// one nil check on the send path.
+func (e *Endpoint) SetFaults(plan faults.Plan, seed int64) {
+	e.dir.plan, e.dir.rng = plan, nil
+	if plan.String() != "none" {
+		e.dir.rng = rand.New(rand.NewSource(seed))
+	}
+}
+
+// AttachFaults applies plan to both directions of e's link: seed to e's
+// transmit side, seed+1 to the peer's. It is how a host's access link
+// (the policy server's management channel, a flood target's data link)
+// is made faulty in both directions.
+func AttachFaults(e *Endpoint, plan faults.Plan, seed int64) {
+	e.SetFaults(plan, seed)
+	e.peer.SetFaults(plan, seed+1)
+}
 
 // SetTap registers a passive observer: it sees every frame this endpoint
 // transmits (at acceptance) and receives (at delivery); the frame's
@@ -234,7 +218,7 @@ func (e *Endpoint) Send(f *packet.Frame) bool {
 		// (busyUntil), serialization, and propagation.
 		d.tracer.Span(f.TraceID, tracing.StageLink, now, done+Propagation)
 	}
-	if d.faults != nil {
+	if d.rng != nil {
 		d.sendWithFaults(f, now, done)
 		return true
 	}
@@ -242,17 +226,28 @@ func (e *Endpoint) Send(f *packet.Frame) bool {
 	return true
 }
 
-// sendWithFaults applies the injector's verdict to an already-accepted
-// frame. The sender has seen a successful Send either way — faults act
-// on the wire, not on admission.
+// sendWithFaults applies the direction's fault plan to an accepted
+// frame. Down windows are checked first (no randomness spent), then
+// loss, corruption, reordering and duplication each draw once in that
+// fixed order, so the decisions are a pure function of (seed, frame
+// sequence). The sender has seen a successful Send either way: faults
+// act on the wire, not on admission.
+//
+//barbican:noalloc
 func (d *direction) sendWithFaults(f *packet.Frame, now, done time.Duration) {
-	out := d.faults.Apply(f, now, d.frames)
-	if out.Lost {
-		d.stats.FaultLost++
-		reason := out.Reason
-		if reason == tracing.DropNone {
-			reason = tracing.DropFaultLoss
+	p := &d.plan
+	reason := tracing.DropNone
+	for _, w := range p.Down {
+		if now >= w.From && now < w.To {
+			reason = tracing.DropLinkDown
+			break
 		}
+	}
+	if reason == tracing.DropNone && p.Loss > 0 && d.rng.Float64() < p.Loss {
+		reason = tracing.DropFaultLoss
+	}
+	if reason != tracing.DropNone {
+		d.stats.FaultLost++
 		if d.tracer != nil && f.TraceID != 0 {
 			d.tracer.Drop(f.TraceID, tracing.StageLink, reason)
 		}
@@ -262,28 +257,31 @@ func (d *direction) sendWithFaults(f *packet.Frame, now, done time.Duration) {
 		d.frames.Put(f)
 		return
 	}
-	if out.Corrupted {
+	deliver := f
+	if p.Corrupt > 0 && d.rng.Float64() < p.Corrupt && len(f.Payload) > 0 {
+		deliver = d.frames.Clone(f)
+		bit := d.rng.Intn(len(deliver.Payload) * 8)
+		deliver.Payload[bit/8] ^= 1 << (bit % 8)
 		d.stats.FaultCorrupted++
 	}
-	if out.Duplicated {
-		d.stats.FaultDuplicated++
-	}
-	if out.Reordered {
+	arrive := done + Propagation - now
+	if p.Reorder > 0 && d.rng.Float64() < p.Reorder {
+		bound := p.ReorderDelay
+		if bound <= 0 {
+			bound = faults.DefaultReorderDelay
+		}
+		arrive += time.Duration(1 + d.rng.Int63n(int64(bound)))
 		d.stats.FaultReordered++
 	}
-	if len(out.Deliveries) == 0 {
-		d.kernel.AfterCall(done+Propagation-now, d.deliverFn, f)
-		return
+	dup := p.Duplicate > 0 && d.rng.Float64() < p.Duplicate
+	d.kernel.AfterCall(arrive, d.deliverFn, deliver)
+	if dup {
+		// Each arrival frees a transmit slot: balance the second one.
+		d.stats.FaultDuplicated++
+		d.queued++
+		d.kernel.AfterCall(arrive+duplicateGap, d.deliverFn, d.frames.Clone(deliver))
 	}
-	// Each scheduled delivery decrements queued on arrival; balance
-	// the extra arrivals duplication created.
-	d.queued += len(out.Deliveries) - 1
-	carried := false
-	for _, dv := range out.Deliveries {
-		carried = carried || dv.Frame == f
-		d.kernel.AfterCall(done+Propagation+dv.ExtraDelay-now, d.deliverFn, dv.Frame)
-	}
-	if !carried {
+	if deliver != f {
 		d.frames.Put(f) // replaced by a corrupted copy
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"barbican/internal/faults"
 	"barbican/internal/packet"
 	"barbican/internal/sim"
 )
@@ -356,5 +357,50 @@ func TestEndpointTapSeesBothDirections(t *testing.T) {
 	}
 	if tx != 1 {
 		t.Errorf("tap fired after removal")
+	}
+}
+
+// A direction that reorders, duplicates or corrupts every frame decides
+// and schedules each one allocation-free at steady state: the extra
+// copies come from the link's pool and go back to it on delivery.
+func TestFaultPathAllocatesNothing(t *testing.T) {
+	for _, tt := range []struct {
+		name     string
+		plan     faults.Plan
+		arrivals int // per frame sent
+	}{
+		{"reorder", faults.Plan{Reorder: 1}, 1},
+		{"duplicate", faults.Plan{Duplicate: 1}, 2},
+		{"corrupt", faults.Plan{Corrupt: 1}, 1},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			a, b := New(k, Config{})
+			a.SetFaults(tt.plan, 1)
+			pool := a.Frames()
+			delivered := 0
+			b.Attach(func(f *packet.Frame) {
+				delivered++
+				pool.Put(f)
+			})
+			send := func() {
+				f := pool.Get(packet.MAC{2, 0, 0, 0, 0, 1}, packet.MAC{2, 0, 0, 0, 0, 2}, packet.EtherTypeIPv4, 100)
+				f.Payload = f.Payload[:100]
+				a.Send(f)
+				if err := k.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			send() // fill the pool and the kernel's event pool
+			if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+				t.Errorf("%s plan allocates %v per frame, want 0", tt.name, allocs)
+			}
+			if want := 102 * tt.arrivals; delivered != want {
+				t.Errorf("delivered %d frames, want %d", delivered, want)
+			}
+			if n := pool.Outstanding(); n != 0 {
+				t.Errorf("%d frames outstanding after the run, want 0", n)
+			}
+		})
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"barbican/internal/faults"
+	"barbican/internal/link"
 	"barbican/internal/policy"
 )
 
@@ -43,7 +44,7 @@ func TestPushDoneExactlyOnceOnSuccess(t *testing.T) {
 // the terminal error, after the retry budget is spent.
 func TestPushDoneExactlyOnceOnTotalLoss(t *testing.T) {
 	tb, srv, agent := setup(t)
-	faults.Attach(tb.PolicyServer.NIC().Endpoint(), faults.Plan{Loss: 1}, 1)
+	link.AttachFaults(tb.PolicyServer.NIC().Endpoint(), faults.Plan{Loss: 1}, 1)
 	if _, err := srv.SetPolicy("target", webPolicy); err != nil {
 		t.Fatal(err)
 	}

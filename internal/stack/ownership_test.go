@@ -57,7 +57,7 @@ func vpgPair(t *testing.T) (*net, *Host, *Host) {
 		}
 		h.NIC().InstallRuleSet(fw.MustRuleSet(fw.Deny, fw.VPGRulePair("psq", h.IP(), prefix)...))
 	}
-	a.NIC().Endpoint().SetFaults(faults.NewInjector(lossyPlan, 5))
+	a.NIC().Endpoint().SetFaults(lossyPlan, 5)
 	return nw, a, b
 }
 
@@ -66,7 +66,7 @@ func vpgPair(t *testing.T) (*net, *Host, *Host) {
 func plainPair(t *testing.T) (*net, *Host, *Host) {
 	t.Helper()
 	nw, a, b := twoHosts(t)
-	a.NIC().Endpoint().SetFaults(faults.NewInjector(lossyPlan, 5))
+	a.NIC().Endpoint().SetFaults(lossyPlan, 5)
 	return nw, a, b
 }
 
@@ -257,7 +257,7 @@ func summary(r exchangeResult) exchangeResult {
 // than overwrite the frame it is handling.
 func TestOpenPanicsWhenReentered(t *testing.T) {
 	nw, a, b := vpgPair(t)
-	a.NIC().Endpoint().SetFaults(nil)
+	a.NIC().Endpoint().SetFaults(faults.Plan{}, 0)
 	var first *packet.Frame
 	card := b.NIC()
 	card.SetDeliver(func(f *packet.Frame) {

@@ -19,7 +19,7 @@ func TestSendBufferCompaction(t *testing.T) {
 	nw := newNet(t)
 	a := nw.addHost(t, "a", "10.0.0.1", nic.Standard(), nil)
 	b := nw.addHost(t, "b", "10.0.0.2", nic.Standard(), nil)
-	a.NIC().Endpoint().SetFaults(faults.NewInjector(faults.Plan{Loss: 0.01, Reorder: 0.02}, 11))
+	a.NIC().Endpoint().SetFaults(faults.Plan{Loss: 0.01, Reorder: 0.02}, 11)
 
 	stream := make([]byte, 4<<20)
 	rng := rand.New(rand.NewSource(17))
